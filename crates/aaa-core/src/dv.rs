@@ -1,5 +1,5 @@
 //! Per-rank distance-vector storage: a contiguous row arena plus the
-//! round-structured min-plus relaxation kernel that runs on it.
+//! delta-driven min-plus relaxation kernel that runs on it.
 //!
 //! Each processor keeps a Distance Vector (DV) per **local** vertex — the
 //! current estimate of its shortest-path distance to *every* vertex in the
@@ -15,19 +15,38 @@
 //!
 //! # Storage layout
 //!
-//! Rows live in two flat arenas (`Vec<Dist>`): one for local rows, one for
-//! cached external rows. Row `slot` occupies the cell range from
-//! `slot * stride` up to `slot * stride + n`, where `stride ≥ n` is the
-//! column *capacity*. `grow_columns` within capacity is just an `n` bump
-//! (every cell in `[n, stride)` is kept at `INF` at all times); growing
-//! past capacity doubles the stride and re-lays rows out once — the
-//! amortized-doubling resize of §IV.C.1a, now applied to the whole arena
-//! instead of per-row `Vec`s. A dense `id → slot` map (one `u32` per
-//! global vertex, local rows tagged with the top bit) replaces the hashmap
-//! row lookup, the dirty set is a bitset over global ids (sorted iteration
-//! for free), and the sorted-id vectors the relaxation kernel iterates are
-//! cached and invalidated only when row membership changes (grow/migrate),
-//! not per call.
+//! Rows live in two flat arenas: one for local rows, one for cached
+//! external rows. Row `slot` occupies the cell range from `slot * stride`
+//! up to `slot * stride + n`, where `stride ≥ n` is the column *capacity*.
+//! `grow_columns` within capacity is just an `n` bump (every cell in
+//! `[n, stride)` is kept at `INF` at all times); growing past capacity
+//! doubles the stride and re-lays rows out once — the amortized-doubling
+//! resize of §IV.C.1a, applied to the whole arena instead of per-row
+//! `Vec`s. A dense `id → slot` map (one `u32` per global vertex, local rows
+//! tagged with the top bit) replaces the hashmap row lookup, and the dirty
+//! set is a bitset over global ids (sorted iteration for free).
+//!
+//! # The change record and the closure invariant
+//!
+//! Next to the cells each arena keeps one bit per cell, slot-indexed like
+//! the rows: bit `t` of row `v` is set when `D[v][t]` was lowered since
+//! `v` last seeded the relaxation kernel. The kernel maintains, and every
+//! write path preserves, this invariant:
+//!
+//! > after every [`DvStore::relax_to_fixed_point`] call, for every local
+//! > row `v`, every pivot `u` with a row here and every column `t`:
+//! > `D[v][t] ≤ D[v][u] + D[u][t]`, except through cells recorded as
+//! > unpropagated.
+//!
+//! A write either records exactly the cells it lowered (the min-merges,
+//! [`DvStore::update_local_row`]) or marks the whole row (fresh, installed
+//! and migrated rows, [`DvStore::mark_all_unpropagated`]); a seeded row
+//! with nothing recorded counts as all columns, so over-approximation is
+//! always safe. Bits persist until the row is actually seeded — like
+//! `dirty` persists until sent — are extended with zeros by `grow_columns`
+//! (a new column is `INF` everywhere, there is nothing to propagate) and
+//! move with the row when slots are re-laid out or swap-removed. The
+//! record costs 1 bit per 32-bit cell, +3.1 % of the arena.
 
 use aaa_graph::{Dist, VertexId, INF};
 
@@ -35,10 +54,45 @@ use aaa_graph::{Dist, VertexId, INF};
 const NO_SLOT: u32 = u32::MAX;
 /// `slot_of` tag: the slot indexes the local arena (cleared → cached).
 const LOCAL_BIT: u32 = 1 << 31;
+/// `round_of` sentinel: the row is not a pivot of the current round.
+const NO_PIVOT: u32 = u32::MAX;
 
-/// Rows-per-chunk × columns below which the kernel stays sequential:
-/// a round this small is cheaper than spawning scoped threads.
-const PARALLEL_MIN_CELLS: usize = 1 << 16;
+/// Scheduled cells (row passes × the cells each touches) below which a
+/// round stays on the calling thread: spawning scoped workers costs more
+/// than relaxing this much.
+const PARALLEL_MIN_WORK: usize = 1 << 22;
+
+/// A changed row is pushed through the other rows as a gathered
+/// `(column, value)` list when at most `n / SPARSE_DIVISOR` of its columns
+/// changed, and as a dense row otherwise. A constant, not a knob: a list
+/// entry costs about four dense cells, and cold convergence at n = 2000,
+/// P = 16 measured 1.30 / 1.27 / 1.23 / 1.30 / 1.32 s for divisors
+/// 2 / 3 / 4 / 8 / 16–32 — shallow around the optimum.
+const SPARSE_DIVISOR: usize = 4;
+
+/// Calls `f` on the set bits of `words`, in increasing order.
+fn for_each_bit(words: &[u64], mut f: impl FnMut(u32)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(w as u32 * 64 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], t: usize) {
+    words[t / 64] |= 1 << (t % 64);
+}
+
+/// Sets bits `[0, n)`.
+fn set_prefix(words: &mut [u64], n: usize) {
+    words[..n / 64].fill(!0);
+    if n % 64 != 0 {
+        words[n / 64] |= (1 << (n % 64)) - 1;
+    }
+}
 
 /// A dirty-row set as a bitset over global vertex ids. Iteration yields
 /// ids in increasing order, so the deterministic sorted send order the RC
@@ -82,14 +136,7 @@ impl DirtyBits {
     /// Set ids in increasing order.
     fn to_sorted(&self) -> Vec<VertexId> {
         let mut out = Vec::with_capacity(self.count);
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let b = word.trailing_zeros();
-                out.push((w as u32) * 64 + b);
-                word &= word - 1;
-            }
-        }
+        for_each_bit(&self.words, |v| out.push(v));
         out
     }
 
@@ -99,27 +146,250 @@ impl DirtyBits {
     }
 }
 
-/// Where a pivot row lives, resolved to arena coordinates once per round.
+/// One row arena: the cells, the per-cell change record, and slot → id.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    /// Number of live columns (current global vertex count).
+    n: usize,
+    /// Column capacity; rows are `stride` apart in `data`.
+    stride: usize,
+    /// Slot-major cells: slot `s` at `[s * stride, s * stride + n)`.
+    data: Vec<Dist>,
+    /// Slot-major change record, `stride.div_ceil(64)` words per row: bit
+    /// `t` of slot `s` is set when cell `(s, t)` was lowered since the
+    /// row last seeded the kernel.
+    delta: Vec<u64>,
+    /// Slot → vertex id.
+    ids: Vec<VertexId>,
+}
+
+impl Arena {
+    fn new(n: usize) -> Self {
+        Self { n, stride: n, ..Self::default() }
+    }
+
+    /// Change-record words per row.
+    fn words(&self) -> usize {
+        self.stride.div_ceil(64)
+    }
+
+    fn row(&self, s: usize) -> &[Dist] {
+        &self.data[s * self.stride..s * self.stride + self.n]
+    }
+
+    /// Row `s` together with its change record, for a tracked write.
+    fn row_mut(&mut self, s: usize) -> (&mut [Dist], &mut [u64]) {
+        let w = self.words();
+        (
+            &mut self.data[s * self.stride..s * self.stride + self.n],
+            &mut self.delta[s * w..(s + 1) * w],
+        )
+    }
+
+    /// Appends an all-`INF` row for `v` with nothing recorded; returns its
+    /// slot.
+    fn push_inf(&mut self, v: VertexId) -> usize {
+        let s = self.ids.len();
+        self.ids.push(v);
+        self.data.resize(self.data.len() + self.stride, INF);
+        self.delta.resize(self.delta.len() + self.words(), 0);
+        s
+    }
+
+    /// Overwrites row `s` (any values: migration, restore, recompute) and
+    /// records every cell.
+    fn install(&mut self, s: usize, row: &[Dist]) {
+        let n = self.n;
+        let (dst, delta) = self.row_mut(s);
+        dst.copy_from_slice(row);
+        set_prefix(delta, n);
+    }
+
+    /// Grows to `new_n` columns. Past capacity the stride doubles and rows
+    /// and records are re-laid out once; new columns are `INF` with
+    /// nothing recorded.
+    fn grow(&mut self, new_n: usize) {
+        if new_n > self.stride {
+            let new_stride = new_n.max(self.stride * 2);
+            let words = self.words();
+            self.data = relayout(&self.data, self.n, self.stride, new_stride, INF);
+            self.delta = relayout(&self.delta, words, words, new_stride.div_ceil(64), 0);
+            self.stride = new_stride;
+        }
+        self.n = new_n;
+    }
+
+    /// Swap-removes row `s`, keeping slots dense; the row moved into `s`
+    /// brings its change record along. Returns the removed row (live
+    /// columns only). `tag` is OR-ed into the moved row's `slot_of` entry
+    /// (`LOCAL_BIT` for the local arena, `0` for cached).
+    fn swap_remove(&mut self, s: usize, slot_of: &mut [u32], tag: u32) -> Vec<Dist> {
+        let (last, stride, words) = (self.ids.len() - 1, self.stride, self.words());
+        let row = self.row(s).to_vec();
+        if s != last {
+            self.data.copy_within(last * stride..(last + 1) * stride, s * stride);
+            self.delta.copy_within(last * words..(last + 1) * words, s * words);
+            let moved = self.ids[last];
+            self.ids[s] = moved;
+            slot_of[moved as usize] = s as u32 | tag;
+        }
+        self.ids.pop();
+        self.data.truncate(last * stride);
+        self.delta.truncate(last * words);
+        row
+    }
+
+    fn clear(&mut self) {
+        self.data.clear();
+        self.delta.clear();
+        self.ids.clear();
+    }
+}
+
+/// Deterministic work counters of the relaxation kernel: exact functions
+/// of the inputs, independent of thread count and host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelTally {
+    /// [`DvStore::relax_to_fixed_point`] calls that had rows to relax.
+    pub calls: u64,
+    /// Jacobi rounds over all calls.
+    pub rounds: u64,
+    /// Full-width [`relax_via`] row passes.
+    pub dense_passes: u64,
+    /// Row passes over a pivot's gathered changed-column list.
+    pub sparse_passes: u64,
+    /// Cells the passes touched (`n` per dense pass, the list length per
+    /// sparse pass).
+    pub cells: u64,
+}
+
+impl std::ops::AddAssign for KernelTally {
+    fn add_assign(&mut self, o: Self) {
+        self.calls += o.calls;
+        self.rounds += o.rounds;
+        self.dense_passes += o.dense_passes;
+        self.sparse_passes += o.sparse_passes;
+        self.cells += o.cells;
+    }
+}
+
+impl std::iter::Sum for KernelTally {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut acc, t| {
+            acc += t;
+            acc
+        })
+    }
+}
+
+/// A local row under a tracked write: every lowering goes through this
+/// handle, so the change record cannot miss one.
+pub struct RowMut<'a> {
+    row: &'a mut [Dist],
+    delta: &'a mut [u64],
+    changed: bool,
+}
+
+impl RowMut<'_> {
+    /// Current value of column `t`.
+    #[inline]
+    pub fn get(&self, t: VertexId) -> Dist {
+        self.row[t as usize]
+    }
+
+    /// `row[t] = min(row[t], d)`.
+    #[inline]
+    pub fn lower(&mut self, t: VertexId, d: Dist) {
+        if d < self.row[t as usize] {
+            self.row[t as usize] = d;
+            set_bit(self.delta, t as usize);
+            self.changed = true;
+        }
+    }
+
+    /// `row[t] = min(row[t], through + via[t])` for all `t`.
+    pub fn relax_via(&mut self, through: Dist, via: &[Dist]) {
+        self.changed |= relax_via_tracked(self.row, through, via, self.delta);
+    }
+}
+
+/// Round state of one kernel call; its buffers are reused across the
+/// call's rounds and released with it (a cold call gathers lists for
+/// hundreds of pivots — not something to keep per rank between calls).
+#[derive(Default)]
+struct KernelScratch {
+    /// The round's pivots: rows that changed last round (the seeds in
+    /// round 1), each with the columns it changed in.
+    pivots: Vec<RoundPivot>,
+    /// `pivots.len() × words` changed-column sets, pivot-major.
+    delta: Vec<u64>,
+    /// `(column, value)` lists of the sparse pivots, back to back.
+    gathered: Vec<(VertexId, Dist)>,
+    /// Vertex id → index into `pivots` (`NO_PIVOT` otherwise). Reset entry
+    /// by entry after each round.
+    round_of: Vec<u32>,
+    /// Bitset over vertex ids of the round's pivots.
+    id_bits: Vec<u64>,
+    /// Per local slot: lowered this round.
+    changed: Vec<bool>,
+    /// Cells the round is scheduled to touch (an upper bound: passes
+    /// through `INF` cells are skipped) — what the thread fan-out is gated
+    /// on.
+    work: usize,
+}
+
 #[derive(Debug, Clone, Copy)]
-enum PivotSrc {
-    Local(u32),
-    Cached(u32),
+struct RoundPivot {
+    id: VertexId,
+    /// Range of `gathered` holding the changed columns when they are few
+    /// enough to go sparse; `None` pushes the whole row.
+    list: Option<(u32, u32)>,
+}
+
+impl KernelScratch {
+    /// Registers `id` as a pivot of the coming round. Its changed-column
+    /// set is the last `id_bits.len()` words of `delta`; `row` holds its
+    /// current values. `nl` / `rows` count the local / all rows here.
+    fn push_pivot(&mut self, id: VertexId, local: bool, row: &[Dist], nl: usize, rows: usize) {
+        let bits = &self.delta[self.delta.len() - self.id_bits.len()..];
+        let count: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let list = (count * SPARSE_DIVISOR <= row.len()).then(|| {
+            let at = self.gathered.len();
+            for_each_bit(bits, |t| self.gathered.push((t, row[t as usize])));
+            (at as u32, count as u32)
+        });
+        // Case (a): every local row passes through this pivot. Case (b): a
+        // local pivot's own row passes densely through each pivot among
+        // its changed columns.
+        self.work += nl * if list.is_some() { count } else { row.len() };
+        if local {
+            self.work += count.min(rows) * row.len();
+        }
+        self.round_of[id as usize] = self.pivots.len() as u32;
+        set_bit(&mut self.id_bits, id as usize);
+        self.pivots.push(RoundPivot { id, list });
+    }
+
+    /// Retires the finished round's pivot set.
+    fn clear_round(&mut self) {
+        for p in &self.pivots {
+            self.round_of[p.id as usize] = NO_PIVOT;
+            self.id_bits[p.id as usize / 64] = 0;
+        }
+        self.pivots.clear();
+        self.delta.clear();
+        self.gathered.clear();
+        self.work = 0;
+    }
 }
 
 /// Distance-vector store for one rank.
 #[derive(Debug, Clone, Default)]
 pub struct DvStore {
-    /// Number of live columns (current global vertex count).
-    n: usize,
-    /// Column capacity; rows are `stride` apart in the arenas.
-    stride: usize,
-    /// Local rows, slot-major: slot `s` at `[s * stride, s * stride + n)`.
-    local_data: Vec<Dist>,
-    /// Slot → vertex id for local rows.
-    local_ids: Vec<VertexId>,
+    /// Local rows.
+    local: Arena,
     /// Cached external rows, same layout.
-    cached_data: Vec<Dist>,
-    cached_ids: Vec<VertexId>,
+    cached: Arena,
     /// Dense id → slot map (`LOCAL_BIT` tags local slots).
     slot_of: Vec<u32>,
     /// Local rows changed since they were last sent.
@@ -129,10 +399,7 @@ pub struct DvStore {
     /// set survives until the publisher drains it, so an epoch's view
     /// delta covers exactly the rows whose closeness may have moved.
     epoch_dirty: DirtyBits,
-    /// Cached sorted-id views, rebuilt only after membership changes.
-    sorted_local: Vec<VertexId>,
-    sorted_all: Vec<VertexId>,
-    sorted_stale: bool,
+    tally: KernelTally,
 }
 
 impl DvStore {
@@ -140,25 +407,30 @@ impl DvStore {
     pub fn new(n: usize) -> Self {
         let mut dirty = DirtyBits::default();
         dirty.ensure(n);
-        let mut epoch_dirty = DirtyBits::default();
-        epoch_dirty.ensure(n);
-        Self { n, stride: n, slot_of: vec![NO_SLOT; n], dirty, epoch_dirty, ..Self::default() }
+        Self {
+            local: Arena::new(n),
+            cached: Arena::new(n),
+            slot_of: vec![NO_SLOT; n],
+            epoch_dirty: dirty.clone(),
+            dirty,
+            ..Self::default()
+        }
     }
 
     /// Current column count.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.local.n
     }
 
     /// Number of local rows.
     pub fn num_local(&self) -> usize {
-        self.local_ids.len()
+        self.local.ids.len()
     }
 
     /// Number of cached external rows.
     pub fn num_cached(&self) -> usize {
-        self.cached_ids.len()
+        self.cached.ids.len()
     }
 
     #[inline]
@@ -177,21 +449,25 @@ impl DvStore {
         }
     }
 
-    /// Adds a fresh local row for `v`: all `INF` except `row[v] = 0`.
-    /// Marks it dirty. No-op if the row already exists.
-    pub fn add_local_row(&mut self, v: VertexId) {
-        debug_assert!((v as usize) < self.n, "row {v} beyond column count {}", self.n);
-        if self.local_slot(v).is_none() {
-            debug_assert!(self.cached_slot(v).is_none(), "add_local_row over cached row {v}");
-            let s = self.local_ids.len();
-            self.local_ids.push(v);
-            self.local_data.resize(self.local_data.len() + self.stride, INF);
-            self.local_data[s * self.stride + v as usize] = 0;
-            self.slot_of[v as usize] = s as u32 | LOCAL_BIT;
-            self.sorted_stale = true;
-        }
+    fn mark_changed(&mut self, v: VertexId) {
         self.dirty.insert(v);
         self.epoch_dirty.insert(v);
+    }
+
+    /// Adds a fresh local row for `v`: all `INF` except `row[v] = 0`,
+    /// recorded whole. Marks it dirty. No-op if the row already exists.
+    pub fn add_local_row(&mut self, v: VertexId) {
+        debug_assert!((v as usize) < self.n(), "row {v} beyond column count {}", self.n());
+        if self.local_slot(v).is_none() {
+            debug_assert!(self.cached_slot(v).is_none(), "add_local_row over cached row {v}");
+            let s = self.local.push_inf(v);
+            let n = self.n();
+            let (row, delta) = self.local.row_mut(s);
+            row[v as usize] = 0;
+            set_prefix(delta, n);
+            self.slot_of[v as usize] = s as u32 | LOCAL_BIT;
+        }
+        self.mark_changed(v);
     }
 
     /// Grows every row to `new_n` columns (filled with `INF`). Within the
@@ -199,14 +475,9 @@ impl DvStore {
     /// `INF`; past it the stride doubles and the arena is re-laid out once,
     /// matching the paper's amortized resize analysis (§IV.C.1a).
     pub fn grow_columns(&mut self, new_n: usize) {
-        debug_assert!(new_n >= self.n);
-        if new_n > self.stride {
-            let new_stride = new_n.max(self.stride * 2);
-            self.local_data = relayout(&self.local_data, self.n, self.stride, new_stride);
-            self.cached_data = relayout(&self.cached_data, self.n, self.stride, new_stride);
-            self.stride = new_stride;
-        }
-        self.n = new_n;
+        debug_assert!(new_n >= self.n());
+        self.local.grow(new_n);
+        self.cached.grow(new_n);
         self.slot_of.resize(new_n, NO_SLOT);
         self.dirty.ensure(new_n);
         self.epoch_dirty.ensure(new_n);
@@ -214,15 +485,12 @@ impl DvStore {
 
     /// Read a row: local first, then cached. `None` if unknown here.
     pub fn row(&self, v: VertexId) -> Option<&[Dist]> {
-        if let Some(s) = self.local_slot(v) {
-            return Some(&self.local_data[s * self.stride..s * self.stride + self.n]);
-        }
-        self.cached_slot(v).map(|s| &self.cached_data[s * self.stride..s * self.stride + self.n])
+        self.local_row(v).or_else(|| self.cached_slot(v).map(|s| self.cached.row(s)))
     }
 
     /// Read a local row.
     pub fn local_row(&self, v: VertexId) -> Option<&[Dist]> {
-        self.local_slot(v).map(|s| &self.local_data[s * self.stride..s * self.stride + self.n])
+        self.local_slot(v).map(|s| self.local.row(s))
     }
 
     /// True if `v` has a local row here.
@@ -230,51 +498,33 @@ impl DvStore {
         self.local_slot(v).is_some()
     }
 
-    /// Ids of local rows, sorted (deterministic iteration order). Served
-    /// from the membership cache when it is fresh.
+    /// Ids of local rows, sorted (deterministic iteration order).
     pub fn local_ids_sorted(&self) -> Vec<VertexId> {
-        if !self.sorted_stale {
-            return self.sorted_local.clone();
-        }
-        let mut ids = self.local_ids.clone();
+        let mut ids = self.local.ids.clone();
         ids.sort_unstable();
         ids
     }
 
     /// Ids of every row available here (local + cached), sorted.
     pub fn all_ids_sorted(&self) -> Vec<VertexId> {
-        if !self.sorted_stale {
-            return self.sorted_all.clone();
-        }
         let mut ids: Vec<VertexId> =
-            self.local_ids.iter().chain(self.cached_ids.iter()).copied().collect();
+            self.local.ids.iter().chain(self.cached.ids.iter()).copied().collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Rebuilds the cached sorted-id views if membership changed.
-    fn refresh_sorted(&mut self) {
-        if !self.sorted_stale {
-            return;
-        }
-        self.sorted_local.clone_from(&self.local_ids);
-        self.sorted_local.sort_unstable();
-        self.sorted_all.clear();
-        self.sorted_all.extend(self.local_ids.iter().chain(self.cached_ids.iter()));
-        self.sorted_all.sort_unstable();
-        self.sorted_stale = false;
-    }
-
-    /// Runs `f` on the (mutable) local row of `v`; a `true` return marks
-    /// the row dirty. Returns `f`'s verdict. This is the split-borrow
-    /// mutation point that replaced the old take/put-back row shuffle — the
-    /// row never leaves the arena.
-    pub fn update_local_row(&mut self, v: VertexId, f: impl FnOnce(&mut [Dist]) -> bool) -> bool {
+    /// Runs `f` on the local row of `v` through a [`RowMut`], which
+    /// records exactly the cells `f` lowers; a change marks the row dirty.
+    /// Returns whether anything was lowered. The row never leaves the
+    /// arena.
+    pub fn update_local_row(&mut self, v: VertexId, f: impl FnOnce(&mut RowMut<'_>)) -> bool {
         let s = self.local_slot(v).expect("update_local_row on missing row");
-        let changed = f(&mut self.local_data[s * self.stride..s * self.stride + self.n]);
+        let (row, delta) = self.local.row_mut(s);
+        let mut handle = RowMut { row, delta, changed: false };
+        f(&mut handle);
+        let changed = handle.changed;
         if changed {
-            self.dirty.insert(v);
-            self.epoch_dirty.insert(v);
+            self.mark_changed(v);
         }
         changed
     }
@@ -285,47 +535,26 @@ impl DvStore {
         self.dirty.remove(v);
         self.epoch_dirty.remove(v);
         self.slot_of[v as usize] = NO_SLOT;
-        self.sorted_stale = true;
-        Some(swap_remove_row(
-            &mut self.local_data,
-            &mut self.local_ids,
-            &mut self.slot_of,
-            s,
-            self.stride,
-            self.n,
-            LOCAL_BIT,
-        ))
+        Some(self.local.swap_remove(s, &mut self.slot_of, LOCAL_BIT))
     }
 
-    /// Installs a migrated row as local (overwrites any cached copy).
+    /// Installs a migrated row as local (overwrites any cached copy),
+    /// recorded whole.
     pub fn install_local(&mut self, v: VertexId, mut row: Vec<Dist>, dirty: bool) {
-        row.resize(self.n, INF);
+        row.resize(self.n(), INF);
         if let Some(s) = self.cached_slot(v) {
             self.slot_of[v as usize] = NO_SLOT;
-            swap_remove_row(
-                &mut self.cached_data,
-                &mut self.cached_ids,
-                &mut self.slot_of,
-                s,
-                self.stride,
-                self.n,
-                0,
-            );
-            self.sorted_stale = true;
+            self.cached.swap_remove(s, &mut self.slot_of, 0);
         }
-        match self.local_slot(v) {
-            Some(s) => {
-                self.local_data[s * self.stride..s * self.stride + self.n].copy_from_slice(&row);
-            }
+        let s = match self.local_slot(v) {
+            Some(s) => s,
             None => {
-                let s = self.local_ids.len();
-                self.local_ids.push(v);
-                self.local_data.resize(self.local_data.len() + self.stride, INF);
-                self.local_data[s * self.stride..s * self.stride + self.n].copy_from_slice(&row);
+                let s = self.local.push_inf(v);
                 self.slot_of[v as usize] = s as u32 | LOCAL_BIT;
-                self.sorted_stale = true;
+                s
             }
-        }
+        };
+        self.local.install(s, &row);
         if dirty {
             self.dirty.insert(v);
         }
@@ -339,11 +568,10 @@ impl DvStore {
     /// dirty) if any entry improved.
     pub fn min_merge_local(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
         let s = self.local_slot(v).expect("min_merge_local on missing row");
-        let row = &mut self.local_data[s * self.stride..s * self.stride + self.n];
-        let changed = min_merge(row, incoming);
+        let (row, delta) = self.local.row_mut(s);
+        let changed = relax_via_tracked(row, 0, incoming, delta);
         if changed {
-            self.dirty.insert(v);
-            self.epoch_dirty.insert(v);
+            self.mark_changed(v);
         }
         changed
     }
@@ -353,31 +581,34 @@ impl DvStore {
     /// improved.
     pub fn min_merge_local_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
         let s = self.local_slot(v).expect("min_merge_local_sparse on missing row");
-        let row = &mut self.local_data[s * self.stride..s * self.stride + self.n];
-        let changed = min_merge_sparse(row, pairs);
+        let (row, delta) = self.local.row_mut(s);
+        let changed = min_merge_sparse_tracked(row, pairs, delta);
         if changed {
-            self.dirty.insert(v);
-            self.epoch_dirty.insert(v);
+            self.mark_changed(v);
         }
         changed
+    }
+
+    /// Slot of `v`'s cached row and whether it had to be created (all
+    /// `INF`).
+    fn cached_slot_or_new(&mut self, v: VertexId) -> (usize, bool) {
+        debug_assert!(!self.is_local(v), "cached write of a local row {v}");
+        match self.cached_slot(v) {
+            Some(s) => (s, false),
+            None => {
+                let s = self.cached.push_inf(v);
+                self.slot_of[v as usize] = s as u32;
+                (s, true)
+            }
+        }
     }
 
     /// Min-merges an incoming external-boundary row into the cache
     /// (creating it if new). Returns `true` if anything improved.
     pub fn min_merge_cached(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
-        debug_assert!(!self.is_local(v), "cached merge of a local row {v}");
-        match self.cached_slot(v) {
-            Some(s) => {
-                let row = &mut self.cached_data[s * self.stride..s * self.stride + self.n];
-                min_merge(row, incoming)
-            }
-            None => {
-                let s = self.push_cached_inf(v);
-                let row = &mut self.cached_data[s * self.stride..s * self.stride + self.n];
-                min_merge(row, incoming);
-                true
-            }
-        }
+        let (s, new) = self.cached_slot_or_new(v);
+        let (row, delta) = self.cached.row_mut(s);
+        relax_via_tracked(row, 0, incoming, delta) | new
     }
 
     /// Sparse variant of [`DvStore::min_merge_cached`] for the delta wire
@@ -385,39 +616,17 @@ impl DvStore {
     /// chaos layer dropped the initial full row) merges into a fresh
     /// all-`INF` row — still a sound upper bound.
     pub fn min_merge_cached_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
-        debug_assert!(!self.is_local(v), "cached merge of a local row {v}");
-        match self.cached_slot(v) {
-            Some(s) => {
-                let row = &mut self.cached_data[s * self.stride..s * self.stride + self.n];
-                min_merge_sparse(row, pairs)
-            }
-            None => {
-                let s = self.push_cached_inf(v);
-                let row = &mut self.cached_data[s * self.stride..s * self.stride + self.n];
-                min_merge_sparse(row, pairs);
-                true
-            }
-        }
-    }
-
-    /// Appends an all-`INF` cached row for `v`; returns its slot.
-    fn push_cached_inf(&mut self, v: VertexId) -> usize {
-        let s = self.cached_ids.len();
-        self.cached_ids.push(v);
-        self.cached_data.resize(self.cached_data.len() + self.stride, INF);
-        self.slot_of[v as usize] = s as u32;
-        self.sorted_stale = true;
-        s
+        let (s, new) = self.cached_slot_or_new(v);
+        let (row, delta) = self.cached.row_mut(s);
+        min_merge_sparse_tracked(row, pairs, delta) | new
     }
 
     /// Drops all cached external rows (used on repartition).
     pub fn clear_cache(&mut self) {
-        for &v in &self.cached_ids {
+        for &v in &self.cached.ids {
             self.slot_of[v as usize] = NO_SLOT;
         }
-        self.cached_ids.clear();
-        self.cached_data.clear();
-        self.sorted_stale = true;
+        self.cached.clear();
     }
 
     /// Marks a local row dirty.
@@ -428,8 +637,19 @@ impl DvStore {
 
     /// Marks every local row dirty.
     pub fn mark_all_dirty(&mut self) {
-        for i in 0..self.local_ids.len() {
-            self.dirty.insert(self.local_ids[i]);
+        for &v in &self.local.ids {
+            self.dirty.insert(v);
+        }
+    }
+
+    /// Records every cell of every local row as unpropagated: a row seeded
+    /// next relaxes through every pivot, and every row through it. For
+    /// events that pair rows anew without lowering a cell (migration,
+    /// recovery resend).
+    pub fn mark_all_unpropagated(&mut self) {
+        let (n, words) = (self.n(), self.local.words());
+        for delta in self.local.delta.chunks_mut(words.max(1)) {
+            set_prefix(delta, n);
         }
     }
 
@@ -454,107 +674,139 @@ impl DvStore {
         ids
     }
 
-    /// Memory the rows occupy, in bytes (diagnostics; live columns only,
-    /// excluding the arena's reserve capacity).
+    /// Memory the rows and their change record occupy, in bytes
+    /// (diagnostics; live columns only, excluding the arena's reserve
+    /// capacity).
     pub fn memory_bytes(&self) -> usize {
-        (self.num_local() + self.num_cached()) * self.n * std::mem::size_of::<Dist>()
+        let per_row = self.n() * std::mem::size_of::<Dist>() + self.n().div_ceil(64) * 8;
+        (self.num_local() + self.num_cached()) * per_row
+    }
+
+    /// Work the relaxation kernel has done on this store since it was
+    /// built.
+    pub fn kernel_tally(&self) -> KernelTally {
+        self.tally
     }
 
     // --------------------------------------------------------------------
     // Relaxation kernel
     // --------------------------------------------------------------------
 
-    fn pivot_src(&self, u: VertexId) -> Option<(VertexId, PivotSrc)> {
-        if let Some(s) = self.local_slot(u) {
-            return Some((u, PivotSrc::Local(s as u32)));
-        }
-        self.cached_slot(u).map(|s| (u, PivotSrc::Cached(s as u32)))
-    }
-
     /// Min-plus relaxation until the rank-local fixed point (the paper's
     /// Floyd–Warshall-flavoured local refresh, §IV.C.1), seeded by the
     /// sorted changed-row ids in `initial`.
     ///
-    /// A relaxation `D[v][·] ← min(D[v][·], D[v][u] + D[u][·])` can newly
-    /// improve only when (a) pivot `u`'s row changed, or (b) row `v`'s
-    /// column `u` changed. Each round therefore relaxes every local row
-    /// through the rows that changed last round, and additionally
-    /// re-relaxes *rows that changed themselves* through **all** available
-    /// pivots — covering case (b).
+    /// The kernel is **delta-driven** (semi-naive). A relaxation
+    /// `D[v][t] ← min(D[v][t], D[v][u] + D[u][t])` can newly improve only
+    /// when (a) `D[u][t]` changed or (b) `D[v][u]` changed, so a round
+    /// relaxes row `v` through pivot `u` only when
     ///
-    /// The kernel is **Jacobi-structured**: each round snapshots the local
-    /// arena once, and every row relaxes against the pre-round pivot
-    /// values (cached rows never change mid-kernel and are read in place).
-    /// Rows are therefore independent within a round, so `threads > 1`
-    /// splits them across scoped threads **bit-identically** to the
-    /// sequential pass — per-row work and the per-row pivot order (sorted
-    /// ids) are the same either way. Entries only decrease and every call
-    /// runs to quiescence, so the fixed point — and with it the produced
-    /// dirty set (changed ⟺ final ≠ initial, by monotonicity) — matches
-    /// the old in-place kernel exactly.
+    /// * (a) `u`'s row changed last round — and then only over the columns
+    ///   `u` changed in: as a gathered `(column, value)` list when at most
+    ///   `n / 4` of them changed, through the dense [`relax_via`]
+    ///   otherwise; or
+    /// * (b) cell `D[v][u]` itself changed last round, which takes the
+    ///   dense pass through `u`.
+    ///
+    /// Round 1 takes "changed" from the store's change record: each seed
+    /// contributes (and clears) the columns recorded on its row since it
+    /// last seeded a call; a seed with nothing recorded counts as changed
+    /// in every column. After a round the changed columns of a lowered row
+    /// are its diff against the pre-round snapshot. Given the module's
+    /// closure invariant on entry, every skipped relaxation is a no-op, so
+    /// the call ends at the same closure — the greatest fixed point below
+    /// the input, which is unique because every relaxation is monotone —
+    /// as relaxing everything through everything would.
+    ///
+    /// The kernel is **Jacobi-structured**: pivots are read from a
+    /// snapshot of the local arena taken before the round (cached rows
+    /// never change mid-kernel and are read in place; gathered lists are
+    /// copies). Rows are therefore independent within a round, so
+    /// `threads > 1` splits them across scoped threads **bit-identically**
+    /// to the sequential pass; the fan-out happens only in rounds that
+    /// schedule enough cells to pay for it. Entries only decrease and
+    /// every call runs to quiescence, so the produced dirty set (changed ⟺
+    /// final ≠ initial, by monotonicity) depends on the fixed point alone.
     ///
     /// Marks changed rows dirty; returns whether any local row changed.
     pub fn relax_to_fixed_point(&mut self, initial: &[VertexId], threads: usize) -> bool {
         debug_assert!(initial.windows(2).all(|w| w[0] < w[1]), "initial must be sorted unique");
-        self.refresh_sorted();
-        let nl = self.local_ids.len();
+        let nl = self.local.ids.len();
         if nl == 0 || initial.is_empty() {
             return false;
         }
-        let (n, stride) = (self.n, self.stride);
+        let Self { local, cached, slot_of, dirty, epoch_dirty, tally } = self;
+        let (n, stride, words) = (local.n, local.stride, local.words());
+        let rows = nl + cached.ids.len();
+        let mut scratch = KernelScratch {
+            round_of: vec![NO_PIVOT; n],
+            id_bits: vec![0; words],
+            changed: vec![false; nl],
+            ..KernelScratch::default()
+        };
 
-        // Round-1 pivots: the changed rows (ids without a row here are
-        // simply never relaxed through — same as the old kernel skipping
-        // them on lookup). Changed *local* rows also start as
-        // full-relaxation targets.
-        let mut pivots: Vec<(VertexId, PivotSrc)> =
-            initial.iter().filter_map(|&u| self.pivot_src(u)).collect();
-        let mut full = vec![false; nl];
+        // Round 1: the seeds, each with the columns recorded on it (ids
+        // without a row here are never relaxed through).
         for &u in initial {
-            if let Some(s) = self.local_slot(u) {
-                full[s] = true;
+            let slot = slot_of.get(u as usize).copied().unwrap_or(NO_SLOT);
+            let is_local = slot & LOCAL_BIT != 0;
+            let (row, recorded) = match slot {
+                NO_SLOT => continue,
+                s if is_local => local.row_mut((s & !LOCAL_BIT) as usize),
+                s => cached.row_mut(s as usize),
+            };
+            let at = scratch.delta.len();
+            scratch.delta.extend_from_slice(recorded);
+            recorded.fill(0);
+            if scratch.delta[at..].iter().all(|&w| w == 0) {
+                set_prefix(&mut scratch.delta[at..], n);
             }
+            scratch.push_pivot(u, is_local, row, nl, rows);
         }
-        // Membership is fixed for the whole kernel, so the all-rows pivot
-        // list (for full targets) resolves once.
-        let all_pivots: Vec<(VertexId, PivotSrc)> =
-            self.sorted_all.iter().filter_map(|&u| self.pivot_src(u)).collect();
+        if scratch.pivots.is_empty() {
+            return false;
+        }
+        // Pre-round copy of the local arena: what local pivots are read
+        // from, and what a lowered row is diffed against after the round.
+        let mut snap = local.data.clone();
+        tally.calls += 1;
 
-        let mut snap: Vec<Dist> = Vec::new();
-        let mut ever = vec![false; nl];
-        while !pivots.is_empty() {
-            // The per-round pivot snapshot: one bulk copy of the local
-            // arena (reused across rounds).
-            snap.clone_from(&self.local_data);
-            let changed = relax_round(
-                &mut self.local_data,
-                &snap,
-                &self.cached_data,
-                &self.local_ids,
+        let mut any = false;
+        while !scratch.pivots.is_empty() {
+            scratch.changed.fill(false);
+            let round = Round {
+                snap: &snap,
+                cached: &cached.data,
+                ids: &local.ids,
+                slot_of,
                 n,
                 stride,
-                &pivots,
-                &all_pivots,
-                &full,
-                threads,
-            );
-            // Next round: changed rows are both the pivots and the full
-            // targets, visited in sorted-id order.
-            pivots.clear();
-            for &v in &self.sorted_local {
-                let s = (self.slot_of[v as usize] & !LOCAL_BIT) as usize;
-                if changed[s] {
-                    pivots.push((v, PivotSrc::Local(s as u32)));
-                    ever[s] = true;
+                pivots: &scratch.pivots,
+                delta: &scratch.delta,
+                gathered: &scratch.gathered,
+                round_of: &scratch.round_of,
+                id_bits: &scratch.id_bits,
+            };
+            let fan_out = if scratch.work >= PARALLEL_MIN_WORK { threads } else { 1 };
+            *tally += round.run(&mut local.data, &mut scratch.changed, fan_out);
+            tally.rounds += 1;
+
+            // Next round's pivots: the rows this round lowered, with the
+            // columns they were lowered in. Merging a row into its
+            // snapshot yields that diff and re-synchronises the snapshot.
+            scratch.clear_round();
+            for s in 0..nl {
+                if !scratch.changed[s] {
+                    continue;
                 }
-            }
-            full = changed;
-        }
-        let mut any = false;
-        for (s, &e) in ever.iter().enumerate() {
-            if e {
-                self.dirty.insert(self.local_ids[s]);
-                self.epoch_dirty.insert(self.local_ids[s]);
+                let (v, row) = (local.ids[s], local.row(s));
+                let at = scratch.delta.len();
+                scratch.delta.resize(at + words, 0);
+                let snap_row = &mut snap[s * stride..s * stride + n];
+                relax_via_tracked(snap_row, 0, row, &mut scratch.delta[at..]);
+                scratch.push_pivot(v, true, row, nl, rows);
+                dirty.insert(v);
+                epoch_dirty.insert(v);
                 any = true;
             }
         }
@@ -568,14 +820,13 @@ impl DvStore {
     /// Clones every local row, sorted by vertex id (deterministic snapshot
     /// order).
     pub fn export_local_sorted(&self) -> Vec<(VertexId, Vec<Dist>)> {
-        let mut ids = self.local_ids.clone();
-        ids.sort_unstable();
+        let ids = self.local_ids_sorted();
         ids.into_iter().map(|v| (v, self.local_row(v).expect("local row").to_vec())).collect()
     }
 
     /// Clones every cached external row, sorted by vertex id.
     pub fn export_cached_sorted(&self) -> Vec<(VertexId, Vec<Dist>)> {
-        let mut ids = self.cached_ids.clone();
+        let mut ids = self.cached.ids.clone();
         ids.sort_unstable();
         ids.into_iter().map(|v| (v, self.row(v).expect("cached row").to_vec())).collect()
     }
@@ -586,16 +837,13 @@ impl DvStore {
         self.dirty.to_sorted()
     }
 
-    /// Installs a cached external row verbatim (restore path; rows shorter
-    /// than the current column count are padded with `INF`).
+    /// Installs a cached external row verbatim, recorded whole (restore
+    /// path; rows shorter than the current column count are padded with
+    /// `INF`).
     pub fn install_cached(&mut self, v: VertexId, mut row: Vec<Dist>) {
-        debug_assert!(!self.is_local(v), "cached install of local row {v}");
-        row.resize(self.n, INF);
-        let s = match self.cached_slot(v) {
-            Some(s) => s,
-            None => self.push_cached_inf(v),
-        };
-        self.cached_data[s * self.stride..s * self.stride + self.n].copy_from_slice(&row);
+        row.resize(self.n(), INF);
+        let (s, _) = self.cached_slot_or_new(v);
+        self.cached.install(s, &row);
     }
 
     /// Clears the dirty set (restore path: the snapshot's dirty mask is
@@ -605,145 +853,165 @@ impl DvStore {
     }
 }
 
-/// Re-lays an arena out with a wider stride, preserving the first `n`
-/// columns of every row and `INF`-filling the rest.
-fn relayout(data: &[Dist], n: usize, stride: usize, new_stride: usize) -> Vec<Dist> {
+/// Re-lays a slot-major buffer out with a wider stride, preserving the
+/// first `live` items of every row and `fill`ing the rest.
+fn relayout<T: Copy>(data: &[T], live: usize, stride: usize, new_stride: usize, fill: T) -> Vec<T> {
     let rows = data.len().checked_div(stride).unwrap_or(0);
-    let mut out = vec![INF; rows * new_stride];
+    let mut out = vec![fill; rows * new_stride];
     for s in 0..rows {
-        out[s * new_stride..s * new_stride + n].copy_from_slice(&data[s * stride..s * stride + n]);
+        out[s * new_stride..s * new_stride + live]
+            .copy_from_slice(&data[s * stride..s * stride + live]);
     }
     out
-}
-
-/// Swap-removes row `s` from an arena, keeping slots dense. Returns the
-/// removed row (live columns only). `tag` is OR-ed into the moved row's
-/// `slot_of` entry (`LOCAL_BIT` for the local arena, `0` for cached).
-fn swap_remove_row(
-    data: &mut Vec<Dist>,
-    ids: &mut Vec<VertexId>,
-    slot_of: &mut [u32],
-    s: usize,
-    stride: usize,
-    n: usize,
-    tag: u32,
-) -> Vec<Dist> {
-    let last = ids.len() - 1;
-    let row = data[s * stride..s * stride + n].to_vec();
-    if s != last {
-        let (head, tail) = data.split_at_mut(last * stride);
-        head[s * stride..s * stride + stride].copy_from_slice(&tail[..stride]);
-        let moved = ids[last];
-        ids[s] = moved;
-        slot_of[moved as usize] = s as u32 | tag;
-    }
-    ids.pop();
-    data.truncate(ids.len() * stride);
-    row
 }
 
 /// Target working-set bytes for one row block of the round kernel. Rows
 /// are relaxed a block at a time with the pivot loop on the outside, so
 /// every pivot row streams from memory once per *block* instead of once
 /// per row — on arenas larger than cache this turns the round from
-/// memory-bandwidth-bound into compute-bound. The per-row pivot order is
-/// unchanged (rows are independent within a round), so tiling is a pure
-/// loop interchange: bit-identical results.
+/// memory-bandwidth-bound into compute-bound. Rows are independent within
+/// a round, so tiling is a pure loop interchange: bit-identical results.
 const BLOCK_TARGET_BYTES: usize = 256 << 10;
+/// Upper bound on the rows of one block.
+const MAX_BLOCK_ROWS: usize = 64;
 
-/// One Jacobi round: every local row relaxes against the pre-round pivot
-/// snapshot; returns the per-slot changed flags. With `threads > 1` and
-/// enough cells, row blocks are chunked across scoped threads —
-/// bit-identical to the sequential pass because rows are independent
-/// within a round.
-#[allow(clippy::too_many_arguments)]
-fn relax_round(
-    rows: &mut [Dist],
-    snap: &[Dist],
-    cached: &[Dist],
-    ids: &[VertexId],
+/// Everything one Jacobi round reads: the pre-round snapshot, the cached
+/// arena, and the round's pivot set. Shared read-only by the workers.
+struct Round<'a> {
+    snap: &'a [Dist],
+    cached: &'a [Dist],
+    ids: &'a [VertexId],
+    slot_of: &'a [u32],
     n: usize,
     stride: usize,
-    pivots: &[(VertexId, PivotSrc)],
-    all_pivots: &[(VertexId, PivotSrc)],
-    full: &[bool],
-    threads: usize,
-) -> Vec<bool> {
-    let nl = ids.len();
-    // `pivots` is a sorted-by-id subsequence of `all_pivots`; one merge
-    // walk turns the pair into a single flagged list, so the block loop
-    // below visits each pivot row once and non-full rows still see exactly
-    // the round-pivot subsequence, in the same order as before.
-    let mut round = pivots.iter().peekable();
-    let flagged: Vec<(VertexId, PivotSrc, bool)> = all_pivots
-        .iter()
-        .map(|&(u, src)| {
-            let hit = matches!(round.peek(), Some(&&(p, _)) if p == u);
-            if hit {
-                round.next();
-            }
-            (u, src, hit)
-        })
-        .collect();
-    debug_assert!(round.next().is_none(), "round pivots must be a subsequence of all pivots");
+    pivots: &'a [RoundPivot],
+    delta: &'a [u64],
+    gathered: &'a [(VertexId, Dist)],
+    round_of: &'a [u32],
+    id_bits: &'a [u64],
+}
 
-    let block_rows =
-        (BLOCK_TARGET_BYTES / (stride * std::mem::size_of::<Dist>()).max(1)).clamp(1, 64);
-    // Relaxes the block of `flags.len()` rows starting at slot `base`
-    // (backed by `data`) through every applicable pivot, pivot-major.
-    let relax_block = |base: usize, data: &mut [Dist], flags: &mut [bool]| {
-        let has_full = full[base..base + flags.len()].iter().any(|&f| f);
-        for &(u, src, in_round) in &flagged {
-            if !in_round && !has_full {
-                continue;
-            }
-            let via = match src {
-                PivotSrc::Local(t) => &snap[t as usize * stride..t as usize * stride + n],
-                PivotSrc::Cached(t) => &cached[t as usize * stride..t as usize * stride + n],
-            };
-            for (i, row) in data.chunks_mut(stride).enumerate() {
-                let s = base + i;
-                if (!in_round && !full[s]) || ids[s] == u {
-                    continue;
-                }
-                let through = row[u as usize];
-                if through == INF {
-                    continue;
-                }
-                flags[i] |= relax_via(&mut row[..n], through, via);
-            }
+impl Round<'_> {
+    /// Changed-column set of round pivot `idx`.
+    fn delta_of(&self, idx: u32) -> &[u64] {
+        let words = self.id_bits.len();
+        &self.delta[idx as usize * words..][..words]
+    }
+
+    /// Runs the round over the local arena `rows`, setting `changed[s]`
+    /// for every lowered slot. With `threads > 1` row blocks are chunked
+    /// across scoped threads — bit-identical to the sequential pass
+    /// because rows are independent within a round.
+    fn run(&self, rows: &mut [Dist], changed: &mut [bool], threads: usize) -> KernelTally {
+        let (nl, stride) = (self.ids.len(), self.stride);
+        let block_rows = (BLOCK_TARGET_BYTES / (stride * std::mem::size_of::<Dist>()).max(1))
+            .clamp(1, MAX_BLOCK_ROWS);
+        // Relaxes the slot range starting at `base`, a block at a time.
+        let run_chunk = |base: usize, data: &mut [Dist], flags: &mut [bool]| {
+            let mut need = vec![0; self.id_bits.len()];
+            data.chunks_mut(block_rows * stride)
+                .zip(flags.chunks_mut(block_rows))
+                .enumerate()
+                .map(|(b, (d, f))| self.relax_block(base + b * block_rows, d, f, &mut need))
+                .sum()
+        };
+        let workers = threads.min(nl);
+        if workers <= 1 {
+            return run_chunk(0, rows, changed);
         }
-    };
-    let workers = threads.min(nl);
-    let mut changed = vec![false; nl];
-    if workers <= 1 || nl * n < PARALLEL_MIN_CELLS {
-        for (b, (data, flags)) in
-            rows.chunks_mut(block_rows * stride).zip(changed.chunks_mut(block_rows)).enumerate()
-        {
-            relax_block(b * block_rows, data, flags);
-        }
-    } else {
         // The vendored rayon substitute is sequential, so chunk by hand
         // over scoped threads; each worker owns a disjoint slot range and
         // tiles it into the same row blocks the sequential pass uses.
         let chunk_rows = nl.div_ceil(workers);
         std::thread::scope(|scope| {
-            let relax_block = &relax_block;
-            for ((chunk, data), flags) in
-                rows.chunks_mut(chunk_rows * stride).enumerate().zip(changed.chunks_mut(chunk_rows))
-            {
-                scope.spawn(move || {
-                    let base = chunk * chunk_rows;
-                    for (b, (d, f)) in data
-                        .chunks_mut(block_rows * stride)
-                        .zip(flags.chunks_mut(block_rows))
-                        .enumerate()
-                    {
-                        relax_block(base + b * block_rows, d, f);
-                    }
-                });
+            let run_chunk = &run_chunk;
+            let handles: Vec<_> = rows
+                .chunks_mut(chunk_rows * stride)
+                .zip(changed.chunks_mut(chunk_rows))
+                .enumerate()
+                .map(|(c, (d, f))| scope.spawn(move || run_chunk(c * chunk_rows, d, f)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("kernel worker panicked")).sum()
+        })
+    }
+
+    /// Relaxes the block of `flags.len()` rows starting at slot `base`
+    /// (backed by `data`), pivot-major. `need` is scratch.
+    fn relax_block(
+        &self,
+        base: usize,
+        data: &mut [Dist],
+        flags: &mut [bool],
+        need: &mut [u64],
+    ) -> KernelTally {
+        let (n, stride) = (self.n, self.stride);
+        // The pivots this block relaxes through: the round's changed rows
+        // (case a) and, for each row of the block that changed itself,
+        // the columns it changed in (case b).
+        need.copy_from_slice(self.id_bits);
+        let mut own: [&[u64]; MAX_BLOCK_ROWS] = [&[]; MAX_BLOCK_ROWS];
+        for (i, own) in own.iter_mut().enumerate().take(flags.len()) {
+            let idx = self.round_of[self.ids[base + i] as usize];
+            if idx != NO_PIVOT {
+                *own = self.delta_of(idx);
+                need.iter_mut().zip(*own).for_each(|(w, d)| *w |= d);
+            }
+        }
+        let mut tally = KernelTally::default();
+        for_each_bit(need, |u| {
+            let via = match self.slot_of[u as usize] {
+                NO_SLOT => return,
+                s if s & LOCAL_BIT != 0 => &self.snap[(s & !LOCAL_BIT) as usize * stride..][..n],
+                s => &self.cached[s as usize * stride..][..n],
+            };
+            // How `u` reaches the rows that did not change in column `u`:
+            // densely, as a list, or (not a round pivot) not at all.
+            let (dense, list) = match self.pivots.get(self.round_of[u as usize] as usize) {
+                Some(&RoundPivot { list: Some((at, len)), .. }) => {
+                    (false, &self.gathered[at as usize..][..len as usize])
+                }
+                Some(_) => (true, &[][..]),
+                None => (false, &[][..]),
+            };
+            let (word, bit) = (u as usize / 64, 1 << (u % 64));
+            for (i, row) in data.chunks_mut(stride).enumerate() {
+                // Decide before touching the row: most rows of a late
+                // round take no pass through most of the block's pivots.
+                let full = dense || own[i].get(word).is_some_and(|w| w & bit != 0);
+                if !full && list.is_empty() {
+                    continue;
+                }
+                let through = row[u as usize];
+                if through == INF || self.ids[base + i] == u {
+                    continue;
+                }
+                let row = &mut row[..n];
+                if full {
+                    flags[i] |= relax_via(row, through, via);
+                    tally.dense_passes += 1;
+                    tally.cells += n as u64;
+                } else {
+                    flags[i] |= relax_list(row, through, list);
+                    tally.sparse_passes += 1;
+                    tally.cells += list.len() as u64;
+                }
             }
         });
+        tally
+    }
+}
+
+/// Relaxes `row[t] = min(row[t], through + d)` over a pivot's gathered
+/// `(t, d)` list. Returns whether anything improved.
+fn relax_list(row: &mut [Dist], through: Dist, list: &[(VertexId, Dist)]) -> bool {
+    let mut changed = false;
+    for &(t, d) in list {
+        let cand = through.saturating_add(d);
+        let cell = &mut row[t as usize];
+        if cand < *cell {
+            *cell = cand;
+            changed = true;
+        }
     }
     changed
 }
@@ -782,15 +1050,21 @@ unsafe fn min_merge_avx2(dst: &mut [Dist], src: &[Dist]) -> bool {
     min_merge_scalar(dst, src)
 }
 
-/// Sparse min-merge of `(column, distance)` pairs (delta wire format).
-/// Columns beyond `dst` (sender grew first — cannot happen in a barrier
-/// exchange, but harmless) are ignored.
-pub fn min_merge_sparse(dst: &mut [Dist], pairs: &[(VertexId, Dist)]) -> bool {
+/// Sparse min-merge of `(column, distance)` pairs (delta wire format),
+/// recording the lowered columns in `delta`. Columns beyond `dst` (sender
+/// grew first — cannot happen in a barrier exchange, but harmless) are
+/// ignored.
+fn min_merge_sparse_tracked(
+    dst: &mut [Dist],
+    pairs: &[(VertexId, Dist)],
+    delta: &mut [u64],
+) -> bool {
     let mut changed = false;
     for &(t, d) in pairs {
         if let Some(cell) = dst.get_mut(t as usize) {
             if d < *cell {
                 *cell = d;
+                set_bit(delta, t as usize);
                 changed = true;
             }
         }
@@ -835,6 +1109,102 @@ fn relax_via_scalar(row: &mut [Dist], through: Dist, via: &[Dist]) -> bool {
 #[target_feature(enable = "avx2")]
 unsafe fn relax_via_avx2(row: &mut [Dist], through: Dist, via: &[Dist]) -> bool {
     relax_via_scalar(row, through, via)
+}
+
+/// [`relax_via`] that also records what it lowered: bit `t % 64` of
+/// `delta[t / 64]` is set for every improved `row[t]`. With `through = 0`
+/// it is the tracked [`min_merge`] (a shorter `via` leaves the tail
+/// untouched). No row is copied to diff it: on AVX2 hosts the comparison
+/// mask of each 8-lane step is moved straight into the record, at the speed
+/// of the untracked loop whether or not anything improves; elsewhere each
+/// 64-column chunk is first probed with the branchless comparison and only
+/// a chunk that improves takes the slower loop that builds its mask.
+fn relax_via_tracked(row: &mut [Dist], through: Dist, via: &[Dist], delta: &mut [u64]) -> bool {
+    if through == INF {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { relax_via_tracked_avx2(row, through, via, delta) };
+    }
+    relax_via_tracked_scalar(row, through, via, delta)
+}
+
+#[inline(always)]
+fn relax_via_tracked_scalar(
+    row: &mut [Dist],
+    through: Dist,
+    via: &[Dist],
+    delta: &mut [u64],
+) -> bool {
+    let mut changed = false;
+    for ((row, via), word) in row.chunks_mut(64).zip(via.chunks(64)).zip(delta) {
+        let mut hit = false;
+        for (&r, &b) in row.iter().zip(via) {
+            hit |= through.saturating_add(b) < r;
+        }
+        if hit {
+            for (j, (r, &b)) in row.iter_mut().zip(via).enumerate() {
+                let cand = through.saturating_add(b);
+                let lower = cand < *r;
+                *r = if lower { cand } else { *r };
+                *word |= (lower as u64) << j;
+            }
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// [`relax_via_tracked_scalar`] with explicit AVX2: auto-vectorization
+/// cannot turn per-lane comparisons into record bits, `vmovmskps` can.
+/// Measured at n = 610 with one improving chunk per pass: 0.161 ns/cell
+/// against 0.183 for the probing loop and 0.147 for untracked `relax_via`.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn relax_via_tracked_avx2(
+    row: &mut [Dist],
+    through: Dist,
+    via: &[Dist],
+    delta: &mut [u64],
+) -> bool {
+    use std::arch::x86_64::*;
+    let whole = row.len().min(via.len()) / 64 * 64;
+    let (row, row_tail) = row.split_at_mut(whole);
+    let (via, via_tail) = via.split_at(whole);
+    let (delta, delta_tail) = delta.split_at_mut(whole / 64);
+    let through_x8 = _mm256_set1_epi32(through as i32);
+    let mut any = 0;
+    for ((row, via), word) in row.chunks_exact_mut(64).zip(via.chunks_exact(64)).zip(delta) {
+        let mut mask = 0u64;
+        for (g, (r, b)) in row.chunks_exact_mut(8).zip(via.chunks_exact(8)).enumerate() {
+            // SAFETY: `chunks_exact(8)` yields slices of exactly eight
+            // `u32`s, which the unaligned 256-bit load and store cover.
+            let (old, b) = unsafe {
+                (_mm256_loadu_si256(r.as_ptr().cast()), _mm256_loadu_si256(b.as_ptr().cast()))
+            };
+            let cand = if through == 0 {
+                b
+            } else {
+                // Saturating unsigned add: `min(through, !b) + b`.
+                let room = _mm256_xor_si256(b, _mm256_set1_epi32(-1));
+                _mm256_add_epi32(_mm256_min_epu32(through_x8, room), b)
+            };
+            let new = _mm256_min_epu32(cand, old);
+            let kept = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(new, old)));
+            // SAFETY: as above, `r` is eight `u32`s long.
+            unsafe { _mm256_storeu_si256(r.as_mut_ptr().cast(), new) };
+            mask |= u64::from(!kept as u8) << (8 * g);
+        }
+        *word |= mask;
+        any |= mask;
+    }
+    (any != 0) | relax_via_tracked_scalar(row_tail, through, via_tail, delta_tail)
 }
 
 #[cfg(test)]
@@ -894,10 +1264,10 @@ mod tests {
 
     #[test]
     fn sparse_merges_improve_and_ignore_out_of_range() {
-        let mut dst = vec![5, INF, 2];
-        assert!(min_merge_sparse(&mut dst, &[(1, 4), (2, 9), (7, 0)]));
-        assert_eq!(dst, vec![5, 4, 2]);
-        assert!(!min_merge_sparse(&mut dst, &[(0, 5)]));
+        let (mut dst, mut delta) = (vec![5, INF, 2], [0]);
+        assert!(min_merge_sparse_tracked(&mut dst, &[(1, 4), (2, 9), (7, 0)], &mut delta));
+        assert_eq!((dst.as_slice(), delta), (&[5, 4, 2][..], [0b010]));
+        assert!(!min_merge_sparse_tracked(&mut dst, &[(0, 5)], &mut delta));
 
         let mut dv = DvStore::new(3);
         dv.add_local_row(0);
@@ -941,12 +1311,9 @@ mod tests {
         let mut dv = DvStore::new(2);
         dv.add_local_row(0);
         dv.take_dirty_sorted();
-        assert!(!dv.update_local_row(0, |_| false));
+        assert!(!dv.update_local_row(0, |row| row.lower(1, INF)));
         assert!(!dv.has_dirty());
-        assert!(dv.update_local_row(0, |row| {
-            row[1] = 7;
-            true
-        }));
+        assert!(dv.update_local_row(0, |row| row.lower(1, 7)));
         assert_eq!(dv.row(0).unwrap(), &[0, 7]);
         assert!(dv.has_dirty());
     }
@@ -1048,7 +1415,7 @@ mod tests {
         let mut dv = DvStore::new(100);
         dv.add_local_row(0);
         dv.min_merge_cached(5, &[0; 100]);
-        assert_eq!(dv.memory_bytes(), 2 * 100 * 4);
+        assert_eq!(dv.memory_bytes(), 2 * (100 * 4 + 2 * 8));
     }
 
     #[test]
@@ -1058,6 +1425,39 @@ mod tests {
         assert_eq!(row, vec![4, 3, 3]);
         assert!(!relax_via(&mut row, INF, &[0, 0, 0]));
         assert!(!relax_via(&mut row, 10, &[INF, INF, INF]));
+    }
+
+    /// The dispatched (AVX2 where available) tracked pass must equal the
+    /// portable one cell for cell and bit for bit, across chunk tails,
+    /// saturation and a shorter `via`.
+    #[test]
+    fn tracked_relax_matches_portable_loop() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 7, 8, 63, 64, 65, 130, 200] {
+            for short in [0, 3] {
+                let cell = |r: u64| if r % 5 == 0 { INF } else { (r >> 8) as Dist % 50 };
+                let row: Vec<Dist> = (0..len).map(|_| cell(next())).collect();
+                let via: Vec<Dist> = (0..len.saturating_sub(short)).map(|_| cell(next())).collect();
+                let through = if len % 2 == 0 { 3 } else { INF - 7 };
+                let (mut fast, mut slow) = (row.clone(), row.clone());
+                let mut fast_bits = vec![0u64; len.div_ceil(64)];
+                let mut slow_bits = fast_bits.clone();
+                let hit = relax_via_tracked(&mut fast, through, &via, &mut fast_bits);
+                assert_eq!(hit, relax_via_tracked_scalar(&mut slow, through, &via, &mut slow_bits));
+                assert_eq!((&fast, &fast_bits), (&slow, &slow_bits), "len {len} short {short}");
+                let lowered: Vec<u32> =
+                    (0..len as u32).filter(|&t| fast[t as usize] < row[t as usize]).collect();
+                let mut recorded = Vec::new();
+                for_each_bit(&fast_bits, |t| recorded.push(t));
+                assert_eq!(recorded, lowered);
+            }
+        }
     }
 
     /// The kernel on a 4-path split 2|2: rank 0 holds rows 0,1 and a
@@ -1089,5 +1489,151 @@ mod tests {
         seq.clear_dirty();
         assert!(!seq.relax_to_fixed_point(&[2], 1));
         assert!(!seq.has_dirty());
+    }
+
+    /// Columns recorded as unpropagated on `v`'s row, sorted.
+    fn recorded(dv: &DvStore, v: VertexId) -> Vec<u32> {
+        let (arena, s) = match dv.local_slot(v) {
+            Some(s) => (&dv.local, s),
+            None => (&dv.cached, dv.cached_slot(v).expect("row exists")),
+        };
+        let mut cols = Vec::new();
+        for_each_bit(&arena.delta[s * arena.words()..(s + 1) * arena.words()], |t| cols.push(t));
+        cols
+    }
+
+    /// Rank 0 of the path 0-1-2-3 split 2|2 after IA, with nothing
+    /// recorded and nothing dirty.
+    fn converged_half_path() -> DvStore {
+        let mut dv = DvStore::new(4);
+        dv.install_local(0, vec![0, 1, 2, INF], false);
+        dv.install_local(1, vec![1, 0, 1, INF], false);
+        dv.relax_to_fixed_point(&[0, 1], 1);
+        dv.clear_dirty();
+        assert!(recorded(&dv, 0).is_empty() && recorded(&dv, 1).is_empty());
+        dv
+    }
+
+    #[test]
+    fn writes_record_exactly_the_lowered_columns() {
+        let mut dv = DvStore::new(70);
+        dv.add_local_row(3);
+        assert_eq!(recorded(&dv, 3), (0..70).collect::<Vec<_>>(), "fresh rows are recorded whole");
+        dv.relax_to_fixed_point(&[3], 1);
+        assert!(recorded(&dv, 3).is_empty(), "seeding consumes the record");
+
+        let mut incoming = vec![INF; 70];
+        (incoming[3], incoming[5], incoming[69]) = (7, 2, 9);
+        assert!(dv.min_merge_local(3, &incoming));
+        assert_eq!(recorded(&dv, 3), vec![5, 69], "an unimproved column is not recorded");
+        assert!(dv.min_merge_local_sparse(3, &[(5, 2), (64, 1)]));
+        assert_eq!(recorded(&dv, 3), vec![5, 64, 69]);
+        assert!(dv.update_local_row(3, |row| {
+            row.lower(0, 4);
+            row.lower(5, 3);
+        }));
+        assert_eq!(recorded(&dv, 3), vec![0, 5, 64, 69]);
+
+        assert!(dv.min_merge_cached(8, &incoming));
+        assert_eq!(recorded(&dv, 8), vec![3, 5, 69], "a new cached row records its finite cells");
+        assert!(dv.min_merge_cached_sparse(8, &[(1, 1), (5, 6)]));
+        assert_eq!(recorded(&dv, 8), vec![1, 3, 5, 69]);
+        dv.install_cached(9, vec![1; 70]);
+        assert_eq!(recorded(&dv, 9).len(), 70);
+    }
+
+    #[test]
+    fn unseeded_rows_keep_their_record_across_a_kernel_call() {
+        let mut dv = converged_half_path();
+        dv.min_merge_local(0, &[0, 1, 2, 9]);
+        dv.min_merge_cached(2, &[INF, INF, 0, 1]);
+        // Only the cached row seeds this call; row 0 is lowered by it (to
+        // 3 in column 3) but never seeded itself.
+        assert!(dv.relax_to_fixed_point(&[2], 1));
+        assert_eq!(dv.row(0).unwrap(), &[0, 1, 2, 3]);
+        assert_eq!(recorded(&dv, 0), vec![3]);
+        assert!(recorded(&dv, 2).is_empty());
+        dv.relax_to_fixed_point(&[0], 1);
+        assert!(recorded(&dv, 0).is_empty());
+    }
+
+    #[test]
+    fn record_survives_growth_and_moves_with_swapped_rows() {
+        let mut dv = DvStore::new(3);
+        for v in 0..3 {
+            dv.add_local_row(v);
+        }
+        dv.relax_to_fixed_point(&[0, 1, 2], 1);
+        dv.min_merge_local(2, &[5, INF, 0]);
+        dv.grow_columns(5);
+        dv.min_merge_cached_sparse(4, &[(0, 6)]);
+        dv.grow_columns(200); // past capacity: stride and record re-laid out
+        assert_eq!(recorded(&dv, 2), vec![0]);
+        assert_eq!(recorded(&dv, 4), vec![0]);
+        assert!(recorded(&dv, 0).is_empty());
+        dv.min_merge_local_sparse(2, &[(150, 1)]);
+
+        // Removing the middle slot swaps row 2 into it, record included.
+        dv.remove_local(1);
+        assert_eq!(recorded(&dv, 2), vec![0, 150]);
+        assert!(recorded(&dv, 0).is_empty());
+        assert_eq!(dv.row(2).unwrap()[150], 1);
+
+        dv.clear_cache();
+        assert!(dv.cached.delta.is_empty());
+        dv.min_merge_cached_sparse(4, &[(1, 1)]);
+        assert_eq!(recorded(&dv, 4), vec![1], "a re-created cached row starts with a clean record");
+    }
+
+    #[test]
+    fn mark_all_unpropagated_forces_the_full_relaxation() {
+        let mut dv = converged_half_path();
+        dv.min_merge_cached(2, &[INF, INF, 0, 1]);
+        dv.relax_to_fixed_point(&[2], 1);
+        let before = dv.kernel_tally();
+        // Nothing recorded on the local rows, but both re-pair with every
+        // row here: each relaxes densely through the other two.
+        dv.mark_all_unpropagated();
+        assert!(!dv.relax_to_fixed_point(&[0, 1], 1));
+        let after = dv.kernel_tally();
+        assert_eq!(after.dense_passes - before.dense_passes, 4);
+        assert_eq!(after.sparse_passes, before.sparse_passes);
+        assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 1));
+    }
+
+    /// A round big enough to fan out (≥ `PARALLEL_MIN_WORK` scheduled
+    /// cells) must leave the same rows, dirty set and tally on 1 and 4
+    /// threads.
+    #[test]
+    fn threaded_rounds_are_bit_identical() {
+        let (n, nl, nc) = (1024usize, 16u32, 264u32);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(m)) as Dist
+        };
+        let mut seq = DvStore::new(n);
+        for v in 0..nl {
+            seq.add_local_row(v);
+            let row: Vec<Dist> = (0..n).map(|_| 1 + next(60)).collect();
+            seq.min_merge_local(v, &row);
+        }
+        for v in nl..nl + nc {
+            let row: Vec<Dist> = (0..n).map(|_| 1 + next(60)).collect();
+            seq.min_merge_cached(v, &row);
+        }
+        seq.take_dirty_sorted();
+        let mut par = seq.clone();
+        // Seeding the cached rows schedules `nl × nc` dense passes.
+        let seeds: Vec<VertexId> = (nl..nl + nc).collect();
+        assert!(nl as usize * nc as usize * n >= PARALLEL_MIN_WORK);
+        assert!(seq.relax_to_fixed_point(&seeds, 1));
+        assert!(par.relax_to_fixed_point(&seeds, 4));
+        assert_eq!(seq.local.data, par.local.data);
+        assert_eq!(seq.dirty_sorted(), par.dirty_sorted());
+        assert_eq!(seq.kernel_tally(), par.kernel_tally());
+        assert!(seq.kernel_tally().rounds > 1);
     }
 }

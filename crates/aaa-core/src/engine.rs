@@ -15,6 +15,7 @@
 //!   without touching the engine.
 
 use crate::changes::{DynamicChange, VertexBatch};
+use crate::dv::KernelTally;
 use crate::error::CoreError;
 use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
@@ -740,6 +741,13 @@ impl AnytimeEngine {
     /// through [`AnytimeEngine::view_cell`].
     pub fn closeness(&self) -> Vec<f64> {
         self.publisher.latest().closeness()
+    }
+
+    /// Relaxation-kernel work summed over the ranks' stores, since each
+    /// store was built: a deterministic function of the run, the same on
+    /// any executor, thread count and host.
+    pub fn kernel_tally(&self) -> KernelTally {
+        self.cluster.ranks().iter().map(RankState::kernel_tally).sum()
     }
 
     /// Publish-layer counters: full vs delta epochs, re-stated rows,

@@ -2,7 +2,7 @@
 //! the IA-phase Dijkstra, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
-use crate::dv::DvStore;
+use crate::dv::{DvStore, KernelTally};
 use aaa_checkpoint::RankSnapshot;
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
@@ -111,8 +111,9 @@ pub struct RankState {
     dv: DvStore,
     /// Rows gathered for the in-flight edge relaxation (Fig. 3 broadcasts).
     gathered: FxHashMap<VertexId, Vec<Dist>>,
-    /// Local rows changed by dynamic updates, pending intra-rank relaxation.
-    pending: FxHashSet<VertexId>,
+    /// Local rows changed by dynamic updates, pending intra-rank relaxation
+    /// (unordered, may repeat; sorted and deduplicated when consumed).
+    pending: Vec<VertexId>,
     /// Wire format for produced RC messages.
     wire: WireFormat,
     /// Worker threads for the relaxation kernel (1 = sequential).
@@ -152,7 +153,7 @@ impl RankState {
             edge_seen: FxHashSet::default(),
             dv,
             gathered: FxHashMap::default(),
-            pending: FxHashSet::default(),
+            pending: Vec::new(),
             wire: WireFormat::Full,
             kernel_threads: 1,
             sent_snapshot: FxHashMap::default(),
@@ -187,6 +188,11 @@ impl RankState {
     /// True if this rank has rows waiting to be sent.
     pub fn has_dirty(&self) -> bool {
         self.dv.has_dirty()
+    }
+
+    /// Work the relaxation kernel has done on this rank's store.
+    pub fn kernel_tally(&self) -> KernelTally {
+        self.dv.kernel_tally()
     }
 
     /// Selects the wire format for produced RC messages.
@@ -252,15 +258,9 @@ impl RankState {
             }
             // Write results into the global-indexed row.
             dv.update_local_row(v, |row| {
-                let mut changed = false;
-                for (i, &d) in dist.iter().enumerate() {
-                    let g = ids[i] as usize;
-                    if d < row[g] {
-                        row[g] = d;
-                        changed = true;
-                    }
+                for (&g, &d) in ids.iter().zip(&dist) {
+                    row.lower(g, d);
                 }
-                changed
             });
         }
     }
@@ -414,7 +414,7 @@ impl RankState {
     /// rows as pivots — the Floyd–Warshall-flavoured local refresh of
     /// §IV.C.1). Sets [`RankState::last_changed`].
     pub fn consume_rc_messages(&mut self, inbox: Vec<(Rank, RowMsg)>) {
-        let mut worklist: FxHashSet<VertexId> = FxHashSet::default();
+        let mut worklist: Vec<VertexId> = Vec::new();
         for (_, msg) in inbox {
             for (v, payload) in msg.rows {
                 let local = self.dv.is_local(v);
@@ -435,25 +435,25 @@ impl RankState {
                     }
                 };
                 if changed {
-                    worklist.insert(v);
+                    worklist.push(v);
                 }
             }
         }
         // Any dynamic-update pivots that have not been propagated yet join
         // this step's worklist.
-        worklist.extend(self.pending.drain());
-        self.last_changed = self.relax_worklist(worklist);
+        worklist.append(&mut self.pending);
+        self.last_changed = self.relax_seeds(worklist);
     }
 
-    /// Min-plus relaxation until the rank-local fixed point. The kernel
-    /// itself lives with the arena ([`DvStore::relax_to_fixed_point`]);
-    /// this wrapper resolves the pivot set deterministically (sorted) and
-    /// applies the configured thread count. Returns whether any local row
-    /// changed.
-    pub fn relax_worklist(&mut self, initial: FxHashSet<VertexId>) -> bool {
-        let mut pivots: Vec<VertexId> = initial.into_iter().collect();
-        pivots.sort_unstable();
-        self.dv.relax_to_fixed_point(&pivots, self.kernel_threads)
+    /// Min-plus relaxation until the rank-local fixed point, seeded by the
+    /// changed rows in `seeds` (any order, repeats allowed). The kernel
+    /// itself lives with the arena ([`DvStore::relax_to_fixed_point`]) and
+    /// takes *what* changed in each seed from the store's change record.
+    /// Returns whether any local row changed.
+    fn relax_seeds(&mut self, mut seeds: Vec<VertexId>) -> bool {
+        seeds.sort_unstable();
+        seeds.dedup();
+        self.dv.relax_to_fixed_point(&seeds, self.kernel_threads)
     }
 
     // --------------------------------------------------------------------
@@ -476,7 +476,7 @@ impl RankState {
                 self.local.push(v);
                 self.adj.insert(v, Vec::new());
                 self.dv.add_local_row(v);
-                self.pending.insert(v);
+                self.pending.push(v);
             }
         }
         self.local.sort_unstable();
@@ -569,23 +569,15 @@ impl RankState {
                 continue;
             }
             let changed = dv.update_local_row(a, |row| {
-                let mut changed = false;
                 if let Some(ry) = ry {
-                    let dx = row[x as usize];
-                    if dx != INF {
-                        changed |= relax_via(row, dist_add(dx, w as Dist), ry);
-                    }
+                    row.relax_via(dist_add(row.get(x), w as Dist), ry);
                 }
                 if let Some(rx) = rx {
-                    let dy = row[y as usize];
-                    if dy != INF {
-                        changed |= relax_via(row, dist_add(dy, w as Dist), rx);
-                    }
+                    row.relax_via(dist_add(row.get(y), w as Dist), rx);
                 }
-                changed
             });
             if changed {
-                pending.insert(a);
+                pending.push(a);
             }
         }
     }
@@ -599,8 +591,8 @@ impl RankState {
     /// dynamic updates, so partial results are consistent before the next
     /// RC exchange.
     pub fn relax_pending(&mut self) {
-        let pending: FxHashSet<VertexId> = self.pending.drain().collect();
-        self.relax_worklist(pending);
+        let pending = std::mem::take(&mut self.pending);
+        self.relax_seeds(pending);
     }
 
     // --------------------------------------------------------------------
@@ -681,19 +673,15 @@ impl RankState {
                 dv.install_local(v, row, true);
             }
             dv.update_local_row(v, |row| {
-                let mut changed = false;
                 for &(t, w) in &adj[&v] {
-                    if (w as Dist) < row[t as usize] {
-                        row[t as usize] = w as Dist;
-                        changed = true;
-                    }
+                    row.lower(t, w as Dist);
                 }
-                changed
             });
         }
         // Force a full local relaxation on the next RC step: the migration
         // changed which rows live together, so every pairing is new here.
-        self.pending.extend(self.local.iter().copied());
+        self.pending.extend_from_slice(&self.local);
+        self.dv.mark_all_unpropagated();
         self.dv.mark_all_dirty();
     }
 
@@ -732,7 +720,7 @@ impl RankState {
                 buckets.entry(q).or_default().push((v, RowPayload::Full(row)));
             }
             self.adj.remove(&v);
-            self.pending.remove(&v);
+            self.pending.retain(|&p| p != v);
             self.local.remove(i);
             departed = true;
         }
@@ -810,14 +798,9 @@ impl RankState {
         let Self { adj, dv, .. } = self;
         for &v in &gained {
             dv.update_local_row(v, |row| {
-                let mut changed = false;
                 for &(t, w) in &adj[&v] {
-                    if (w as Dist) < row[t as usize] {
-                        row[t as usize] = w as Dist;
-                        changed = true;
-                    }
+                    row.lower(t, w as Dist);
                 }
-                changed
             });
         }
         self.pending.extend(gained);
@@ -834,8 +817,9 @@ impl RankState {
     /// captured: snapshots are taken at superstep barriers, where they are
     /// empty.
     pub fn to_snapshot(&self) -> RankSnapshot {
-        let mut pending: Vec<VertexId> = self.pending.iter().copied().collect();
+        let mut pending = self.pending.clone();
         pending.sort_unstable();
+        pending.dedup();
         RankSnapshot {
             rank: self.rank as u32,
             local: self.dv.export_local_sorted(),
@@ -909,7 +893,8 @@ impl RankState {
     /// recovered rank's caches hold nothing to delta against.
     pub fn mark_all_for_resend(&mut self) {
         self.dv.mark_all_dirty();
-        self.pending.extend(self.local.iter().copied());
+        self.dv.mark_all_unpropagated();
+        self.pending.extend_from_slice(&self.local);
         self.reset_wire_tracking();
     }
 
@@ -1237,6 +1222,61 @@ mod tests {
         assert_eq!(r0.dv().row(0).unwrap(), &[0, 1, 2, 3]);
         assert_eq!(r1.dv().row(1).unwrap(), &[1, 0, 1, 2]);
         assert_eq!(r1.dv().row(3).unwrap(), &[3, 2, 1, 0]);
+    }
+
+    /// The point of the delta-driven kernel, pinned by its tally: once two
+    /// ranks have converged, a one-column improvement of a cached row costs
+    /// O(rows) list passes and not a single dense one.
+    #[test]
+    fn one_column_improvement_takes_sparse_passes_only() {
+        // Rank 0 owns the path 0-1-2-3 and reaches vertex 6 two ways: via
+        // boundary vertex 5 (0-5-6) and via boundary vertex 4 (3-4 ... 6).
+        let edges: [(VertexId, VertexId, Weight); 8] = [
+            (0, 1, 1),
+            (1, 2, 1),
+            (2, 3, 1),
+            (3, 4, 1),
+            (0, 5, 1),
+            (5, 6, 1),
+            (4, 6, 10),
+            (6, 7, 1),
+        ];
+        let adj = |v: VertexId| -> Vec<(VertexId, Weight)> {
+            edges
+                .iter()
+                .filter_map(|&(a, b, w)| (v == a).then_some((b, w)).or((v == b).then_some((a, w))))
+                .collect()
+        };
+        let owner = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        let (mut r0, mut r1) =
+            (RankState::build(0, owner.clone(), adj), RankState::build(1, owner, adj));
+        r0.initial_approximation();
+        r1.initial_approximation();
+        for _ in 0..6 {
+            let (out0, out1) =
+                (r0.produce_rc_messages(usize::MAX), r1.produce_rc_messages(usize::MAX));
+            r0.consume_rc_messages(out1.into_iter().map(|(_, m)| (1, m)).collect());
+            r1.consume_rc_messages(out0.into_iter().map(|(_, m)| (0, m)).collect());
+        }
+        assert!(!r0.has_dirty() && !r1.has_dirty(), "converged");
+        assert_eq!(r0.dv().row(3).unwrap()[6], 5);
+
+        // Rank 1 learns a shortcut: d(4, 6) drops from 6 to 3. Only row 3
+        // of rank 0 improves (to 4); rows 0-2 keep their route through 5.
+        let before = r0.kernel_tally();
+        let msg = RowMsg { rows: vec![(4, RowPayload::Delta(vec![(6, 3)]))] };
+        r0.consume_rc_messages(vec![(1, msg)]);
+        assert!(r0.last_changed);
+        assert_eq!(r0.dv().row(3).unwrap()[6], 4);
+        assert_eq!(r0.dv().row(2).unwrap()[6], 4);
+        let after = r0.kernel_tally();
+        assert_eq!(after.dense_passes, before.dense_passes, "no dense pass");
+        // Round 1: row 4's one-entry list through the 4 local rows; round
+        // 2: row 3's through the other 3. Column 6 has no row here, so
+        // row 3's own change schedules nothing.
+        assert_eq!(after.sparse_passes - before.sparse_passes, 7);
+        assert_eq!(after.cells - before.cells, 7);
+        assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 2));
     }
 
     #[test]
