@@ -34,6 +34,21 @@
 //! crc32    := u32      CRC-32 (IEEE 802.3) of payload
 //! ```
 //!
+//! The checksum is [`aaa_runtime::bytes::crc32`] — one table-driven
+//! slice-by-16 implementation shared with the socket frame codec, re-exported
+//! here as [`crc32`]. It is incremental, so the writer checksums a large
+//! section a few rows at a time while the bytes are still in cache and
+//! never stages the section whole; the reader pulls each payload through
+//! `Read::take` into one buffer reused across sections, so a declared
+//! length is never trusted with an allocation. Polynomial (reflected
+//! `0xEDB88320`), initial value and final inversion are the standard ones:
+//! changing *how* the value is computed changed no byte of any file, which
+//! the golden v4 snapshot in this crate's tests (written by the previous,
+//! byte-at-a-time implementation) pins in both directions. Distance rows
+//! move in bulk as well — `aaa_runtime::bytes::{put_u32s, get_u32s}` per
+//! row instead of a call per cell — and sit in memory as one flat
+//! [`RowTable`] per rank rather than a `Vec` per row.
+//!
 //! Version-2 section payloads, in the order they are written:
 //!
 //! * `META` — `procs: u32`, `rc_steps: u64`, `rr_cursor: u64`,
@@ -74,30 +89,14 @@ mod wire;
 pub use error::CheckpointError;
 pub use policy::CheckpointPolicy;
 pub use snapshot::{
-    EngineMeta, GraphSnapshot, PartitionSnapshot, RankSnapshot, Snapshot, FORMAT_VERSION, MAGIC,
+    EngineMeta, GraphSnapshot, PartitionSnapshot, RankSnapshot, RowTable, Rows, Snapshot,
+    FORMAT_VERSION, MAGIC,
 };
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the per-section
-/// integrity check. Table-driven, built at first use.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// integrity check. The one implementation the workspace's byte paths
+/// share; see [`aaa_runtime::bytes`].
+pub use aaa_runtime::bytes::crc32;
 
 #[cfg(test)]
 mod tests {

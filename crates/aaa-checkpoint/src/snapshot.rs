@@ -6,9 +6,10 @@
 
 use crate::error::CheckpointError;
 use crate::wire::{
-    put_f64, put_u32, put_u64, read_section, read_u32, write_section, PayloadReader,
+    put_f64, put_u32, put_u64, read_section, read_u32, write_section, PayloadReader, SectionWriter,
 };
 use aaa_graph::{Dist, PartId, VertexId, Weight};
+use aaa_runtime::bytes::put_u32s;
 use aaa_runtime::{FaultCounters, RunStats};
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -23,6 +24,11 @@ pub const MAGIC: [u8; 8] = *b"AAACKPT\0";
 /// Older snapshots are rejected (no archives of any exist — every prior
 /// format shipped unreleased).
 pub const FORMAT_VERSION: u32 = 4;
+
+/// How much of a rank section is staged before it is checksummed and
+/// written: small enough to stay in cache, large enough to amortise a
+/// `write` call.
+const STAGE_BYTES: usize = 64 << 10;
 
 /// Engine-level scalars: processor count, RC progress, the round-robin
 /// assignment cursor, and the change-stream cursor.
@@ -50,6 +56,94 @@ pub struct PartitionSnapshot {
     pub assignment: Vec<PartId>,
 }
 
+/// A set of distance rows in one allocation: ids, where each row ends, and
+/// every cell back to back. Rows keep their own lengths (a v4 file stores
+/// one per row, and recovery accepts rows shorter than the current column
+/// count), so rows are delimited by offsets rather than a fixed width.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RowTable {
+    ids: Vec<VertexId>,
+    /// `ends[i]` is where row `i` stops in `cells`; it starts where row
+    /// `i - 1` stopped.
+    ends: Vec<usize>,
+    cells: Vec<Dist>,
+}
+
+impl RowTable {
+    /// An empty table with room for `rows` rows of `cells` cells in total.
+    pub fn with_capacity(rows: usize, cells: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
+            cells: Vec::with_capacity(cells),
+        }
+    }
+
+    /// Appends row `v`.
+    pub fn push(&mut self, v: VertexId, row: &[Dist]) {
+        self.cells.extend_from_slice(row);
+        self.ids.push(v);
+        self.ends.push(self.cells.len());
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Rows in insertion order.
+    pub fn iter(&self) -> Rows<'_> {
+        Rows { table: self, next: 0 }
+    }
+}
+
+/// Borrowing iterator over a [`RowTable`].
+#[derive(Debug, Clone)]
+pub struct Rows<'a> {
+    table: &'a RowTable,
+    next: usize,
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (VertexId, &'a [Dist]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let i = self.next;
+        let &v = self.table.ids.get(i)?;
+        let start = if i == 0 { 0 } else { self.table.ends[i - 1] };
+        self.next += 1;
+        Some((v, &self.table.cells[start..self.table.ends[i]]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.table.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl<'a> IntoIterator for &'a RowTable {
+    type Item = (VertexId, &'a [Dist]);
+    type IntoIter = Rows<'a>;
+
+    fn into_iter(self) -> Rows<'a> {
+        self.iter()
+    }
+}
+
+impl<R: AsRef<[Dist]>> FromIterator<(VertexId, R)> for RowTable {
+    fn from_iter<I: IntoIterator<Item = (VertexId, R)>>(rows: I) -> Self {
+        let mut table = Self::default();
+        for (v, row) in rows {
+            table.push(v, row.as_ref());
+        }
+        table
+    }
+}
+
 /// One rank's distance-vector state: local rows, cached external-boundary
 /// rows, the dirty mask, and pending dynamic-update pivots. Adjacency and
 /// ownership are *not* stored — they are rebuilt deterministically from
@@ -57,8 +151,8 @@ pub struct PartitionSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankSnapshot {
     pub rank: u32,
-    pub local: Vec<(VertexId, Vec<Dist>)>,
-    pub cached: Vec<(VertexId, Vec<Dist>)>,
+    pub local: RowTable,
+    pub cached: RowTable,
     pub dirty: Vec<VertexId>,
     pub pending: Vec<VertexId>,
 }
@@ -67,7 +161,14 @@ impl RankSnapshot {
     /// Bytes this rank's rows occupy on the wire (8-byte header + 4 bytes
     /// per entry, mirroring `RowMsg` pricing).
     pub fn row_bytes(&self) -> usize {
-        self.local.iter().chain(&self.cached).map(|(_, r)| 8 + 4 * r.len()).sum()
+        [&self.local, &self.cached].iter().map(|t| 8 * t.len() + 4 * t.cells.len()).sum()
+    }
+
+    /// Payload bytes of this rank's `RNKS` section.
+    fn section_len(&self) -> usize {
+        let rows = |t: &RowTable| 8 + 12 * t.len() + 4 * t.cells.len();
+        let ids = |v: &[VertexId]| 8 + 4 * v.len();
+        4 + rows(&self.local) + rows(&self.cached) + ids(&self.dirty) + ids(&self.pending)
     }
 }
 
@@ -121,9 +222,7 @@ impl Snapshot {
         p.clear();
         put_u32(&mut p, self.partition.k);
         put_u64(&mut p, self.partition.assignment.len() as u64);
-        for &part in &self.partition.assignment {
-            put_u32(&mut p, part);
-        }
+        put_u32s(&mut p, &self.partition.assignment);
         write_section(&mut w, b"PART", &p)?;
 
         p.clear();
@@ -157,25 +256,30 @@ impl Snapshot {
         }
 
         for rs in &self.ranks {
+            // The big sections: streamed through `p` a few rows at a time,
+            // so rows are checksummed and written while still in cache and
+            // an unbuffered writer still sees large writes.
+            let mut section = SectionWriter::begin(&mut w, b"RNKS", rs.section_len() as u64)?;
             p.clear();
             put_u32(&mut p, rs.rank);
             for rows in [&rs.local, &rs.cached] {
                 put_u64(&mut p, rows.len() as u64);
                 for (v, row) in rows {
-                    put_u32(&mut p, *v);
+                    put_u32(&mut p, v);
                     put_u64(&mut p, row.len() as u64);
-                    for &d in row {
-                        put_u32(&mut p, d);
+                    put_u32s(&mut p, row);
+                    if p.len() >= STAGE_BYTES {
+                        section.put(&p)?;
+                        p.clear();
                     }
                 }
             }
             for ids in [&rs.dirty, &rs.pending] {
                 put_u64(&mut p, ids.len() as u64);
-                for &v in ids {
-                    put_u32(&mut p, v);
-                }
+                put_u32s(&mut p, ids);
             }
-            write_section(&mut w, b"RNKS", &p)?;
+            section.put(&p)?;
+            section.finish()?;
         }
         Ok(())
     }
@@ -218,8 +322,9 @@ impl Snapshot {
         let mut ranks: Vec<RankSnapshot> = Vec::new();
         let mut metrics: Option<Vec<u8>> = None;
 
+        let mut payload = Vec::new();
         for _ in 0..sections {
-            let (tag, payload) = read_section(&mut r)?;
+            let tag = read_section(&mut r, &mut payload)?;
             match &tag {
                 b"META" => {
                     let mut p = PayloadReader::new(&payload, "META");
@@ -252,9 +357,7 @@ impl Snapshot {
                     let k = p.u32()?;
                     let len = p.len_prefix(4)?;
                     let mut assignment = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        assignment.push(p.u32()?);
-                    }
+                    p.u32s(len, &mut assignment)?;
                     p.finish()?;
                     if partition.replace(PartitionSnapshot { k, assignment }).is_some() {
                         return Err(CheckpointError::Malformed("duplicate PART section".into()));
@@ -309,18 +412,19 @@ impl Snapshot {
                 b"RNKS" => {
                     let mut p = PayloadReader::new(&payload, "RNKS");
                     let rank = p.u32()?;
+                    // Every row costs at least its 12-byte header, so the
+                    // payload length bounds rows and cells alike.
                     let read_rows = |p: &mut PayloadReader| -> Result<_, CheckpointError> {
                         let n = p.len_prefix(12)?;
-                        let mut rows = Vec::with_capacity(n);
+                        let mut rows = RowTable::with_capacity(n, p.remaining() / 4);
                         for _ in 0..n {
                             let v = p.u32()?;
                             let len = p.len_prefix(4)?;
-                            let mut row = Vec::with_capacity(len);
-                            for _ in 0..len {
-                                row.push(p.u32()?);
-                            }
-                            rows.push((v, row));
+                            p.u32s(len, &mut rows.cells)?;
+                            rows.ids.push(v);
+                            rows.ends.push(rows.cells.len());
                         }
+                        rows.cells.shrink_to_fit();
                         Ok(rows)
                     };
                     let local = read_rows(&mut p)?;
@@ -328,9 +432,7 @@ impl Snapshot {
                     let read_ids = |p: &mut PayloadReader| -> Result<_, CheckpointError> {
                         let n = p.len_prefix(4)?;
                         let mut ids = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            ids.push(p.u32()?);
-                        }
+                        p.u32s(n, &mut ids)?;
                         Ok(ids)
                     };
                     let dirty = read_ids(&mut p)?;
@@ -413,21 +515,96 @@ mod tests {
             ranks: vec![
                 RankSnapshot {
                     rank: 0,
-                    local: vec![(0, vec![0, 1, 3, 4]), (1, vec![1, 0, 2, 3])],
-                    cached: vec![(2, vec![3, 2, 0, 1])],
+                    local: [(0, [0, 1, 3, 4]), (1, [1, 0, 2, 3])].into_iter().collect(),
+                    cached: [(2, [3, 2, 0, 1])].into_iter().collect(),
                     dirty: vec![1],
                     pending: vec![],
                 },
                 RankSnapshot {
                     rank: 1,
-                    local: vec![(2, vec![3, 2, 0, 1]), (3, vec![4, 3, 1, 0])],
-                    cached: vec![],
+                    local: [(2, [3, 2, 0, 1]), (3, [4, 3, 1, 0])].into_iter().collect(),
+                    cached: RowTable::default(),
                     dirty: vec![],
                     pending: vec![3],
                 },
             ],
             metrics: vec![1],
         }
+    }
+
+    /// `sample().to_bytes()` as written by the commit before the shared byte
+    /// layer (byte-table CRC, element-wise rows, per-row `Vec`s): the v4
+    /// format is pinned by bytes an older writer produced, not by this one.
+    const SAMPLE_V4_HEX: &str = concat!(
+        "414141434b50540004000000070000004d4554411c0000000000000002000000050000000000000001000000",
+        "000000000300000000000000d9e0df4b47525048340000000000000004000000000000000300000000000000",
+        "00000000010000000100000001000000020000000200000002000000030000000100000005813d2850415254",
+        "1c000000000000000200000004000000000000000000000000000000010000000100000077740b9e53544154",
+        "90000000000000000c00000000000000e0010000000000000000000000000c400000000000001d4006000000",
+        "0000000002000000000000000100000000000000000000000000000002000000000000000600000000000000",
+        "9000000000000000030000000000000001000000000000000200000000000000010000000000000001000000",
+        "00000000090000000000000050d412000000000024309d0c4d455452050000000000000001000000013bee45",
+        "8c524e4b537c0000000000000000000000020000000000000000000000040000000000000000000000010000",
+        "0003000000040000000100000004000000000000000100000000000000020000000300000001000000000000",
+        "0002000000040000000000000003000000020000000000000001000000010000000000000001000000000000",
+        "0000000000af012200524e4b5360000000000000000100000002000000000000000200000004000000000000",
+        "0003000000020000000000000001000000030000000400000000000000040000000300000001000000000000",
+        "0000000000000000000000000000000000010000000000000003000000ea671a6c",
+    );
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn v4_bytes_from_the_previous_writer_are_reproduced_and_accepted() {
+        let golden = unhex(SAMPLE_V4_HEX);
+        assert_eq!(golden.len(), 605);
+        assert_eq!(sample().to_bytes().unwrap(), golden, "writer drifted from the v4 bytes");
+        assert_eq!(Snapshot::from_bytes(&golden).unwrap(), sample(), "reader rejects v4 bytes");
+    }
+
+    #[test]
+    fn row_table_keeps_ragged_rows_apart() {
+        let mut t = RowTable::with_capacity(3, 4);
+        t.push(7, &[1, 2, 3]);
+        t.push(2, &[]);
+        t.push(9, &[4]);
+        assert_eq!(t.len(), 3);
+        let rows: Vec<(VertexId, &[Dist])> = t.iter().collect();
+        assert_eq!(rows, [(7, &[1, 2, 3][..]), (2, &[][..]), (9, &[4][..])]);
+        assert_eq!(t.iter().size_hint(), (3, Some(3)));
+        let collected: RowTable = rows.into_iter().collect();
+        assert_eq!(collected, t);
+        // Same cells, different split: not the same table.
+        let other: RowTable = [(7, vec![1, 2]), (2, vec![3]), (9, vec![4])].into_iter().collect();
+        assert_ne!(other, t);
+        assert!(RowTable::default().is_empty() && RowTable::default().iter().next().is_none());
+
+        // Ragged rows survive the wire, lengths included.
+        let mut s = sample();
+        s.ranks[0].local = t;
+        let back = Snapshot::from_bytes(&s.to_bytes().unwrap()).unwrap();
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn sections_larger_than_the_staging_buffer_roundtrip() {
+        // 3 × 40 rows of 1,000 cells: each table alone overflows
+        // `STAGE_BYTES`, so the section is checksummed and written in
+        // several pieces — which the reader's whole-payload CRC verifies.
+        let mut s = sample();
+        let table = |salt: u32| -> RowTable {
+            (0..40u32)
+                .map(|v| (v, (0..1000).map(|c| v * 1000 + c + salt).collect::<Vec<_>>()))
+                .collect()
+        };
+        s.ranks[0].local = table(0);
+        s.ranks[0].cached = table(7);
+        s.ranks[1].cached = table(9);
+        assert!(s.ranks[0].section_len() > 4 * STAGE_BYTES);
+        let bytes = s.to_bytes().unwrap();
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), s);
     }
 
     #[test]

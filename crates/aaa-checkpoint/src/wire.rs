@@ -2,8 +2,8 @@
 //! section framing. Every read threads the current section name so a short
 //! read becomes a precise [`CheckpointError::Truncated`].
 
-use crate::crc32;
 use crate::error::CheckpointError;
+use aaa_runtime::bytes::{crc32, get_u32s, Crc32};
 use std::io::{Read, Write};
 
 // ---------------------------------------------------------------------------
@@ -22,17 +22,46 @@ pub fn put_f64(out: &mut Vec<u8>, x: f64) {
     out.extend_from_slice(&x.to_le_bytes());
 }
 
-/// Writes one framed section: tag, length, payload, CRC.
+/// One framed section — tag, length, payload, CRC — whose payload is
+/// handed over in pieces: each piece is checksummed and written while it
+/// is still cache-hot, so a large section is never staged whole.
+pub struct SectionWriter<'w, W: Write> {
+    w: &'w mut W,
+    crc: Crc32,
+    left: u64,
+}
+
+impl<'w, W: Write> SectionWriter<'w, W> {
+    /// Writes the section header; exactly `len` payload bytes must follow.
+    pub fn begin(w: &'w mut W, tag: &[u8; 4], len: u64) -> Result<Self, CheckpointError> {
+        w.write_all(tag)?;
+        w.write_all(&len.to_le_bytes())?;
+        Ok(Self { w, crc: Crc32::new(), left: len })
+    }
+
+    pub fn put(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let left = self.left.checked_sub(bytes.len() as u64);
+        self.left = left.expect("section payload longer than its declared length");
+        self.crc.update(bytes);
+        Ok(self.w.write_all(bytes)?)
+    }
+
+    /// Writes the CRC trailer.
+    pub fn finish(self) -> Result<(), CheckpointError> {
+        assert_eq!(self.left, 0, "section payload shorter than its declared length");
+        Ok(self.w.write_all(&self.crc.finish().to_le_bytes())?)
+    }
+}
+
+/// Writes one framed section from a payload already in memory.
 pub fn write_section(
     w: &mut impl Write,
     tag: &[u8; 4],
     payload: &[u8],
 ) -> Result<(), CheckpointError> {
-    w.write_all(tag)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(())
+    let mut section = SectionWriter::begin(w, tag, payload.len() as u64)?;
+    section.put(payload)?;
+    section.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -65,32 +94,29 @@ pub fn read_u64(r: &mut impl Read, section: &'static str) -> Result<u64, Checkpo
     Ok(u64::from_le_bytes(b))
 }
 
-pub fn read_bytes(
-    r: &mut impl Read,
-    n: usize,
-    section: &'static str,
-) -> Result<Vec<u8>, CheckpointError> {
-    let mut buf = vec![0u8; n];
-    read_exact(r, &mut buf, section)?;
-    Ok(buf)
-}
-
-/// Reads one framed section, verifying its CRC. Returns (tag, payload).
-pub fn read_section(r: &mut impl Read) -> Result<([u8; 4], Vec<u8>), CheckpointError> {
+/// Reads one framed section into `payload` (cleared first; its capacity is
+/// reused from section to section), verifying its CRC. Returns the tag.
+///
+/// The declared length is never trusted with an allocation: the payload is
+/// read through [`Read::take`], so the buffer grows only as bytes actually
+/// arrive and a corrupted length over a short stream is `Truncated`, not
+/// a multi-gigabyte zero-fill.
+pub fn read_section(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<[u8; 4], CheckpointError> {
     let mut tag = [0u8; 4];
     read_exact(r, &mut tag, "section header")?;
     let len = read_u64(r, "section header")?;
-    // An impossible length means corruption — fail before trying (and
-    // plausibly OOM-ing) to allocate it.
     if len > MAX_SECTION_BYTES {
         return Err(CheckpointError::Malformed(format!(
             "section {} declares {len} bytes (limit {MAX_SECTION_BYTES})",
             String::from_utf8_lossy(&tag)
         )));
     }
-    let payload = read_bytes(r, len as usize, "section payload")?;
+    payload.clear();
+    if r.by_ref().take(len).read_to_end(payload)? as u64 != len {
+        return Err(CheckpointError::Truncated { section: "section payload" });
+    }
     let stored = read_u32(r, "section crc")?;
-    let computed = crc32(&payload);
+    let computed = crc32(payload);
     if stored != computed {
         return Err(CheckpointError::CrcMismatch {
             section: String::from_utf8_lossy(&tag).into_owned(),
@@ -98,7 +124,7 @@ pub fn read_section(r: &mut impl Read) -> Result<([u8; 4], Vec<u8>), CheckpointE
             computed,
         });
     }
-    Ok((tag, payload))
+    Ok(tag)
 }
 
 /// Hard ceiling on a single section's payload (16 GiB) — far above any real
@@ -118,7 +144,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(CheckpointError::Truncated { section: self.section });
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -142,6 +168,13 @@ impl<'a> PayloadReader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
+    /// Appends the next `n` `u32`s to `out` in one bulk copy.
+    pub fn u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), CheckpointError> {
+        let bytes = n.checked_mul(4).ok_or(CheckpointError::Truncated { section: self.section })?;
+        get_u32s(self.take(bytes)?, out);
+        Ok(())
+    }
+
     /// A `u64` length prefix validated against the bytes actually left
     /// (each element needs at least `elem_bytes`), so corrupted counts fail
     /// as truncation instead of huge allocations.
@@ -152,6 +185,11 @@ impl<'a> PayloadReader<'a> {
             return Err(CheckpointError::Truncated { section: self.section });
         }
         Ok(n)
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// True when every byte has been consumed — sections must not carry
@@ -177,7 +215,8 @@ mod tests {
     fn section_roundtrip() {
         let mut buf = Vec::new();
         write_section(&mut buf, b"TEST", &[1, 2, 3, 4, 5]).unwrap();
-        let (tag, payload) = read_section(&mut buf.as_slice()).unwrap();
+        let mut payload = vec![0xEE; 3]; // stale contents must not leak through
+        let tag = read_section(&mut buf.as_slice(), &mut payload).unwrap();
         assert_eq!(&tag, b"TEST");
         assert_eq!(payload, vec![1, 2, 3, 4, 5]);
     }
@@ -187,7 +226,7 @@ mod tests {
         let mut buf = Vec::new();
         write_section(&mut buf, b"TEST", &[9u8; 16]).unwrap();
         buf[13] ^= 0xFF; // inside payload
-        match read_section(&mut buf.as_slice()) {
+        match read_section(&mut buf.as_slice(), &mut Vec::new()) {
             Err(CheckpointError::CrcMismatch { section, .. }) => assert_eq!(section, "TEST"),
             other => panic!("expected CrcMismatch, got {other:?}"),
         }
@@ -198,7 +237,7 @@ mod tests {
         let mut buf = Vec::new();
         write_section(&mut buf, b"TEST", &[7u8; 32]).unwrap();
         for cut in [1, 5, 13, buf.len() - 1] {
-            let err = read_section(&mut buf[..cut].as_ref()).unwrap_err();
+            let err = read_section(&mut buf[..cut].as_ref(), &mut Vec::new()).unwrap_err();
             assert!(matches!(err, CheckpointError::Truncated { .. }), "cut {cut}: {err:?}");
         }
     }
@@ -208,7 +247,23 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"TEST");
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(read_section(&mut buf.as_slice()), Err(CheckpointError::Malformed(_))));
+        assert!(matches!(
+            read_section(&mut buf.as_slice(), &mut Vec::new()),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn declared_length_never_drives_the_allocation() {
+        // 8 GiB is under the section cap, so only the stream can refute it.
+        let mut stream = Vec::new();
+        stream.extend_from_slice(b"RNKS");
+        stream.extend_from_slice(&(8u64 << 30).to_le_bytes());
+        stream.extend_from_slice(&[7u8; 12]);
+        let mut payload = Vec::new();
+        let err = read_section(&mut stream.as_slice(), &mut payload).unwrap_err();
+        assert!(matches!(err, CheckpointError::Truncated { .. }), "{err:?}");
+        assert!(payload.capacity() < 1 << 20, "allocated {} bytes", payload.capacity());
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! move with the row when slots are re-laid out or swap-removed. The
 //! record costs 1 bit per 32-bit cell, +3.1 % of the arena.
 
+use aaa_checkpoint::RowTable;
 use aaa_graph::{Dist, VertexId, INF};
 
 /// `slot_of` sentinel: no row for this vertex.
@@ -197,11 +198,14 @@ impl Arena {
     }
 
     /// Overwrites row `s` (any values: migration, restore, recompute) and
-    /// records every cell.
+    /// records every cell. A `row` shorter than the live columns is padded
+    /// with `INF` in place; a longer one is cut.
     fn install(&mut self, s: usize, row: &[Dist]) {
         let n = self.n;
         let (dst, delta) = self.row_mut(s);
-        dst.copy_from_slice(row);
+        let k = row.len().min(n);
+        dst[..k].copy_from_slice(&row[..k]);
+        dst[k..].fill(INF);
         set_prefix(delta, n);
     }
 
@@ -538,10 +542,10 @@ impl DvStore {
         Some(self.local.swap_remove(s, &mut self.slot_of, LOCAL_BIT))
     }
 
-    /// Installs a migrated row as local (overwrites any cached copy),
-    /// recorded whole.
-    pub fn install_local(&mut self, v: VertexId, mut row: Vec<Dist>, dirty: bool) {
-        row.resize(self.n(), INF);
+    /// Installs a migrated or restored row as local (overwrites any cached
+    /// copy), recorded whole; a row shorter than the current column count
+    /// is padded with `INF` in its slot.
+    pub fn install_local(&mut self, v: VertexId, row: &[Dist], dirty: bool) {
         if let Some(s) = self.cached_slot(v) {
             self.slot_of[v as usize] = NO_SLOT;
             self.cached.swap_remove(s, &mut self.slot_of, 0);
@@ -554,7 +558,7 @@ impl DvStore {
                 s
             }
         };
-        self.local.install(s, &row);
+        self.local.install(s, row);
         if dirty {
             self.dirty.insert(v);
         }
@@ -816,19 +820,34 @@ impl DvStore {
     // --------------------------------------------------------------------
     // Checkpoint support
     // --------------------------------------------------------------------
+    //
+    // Rows cross this boundary without a per-row allocation in either
+    // direction. Out: `export_*_sorted` copy each row from its arena slot
+    // into one flat `RowTable` per arena, in sorted-id order, and the
+    // snapshot writer encodes from there. In: `install_local` /
+    // `install_cached` take a borrowed slice — a `RowTable` row, a decoded
+    // wire row — and copy it once, into the slot, padding a short row
+    // with `INF` in place; nothing is cloned or resized on the way.
 
-    /// Clones every local row, sorted by vertex id (deterministic snapshot
+    /// Every local row, sorted by vertex id (deterministic snapshot
     /// order).
-    pub fn export_local_sorted(&self) -> Vec<(VertexId, Vec<Dist>)> {
-        let ids = self.local_ids_sorted();
-        ids.into_iter().map(|v| (v, self.local_row(v).expect("local row").to_vec())).collect()
+    pub fn export_local_sorted(&self) -> RowTable {
+        self.export_sorted(self.local_ids_sorted())
     }
 
-    /// Clones every cached external row, sorted by vertex id.
-    pub fn export_cached_sorted(&self) -> Vec<(VertexId, Vec<Dist>)> {
+    /// Every cached external row, sorted by vertex id.
+    pub fn export_cached_sorted(&self) -> RowTable {
         let mut ids = self.cached.ids.clone();
         ids.sort_unstable();
-        ids.into_iter().map(|v| (v, self.row(v).expect("cached row").to_vec())).collect()
+        self.export_sorted(ids)
+    }
+
+    fn export_sorted(&self, ids: Vec<VertexId>) -> RowTable {
+        let mut rows = RowTable::with_capacity(ids.len(), ids.len() * self.n());
+        for v in ids {
+            rows.push(v, self.row(v).expect("exported row exists"));
+        }
+        rows
     }
 
     /// The dirty set, sorted, without draining it (snapshots must not
@@ -840,10 +859,9 @@ impl DvStore {
     /// Installs a cached external row verbatim, recorded whole (restore
     /// path; rows shorter than the current column count are padded with
     /// `INF`).
-    pub fn install_cached(&mut self, v: VertexId, mut row: Vec<Dist>) {
-        row.resize(self.n(), INF);
+    pub fn install_cached(&mut self, v: VertexId, row: &[Dist]) {
         let (s, _) = self.cached_slot_or_new(v);
-        self.cached.install(s, &row);
+        self.cached.install(s, row);
     }
 
     /// Clears the dirty set (restore path: the snapshot's dirty mask is
@@ -1322,7 +1340,7 @@ mod tests {
     fn migration_install_and_remove() {
         let mut dv = DvStore::new(3);
         dv.min_merge_cached(1, &[9, 0, 9]);
-        dv.install_local(1, vec![8, 0, 8], true);
+        dv.install_local(1, &[8, 0, 8], true);
         assert!(dv.is_local(1));
         assert_eq!(dv.num_cached(), 0);
         let row = dv.remove_local(1).unwrap();
@@ -1361,17 +1379,17 @@ mod tests {
         let local = dv.export_local_sorted();
         let cached = dv.export_cached_sorted();
         let dirty = dv.dirty_sorted();
-        assert_eq!(local.iter().map(|&(v, _)| v).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(local.iter().map(|(v, _)| v).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(cached.len(), 1);
         assert_eq!(dirty, vec![0]);
         // Export does not drain dirt.
         assert!(dv.has_dirty());
 
         let mut fresh = DvStore::new(3);
-        for (v, row) in local {
+        for (v, row) in &local {
             fresh.install_local(v, row, false);
         }
-        for (v, row) in cached {
+        for (v, row) in &cached {
             fresh.install_cached(v, row);
         }
         fresh.clear_dirty();
@@ -1381,6 +1399,21 @@ mod tests {
         assert_eq!(fresh.row(0).unwrap(), dv.row(0).unwrap());
         assert_eq!(fresh.row(1).unwrap(), dv.row(1).unwrap());
         assert_eq!(fresh.dirty_sorted(), dv.dirty_sorted());
+    }
+
+    #[test]
+    fn install_pads_short_rows_and_cuts_long_ones_in_the_slot() {
+        let mut dv = DvStore::new(4);
+        dv.add_local_row(0);
+        dv.min_merge_local(0, &[0, 1, 1, 1]);
+        // Shorter than the column count: the tail is INF, not stale cells.
+        dv.install_local(0, &[0, 5], false);
+        assert_eq!(dv.row(0).unwrap(), &[0, 5, INF, INF]);
+        dv.install_cached(3, &[7]);
+        assert_eq!(dv.row(3).unwrap(), &[7, INF, INF, INF]);
+        // Longer: cut to the live columns.
+        dv.install_cached(3, &[4, 3, 2, 0, 9, 9]);
+        assert_eq!(dv.row(3).unwrap(), &[4, 3, 2, 0]);
     }
 
     #[test]
@@ -1399,10 +1432,10 @@ mod tests {
         assert!(local.iter().all(|(_, r)| r.len() == 6));
 
         let mut fresh = DvStore::new(6);
-        for (v, row) in local {
+        for (v, row) in &local {
             fresh.install_local(v, row, false);
         }
-        for (v, row) in cached {
+        for (v, row) in &cached {
             fresh.install_cached(v, row);
         }
         assert_eq!(fresh.row(0).unwrap(), dv.row(0).unwrap());
@@ -1506,8 +1539,8 @@ mod tests {
     /// recorded and nothing dirty.
     fn converged_half_path() -> DvStore {
         let mut dv = DvStore::new(4);
-        dv.install_local(0, vec![0, 1, 2, INF], false);
-        dv.install_local(1, vec![1, 0, 1, INF], false);
+        dv.install_local(0, &[0, 1, 2, INF], false);
+        dv.install_local(1, &[1, 0, 1, INF], false);
         dv.relax_to_fixed_point(&[0, 1], 1);
         dv.clear_dirty();
         assert!(recorded(&dv, 0).is_empty() && recorded(&dv, 1).is_empty());
@@ -1538,7 +1571,7 @@ mod tests {
         assert_eq!(recorded(&dv, 8), vec![3, 5, 69], "a new cached row records its finite cells");
         assert!(dv.min_merge_cached_sparse(8, &[(1, 1), (5, 6)]));
         assert_eq!(recorded(&dv, 8), vec![1, 3, 5, 69]);
-        dv.install_cached(9, vec![1; 70]);
+        dv.install_cached(9, &[1; 70]);
         assert_eq!(recorded(&dv, 9).len(), 70);
     }
 

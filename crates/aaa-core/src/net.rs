@@ -40,7 +40,7 @@
 
 use crate::quality::{degraded_closeness_bounds, DegradedReason, DegradedReport};
 use crate::rank::{RankState, RowMsg, RowPayload, WireFormat};
-use aaa_checkpoint::RankSnapshot;
+use aaa_checkpoint::{RankSnapshot, RowTable};
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
@@ -48,6 +48,7 @@ use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::{
     LoadSignals, Partition, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer,
 };
+use aaa_runtime::bytes::{get_u32s, put_u32s};
 use aaa_runtime::net::{FrameKind, NetError, Transport};
 use aaa_runtime::{ClusterError, FaultCounters, Rank};
 use rustc_hash::FxHashMap;
@@ -134,6 +135,17 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
+    /// A length-prefixed row of `u32`s: the count is validated against the
+    /// bytes left, then the cells are decoded in one bulk copy.
+    fn row(&mut self) -> Result<Vec<Dist>, WireError> {
+        let len = self.count(4)?;
+        let end = self.pos + 4 * len;
+        let mut row = Vec::with_capacity(len);
+        get_u32s(&self.bytes[self.pos..end], &mut row);
+        self.pos = end;
+        Ok(row)
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if self.pos != self.bytes.len() {
             Err(WireError::TrailingBytes { extra: self.bytes.len() - self.pos })
@@ -151,6 +163,12 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A length-prefixed row of `u32`s, cells in one bulk copy.
+fn put_row(out: &mut Vec<u8>, row: &[Dist]) {
+    put_u32(out, row.len() as u32);
+    put_u32s(out, row);
+}
+
 fn encode_rowmsg(out: &mut Vec<u8>, msg: &RowMsg) {
     put_u32(out, msg.rows.len() as u32);
     for (v, payload) in &msg.rows {
@@ -158,10 +176,7 @@ fn encode_rowmsg(out: &mut Vec<u8>, msg: &RowMsg) {
         match payload {
             RowPayload::Full(row) => {
                 out.push(0);
-                put_u32(out, row.len() as u32);
-                for &d in row {
-                    put_u32(out, d);
-                }
+                put_row(out, row);
             }
             RowPayload::Delta(pairs) => {
                 out.push(1);
@@ -182,14 +197,7 @@ fn decode_rowmsg(r: &mut Reader<'_>) -> Result<RowMsg, WireError> {
         let v = r.u32()?;
         let kind = r.u8()?;
         let payload = match kind {
-            0 => {
-                let len = r.count(4)?;
-                let mut row = Vec::with_capacity(len);
-                for _ in 0..len {
-                    row.push(r.u32()?);
-                }
-                RowPayload::Full(row)
-            }
+            0 => RowPayload::Full(r.row()?),
             1 => {
                 let len = r.count(8)?;
                 let mut pairs = Vec::with_capacity(len);
@@ -211,10 +219,7 @@ fn encode_rows(out: &mut Vec<u8>, rows: &[(VertexId, Vec<Dist>)]) {
     put_u32(out, rows.len() as u32);
     for (v, row) in rows {
         put_u32(out, *v);
-        put_u32(out, row.len() as u32);
-        for &d in row {
-            put_u32(out, d);
-        }
+        put_row(out, row);
     }
 }
 
@@ -223,12 +228,7 @@ fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Vec<Dist>)>, WireErr
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let v = r.u32()?;
-        let len = r.count(4)?;
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            row.push(r.u32()?);
-        }
-        rows.push((v, row));
+        rows.push((v, r.row()?));
     }
     Ok(rows)
 }
@@ -764,8 +764,8 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                     .ok_or_else(|| protocol_err(&link.peer(), "Absorb before Init"))?;
                 let snap = RankSnapshot {
                     rank: s.rank() as u32,
-                    local: rows,
-                    cached: Vec::new(),
+                    local: rows.into_iter().collect(),
+                    cached: RowTable::default(),
                     dirty: Vec::new(),
                     pending: Vec::new(),
                 };

@@ -275,7 +275,7 @@ impl RankState {
             let v = self.local[i];
             let mut row = vec![INF; n];
             row[v as usize] = 0;
-            self.dv.install_local(v, row, true);
+            self.dv.install_local(v, &row, true);
         }
         self.dv.clear_cache();
         self.pending.clear();
@@ -653,7 +653,7 @@ impl RankState {
             for (v, payload) in msg.rows {
                 debug_assert_eq!(self.owner[v as usize] as usize, self.rank);
                 match payload {
-                    RowPayload::Full(row) => self.dv.install_local(v, row, true),
+                    RowPayload::Full(row) => self.dv.install_local(v, &row, true),
                     RowPayload::Delta(_) => {
                         debug_assert!(false, "migration ships full rows");
                     }
@@ -670,7 +670,7 @@ impl RankState {
             if !dv.is_local(v) {
                 let mut row = vec![INF; n];
                 row[v as usize] = 0;
-                dv.install_local(v, row, true);
+                dv.install_local(v, &row, true);
             }
             dv.update_local_row(v, |row| {
                 for &(t, w) in &adj[&v] {
@@ -766,7 +766,7 @@ impl RankState {
                 debug_assert_eq!(self.owner[v as usize] as usize, self.rank);
                 match payload {
                     RowPayload::Full(row) => {
-                        self.dv.install_local(v, row, true);
+                        self.dv.install_local(v, &row, true);
                         gained.push(v);
                     }
                     RowPayload::Delta(_) => {
@@ -779,7 +779,7 @@ impl RankState {
             if p as usize == self.rank && !self.dv.is_local(v) {
                 let mut row = vec![INF; n];
                 row[v as usize] = 0;
-                self.dv.install_local(v, row, true);
+                self.dv.install_local(v, &row, true);
                 gained.push(v);
             }
         }
@@ -841,13 +841,13 @@ impl RankState {
     /// the fresh IA rows' knowledge of edges added after the capture.
     pub fn restore_from_snapshot(&mut self, snap: &RankSnapshot) {
         for (v, row) in &snap.local {
-            if self.dv.is_local(*v) {
-                self.dv.install_local(*v, row.clone(), false);
+            if self.dv.is_local(v) {
+                self.dv.install_local(v, row, false);
             }
         }
         for (v, row) in &snap.cached {
-            if !self.dv.is_local(*v) {
-                self.dv.install_cached(*v, row.clone());
+            if !self.dv.is_local(v) {
+                self.dv.install_cached(v, row);
             }
         }
         self.dv.clear_dirty();
@@ -874,13 +874,13 @@ impl RankState {
     /// to the same unique fixed point.
     pub fn absorb_snapshot(&mut self, snap: &RankSnapshot) {
         for (v, row) in &snap.local {
-            if self.dv.is_local(*v) {
-                self.dv.min_merge_local(*v, row);
+            if self.dv.is_local(v) {
+                self.dv.min_merge_local(v, row);
             }
         }
         for (v, row) in &snap.cached {
-            if !self.dv.is_local(*v) {
-                self.dv.min_merge_cached(*v, row);
+            if !self.dv.is_local(v) {
+                self.dv.min_merge_cached(v, row);
             }
         }
     }

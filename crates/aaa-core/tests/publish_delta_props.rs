@@ -235,6 +235,7 @@ proptest! {
 /// a writer that publishes through the delta path.
 #[test]
 fn epochs_stay_monotone_under_concurrent_readers() {
+    const READERS: usize = 3;
     let mut g = AdjGraph::with_vertices(12);
     for i in 0..11u32 {
         g.add_edge(i, i + 1, 1 + i % 3).expect("path edge");
@@ -242,17 +243,28 @@ fn epochs_stay_monotone_under_concurrent_readers() {
     let mut engine = AnytimeEngine::new(g, EngineConfig::deterministic(2)).expect("engine");
     let cell = engine.view_cell();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
+    // Readers and writer leave the gate together, and the writer holds its
+    // last epoch back until every reader has seen one: otherwise a fast
+    // writer finishes before a reader is ever scheduled and nothing races.
+    let gate = Arc::new(std::sync::Barrier::new(READERS + 1));
+    let observing = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let cell = cell.clone();
             let stop = stop.clone();
+            let gate = gate.clone();
+            let observing = observing.clone();
             std::thread::spawn(move || {
                 let mut last = 0u64;
                 let mut switches = 0u64;
+                gate.wait();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let view = cell.load();
                     assert!(view.epoch >= last, "epoch went backwards");
                     if view.epoch != last {
+                        if switches == 0 {
+                            observing.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
                         switches += 1;
                         last = view.epoch;
                     }
@@ -264,6 +276,7 @@ fn epochs_stay_monotone_under_concurrent_readers() {
         })
         .collect();
 
+    gate.wait();
     for round in 0..40u32 {
         if engine.graph().num_vertices() < 64 {
             let batch = VertexBatch {
@@ -274,6 +287,12 @@ fn epochs_stay_monotone_under_concurrent_readers() {
                 .expect("batch submits");
         }
         engine.rc_step();
+    }
+    let waited = std::time::Instant::now();
+    while observing.load(std::sync::atomic::Ordering::Relaxed) < READERS
+        && waited.elapsed() < std::time::Duration::from_secs(10)
+    {
+        std::thread::yield_now();
     }
     while engine.rc_step() {}
     stop.store(true, std::sync::atomic::Ordering::Relaxed);

@@ -20,10 +20,15 @@
 //! Correctness of the algorithms above never depends on the cost model —
 //! it only prices traffic; message *routing* is exact.
 //!
+//! The escape hatch to a real cluster is [`net`] (framed socket links);
+//! [`bytes`] is the checksum and row codec it shares with `aaa-checkpoint`
+//! and `aaa-core`'s protocol messages.
+//!
 //! Every superstep, exchange and collective is also recorded as a typed
 //! span into an installed [`EventSink`] (S24; `aaa-observe`). The default
 //! sink is disarmed and costs one predictable branch per site.
 
+pub mod bytes;
 pub mod chaos;
 pub mod cluster;
 pub mod logp;

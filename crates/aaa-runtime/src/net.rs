@@ -30,6 +30,8 @@
 //! ([`NetError::PeerDead`]); the supervision above (`aaa-core::net`)
 //! decides whether to respawn, fall back to a checkpoint, or degrade.
 
+pub use crate::bytes::crc32;
+use crate::bytes::Crc32;
 use crate::chaos::{mix, unit};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -184,36 +186,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// CRC-32 (IEEE 802.3, reflected), nibble-table variant. `aaa-checkpoint`
-/// and `aaa-store` each carry the same function; this crate sits below
-/// both, so it keeps its own copy rather than inverting the dependency.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 16] = [
-        0x0000_0000,
-        0x1db7_1064,
-        0x3b6e_20c8,
-        0x26d9_30ac,
-        0x76dc_4190,
-        0x6b6b_51f4,
-        0x4db2_6158,
-        0x5005_713c,
-        0xedb8_8320,
-        0xf00f_9344,
-        0xd6d6_a3e8,
-        0xcb61_b38c,
-        0x9b64_c2b0,
-        0x86d3_d2d4,
-        0xa00a_e278,
-        0xbdbd_f21c,
-    ];
-    let mut crc: u32 = !0;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xf) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xf) as usize];
-    }
-    !crc
-}
-
 /// Encodes one frame. The CRC covers the *entire* frame (header with the
 /// CRC field zeroed, then payload), so any single-bit corruption anywhere
 /// — including in the header — is detected.
@@ -257,9 +229,13 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
         return Err(FrameError::Truncated { have: buf.len(), need: total });
     }
     let got = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
-    let mut check = buf[..total].to_vec();
-    check[16..20].copy_from_slice(&[0; 4]);
-    let expect = crc32(&check);
+    // The sender checksummed the frame with its CRC field zeroed; feed the
+    // same bytes in three pieces rather than copying the frame to zero it.
+    let mut crc = Crc32::new();
+    crc.update(&buf[..16]);
+    crc.update(&[0; 4]);
+    crc.update(&buf[FRAME_HEADER_LEN..total]);
+    let expect = crc.finish();
     if expect != got {
         return Err(FrameError::BadCrc { expect, got });
     }

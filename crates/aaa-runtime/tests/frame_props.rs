@@ -178,3 +178,81 @@ fn hostile_headers_map_to_the_right_typed_errors() {
     // The unharmed original still decodes.
     assert!(decode_frame(&good).is_ok());
 }
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+}
+
+/// Three frames as encoded by the commit before the shared checksum (the
+/// nibble-table CRC over a zeroed copy): the header layout and every CRC
+/// on the wire are pinned by bytes an older encoder produced.
+#[test]
+fn frames_from_the_previous_encoder_are_reproduced_and_accepted() {
+    let payload70: Vec<u8> = (0..70u32).map(|i| (i * 37 + 11) as u8).collect();
+    let cases = [
+        (
+            Frame { kind: FrameKind::Heartbeat, seq: 0, payload: vec![] },
+            "7aaa0400000000000000000000000000bd022a5d",
+        ),
+        (
+            Frame { kind: FrameKind::Ack, seq: 0, payload: vec![0x5a] },
+            "7aaa0600000000000000000001000000e6a0fe8f5a",
+        ),
+        (
+            Frame { kind: FrameKind::Data, seq: 0x0102_0304_0506_0708, payload: payload70 },
+            concat!(
+        "7aaa03000807060504030201460000005f1fe7ba0b30557a9fc4e90e33587da2c7ec11365b80a5caef14395e",
+        "83a8cdf2173c6186abd0f51a3f6489aed3f81d42678cb1d6fb20456a8fb4d9fe23486d92b7dc01264b7095ba",
+        "df04",
+            ),
+        ),
+    ];
+    for (frame, hex) in cases {
+        let golden = unhex(hex);
+        assert_eq!(
+            encode_frame(&frame),
+            golden,
+            "encoder drifted ({} B payload)",
+            frame.payload.len()
+        );
+        assert_eq!(decode_frame(&golden), Ok((frame, golden.len())));
+    }
+}
+
+/// The decoder checksums the frame in three pieces — bytes 0..16, four
+/// zeros standing in for the CRC field, bytes 20.. — so the seams are
+/// where a slip would hide: every bit of the header, of the CRC field and
+/// of the first payload bytes must still be covered.
+#[test]
+fn every_bit_around_the_checksum_seams_is_covered() {
+    for len in [0usize, 1, 4, 15, 16, 17, 70] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 101 + 3) as u8).collect();
+        let bytes = encode_frame(&Frame { kind: FrameKind::Data, seq: 77, payload });
+        for pos in 0..bytes.len().min(24) {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    decode_frame(&bad).is_err(),
+                    "len {len}: bit {bit} of byte {pos} undetected"
+                );
+            }
+        }
+    }
+}
+
+/// A partial frame is never judged: with a damaged payload, every prefix
+/// short of the whole frame still says "read more", and only the complete
+/// frame is checksummed and rejected.
+#[test]
+fn a_partial_frame_is_truncated_before_it_is_checksummed() {
+    let mut bytes = encode_frame(&Frame { kind: FrameKind::Data, seq: 5, payload: vec![0xC3; 70] });
+    bytes[40] ^= 0x10;
+    for cut in 0..bytes.len() {
+        assert!(
+            matches!(decode_frame(&bytes[..cut]), Err(FrameError::Truncated { .. })),
+            "cut {cut}"
+        );
+    }
+    assert!(matches!(decode_frame(&bytes), Err(FrameError::BadCrc { .. })));
+}

@@ -1,9 +1,11 @@
 //! Snapshot round-trip properties: `restore(checkpoint(e))` must reproduce
 //! the engine exactly — same DV fixed points, closeness vectors and RC
 //! counters — on random graphs under both executors; and corrupted or
-//! truncated snapshots must fail with typed errors, never panic.
+//! truncated snapshots must fail with typed errors, never panic — also
+//! with rows of unequal length, through a reader that trickles bytes, at
+//! every truncation point and under every single-bit flip.
 
-use anytime_anywhere::checkpoint::{CheckpointError, Snapshot, FORMAT_VERSION, MAGIC};
+use anytime_anywhere::checkpoint::{CheckpointError, RowTable, Snapshot, FORMAT_VERSION, MAGIC};
 use anytime_anywhere::core::{AnytimeEngine, CoreError, EngineConfig};
 use anytime_anywhere::graph::{AdjGraph, GraphBuilder};
 use anytime_anywhere::runtime::ExecutionMode;
@@ -11,7 +13,12 @@ use proptest::prelude::*;
 
 /// An arbitrary simple weighted graph with `n ∈ [2, 40]` vertices.
 fn arb_graph() -> impl Strategy<Value = AdjGraph> {
-    (2usize..40).prop_flat_map(|n| {
+    arb_graph_below(40)
+}
+
+/// An arbitrary simple weighted graph with `n ∈ [2, max)` vertices.
+fn arb_graph_below(max: usize) -> impl Strategy<Value = AdjGraph> {
+    (2usize..max).prop_flat_map(|n| {
         let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..10), 0..(3 * n));
         edges.prop_map(move |edges| {
             let mut b = GraphBuilder::with_vertices(n);
@@ -21,6 +28,32 @@ fn arb_graph() -> impl Strategy<Value = AdjGraph> {
             b.build().expect("builder output is always valid")
         })
     })
+}
+
+/// A reader that hands over 1–7 bytes per `read` call, whatever was asked.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    calls: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        let k = (1 + self.calls * 5 % 7).min(buf.len()).min(self.bytes.len());
+        buf[..k].copy_from_slice(&self.bytes[..k]);
+        self.bytes = &self.bytes[k..];
+        Ok(k)
+    }
+}
+
+/// `rows` with row `i` cut short by `cuts[i % len]` cells: a table whose
+/// rows differ in length, as recovery against an older snapshot sees them.
+fn ragged(rows: &RowTable, cuts: &[usize]) -> RowTable {
+    let cut = |i: usize| cuts.get(i % cuts.len().max(1)).copied().unwrap_or(0);
+    rows.iter()
+        .enumerate()
+        .map(|(i, (v, row))| (v, &row[..row.len().saturating_sub(cut(i))]))
+        .collect()
 }
 
 fn config(p: usize, parallel: bool) -> EngineConfig {
@@ -81,6 +114,49 @@ proptest! {
         prop_assert_eq!(back.ranks, snap.ranks);
         // Re-serializing the parsed snapshot is byte-identical.
         prop_assert_eq!(back.to_bytes().unwrap(), bytes);
+    }
+
+    #[test]
+    fn ragged_snapshots_survive_awkward_readers_and_hostile_bytes(
+        g in arb_graph_below(12),
+        p in 1usize..4,
+        steps in 0usize..3,
+        cuts in proptest::collection::vec(0usize..14, 0..6),
+        metrics in proptest::collection::vec(1u8..4, 0..3),
+    ) {
+        let mut engine = AnytimeEngine::new(g, config(p, false)).unwrap();
+        for _ in 0..steps {
+            engine.rc_step();
+        }
+        let mut snap = engine.snapshot();
+        snap.metrics = metrics;
+        for rs in &mut snap.ranks {
+            rs.local = ragged(&rs.local, &cuts);
+            rs.cached = ragged(&rs.cached, &cuts);
+        }
+        let bytes = snap.to_bytes().unwrap();
+
+        prop_assert_eq!(&Snapshot::from_bytes(&bytes).unwrap(), &snap);
+        let trickled = Snapshot::read_from(Trickle { bytes: &bytes, calls: 0 }).unwrap();
+        prop_assert_eq!(&trickled, &snap);
+
+        for cut in 0..bytes.len() {
+            let err = Snapshot::from_bytes(&bytes[..cut]).expect_err("truncated snapshot parsed");
+            prop_assert!(
+                matches!(err, CheckpointError::Truncated { .. } | CheckpointError::Malformed(_)),
+                "cut {}: {:?}", cut, err
+            );
+        }
+        // CRC-32 catches every single-bit error inside a payload; header,
+        // tag, length and CRC-field flips surface as the other typed
+        // errors. None may parse, none may panic.
+        let mut bad = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let result = Snapshot::from_bytes(&bad);
+            prop_assert!(result.is_err(), "bit {} of byte {} flipped undetected", bit % 8, bit / 8);
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

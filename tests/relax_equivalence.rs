@@ -232,13 +232,13 @@ impl Reference {
     /// The old `absorb_snapshot` + `mark_all_for_resend` recovery kick.
     fn absorb_and_resend(&mut self, snap: &RankSnapshot) {
         for (v, row) in &snap.local {
-            if self.is_local(*v) {
-                self.merge(*v, &RowPayload::Full(row.clone()));
+            if self.is_local(v) {
+                self.merge(v, &RowPayload::Full(row.to_vec()));
             }
         }
         for (v, row) in &snap.cached {
-            if !self.is_local(*v) {
-                self.merge(*v, &RowPayload::Full(row.clone()));
+            if !self.is_local(v) {
+                self.merge(v, &RowPayload::Full(row.to_vec()));
             }
         }
         self.dirty.extend(self.locals.iter().copied());
