@@ -78,11 +78,11 @@ fn main() {
         // Delta path: one full publish to seed the view, then O(changed)
         // epochs with chunk sharing and incremental top-k upkeep.
         let mut delta = Publisher::new(BoundsMode::None);
-        delta.publish(0, 0, false, base.clone(), Vec::new());
+        delta.publish(0, 0, false, base.clone(), Vec::new(), Vec::new());
         let seeded = delta.stats();
         let started = Instant::now();
         for (i, entries) in stream.iter().enumerate() {
-            delta.publish_changes(i + 1, 0, false, N, entries.clone(), Vec::new());
+            delta.publish_changes(i + 1, 0, false, N, entries.clone(), Vec::new(), Vec::new());
         }
         let delta_elapsed = started.elapsed();
 
@@ -91,13 +91,13 @@ fn main() {
         let mut full = Publisher::new(BoundsMode::None);
         full.set_force_full(true);
         let mut current = base.clone();
-        full.publish(0, 0, false, current.clone(), Vec::new());
+        full.publish(0, 0, false, current.clone(), Vec::new(), Vec::new());
         let started = Instant::now();
         for (i, entries) in stream.iter().enumerate() {
             for &(v, c) in entries {
                 current[v as usize] = c;
             }
-            full.publish(i + 1, 0, false, current.clone(), Vec::new());
+            full.publish(i + 1, 0, false, current.clone(), Vec::new(), Vec::new());
         }
         let full_elapsed = started.elapsed();
 

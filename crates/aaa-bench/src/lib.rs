@@ -37,7 +37,7 @@
 //! --metrics closeness|betweenness
 //!                       comma-separated centrality metrics the engine
 //!                       maintains. Closeness is always computed; listing
-//!                       it alone keeps the legacy bit-identical path.
+//!                       it alone changes nothing.
 //!                       Adding `betweenness` turns on the incremental
 //!                       Brandes column and suffixes the pinned scenario
 //!                       name with `:betweenness` so it gates against its
@@ -88,8 +88,8 @@ pub struct CommonArgs {
     /// Driver ticks for streaming workloads (`--ticks N`).
     pub ticks: Option<u64>,
     /// Centrality metrics the engine maintains
-    /// (`--metrics closeness,betweenness`). Empty keeps the legacy
-    /// closeness-only path bit-identical.
+    /// (`--metrics closeness,betweenness`). Empty publishes closeness
+    /// alone.
     pub metrics: Vec<MetricKind>,
 }
 

@@ -99,11 +99,9 @@ pub struct EngineConfig {
     /// i.e. disabled.
     pub rebalance: RebalanceConfig,
     /// Centrality metrics each published epoch carries *in addition to*
-    /// closeness, which is always present. Empty (the default) keeps the
-    /// engine on the legacy closeness-only publish path, which is
-    /// bit-identical — views, deltas, wire bytes, and counters — to the
-    /// pre-metric-abstraction engine. Listing [`MetricKind::Closeness`]
-    /// here is a harmless no-op; duplicates are deduplicated.
+    /// closeness, which is always present. Empty (the default) publishes
+    /// the closeness column alone. Listing [`MetricKind::Closeness`] here
+    /// is a harmless no-op; duplicates are deduplicated.
     pub metrics: Vec<MetricKind>,
 }
 
@@ -418,172 +416,66 @@ impl AnytimeEngine {
         let observing = self.cluster.observing();
         let wall0 = if observing { self.cluster.wall_now_us() } else { 0.0 };
         let n = self.graph.num_vertices();
-        match self.publisher.mode() {
-            BoundsMode::None if self.metrics.closeness_only() => {
-                // Legacy closeness-only path, kept verbatim: bit-identical
-                // views, deltas, wire bytes, and counters to the
-                // pre-metric-abstraction engine.
-                let full =
-                    self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
-                // Epoch-dirty tracking is drained on every publish — the
-                // full path resets it too, so the next delta is relative
-                // to what this epoch actually published.
-                let per_rank =
-                    self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_closeness());
-                if full {
-                    let mut closeness = vec![0.0; n];
-                    for list in self.cluster.barrier_read(|_, s| s.local_closeness()) {
-                        for (v, c) in list {
-                            closeness[v as usize] = c;
-                        }
-                    }
-                    self.publisher.publish(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        closeness,
-                        Vec::new(),
-                    );
-                } else {
-                    let mut entries: Vec<(VertexId, f64)> =
-                        per_rank.into_iter().flatten().collect();
-                    entries.sort_unstable_by_key(|e| e.0);
-                    self.publisher.publish_changes(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        n,
-                        entries,
-                        Vec::new(),
-                    );
-                }
-            }
-            BoundsMode::None => {
-                let full =
-                    self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
-                // One drain of the epoch-dirty sets feeds both the
-                // closeness delta and the extra metrics' row hand-off.
-                let changed =
-                    self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
-                let extra_deltas = self.update_extra_metrics(full, &changed);
-                let primary = self.metrics.primary();
-                if full {
-                    let mut closeness = vec![0.0; n];
-                    for list in
-                        self.cluster.barrier_read(|_, s| s.local_scores(|row| primary.score(row)))
-                    {
-                        for (v, c) in list {
-                            closeness[v as usize] = c;
-                        }
-                    }
-                    let extras = self.extra_full_columns(n);
-                    self.publisher.publish_with(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        closeness,
-                        Vec::new(),
-                        extras,
-                    );
-                } else {
-                    let mut entries: Vec<(VertexId, f64)> = self
-                        .cluster
-                        .barrier_read(|r, s| {
-                            changed[r]
-                                .iter()
-                                .map(|&v| {
-                                    let row = s.dv().local_row(v).expect("local row");
-                                    (v, primary.score(row))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                    entries.sort_unstable_by_key(|e| e.0);
-                    self.publisher.publish_changes_with(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        n,
-                        entries,
-                        Vec::new(),
-                        extra_deltas,
-                    );
-                }
-            }
-            BoundsMode::Certified => {
-                // `cache_for` may rebuild (structural change), which moves
-                // every vertex's bound and forces the full path below.
-                self.publisher.cache_for(&self.graph);
-                let full =
-                    self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
-                let changed =
-                    self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
-                let extra_deltas = self.update_extra_metrics(full, &changed);
-                let primary = self.metrics.primary();
-                let cache = self.publisher.cache_for(&self.graph);
-                if full {
-                    let mut closeness = vec![0.0; n];
-                    let mut bounds = vec![0.0; n];
-                    let per_rank = self.cluster.barrier_read(|_, s| {
-                        s.local_vertices()
-                            .iter()
-                            .map(|&v| {
-                                let row = s.dv().local_row(v).expect("local row");
-                                let (lo, hi) = cache.interval(v, row);
-                                // Partial rows can overestimate closeness
-                                // (fewer finite terms); the certified
-                                // interval is sound, so clamp into it.
-                                (v, primary.score(row).clamp(lo, hi), hi - lo)
-                            })
-                            .collect::<Vec<_>>()
-                    });
-                    for list in per_rank {
-                        for (v, c, b) in list {
-                            closeness[v as usize] = c;
-                            bounds[v as usize] = b;
-                        }
-                    }
-                    let extras = self.extra_full_columns(n);
-                    self.publisher.publish_with(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        closeness,
-                        bounds,
-                        extras,
-                    );
-                } else {
-                    let per_rank = self.cluster.barrier_read(|r, s| {
-                        changed[r]
-                            .iter()
-                            .map(|&v| {
-                                let row = s.dv().local_row(v).expect("local row");
-                                let (lo, hi) = cache.interval(v, row);
-                                (v, primary.score(row).clamp(lo, hi), hi - lo)
-                            })
-                            .collect::<Vec<_>>()
-                    });
-                    let mut entries = Vec::new();
-                    let mut bound_entries = Vec::new();
-                    for (v, c, b) in per_rank.into_iter().flatten() {
-                        entries.push((v, c));
-                        bound_entries.push((v, b));
-                    }
-                    entries.sort_unstable_by_key(|e| e.0);
-                    bound_entries.sort_unstable_by_key(|e| e.0);
-                    self.publisher.publish_changes_with(
-                        self.rc_steps,
-                        self.changes_applied,
-                        converged,
-                        n,
-                        entries,
-                        bound_entries,
-                        extra_deltas,
-                    );
-                }
-            }
+        // Epoch-dirty tracking is drained on every publish — a full epoch
+        // resets it too, so the next delta is relative to what this epoch
+        // actually published. The one drain feeds the closeness delta and
+        // the extra metrics' row hand-off.
+        let changed = self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
+        // `cache_for` may rebuild (structural change), which moves every
+        // vertex's bound and forces the full path below.
+        self.publisher.cache_for(&self.graph);
+        let full = self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
+        let extra_deltas = self.update_extra_metrics(full, &changed);
+        let primary = self.metrics.primary();
+        let cache = self.publisher.cache_for(&self.graph);
+        // Every row this epoch re-states — all of them on a full epoch —
+        // scored where it lives; the bound is `0.0` without a cache.
+        let scored = self.cluster.barrier_read(|r, s| {
+            let ids = if full { s.local_vertices() } else { &changed[r] };
+            ids.iter()
+                .map(|&v| {
+                    let row = s.dv().local_row(v).expect("local row");
+                    let c = primary.score(row);
+                    // Partial rows can overestimate closeness (fewer
+                    // finite terms); the certified interval is sound, so
+                    // clamp into it.
+                    cache.map_or((v, c, 0.0), |cache| {
+                        let (lo, hi) = cache.interval(v, row);
+                        (v, c.clamp(lo, hi), hi - lo)
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut scored: Vec<(VertexId, f64, f64)> = scored.into_iter().flatten().collect();
+        scored.sort_unstable_by_key(|e| e.0);
+        let bounded = cache.is_some();
+        let (rc_steps, applied) = (self.rc_steps, self.changes_applied);
+        if full {
+            debug_assert_eq!(scored.len(), n, "every vertex is local to exactly one rank");
+            let closeness = scored.iter().map(|e| e.1).collect();
+            let bounds = if bounded { scored.iter().map(|e| e.2).collect() } else { Vec::new() };
+            // Runs after `update_extra_metrics`, so each column reflects
+            // this epoch's rows.
+            let extras = self
+                .metrics
+                .extras()
+                .iter()
+                .map(|m| (m.kind(), m.full_column(n).expect("stateful metric keeps a full column")))
+                .collect();
+            self.publisher.publish(rc_steps, applied, converged, closeness, bounds, extras);
+        } else {
+            let entries = scored.iter().map(|e| (e.0, e.1)).collect();
+            let bounds =
+                if bounded { scored.iter().map(|e| (e.0, e.2)).collect() } else { Vec::new() };
+            self.publisher.publish_changes(
+                rc_steps,
+                applied,
+                converged,
+                n,
+                entries,
+                bounds,
+                extra_deltas,
+            );
         }
         if observing {
             // Zero simulated duration (renders as an instant, like
@@ -646,17 +538,6 @@ impl AnytimeEngine {
             .extras_mut()
             .iter_mut()
             .map(|m| (m.kind(), m.update(n, &rows, graph)))
-            .collect()
-    }
-
-    /// Full columns for every extra metric, for full (re)publishes. Must
-    /// run after [`Self::update_extra_metrics`] so each column reflects
-    /// this epoch's rows.
-    fn extra_full_columns(&self, n: usize) -> Vec<(MetricKind, Vec<f64>)> {
-        self.metrics
-            .extras()
-            .iter()
-            .map(|m| (m.kind(), m.full_column(n).expect("stateful metric keeps a full column")))
             .collect()
     }
 

@@ -74,7 +74,8 @@ pub use net::{
 };
 pub use policy::{RetryPolicy, StrategyPolicy};
 pub use publish::{
-    BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta, TOPK_SERVE_CAP,
+    BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta, ViewDeltaError,
+    TOPK_SERVE_CAP,
 };
 pub use quality::{
     degraded_closeness_bounds, CertifiedBoundsCache, DegradedReason, DegradedReport, QualitySample,

@@ -437,8 +437,8 @@ impl MetricSet {
         &mut self.extras
     }
 
-    /// True when only the closeness primary is active (the legacy
-    /// single-metric fast path — bit-identical to the pre-refactor engine).
+    /// True when only the closeness primary is active: the publish
+    /// barrier then has no rows to hand to any extra.
     pub fn closeness_only(&self) -> bool {
         self.extras.is_empty()
     }

@@ -74,6 +74,8 @@ pub enum WireError {
     UnknownPayload(u8),
     /// Bytes left over after a complete message.
     TrailingBytes { extra: usize },
+    /// A view-delta flags byte with bits set that no version defines.
+    ReservedFlags(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -86,6 +88,7 @@ impl std::fmt::Display for WireError {
             WireError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after message")
             }
+            WireError::ReservedFlags(b) => write!(f, "reserved view-delta flag bits in {b:#04x}"),
         }
     }
 }
@@ -146,6 +149,19 @@ impl<'a> Reader<'a> {
         Ok(row)
     }
 
+    /// A counted list of `(id, 64 value bits)` pairs — closeness replies
+    /// and every view-delta column.
+    fn pairs(&mut self) -> Result<Vec<(VertexId, u64)>, WireError> {
+        let n = self.count(12)?;
+        let mut pairs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = self.u32()?;
+            let bits = self.u64()?;
+            pairs.push((v, bits));
+        }
+        Ok(pairs)
+    }
+
     fn finish(self) -> Result<(), WireError> {
         if self.pos != self.bytes.len() {
             Err(WireError::TrailingBytes { extra: self.bytes.len() - self.pos })
@@ -167,6 +183,15 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_row(out: &mut Vec<u8>, row: &[Dist]) {
     put_u32(out, row.len() as u32);
     put_u32s(out, row);
+}
+
+/// A counted list of `(id, 64 value bits)` pairs.
+fn put_pairs(out: &mut Vec<u8>, pairs: &[(VertexId, u64)]) {
+    put_u32(out, pairs.len() as u32);
+    for &(v, bits) in pairs {
+        put_u32(out, v);
+        put_u64(out, bits);
+    }
 }
 
 fn encode_rowmsg(out: &mut Vec<u8>, msg: &RowMsg) {
@@ -297,24 +322,12 @@ pub enum NetMsg {
     /// wire form of `publish::ViewDelta`; replication lands in a later
     /// PR). `entries`/`bounds` pair vertex ids with `f64::to_bits` values
     /// so the message keeps `Eq` and round-trips exactly; `full` epochs
-    /// re-state every vertex. Rides the same CRC-framed transport as
-    /// every other message.
+    /// re-state every vertex. `extras` pairs a `MetricKind` wire id with
+    /// that metric's changed entries; the list is on the wire (announced
+    /// by flags bit 2) only when it is non-empty, so a closeness-only
+    /// frame is the bytes it was before extras existed. Rides the same
+    /// CRC-framed transport as every other message.
     ViewDelta {
-        epoch: u64,
-        rc_steps: u64,
-        changes_applied: u64,
-        n: u32,
-        converged: bool,
-        full: bool,
-        entries: Vec<(VertexId, u64)>,
-        bounds: Vec<(VertexId, u64)>,
-    },
-    /// [`NetMsg::ViewDelta`] extended with extra metric columns (S31):
-    /// each element pairs a `MetricKind` wire id with that metric's
-    /// changed `(vertex, f64-bits)` entries. Emitted only when the epoch
-    /// carries extras — closeness-only runs still produce tag-16
-    /// [`NetMsg::ViewDelta`] frames, byte for byte.
-    ViewDeltaMulti {
         epoch: u64,
         rc_steps: u64,
         changes_applied: u64,
@@ -326,6 +339,11 @@ pub enum NetMsg {
         extras: Vec<(u8, Vec<(VertexId, u64)>)>,
     },
 }
+
+/// View-delta flags byte: bits 3–7 are reserved and must be zero.
+const VIEW_CONVERGED: u8 = 1;
+const VIEW_FULL: u8 = 2;
+const VIEW_EXTRAS: u8 = 4;
 
 impl NetMsg {
     pub fn encode(&self) -> Vec<u8> {
@@ -384,11 +402,7 @@ impl NetMsg {
             NetMsg::GatherClose => out.push(8),
             NetMsg::CloseReply { pairs } => {
                 out.push(9);
-                put_u32(&mut out, pairs.len() as u32);
-                for &(v, bits) in pairs {
-                    put_u32(&mut out, v);
-                    put_u64(&mut out, bits);
-                }
+                put_pairs(&mut out, pairs);
             }
             NetMsg::GatherRows => out.push(10),
             NetMsg::RowsReply { rows } => {
@@ -425,58 +439,26 @@ impl NetMsg {
                 full,
                 entries,
                 bounds,
+                extras,
             } => {
                 out.push(16);
                 put_u64(&mut out, *epoch);
                 put_u64(&mut out, *rc_steps);
                 put_u64(&mut out, *changes_applied);
                 put_u32(&mut out, *n);
-                out.push(u8::from(*converged) | (u8::from(*full) << 1));
-                put_u32(&mut out, entries.len() as u32);
-                for &(v, bits) in entries {
-                    put_u32(&mut out, v);
-                    put_u64(&mut out, bits);
-                }
-                put_u32(&mut out, bounds.len() as u32);
-                for &(v, bits) in bounds {
-                    put_u32(&mut out, v);
-                    put_u64(&mut out, bits);
-                }
-            }
-            NetMsg::ViewDeltaMulti {
-                epoch,
-                rc_steps,
-                changes_applied,
-                n,
-                converged,
-                full,
-                entries,
-                bounds,
-                extras,
-            } => {
-                out.push(17);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *rc_steps);
-                put_u64(&mut out, *changes_applied);
-                put_u32(&mut out, *n);
-                out.push(u8::from(*converged) | (u8::from(*full) << 1));
-                put_u32(&mut out, entries.len() as u32);
-                for &(v, bits) in entries {
-                    put_u32(&mut out, v);
-                    put_u64(&mut out, bits);
-                }
-                put_u32(&mut out, bounds.len() as u32);
-                for &(v, bits) in bounds {
-                    put_u32(&mut out, v);
-                    put_u64(&mut out, bits);
-                }
-                out.push(extras.len() as u8);
-                for (kind, es) in extras {
-                    out.push(*kind);
-                    put_u32(&mut out, es.len() as u32);
-                    for &(v, bits) in es {
-                        put_u32(&mut out, v);
-                        put_u64(&mut out, bits);
+                let flag = |bit: u8, on: bool| if on { bit } else { 0 };
+                out.push(
+                    flag(VIEW_CONVERGED, *converged)
+                        | flag(VIEW_FULL, *full)
+                        | flag(VIEW_EXTRAS, !extras.is_empty()),
+                );
+                put_pairs(&mut out, entries);
+                put_pairs(&mut out, bounds);
+                if !extras.is_empty() {
+                    out.push(extras.len() as u8);
+                    for (kind, es) in extras {
+                        out.push(*kind);
+                        put_pairs(&mut out, es);
                     }
                 }
             }
@@ -529,16 +511,7 @@ impl NetMsg {
                 NetMsg::StepDone { round, changed, dirty }
             }
             8 => NetMsg::GatherClose,
-            9 => {
-                let n = r.count(12)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let v = r.u32()?;
-                    let bits = r.u64()?;
-                    pairs.push((v, bits));
-                }
-                NetMsg::CloseReply { pairs }
-            }
+            9 => NetMsg::CloseReply { pairs: r.pairs()? },
             10 => NetMsg::GatherRows,
             11 => NetMsg::RowsReply { rows: decode_rows(&mut r)? },
             12 => NetMsg::Absorb { rows: decode_rows(&mut r)? },
@@ -569,66 +542,24 @@ impl NetMsg {
                 let changes_applied = r.u64()?;
                 let n = r.u32()?;
                 let flags = r.u8()?;
-                let converged = flags & 1 != 0;
-                let full = flags & 2 != 0;
-                let e = r.count(12)?;
-                let mut entries = Vec::with_capacity(e);
-                for _ in 0..e {
-                    let v = r.u32()?;
-                    let bits = r.u64()?;
-                    entries.push((v, bits));
+                if flags & !(VIEW_CONVERGED | VIEW_FULL | VIEW_EXTRAS) != 0 {
+                    return Err(WireError::ReservedFlags(flags));
                 }
-                let b = r.count(12)?;
-                let mut bounds = Vec::with_capacity(b);
-                for _ in 0..b {
-                    let v = r.u32()?;
-                    let bits = r.u64()?;
-                    bounds.push((v, bits));
+                let entries = r.pairs()?;
+                let bounds = r.pairs()?;
+                let mut extras = Vec::new();
+                if flags & VIEW_EXTRAS != 0 {
+                    for _ in 0..r.u8()? {
+                        extras.push((r.u8()?, r.pairs()?));
+                    }
                 }
                 NetMsg::ViewDelta {
                     epoch,
                     rc_steps,
                     changes_applied,
                     n,
-                    converged,
-                    full,
-                    entries,
-                    bounds,
-                }
-            }
-            17 => {
-                let epoch = r.u64()?;
-                let rc_steps = r.u64()?;
-                let changes_applied = r.u64()?;
-                let n = r.u32()?;
-                let flags = r.u8()?;
-                let converged = flags & 1 != 0;
-                let full = flags & 2 != 0;
-                let pair_list = |r: &mut Reader| -> Result<Vec<(VertexId, u64)>, WireError> {
-                    let c = r.count(12)?;
-                    let mut out = Vec::with_capacity(c);
-                    for _ in 0..c {
-                        let v = r.u32()?;
-                        let bits = r.u64()?;
-                        out.push((v, bits));
-                    }
-                    Ok(out)
-                };
-                let entries = pair_list(&mut r)?;
-                let bounds = pair_list(&mut r)?;
-                let k = r.u8()? as usize;
-                let mut extras = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let kind = r.u8()?;
-                    extras.push((kind, pair_list(&mut r)?));
-                }
-                NetMsg::ViewDeltaMulti {
-                    epoch,
-                    rc_steps,
-                    changes_applied,
-                    n,
-                    converged,
-                    full,
+                    converged: flags & VIEW_CONVERGED != 0,
+                    full: flags & VIEW_FULL != 0,
                     entries,
                     bounds,
                     extras,
@@ -820,7 +751,7 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
             }
             // View replication is reader-process traffic; compute workers
             // never consume it.
-            NetMsg::ViewDelta { .. } | NetMsg::ViewDeltaMulti { .. } => {
+            NetMsg::ViewDelta { .. } => {
                 return Err(protocol_err(&link.peer(), "replica-bound message at worker"));
             }
         }
@@ -1160,93 +1091,97 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         }
     }
 
-    /// One BSP round over all live ranks. Returns whether anything moved.
-    /// An `Err` names the rank whose link failed.
-    fn one_round(&mut self) -> Result<bool, (Rank, NetError)> {
-        let procs = self.links.len();
-        let round = self.round;
-        // Produce phase: ask everyone, then collect row bundles per rank
-        // until its RowsDone arrives.
-        let mut relay: Vec<Vec<NetMsg>> = (0..procs).map(|_| Vec::new()).collect();
-        let mut any_sent = false;
-        for rank in 0..procs {
-            if self.dead[rank] {
-                continue;
-            }
-            self.send_msg(rank, &NetMsg::Produce { round }).map_err(|e| (rank, e))?;
-        }
-        for rank in 0..procs {
-            if self.dead[rank] {
-                continue;
-            }
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::Rows { round: r, peer, msg } if r == round => {
-                        let dest = peer as usize;
-                        if dest < procs {
-                            relay[dest].push(NetMsg::Rows { round, peer: rank as u32, msg });
-                        }
-                    }
-                    NetMsg::RowsDone { round: r, sent } if r == round => {
-                        any_sent |= sent;
-                        break;
-                    }
-                    // A stale reply from an aborted round: drop it.
-                    NetMsg::Rows { .. } | NetMsg::RowsDone { .. } | NetMsg::StepDone { .. } => {}
-                    NetMsg::Ready { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} in produce phase"),
-                            ),
-                        ))
-                    }
+    /// Ranks the supervisor has not given up on, in rank order.
+    fn live(&self) -> Vec<Rank> {
+        (0..self.links.len()).filter(|&r| !self.dead[r]).collect()
+    }
+
+    /// Receives from `rank` until `matcher` returns the reply a phase is
+    /// waiting for. `Ok(None)` means the message was this phase's and more
+    /// follow; a message handed back as `Err` is dropped when it is a stale
+    /// `Rows` / `RowsDone` / `StepDone` / `Ready` an aborted round left in
+    /// flight, and is a protocol error naming `phase` otherwise.
+    fn await_reply<R>(
+        &mut self,
+        rank: Rank,
+        phase: &str,
+        mut matcher: impl FnMut(NetMsg) -> Result<Option<R>, NetMsg>,
+    ) -> Result<R, (Rank, NetError)> {
+        loop {
+            match matcher(self.recv_msg(rank).map_err(|e| (rank, e))?) {
+                Ok(Some(reply)) => return Ok(reply),
+                Ok(None)
+                | Err(
+                    NetMsg::Rows { .. }
+                    | NetMsg::RowsDone { .. }
+                    | NetMsg::StepDone { .. }
+                    | NetMsg::Ready { .. },
+                ) => {}
+                Err(other) => {
+                    let peer = self.links[rank].peer();
+                    return Err((
+                        rank,
+                        protocol_err(&peer, format!("unexpected {other:?} {phase}")),
+                    ));
                 }
             }
         }
-        // Relay + consume phase.
-        let mut any_changed = false;
-        let mut any_dirty = false;
-        for (rank, bundle) in relay.into_iter().enumerate() {
-            if self.dead[rank] {
-                continue;
-            }
+    }
+
+    /// The exchange a recombination round and a migration round share,
+    /// over all live ranks: send everyone `kick`, collect each rank's row
+    /// bundles until its `RowsDone`, relay them re-addressed by source,
+    /// then `Consume` and wait for every `StepDone`. Returns whether any
+    /// rank sent, changed or still holds dirty rows. An `Err` names the
+    /// rank whose link failed.
+    fn exchange_round(
+        &mut self,
+        kick: &NetMsg,
+        out_phase: &str,
+        in_phase: &str,
+    ) -> Result<bool, (Rank, NetError)> {
+        let round = self.round;
+        let live = self.live();
+        for &rank in &live {
+            self.send_msg(rank, kick).map_err(|e| (rank, e))?;
+        }
+        let mut relay: Vec<Vec<NetMsg>> = self.links.iter().map(|_| Vec::new()).collect();
+        let mut active = false;
+        for &rank in &live {
+            active |= self.await_reply(rank, out_phase, |msg| match msg {
+                NetMsg::Rows { round: r, peer, msg } if r == round => {
+                    if let Some(bundle) = relay.get_mut(peer as usize) {
+                        bundle.push(NetMsg::Rows { round, peer: rank as u32, msg });
+                    }
+                    Ok(None)
+                }
+                NetMsg::RowsDone { round: r, sent } if r == round => Ok(Some(sent)),
+                other => Err(other),
+            })?;
+        }
+        for &rank in &live {
+            let bundle = std::mem::take(&mut relay[rank]);
             let expect = bundle.len() as u32;
             for msg in bundle {
                 self.send_msg(rank, &msg).map_err(|e| (rank, e))?;
             }
             self.send_msg(rank, &NetMsg::Consume { round, expect }).map_err(|e| (rank, e))?;
         }
-        for rank in 0..procs {
-            if self.dead[rank] {
-                continue;
-            }
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::StepDone { round: r, changed, dirty } if r == round => {
-                        any_changed |= changed;
-                        any_dirty |= dirty;
-                        break;
-                    }
-                    NetMsg::Rows { .. }
-                    | NetMsg::RowsDone { .. }
-                    | NetMsg::StepDone { .. }
-                    | NetMsg::Ready { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} in consume phase"),
-                            ),
-                        ))
-                    }
+        for &rank in &live {
+            active |= self.await_reply(rank, in_phase, |msg| match msg {
+                NetMsg::StepDone { round: r, changed, dirty } if r == round => {
+                    Ok(Some(changed || dirty))
                 }
-            }
+                other => Err(other),
+            })?;
         }
-        Ok(any_sent || any_changed || any_dirty)
+        Ok(active)
+    }
+
+    /// One BSP round over all live ranks. Returns whether anything moved.
+    fn one_round(&mut self) -> Result<bool, (Rank, NetError)> {
+        let kick = NetMsg::Produce { round: self.round };
+        self.exchange_round(&kick, "in produce phase", "in consume phase")
     }
 
     /// Plans a budgeted migration for this round barrier, or `None`. The
@@ -1283,8 +1218,6 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// up front so a re-issue after an abort replays against the already-
     /// updated map, which `apply_reassignment` handles idempotently.
     fn migration_round(&mut self, moves: &[(VertexId, PartId)]) -> Result<(), (Rank, NetError)> {
-        let procs = self.links.len();
-        let round = self.round;
         // New owners rebuild incident state from the shipped adjacency;
         // dedupe edges shared between two moved vertices.
         let mut seen: FxHashSet<(VertexId, VertexId)> = FxHashSet::default();
@@ -1299,65 +1232,8 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         for &(v, p) in moves {
             self.owner[v as usize] = p;
         }
-        let msg = NetMsg::Reassign { round, moves: moves.to_vec(), adj };
-        let mut relay: Vec<Vec<NetMsg>> = (0..procs).map(|_| Vec::new()).collect();
-        for rank in 0..procs {
-            self.send_msg(rank, &msg).map_err(|e| (rank, e))?;
-        }
-        for rank in 0..procs {
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::Rows { round: r, peer, msg } if r == round => {
-                        let dest = peer as usize;
-                        if dest < procs {
-                            relay[dest].push(NetMsg::Rows { round, peer: rank as u32, msg });
-                        }
-                    }
-                    NetMsg::RowsDone { round: r, .. } if r == round => break,
-                    NetMsg::Rows { .. }
-                    | NetMsg::RowsDone { .. }
-                    | NetMsg::StepDone { .. }
-                    | NetMsg::Ready { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} while migrating out"),
-                            ),
-                        ))
-                    }
-                }
-            }
-        }
-        for (rank, bundle) in relay.into_iter().enumerate() {
-            let expect = bundle.len() as u32;
-            for m in bundle {
-                self.send_msg(rank, &m).map_err(|e| (rank, e))?;
-            }
-            self.send_msg(rank, &NetMsg::Consume { round, expect }).map_err(|e| (rank, e))?;
-        }
-        for rank in 0..procs {
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::StepDone { round: r, .. } if r == round => break,
-                    NetMsg::Rows { .. }
-                    | NetMsg::RowsDone { .. }
-                    | NetMsg::StepDone { .. }
-                    | NetMsg::Ready { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} while migrating in"),
-                            ),
-                        ))
-                    }
-                }
-            }
-        }
-        Ok(())
+        let kick = NetMsg::Reassign { round: self.round, moves: moves.to_vec(), adj };
+        self.exchange_round(&kick, "while migrating out", "while migrating in").map(|_| ())
     }
 
     /// The supervision ladder for a failed rank: probe (transient?) →
@@ -1467,32 +1343,16 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// aborted round may have applied partially — min-merge makes the
     /// overlap harmless and the re-flood restores whatever was lost.
     fn resync_all(&mut self) -> Result<(), (Rank, NetError)> {
-        for rank in 0..self.links.len() {
-            if self.dead[rank] {
-                continue;
-            }
+        let live = self.live();
+        for &rank in &live {
             self.send_msg(rank, &NetMsg::ResendAll).map_err(|e| (rank, e))?;
         }
-        for rank in 0..self.links.len() {
-            if self.dead[rank] {
-                continue;
-            }
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::Ready { .. } => break,
-                    // Drain whatever the aborted round left in flight.
-                    NetMsg::Rows { .. } | NetMsg::RowsDone { .. } | NetMsg::StepDone { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} during resync"),
-                            ),
-                        ))
-                    }
-                }
-            }
+        for rank in live {
+            // Also drains whatever the aborted round left in flight.
+            self.await_reply(rank, "during resync", |msg| match msg {
+                NetMsg::Ready { .. } => Ok(Some(())),
+                other => Err(other),
+            })?;
         }
         Ok(())
     }
@@ -1501,29 +1361,13 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// checkpoint.
     fn gather_checkpoint(&mut self) -> Result<(), (Rank, NetError)> {
         self.span(SpanKind::Checkpoint, 0);
-        for rank in 0..self.links.len() {
-            if self.dead[rank] {
-                continue;
-            }
+        for rank in self.live() {
             self.send_msg(rank, &NetMsg::GatherRows).map_err(|e| (rank, e))?;
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::RowsReply { rows } => {
-                        self.checkpoints[rank] = Some(rows);
-                        break;
-                    }
-                    NetMsg::Rows { .. } | NetMsg::RowsDone { .. } | NetMsg::StepDone { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} during gather"),
-                            ),
-                        ))
-                    }
-                }
-            }
+            let rows = self.await_reply(rank, "during gather", |msg| match msg {
+                NetMsg::RowsReply { rows } => Ok(Some(rows)),
+                other => Err(other),
+            })?;
+            self.checkpoints[rank] = Some(rows);
         }
         Ok(())
     }
@@ -1532,31 +1376,15 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     fn gather_closeness(&mut self) -> Result<Vec<f64>, (Rank, NetError)> {
         let n = self.owner.len();
         let mut closeness = vec![0.0f64; n];
-        for rank in 0..self.links.len() {
-            if self.dead[rank] {
-                continue;
-            }
+        for rank in self.live() {
             self.send_msg(rank, &NetMsg::GatherClose).map_err(|e| (rank, e))?;
-            loop {
-                match self.recv_msg(rank).map_err(|e| (rank, e))? {
-                    NetMsg::CloseReply { pairs } => {
-                        for (v, bits) in pairs {
-                            if (v as usize) < n {
-                                closeness[v as usize] = f64::from_bits(bits);
-                            }
-                        }
-                        break;
-                    }
-                    NetMsg::Rows { .. } | NetMsg::RowsDone { .. } | NetMsg::StepDone { .. } => {}
-                    other => {
-                        return Err((
-                            rank,
-                            protocol_err(
-                                &self.links[rank].peer(),
-                                format!("unexpected {other:?} during closeness gather"),
-                            ),
-                        ))
-                    }
+            let pairs = self.await_reply(rank, "during closeness gather", |msg| match msg {
+                NetMsg::CloseReply { pairs } => Ok(Some(pairs)),
+                other => Err(other),
+            })?;
+            for (v, bits) in pairs {
+                if (v as usize) < n {
+                    closeness[v as usize] = f64::from_bits(bits);
                 }
             }
         }
@@ -1565,11 +1393,9 @@ impl<'g, T: Transport> NetRunner<'g, T> {
 
     /// Sends a best-effort goodbye to every live worker.
     pub fn shutdown(&mut self) {
-        for rank in 0..self.links.len() {
-            if !self.dead[rank] {
-                let _ = self.send_msg(rank, &NetMsg::Bye);
-                let _ = self.links[rank].send(FrameKind::Shutdown, &[]);
-            }
+        for rank in self.live() {
+            let _ = self.send_msg(rank, &NetMsg::Bye);
+            let _ = self.links[rank].send(FrameKind::Shutdown, &[]);
         }
     }
 
@@ -1695,8 +1521,9 @@ mod tests {
             full: false,
             entries: vec![(4, 0.25f64.to_bits()), (90, 0.75f64.to_bits())],
             bounds: vec![(4, 0.01f64.to_bits())],
+            extras: Vec::new(),
         });
-        roundtrip(NetMsg::ViewDeltaMulti {
+        roundtrip(NetMsg::ViewDelta {
             epoch: 13,
             rc_steps: 8,
             changes_applied: 3,
@@ -1710,31 +1537,8 @@ mod tests {
     }
 
     #[test]
-    fn view_delta_multi_encoding_matches_declared_size() {
-        let msg = NetMsg::ViewDeltaMulti {
-            epoch: 3,
-            rc_steps: 2,
-            changes_applied: 1,
-            n: 64,
-            converged: true,
-            full: false,
-            entries: vec![(0, 1.0f64.to_bits()), (1, 0.5f64.to_bits())],
-            bounds: vec![(1, 0.125f64.to_bits())],
-            extras: vec![(1, vec![(0, 3.5f64.to_bits()), (2, 0u64), (5, 1.0f64.to_bits())])],
-        };
-        let bytes = msg.encode();
-        // Base tag-16 layout plus: metric count byte + per metric a kind
-        // byte and a counted (u32, u64-bits) list. Must stay in lockstep
-        // with `ViewDelta::encoded_bytes` in publish.rs.
-        assert_eq!(bytes.len(), (1 + 8 * 3 + 4 + 1 + 4 + 12 * 2 + 4 + 12) + 1 + (1 + 4 + 12 * 3));
-        for cut in 0..bytes.len() {
-            assert!(NetMsg::decode(&bytes[..cut]).is_err(), "truncation at {cut} decoded");
-        }
-    }
-
-    #[test]
     fn view_delta_encoding_matches_declared_size_and_rejects_truncation() {
-        let msg = NetMsg::ViewDelta {
+        let mut msg = NetMsg::ViewDelta {
             epoch: 3,
             rc_steps: 2,
             changes_applied: 1,
@@ -1743,12 +1547,14 @@ mod tests {
             full: true,
             entries: vec![(0, 1.0f64.to_bits()), (1, 0.5f64.to_bits()), (63, 0u64)],
             bounds: vec![(1, 0.125f64.to_bits())],
+            extras: Vec::new(),
         };
         let bytes = msg.encode();
         // The publish layer's `ViewDelta::encoded_bytes` must stay in
         // lockstep with this codec: tag + 3×u64 + u32 + flags + two
         // counted (u32, u64-bits) lists.
-        assert_eq!(bytes.len(), 1 + 8 * 3 + 4 + 1 + 4 + 12 * 3 + 4 + 12);
+        let base = 1 + 8 * 3 + 4 + 1 + 4 + 12 * 3 + 4 + 12;
+        assert_eq!(bytes.len(), base);
         for cut in 0..bytes.len() {
             assert!(NetMsg::decode(&bytes[..cut]).is_err(), "truncation at {cut} decoded");
         }
@@ -1756,6 +1562,29 @@ mod tests {
         let mut bomb = bytes.clone();
         bomb[30..34].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(NetMsg::decode(&bomb).is_err());
+        // Bits 3–7 of the flags byte are reserved.
+        for bit in 3..8 {
+            let mut reserved = bytes.clone();
+            reserved[29] |= 1 << bit;
+            assert_eq!(NetMsg::decode(&reserved), Err(WireError::ReservedFlags(reserved[29])));
+        }
+
+        // With extras the same frame grows by: metric count byte + per
+        // metric a kind byte and a counted pair list.
+        if let NetMsg::ViewDelta { extras, .. } = &mut msg {
+            *extras = vec![(1, vec![(0, 3.5f64.to_bits()), (2, 0u64), (5, 1.0f64.to_bits())])];
+        }
+        let multi = msg.encode();
+        assert_eq!(multi.len(), base + 1 + (1 + 4 + 12 * 3));
+        assert_eq!(multi[29], bytes[29] | 4, "extras are announced by flags bit 2");
+        assert_eq!(NetMsg::decode(&multi).unwrap(), msg);
+        for cut in 0..multi.len() {
+            assert!(NetMsg::decode(&multi[..cut]).is_err(), "truncation at {cut} decoded");
+        }
+        // The tag that used to carry extras is gone.
+        let mut old_tag = multi.clone();
+        old_tag[0] = 17;
+        assert_eq!(NetMsg::decode(&old_tag), Err(WireError::UnknownTag(17)));
     }
 
     #[test]
@@ -1770,6 +1599,7 @@ mod tests {
             full: false,
             entries: vec![(3, 0.75f64.to_bits()), (17, 0.2f64.to_bits())],
             bounds: Vec::new(),
+            extras: Vec::new(),
         };
         let frame = Frame { kind: FrameKind::Data, seq: 7, payload: msg.encode() };
         let wire = encode_frame(&frame);

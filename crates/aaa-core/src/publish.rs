@@ -39,14 +39,13 @@
 //! A view always carries the closeness primary; configured extra metrics
 //! (today: incremental betweenness, see [`crate::metric`]) ride the same
 //! epoch as additional columns, each with its own chunked store and
-//! maintained top-k index. The legacy single-metric entry points
-//! ([`Publisher::publish`], [`Publisher::publish_changes`]) forward to the
-//! `_with` variants with no extras and are **bit-identical** to the
-//! pre-S31 publisher — same views, same stats, same wire bytes (the
-//! closeness-only delta still encodes as `NetMsg::ViewDelta`; only
-//! multi-metric deltas use the new `NetMsg::ViewDeltaMulti`).
-//! [`PublishStats`] deliberately counts the closeness column only, so the
-//! committed perf-gate baselines are unaffected by extras.
+//! maintained top-k index. Every column — closeness included — advances
+//! through the one [`ViewDelta`] build routine, on the leader
+//! ([`Publisher`]) and on a follower ([`ViewDelta::apply_to`]) alike; a
+//! closeness-only run is simply the empty extras list, and its deltas keep
+//! the wire bytes they always had. [`PublishStats`] deliberately counts
+//! the closeness column only, so the committed perf-gate baselines are
+//! unaffected by extras.
 
 use crate::metric::{MetricKind, MetricMask};
 use crate::net::NetMsg;
@@ -171,6 +170,22 @@ impl ChunkedVec {
         let copied = fresh.iter().filter(|&&f| f).count() as u64;
         (Self { len: new_len, chunks }, copied, n_chunks as u64 - copied)
     }
+
+    /// This epoch's version of the store, with the chunks materialized and
+    /// shared: a `full` epoch re-states all `n` values from `entries` (ids
+    /// without one read `0.0`), any other applies them copy-on-write.
+    fn next(&self, full: bool, n: usize, entries: &[(VertexId, f64)]) -> (Self, u64, u64) {
+        if !full {
+            return self.apply(n, entries, 0.0);
+        }
+        let mut values = vec![0.0; n];
+        for &(v, x) in entries {
+            values[v as usize] = x;
+        }
+        let store = Self::from_vec(values);
+        let copied = store.chunks.len() as u64;
+        (store, copied, 0)
+    }
 }
 
 impl PartialEq for ChunkedVec {
@@ -261,17 +276,81 @@ impl TopKIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Extra metric columns
+// Metric columns
 // ---------------------------------------------------------------------------
 
-/// One extra metric's column within a view: its chunked value store plus
-/// a per-view top-k snapshot under the same [`rank_before`] total order
-/// the closeness index uses.
+/// One metric's column within a view — closeness or an extra: its chunked
+/// value store plus a per-view top-k snapshot under the [`rank_before`]
+/// total order.
 #[derive(Debug, Clone, PartialEq)]
 struct MetricColumn {
     kind: MetricKind,
     values: ChunkedVec,
+    /// Exact top-[`TOPK_SERVE_CAP`] prefix in serve order, snapshotted from
+    /// the column's index — what makes `top_k` `O(k)`.
     topk: Arc<Vec<(VertexId, f64)>>,
+}
+
+/// What advancing one column cost: chunks copied, chunks shared, and
+/// whether its top-k index was rescanned.
+type ColumnCost = (u64, u64, bool);
+
+impl MetricColumn {
+    fn empty(kind: MetricKind) -> Self {
+        Self { kind, values: ChunkedVec::default(), topk: Arc::new(Vec::new()) }
+    }
+
+    /// This epoch's version of the column. `index` is the column's top-k
+    /// index: the leader's maintained one absorbs the entries in
+    /// `O(Δ·log k)`; a follower's scratch (empty) one underflows and is
+    /// refilled by one bounded scan. Both leave the same exact prefix.
+    fn next(
+        &self,
+        index: &mut TopKIndex,
+        full: bool,
+        n: usize,
+        entries: &[(VertexId, f64)],
+    ) -> (Self, ColumnCost) {
+        let (values, copied, shared) = self.values.next(full, n, entries);
+        if !full {
+            for &(v, x) in entries {
+                index.update(self.values.get(v as usize), v, x);
+            }
+        }
+        let rebuilt = full || index.len() < TOPK_SERVE_CAP.min(n);
+        if rebuilt {
+            index.rebuild(&values);
+        }
+        (
+            Self { kind: self.kind, values, topk: Arc::new(index.snapshot()) },
+            (copied, shared, rebuilt),
+        )
+    }
+
+    /// The `k` best-ranked vertices of this column: `O(k)` from the
+    /// snapshot within its coverage, a full rescan beyond it.
+    fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
+        let k = k.min(self.values.len());
+        if k <= self.topk.len() {
+            return self.topk[..k].to_vec();
+        }
+        self.top_k_rescan(k)
+    }
+
+    fn top_k_rescan(&self, k: usize) -> Vec<(VertexId, f64)> {
+        let values = self.values.to_vec();
+        top_k(&values, k).into_iter().map(|v| (v, values[v as usize])).collect()
+    }
+}
+
+/// The top-k index kept for `kind`, created on first sight of the kind
+/// (the engine's metric set is fixed per run).
+fn index_for(indexes: &mut Vec<(MetricKind, TopKIndex)>, kind: MetricKind) -> &mut TopKIndex {
+    let pos = indexes.iter().position(|(k, _)| *k == kind).unwrap_or_else(|| {
+        indexes.push((kind, TopKIndex::default()));
+        indexes.len() - 1
+    });
+    &mut indexes[pos].1
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +370,12 @@ pub struct PublishedView {
     pub changes_applied: u64,
     /// Whether the engine had reached quiescence at publish time.
     pub converged: bool,
-    closeness: ChunkedVec,
+    /// The closeness primary, held inline so [`PublishedView::point`] is
+    /// one chunk lookup.
+    closeness: MetricColumn,
     /// Per-vertex certified bound on `|exact − closeness|`; empty under
     /// [`BoundsMode::None`].
     bounds: ChunkedVec,
-    /// Exact top-[`TOPK_SERVE_CAP`] prefix in serve order, maintained by
-    /// the publisher's index — what makes `top_k` `O(k)`.
-    topk: Arc<Vec<(VertexId, f64)>>,
     /// Extra metric columns (wire-id order); empty on closeness-only runs.
     extras: Vec<MetricColumn>,
 }
@@ -310,21 +388,20 @@ impl PublishedView {
             rc_steps: 0,
             changes_applied: 0,
             converged: false,
-            closeness: ChunkedVec::default(),
+            closeness: MetricColumn::empty(MetricKind::Closeness),
             bounds: ChunkedVec::default(),
-            topk: Arc::new(Vec::new()),
             extras: Vec::new(),
         }
     }
 
     /// Number of vertices covered by this view.
     pub fn num_vertices(&self) -> usize {
-        self.closeness.len()
+        self.closeness.values.len()
     }
 
     /// Point lookup: closeness of `v`, or `None` out of range. `O(1)`.
     pub fn point(&self, v: VertexId) -> Option<f64> {
-        self.closeness.get(v as usize)
+        self.closeness.values.get(v as usize)
     }
 
     /// Batched point lookup against this one consistent epoch.
@@ -334,31 +411,26 @@ impl PublishedView {
 
     /// The full closeness vector, materialized from the chunked store.
     pub fn closeness(&self) -> Vec<f64> {
-        self.closeness.to_vec()
+        self.closeness.values.to_vec()
     }
 
     /// The `k` most central vertices with their closeness, ties broken by
     /// vertex id. `O(k)` for `k ≤` [`TOPK_SERVE_CAP`] via the maintained
     /// snapshot; larger `k` falls back to [`PublishedView::top_k_rescan`].
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let k = k.min(self.num_vertices());
-        if k <= self.topk.len() {
-            return self.topk[..k].to_vec();
-        }
-        self.top_k_rescan(k)
+        self.closeness.top_k(k)
     }
 
     /// Debug oracle: full `O(n log n)` rescan of the materialized
     /// closeness vector. Must agree with [`PublishedView::top_k`] exactly.
     pub fn top_k_rescan(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let closeness = self.closeness.to_vec();
-        top_k(&closeness, k).into_iter().map(|v| (v, closeness[v as usize])).collect()
+        self.closeness.top_k_rescan(k)
     }
 
     /// How many entries the maintained top-k snapshot covers
     /// (`min(`[`TOPK_SERVE_CAP`]`, n)` on every published view).
     pub fn topk_coverage(&self) -> usize {
-        self.topk.len()
+        self.closeness.topk.len()
     }
 
     /// Whether this view carries certified per-vertex bounds.
@@ -389,11 +461,11 @@ impl PublishedView {
 
     /// Whether this view carries a column for `kind`.
     pub fn has_metric(&self, kind: MetricKind) -> bool {
-        kind == MetricKind::Closeness || self.extras.iter().any(|e| e.kind == kind)
+        self.column(kind).is_some()
     }
 
-    fn extra(&self, kind: MetricKind) -> Option<&MetricColumn> {
-        self.extras.iter().find(|e| e.kind == kind)
+    fn column(&self, kind: MetricKind) -> Option<&MetricColumn> {
+        std::iter::once(&self.closeness).chain(&self.extras).find(|c| c.kind == kind)
     }
 
     /// Point lookup in the `kind` column. `None` when the view does not
@@ -401,43 +473,29 @@ impl PublishedView {
     /// need to distinguish the two check [`PublishedView::has_metric`]
     /// first (and surface `ServeError::MetricUnavailable`).
     pub fn metric_point(&self, kind: MetricKind, v: VertexId) -> Option<f64> {
-        match kind {
-            MetricKind::Closeness => self.point(v),
-            _ => self.extra(kind)?.values.get(v as usize),
-        }
+        self.column(kind)?.values.get(v as usize)
     }
 
     /// The full `kind` column, or `None` when the view lacks it.
     pub fn metric_values(&self, kind: MetricKind) -> Option<Vec<f64>> {
-        match kind {
-            MetricKind::Closeness => Some(self.closeness()),
-            _ => Some(self.extra(kind)?.values.to_vec()),
-        }
+        Some(self.column(kind)?.values.to_vec())
     }
 
     /// Top-`k` of the `kind` column (serve order: higher score first, ties
     /// by lower id — identical to [`PublishedView::top_k`]), or `None`
     /// when the view lacks the metric. `O(k)` within the snapshot cap.
     pub fn metric_top_k(&self, kind: MetricKind, k: usize) -> Option<Vec<(VertexId, f64)>> {
-        if kind == MetricKind::Closeness {
-            return Some(self.top_k(k));
-        }
-        let col = self.extra(kind)?;
-        let k = k.min(col.values.len());
-        if k <= col.topk.len() {
-            return Some(col.topk[..k].to_vec());
-        }
-        let values = col.values.to_vec();
-        Some(top_k(&values, k).into_iter().map(|v| (v, values[v as usize])).collect())
+        Some(self.column(kind)?.top_k(k))
     }
 
     /// How many closeness chunks this view shares (same allocation) with
     /// `other` — the structural-sharing diagnostic tests and benches pin.
     pub fn shared_closeness_chunks(&self, other: &PublishedView) -> usize {
         self.closeness
+            .values
             .chunks
             .iter()
-            .zip(&other.closeness.chunks)
+            .zip(&other.closeness.values.chunks)
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
@@ -447,9 +505,9 @@ impl PublishedView {
 // View deltas
 // ---------------------------------------------------------------------------
 
-/// The change set one epoch applies to the previous view: the publisher's
-/// input, and — encoded as [`NetMsg::ViewDelta`] — the unit of future view
-/// replication to reader processes (ROADMAP item 1).
+/// The change set one epoch applies to the previous view: what the
+/// publisher builds each view from, and — encoded as [`NetMsg::ViewDelta`]
+/// — the unit of view replication to reader processes (ROADMAP item 1).
 ///
 /// `entries`/`bounds` are sorted by vertex id. A `full` delta re-states
 /// every vertex (construction, restore, structural bound invalidation);
@@ -469,10 +527,48 @@ pub struct ViewDelta {
     /// `(vertex, new certified bound)`, sorted by id; empty without bounds.
     pub bounds: Vec<(VertexId, f64)>,
     /// Per extra metric, its changed `(vertex, score)` entries sorted by
-    /// id; kinds in wire-id order. Empty on closeness-only runs, in which
-    /// case the wire form is the legacy `NetMsg::ViewDelta`, byte for byte.
+    /// id; kinds in wire-id order. Empty on closeness-only runs.
     pub extras: Vec<(MetricKind, Vec<(VertexId, f64)>)>,
 }
+
+/// Why a received [`ViewDelta`] was refused. Deltas arrive from another
+/// process, so a follower checks them instead of trusting them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewDeltaError {
+    /// The message is some other [`NetMsg`] variant.
+    NotAViewDelta,
+    /// An extra column names a metric wire id this build does not know.
+    UnknownMetric(u8),
+    /// An extra column repeats a kind (closeness is always the primary).
+    DuplicateMetric(MetricKind),
+    /// An entry, bound or extra names a vertex outside the delta's `n`.
+    IdOutOfRange { id: VertexId, n: usize },
+    /// An entry list is not strictly increasing by id at `id`.
+    UnsortedIds { id: VertexId },
+    /// A non-full delta would shrink the view it applies to.
+    Shrinks { n: usize, prev: usize },
+}
+
+impl std::fmt::Display for ViewDeltaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ViewDeltaError::NotAViewDelta => write!(f, "message is not a view delta"),
+            ViewDeltaError::UnknownMetric(id) => write!(f, "unknown metric wire id {id}"),
+            ViewDeltaError::DuplicateMetric(kind) => write!(f, "metric {kind} listed twice"),
+            ViewDeltaError::IdOutOfRange { id, n } => {
+                write!(f, "vertex {id} outside the delta's {n} vertices")
+            }
+            ViewDeltaError::UnsortedIds { id } => {
+                write!(f, "ids not strictly increasing at vertex {id}")
+            }
+            ViewDeltaError::Shrinks { n, prev } => {
+                write!(f, "non-full delta shrinks the view from {prev} to {n} vertices")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ViewDeltaError {}
 
 impl ViewDelta {
     /// Rows this delta re-states (closeness column).
@@ -481,10 +577,7 @@ impl ViewDelta {
     }
 
     /// Size of the wire encoding in bytes (kept in lockstep with the
-    /// codec in `net.rs`; asserted by its tests). Closeness-only deltas
-    /// encode as `NetMsg::ViewDelta` (tag 16); deltas with extra metric
-    /// columns as `NetMsg::ViewDeltaMulti` (tag 17), which appends a
-    /// per-metric entry list.
+    /// codec in `net.rs`; asserted by its tests).
     pub fn encoded_bytes(&self) -> usize {
         // tag + epoch + rc_steps + changes_applied + n + flags
         // + 2 × (count + 12 bytes per (id, f64-bits) pair)
@@ -500,161 +593,129 @@ impl ViewDelta {
     /// The CRC-framed wire form (f64 carried as raw bits, so the message
     /// keeps `NetMsg`'s `Eq` and round-trips exactly).
     pub fn to_msg(&self) -> NetMsg {
-        let entries: Vec<(VertexId, u64)> =
-            self.entries.iter().map(|&(v, c)| (v, c.to_bits())).collect();
-        let bounds: Vec<(VertexId, u64)> =
-            self.bounds.iter().map(|&(v, b)| (v, b.to_bits())).collect();
-        if self.extras.is_empty() {
-            NetMsg::ViewDelta {
-                epoch: self.epoch,
-                rc_steps: self.rc_steps as u64,
-                changes_applied: self.changes_applied,
-                n: self.n as u32,
-                converged: self.converged,
-                full: self.full,
-                entries,
-                bounds,
-            }
-        } else {
-            NetMsg::ViewDeltaMulti {
-                epoch: self.epoch,
-                rc_steps: self.rc_steps as u64,
-                changes_applied: self.changes_applied,
-                n: self.n as u32,
-                converged: self.converged,
-                full: self.full,
-                entries,
-                bounds,
-                extras: self
-                    .extras
-                    .iter()
-                    .map(|(k, es)| {
-                        (k.wire_id(), es.iter().map(|&(v, s)| (v, s.to_bits())).collect())
-                    })
-                    .collect(),
-            }
+        let bits = |es: &[(VertexId, f64)]| -> Vec<(VertexId, u64)> {
+            es.iter().map(|&(v, x)| (v, x.to_bits())).collect()
+        };
+        NetMsg::ViewDelta {
+            epoch: self.epoch,
+            rc_steps: self.rc_steps as u64,
+            changes_applied: self.changes_applied,
+            n: self.n as u32,
+            converged: self.converged,
+            full: self.full,
+            entries: bits(&self.entries),
+            bounds: bits(&self.bounds),
+            extras: self.extras.iter().map(|(k, es)| (k.wire_id(), bits(es))).collect(),
         }
     }
 
-    /// Decodes the wire form; `None` if `msg` is a different variant (or
-    /// a `ViewDeltaMulti` naming an unknown metric wire id).
-    pub fn from_msg(msg: &NetMsg) -> Option<Self> {
-        let decode =
-            |es: &[(VertexId, u64)]| es.iter().map(|&(v, b)| (v, f64::from_bits(b))).collect();
-        match msg {
-            NetMsg::ViewDelta {
-                epoch,
-                rc_steps,
-                changes_applied,
-                n,
-                converged,
-                full,
-                entries,
-                bounds,
-            } => Some(Self {
-                epoch: *epoch,
-                rc_steps: *rc_steps as usize,
-                changes_applied: *changes_applied,
-                converged: *converged,
-                full: *full,
-                n: *n as usize,
-                entries: decode(entries),
-                bounds: decode(bounds),
-                extras: Vec::new(),
-            }),
-            NetMsg::ViewDeltaMulti {
-                epoch,
-                rc_steps,
-                changes_applied,
-                n,
-                converged,
-                full,
-                entries,
-                bounds,
-                extras,
-            } => Some(Self {
-                epoch: *epoch,
-                rc_steps: *rc_steps as usize,
-                changes_applied: *changes_applied,
-                converged: *converged,
-                full: *full,
-                n: *n as usize,
-                entries: decode(entries),
-                bounds: decode(bounds),
-                extras: extras
-                    .iter()
-                    .map(|(id, es)| Some((MetricKind::from_wire_id(*id)?, decode(es))))
-                    .collect::<Option<Vec<_>>>()?,
-            }),
-            _ => None,
-        }
+    /// Decodes the wire form. The result is not yet trusted: ids and kinds
+    /// are checked against the view it lands on by [`ViewDelta::apply_to`].
+    pub fn from_msg(msg: &NetMsg) -> Result<Self, ViewDeltaError> {
+        let NetMsg::ViewDelta {
+            epoch,
+            rc_steps,
+            changes_applied,
+            n,
+            converged,
+            full,
+            entries,
+            bounds,
+            extras,
+        } = msg
+        else {
+            return Err(ViewDeltaError::NotAViewDelta);
+        };
+        let floats = |es: &[(VertexId, u64)]| -> Vec<(VertexId, f64)> {
+            es.iter().map(|&(v, b)| (v, f64::from_bits(b))).collect()
+        };
+        Ok(Self {
+            epoch: *epoch,
+            rc_steps: *rc_steps as usize,
+            changes_applied: *changes_applied,
+            converged: *converged,
+            full: *full,
+            n: *n as usize,
+            entries: floats(entries),
+            bounds: floats(bounds),
+            extras: extras
+                .iter()
+                .map(|(id, es)| {
+                    let kind =
+                        MetricKind::from_wire_id(*id).ok_or(ViewDeltaError::UnknownMetric(*id))?;
+                    Ok((kind, floats(es)))
+                })
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Follower-side application: reconstructs the view this delta
     /// produced, bit-identically to the leader's (the replication receive
-    /// path). The top-k snapshot is rebuilt by a bounded scan here; a
-    /// later PR gives followers a maintained index of their own.
-    pub fn apply_to(&self, prev: &PublishedView) -> PublishedView {
-        let closeness = if self.full {
-            let mut vals = vec![0.0; self.n];
-            for &(v, c) in &self.entries {
-                vals[v as usize] = c;
+    /// path), or refuses a delta that does not fit `prev`.
+    pub fn apply_to(&self, prev: &PublishedView) -> Result<PublishedView, ViewDeltaError> {
+        if !self.full && self.n < prev.num_vertices() {
+            return Err(ViewDeltaError::Shrinks { n: self.n, prev: prev.num_vertices() });
+        }
+        let mut seen = MetricMask::only(MetricKind::Closeness);
+        for &(kind, _) in &self.extras {
+            if seen.contains(kind) {
+                return Err(ViewDeltaError::DuplicateMetric(kind));
             }
-            ChunkedVec::from_vec(vals)
-        } else {
-            prev.closeness.apply(self.n, &self.entries, 0.0).0
-        };
-        let bounds = if self.full {
-            if self.bounds.is_empty() {
-                ChunkedVec::default()
-            } else {
-                let mut vals = vec![0.0; self.n];
-                for &(v, b) in &self.bounds {
-                    vals[v as usize] = b;
+            seen = seen.with(kind);
+        }
+        for list in
+            [&self.entries, &self.bounds].into_iter().chain(self.extras.iter().map(|e| &e.1))
+        {
+            let mut floor = 0;
+            for &(id, _) in list {
+                if id as usize >= self.n {
+                    return Err(ViewDeltaError::IdOutOfRange { id, n: self.n });
                 }
-                ChunkedVec::from_vec(vals)
+                if (id as u64) < floor {
+                    return Err(ViewDeltaError::UnsortedIds { id });
+                }
+                floor = id as u64 + 1;
             }
-        } else if prev.has_bounds() {
-            prev.bounds.apply(self.n, &self.bounds, 0.0).0
-        } else {
-            ChunkedVec::default()
-        };
+        }
+        Ok(self.build(prev, &mut Vec::new()).0)
+    }
+
+    /// The view this delta turns `prev` into — the one construction routine
+    /// behind every published view: the leader runs it with its maintained
+    /// top-k indexes, a follower with scratch ones. Also returns the cost
+    /// of the closeness column, the only one [`PublishStats`] counts.
+    fn build(
+        &self,
+        prev: &PublishedView,
+        indexes: &mut Vec<(MetricKind, TopKIndex)>,
+    ) -> (PublishedView, ColumnCost) {
+        let (full, n) = (self.full, self.n);
+        let (closeness, cost) =
+            prev.closeness.next(index_for(indexes, MetricKind::Closeness), full, n, &self.entries);
+        // A full epoch decides afresh whether the view carries bounds; a
+        // thin one keeps what the previous view had.
+        let bounded = if full { !self.bounds.is_empty() } else { prev.has_bounds() };
+        let bounds =
+            if bounded { prev.bounds.next(full, n, &self.bounds).0 } else { ChunkedVec::default() };
         let extras = self
             .extras
             .iter()
             .map(|(kind, entries)| {
-                let values = if self.full {
-                    let mut vals = vec![0.0; self.n];
-                    for &(v, s) in entries {
-                        vals[v as usize] = s;
-                    }
-                    ChunkedVec::from_vec(vals)
-                } else {
-                    let base = prev
-                        .extras
-                        .iter()
-                        .find(|c| c.kind == *kind)
-                        .map(|c| c.values.clone())
-                        .unwrap_or_default();
-                    base.apply(self.n, entries, 0.0).0
-                };
-                let mut idx = TopKIndex::default();
-                idx.rebuild(&values);
-                MetricColumn { kind: *kind, values, topk: Arc::new(idx.snapshot()) }
+                let fresh = MetricColumn::empty(*kind);
+                let base = prev.extras.iter().find(|c| c.kind == *kind).unwrap_or(&fresh);
+                base.next(index_for(indexes, *kind), full, n, entries).0
             })
             .collect();
-        let mut index = TopKIndex::default();
-        index.rebuild(&closeness);
-        PublishedView {
+        let view = PublishedView {
             epoch: self.epoch,
             rc_steps: self.rc_steps,
             changes_applied: self.changes_applied,
             converged: self.converged,
             closeness,
             bounds,
-            topk: Arc::new(index.snapshot()),
             extras,
-        }
+        };
+        (view, cost)
     }
 }
 
@@ -782,7 +843,8 @@ pub struct Publisher {
     /// Lazily (re)built per graph version under [`BoundsMode::Certified`];
     /// invalidated by the engine on any structural change.
     cache: Option<CertifiedBoundsCache>,
-    index: TopKIndex,
+    /// Maintained top-k index per column, closeness first.
+    indexes: Vec<(MetricKind, TopKIndex)>,
     /// The next publish must re-state every vertex: set at construction,
     /// after a certified-bounds invalidation (a structural change moves
     /// the bounds of *unchanged* rows too), and by restore paths that may
@@ -792,9 +854,6 @@ pub struct Publisher {
     force_full: bool,
     stats: PublishStats,
     last_delta: Option<ViewDelta>,
-    /// Maintained top-k index per extra metric kind (created on first
-    /// sight of the kind; the engine's metric set is fixed per run).
-    extra_indexes: Vec<(MetricKind, TopKIndex)>,
 }
 
 impl Publisher {
@@ -804,12 +863,11 @@ impl Publisher {
             epoch: 0,
             mode,
             cache: None,
-            index: TopKIndex::default(),
+            indexes: Vec::new(),
             needs_full: true,
             force_full: false,
             stats: PublishStats::default(),
             last_delta: None,
-            extra_indexes: Vec::new(),
         }
     }
 
@@ -821,11 +879,6 @@ impl Publisher {
     /// The latest published view (what `cell().load()` would return).
     pub fn latest(&self) -> Arc<PublishedView> {
         self.cell.load()
-    }
-
-    /// Bounds mode in effect.
-    pub fn mode(&self) -> BoundsMode {
-        self.mode
     }
 
     /// Epochs minted so far (== the epoch of the latest published view).
@@ -874,36 +927,26 @@ impl Publisher {
         }
     }
 
-    /// The bounds cache for the current graph, building it if needed. A
-    /// rebuild moves every vertex's bound, so it forces the full path.
-    pub fn cache_for(&mut self, graph: &AdjGraph) -> &CertifiedBoundsCache {
-        if self.cache.as_ref().map(|c| c.n()) != Some(graph.num_vertices()) {
-            self.cache = None;
+    /// The bounds cache for the current graph, building it if needed, or
+    /// `None` under [`BoundsMode::None`] — a publisher without a cache
+    /// publishes no bounds. A rebuild moves every vertex's bound, so it
+    /// forces the full path.
+    pub fn cache_for(&mut self, graph: &AdjGraph) -> Option<&CertifiedBoundsCache> {
+        if self.mode == BoundsMode::None {
+            return None;
         }
-        if self.cache.is_none() {
+        if self.cache.as_ref().map(|c| c.n()) != Some(graph.num_vertices()) {
             self.needs_full = true;
             self.cache = Some(CertifiedBoundsCache::new(graph));
         }
-        self.cache.as_ref().expect("cache just built")
+        self.cache.as_ref()
     }
 
     /// Publishes a new epoch via the full `O(n)` rebuild path. `bounds`
     /// must be empty under [`BoundsMode::None`] and vertex-aligned under
-    /// `Certified`.
+    /// `Certified`; `extras` holds each extra metric's complete length-`n`
+    /// column, kinds in wire-id order (empty on closeness-only runs).
     pub fn publish(
-        &mut self,
-        rc_steps: usize,
-        changes_applied: u64,
-        converged: bool,
-        closeness: Vec<f64>,
-        bounds: Vec<f64>,
-    ) -> Arc<PublishedView> {
-        self.publish_with(rc_steps, changes_applied, converged, closeness, bounds, Vec::new())
-    }
-
-    /// [`Publisher::publish`] plus full extra metric columns (each the
-    /// complete length-`n` vector for its kind, kinds in wire-id order).
-    pub fn publish_with(
         &mut self,
         rc_steps: usize,
         changes_applied: u64,
@@ -913,76 +956,33 @@ impl Publisher {
         extras: Vec<(MetricKind, Vec<f64>)>,
     ) -> Arc<PublishedView> {
         let n = closeness.len();
-        let entries: Vec<(VertexId, f64)> =
-            closeness.iter().enumerate().map(|(v, &c)| (v as VertexId, c)).collect();
-        let bound_entries: Vec<(VertexId, f64)> =
-            bounds.iter().enumerate().map(|(v, &b)| (v as VertexId, b)).collect();
-        let cstore = ChunkedVec::from_vec(closeness);
-        let bstore = ChunkedVec::from_vec(bounds);
-        self.index.rebuild(&cstore);
-        self.stats.full_epochs += 1;
-        self.stats.changed_rows += n as u64;
-        self.stats.chunks_copied += cstore.chunks.len() as u64;
-        self.stats.topk_rebuilds += 1;
-        let mut columns = Vec::with_capacity(extras.len());
-        let mut extra_deltas = Vec::with_capacity(extras.len());
-        for (kind, vals) in extras {
-            debug_assert_eq!(vals.len(), n, "extra column must be vertex-aligned");
-            let delta: Vec<(VertexId, f64)> =
-                vals.iter().enumerate().map(|(v, &s)| (v as VertexId, s)).collect();
-            let store = ChunkedVec::from_vec(vals);
-            let idx = self.extra_index(kind);
-            idx.rebuild(&store);
-            columns.push(MetricColumn { kind, values: store, topk: Arc::new(idx.snapshot()) });
-            extra_deltas.push((kind, delta));
-        }
-        self.mint(
+        let restate = |column: Vec<f64>| -> Vec<(VertexId, f64)> {
+            debug_assert!(column.is_empty() || column.len() == n, "column must be vertex-aligned");
+            column.into_iter().enumerate().map(|(v, x)| (v as VertexId, x)).collect()
+        };
+        self.mint(ViewDelta {
+            epoch: self.epoch + 1,
             rc_steps,
             changes_applied,
             converged,
-            true,
+            full: true,
             n,
-            entries,
-            bound_entries,
-            cstore,
-            bstore,
-            columns,
-            extra_deltas,
-        )
+            entries: restate(closeness),
+            bounds: restate(bounds),
+            extras: extras.into_iter().map(|(kind, column)| (kind, restate(column))).collect(),
+        })
     }
 
     /// Publishes a new epoch via the `O(changed)` delta path: `entries`
-    /// (and `bound_entries`, under `Certified`) re-state exactly the rows
-    /// whose values changed since the previous publish, sorted by id; `n`
-    /// is the new vertex count (never below the published view's — callers
-    /// route shrinking transitions through [`Publisher::publish`]).
-    pub fn publish_changes(
-        &mut self,
-        rc_steps: usize,
-        changes_applied: u64,
-        converged: bool,
-        n: usize,
-        entries: Vec<(VertexId, f64)>,
-        bound_entries: Vec<(VertexId, f64)>,
-    ) -> Arc<PublishedView> {
-        self.publish_changes_with(
-            rc_steps,
-            changes_applied,
-            converged,
-            n,
-            entries,
-            bound_entries,
-            Vec::new(),
-        )
-    }
-
-    /// [`Publisher::publish_changes`] plus per-extra-metric changed
-    /// entries (each sorted by id; kinds in wire-id order). An extra's
-    /// column is carried forward by structural sharing exactly like
-    /// closeness; its maintained index absorbs the delta. Extra columns
-    /// are intentionally **not** counted in [`PublishStats`].
+    /// (and `bound_entries`, under `Certified`, and each extra metric's
+    /// list in `extras`) re-state exactly the rows whose values changed
+    /// since the previous publish, sorted by id; `n` is the new vertex
+    /// count (never below the published view's — callers route shrinking
+    /// transitions through [`Publisher::publish`]). Every column is
+    /// carried forward by structural sharing and its maintained index
+    /// absorbs the delta.
     #[allow(clippy::too_many_arguments)]
-    pub fn publish_changes_with(
+    pub fn publish_changes(
         &mut self,
         rc_steps: usize,
         changes_applied: u64,
@@ -993,107 +993,42 @@ impl Publisher {
         extras: Vec<(MetricKind, Vec<(VertexId, f64)>)>,
     ) -> Arc<PublishedView> {
         debug_assert!(!self.wants_full(), "delta publish while a full publish is required");
-        let prev = self.cell.load();
-        let (cstore, copied, shared) = prev.closeness.apply(n, &entries, 0.0);
-        let bstore = if prev.has_bounds() {
-            prev.bounds.apply(n, &bound_entries, 0.0).0
-        } else {
-            debug_assert!(bound_entries.is_empty(), "bound entries without a bounds-bearing view");
-            ChunkedVec::default()
-        };
-        for &(v, c) in &entries {
-            self.index.update(prev.point(v), v, c);
-        }
-        if self.index.len() < TOPK_SERVE_CAP.min(n) {
-            self.index.rebuild(&cstore);
-            self.stats.topk_rebuilds += 1;
-        }
-        self.stats.delta_epochs += 1;
-        self.stats.changed_rows += entries.len() as u64;
-        self.stats.chunks_copied += copied;
-        self.stats.chunks_shared += shared;
-        let mut columns = Vec::with_capacity(extras.len());
-        for (kind, es) in &extras {
-            let base = prev
-                .extras
-                .iter()
-                .find(|c| c.kind == *kind)
-                .map(|c| c.values.clone())
-                .unwrap_or_default();
-            let store = base.apply(n, es, 0.0).0;
-            let prev_col = prev.extra(*kind);
-            let idx = self.extra_index(*kind);
-            for &(v, s) in es {
-                idx.update(prev_col.and_then(|c| c.values.get(v as usize)), v, s);
-            }
-            if idx.len() < TOPK_SERVE_CAP.min(n) {
-                idx.rebuild(&store);
-            }
-            let snapshot = Arc::new(idx.snapshot());
-            columns.push(MetricColumn { kind: *kind, values: store, topk: snapshot });
-        }
-        self.mint(
+        debug_assert!(
+            bound_entries.is_empty() || self.latest().has_bounds(),
+            "bound entries without a bounds-bearing view"
+        );
+        self.mint(ViewDelta {
+            epoch: self.epoch + 1,
             rc_steps,
             changes_applied,
             converged,
-            false,
-            n,
-            entries,
-            bound_entries,
-            cstore,
-            bstore,
-            columns,
-            extras,
-        )
-    }
-
-    fn extra_index(&mut self, kind: MetricKind) -> &mut TopKIndex {
-        if let Some(pos) = self.extra_indexes.iter().position(|(k, _)| *k == kind) {
-            return &mut self.extra_indexes[pos].1;
-        }
-        self.extra_indexes.push((kind, TopKIndex::default()));
-        &mut self.extra_indexes.last_mut().expect("just pushed").1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mint(
-        &mut self,
-        rc_steps: usize,
-        changes_applied: u64,
-        converged: bool,
-        full: bool,
-        n: usize,
-        entries: Vec<(VertexId, f64)>,
-        bound_entries: Vec<(VertexId, f64)>,
-        closeness: ChunkedVec,
-        bounds: ChunkedVec,
-        extras: Vec<MetricColumn>,
-        extra_deltas: Vec<(MetricKind, Vec<(VertexId, f64)>)>,
-    ) -> Arc<PublishedView> {
-        self.epoch += 1;
-        self.stats.epochs += 1;
-        self.needs_full = false;
-        let view = Arc::new(PublishedView {
-            epoch: self.epoch,
-            rc_steps,
-            changes_applied,
-            converged,
-            closeness,
-            bounds,
-            topk: Arc::new(self.index.snapshot()),
-            extras,
-        });
-        self.last_delta = Some(ViewDelta {
-            epoch: self.epoch,
-            rc_steps,
-            changes_applied,
-            converged,
-            full,
+            full: false,
             n,
             entries,
             bounds: bound_entries,
-            extras: extra_deltas,
-        });
+            extras,
+        })
+    }
+
+    /// Mints `delta`'s epoch: builds the view from it, swaps it in and
+    /// keeps the delta for replication. Extra columns are intentionally
+    /// **not** counted in [`PublishStats`].
+    fn mint(&mut self, delta: ViewDelta) -> Arc<PublishedView> {
+        let (view, (copied, shared, rebuilt)) = delta.build(&self.cell.load(), &mut self.indexes);
+        self.epoch = delta.epoch;
+        self.needs_full = false;
+        self.stats.epochs += 1;
+        if delta.full {
+            self.stats.full_epochs += 1;
+        } else {
+            self.stats.delta_epochs += 1;
+        }
+        self.stats.changed_rows += delta.rows() as u64;
+        self.stats.chunks_copied += copied;
+        self.stats.chunks_shared += shared;
+        self.stats.topk_rebuilds += u64::from(rebuilt);
+        self.last_delta = Some(delta);
+        let view = Arc::new(view);
         self.cell.store(view.clone());
         view
     }
@@ -1108,10 +1043,10 @@ mod tests {
         let mut p = Publisher::new(BoundsMode::None);
         let cell = p.cell();
         assert_eq!(cell.load().epoch, 0);
-        let v1 = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new());
+        let v1 = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
         let held = cell.load();
         assert_eq!(held.epoch, 1);
-        let v2 = p.publish(2, 0, true, vec![0.6, 0.25], Vec::new());
+        let v2 = p.publish(2, 0, true, vec![0.6, 0.25], Vec::new(), Vec::new());
         assert_eq!(v2.epoch, 2);
         // The reader's old handle is untouched by the new publish.
         assert_eq!(held.point(0), Some(0.5));
@@ -1123,7 +1058,7 @@ mod tests {
     #[test]
     fn view_queries() {
         let mut p = Publisher::new(BoundsMode::Certified);
-        let v = p.publish(3, 2, false, vec![0.1, 0.9, 0.4], vec![0.05, 0.0, 0.2]);
+        let v = p.publish(3, 2, false, vec![0.1, 0.9, 0.4], vec![0.05, 0.0, 0.2], Vec::new());
         assert_eq!(v.num_vertices(), 3);
         assert_eq!(v.point(1), Some(0.9));
         assert_eq!(v.point(9), None);
@@ -1146,11 +1081,12 @@ mod tests {
         let mut g = AdjGraph::with_vertices(3);
         g.add_edge(0, 1, 1).unwrap();
         let mut p = Publisher::new(BoundsMode::Certified);
-        assert_eq!(p.cache_for(&g).n(), 3);
+        assert_eq!(p.cache_for(&g).unwrap().n(), 3);
         let g2 = AdjGraph::with_vertices(5);
-        assert_eq!(p.cache_for(&g2).n(), 5, "size mismatch must rebuild");
+        assert_eq!(p.cache_for(&g2).unwrap().n(), 5, "size mismatch must rebuild");
         p.invalidate_cache();
-        assert_eq!(p.cache_for(&g2).n(), 5);
+        assert_eq!(p.cache_for(&g2).unwrap().n(), 5);
+        assert!(Publisher::new(BoundsMode::None).cache_for(&g2).is_none());
     }
 
     #[test]
@@ -1177,7 +1113,7 @@ mod tests {
             })
             .collect();
         for e in 1..=200u64 {
-            p.publish(e as usize, 0, false, vec![e as f64; 64], Vec::new());
+            p.publish(e as usize, 0, false, vec![e as f64; 64], Vec::new(), Vec::new());
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
@@ -1199,7 +1135,7 @@ mod tests {
         for &(v, c) in entries {
             vals[v as usize] = c;
         }
-        p.publish(prev.rc_steps + 1, 0, false, vals, Vec::new())
+        p.publish(prev.rc_steps + 1, 0, false, vals, Vec::new(), Vec::new())
     }
 
     #[test]
@@ -1208,14 +1144,14 @@ mod tests {
         let base: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0).collect();
         let mut fast = Publisher::new(BoundsMode::None);
         let mut slow = Publisher::new(BoundsMode::None);
-        fast.publish(0, 0, false, base.clone(), Vec::new());
-        slow.publish(0, 0, false, base, Vec::new());
+        fast.publish(0, 0, false, base.clone(), Vec::new(), Vec::new());
+        slow.publish(0, 0, false, base, Vec::new(), Vec::new());
         // Dirty a handful of rows inside chunk 1 only.
         let entries: Vec<(VertexId, f64)> =
             (0..8).map(|i| ((CHUNK_VERTICES + 13 * i) as VertexId, 0.5 + i as f64)).collect();
         let prev = fast.latest();
         let slow_prev = slow.latest();
-        let dv = fast.publish_changes(1, 0, false, n, entries.clone(), Vec::new());
+        let dv = fast.publish_changes(1, 0, false, n, entries.clone(), Vec::new(), Vec::new());
         let fv = full_oracle(&mut slow, &slow_prev, n, &entries);
         assert_eq!(dv.closeness(), fv.closeness());
         assert_eq!(dv.top_k(10), fv.top_k(10));
@@ -1232,15 +1168,16 @@ mod tests {
     #[test]
     fn delta_publish_grows_the_view() {
         let mut p = Publisher::new(BoundsMode::None);
-        p.publish(0, 0, false, vec![0.2; 10], Vec::new());
-        let v = p.publish_changes(1, 1, false, 12, vec![(10, 0.9), (11, 0.1)], Vec::new());
+        p.publish(0, 0, false, vec![0.2; 10], Vec::new(), Vec::new());
+        let v =
+            p.publish_changes(1, 1, false, 12, vec![(10, 0.9), (11, 0.1)], Vec::new(), Vec::new());
         assert_eq!(v.num_vertices(), 12);
         assert_eq!(v.point(9), Some(0.2));
         assert_eq!(v.point(10), Some(0.9));
         assert_eq!(v.top_k(1), vec![(10, 0.9)]);
         // A grown vertex with no entry defaults to 0.0 (fresh isolated
         // vertices have zero closeness).
-        let v2 = p.publish_changes(2, 2, false, 13, Vec::new(), Vec::new());
+        let v2 = p.publish_changes(2, 2, false, 13, Vec::new(), Vec::new(), Vec::new());
         assert_eq!(v2.point(12), Some(0.0));
     }
 
@@ -1252,11 +1189,19 @@ mod tests {
         let n = TOPK_INDEX_CAP * 3;
         let base: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
         let mut p = Publisher::new(BoundsMode::None);
-        p.publish(0, 0, false, base, Vec::new());
+        p.publish(0, 0, false, base, Vec::new(), Vec::new());
         for step in 0..TOPK_INDEX_CAP + 8 {
             let view = p.latest();
             let (best, _) = view.top_k(1)[0];
-            let v = p.publish_changes(step + 1, 0, false, n, vec![(best, -1.0)], Vec::new());
+            let v = p.publish_changes(
+                step + 1,
+                0,
+                false,
+                n,
+                vec![(best, -1.0)],
+                Vec::new(),
+                Vec::new(),
+            );
             assert_eq!(v.top_k(5), v.top_k_rescan(5), "after demoting {best}");
         }
         assert!(p.stats().topk_rebuilds >= 1);
@@ -1266,13 +1211,14 @@ mod tests {
     fn topk_ties_break_by_id_on_both_paths() {
         let mut p = Publisher::new(BoundsMode::None);
         // All-equal values: order must be by id on the maintained path...
-        let v = p.publish(0, 0, false, vec![0.5; 300], Vec::new());
+        let v = p.publish(0, 0, false, vec![0.5; 300], Vec::new(), Vec::new());
         let maintained = v.top_k(6);
         assert_eq!(maintained, (0..6).map(|i| (i as VertexId, 0.5)).collect::<Vec<_>>());
         // ...and identically on the rescan oracle.
         assert_eq!(maintained, v.top_k_rescan(6));
         // Same via the delta path after introducing more ties.
-        let v2 = p.publish_changes(1, 0, false, 300, vec![(3, 0.9), (7, 0.9)], Vec::new());
+        let v2 =
+            p.publish_changes(1, 0, false, 300, vec![(3, 0.9), (7, 0.9)], Vec::new(), Vec::new());
         assert_eq!(v2.top_k(3), vec![(3, 0.9), (7, 0.9), (0, 0.5)]);
         assert_eq!(v2.top_k(3), v2.top_k_rescan(3));
     }
@@ -1280,38 +1226,38 @@ mod tests {
     #[test]
     fn view_delta_roundtrips_through_netmsg_and_applies() {
         let mut p = Publisher::new(BoundsMode::Certified);
-        p.publish(1, 0, false, vec![0.25; 40], vec![0.5; 40]);
+        p.publish(1, 0, false, vec![0.25; 40], vec![0.5; 40], Vec::new());
         let follower_base = p.latest();
         p.invalidate_cache();
         // Certified invalidation forces the full path.
         assert!(p.wants_full());
         let g = AdjGraph::with_vertices(40);
         p.cache_for(&g);
-        p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40]);
+        p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40], Vec::new());
         let full_delta = p.last_delta().unwrap().clone();
         assert!(full_delta.full);
         let leader = p.latest();
         let msg = full_delta.to_msg();
         let decoded = ViewDelta::from_msg(&msg).unwrap();
         assert_eq!(decoded, full_delta);
-        assert_eq!(&decoded.apply_to(&follower_base), leader.as_ref());
+        assert_eq!(&decoded.apply_to(&follower_base).unwrap(), leader.as_ref());
 
         // And a thin delta epoch.
         let prev = p.latest();
-        p.publish_changes(3, 1, true, 40, vec![(5, 0.9)], vec![(5, 0.05)]);
+        p.publish_changes(3, 1, true, 40, vec![(5, 0.9)], vec![(5, 0.05)], Vec::new());
         let thin = p.last_delta().unwrap().clone();
         assert!(!thin.full);
         assert_eq!(thin.rows(), 1);
         let rt = ViewDelta::from_msg(&thin.to_msg()).unwrap();
         assert_eq!(rt, thin);
-        assert_eq!(&rt.apply_to(&prev), p.latest().as_ref());
+        assert_eq!(&rt.apply_to(&prev).unwrap(), p.latest().as_ref());
     }
 
     #[test]
     fn multi_metric_columns_publish_query_and_replicate() {
         let mut p = Publisher::new(BoundsMode::None);
         let bc: Vec<f64> = (0..40).map(|i| (i * 7 % 11) as f64).collect();
-        let v = p.publish_with(
+        let v = p.publish(
             1,
             0,
             false,
@@ -1336,7 +1282,7 @@ mod tests {
 
         // Thin delta epoch: only the changed betweenness entries move.
         let prev = p.latest();
-        let v2 = p.publish_changes_with(
+        let v2 = p.publish_changes(
             2,
             0,
             true,
@@ -1352,34 +1298,113 @@ mod tests {
         // Extras are not counted in the closeness-only publish stats.
         assert_eq!(p.stats().changed_rows, 40 + 1);
 
-        // Wire roundtrip (tag 17) and follower application bit-identity.
+        // Both columns round-trip through the one view-delta frame, and
+        // the follower applies them bit-identically.
         let delta = p.last_delta().unwrap().clone();
         assert_eq!(delta.extras.len(), 1);
-        let msg = delta.to_msg();
-        assert!(matches!(msg, NetMsg::ViewDeltaMulti { .. }));
-        assert_eq!(msg.encode().len(), delta.encoded_bytes());
-        let rt = ViewDelta::from_msg(&msg).unwrap();
+        let wire = delta.to_msg().encode();
+        assert_eq!((wire[0], wire[29]), (16, 0b101), "tag 16, converged + extras flags");
+        assert_eq!(wire.len(), delta.encoded_bytes());
+        let rt = ViewDelta::from_msg(&NetMsg::decode(&wire).unwrap()).unwrap();
         assert_eq!(rt, delta);
-        assert_eq!(&rt.apply_to(&prev), v2.as_ref());
+        assert_eq!(&rt.apply_to(&prev).unwrap(), v2.as_ref());
+    }
+
+    /// Tag-16 frames as commit 7fb5ac3 (the last with a separate tag 17)
+    /// encoded them: a thin certified delta and a full closeness-only one.
+    const GOLDEN_THIN: &str = "1007000000000000000500000000000000030000000000000028000000010200000005000000cdccccccccccec3f11000000000000000000d03f01000000050000009a9999999999a93f";
+    const GOLDEN_FULL: &str = "1007000000000000000500000000000000030000000000000003000000020300000000000000000000000000e03f01000000000000000000d03f02000000000000000000000000000000";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
     }
 
     #[test]
     fn closeness_only_wire_form_is_unchanged_by_s31() {
+        let thin = ViewDelta {
+            epoch: 7,
+            rc_steps: 5,
+            changes_applied: 3,
+            converged: true,
+            full: false,
+            n: 40,
+            entries: vec![(5, 0.9), (17, 0.25)],
+            bounds: vec![(5, 0.05)],
+            extras: Vec::new(),
+        };
+        let full = ViewDelta {
+            converged: false,
+            full: true,
+            n: 3,
+            entries: vec![(0, 0.5), (1, 0.25), (2, 0.0)],
+            bounds: Vec::new(),
+            ..thin.clone()
+        };
+        for (delta, golden) in [(thin, GOLDEN_THIN), (full, GOLDEN_FULL)] {
+            // No extras → the bytes the parent produced, in both directions.
+            let golden = unhex(golden);
+            assert_eq!(delta.to_msg().encode(), golden);
+            assert_eq!(golden.len(), delta.encoded_bytes());
+            assert_eq!(ViewDelta::from_msg(&NetMsg::decode(&golden).unwrap()).unwrap(), delta);
+        }
         let mut p = Publisher::new(BoundsMode::None);
-        p.publish(1, 0, false, vec![0.5, 0.25], Vec::new());
-        let delta = p.last_delta().unwrap().clone();
-        assert!(delta.extras.is_empty());
-        let msg = delta.to_msg();
-        // No extras → the legacy tag-16 variant, and the byte-size
-        // formula's legacy branch.
-        assert!(matches!(msg, NetMsg::ViewDelta { .. }));
-        assert_eq!(msg.encode().len(), delta.encoded_bytes());
-        let v = p.latest();
+        let v = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
+        assert!(p.last_delta().unwrap().extras.is_empty());
         assert_eq!(v.metrics(), MetricMask::only(MetricKind::Closeness));
         assert!(!v.has_metric(MetricKind::Betweenness));
         assert_eq!(v.metric_point(MetricKind::Betweenness, 0), None);
         assert_eq!(v.metric_values(MetricKind::Betweenness), None);
         assert_eq!(v.metric_top_k(MetricKind::Betweenness, 3), None);
+    }
+
+    #[test]
+    fn follower_refuses_deltas_that_do_not_fit() {
+        let mut p = Publisher::new(BoundsMode::None);
+        p.publish(1, 0, false, vec![0.5; 8], Vec::new(), Vec::new());
+        let prev = p.latest();
+        let good = ViewDelta {
+            epoch: 2,
+            rc_steps: 2,
+            changes_applied: 0,
+            converged: false,
+            full: false,
+            n: 8,
+            entries: vec![(1, 0.1), (6, 0.2)],
+            bounds: Vec::new(),
+            extras: vec![(MetricKind::Betweenness, vec![(3, 1.0)])],
+        };
+        assert!(good.apply_to(&prev).is_ok());
+        let refused = |edit: fn(&mut ViewDelta)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            bad.apply_to(&prev).unwrap_err()
+        };
+        assert_eq!(refused(|d| d.entries[1].0 = 8), ViewDeltaError::IdOutOfRange { id: 8, n: 8 });
+        assert_eq!(
+            refused(|d| d.bounds = vec![(9, 0.0)]),
+            ViewDeltaError::IdOutOfRange { id: 9, n: 8 }
+        );
+        assert_eq!(
+            refused(|d| d.extras[0].1[0].0 = 70),
+            ViewDeltaError::IdOutOfRange { id: 70, n: 8 }
+        );
+        assert_eq!(refused(|d| d.entries.swap(0, 1)), ViewDeltaError::UnsortedIds { id: 1 });
+        assert_eq!(refused(|d| d.entries[1].0 = 1), ViewDeltaError::UnsortedIds { id: 1 });
+        assert_eq!(
+            refused(|d| d.extras.push((MetricKind::Betweenness, Vec::new()))),
+            ViewDeltaError::DuplicateMetric(MetricKind::Betweenness)
+        );
+        assert_eq!(
+            refused(|d| d.extras[0].0 = MetricKind::Closeness),
+            ViewDeltaError::DuplicateMetric(MetricKind::Closeness)
+        );
+        assert_eq!(refused(|d| d.n = 7), ViewDeltaError::Shrinks { n: 7, prev: 8 });
+        let mut msg = good.to_msg();
+        if let NetMsg::ViewDelta { extras, .. } = &mut msg {
+            extras[0].0 = 77;
+        }
+        assert_eq!(ViewDelta::from_msg(&msg), Err(ViewDeltaError::UnknownMetric(77)));
+        assert_eq!(ViewDelta::from_msg(&NetMsg::Bye), Err(ViewDeltaError::NotAViewDelta));
     }
 
     #[test]
@@ -1392,7 +1417,7 @@ mod tests {
         });
         for e in 1..=3 {
             std::thread::sleep(std::time::Duration::from_millis(5));
-            p.publish(e, 0, false, vec![e as f64], Vec::new());
+            p.publish(e, 0, false, vec![e as f64], Vec::new(), Vec::new());
         }
         assert!(waiter.join().unwrap().epoch >= 3);
         // Timed variant: an unreachable epoch reports the watermark.

@@ -904,48 +904,19 @@ impl RankState {
 
     /// Closeness centrality of every local vertex from its current DV.
     pub fn local_closeness(&self) -> Vec<(VertexId, f64)> {
-        self.local_scores(closeness_from_row)
-    }
-
-    /// Generic sibling of [`RankState::local_closeness`]: scores every
-    /// local vertex's row with a caller-chosen row-local metric (S31).
-    pub fn local_scores(&self, score: impl Fn(&[Dist]) -> f64) -> Vec<(VertexId, f64)> {
-        self.local.iter().map(|&v| (v, score(self.dv.local_row(v).expect("local row")))).collect()
+        self.local
+            .iter()
+            .map(|&v| (v, closeness_from_row(self.dv.local_row(v).expect("local row"))))
+            .collect()
     }
 
     /// Drains the set of local rows whose values changed since the last
-    /// published epoch, sorted by id. Ids that were epoch-dirtied but have
-    /// since migrated away are dropped — the receiving rank re-dirtied
-    /// them on install, so exactly one rank reports each moved row.
+    /// published epoch, sorted by id — each rank's contribution to a
+    /// `ViewDelta`. Ids that were epoch-dirtied but have since migrated
+    /// away are dropped — the receiving rank re-dirtied them on install,
+    /// so exactly one rank reports each moved row.
     pub fn take_epoch_changed(&mut self) -> Vec<VertexId> {
         self.dv.take_epoch_dirty_sorted().into_iter().filter(|&v| self.dv.is_local(v)).collect()
-    }
-
-    /// Drains the epoch-dirty set and maps each surviving local row to its
-    /// current closeness — the per-rank contribution to a `ViewDelta`.
-    pub fn take_epoch_closeness(&mut self) -> Vec<(VertexId, f64)> {
-        self.take_epoch_scores(closeness_from_row)
-    }
-
-    /// Generic sibling of [`RankState::take_epoch_closeness`]: drains the
-    /// epoch-dirty set and scores each surviving row with a caller-chosen
-    /// row-local metric (S31). Identical drain semantics — call at most
-    /// one `take_epoch_*` per rank per publish barrier.
-    pub fn take_epoch_scores(&mut self, score: impl Fn(&[Dist]) -> f64) -> Vec<(VertexId, f64)> {
-        self.take_epoch_changed()
-            .into_iter()
-            .map(|v| (v, score(self.dv.local_row(v).expect("local row"))))
-            .collect()
-    }
-
-    /// Drains the epoch-dirty set and clones each surviving local row —
-    /// what row-global metrics (incremental betweenness) consume at the
-    /// publish barrier.
-    pub fn take_epoch_rows(&mut self) -> Vec<(VertexId, Vec<Dist>)> {
-        self.take_epoch_changed()
-            .into_iter()
-            .map(|v| (v, self.dv.local_row(v).expect("local row").to_vec()))
-            .collect()
     }
 
     /// Clones all local rows (testing / gather).

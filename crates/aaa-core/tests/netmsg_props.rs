@@ -9,7 +9,7 @@
 //! never an allocation bomb from a hostile length prefix.
 
 use aaa_core::rank::{RowMsg, RowPayload, WireFormat};
-use aaa_core::{NetMsg, WireError};
+use aaa_core::{BoundsMode, NetMsg, Publisher, ViewDelta, WireError};
 use aaa_graph::INF;
 use proptest::prelude::*;
 
@@ -31,10 +31,48 @@ fn any_rows_list() -> impl Strategy<Value = Vec<(u32, Vec<u32>)>> {
     proptest::collection::vec((0u32..10_000, proptest::collection::vec(0u32..=INF, 0..24)), 0..6)
 }
 
+fn any_pairs() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    proptest::collection::vec((0u32..96, 0u64..=u64::MAX), 0..24)
+}
+
+/// Well-framed view deltas a follower must survive: ids beyond `n`,
+/// unsorted and repeated ids, unknown and repeated metric kinds, any value
+/// bits. `tidy` sorts the lists and keeps ids below `n`, so a good share of
+/// the corpus gets past the checks into the apply itself.
+fn any_view_delta() -> impl Strategy<Value = NetMsg> {
+    (
+        (0u64..1 << 20, 0u64..1 << 20, 0u64..1 << 20, 0u32..96, 0u8..8),
+        any_pairs(),
+        any_pairs(),
+        proptest::collection::vec((0u8..4, any_pairs()), 0..3),
+    )
+        .prop_map(|((epoch, rc_steps, changes_applied, n, bits), entries, bounds, extras)| {
+            let tidy = |mut pairs: Vec<(u32, u64)>| {
+                if bits & 4 != 0 {
+                    pairs.retain(|p| p.0 < n);
+                    pairs.sort_unstable_by_key(|p| p.0);
+                    pairs.dedup_by_key(|p| p.0);
+                }
+                pairs
+            };
+            NetMsg::ViewDelta {
+                epoch,
+                rc_steps,
+                changes_applied,
+                n,
+                converged: bits & 1 != 0,
+                full: bits & 2 != 0,
+                entries: tidy(entries),
+                bounds: tidy(bounds),
+                extras: extras.into_iter().map(|(kind, pairs)| (kind, tidy(pairs))).collect(),
+            }
+        })
+}
+
 /// One strategy per message tag, so the corpus exercises every arm of the
 /// codec — including the `Rows` arm with both Full and Delta payloads.
 fn any_netmsg() -> impl Strategy<Value = NetMsg> {
-    (0u8..15).prop_flat_map(|tag| match tag {
+    (0u8..16).prop_flat_map(|tag| match tag {
         0 => (
             (0u32..64, 1u32..64, 0u8..2, 0u64..1 << 40),
             proptest::collection::vec(0u32..64, 0..128),
@@ -82,6 +120,7 @@ fn any_netmsg() -> impl Strategy<Value = NetMsg> {
         )
             .prop_map(|(round, moves, adj)| NetMsg::Reassign { round, moves, adj })
             .boxed(),
+        14 => any_view_delta().boxed(),
         _ => Just(NetMsg::Bye).boxed(),
     })
 }
@@ -113,7 +152,8 @@ proptest! {
                         | WireError::UnknownTag(_)
                         | WireError::UnknownWire(_)
                         | WireError::UnknownPayload(_)
-                        | WireError::TrailingBytes { .. },
+                        | WireError::TrailingBytes { .. }
+                        | WireError::ReservedFlags(_),
                     ) => {}
                 }
             }
@@ -134,6 +174,36 @@ proptest! {
                     "prefix of {cut}/{} bytes decoded as {short:?}",
                     bytes.len()
                 ),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wire → follower boundary: whatever a well-framed view delta
+    /// says, `decode → from_msg → apply_to` ends in a view of the announced
+    /// size or in a typed error — never in an index out of bounds.
+    #[test]
+    fn well_framed_view_deltas_never_panic_a_follower(
+        msg in any_view_delta(),
+        prev_n in 0usize..64,
+        bounded in 0u8..2,
+    ) {
+        let (mode, bounds) = if bounded == 1 {
+            (BoundsMode::Certified, vec![0.125; prev_n])
+        } else {
+            (BoundsMode::None, Vec::new())
+        };
+        let mut leader = Publisher::new(mode);
+        let prev = leader.publish(1, 0, false, vec![0.5; prev_n], bounds, Vec::new());
+        let decoded = NetMsg::decode(&msg.encode()).expect("own encoding decodes");
+        if let Ok(delta) = ViewDelta::from_msg(&decoded) {
+            if let Ok(view) = delta.apply_to(&prev) {
+                prop_assert_eq!(view.num_vertices(), delta.n);
+                prop_assert_eq!(view.epoch, delta.epoch);
+                prop_assert_eq!(view.metrics().len(), 1 + delta.extras.len());
             }
         }
     }

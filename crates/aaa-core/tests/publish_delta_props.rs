@@ -7,7 +7,7 @@
 //! under concurrent readers throughout.
 
 use aaa_core::{
-    AnytimeEngine, AssignStrategy, BoundsMode, DynamicChange, EngineConfig, NewVertex,
+    AnytimeEngine, AssignStrategy, BoundsMode, DynamicChange, EngineConfig, MetricKind, NewVertex,
     PublishedView, Publisher, VertexBatch, TOPK_SERVE_CAP,
 };
 use aaa_graph::AdjGraph;
@@ -31,23 +31,50 @@ fn assert_views_match(a: &PublishedView, b: &PublishedView) {
     if a.has_bounds() {
         assert_eq!(a.bounds(), b.bounds(), "bounds drifted");
     }
+    assert_eq!(a.metrics(), b.metrics());
+    let bc = MetricKind::Betweenness;
+    assert_eq!(a.metric_values(bc), b.metric_values(bc), "betweenness drifted");
     for k in [0, 1, 3, TOPK_SERVE_CAP, a.num_vertices(), a.num_vertices() + 7] {
         assert_eq!(a.top_k(k), b.top_k(k), "top_k({k}) drifted");
         assert_eq!(a.top_k(k), a.top_k_rescan(k), "index disagrees with the rescan oracle");
+        assert_eq!(a.metric_top_k(bc, k), b.metric_top_k(bc, k), "betweenness top_k({k}) drifted");
     }
 }
 
-/// One synthetic epoch: optional growth plus raw `(id, value)` rows.
-type RawEpoch = (usize, Vec<(u32, u32)>);
+/// One synthetic epoch: a step code, a size change, raw `(id, value)` rows.
+type RawEpoch = (u8, usize, Vec<(u32, u32)>);
 
 fn epochs_strategy() -> impl Strategy<Value = (usize, Vec<RawEpoch>)> {
     (
         1usize..2400,
         proptest::collection::vec(
-            (0usize..1300, proptest::collection::vec((0u32..4096, 0u32..4096), 0..48)),
+            (0u8..5, 0usize..1300, proptest::collection::vec((0u32..4096, 0u32..4096), 0..48)),
             1..7,
         ),
     )
+}
+
+/// The columns a synthetic leader holds: closeness always, bounds under
+/// `Certified`, a betweenness-like column when extras are on.
+struct Columns {
+    closeness: Vec<f64>,
+    bounds: Option<Vec<f64>>,
+    extra: Option<Vec<f64>>,
+}
+
+impl Columns {
+    fn resize(&mut self, n: usize) {
+        self.closeness.resize(n, 0.0);
+        for column in self.bounds.iter_mut().chain(&mut self.extra) {
+            column.resize(n, 0.0);
+        }
+    }
+
+    fn publish_full(&self, p: &mut Publisher, step: usize) {
+        let extras = self.extra.iter().map(|c| (MetricKind::Betweenness, c.clone())).collect();
+        let bounds = self.bounds.clone().unwrap_or_default();
+        p.publish(step, 0, false, self.closeness.clone(), bounds, extras);
+    }
 }
 
 proptest! {
@@ -56,32 +83,77 @@ proptest! {
     /// Publisher-level lockstep: a delta publisher, a forced-full
     /// publisher fed the same streams, and a follower reconstructing
     /// views purely from each epoch's encoded `ViewDelta` must all hold
-    /// the same bits — across chunk boundaries and random growth.
+    /// the same bits — with and without bounds and an extra column,
+    /// across chunk boundaries, random growth, a forced full restate (what
+    /// a certified-bounds invalidation asks for) and a full restate onto
+    /// fewer vertices (what a restore that rewinds the graph asks for).
     #[test]
-    fn delta_full_and_follower_views_agree(input in epochs_strategy()) {
+    fn delta_full_and_follower_views_agree(
+        input in epochs_strategy(),
+        certified in 0u8..2,
+        betweenness in 0u8..2,
+    ) {
         let (n0, raw_epochs) = input;
-        let mut delta = Publisher::new(BoundsMode::None);
-        let mut full = Publisher::new(BoundsMode::None);
+        let mode = if certified == 1 { BoundsMode::Certified } else { BoundsMode::None };
+        let mut delta = Publisher::new(mode);
+        let mut full = Publisher::new(mode);
         full.set_force_full(true);
 
-        let mut current: Vec<f64> = (0..n0).map(|i| val(i as u32 * 37)).collect();
-        delta.publish(0, 0, false, current.clone(), Vec::new());
-        full.publish(0, 0, false, current.clone(), Vec::new());
+        let column = |salt: u32| (0..n0).map(|i| val(i as u32 * 37 + salt)).collect::<Vec<f64>>();
+        let mut current = Columns {
+            closeness: column(0),
+            bounds: (certified == 1).then(|| column(11)),
+            extra: (betweenness == 1).then(|| column(23)),
+        };
+        current.publish_full(&mut delta, 0);
+        current.publish_full(&mut full, 0);
         let mut follower: Arc<PublishedView> = delta.latest();
 
-        for (step, (grow, raw)) in raw_epochs.into_iter().enumerate() {
-            let n = current.len() + grow;
-            current.resize(n, 0.0);
-            let mut entries: Vec<(u32, f64)> =
-                raw.into_iter().map(|(id, v)| (id % n as u32, val(v))).collect();
-            entries.sort_by_key(|e| e.0);
-            entries.dedup_by_key(|e| e.0);
-            for &(id, c) in &entries {
-                current[id as usize] = c;
+        for (step, (code, size, raw)) in raw_epochs.into_iter().enumerate() {
+            let n = current.closeness.len();
+            match code {
+                // Thin epoch: growth plus the changed rows of every column.
+                0..=2 => {
+                    let n = n + size;
+                    current.resize(n);
+                    let mut entries: Vec<(u32, f64)> =
+                        raw.into_iter().map(|(id, v)| (id % n as u32, val(v))).collect();
+                    entries.sort_by_key(|e| e.0);
+                    entries.dedup_by_key(|e| e.0);
+                    let derive = |column: &mut Option<Vec<f64>>, salt: u32| match column {
+                        None => Vec::new(),
+                        Some(column) => entries
+                            .iter()
+                            .filter(|e| (e.0 + salt) % 3 != 0)
+                            .map(|&(id, c)| {
+                                column[id as usize] = val((c * 4096.0) as u32 + salt);
+                                (id, column[id as usize])
+                            })
+                            .collect(),
+                    };
+                    let bound_entries = derive(&mut current.bounds, 11);
+                    let extras = match derive(&mut current.extra, 23) {
+                        es if betweenness == 1 => vec![(MetricKind::Betweenness, es)],
+                        _ => Vec::new(),
+                    };
+                    for &(id, c) in &entries {
+                        current.closeness[id as usize] = c;
+                    }
+                    delta.publish_changes(step + 1, 0, false, n, entries, bound_entries, extras);
+                }
+                // Forced full restate of the same vertices.
+                3 => {
+                    delta.request_full();
+                    current.publish_full(&mut delta, step + 1);
+                }
+                // Full restate onto fewer vertices.
+                _ => {
+                    current.resize(1 + size % n);
+                    delta.request_full();
+                    current.publish_full(&mut delta, step + 1);
+                }
             }
-            delta.publish_changes(step + 1, 0, false, n, entries, Vec::new());
-            full.publish(step + 1, 0, false, current.clone(), Vec::new());
-
+            current.publish_full(&mut full, step + 1);
             assert_views_match(&delta.latest(), &full.latest());
 
             // Follower: the encoded delta alone must reconstruct the
@@ -90,7 +162,8 @@ proptest! {
             let decoded = aaa_core::NetMsg::decode(&wire).expect("delta decodes");
             let applied = aaa_core::ViewDelta::from_msg(&decoded)
                 .expect("ViewDelta message")
-                .apply_to(&follower);
+                .apply_to(&follower)
+                .expect("the leader's own delta fits");
             assert_eq!(&applied, delta.latest().as_ref(), "follower drifted");
             follower = Arc::new(applied);
         }

@@ -34,7 +34,6 @@ pub mod cluster;
 pub mod logp;
 pub mod net;
 pub mod schedule;
-pub mod spmd;
 pub mod stats;
 
 pub use aaa_observe::{EventSink, MemorySink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
