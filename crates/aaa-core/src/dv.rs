@@ -47,6 +47,30 @@
 //! (a new column is `INF` everywhere, there is nothing to propagate) and
 //! move with the row when slots are re-laid out or swap-removed. The
 //! record costs 1 bit per 32-bit cell, +3.1 % of the arena.
+//!
+//! # Chunk bounds
+//!
+//! Next to the record every row keeps two bounds per 64-column chunk,
+//! indexed like the record's words (one word = one chunk):
+//!
+//! * `hi[c]` ≥ every live cell of the chunk. Cells only decrease, so a
+//!   stale `hi` stays valid; only growth can break it, and
+//!   [`DvStore::grow_columns`] raises the chunk the new columns start in
+//!   to `INF` on every row (chunks past the live columns are `INF`
+//!   throughout, like their cells).
+//! * `lo[c]` ≤ every live cell of the chunk. A write that lowers a cell
+//!   without walking its chunk ([`RowMut::lower`], the sparse merges)
+//!   lowers `lo[c]` with it.
+//!
+//! A dense tracked write (the min-merges, [`RowMut::relax_via`], the
+//! kernel's post-round diff, an install) recomputes both bounds exactly
+//! for every chunk it changed, from the cells it already holds. A pass of
+//! row `v` through row `u` can lower a cell of chunk `c` only if
+//! `through + lo_u[c] < hi_v[c]`; every other chunk is skipped, and a
+//! skipped chunk is a proven no-op, so each bounded pass leaves exactly
+//! the cells the full pass would and the closure invariant above is
+//! untouched — only the work moves. The bounds cost two cells per 64,
+//! another +3.1 % of the arena.
 
 use aaa_checkpoint::RowTable;
 use aaa_graph::{Dist, VertexId, INF};
@@ -70,6 +94,10 @@ const PARALLEL_MIN_WORK: usize = 1 << 22;
 /// P = 16 measured 1.30 / 1.27 / 1.23 / 1.30 / 1.32 s for divisors
 /// 2 / 3 / 4 / 8 / 16–32 — shallow around the optimum.
 const SPARSE_DIVISOR: usize = 4;
+
+/// Columns per chunk bound — the width of one change-record word, so the
+/// bounds index like the record.
+const CHUNK: usize = u64::BITS as usize;
 
 /// Calls `f` on the set bits of `words`, in increasing order.
 fn for_each_bit(words: &[u64], mut f: impl FnMut(u32)) {
@@ -147,7 +175,63 @@ impl DirtyBits {
     }
 }
 
-/// One row arena: the cells, the per-cell change record, and slot → id.
+/// What a tracked write maintains beside the cells of a row (or of a chunk
+/// range of it): the change record and both chunk bounds, one entry per 64
+/// columns each.
+struct Track<'a> {
+    delta: &'a mut [u64],
+    hi: &'a mut [Dist],
+    lo: &'a mut [Dist],
+}
+
+impl Track<'_> {
+    /// The part covering chunks `[a, b)`.
+    fn range(&mut self, a: usize, b: usize) -> Track<'_> {
+        Track { delta: &mut self.delta[a..b], hi: &mut self.hi[a..b], lo: &mut self.lo[a..b] }
+    }
+
+    /// Records cell `t` lowered to `d` by a write that does not walk the
+    /// chunk: `hi` goes stale, `lo` follows.
+    #[inline]
+    fn lowered(&mut self, t: usize, d: Dist) {
+        set_bit(self.delta, t);
+        let lo = &mut self.lo[t / CHUNK];
+        *lo = (*lo).min(d);
+    }
+}
+
+/// Exact bounds of every chunk of `row`. Dispatched like [`min_merge`]: the
+/// baseline x86-64 target has no unsigned `u32` min or max.
+fn chunk_bounds(row: &[Dist], hi: &mut [Dist], lo: &mut [Dist]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { chunk_bounds_avx2(row, hi, lo) };
+    }
+    chunk_bounds_scalar(row, hi, lo)
+}
+
+#[inline(always)]
+fn chunk_bounds_scalar(row: &[Dist], hi: &mut [Dist], lo: &mut [Dist]) {
+    for ((chunk, hi), lo) in row.chunks(CHUNK).zip(hi).zip(lo) {
+        (*lo, *hi) = min_max(chunk);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn chunk_bounds_avx2(row: &[Dist], hi: &mut [Dist], lo: &mut [Dist]) {
+    chunk_bounds_scalar(row, hi, lo)
+}
+
+/// `(min, max)` of a non-empty chunk.
+#[inline(always)]
+fn min_max(chunk: &[Dist]) -> (Dist, Dist) {
+    chunk.iter().fold((INF, 0), |(lo, hi), &d| (lo.min(d), hi.max(d)))
+}
+
+/// One row arena: the cells, the per-cell change record, the chunk bounds,
+/// and slot → id.
 #[derive(Debug, Clone, Default)]
 struct Arena {
     /// Number of live columns (current global vertex count).
@@ -160,6 +244,11 @@ struct Arena {
     /// `t` of slot `s` is set when cell `(s, t)` was lowered since the
     /// row last seeded the kernel.
     delta: Vec<u64>,
+    /// Slot-major chunk bounds, indexed like `delta`: `hi` is at least,
+    /// `lo` at most, every live cell of the chunk. `INF` past the live
+    /// columns.
+    hi: Vec<Dist>,
+    lo: Vec<Dist>,
     /// Slot → vertex id.
     ids: Vec<VertexId>,
 }
@@ -178,12 +267,17 @@ impl Arena {
         &self.data[s * self.stride..s * self.stride + self.n]
     }
 
-    /// Row `s` together with its change record, for a tracked write.
-    fn row_mut(&mut self, s: usize) -> (&mut [Dist], &mut [u64]) {
+    /// Row `s` together with its change record and bounds, for a tracked
+    /// write.
+    fn row_mut(&mut self, s: usize) -> (&mut [Dist], Track<'_>) {
         let w = self.words();
         (
             &mut self.data[s * self.stride..s * self.stride + self.n],
-            &mut self.delta[s * w..(s + 1) * w],
+            Track {
+                delta: &mut self.delta[s * w..(s + 1) * w],
+                hi: &mut self.hi[s * w..(s + 1) * w],
+                lo: &mut self.lo[s * w..(s + 1) * w],
+            },
         )
     }
 
@@ -194,31 +288,41 @@ impl Arena {
         self.ids.push(v);
         self.data.resize(self.data.len() + self.stride, INF);
         self.delta.resize(self.delta.len() + self.words(), 0);
+        self.hi.resize(self.hi.len() + self.words(), INF);
+        self.lo.resize(self.lo.len() + self.words(), INF);
         s
     }
 
-    /// Overwrites row `s` (any values: migration, restore, recompute) and
-    /// records every cell. A `row` shorter than the live columns is padded
-    /// with `INF` in place; a longer one is cut.
+    /// Overwrites row `s` (any values: migration, restore, recompute),
+    /// records every cell and recomputes its bounds while the copy is in
+    /// cache. A `row` shorter than the live columns is padded with `INF`
+    /// in place; a longer one is cut.
     fn install(&mut self, s: usize, row: &[Dist]) {
         let n = self.n;
-        let (dst, delta) = self.row_mut(s);
+        let (dst, track) = self.row_mut(s);
         let k = row.len().min(n);
         dst[..k].copy_from_slice(&row[..k]);
         dst[k..].fill(INF);
-        set_prefix(delta, n);
+        set_prefix(track.delta, n);
+        chunk_bounds(dst, track.hi, track.lo);
     }
 
-    /// Grows to `new_n` columns. Past capacity the stride doubles and rows
-    /// and records are re-laid out once; new columns are `INF` with
-    /// nothing recorded.
+    /// Grows to `new_n` columns. Past capacity the stride doubles and rows,
+    /// records and bounds are re-laid out once; new columns are `INF` with
+    /// nothing recorded, which raises `hi` of the chunk they start in.
     fn grow(&mut self, new_n: usize) {
         if new_n > self.stride {
             let new_stride = new_n.max(self.stride * 2);
-            let words = self.words();
+            let (words, new_words) = (self.words(), new_stride.div_ceil(CHUNK));
             self.data = relayout(&self.data, self.n, self.stride, new_stride, INF);
-            self.delta = relayout(&self.delta, words, words, new_stride.div_ceil(64), 0);
+            self.delta = relayout(&self.delta, words, words, new_words, 0);
+            self.hi = relayout(&self.hi, words, words, new_words, INF);
+            self.lo = relayout(&self.lo, words, words, new_words, INF);
             self.stride = new_stride;
+        }
+        if new_n > self.n && self.n % CHUNK != 0 {
+            let (words, straddled) = (self.words(), self.n / CHUNK);
+            self.hi.iter_mut().skip(straddled).step_by(words).for_each(|hi| *hi = INF);
         }
         self.n = new_n;
     }
@@ -232,6 +336,9 @@ impl Arena {
         let row = self.row(s).to_vec();
         if s != last {
             self.data.copy_within(last * stride..(last + 1) * stride, s * stride);
+            for bounds in [&mut self.hi, &mut self.lo] {
+                bounds.copy_within(last * words..(last + 1) * words, s * words);
+            }
             self.delta.copy_within(last * words..(last + 1) * words, s * words);
             let moved = self.ids[last];
             self.ids[s] = moved;
@@ -240,12 +347,16 @@ impl Arena {
         self.ids.pop();
         self.data.truncate(last * stride);
         self.delta.truncate(last * words);
+        self.hi.truncate(last * words);
+        self.lo.truncate(last * words);
         row
     }
 
     fn clear(&mut self) {
         self.data.clear();
         self.delta.clear();
+        self.hi.clear();
+        self.lo.clear();
         self.ids.clear();
     }
 }
@@ -258,12 +369,19 @@ pub struct KernelTally {
     pub calls: u64,
     /// Jacobi rounds over all calls.
     pub rounds: u64,
-    /// Full-width [`relax_via`] row passes.
+    /// Full-width bounded [`relax_via`] row passes.
     pub dense_passes: u64,
-    /// Row passes over a pivot's gathered changed-column list.
+    /// Chunks those passes span.
+    pub chunks_scheduled: u64,
+    /// Chunks of them the bounds could not rule out, i.e. actually
+    /// relaxed.
+    pub chunks_relaxed: u64,
+    /// Row passes made over a pivot's gathered changed-column list.
     pub sparse_passes: u64,
-    /// Cells the passes touched (`n` per dense pass, the list length per
-    /// sparse pass).
+    /// List passes the bounds dropped whole.
+    pub list_passes_skipped: u64,
+    /// Cells actually relaxed (the columns of every relaxed chunk, the
+    /// list length per sparse pass).
     pub cells: u64,
 }
 
@@ -272,7 +390,10 @@ impl std::ops::AddAssign for KernelTally {
         self.calls += o.calls;
         self.rounds += o.rounds;
         self.dense_passes += o.dense_passes;
+        self.chunks_scheduled += o.chunks_scheduled;
+        self.chunks_relaxed += o.chunks_relaxed;
         self.sparse_passes += o.sparse_passes;
+        self.list_passes_skipped += o.list_passes_skipped;
         self.cells += o.cells;
     }
 }
@@ -286,11 +407,34 @@ impl std::iter::Sum for KernelTally {
     }
 }
 
+/// A row held outside the arenas — a stashed broadcast row — with the
+/// per-chunk lower bounds a bounded pass through it needs, computed once.
+#[derive(Debug, Clone)]
+pub struct BoundedRow {
+    cells: Vec<Dist>,
+    lo: Vec<Dist>,
+}
+
+impl BoundedRow {
+    /// Takes `cells`, padded with `INF` (or cut) to `n` columns.
+    pub fn new(mut cells: Vec<Dist>, n: usize) -> Self {
+        cells.resize(n, INF);
+        let lo = cells.chunks(CHUNK).map(|chunk| min_max(chunk).0).collect();
+        Self { cells, lo }
+    }
+
+    /// Grows to `n` columns, `INF`-filled.
+    pub fn grow(&mut self, n: usize) {
+        self.cells.resize(n, INF);
+        self.lo.resize(n.div_ceil(CHUNK), INF);
+    }
+}
+
 /// A local row under a tracked write: every lowering goes through this
-/// handle, so the change record cannot miss one.
+/// handle, so the change record and the bounds cannot miss one.
 pub struct RowMut<'a> {
     row: &'a mut [Dist],
-    delta: &'a mut [u64],
+    track: Track<'a>,
     changed: bool,
 }
 
@@ -306,14 +450,126 @@ impl RowMut<'_> {
     pub fn lower(&mut self, t: VertexId, d: Dist) {
         if d < self.row[t as usize] {
             self.row[t as usize] = d;
-            set_bit(self.delta, t as usize);
+            self.track.lowered(t as usize, d);
             self.changed = true;
         }
     }
 
-    /// `row[t] = min(row[t], through + via[t])` for all `t`.
-    pub fn relax_via(&mut self, through: Dist, via: &[Dist]) {
-        self.changed |= relax_via_tracked(self.row, through, via, self.delta);
+    /// `row[t] = min(row[t], through + via[t])` for all `t`, walking only
+    /// the chunks the bounds cannot rule out.
+    pub fn relax_via(&mut self, through: Dist, via: &BoundedRow) {
+        if through == INF {
+            return;
+        }
+        let (n, chunks) = (self.row.len(), via.lo.len());
+        for g in (0..chunks).step_by(CHUNK) {
+            let end = (g + CHUNK).min(chunks);
+            let mask = walk_mask(&self.track.hi[g..end], through, &via.lo[g..end]);
+            for_each_run(mask, end - g, |a, b| {
+                let cols = (g + a) * CHUNK..((g + b) * CHUNK).min(n);
+                self.changed |= relax_via_tracked(
+                    &mut self.row[cols.clone()],
+                    through,
+                    &via.cells[cols],
+                    self.track.range(g + a, g + b),
+                );
+            });
+        }
+    }
+}
+
+/// Leaving the relax loop and re-entering it after a skipped stretch — a
+/// call, the loop's prologue and remainder handling, a branch the
+/// predictor will likely miss — costs about as much as relaxing this many
+/// chunks. A constant, not a knob: it decides nothing on paper-scale rows
+/// (at 19 chunks nearly every mask with a dead chunk clears the bar), but
+/// a change stream over n = 200 graphs — 4 chunks a row — ran 2 % slower
+/// when a 2-chunk stretch was skipped for one restart.
+const RESTART_CHUNKS: u32 = 2;
+
+/// The chunks a bounded pass walks, one bit each, of a group of at most 64
+/// chunks: a pass with this `through`, via a row bounded below by `lo`, can
+/// lower chunk `c` of a row bounded above by `hi` only if
+/// `through + lo[c] < hi[c]`. Computed whole before any chunk is relaxed
+/// (eight chunks per step on AVX2 hosts), so the pass itself is straight
+/// loops: nothing when no chunk is live, the live runs when the dead
+/// stretches between them save more than the restarts cost, the whole
+/// group otherwise.
+fn walk_mask(hi: &[Dist], through: Dist, lo: &[Dist]) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: AVX2 and POPCNT support was just verified at runtime.
+        return unsafe { walk_mask_avx2(hi, through, lo) };
+    }
+    let mut live = 0;
+    for (c, (&hi, &lo)) in hi.iter().zip(lo).enumerate() {
+        live |= u64::from(through.saturating_add(lo) < hi) << c;
+    }
+    walk_or_all(live, hi.len())
+}
+
+/// `live` if its dead stretches are worth skipping, else all `len` chunks.
+#[inline(always)]
+fn walk_or_all(live: u64, len: usize) -> u64 {
+    let dead = len as u32 - live.count_ones();
+    let runs = (live & !(live << 1)).count_ones();
+    if dead > RESTART_CHUNKS * runs {
+        live
+    } else {
+        !0 >> (CHUNK - len)
+    }
+}
+
+/// [`walk_mask`] with explicit AVX2 (a comparison mask per eight chunks is
+/// one `vmovmskps`; the auto-vectorizer builds it bit by bit).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and POPCNT.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+unsafe fn walk_mask_avx2(hi: &[Dist], through: Dist, lo: &[Dist]) -> u64 {
+    use std::arch::x86_64::*;
+    let len = hi.len().min(lo.len());
+    let through_x8 = _mm256_set1_epi32(through as i32);
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mut live = 0;
+    for at in (0..len).step_by(8) {
+        // Lanes past the end are not loaded and read as 0, which is dead.
+        let within = _mm256_cmpgt_epi32(_mm256_set1_epi32((len - at) as i32), lane);
+        // SAFETY: `at < len`, and a masked load touches only the lanes
+        // `within` selects, all of which lie inside the slices.
+        let (hi, lo) = unsafe {
+            (
+                _mm256_maskload_epi32(hi.as_ptr().add(at).cast(), within),
+                _mm256_maskload_epi32(lo.as_ptr().add(at).cast(), within),
+            )
+        };
+        // Saturating unsigned add, then `cand < hi` as `min(hi, cand) != hi`.
+        let room = _mm256_xor_si256(lo, _mm256_set1_epi32(-1));
+        let cand = _mm256_add_epi32(_mm256_min_epu32(through_x8, room), lo);
+        let dead = _mm256_cmpeq_epi32(_mm256_min_epu32(hi, cand), hi);
+        let dead = _mm256_movemask_ps(_mm256_castsi256_ps(dead));
+        live |= u64::from(!dead as u8) << at;
+    }
+    walk_or_all(live, len)
+}
+
+/// Calls `pass(a, b)` on the chunk ranges `[a, b)` that `mask` selects of a
+/// group of `len` chunks: each run of set bits — except that a full mask
+/// is recognised by a branch of its own, so that the one pass it leads to,
+/// whose bounds are known without the mask, need not wait for it.
+#[inline(always)]
+fn for_each_run(mut mask: u64, len: usize, mut pass: impl FnMut(usize, usize)) {
+    if mask == !0 >> (CHUNK - len) {
+        return pass(0, len);
+    }
+    while mask != 0 {
+        let a = mask.trailing_zeros();
+        let b = a + (mask >> a).trailing_ones();
+        mask &= (!0u64).checked_shl(b).unwrap_or(0);
+        pass(a as usize, b as usize);
     }
 }
 
@@ -327,6 +583,10 @@ struct KernelScratch {
     pivots: Vec<RoundPivot>,
     /// `pivots.len() × words` changed-column sets, pivot-major.
     delta: Vec<u64>,
+    /// Indexed like `delta`: the least value among the changed columns of
+    /// each chunk (`INF` where none changed) — the lower bound of a pass
+    /// that only the pivot's changes can make improve.
+    lo: Vec<Dist>,
     /// `(column, value)` lists of the sparse pivots, back to back.
     gathered: Vec<(VertexId, Dist)>,
     /// Vertex id → index into `pivots` (`NO_PIVOT` otherwise). Reset entry
@@ -348,20 +608,53 @@ struct RoundPivot {
     /// Range of `gathered` holding the changed columns when they are few
     /// enough to go sparse; `None` pushes the whole row.
     list: Option<(u32, u32)>,
+    /// Least and greatest of `lo` over the changed columns' chunks.
+    lo_range: (Dist, Dist),
 }
 
 impl KernelScratch {
     /// Registers `id` as a pivot of the coming round. Its changed-column
     /// set is the last `id_bits.len()` words of `delta`; `row` holds its
-    /// current values. `nl` / `rows` count the local / all rows here.
-    fn push_pivot(&mut self, id: VertexId, local: bool, row: &[Dist], nl: usize, rows: usize) {
+    /// current values and `row_lo` its chunk bounds. `nl` / `rows` count
+    /// the local / all rows here.
+    fn push_pivot(
+        &mut self,
+        id: VertexId,
+        local: bool,
+        (row, row_lo): (&[Dist], &[Dist]),
+        nl: usize,
+        rows: usize,
+    ) {
         let bits = &self.delta[self.delta.len() - self.id_bits.len()..];
         let count: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-        let list = (count * SPARSE_DIVISOR <= row.len()).then(|| {
-            let at = self.gathered.len();
-            for_each_bit(bits, |t| self.gathered.push((t, row[t as usize])));
-            (at as u32, count as u32)
-        });
+        let sparse = count * SPARSE_DIVISOR <= row.len();
+        // One walk over the changed columns takes each chunk's least
+        // changed value and, for a sparse pivot, gathers the list. A chunk
+        // that changed whole (every chunk of a seed without a record)
+        // takes the row's own bound instead.
+        let at = self.gathered.len();
+        let mut lo_range = (INF, 0);
+        for (c, &word) in bits.iter().enumerate() {
+            let mut lo = INF;
+            if word == !0 && !sparse {
+                lo = row_lo[c];
+            } else {
+                let mut word = word;
+                while word != 0 {
+                    let t = c * CHUNK + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    lo = lo.min(row[t]);
+                    if sparse {
+                        self.gathered.push((t as VertexId, row[t]));
+                    }
+                }
+            }
+            self.lo.push(lo);
+            if c * CHUNK < row.len() {
+                lo_range = (lo_range.0.min(lo), lo_range.1.max(lo));
+            }
+        }
+        let list = sparse.then_some((at as u32, count as u32));
         // Case (a): every local row passes through this pivot. Case (b): a
         // local pivot's own row passes densely through each pivot among
         // its changed columns.
@@ -371,7 +664,7 @@ impl KernelScratch {
         }
         self.round_of[id as usize] = self.pivots.len() as u32;
         set_bit(&mut self.id_bits, id as usize);
-        self.pivots.push(RoundPivot { id, list });
+        self.pivots.push(RoundPivot { id, list, lo_range });
     }
 
     /// Retires the finished round's pivot set.
@@ -382,6 +675,7 @@ impl KernelScratch {
         }
         self.pivots.clear();
         self.delta.clear();
+        self.lo.clear();
         self.gathered.clear();
         self.work = 0;
     }
@@ -466,9 +760,10 @@ impl DvStore {
             debug_assert!(self.cached_slot(v).is_none(), "add_local_row over cached row {v}");
             let s = self.local.push_inf(v);
             let n = self.n();
-            let (row, delta) = self.local.row_mut(s);
+            let (row, track) = self.local.row_mut(s);
             row[v as usize] = 0;
-            set_prefix(delta, n);
+            track.lo[v as usize / CHUNK] = 0;
+            set_prefix(track.delta, n);
             self.slot_of[v as usize] = s as u32 | LOCAL_BIT;
         }
         self.mark_changed(v);
@@ -523,8 +818,8 @@ impl DvStore {
     /// arena.
     pub fn update_local_row(&mut self, v: VertexId, f: impl FnOnce(&mut RowMut<'_>)) -> bool {
         let s = self.local_slot(v).expect("update_local_row on missing row");
-        let (row, delta) = self.local.row_mut(s);
-        let mut handle = RowMut { row, delta, changed: false };
+        let (row, track) = self.local.row_mut(s);
+        let mut handle = RowMut { row, track, changed: false };
         f(&mut handle);
         let changed = handle.changed;
         if changed {
@@ -572,8 +867,8 @@ impl DvStore {
     /// dirty) if any entry improved.
     pub fn min_merge_local(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
         let s = self.local_slot(v).expect("min_merge_local on missing row");
-        let (row, delta) = self.local.row_mut(s);
-        let changed = relax_via_tracked(row, 0, incoming, delta);
+        let (row, track) = self.local.row_mut(s);
+        let changed = relax_via_tracked(row, 0, incoming, track);
         if changed {
             self.mark_changed(v);
         }
@@ -585,8 +880,8 @@ impl DvStore {
     /// improved.
     pub fn min_merge_local_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
         let s = self.local_slot(v).expect("min_merge_local_sparse on missing row");
-        let (row, delta) = self.local.row_mut(s);
-        let changed = min_merge_sparse_tracked(row, pairs, delta);
+        let (row, track) = self.local.row_mut(s);
+        let changed = min_merge_sparse_tracked(row, pairs, track);
         if changed {
             self.mark_changed(v);
         }
@@ -611,8 +906,8 @@ impl DvStore {
     /// (creating it if new). Returns `true` if anything improved.
     pub fn min_merge_cached(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
         let (s, new) = self.cached_slot_or_new(v);
-        let (row, delta) = self.cached.row_mut(s);
-        relax_via_tracked(row, 0, incoming, delta) | new
+        let (row, track) = self.cached.row_mut(s);
+        relax_via_tracked(row, 0, incoming, track) | new
     }
 
     /// Sparse variant of [`DvStore::min_merge_cached`] for the delta wire
@@ -621,8 +916,8 @@ impl DvStore {
     /// all-`INF` row — still a sound upper bound.
     pub fn min_merge_cached_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
         let (s, new) = self.cached_slot_or_new(v);
-        let (row, delta) = self.cached.row_mut(s);
-        min_merge_sparse_tracked(row, pairs, delta) | new
+        let (row, track) = self.cached.row_mut(s);
+        min_merge_sparse_tracked(row, pairs, track) | new
     }
 
     /// Drops all cached external rows (used on repartition).
@@ -657,6 +952,27 @@ impl DvStore {
         }
     }
 
+    /// Records every cell of local row `v` as unpropagated.
+    pub fn mark_unpropagated(&mut self, v: VertexId) {
+        let (n, s) = (self.n(), self.local_slot(v).expect("mark_unpropagated on missing row"));
+        set_prefix(self.local.row_mut(s).1.delta, n);
+    }
+
+    /// Declares every row propagated: empties both change records. For
+    /// states known to be closed — rows that are exact shortest paths of
+    /// one graph (IA), rows restored from a barrier snapshot.
+    pub fn clear_unpropagated(&mut self) {
+        self.local.delta.fill(0);
+        self.cached.delta.fill(0);
+    }
+
+    /// True if local row `v` has cells recorded as unpropagated.
+    pub fn has_unpropagated(&self, v: VertexId) -> bool {
+        let words = self.local.words();
+        self.local_slot(v)
+            .is_some_and(|s| self.local.delta[s * words..(s + 1) * words].iter().any(|&w| w != 0))
+    }
+
     /// True if any local row awaits sending.
     pub fn has_dirty(&self) -> bool {
         !self.dirty.is_empty()
@@ -678,12 +994,32 @@ impl DvStore {
         ids
     }
 
-    /// Memory the rows and their change record occupy, in bytes
-    /// (diagnostics; live columns only, excluding the arena's reserve
-    /// capacity).
+    /// Memory the rows, their change record and their chunk bounds occupy,
+    /// in bytes (diagnostics; live columns only, excluding the arena's
+    /// reserve capacity).
     pub fn memory_bytes(&self) -> usize {
-        let per_row = self.n() * std::mem::size_of::<Dist>() + self.n().div_ceil(64) * 8;
+        let per_chunk = 8 + 2 * std::mem::size_of::<Dist>();
+        let per_row = self.n() * std::mem::size_of::<Dist>() + self.n().div_ceil(CHUNK) * per_chunk;
         (self.num_local() + self.num_cached()) * per_row
+    }
+
+    /// Panics unless every chunk bound of every row holds: `lo ≤ min` and
+    /// `hi ≥ max` over the live cells, `hi = INF` past them (what growth
+    /// relies on).
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_bounds(&self) {
+        for arena in [&self.local, &self.cached] {
+            let words = arena.words();
+            for (s, &v) in arena.ids.iter().enumerate() {
+                let (hi, lo) = (&arena.hi[s * words..][..words], &arena.lo[s * words..][..words]);
+                let mut chunks = arena.row(s).chunks(CHUNK);
+                for c in 0..words {
+                    let (min, max) = chunks.next().map_or((INF, INF), min_max);
+                    assert!(lo[c] <= min, "row {v} chunk {c}: lo {} above min {min}", lo[c]);
+                    assert!(hi[c] >= max, "row {v} chunk {c}: hi {} below max {max}", hi[c]);
+                }
+            }
+        }
     }
 
     /// Work the relaxation kernel has done on this store since it was
@@ -722,6 +1058,18 @@ impl DvStore {
     /// the input, which is unique because every relaxation is monotone —
     /// as relaxing everything through everything would.
     ///
+    /// Every pass is **bounded** by the module's chunk bounds. A dense pass
+    /// of row `v` through `u` relaxes only the chunks with
+    /// `D[v][u] + lo_u[c] < hi_v[c]` — where a case (a) pass takes `lo_u`
+    /// over the columns `u` changed in only, since nothing else of `u` can
+    /// improve a row whose `D[v][u]` stood still — and a list pass is
+    /// dropped whole when `D[v][u]` plus the list's least value does not
+    /// get under the greatest `hi_v[c]`. `hi_v` is read as of the round's
+    /// start (stale-high by its end, which is still a bound) and the
+    /// post-round diff refreshes both bounds of every chunk the round
+    /// lowered. A skipped chunk is a proven no-op, so the bounds change the
+    /// [`KernelTally`] and nothing else.
+    ///
     /// The kernel is **Jacobi-structured**: pivots are read from a
     /// snapshot of the local arena taken before the round (cached rows
     /// never change mid-kernel and are read in place; gathered lists are
@@ -754,18 +1102,18 @@ impl DvStore {
         for &u in initial {
             let slot = slot_of.get(u as usize).copied().unwrap_or(NO_SLOT);
             let is_local = slot & LOCAL_BIT != 0;
-            let (row, recorded) = match slot {
+            let (row, track) = match slot {
                 NO_SLOT => continue,
                 s if is_local => local.row_mut((s & !LOCAL_BIT) as usize),
                 s => cached.row_mut(s as usize),
             };
             let at = scratch.delta.len();
-            scratch.delta.extend_from_slice(recorded);
-            recorded.fill(0);
+            scratch.delta.extend_from_slice(track.delta);
+            track.delta.fill(0);
             if scratch.delta[at..].iter().all(|&w| w == 0) {
                 set_prefix(&mut scratch.delta[at..], n);
             }
-            scratch.push_pivot(u, is_local, row, nl, rows);
+            scratch.push_pivot(u, is_local, (row, track.lo), nl, rows);
         }
         if scratch.pivots.is_empty() {
             return false;
@@ -781,6 +1129,10 @@ impl DvStore {
             let round = Round {
                 snap: &snap,
                 cached: &cached.data,
+                hi: &local.hi,
+                lo: &local.lo,
+                cached_lo: &cached.lo,
+                pivot_lo: &scratch.lo,
                 ids: &local.ids,
                 slot_of,
                 n,
@@ -797,18 +1149,25 @@ impl DvStore {
 
             // Next round's pivots: the rows this round lowered, with the
             // columns they were lowered in. Merging a row into its
-            // snapshot yields that diff and re-synchronises the snapshot.
+            // snapshot yields that diff, re-synchronises the snapshot and
+            // — the merged snapshot row being the row — refreshes the
+            // row's bounds in every chunk the round lowered.
             scratch.clear_round();
             for s in 0..nl {
                 if !scratch.changed[s] {
                     continue;
                 }
-                let (v, row) = (local.ids[s], local.row(s));
+                let (v, row) = (local.ids[s], &local.data[s * stride..s * stride + n]);
                 let at = scratch.delta.len();
                 scratch.delta.resize(at + words, 0);
                 let snap_row = &mut snap[s * stride..s * stride + n];
-                relax_via_tracked(snap_row, 0, row, &mut scratch.delta[at..]);
-                scratch.push_pivot(v, true, row, nl, rows);
+                let track = Track {
+                    delta: &mut scratch.delta[at..],
+                    hi: &mut local.hi[s * words..(s + 1) * words],
+                    lo: &mut local.lo[s * words..(s + 1) * words],
+                };
+                relax_via_tracked(snap_row, 0, row, track);
+                scratch.push_pivot(v, true, (row, &local.lo[s * words..]), nl, rows);
                 dirty.insert(v);
                 epoch_dirty.insert(v);
                 any = true;
@@ -898,6 +1257,14 @@ const MAX_BLOCK_ROWS: usize = 64;
 struct Round<'a> {
     snap: &'a [Dist],
     cached: &'a [Dist],
+    /// Chunk bounds of the local arena: `hi` of the rows being relaxed
+    /// (as of the round's start, so possibly stale-high by its end), `lo`
+    /// of local pivots (which the snapshot rows they are read from obey).
+    hi: &'a [Dist],
+    lo: &'a [Dist],
+    cached_lo: &'a [Dist],
+    /// Per round pivot, `lo` over its changed columns only.
+    pivot_lo: &'a [Dist],
     ids: &'a [VertexId],
     slot_of: &'a [u32],
     n: usize,
@@ -914,6 +1281,11 @@ impl Round<'_> {
     fn delta_of(&self, idx: u32) -> &[u64] {
         let words = self.id_bits.len();
         &self.delta[idx as usize * words..][..words]
+    }
+
+    /// Row `s` of a slot-major bounds array, live chunks only.
+    fn bounds_of<'b>(&self, bounds: &'b [Dist], s: usize) -> &'b [Dist] {
+        &bounds[s * self.id_bits.len()..][..self.n.div_ceil(CHUNK)]
     }
 
     /// Runs the round over the local arena `rows`, setting `changed[s]`
@@ -975,28 +1347,47 @@ impl Round<'_> {
                 need.iter_mut().zip(*own).for_each(|(w, d)| *w |= d);
             }
         }
+        // Least and greatest `hi` of each row, for the row-level tests of
+        // the bounded pass; a list that stays above the latter lowers
+        // nothing.
+        let mut hi_range = [(INF, INF); MAX_BLOCK_ROWS];
+        for (i, range) in hi_range.iter_mut().enumerate().take(flags.len()) {
+            *range = min_max(self.bounds_of(self.hi, base + i));
+        }
         let mut tally = KernelTally::default();
         for_each_bit(need, |u| {
-            let via = match self.slot_of[u as usize] {
+            let (via, via_lo) = match self.slot_of[u as usize] {
                 NO_SLOT => return,
-                s if s & LOCAL_BIT != 0 => &self.snap[(s & !LOCAL_BIT) as usize * stride..][..n],
-                s => &self.cached[s as usize * stride..][..n],
+                s if s & LOCAL_BIT != 0 => {
+                    let s = (s & !LOCAL_BIT) as usize;
+                    (&self.snap[s * stride..][..n], self.bounds_of(self.lo, s))
+                }
+                s => {
+                    let s = s as usize;
+                    (&self.cached[s * stride..][..n], self.bounds_of(self.cached_lo, s))
+                }
             };
             // How `u` reaches the rows that did not change in column `u`:
-            // densely, as a list, or (not a round pivot) not at all.
-            let (dense, list) = match self.pivots.get(self.round_of[u as usize] as usize) {
-                Some(&RoundPivot { list: Some((at, len)), .. }) => {
-                    (false, &self.gathered[at as usize..][..len as usize])
+            // densely, as a list, or (not a round pivot) not at all — and
+            // then only its changed columns can improve them, so the pass
+            // is bounded by `lo` over those.
+            let idx = self.round_of[u as usize];
+            let (dense, list, changed_lo, changed_range) = match self.pivots.get(idx as usize) {
+                Some(&RoundPivot { list: Some((at, len)), lo_range, .. }) => {
+                    (false, &self.gathered[at as usize..][..len as usize], via_lo, lo_range)
                 }
-                Some(_) => (true, &[][..]),
-                None => (false, &[][..]),
+                Some(pivot) => {
+                    (true, &[][..], self.bounds_of(self.pivot_lo, idx as usize), pivot.lo_range)
+                }
+                None => (false, &[][..], via_lo, (INF, INF)),
             };
             let (word, bit) = (u as usize / 64, 1 << (u % 64));
+            let mut via_range = None;
             for (i, row) in data.chunks_mut(stride).enumerate() {
                 // Decide before touching the row: most rows of a late
                 // round take no pass through most of the block's pivots.
-                let full = dense || own[i].get(word).is_some_and(|w| w & bit != 0);
-                if !full && list.is_empty() {
+                let own_u = own[i].get(word).is_some_and(|w| w & bit != 0);
+                if !own_u && !dense && list.is_empty() {
                     continue;
                 }
                 let through = row[u as usize];
@@ -1004,10 +1395,24 @@ impl Round<'_> {
                     continue;
                 }
                 let row = &mut row[..n];
-                if full {
-                    flags[i] |= relax_via(row, through, via);
+                if own_u || dense {
+                    // A row that changed in column `u` itself can improve
+                    // anywhere `u` reaches.
+                    let lo = if own_u {
+                        (via_lo, *via_range.get_or_insert_with(|| min_max(via_lo)))
+                    } else {
+                        (changed_lo, changed_range)
+                    };
+                    let hi = (self.bounds_of(self.hi, base + i), hi_range[i]);
                     tally.dense_passes += 1;
-                    tally.cells += n as u64;
+                    tally.chunks_scheduled += lo.0.len() as u64;
+                    let (hit, cells) = relax_via_bounded(row, hi, through, via, lo);
+                    flags[i] |= hit;
+                    // Only a row's last chunk can be short.
+                    tally.chunks_relaxed += cells.div_ceil(CHUNK) as u64;
+                    tally.cells += cells as u64;
+                } else if through.saturating_add(changed_range.0) >= hi_range[i].1 {
+                    tally.list_passes_skipped += 1;
                 } else {
                     flags[i] |= relax_list(row, through, list);
                     tally.sparse_passes += 1;
@@ -1017,6 +1422,43 @@ impl Round<'_> {
         });
         tally
     }
+}
+
+/// One side's chunk bounds in a bounded pass, with their least and
+/// greatest.
+type Bounds<'a> = (&'a [Dist], (Dist, Dist));
+
+/// The bounded dense pass: [`relax_via`] over the chunks of `row` — bounded
+/// above by `hi` — that a pass via a row bounded below by `lo` can lower.
+/// Returns whether anything improved and how many cells were relaxed.
+///
+/// The test runs a row at a time first: a pass that stays above the row's
+/// greatest `hi` lowers nothing, and one that gets under its least `hi`
+/// everywhere needs no mask — on a short row a fair share of the pass.
+fn relax_via_bounded(
+    row: &mut [Dist],
+    (hi, (hi_min, hi_max)): Bounds<'_>,
+    through: Dist,
+    via: &[Dist],
+    (lo, (lo_min, lo_max)): Bounds<'_>,
+) -> (bool, usize) {
+    if through.saturating_add(lo_min) >= hi_max {
+        return (false, 0);
+    }
+    let (n, chunks) = (row.len(), hi.len());
+    if through.saturating_add(lo_max) < hi_min {
+        return (relax_via(row, through, via), n);
+    }
+    let (mut changed, mut relaxed) = (false, 0);
+    for g in (0..chunks).step_by(CHUNK) {
+        let end = (g + CHUNK).min(chunks);
+        for_each_run(walk_mask(&hi[g..end], through, &lo[g..end]), end - g, |a, b| {
+            let cols = (g + a) * CHUNK..((g + b) * CHUNK).min(n);
+            relaxed += cols.len();
+            changed |= relax_via(&mut row[cols.clone()], through, &via[cols]);
+        });
+    }
+    (changed, relaxed)
 }
 
 /// Relaxes `row[t] = min(row[t], through + d)` over a pivot's gathered
@@ -1069,20 +1511,20 @@ unsafe fn min_merge_avx2(dst: &mut [Dist], src: &[Dist]) -> bool {
 }
 
 /// Sparse min-merge of `(column, distance)` pairs (delta wire format),
-/// recording the lowered columns in `delta`. Columns beyond `dst` (sender
+/// recording the lowered columns in `track`. Columns beyond `dst` (sender
 /// grew first — cannot happen in a barrier exchange, but harmless) are
 /// ignored.
 fn min_merge_sparse_tracked(
     dst: &mut [Dist],
     pairs: &[(VertexId, Dist)],
-    delta: &mut [u64],
+    mut track: Track<'_>,
 ) -> bool {
     let mut changed = false;
     for &(t, d) in pairs {
         if let Some(cell) = dst.get_mut(t as usize) {
             if d < *cell {
                 *cell = d;
-                set_bit(delta, t as usize);
+                track.lowered(t as usize, d);
                 changed = true;
             }
         }
@@ -1136,17 +1578,19 @@ unsafe fn relax_via_avx2(row: &mut [Dist], through: Dist, via: &[Dist]) -> bool 
 /// mask of each 8-lane step is moved straight into the record, at the speed
 /// of the untracked loop whether or not anything improves; elsewhere each
 /// 64-column chunk is first probed with the branchless comparison and only
-/// a chunk that improves takes the slower loop that builds its mask.
-fn relax_via_tracked(row: &mut [Dist], through: Dist, via: &[Dist], delta: &mut [u64]) -> bool {
+/// a chunk that improves takes the slower loop that builds its mask. Either
+/// way a chunk that improved gets its bounds recomputed while it is in
+/// registers or L1; the others keep theirs.
+fn relax_via_tracked(row: &mut [Dist], through: Dist, via: &[Dist], track: Track<'_>) -> bool {
     if through == INF {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { relax_via_tracked_avx2(row, through, via, delta) };
+        return unsafe { relax_via_tracked_avx2(row, through, via, track) };
     }
-    relax_via_tracked_scalar(row, through, via, delta)
+    relax_via_tracked_scalar(row, through, via, track)
 }
 
 #[inline(always)]
@@ -1154,10 +1598,13 @@ fn relax_via_tracked_scalar(
     row: &mut [Dist],
     through: Dist,
     via: &[Dist],
-    delta: &mut [u64],
+    track: Track<'_>,
 ) -> bool {
     let mut changed = false;
-    for ((row, via), word) in row.chunks_mut(64).zip(via.chunks(64)).zip(delta) {
+    let chunks = row.chunks_mut(CHUNK).zip(via.chunks(CHUNK));
+    for (((row, via), word), (hi, lo)) in
+        chunks.zip(track.delta).zip(track.hi.iter_mut().zip(track.lo))
+    {
         let mut hit = false;
         for (&r, &b) in row.iter().zip(via) {
             hit |= through.saturating_add(b) < r;
@@ -1169,6 +1616,7 @@ fn relax_via_tracked_scalar(
                 *r = if lower { cand } else { *r };
                 *word |= (lower as u64) << j;
             }
+            (*lo, *hi) = min_max(row);
             changed = true;
         }
     }
@@ -1189,16 +1637,17 @@ unsafe fn relax_via_tracked_avx2(
     row: &mut [Dist],
     through: Dist,
     via: &[Dist],
-    delta: &mut [u64],
+    mut track: Track<'_>,
 ) -> bool {
     use std::arch::x86_64::*;
-    let whole = row.len().min(via.len()) / 64 * 64;
-    let (row, row_tail) = row.split_at_mut(whole);
-    let (via, via_tail) = via.split_at(whole);
-    let (delta, delta_tail) = delta.split_at_mut(whole / 64);
+    let whole = row.len().min(via.len()) / CHUNK;
+    let (row, row_tail) = row.split_at_mut(whole * CHUNK);
+    let (via, via_tail) = via.split_at(whole * CHUNK);
     let through_x8 = _mm256_set1_epi32(through as i32);
     let mut any = 0;
-    for ((row, via), word) in row.chunks_exact_mut(64).zip(via.chunks_exact(64)).zip(delta) {
+    let bounds = track.hi.iter_mut().zip(track.lo.iter_mut());
+    let chunks = row.chunks_exact_mut(CHUNK).zip(via.chunks_exact(CHUNK));
+    for (((row, via), word), (hi, lo)) in chunks.zip(track.delta.iter_mut()).zip(bounds) {
         let mut mask = 0u64;
         for (g, (r, b)) in row.chunks_exact_mut(8).zip(via.chunks_exact(8)).enumerate() {
             // SAFETY: `chunks_exact(8)` yields slices of exactly eight
@@ -1221,8 +1670,12 @@ unsafe fn relax_via_tracked_avx2(
         }
         *word |= mask;
         any |= mask;
+        if mask != 0 {
+            (*lo, *hi) = min_max(row);
+        }
     }
-    (any != 0) | relax_via_tracked_scalar(row_tail, through, via_tail, delta_tail)
+    let tail = track.range(whole, track.delta.len());
+    (any != 0) | relax_via_tracked_scalar(row_tail, through, via_tail, tail)
 }
 
 #[cfg(test)]
@@ -1282,10 +1735,11 @@ mod tests {
 
     #[test]
     fn sparse_merges_improve_and_ignore_out_of_range() {
-        let (mut dst, mut delta) = (vec![5, INF, 2], [0]);
-        assert!(min_merge_sparse_tracked(&mut dst, &[(1, 4), (2, 9), (7, 0)], &mut delta));
+        let (mut dst, mut delta, mut hi, mut lo) = (vec![5, INF, 2], [0], [INF], [2]);
+        let mut track = Track { delta: &mut delta, hi: &mut hi, lo: &mut lo };
+        assert!(min_merge_sparse_tracked(&mut dst, &[(1, 4), (2, 9), (7, 0)], track.range(0, 1)));
+        assert!(!min_merge_sparse_tracked(&mut dst, &[(0, 5)], track));
         assert_eq!((dst.as_slice(), delta), (&[5, 4, 2][..], [0b010]));
-        assert!(!min_merge_sparse_tracked(&mut dst, &[(0, 5)], &mut delta));
 
         let mut dv = DvStore::new(3);
         dv.add_local_row(0);
@@ -1448,7 +1902,7 @@ mod tests {
         let mut dv = DvStore::new(100);
         dv.add_local_row(0);
         dv.min_merge_cached(5, &[0; 100]);
-        assert_eq!(dv.memory_bytes(), 2 * (100 * 4 + 2 * 8));
+        assert_eq!(dv.memory_bytes(), 2 * (100 * 4 + 2 * (8 + 4 + 4)));
     }
 
     #[test]
@@ -1481,9 +1935,22 @@ mod tests {
                 let (mut fast, mut slow) = (row.clone(), row.clone());
                 let mut fast_bits = vec![0u64; len.div_ceil(64)];
                 let mut slow_bits = fast_bits.clone();
-                let hit = relax_via_tracked(&mut fast, through, &via, &mut fast_bits);
-                assert_eq!(hit, relax_via_tracked_scalar(&mut slow, through, &via, &mut slow_bits));
+                let (mut fast_hi, mut fast_lo) =
+                    (vec![INF; fast_bits.len()], vec![0; fast_bits.len()]);
+                let (mut slow_hi, mut slow_lo) = (fast_hi.clone(), fast_lo.clone());
+                let fast_track =
+                    Track { delta: &mut fast_bits, hi: &mut fast_hi, lo: &mut fast_lo };
+                let slow_track =
+                    Track { delta: &mut slow_bits, hi: &mut slow_hi, lo: &mut slow_lo };
+                let hit = relax_via_tracked(&mut fast, through, &via, fast_track);
+                assert_eq!(hit, relax_via_tracked_scalar(&mut slow, through, &via, slow_track));
                 assert_eq!((&fast, &fast_bits), (&slow, &slow_bits), "len {len} short {short}");
+                assert_eq!((&fast_hi, &fast_lo), (&slow_hi, &slow_lo), "len {len} short {short}");
+                // A chunk that improved has exact bounds, the others kept theirs.
+                for (c, chunk) in fast.chunks(64).enumerate() {
+                    let want = if fast_bits[c] != 0 { min_max(chunk) } else { (0, INF) };
+                    assert_eq!((fast_lo[c], fast_hi[c]), want, "len {len} chunk {c}");
+                }
                 let lowered: Vec<u32> =
                     (0..len as u32).filter(|&t| fast[t as usize] < row[t as usize]).collect();
                 let mut recorded = Vec::new();
@@ -1524,12 +1991,17 @@ mod tests {
         assert!(!seq.has_dirty());
     }
 
-    /// Columns recorded as unpropagated on `v`'s row, sorted.
-    fn recorded(dv: &DvStore, v: VertexId) -> Vec<u32> {
-        let (arena, s) = match dv.local_slot(v) {
+    /// The arena holding `v`'s row, and its slot there.
+    fn arena_slot(dv: &DvStore, v: VertexId) -> (&Arena, usize) {
+        match dv.local_slot(v) {
             Some(s) => (&dv.local, s),
             None => (&dv.cached, dv.cached_slot(v).expect("row exists")),
-        };
+        }
+    }
+
+    /// Columns recorded as unpropagated on `v`'s row, sorted.
+    fn recorded(dv: &DvStore, v: VertexId) -> Vec<u32> {
+        let (arena, s) = arena_slot(dv, v);
         let mut cols = Vec::new();
         for_each_bit(&arena.delta[s * arena.words()..(s + 1) * arena.words()], |t| cols.push(t));
         cols
@@ -1632,6 +2104,253 @@ mod tests {
         assert_eq!(after.dense_passes - before.dense_passes, 4);
         assert_eq!(after.sparse_passes, before.sparse_passes);
         assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 1));
+    }
+
+    /// `(lo, hi)` of chunk `c` of `v`'s row.
+    fn bounds(dv: &DvStore, v: VertexId, c: usize) -> (Dist, Dist) {
+        let (arena, s) = arena_slot(dv, v);
+        (arena.lo[s * arena.words() + c], arena.hi[s * arena.words() + c])
+    }
+
+    #[test]
+    fn growth_raises_hi_of_the_straddled_chunk_on_every_row() {
+        let mut dv = DvStore::new(100);
+        dv.install_local(0, &[3; 100], false);
+        dv.install_cached(1, &[4; 100]);
+        assert_eq!((bounds(&dv, 0, 0), bounds(&dv, 0, 1)), ((3, 3), (3, 3)));
+        // Columns 100..110 are INF and live in chunk 1, which began
+        // before the growth; chunk 0 is untouched and `lo` still holds.
+        dv.grow_columns(110);
+        for v in [0, 1] {
+            assert_eq!(bounds(&dv, v, 0).1, 3 + v);
+            assert_eq!(bounds(&dv, v, 1), (3 + v, INF));
+        }
+        dv.check_bounds();
+        // Past capacity (re-layout) and onto a chunk boundary: chunk 2 is
+        // new and `INF` on both sides.
+        dv.min_merge_local(0, &[2; 110]);
+        assert_eq!(bounds(&dv, 0, 1), (2, 2));
+        dv.grow_columns(128);
+        dv.min_merge_local(0, &[1; 128]);
+        dv.grow_columns(300);
+        assert_eq!((bounds(&dv, 0, 1), bounds(&dv, 0, 2)), ((1, 1), (INF, INF)));
+        assert_eq!(bounds(&dv, 1, 1), (4, INF));
+        dv.check_bounds();
+    }
+
+    #[test]
+    fn writes_that_skip_the_chunk_lower_lo_and_dense_ones_refresh_both() {
+        let mut dv = DvStore::new(130);
+        dv.add_local_row(70);
+        assert_eq!((bounds(&dv, 70, 0), bounds(&dv, 70, 1)), ((INF, INF), (0, INF)));
+        // `RowMut::lower` and the sparse merges lower `lo` with the cell
+        // and leave `hi` stale.
+        assert!(dv.update_local_row(70, |row| row.lower(3, 9)));
+        assert_eq!(bounds(&dv, 70, 0), (9, INF));
+        assert!(dv.min_merge_local_sparse(70, &[(5, 4), (129, 2)]));
+        assert_eq!((bounds(&dv, 70, 0), bounds(&dv, 70, 2)), ((4, INF), (2, INF)));
+        assert!(dv.min_merge_cached_sparse(8, &[(64, 6)]));
+        assert_eq!((bounds(&dv, 8, 0), bounds(&dv, 8, 1)), ((INF, INF), (6, INF)));
+        dv.check_bounds();
+        // A dense merge that empties chunk 0 of its INF cells refreshes
+        // the stale `hi`; chunk 1, which it does not improve, keeps its.
+        let mut incoming = vec![INF; 130];
+        incoming[..64].fill(7);
+        assert!(dv.min_merge_local(70, &incoming));
+        assert_eq!((bounds(&dv, 70, 0), bounds(&dv, 70, 1)), ((4, 7), (0, INF)));
+        dv.check_bounds();
+    }
+
+    #[test]
+    fn bounded_edge_relax_refreshes_the_chunks_it_empties() {
+        let mut dv = DvStore::new(320);
+        dv.install_local(0, &[5; 320], false);
+        dv.relax_to_fixed_point(&[0], 1);
+        dv.grow_columns(330);
+        assert_eq!(bounds(&dv, 0, 5), (INF, INF));
+        // Only the grown chunk can improve through a row of 6s; the pass
+        // leaves it without an INF cell and with exact bounds, and walks
+        // no other chunk.
+        let via = BoundedRow::new(vec![6; 330], 330);
+        assert!(dv.update_local_row(0, |row| row.relax_via(1, &via)));
+        assert_eq!(dv.row(0).unwrap()[320..], [7; 10]);
+        assert_eq!((bounds(&dv, 0, 4), bounds(&dv, 0, 5)), ((5, 5), (7, 7)));
+        assert_eq!(recorded(&dv, 0), (320..330).collect::<Vec<_>>());
+        dv.check_bounds();
+    }
+
+    #[test]
+    fn swap_remove_moves_both_bounds() {
+        let mut dv = DvStore::new(70);
+        for v in 0..3 {
+            dv.install_local(v, &[10 + v; 70], false);
+        }
+        dv.remove_local(0);
+        // Row 2 now sits in slot 0, with its own bounds.
+        assert_eq!((bounds(&dv, 2, 0), bounds(&dv, 2, 1)), ((12, 12), (12, 12)));
+        assert_eq!(bounds(&dv, 1, 1), (11, 11));
+        assert_eq!((dv.local.hi.len(), dv.local.lo.len()), (4, 4));
+        dv.check_bounds();
+    }
+
+    #[test]
+    fn the_kernel_leaves_exact_bounds_on_the_rows_it_lowers() {
+        // Five chunks. Row 0 knows the first four (all 10) and reaches the
+        // cached row 300, which knows the last two.
+        let mut dv = DvStore::new(320);
+        let mut row = vec![10; 320];
+        row[256..].fill(INF);
+        (row[0], row[300]) = (0, 2);
+        dv.install_local(0, &row, false);
+        dv.relax_to_fixed_point(&[0], 1);
+        assert_eq!(bounds(&dv, 0, 4), (2, INF));
+        let mut far = vec![INF; 320];
+        far[192..].fill(3);
+        far[300] = 0;
+        dv.min_merge_cached(300, &far);
+        assert!(dv.relax_to_fixed_point(&[300], 1));
+        assert_eq!(dv.row(0).unwrap()[190..194], [10, 10, 5, 5]);
+        // The pass emptied chunk 4 of INF cells: its `hi` is refreshed,
+        // like both bounds of chunk 3.
+        assert_eq!((bounds(&dv, 0, 2), bounds(&dv, 0, 3)), ((10, 10), (5, 5)));
+        assert_eq!(bounds(&dv, 0, 4), (2, 5));
+        let t = dv.kernel_tally();
+        // One dense pass over five chunks, of which the first three were
+        // ruled out.
+        assert_eq!((t.dense_passes, t.chunks_scheduled, t.chunks_relaxed, t.cells), (1, 5, 2, 128));
+        dv.check_bounds();
+    }
+
+    /// The bounds as the parent commit effectively had them: nothing is
+    /// ever ruled out.
+    fn slacken(dv: &mut DvStore) {
+        for arena in [&mut dv.local, &mut dv.cached] {
+            arena.hi.fill(INF);
+            arena.lo.fill(0);
+        }
+    }
+
+    /// Multi-chunk rows (the op-program proptest stays under one chunk):
+    /// random merges, growth and kernel calls must leave the same rows and
+    /// dirty sets whether the bounds prune or are slack, and hold after
+    /// every step.
+    #[test]
+    fn bounded_kernel_matches_the_unbounded_one_on_wide_rows() {
+        let mut x = 0xD1B5_4A32_D192_ED03u64;
+        let mut next = move |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(m)) as Dist
+        };
+        let (mut n, nl, nc) = (150usize, 12u32, 20u32);
+        let mut tight = DvStore::new(n);
+        for v in 0..nl {
+            tight.add_local_row(v);
+        }
+        let mut slack = tight.clone();
+        slacken(&mut slack);
+        let mut pruned = false;
+        for step in 0..60 {
+            // A sparse-ish random row: mostly INF early on, so rows fill
+            // in chunk by chunk.
+            let v = next(nl + nc);
+            let row: Vec<Dist> =
+                (0..n).map(|_| if next(4) == 0 { 1 + next(30) } else { INF }).collect();
+            let pairs: Vec<(VertexId, Dist)> =
+                (0..3).map(|_| (next(n as u32), 1 + next(30))).collect();
+            for dv in [&mut tight, &mut slack] {
+                let changed = match (v < nl, step % 3) {
+                    (true, 0) => dv.min_merge_local_sparse(v, &pairs),
+                    (true, _) => dv.min_merge_local(v, &row),
+                    (false, 0) => dv.min_merge_cached_sparse(v, &pairs),
+                    (false, _) => dv.min_merge_cached(v, &row),
+                };
+                if changed {
+                    dv.relax_to_fixed_point(&[v], if step % 2 == 0 { 1 } else { 4 });
+                }
+            }
+            slacken(&mut slack);
+            tight.check_bounds();
+            assert_eq!(tight.local.data, slack.local.data, "step {step}");
+            assert_eq!(tight.dirty_sorted(), slack.dirty_sorted(), "step {step}");
+            pruned |= tight.kernel_tally().chunks_relaxed < tight.kernel_tally().chunks_scheduled;
+            if step % 20 == 19 {
+                // Within a chunk, then past the capacity.
+                n += if step < 30 { 7 } else { 200 };
+                tight.grow_columns(n);
+                slack.grow_columns(n);
+            }
+        }
+        assert!(pruned, "the bounds never ruled a chunk out");
+        assert!(tight.kernel_tally().cells < slack.kernel_tally().cells);
+    }
+
+    /// Host-stable ratio gates for the bounded pass against the full
+    /// [`relax_via`] pass it replaced, same box, same process (CI
+    /// `perf-gate` runs this in release): pruning must pay where it
+    /// prunes, and cost next to nothing on a short row where it cannot.
+    #[test]
+    #[ignore = "timing; run in release: cargo test --release -p aaa-core -- --ignored bounded_pass_ratios"]
+    fn bounded_pass_ratios() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        // Seconds per pass, best of 5 batches. No pass improves anything,
+        // so every repetition does the same work.
+        let time = |pass: &mut dyn FnMut()| {
+            (0..5)
+                .map(|_| {
+                    let started = Instant::now();
+                    for _ in 0..200_000 {
+                        pass();
+                    }
+                    started.elapsed().as_secs_f64() / 200_000.0
+                })
+                .fold(f64::MAX, f64::min)
+        };
+        let ratio = |chunks: usize, live: usize| {
+            let n = chunks * CHUNK;
+            let (mut row, via) = (vec![10; n], vec![10; n]);
+            // `through + lo < hi` holds on the first `live` chunks only.
+            let hi: Vec<Dist> = (0..chunks).map(|c| if c < live { 20 } else { 10 }).collect();
+            let lo = vec![10; chunks];
+            let full = time(&mut || {
+                black_box(relax_via(black_box(&mut row), black_box(5), black_box(&via)));
+            });
+            let (hi, lo) = ((&hi[..], min_max(&hi)), (&lo[..], min_max(&lo)));
+            let bounded = time(&mut || {
+                black_box(relax_via_bounded(
+                    black_box(&mut row),
+                    black_box(hi),
+                    black_box(5),
+                    black_box(&via),
+                    black_box(lo),
+                ));
+            });
+            println!(
+                "{chunks} chunks, {live} live: full {:.1} ns, bounded {:.1} ns, ratio {:.2}",
+                full * 1e9,
+                bounded * 1e9,
+                bounded / full
+            );
+            bounded / full
+        };
+        let pruned = ratio(19, 1);
+        assert!(
+            pruned <= 0.25,
+            "one live chunk of 19 only {:.2}x faster than the full pass",
+            1.0 / pruned
+        );
+        // Decided by the row-level test, without a mask.
+        let short = ratio(5, 5);
+        assert!(short <= 1.10, "a fully live 5-chunk row costs {short:.2}x the full pass");
+        // Needs the mask, which finds the one dead chunk not worth a
+        // restart: the full pass plus the mask.
+        let masked = ratio(5, 4);
+        assert!(
+            masked <= 1.40,
+            "a 5-chunk row with one dead chunk costs {masked:.2}x the full pass"
+        );
     }
 
     /// A round big enough to fan out (≥ `PARALLEL_MIN_WORK` scheduled

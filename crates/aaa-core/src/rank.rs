@@ -2,7 +2,7 @@
 //! the IA-phase Dijkstra, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
-use crate::dv::{DvStore, KernelTally};
+use crate::dv::{BoundedRow, DvStore, KernelTally};
 use aaa_checkpoint::RankSnapshot;
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
@@ -110,7 +110,7 @@ pub struct RankState {
     /// Distance vectors.
     dv: DvStore,
     /// Rows gathered for the in-flight edge relaxation (Fig. 3 broadcasts).
-    gathered: FxHashMap<VertexId, Vec<Dist>>,
+    gathered: FxHashMap<VertexId, BoundedRow>,
     /// Local rows changed by dynamic updates, pending intra-rank relaxation
     /// (unordered, may repeat; sorted and deduplicated when consumed).
     pending: Vec<VertexId>,
@@ -263,6 +263,9 @@ impl RankState {
                 }
             });
         }
+        // The rows are exact shortest paths of one sub-graph, so they are
+        // closed among themselves: nothing is left to propagate here.
+        dv.clear_unpropagated();
     }
 
     /// Resets every local row to the trivial estimate and reruns the IA
@@ -468,7 +471,7 @@ impl RankState {
         self.owner.extend_from_slice(&msg.owners);
         self.dv.grow_columns(self.owner.len());
         for row in self.gathered.values_mut() {
-            row.resize(self.owner.len(), INF);
+            row.grow(self.owner.len());
         }
         for (i, &o) in msg.owners.iter().enumerate() {
             if o as usize == self.rank {
@@ -548,11 +551,10 @@ impl RankState {
         }
     }
 
-    /// Stashes a broadcast row for the in-flight edge relaxation.
+    /// Stashes a broadcast row for the in-flight edge relaxation, with the
+    /// chunk bounds every pass through it will use.
     pub fn stash_row(&mut self, v: VertexId, row: &[Dist]) {
-        let mut r = row.to_vec();
-        r.resize(self.dv.n(), INF);
-        self.gathered.insert(v, r);
+        self.gathered.insert(v, BoundedRow::new(row.to_vec(), self.dv.n()));
     }
 
     /// The edge-addition relaxation (Fig. 3 lines 26–34, from the authors'
@@ -820,6 +822,14 @@ impl RankState {
         let mut pending = self.pending.clone();
         pending.sort_unstable();
         pending.dedup();
+        // What lets a restore come back propagated without persisting the
+        // change record: at a barrier only pending rows still carry one.
+        debug_assert!(
+            self.local
+                .iter()
+                .all(|&v| !self.dv.has_unpropagated(v) || pending.binary_search(&v).is_ok()),
+            "a recorded row is not pending at a snapshot barrier"
+        );
         RankSnapshot {
             rank: self.rank as u32,
             local: self.dv.export_local_sorted(),
@@ -834,7 +844,10 @@ impl RankState {
     /// graph + partition and the rows must come back bit-identical. Rows
     /// for vertices this rank does not own are skipped; rows shorter than
     /// the current column count are INF-padded by the store. The dirty
-    /// mask and pending set are installed exactly as captured.
+    /// mask and pending set are installed exactly as captured. The rows
+    /// come back propagated: a snapshot is taken at a barrier, where every
+    /// lowered row has already seeded a kernel call, so only the pending
+    /// rows — whose record the snapshot does not carry — are marked whole.
     ///
     /// For recovery against a possibly *older* snapshot use
     /// [`RankState::absorb_snapshot`] instead: replacement here would wipe
@@ -858,6 +871,10 @@ impl RankState {
         }
         self.pending.clear();
         self.pending.extend(snap.pending.iter().copied().filter(|&v| self.dv.is_local(v)));
+        self.dv.clear_unpropagated();
+        for &v in &self.pending {
+            self.dv.mark_unpropagated(v);
+        }
         self.gathered.clear();
         self.reset_wire_tracking();
         self.last_sent = false;
@@ -1242,11 +1259,16 @@ mod tests {
         assert_eq!(r0.dv().row(2).unwrap()[6], 4);
         let after = r0.kernel_tally();
         assert_eq!(after.dense_passes, before.dense_passes, "no dense pass");
-        // Round 1: row 4's one-entry list through the 4 local rows; round
-        // 2: row 3's through the other 3. Column 6 has no row here, so
-        // row 3's own change schedules nothing.
-        assert_eq!(after.sparse_passes - before.sparse_passes, 7);
-        assert_eq!(after.cells - before.cells, 7);
+        // Round 1 schedules row 4's one-entry list through the 4 local
+        // rows, round 2 row 3's through the other 3 (column 6 has no row
+        // here, so row 3's own change schedules nothing). Of those 7 only
+        // one is made: `through + 3` gets under the greatest chunk bound
+        // of row 3 alone; the other rows' bounds prove the list cannot
+        // lower them. Re-pinned for the chunk bounds — from here on the
+        // pass counts may only fall.
+        assert_eq!(after.sparse_passes - before.sparse_passes, 1);
+        assert_eq!(after.list_passes_skipped - before.list_passes_skipped, 6);
+        assert_eq!(after.cells - before.cells, 1);
         assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 2));
     }
 

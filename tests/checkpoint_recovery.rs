@@ -209,6 +209,51 @@ fn resume_counters_survive_restore() {
     assert_eq!(restored.partition().assignment(), engine.partition().assignment());
 }
 
+/// A restore comes back propagated: the snapshot does not carry the
+/// kernel's change record, yet — a snapshot being taken at a barrier — only
+/// pending rows can have one, so the restored engine's first wave is as
+/// sparse as the live engine's, not a dense re-propagation of every row.
+#[test]
+fn restored_engine_absorbs_a_wave_like_the_live_one() {
+    let g = test_graph(260, 17);
+    let config = EngineConfig::deterministic(4);
+    let mut live = AnytimeEngine::new(g, config.clone()).expect("engine");
+    live.run_to_convergence();
+    let snapshot = live.snapshot();
+    let mut restored = AnytimeEngine::from_snapshot(&snapshot, config.clone()).expect("restore");
+
+    let wave = anytime_anywhere::core::changes::preferential_batch(live.graph(), 10, 2, 23);
+    let before = live.kernel_tally();
+    for engine in [&mut live, &mut restored] {
+        engine.apply_vertex_additions(&wave, AssignStrategy::RoundRobin).expect("wave");
+        engine.run_to_convergence();
+    }
+    assert_eq!(restored.distances(), live.distances());
+    assert_eq!(restored.closeness(), live.closeness());
+    // The restored engine's tally starts at zero.
+    let (live_passes, restored_passes) = (
+        live.kernel_tally().dense_passes - before.dense_passes,
+        restored.kernel_tally().dense_passes,
+    );
+    assert!(
+        restored_passes <= live_passes,
+        "restored engine made {restored_passes} dense passes, the live one {live_passes}"
+    );
+
+    // A snapshot between a Repartition-S wave and its first RC step holds
+    // pending rows: those come back marked whole, and both engines still
+    // meet at the same fixed point.
+    let wave = anytime_anywhere::core::changes::preferential_batch(live.graph(), 8, 2, 29);
+    live.apply_vertex_additions(&wave, AssignStrategy::Repartition { seed: 1 }).expect("wave");
+    let snapshot = live.snapshot();
+    assert!(snapshot.ranks.iter().any(|r| !r.pending.is_empty()), "no pending rows captured");
+    let mut restored = AnytimeEngine::from_snapshot(&snapshot, config).expect("restore");
+    live.run_to_convergence();
+    restored.run_to_convergence();
+    assert_eq!(restored.distances(), live.distances());
+    assert_eq!(restored.closeness(), live.closeness());
+}
+
 #[test]
 fn procs_mismatch_is_a_config_error() {
     let g = test_graph(100, 2);

@@ -322,6 +322,16 @@ impl Trio {
     fn check(&self, ctx: &str) {
         assert_matches(&self.seq, &self.reference, &format!("{ctx}, seq"));
         assert_matches(&self.par, &self.reference, &format!("{ctx}, par"));
+        self.check_bounds();
+    }
+
+    /// Every chunk bound of both stores holds (`DvStore::check_bounds`
+    /// exists in builds with debug assertions).
+    fn check_bounds(&self) {
+        #[cfg(debug_assertions)]
+        for state in [&self.seq, &self.par] {
+            state.dv().check_bounds();
+        }
     }
 }
 
@@ -500,6 +510,11 @@ proptest! {
                     r1.consume_rc_messages(out_seq.into_iter().map(|(_, m)| (0, m)).collect());
                 }
             }
+            // Also after the ops that end without a kernel call (a batch
+            // left pending, a migration before its relaxation).
+            trio.check_bounds();
+            #[cfg(debug_assertions)]
+            r1.dv().check_bounds();
         }
     }
 }
