@@ -8,8 +8,13 @@
 //!
 //! Two invariants carry the whole anytime analysis:
 //!
-//! * entries only ever *decrease* (min-merge), so partial results are always
-//!   an upper bound on true distances and quality is monotone;
+//! * every held cell is an upper bound on the true distance *in the current
+//!   graph*. Entries *decrease* (min-merge) between invalidations, so
+//!   quality is monotone while the graph only grows; a decremental change
+//!   (an edge removed or made heavier, a vertex removed) is absorbed by
+//!   [`DvStore::raise`], the one write that increases a cell — to `INF`,
+//!   which is a bound in any graph — see *Raising* below for what it owes
+//!   the record and the bounds;
 //! * on vertex addition, every row grows by the new columns with amortized
 //!   doubling — the `O(n)` resize cost the paper accounts for in §IV.C.1a.
 //!
@@ -53,11 +58,12 @@
 //! Next to the record every row keeps two bounds per 64-column chunk,
 //! indexed like the record's words (one word = one chunk):
 //!
-//! * `hi[c]` ≥ every live cell of the chunk. Cells only decrease, so a
-//!   stale `hi` stays valid; only growth can break it, and
+//! * `hi[c]` ≥ every live cell of the chunk. A lowered cell leaves a
+//!   stale `hi` valid; only growth and a raise can break it.
 //!   [`DvStore::grow_columns`] raises the chunk the new columns start in
 //!   to `INF` on every row (chunks past the live columns are `INF`
-//!   throughout, like their cells).
+//!   throughout, like their cells), [`DvStore::raise`] every chunk it
+//!   touches.
 //! * `lo[c]` ≤ every live cell of the chunk. A write that lowers a cell
 //!   without walking its chunk ([`RowMut::lower`], the sparse merges)
 //!   lowers `lo[c]` with it.
@@ -71,9 +77,29 @@
 //! the cells the full pass would and the closure invariant above is
 //! untouched — only the work moves. The bounds cost two cells per 64,
 //! another +3.1 % of the arena.
+//!
+//! # Raising
+//!
+//! [`DvStore::raise`] sets to `INF` every cell of both arenas that a
+//! [`Witness`] cannot vouch for. What the other structures are owed:
+//!
+//! * the **bounds**: a chunk that lost a cell gets `hi = INF`; `lo` stays
+//!   (a stale-low `lo` is still a bound);
+//! * the **record** is not touched: it lists lowerings still to propagate,
+//!   and a raised cell has nothing to propagate (a bit left on one
+//!   schedules a pass through an `INF` cell, which is skipped);
+//! * the **closure invariant**: a raise only ever slackens
+//!   `D[v][t] ≤ D[v][u] + D[u][t]` on its right-hand side; where it raised
+//!   the left-hand side, [`DvStore::refill`] re-derives the cell as the
+//!   least `D[v][u] + D[u][t]` over every row held here through the
+//!   tracked [`RowMut::lower`] — so it is closed when written, and
+//!   whatever is lowered later on its right is recorded like any lowering;
+//! * the **dirty sets**: a local row that lost a cell is dirty and
+//!   epoch-dirty. A cached row is not refilled; it waits for its owner's
+//!   resend.
 
 use aaa_checkpoint::RowTable;
-use aaa_graph::{Dist, VertexId, INF};
+use aaa_graph::{Dist, VertexId, Weight, INF};
 
 /// `slot_of` sentinel: no row for this vertex.
 const NO_SLOT: u32 = u32::MAX;
@@ -230,6 +256,125 @@ fn min_max(chunk: &[Dist]) -> (Dist, Dist) {
     chunk.iter().fold((INF, 0), |(lo, hi), &d| (lo.min(d), hi.max(d)))
 }
 
+/// What a decremental change leaves behind for [`DvStore::raise`]. For an
+/// edge `(u, v)` of weight `w` that was removed or made heavier: the exact
+/// rows `ru = d(u, ·)` and `rv = d(v, ·)` of the graph **before** the
+/// change. No path from `x` to `t` through the edge is shorter than
+///
+/// > `L(x, t) = min(ru[x] + w + rv[t], rv[x] + w + ru[t])`,
+///
+/// and a held cell is at least the old distance. So `D[x][t] < L(x, t)`
+/// means some old shortest path avoids the edge: the new distance is no
+/// longer than the old one and the cell is still an upper bound — in any
+/// anytime state, not only at convergence. Every other finite cell is
+/// raised to `INF`, which is one. A removed vertex `v` is the edge `(v, v)`
+/// of weight 0: `L(x, t) = rv[x] + rv[t]`.
+#[derive(Debug, Clone)]
+pub struct Witness {
+    ru: Vec<Dist>,
+    /// `None` for a removed vertex, where `ru` serves both ends.
+    rv: Option<Vec<Dist>>,
+    w: Dist,
+}
+
+impl Witness {
+    /// For the edge `(u, v)` of weight `w`: `ru`, `rv` as of before it
+    /// changed.
+    pub fn edge(ru: Vec<Dist>, rv: Vec<Dist>, w: Weight) -> Self {
+        Self { ru, rv: Some(rv), w: w as Dist }
+    }
+
+    /// For a vertex about to lose every edge: its row as of before.
+    pub fn vertex(rv: Vec<Dist>) -> Self {
+        Self { ru: rv, rv: None, w: 0 }
+    }
+
+    /// Broadcast size: a 12-byte header plus each row carried, priced like
+    /// the endpoint rows of an edge addition.
+    pub fn size_bytes(&self) -> usize {
+        12 + (8 + 4 * self.ru.len()) * (1 + usize::from(self.rv.is_some()))
+    }
+
+    /// Raises to `INF` every finite `row[t] ≥ L(x, t)` of vertex `x`'s
+    /// row — never `row[x]`, which no change invalidates — and appends the
+    /// raised columns to `cols`, in increasing order. The one statement of
+    /// the rule: both arenas and the Delta wire's last-sent copies go
+    /// through it.
+    pub fn raise_row(&self, x: VertexId, row: &mut [Dist], cols: &mut Vec<VertexId>) {
+        let (ru, rv) = (&self.ru[..], self.rv.as_deref().unwrap_or(&self.ru));
+        let (a, b) = (rv[x as usize].saturating_add(self.w), ru[x as usize].saturating_add(self.w));
+        // A row that reaches neither end has `L = INF` throughout.
+        if a != INF || b != INF {
+            raise_scan(row, (a, ru), (b, rv), x as usize, cols);
+        }
+    }
+}
+
+/// The scan under [`Witness::raise_row`]: every finite
+/// `row[t] ≥ min(a + ru[t], b + rv[t])` with `t ≠ keep` becomes `INF` and `t`
+/// joins `cols`. Dispatched like [`min_merge`]. A change raises about one
+/// cell in a hundred, so each 64-column chunk is first probed with the
+/// branch-free comparison — all that most chunks take — and only a chunk
+/// with a hit takes the loop that writes.
+fn raise_scan(
+    row: &mut [Dist],
+    via_u: (Dist, &[Dist]),
+    via_v: (Dist, &[Dist]),
+    keep: usize,
+    cols: &mut Vec<VertexId>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified at runtime.
+        return unsafe { raise_scan_avx2(row, via_u, via_v, keep, cols) };
+    }
+    raise_scan_scalar(row, via_u, via_v, keep, cols)
+}
+
+#[inline(always)]
+fn raise_scan_scalar(
+    row: &mut [Dist],
+    (a, ru): (Dist, &[Dist]),
+    (b, rv): (Dist, &[Dist]),
+    keep: usize,
+    cols: &mut Vec<VertexId>,
+) {
+    let unwitnessed = |d: Dist, ru: Dist, rv: Dist| {
+        (d >= a.saturating_add(ru).min(b.saturating_add(rv))) & (d != INF)
+    };
+    let chunks = row.chunks_mut(CHUNK).zip(ru.chunks(CHUNK).zip(rv.chunks(CHUNK)));
+    for (c, (cells, (ru, rv))) in chunks.enumerate() {
+        let mut hit = false;
+        for ((&d, &ru), &rv) in cells.iter().zip(ru).zip(rv) {
+            hit |= unwitnessed(d, ru, rv);
+        }
+        if !hit {
+            continue;
+        }
+        for (j, ((d, &ru), &rv)) in cells.iter_mut().zip(ru).zip(rv).enumerate() {
+            let t = c * CHUNK + j;
+            if unwitnessed(*d, ru, rv) && t != keep {
+                *d = INF;
+                cols.push(t as VertexId);
+            }
+        }
+    }
+}
+
+/// The same loops compiled with AVX2 enabled: unsigned `u32` min and
+/// compare eight lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn raise_scan_avx2(
+    row: &mut [Dist],
+    via_u: (Dist, &[Dist]),
+    via_v: (Dist, &[Dist]),
+    keep: usize,
+    cols: &mut Vec<VertexId>,
+) {
+    raise_scan_scalar(row, via_u, via_v, keep, cols)
+}
+
 /// One row arena: the cells, the per-cell change record, the chunk bounds,
 /// and slot → id.
 #[derive(Debug, Clone, Default)]
@@ -358,6 +503,23 @@ impl Arena {
         self.hi.clear();
         self.lo.clear();
         self.ids.clear();
+    }
+
+    /// Raises every row by `witness`'s rule and calls `raised(v, columns)`
+    /// for each row that lost cells. A chunk that lost one gets `hi = INF`;
+    /// `lo` and the record stay as they are.
+    fn raise(&mut self, witness: &Witness, mut raised: impl FnMut(VertexId, &[VertexId])) {
+        let mut cols = Vec::new();
+        for s in 0..self.ids.len() {
+            let v = self.ids[s];
+            let (row, track) = self.row_mut(s);
+            cols.clear();
+            witness.raise_row(v, row, &mut cols);
+            if !cols.is_empty() {
+                cols.iter().for_each(|&t| track.hi[t as usize / CHUNK] = INF);
+                raised(v, &cols);
+            }
+        }
     }
 }
 
@@ -918,6 +1080,63 @@ impl DvStore {
         let (s, new) = self.cached_slot_or_new(v);
         let (row, track) = self.cached.row_mut(s);
         min_merge_sparse_tracked(row, pairs, track) | new
+    }
+
+    /// The one write that increases cells: raises to `INF` every cell of
+    /// both arenas `witness` cannot vouch for (see [`Witness`] for the rule
+    /// and the module docs for what the record and the bounds are owed).
+    /// Local rows that lost cells become dirty and epoch-dirty and are
+    /// returned with the columns they lost, in slot order, for
+    /// [`DvStore::refill`]; cached rows wait for their owner's resend.
+    pub fn raise(&mut self, witness: &Witness) -> Vec<(VertexId, Vec<VertexId>)> {
+        let mut raised = Vec::new();
+        self.local.raise(witness, |v, cols| raised.push((v, cols.to_vec())));
+        self.cached.raise(witness, |_, _| {});
+        for &(v, _) in &raised {
+            self.mark_changed(v);
+        }
+        raised
+    }
+
+    /// Re-derives the raised cells `cols` of local row `v` from what is
+    /// held here: the least `D[v][u] + D[u][t]` over every row `u` of both
+    /// arenas, and the direct edges `edges` of `v` (the graph as it stands
+    /// after the change). Every cell goes through [`RowMut::lower`], so
+    /// the row comes out closed except through recorded cells — the
+    /// kernel's invariant — without a dense pass of every other row through
+    /// it. Returns whether anything was lowered and how many of `cols`
+    /// came back finite.
+    pub fn refill(
+        &mut self,
+        v: VertexId,
+        cols: &[VertexId],
+        edges: &[(VertexId, Weight)],
+    ) -> (bool, usize) {
+        let s = self.local_slot(v).expect("refill on missing row");
+        let own = self.local.row(s);
+        let mut best = vec![INF; cols.len()];
+        for arena in [&self.local, &self.cached] {
+            for (slot, &u) in arena.ids.iter().enumerate() {
+                let through = own[u as usize];
+                if through == INF {
+                    continue;
+                }
+                let via = arena.row(slot);
+                for (best, &t) in best.iter_mut().zip(cols) {
+                    *best = (*best).min(through.saturating_add(via[t as usize]));
+                }
+            }
+        }
+        let changed = self.update_local_row(v, |row| {
+            for (&t, &d) in cols.iter().zip(&best) {
+                row.lower(t, d);
+            }
+            for &(t, w) in edges {
+                row.lower(t, w as Dist);
+            }
+        });
+        let row = self.local.row(s);
+        (changed, cols.iter().filter(|&&t| row[t as usize] != INF).count())
     }
 
     /// Drops all cached external rows (used on repartition).
@@ -2219,6 +2438,186 @@ mod tests {
         // ruled out.
         assert_eq!((t.dense_passes, t.chunks_scheduled, t.chunks_relaxed, t.cells), (1, 5, 2, 128));
         dv.check_bounds();
+    }
+
+    /// Exact row of vertex `s` of the unit-weight path 0-1-…-(n-1).
+    fn path_row(n: usize, s: usize) -> Vec<Dist> {
+        (0..n).map(|t| t.abs_diff(s) as Dist).collect()
+    }
+
+    /// Witness of that path losing the edge `(u, u+1)`.
+    fn path_cut(n: usize, u: usize) -> Witness {
+        Witness::edge(path_row(n, u), path_row(n, u + 1), 1)
+    }
+
+    #[test]
+    fn the_rule_raises_from_the_witnessed_length_up_and_never_the_self_cell() {
+        // Path 0-1-2-3-4 losing 2-3: from vertex 1 every path to 3 and 4
+        // crossed the edge (L = 2, 3), none to 0 and 2 did (L = 5, 3).
+        let cut = path_cut(5, 2);
+        let mut cols = Vec::new();
+        let mut exact = vec![1, 0, 1, 2, 3];
+        cut.raise_row(1, &mut exact, &mut cols);
+        assert_eq!((exact, &cols[..]), (vec![1, 0, 1, INF, INF], &[3, 4][..]));
+        // `≥`, not `>`: a cell that equals L may be the edge's own path; a
+        // cell one below L is witnessed by another. INF is never "raised".
+        let mut loose = vec![4, 0, 2, 1, INF];
+        cols.clear();
+        cut.raise_row(1, &mut loose, &mut cols);
+        assert_eq!((loose, &cols[..]), (vec![4, 0, 2, 1, INF], &[][..]));
+        // A row that reaches neither end is left alone, whatever it holds.
+        let apart = Witness::edge(vec![0, 1, INF], vec![1, 0, INF], 1);
+        let mut row = vec![7, 7, 0];
+        cols.clear();
+        apart.raise_row(2, &mut row, &mut cols);
+        assert_eq!((row, cols.len()), (vec![7, 7, 0], 0));
+        // A removed vertex: its whole row and its column go, the self
+        // cells stay (L(v, v) = 0 is the one L a self cell can reach).
+        let gone = Witness::vertex(vec![1, 0, 1]);
+        let (mut own, mut other) = (vec![1, 0, 1], vec![0, 1, 2]);
+        cols.clear();
+        gone.raise_row(1, &mut own, &mut cols);
+        gone.raise_row(0, &mut other, &mut cols);
+        assert_eq!(
+            (own, other, &cols[..]),
+            (vec![INF, 0, INF], vec![0, INF, INF], &[0, 2, 1, 2][..])
+        );
+        assert_eq!((cut.size_bytes(), gone.size_bytes()), (12 + 2 * (8 + 20), 12 + 8 + 12));
+    }
+
+    /// The dispatched scan (AVX2 where available) must equal the portable
+    /// one cell for cell, across chunk tails, saturation and `keep`.
+    #[test]
+    fn raise_scan_matches_portable_loop() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in [0usize, 1, 7, 8, 63, 64, 65, 130, 200] {
+            for round in 0..4 {
+                let cell = |r: u64| if r % 7 == 0 { INF } else { (r >> 8) as Dist % 12 };
+                let row: Vec<Dist> = (0..len).map(|_| cell(next())).collect();
+                let ru: Vec<Dist> = (0..len).map(|_| cell(next())).collect();
+                let rv: Vec<Dist> = (0..len).map(|_| cell(next())).collect();
+                let (a, b) = if round == 3 { (INF - 3, 2) } else { (cell(next()), cell(next())) };
+                let keep = next() as usize % len.max(1);
+                let (mut fast, mut slow) = (row.clone(), row.clone());
+                let (mut fast_cols, mut slow_cols) = (Vec::new(), Vec::new());
+                raise_scan(&mut fast, (a, &ru), (b, &rv), keep, &mut fast_cols);
+                raise_scan_scalar(&mut slow, (a, &ru), (b, &rv), keep, &mut slow_cols);
+                assert_eq!((&fast, &fast_cols), (&slow, &slow_cols), "len {len} round {round}");
+                let want: Vec<VertexId> = (0..len)
+                    .filter(|&t| {
+                        let l = a.saturating_add(ru[t]).min(b.saturating_add(rv[t]));
+                        row[t] != INF && row[t] >= l && t != keep
+                    })
+                    .map(|t| t as VertexId)
+                    .collect();
+                assert_eq!(fast_cols, want, "len {len} round {round}");
+                assert!((0..len)
+                    .all(|t| fast[t] == if want.contains(&(t as u32)) { INF } else { row[t] }));
+            }
+        }
+    }
+
+    #[test]
+    fn raise_marks_hi_and_leaves_lo_and_the_record() {
+        // Three chunks. Local rows 10 and 100 and cached row 101 of the
+        // path, exact, with nothing recorded; the path loses 99-100.
+        let n = 130;
+        let exact = |s: usize| path_row(n, s);
+        let mut dv = DvStore::new(n);
+        dv.install_local(10, &exact(10), false);
+        dv.install_local(100, &exact(100), false);
+        dv.install_cached(101, &exact(101));
+        dv.clear_unpropagated();
+        dv.clear_dirty();
+        dv.take_epoch_dirty_sorted();
+        dv.update_local_row(10, |row| row.lower(5, 4));
+        dv.take_dirty_sorted();
+        dv.take_epoch_dirty_sorted();
+        let all_bounds = |dv: &DvStore, v| [0, 1, 2].map(|c| bounds(dv, v, c));
+        let before = [10, 100, 101].map(|v| all_bounds(&dv, v));
+
+        let raised = dv.raise(&path_cut(n, 99));
+        // Row 10 loses everything right of the cut, row 100 everything
+        // left of it; in slot order, columns ascending.
+        assert_eq!(raised.len(), 2);
+        assert_eq!((raised[0].0, &raised[0].1[..]), (10, &(100..130).collect::<Vec<_>>()[..]));
+        assert_eq!((raised[1].0, &raised[1].1[..]), (100, &(0..100).collect::<Vec<_>>()[..]));
+        assert_eq!(dv.row(10).unwrap()[99..101], [89, INF]);
+        assert_eq!(dv.row(100).unwrap()[99..101], [INF, 0]);
+        assert_eq!(dv.row(101).unwrap()[98..102], [INF, INF, 1, 0], "cached rows are raised too");
+        // A chunk that lost a cell has `hi = INF`; the others keep theirs;
+        // `lo` stays everywhere (stale-low on row 100's chunk 0).
+        let touched =
+            [(10, [false, true, true]), (100, [true, true, false]), (101, [true, true, false])];
+        for ((v, touched), before) in touched.into_iter().zip(before) {
+            let want: Vec<_> =
+                before.iter().zip(touched).map(|(b, t)| (b.0, if t { INF } else { b.1 })).collect();
+            assert_eq!(all_bounds(&dv, v).to_vec(), want, "row {v}");
+        }
+        dv.check_bounds();
+        // The record is not touched: row 10 still owes column 5, nothing
+        // else owes anything. Raised local rows are dirty on both sets.
+        assert_eq!(recorded(&dv, 10), vec![5]);
+        assert!(recorded(&dv, 100).is_empty() && recorded(&dv, 101).is_empty());
+        assert_eq!(dv.take_dirty_sorted(), vec![10, 100]);
+        assert_eq!(dv.take_epoch_dirty_sorted(), vec![10, 100]);
+
+        // Swap-remove and growth afterwards keep every bound valid.
+        dv.remove_local(10);
+        assert_eq!(bounds(&dv, 100, 0), (before[1][0].0, INF));
+        dv.grow_columns(140);
+        dv.check_bounds();
+        dv.grow_columns(400);
+        dv.check_bounds();
+        assert_eq!(dv.row(100).unwrap()[100..103], [0, 1, 2]);
+    }
+
+    #[test]
+    fn refill_rederives_raised_cells_through_the_record() {
+        // Cycle 0-1-2-3-4-5-0, unit weights, rows 0 and 1 local, 2 and 5
+        // cached, everything exact and propagated. Edge 0-1 goes.
+        let ring = |s: usize| -> Vec<Dist> {
+            (0..6usize).map(|t| t.abs_diff(s).min(6 - t.abs_diff(s)) as Dist).collect()
+        };
+        let mut dv = DvStore::new(6);
+        dv.install_local(0, &ring(0), false);
+        dv.install_local(1, &ring(1), false);
+        dv.install_cached(2, &ring(2));
+        dv.install_cached(5, &ring(5));
+        dv.clear_unpropagated();
+        dv.clear_dirty();
+        let raised = dv.raise(&Witness::edge(ring(0), ring(1), 1));
+        // From 0 the edge served 1, 2 and (a tie) 3; from 1, 0, 5 and 4.
+        assert_eq!(raised, vec![(0, vec![1, 2, 3]), (1, vec![0, 4, 5])]);
+        assert_eq!(dv.row(0).unwrap(), &[0, INF, INF, INF, 2, 1]);
+        // The cached rows lost the same paths: 5 still vouches for 3 and
+        // 4, 2 for 3 and 4 — what the refill can use; the rest is RC's.
+        assert_eq!(dv.row(5).unwrap(), &[1, INF, INF, 2, 1, 0]);
+        assert_eq!(dv.row(2).unwrap(), &[INF, 1, 0, 1, 2, INF]);
+        // Row 0 gets 3 back through 5; its one remaining edge is re-seeded
+        // (a no-op here). Row 1 gets 4 back through 2.
+        assert_eq!(dv.refill(0, &raised[0].1, &[(5, 1)]), (true, 1));
+        assert_eq!(dv.refill(1, &raised[1].1, &[(2, 1)]), (true, 1));
+        assert_eq!(dv.row(0).unwrap(), &[0, INF, INF, 3, 2, 1]);
+        assert_eq!(dv.row(1).unwrap(), &[INF, 0, 1, 2, 3, INF]);
+        // Refilled cells are recorded like any lowering, and the rows are
+        // closed: seeding them lowers nothing.
+        assert_eq!((recorded(&dv, 0), recorded(&dv, 1)), (vec![3], vec![4]));
+        dv.check_bounds();
+        assert!(!dv.relax_to_fixed_point(&[0, 1], 1));
+        // Nothing held reaches: the cell stays INF and counts as not
+        // refilled; a direct edge alone brings it back.
+        let mut lone = DvStore::new(3);
+        lone.install_local(0, &[0, INF, INF], false);
+        assert_eq!(lone.refill(0, &[1, 2], &[]), (false, 0));
+        assert_eq!(lone.refill(0, &[1, 2], &[(2, 7)]), (true, 1));
+        assert_eq!(lone.row(0).unwrap(), &[0, INF, 7]);
     }
 
     /// The bounds as the parent commit effectively had them: nothing is

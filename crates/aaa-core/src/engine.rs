@@ -15,14 +15,14 @@
 //!   without touching the engine.
 
 use crate::changes::{DynamicChange, VertexBatch};
-use crate::dv::KernelTally;
+use crate::dv::{KernelTally, Witness};
 use crate::error::CoreError;
 use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
 use crate::policy::{RetryPolicy, StrategyPolicy};
 use crate::publish::{BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta};
 use crate::quality::{degraded_closeness_bounds, DegradedReason, DegradedReport};
-use crate::rank::{GrowMsg, RankState, RowMsg, WireFormat};
+use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
 use crate::strategies::{cut_edge_assign, round_robin_assign, AssignStrategy};
 use aaa_checkpoint::{
     CheckpointError, CheckpointPolicy, EngineMeta, GraphSnapshot, PartitionSnapshot, RankSnapshot,
@@ -39,6 +39,7 @@ use aaa_partition::{
     Rebalancer,
 };
 use aaa_runtime::{ChaosPlan, Cluster, ClusterConfig, ClusterError, FaultPlan, RunStats};
+use aaa_store::algo;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -219,6 +220,8 @@ pub struct AnytimeEngine {
     rc_steps: usize,
     rr_cursor: usize,
     changes_applied: u64,
+    /// What the decremental changes raised and refilled, over all ranks.
+    invalidation: InvalidationTally,
     /// Ingest layer: validated, coalesced changes awaiting the next drain.
     changes: ChangeLog,
     /// Publish layer: mints epochs into the shared view cell.
@@ -329,6 +332,7 @@ impl AnytimeEngine {
             rc_steps: 0,
             rr_cursor: 0,
             changes_applied: 0,
+            invalidation: InvalidationTally::default(),
             changes: ChangeLog::new(),
             publisher: Publisher::new(publish_bounds),
             metrics,
@@ -631,6 +635,14 @@ impl AnytimeEngine {
         self.cluster.ranks().iter().map(RankState::kernel_tally).sum()
     }
 
+    /// Selective-invalidation work summed over the ranks, since the engine
+    /// was built or restored: how many cells the decremental changes
+    /// raised and refilled where a restart would have recomputed all of
+    /// them. Deterministic like [`AnytimeEngine::kernel_tally`].
+    pub fn invalidation_tally(&self) -> InvalidationTally {
+        self.invalidation
+    }
+
     /// Publish-layer counters: full vs delta epochs, re-stated rows,
     /// chunk copy/share tallies, top-k index rebuilds.
     pub fn publish_stats(&self) -> PublishStats {
@@ -647,6 +659,19 @@ impl AnytimeEngine {
     /// the full-rebuild baseline for equivalence tests and benches.
     pub fn set_force_full_publish(&mut self, on: bool) {
         self.publisher.set_force_full(on);
+    }
+
+    /// Panics unless every rank's state is admissible for the current
+    /// graph ([`RankState::check_admissible`], against exact APSP) and every
+    /// chunk bound holds — the invariant every change, decremental ones
+    /// included, must leave behind at any point of the analysis.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_admissible(&self) {
+        let exact = aaa_graph::apsp::apsp_dijkstra(&aaa_graph::Csr::from_adj(&self.graph));
+        for s in self.cluster.ranks() {
+            s.check_admissible(&exact);
+            s.dv().check_bounds();
+        }
     }
 
     /// Recomputes closeness with a priced gather superstep (every rank
@@ -1075,8 +1100,9 @@ impl AnytimeEngine {
     /// future work (§VI). Deletion is *logical*: the vertex keeps its id
     /// (global ids are stable across the cluster's DV columns) but loses
     /// every incident edge, making it isolated and giving it closeness 0.
-    /// Shortest paths through it are invalidated, so the engine performs the
-    /// same partial restart as edge deletion. Routed through the ingest log.
+    /// Only the cells a shortest path through it may have witnessed are
+    /// invalidated — the selective invalidation shared with edge deletion,
+    /// one victim at a time. Routed through the ingest log.
     pub fn remove_vertices(&mut self, victims: &[VertexId]) -> Result<(), CoreError> {
         self.submit(DynamicChange::RemoveVertices(victims.to_vec()))?;
         self.drain_changes().map(|_| ())
@@ -1094,31 +1120,31 @@ impl AnytimeEngine {
                 )));
             }
         }
-        // Collect and remove all incident edges at the driver.
-        let mut removed_edges: Vec<(VertexId, VertexId)> = Vec::new();
         for &v in victims {
-            let nbrs: Vec<VertexId> = self.graph.neighbors(v).iter().map(|&(t, _)| t).collect();
-            for t in nbrs {
-                // A batch may list both endpoints; the edge is gone after
-                // the first removal.
-                if self.graph.has_edge(v, t) {
-                    self.graph.remove_edge(v, t)?;
-                    removed_edges.push((v, t));
-                }
+            // A victim without edges (an earlier one's only neighbor, a
+            // repeat) is on no path: nothing to invalidate.
+            if self.graph.degree(v) == 0 {
+                continue;
             }
-        }
-        let payload = removed_edges.clone();
-        self.cluster.broadcast(
-            0,
-            move |_| payload,
-            |edges| 8 * edges.len(),
-            |_, s, edges| {
-                for &(a, b) in edges {
-                    s.erase_edge(a, b);
+            self.invalidate_through(v, v, |engine| {
+                let edges: Vec<(VertexId, VertexId)> =
+                    engine.graph.neighbors(v).iter().map(|&(t, _)| (v, t)).collect();
+                for &(a, b) in &edges {
+                    engine.graph.remove_edge(a, b)?;
                 }
-            },
-        );
-        self.partial_restart();
+                engine.cluster.broadcast(
+                    0,
+                    move |_| edges,
+                    |edges| 8 * edges.len(),
+                    |_, s, edges| {
+                        for &(a, b) in edges {
+                            s.erase_edge(a, b);
+                        }
+                    },
+                );
+                Ok(())
+            })?;
+        }
         self.changes_applied += 1;
         Ok(())
     }
@@ -1145,9 +1171,10 @@ impl AnytimeEngine {
     }
 
     /// Dynamic edge-weight change (companion algorithm [7]). A decrease is
-    /// a relaxation; an increase invalidates shortest paths and triggers
-    /// the partial restart shared with deletion. Routed through the ingest
-    /// log.
+    /// a relaxation; an increase invalidates the cells a shortest path
+    /// over the edge may have witnessed — the selective invalidation
+    /// shared with deletion — and re-seeds the edge at its new weight.
+    /// Routed through the ingest log.
     pub fn set_edge_weight(
         &mut self,
         u: VertexId,
@@ -1168,38 +1195,87 @@ impl AnytimeEngine {
             .graph
             .edge_weight(u, v)
             .ok_or(CoreError::Graph(aaa_graph::GraphError::MissingEdge { u, v }))?;
-        self.graph.set_weight(u, v, w)?;
-        self.cluster.broadcast(
-            0,
-            move |_| (u, v, w),
-            |_| 12,
-            |_, s, &(a, b, w)| s.reweight_edge(a, b, w),
-        );
-        if w < old {
-            self.relax_single_edge(u, v, w);
-        } else if w > old {
-            self.partial_restart();
+        let reweight = |engine: &mut Self| {
+            engine.graph.set_weight(u, v, w)?;
+            engine.cluster.broadcast(
+                0,
+                move |_| (u, v, w),
+                |_| 12,
+                |_, s, &(a, b, w)| s.reweight_edge(a, b, w),
+            );
+            Ok(())
+        };
+        if w > old {
+            self.invalidate_through(u, v, reweight)?;
+        } else {
+            reweight(self)?;
+            if w < old {
+                self.relax_single_edge(u, v, w);
+            }
         }
         self.changes_applied += 1;
         Ok(())
     }
 
-    /// Dynamic edge deletion (simplified variant of the authors' deletion
-    /// algorithm [10]): the decomposition and DV columns are kept, but
-    /// every rank recomputes its rows from its local sub-graph and the RC
-    /// phase re-converges — a partial restart that reuses the anytime
-    /// structure rather than the stale distances. Routed through the
-    /// ingest log.
+    /// Dynamic edge deletion (the job of the authors' deletion algorithm
+    /// [10]): nothing restarts. Every rank raises to `INF` only the cells a
+    /// shortest path over the edge may have witnessed, refills what it can
+    /// from the rows it holds, and the RC phase re-converges the rest —
+    /// see `invalidate_through`. Routed through the ingest log.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), CoreError> {
         self.submit(DynamicChange::RemoveEdge { u, v })?;
         self.drain_changes().map(|_| ())
     }
 
     fn exec_remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), CoreError> {
-        self.graph.remove_edge(u, v)?;
-        self.cluster.broadcast(0, move |_| (u, v), |_| 8, |_, s, &(a, b)| s.erase_edge(a, b));
-        self.partial_restart();
+        self.invalidate_through(u, v, |engine| {
+            engine.graph.remove_edge(u, v)?;
+            engine.cluster.broadcast(0, move |_| (u, v), |_| 8, |_, s, &(a, b)| s.erase_edge(a, b));
+            Ok(())
+        })?;
         self.changes_applied += 1;
+        Ok(())
+    }
+
+    /// Selective invalidation — the one path of every decremental change:
+    /// the edge `(u, v)` removed or made heavier, or (`u == v`) the vertex
+    /// `v` losing every edge. The driver takes the [`Witness`] — exact
+    /// SSSP rows from both ends — on the graph as it stands **before**
+    /// `change` (charged to the cluster clock like CutEdge-PS's
+    /// partitioning), lets `change` mutate the graph and the ranks'
+    /// adjacency, broadcasts the witness once, and every rank raises and
+    /// refills what it holds ([`RankState::invalidate`]). What stays is an
+    /// upper bound in the new graph, what was raised is `INF`, the direct
+    /// edges are seeded: the state RC converges to the exact fixed point
+    /// from, at any point of the analysis.
+    fn invalidate_through(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        change: impl FnOnce(&mut Self) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let started = std::time::Instant::now();
+        let witness = if u == v {
+            Witness::vertex(algo::dijkstra(&self.graph, v))
+        } else {
+            let w = self
+                .graph
+                .edge_weight(u, v)
+                .ok_or(CoreError::Graph(aaa_graph::GraphError::MissingEdge { u, v }))?;
+            Witness::edge(algo::dijkstra(&self.graph, u), algo::dijkstra(&self.graph, v), w)
+        };
+        self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
+        change(self)?;
+        let per_rank = self.cluster.broadcast(
+            0,
+            move |_| witness,
+            Witness::size_bytes,
+            |_, s: &mut RankState, witness| s.invalidate(witness),
+        );
+        self.invalidation.changes += 1;
+        for tally in per_rank {
+            self.invalidation += tally;
+        }
         Ok(())
     }
 
@@ -1223,10 +1299,6 @@ impl AnytimeEngine {
             s.relax_pending();
             s.clear_gathered();
         });
-    }
-
-    fn partial_restart(&mut self) {
-        self.cluster.step(|_, s| s.recompute_from_scratch());
     }
 
     // ----------------------------------------------------------------
@@ -1365,6 +1437,7 @@ impl AnytimeEngine {
             rc_steps: snap.meta.rc_steps as usize,
             rr_cursor: snap.meta.rr_cursor as usize,
             changes_applied: snap.meta.changes_applied,
+            invalidation: InvalidationTally::default(),
             changes: ChangeLog::new(),
             publisher: Publisher::new(publish_bounds),
             metrics,
@@ -1722,12 +1795,21 @@ impl AnytimeEngine {
     /// The failed rank's state is reconstructed from the *current* graph
     /// and partition (ownership/adjacency are derivable), re-seeded with
     /// the local-subgraph Dijkstra bounds, and then overlaid with the
-    /// snapshot's rows for that rank — each an upper bound on the true
-    /// distance, since DV entries only ever decrease. Every rank then
-    /// marks all rows for resend, so subsequent RC steps min-merge the
-    /// recovered rank back to the same unique fixed point (replay
-    /// safety). The snapshot may be older than the failure point (j ≤ k):
-    /// monotonicity makes replaying the gap safe, just not free.
+    /// snapshot's rows for that rank. Every rank then marks all rows for
+    /// resend, so subsequent RC steps min-merge the recovered rank back to
+    /// the same unique fixed point (replay safety). The snapshot may be
+    /// older than the failure point (j ≤ k): between invalidations DV
+    /// entries only decrease, which makes replaying the gap safe, just not
+    /// free.
+    ///
+    /// The overlay is sound only while the snapshot's rows are upper
+    /// bounds for the graph as it is *now*, and a decremental change since
+    /// the capture (an edge removed or made heavier, a vertex removed) ends
+    /// that: min-merging such rows would converge below the true
+    /// distances. The snapshot carries its graph, so the rows are absorbed
+    /// only when every edge it lists is still present at no greater a
+    /// weight; otherwise the rank restarts from its IA rows alone — sound,
+    /// just slower.
     pub fn recover_rank(&mut self, rank: usize, snap: &Snapshot) -> Result<(), CoreError> {
         if rank >= self.config.procs {
             return Err(CoreError::Config(format!(
@@ -1747,7 +1829,12 @@ impl AnytimeEngine {
         let mut fresh = RankState::build(rank, owner, |v| graph.neighbors(v).to_vec());
         self.config.configure_state(&mut fresh);
         fresh.initial_approximation();
-        if let Some(rs) = snap.rank(rank) {
+        let still_bounds = snap
+            .graph
+            .edges
+            .iter()
+            .all(|&(u, v, w)| self.graph.edge_weight(u, v).is_some_and(|now| now <= w));
+        if let Some(rs) = snap.rank(rank).filter(|_| still_bounds) {
             // Merge, don't replace: the snapshot may predate edges the IA
             // pass just learned about (see `absorb_snapshot`).
             fresh.absorb_snapshot(rs);

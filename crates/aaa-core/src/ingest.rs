@@ -17,9 +17,11 @@
 //!   interpreted against the post-pending vertex base);
 //! * consecutive `RemoveVertices` **merge** (deduplicated).
 //!
-//! `RemoveEdge` followed by `AddEdge` is *not* coalesced — removal forces
-//! a partial restart at drain time, and eliding it would skip that
-//! recomputation. Coalescing scans stop at `AddVertices`/`RemoveVertices`
+//! `RemoveEdge` followed by `AddEdge` is *not* coalesced — the removal
+//! must still *invalidate* at drain time (raise every cell a path over the
+//! old edge may have witnessed; nothing restarts), and folding the pair
+//! into a reweight would skip that whenever the new weight is the higher
+//! one. Coalescing scans stop at `AddVertices`/`RemoveVertices`
 //! barriers: those change which edges exist, so edge ops must not be
 //! reordered across them.
 //!
@@ -227,7 +229,8 @@ impl ChangeLog {
         self.stats.submitted += 1;
         // A RemoveEdge of the same pair may sit in the queue; the pair is
         // deliberately *not* annihilated in that direction (the removal
-        // must still force its partial restart at drain time).
+        // must still invalidate the old edge's paths at drain time — a
+        // selective raise, not a restart — before this edge is relaxed in).
         self.queue.push_back(PendingChange {
             change: DynamicChange::AddEdge { u, v, w },
             strategy: None,

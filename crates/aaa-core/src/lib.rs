@@ -81,5 +81,5 @@ pub use quality::{
     degraded_closeness_bounds, CertifiedBoundsCache, DegradedReason, DegradedReport, QualitySample,
     QualityTracker,
 };
-pub use rank::WireFormat;
+pub use rank::{InvalidationTally, WireFormat};
 pub use strategies::AssignStrategy;

@@ -2,7 +2,7 @@
 //! the IA-phase Dijkstra, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
-use crate::dv::{BoundedRow, DvStore, KernelTally};
+use crate::dv::{BoundedRow, DvStore, KernelTally, Witness};
 use aaa_checkpoint::RankSnapshot;
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
@@ -22,7 +22,9 @@ pub enum WireFormat {
     /// Sends only the improved `(column, distance)` pairs to destinations
     /// known to hold the previously-sent row, falling back to the full row
     /// when the delta is dense or the destination is unsynced. Entries
-    /// only decrease, so a delta chain reconstructs the row exactly.
+    /// only decrease between invalidations, and an invalidation raises the
+    /// sender's last-sent copy and the receivers' cached copy by the same
+    /// rule, so a delta chain reconstructs the row exactly.
     Delta,
 }
 
@@ -86,6 +88,36 @@ impl GrowMsg {
     }
 }
 
+/// Deterministic work counters of selective invalidation — what the
+/// decremental changes (edge removals, weight increases, vertex removals)
+/// cost in cells instead of a restart. Exact functions of the run, like
+/// [`KernelTally`]. Rows and cells count **local** rows only, so summed
+/// over ranks they are cells of the n × n matrix; cached copies and the
+/// Delta wire's last-sent copies are raised by the same rule but not
+/// counted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InvalidationTally {
+    /// Invalidations run: one per removed edge, per weight increase and
+    /// per removed vertex that had an edge. Counted by the driver.
+    pub changes: u64,
+    /// Rows that lost at least one cell.
+    pub rows_raised: u64,
+    /// Cells raised to `INF`.
+    pub cells_raised: u64,
+    /// Raised cells the refill brought back finite from rows held on the
+    /// same rank (the rest wait for RC).
+    pub cells_refilled: u64,
+}
+
+impl std::ops::AddAssign for InvalidationTally {
+    fn add_assign(&mut self, o: Self) {
+        self.changes += o.changes;
+        self.rows_raised += o.rows_raised;
+        self.cells_raised += o.cells_raised;
+        self.cells_refilled += o.cells_refilled;
+    }
+}
+
 /// Undirected-edge key for the duplicate-edge probe.
 #[inline]
 fn edge_key(a: VertexId, b: VertexId) -> u64 {
@@ -119,7 +151,9 @@ pub struct RankState {
     /// Worker threads for the relaxation kernel (1 = sequential).
     kernel_threads: usize,
     /// Delta wire tracking: per row, the copy as of its last send, and the
-    /// destinations known to hold exactly that copy.
+    /// destinations known to hold exactly that copy. An invalidation
+    /// raises these copies by the rule the destinations apply to their
+    /// cached ones ([`RankState::invalidate`]), which keeps "exactly".
     sent_snapshot: FxHashMap<VertexId, Vec<Dist>>,
     synced: FxHashMap<VertexId, Vec<Rank>>,
     /// Whether the last produce emitted anything / consume changed anything
@@ -218,8 +252,7 @@ impl RankState {
 
     /// Drops the delta-wire sync tracking: the next produce sends full
     /// rows. Required whenever receiver caches may diverge from what this
-    /// rank believes it sent (migration, restore, recovery resend) or when
-    /// rows may *increase* (recompute), which breaks delta monotonicity.
+    /// rank believes it sent (migration, restore, recovery resend).
     fn reset_wire_tracking(&mut self) {
         self.sent_snapshot.clear();
         self.synced.clear();
@@ -266,27 +299,6 @@ impl RankState {
         // The rows are exact shortest paths of one sub-graph, so they are
         // closed among themselves: nothing is left to propagate here.
         dv.clear_unpropagated();
-    }
-
-    /// Resets every local row to the trivial estimate and reruns the IA
-    /// Dijkstra. Used by the deletion strategy (partial restart that keeps
-    /// the decomposition — a simplified variant of the authors' edge-
-    /// deletion algorithm [10]).
-    pub fn recompute_from_scratch(&mut self) {
-        let n = self.dv.n();
-        for i in 0..self.local.len() {
-            let v = self.local[i];
-            let mut row = vec![INF; n];
-            row[v as usize] = 0;
-            self.dv.install_local(v, &row, true);
-        }
-        self.dv.clear_cache();
-        self.pending.clear();
-        // Rows just *increased* — delta chains off the old values would be
-        // unsound, so the next sends must be full rows.
-        self.reset_wire_tracking();
-        self.initial_approximation();
-        self.dv.mark_all_dirty();
     }
 
     /// Local sub-graph in dense local indices:
@@ -353,8 +365,12 @@ impl RankState {
     ///
     /// Under [`WireFormat::Delta`], a destination that already holds this
     /// row's previously-sent copy receives only the improved `(col, dist)`
-    /// pairs — exact, because entries only decrease — unless the delta is
-    /// dense enough that the full row is smaller on the wire.
+    /// pairs, unless the delta is dense enough that the full row is
+    /// smaller on the wire. `delta_pairs` is exact because the row is
+    /// nowhere above its last-sent copy: entries only decrease between
+    /// invalidations, and an invalidation raises the copy *with* the row —
+    /// a cell raised in the row is raised in the copy, which held at least
+    /// as much — exactly as the destination raises its cached copy.
     pub fn produce_rc_messages(&mut self, cap_bytes: usize) -> Vec<(Rank, RowMsg)> {
         let dirty = self.dv.take_dirty_sorted();
         let mut buckets: FxHashMap<Rank, Vec<(VertexId, RowPayload)>> = FxHashMap::default();
@@ -587,6 +603,42 @@ impl RankState {
     /// Clears the broadcast stash (end of a dynamic batch).
     pub fn clear_gathered(&mut self) {
         self.gathered.clear();
+    }
+
+    /// Selective invalidation — this rank's share of every decremental
+    /// change (the companion deletion \[10\] and weight-change \[7\]
+    /// algorithms' job), run after the change reached the adjacency.
+    /// Every cell held here that `witness` cannot vouch for is raised to
+    /// `INF`: local rows, cached rows, and the Delta wire's last-sent
+    /// copies, all by the one rule ([`Witness::raise_row`]), so a receiver's
+    /// cached copy and the sender's record of it stay equal cell for cell.
+    /// Each raised local cell is then refilled from the rows held here and
+    /// the direct edges, the refilled rows are relaxed to the rank-local
+    /// fixed point, and what this rank cannot know comes back with RC: a
+    /// raised local row is dirty, and a raised cached row is re-sent by its
+    /// owner because an owner row that differs from its last-sent copy is
+    /// dirty already.
+    pub fn invalidate(&mut self, witness: &Witness) -> InvalidationTally {
+        let raised = self.dv.raise(witness);
+        let mut cols = Vec::new();
+        for (&v, copy) in &mut self.sent_snapshot {
+            cols.clear();
+            witness.raise_row(v, copy, &mut cols);
+        }
+        let mut tally =
+            InvalidationTally { rows_raised: raised.len() as u64, ..InvalidationTally::default() };
+        for (v, cols) in &raised {
+            let (changed, refilled) = self.dv.refill(*v, cols, &self.adj[v]);
+            tally.cells_raised += cols.len() as u64;
+            tally.cells_refilled += refilled as u64;
+            // A row with nothing refilled has nothing to propagate (and
+            // seeding it without a record would count as all of it).
+            if changed {
+                self.pending.push(*v);
+            }
+        }
+        self.relax_pending();
+        tally
     }
 
     /// Runs the intra-rank relaxation over all pivots accumulated by
@@ -883,12 +935,15 @@ impl RankState {
 
     /// Min-merges snapshot rows into the current state — the *rank
     /// recovery* path. The snapshot may predate the current graph (j ≤ k,
-    /// possibly with dynamic changes in between), so nothing is replaced:
-    /// the freshly recomputed IA rows — which know every edge present
-    /// *now* — survive, and the snapshot contributes wherever its
-    /// distances are better. Both sides are upper bounds on the true
-    /// distances, so the merge is too, and min-merge replay re-converges
-    /// to the same unique fixed point.
+    /// possibly with additions in between), so nothing is replaced: the
+    /// freshly recomputed IA rows — which know every edge present *now* —
+    /// survive, and the snapshot contributes wherever its distances are
+    /// better. Both sides are upper bounds on the true distances, so the
+    /// merge is too, and min-merge replay re-converges to the same unique
+    /// fixed point. The caller vouches that no decremental change
+    /// separates the snapshot's graph from the current one — after one its
+    /// rows are bounds for a graph that no longer exists
+    /// (`AnytimeEngine::recover_rank` checks).
     pub fn absorb_snapshot(&mut self, snap: &RankSnapshot) {
         for (v, row) in &snap.local {
             if self.dv.is_local(v) {
@@ -939,6 +994,37 @@ impl RankState {
     /// Clones all local rows (testing / gather).
     pub fn local_rows(&self) -> Vec<(VertexId, Vec<Dist>)> {
         self.local.iter().map(|&v| (v, self.dv.local_row(v).expect("local row").to_vec())).collect()
+    }
+
+    /// Panics unless this rank's state is admissible for the graph whose
+    /// exact distances are `exact` — all that RC needs to reach the exact
+    /// fixed point from here: every held cell (local, cached, last-sent
+    /// copy) is at least the true distance, and every local row has its
+    /// self cell and its direct edges seeded.
+    #[cfg(any(test, debug_assertions))]
+    pub fn check_admissible(&self, exact: &aaa_graph::apsp::DistMatrix) {
+        let held = self.dv.all_ids_sorted().into_iter().map(|v| (v, self.dv.row(v).expect("row")));
+        let sent = self.sent_snapshot.iter().map(|(&v, copy)| (v, &copy[..]));
+        for (v, row) in held.chain(sent) {
+            for (t, (&d, &truth)) in row.iter().zip(exact.row(v)).enumerate() {
+                assert!(
+                    d >= truth,
+                    "rank {}: cell {v}→{t} holds {d}, below the distance {truth}",
+                    self.rank
+                );
+            }
+        }
+        for &v in &self.local {
+            let row = self.dv.local_row(v).expect("local row");
+            assert_eq!(row[v as usize], 0, "rank {}: self cell of {v}", self.rank);
+            for &(t, w) in &self.adj[&v] {
+                assert!(
+                    row[t as usize] <= w as Dist,
+                    "rank {}: edge {v}–{t} of weight {w} is not seeded",
+                    self.rank
+                );
+            }
+        }
     }
 }
 
@@ -1270,6 +1356,66 @@ mod tests {
         assert_eq!(after.list_passes_skipped - before.list_passes_skipped, 6);
         assert_eq!(after.cells - before.cells, 1);
         assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 2));
+    }
+
+    /// The Delta wire across an invalidation: sender and receiver raise
+    /// their copies of a sent row by the same rule, so they stay equal cell
+    /// for cell, the next delta is exact, and the exchange ends on the
+    /// distances of the graph without the edge.
+    #[test]
+    fn invalidation_keeps_last_sent_copies_equal_to_the_cached_ones() {
+        // Cycle 0-1-2-3-4-5-0 split {0,1,2} | {3,4,5}; edge 0-1 goes.
+        let ring = |v: VertexId| vec![((v + 1) % 6, 1), ((v + 5) % 6, 1)];
+        let owner = vec![0, 0, 0, 1, 1, 1];
+        let (mut r0, mut r1) =
+            (RankState::build(0, owner.clone(), ring), RankState::build(1, owner, ring));
+        // One exchange; `None` once nothing is left to send, else whether
+        // a sparse delta travelled.
+        let exchange = |r0: &mut RankState, r1: &mut RankState| {
+            let (out0, out1) =
+                (r0.produce_rc_messages(usize::MAX), r1.produce_rc_messages(usize::MAX));
+            let mut payloads = out0.iter().chain(&out1).flat_map(|(_, m)| &m.rows).peekable();
+            payloads.peek()?;
+            let sparse = payloads.any(|(_, p)| matches!(p, RowPayload::Delta(_)));
+            r0.consume_rc_messages(out1.into_iter().map(|(_, m)| (1, m)).collect());
+            r1.consume_rc_messages(out0.into_iter().map(|(_, m)| (0, m)).collect());
+            Some(sparse)
+        };
+        for r in [&mut r0, &mut r1] {
+            r.set_wire(WireFormat::Delta);
+            r.initial_approximation();
+        }
+        while exchange(&mut r0, &mut r1).is_some() {}
+        let row = |s: usize| -> Vec<Dist> {
+            (0..6usize).map(|t| t.abs_diff(s).min(6 - t.abs_diff(s)) as Dist).collect()
+        };
+        assert_eq!(r0.dv().row(0).unwrap(), &row(0)[..]);
+
+        let witness = Witness::edge(row(0), row(1), 1);
+        let mut tally = InvalidationTally::default();
+        for r in [&mut r0, &mut r1] {
+            r.erase_edge(0, 1);
+            tally += r.invalidate(&witness);
+        }
+        // The paths over the edge, ties included: 3 cells each from its
+        // ends, 2 from their neighbors, 1 from the far side.
+        assert_eq!((tally.rows_raised, tally.cells_raised), (6, 12));
+        assert!(tally.cells_refilled > 0 && tally.cells_refilled < 12);
+        for (sender, receiver) in [(&r0, &r1), (&r1, &r0)] {
+            assert!(!sender.sent_snapshot.is_empty());
+            for (v, copy) in &sender.sent_snapshot {
+                assert_eq!(receiver.dv().row(*v).unwrap(), &copy[..], "last-sent copy of {v}");
+            }
+        }
+        let mut sparse = false;
+        while let Some(delta) = exchange(&mut r0, &mut r1) {
+            sparse |= delta;
+        }
+        assert!(sparse, "the sync survived the invalidation: deltas, not full rows");
+        // The path 1-2-3-4-5-0.
+        assert_eq!(r0.dv().row(0).unwrap(), &[0, 5, 4, 3, 2, 1]);
+        assert_eq!(r0.dv().row(1).unwrap(), &[5, 0, 1, 2, 3, 4]);
+        assert_eq!(r1.dv().row(3).unwrap(), &[3, 2, 1, 0, 1, 2]);
     }
 
     #[test]

@@ -710,8 +710,9 @@ impl<S: Send> Cluster<S> {
     }
 
     /// Broadcast from `root`: `produce` builds the payload on the root rank,
-    /// then every rank (including the root) consumes a reference to it.
-    /// Priced as a binomial tree of `size` bytes.
+    /// then every rank (including the root) consumes a reference to it;
+    /// returns what the ranks made of it, in rank order. Priced as a
+    /// binomial tree of `size` bytes.
     ///
     /// Collectives are *reliable*: the tree links are acknowledged, so a
     /// chaos plan never loses a broadcast payload — structural updates
@@ -720,16 +721,18 @@ impl<S: Send> Cluster<S> {
     /// dropped or corrupted tree links cost a retransmission, duplicates
     /// cost a redundant copy, delayed links add latency. All are counted
     /// in [`RunStats::faults`].
-    pub fn broadcast<M, FP, FC>(
+    pub fn broadcast<M, R, FP, FC>(
         &mut self,
         root: Rank,
         produce: FP,
         size_of: impl Fn(&M) -> usize,
         consume: FC,
-    ) where
+    ) -> Vec<R>
+    where
         M: Sync + Send,
+        R: Send,
         FP: FnOnce(&mut S) -> M,
-        FC: Fn(Rank, &mut S, &M) + Sync,
+        FC: Fn(Rank, &mut S, &M) -> R + Sync,
     {
         assert!(root < self.p(), "broadcast root {root} out of range");
         let payload = produce(&mut self.states[root]);
@@ -803,7 +806,7 @@ impl<S: Send> Cluster<S> {
             });
         }
         let payload_ref = &payload;
-        self.step(move |rank, state| consume(rank, state, payload_ref));
+        self.step(move |rank, state| consume(rank, state, payload_ref))
     }
 
     /// OR-reduction over a per-rank predicate, priced as an all-reduce tree

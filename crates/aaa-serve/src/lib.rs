@@ -408,28 +408,39 @@ mod tests {
         let mut e = engine(150, 4);
         let h = ServeHandle::attach(&e);
         let n = e.graph().num_vertices() as u32;
+        // Every reader queries the IA view before the writer starts, so
+        // each one provably reads across the convergence however late it
+        // is first scheduled (a release-profile engine converges n = 150
+        // before a fresh thread gets its first slice).
+        let started = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let h = h.clone();
+                let (h, started) = (h.clone(), started.clone());
                 std::thread::spawn(move || {
                     let mut last_epoch = 0;
                     let mut lookups = 0u64;
-                    while !h.view().converged {
+                    loop {
                         let view = h.view();
                         assert!(view.epoch >= last_epoch, "epoch went backwards");
-                        last_epoch = view.epoch;
                         for v in 0..n {
                             // Every vertex answers in every epoch (views
                             // are complete, never partial).
                             assert!(view.point(v).is_some());
                             lookups += 1;
                         }
+                        if last_epoch == 0 {
+                            started.wait();
+                        }
+                        last_epoch = view.epoch;
+                        if view.converged {
+                            return lookups;
+                        }
                     }
-                    lookups
                 })
             })
             .collect();
         // The writer thread drives the BSP loop while readers hammer away.
+        started.wait();
         let summary = e.run_to_convergence();
         assert!(summary.converged);
         for r in readers {

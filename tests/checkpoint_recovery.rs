@@ -265,3 +265,66 @@ fn procs_mismatch_is_a_config_error() {
     };
     assert!(matches!(err, CoreError::Config(_)), "got {err:?}");
 }
+
+/// A snapshot's rows are upper bounds for the *snapshot's* graph. After a
+/// decremental change they are not bounds for the current one, and
+/// min-merging them in converged — `converged: true` — below the true
+/// distances. Recovery must notice (the snapshot carries its graph) and
+/// rebuild the rank from IA alone; after additions only, it still absorbs.
+#[test]
+fn recovery_from_a_snapshot_that_predates_a_deletion_is_exact() {
+    use anytime_anywhere::core::DynamicChange;
+    use anytime_anywhere::graph::apsp::apsp_dijkstra;
+    use anytime_anywhere::graph::{Csr, INF};
+
+    let change_for = |kind: usize, g: &AdjGraph| {
+        let (u, v, w) = g.edges().nth(3).expect("fourth edge");
+        match kind {
+            0 => DynamicChange::RemoveEdge { u, v },
+            1 => DynamicChange::SetWeight { u, v, w: w + 3 },
+            2 => DynamicChange::RemoveVertices(vec![v]),
+            _ => {
+                let far = (0..60).rev().find(|&t| t != u && !g.has_edge(u, t)).expect("non-edge");
+                DynamicChange::AddEdge { u, v: far, w: 1 }
+            }
+        }
+    };
+    for kind in 0..4 {
+        let mut wrong = Vec::new();
+        for seed in 0..20 {
+            let g = barabasi_albert(60, 2, WeightModel::Unit, seed).expect("generator");
+            let mut engine = AnytimeEngine::new(g, EngineConfig::deterministic(4)).expect("engine");
+            engine.run_to_convergence();
+            let snapshot = engine.snapshot();
+            let change = change_for(kind, engine.graph());
+            engine.apply_change(&change, AssignStrategy::RoundRobin).expect("valid change");
+            engine.rc_step();
+            let before = engine.kernel_tally().dense_passes;
+            engine.recover_rank(1, &snapshot).expect("recovery");
+            if kind == 3 {
+                // Absorbed: the recovered rank is back on the snapshot's
+                // converged rows (IA alone sees its sub-graph only), and
+                // re-converging costs what it did before this check
+                // existed.
+                let rows = engine.distances();
+                let owned = (0..60u32).filter(|&v| engine.partition().part_of(v) == 1);
+                let unknown =
+                    owned.flat_map(|v| rows.row(v).to_vec()).filter(|&d| d == INF).count();
+                assert_eq!(unknown, 0, "seed {seed}: the snapshot was not absorbed");
+            }
+            assert!(engine.run_to_convergence().converged);
+            if kind == 3 && seed == 0 {
+                let passes = engine.kernel_tally().dense_passes - before;
+                assert!(passes <= ABSORBED_DENSE_PASSES, "{passes} dense passes");
+            }
+            if engine.distances() != apsp_dijkstra(&Csr::from_adj(engine.graph())) {
+                wrong.push(seed);
+            }
+        }
+        assert!(wrong.is_empty(), "kind {kind}: wrong distances on seeds {wrong:?}");
+    }
+}
+
+/// Dense passes the addition case above took at seed 0 before recovery
+/// checked the snapshot's graph.
+const ABSORBED_DENSE_PASSES: u64 = 1157;

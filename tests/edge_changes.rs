@@ -47,14 +47,30 @@ fn many_edge_additions_connect_components() {
 }
 
 #[test]
-fn edge_deletion_partial_restart() {
-    let g = barabasi_albert(60, 3, WeightModel::Unit, 7).unwrap();
+fn edge_deletion_invalidates_selectively() {
+    // A pendant vertex 60 hangs off the 60-vertex graph by one leaf edge.
+    let mut g = barabasi_albert(60, 3, WeightModel::Unit, 7).unwrap();
+    g.add_vertices(1);
+    g.add_edge(60, 0, 1).unwrap();
     let mut engine = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
     engine.run_to_convergence();
     let (u, v, _) = g.edges().next().unwrap();
     let mut full = g.clone();
     full.remove_edge(u, v).unwrap();
     engine.remove_edge(u, v).unwrap();
+    assert_matches_reference(&mut engine, &full);
+
+    // Only the leaf's row and the leaf's column ever used the leaf edge:
+    // removing it raises 2(n − 1) cells of the n × n matrix, not n².
+    let before = engine.invalidation_tally();
+    assert_eq!(before.changes, 1);
+    full.remove_edge(60, 0).unwrap();
+    engine.remove_edge(60, 0).unwrap();
+    let after = engine.invalidation_tally();
+    assert_eq!(after.changes, 2);
+    assert_eq!(after.rows_raised - before.rows_raised, 61);
+    assert_eq!(after.cells_raised - before.cells_raised, 2 * 60);
+    assert_eq!(after.cells_refilled, before.cells_refilled, "nothing reaches an isolated vertex");
     assert_matches_reference(&mut engine, &full);
 }
 
