@@ -31,27 +31,42 @@
 //! tagged with the top bit) replaces the hashmap row lookup, and the dirty
 //! set is a bitset over global ids (sorted iteration for free).
 //!
-//! # The change record and the closure invariant
+//! # Records and the closure invariant
 //!
-//! Next to the cells each arena keeps one bit per cell, slot-indexed like
-//! the rows: bit `t` of row `v` is set when `D[v][t]` was lowered since
-//! `v` last seeded the relaxation kernel. The kernel maintains, and every
-//! write path preserves, this invariant:
+//! Next to the cells the arenas keep per-cell bit records, slot-indexed
+//! like the rows: two on the local arena, one on the cached arena.
+//!
+//! * **unpropagated** (both arenas): bit `t` of row `v` is set when
+//!   `D[v][t]` was lowered since `v` last seeded the relaxation kernel.
+//!   The rows with a non-empty record are the seeds of the next kernel
+//!   call ([`DvStore::relax_unpropagated`]); seeding a row clears its
+//!   record — like `dirty` persists until the row is sent.
+//! * **unsent** (local arena; a cached row is never sent): bit `t` is set
+//!   when `D[v][t]` was lowered since row `v` was last sent. The Delta
+//!   wire reads it ([`DvStore::unsent_pairs`]); only a send clears it
+//!   ([`DvStore::clear_unsent`]).
+//!
+//! Both have one producer, the lowered-cell mask of a write: exactly the
+//! cells it lowered (the min-merges, [`DvStore::update_local_row`], the
+//! kernel's post-round diff) or the whole row (fresh and installed rows;
+//! [`DvStore::mark_all_unpropagated`] for events that pair rows anew
+//! without lowering a cell). A write to a local row takes its mask in a
+//! scratch row of words and ORs it into both records afterwards, so the
+//! dense loops keep one mask however many readers it has. Growth extends a
+//! record with zeros (a new column is `INF` everywhere), a re-layout and a
+//! swap-remove move it with the row, an install sets it whole and a raise
+//! sets no bit (see *Raising*). Each costs 1 bit per 32-bit cell, +3.1 %
+//! of the arena.
+//!
+//! The kernel maintains, and every write path preserves, this invariant:
 //!
 //! > after every [`DvStore::relax_to_fixed_point`] call, for every local
 //! > row `v`, every pivot `u` with a row here and every column `t`:
 //! > `D[v][t] ≤ D[v][u] + D[u][t]`, except through cells recorded as
 //! > unpropagated.
 //!
-//! A write either records exactly the cells it lowered (the min-merges,
-//! [`DvStore::update_local_row`]) or marks the whole row (fresh, installed
-//! and migrated rows, [`DvStore::mark_all_unpropagated`]); a seeded row
-//! with nothing recorded counts as all columns, so over-approximation is
-//! always safe. Bits persist until the row is actually seeded — like
-//! `dirty` persists until sent — are extended with zeros by `grow_columns`
-//! (a new column is `INF` everywhere, there is nothing to propagate) and
-//! move with the row when slots are re-laid out or swap-removed. The
-//! record costs 1 bit per 32-bit cell, +3.1 % of the arena.
+//! A seeded row with nothing recorded counts as all columns, so
+//! over-approximation is always safe.
 //!
 //! # Chunk bounds
 //!
@@ -85,9 +100,13 @@
 //!
 //! * the **bounds**: a chunk that lost a cell gets `hi = INF`; `lo` stays
 //!   (a stale-low `lo` is still a bound);
-//! * the **record** is not touched: it lists lowerings still to propagate,
-//!   and a raised cell has nothing to propagate (a bit left on one
-//!   schedules a pass through an `INF` cell, which is skipped);
+//! * the **records** are not touched: *unpropagated* lists lowerings
+//!   still to propagate, and a raised cell has nothing to propagate (a bit
+//!   left on one schedules a pass through an `INF` cell, which is skipped);
+//!   *unsent* need not learn of a raise because the receivers make it too
+//!   (a cell with a clear bit equals every synced receiver's, so the rule
+//!   decides alike on both sides; one with a set bit is `INF` now, which
+//!   never travels);
 //! * the **closure invariant**: a raise only ever slackens
 //!   `D[v][t] ≤ D[v][u] + D[u][t]` on its right-hand side; where it raised
 //!   the left-hand side, [`DvStore::refill`] re-derives the cell as the
@@ -202,8 +221,9 @@ impl DirtyBits {
 }
 
 /// What a tracked write maintains beside the cells of a row (or of a chunk
-/// range of it): the change record and both chunk bounds, one entry per 64
-/// columns each.
+/// range of it): the mask of the cells it lowered (a cached row's record
+/// itself, [`DvStore::write_local`]'s scratch mask for a local row) and
+/// both chunk bounds, one entry per 64 columns each.
 struct Track<'a> {
     delta: &'a mut [u64],
     hi: &'a mut [Dist],
@@ -375,8 +395,8 @@ unsafe fn raise_scan_avx2(
     raise_scan_scalar(row, via_u, via_v, keep, cols)
 }
 
-/// One row arena: the cells, the per-cell change record, the chunk bounds,
-/// and slot → id.
+/// One row arena: the cells, the per-cell records, the chunk bounds, and
+/// slot → id.
 #[derive(Debug, Clone, Default)]
 struct Arena {
     /// Number of live columns (current global vertex count).
@@ -385,10 +405,15 @@ struct Arena {
     stride: usize,
     /// Slot-major cells: slot `s` at `[s * stride, s * stride + n)`.
     data: Vec<Dist>,
-    /// Slot-major change record, `stride.div_ceil(64)` words per row: bit
-    /// `t` of slot `s` is set when cell `(s, t)` was lowered since the
-    /// row last seeded the kernel.
+    /// Slot-major *unpropagated* record, `stride.div_ceil(64)` words per
+    /// row: bit `t` of slot `s` is set when cell `(s, t)` was lowered since
+    /// the row last seeded the kernel.
     delta: Vec<u64>,
+    /// The *unsent* record, laid out like `delta` (lowered since the row
+    /// was last sent). Kept where `sends` is set, the local arena; empty
+    /// on the cached one.
+    unsent: Vec<u64>,
+    sends: bool,
     /// Slot-major chunk bounds, indexed like `delta`: `hi` is at least,
     /// `lo` at most, every live cell of the chunk. `INF` past the live
     /// columns.
@@ -399,21 +424,25 @@ struct Arena {
 }
 
 impl Arena {
-    fn new(n: usize) -> Self {
-        Self { n, stride: n, ..Self::default() }
+    fn new(n: usize, sends: bool) -> Self {
+        Self { n, stride: n, sends, ..Self::default() }
     }
 
-    /// Change-record words per row.
+    /// Record words per row.
     fn words(&self) -> usize {
         self.stride.div_ceil(64)
+    }
+
+    /// The records this arena keeps, for what structural changes owe each.
+    fn records(&mut self) -> impl Iterator<Item = &mut Vec<u64>> {
+        [&mut self.delta, &mut self.unsent].into_iter().take(1 + usize::from(self.sends))
     }
 
     fn row(&self, s: usize) -> &[Dist] {
         &self.data[s * self.stride..s * self.stride + self.n]
     }
 
-    /// Row `s` together with its change record and bounds, for a tracked
-    /// write.
+    /// Row `s` together with its unpropagated record and bounds.
     fn row_mut(&mut self, s: usize) -> (&mut [Dist], Track<'_>) {
         let w = self.words();
         (
@@ -429,13 +458,19 @@ impl Arena {
     /// Appends an all-`INF` row for `v` with nothing recorded; returns its
     /// slot.
     fn push_inf(&mut self, v: VertexId) -> usize {
-        let s = self.ids.len();
+        let (s, words) = (self.ids.len(), self.words());
         self.ids.push(v);
         self.data.resize(self.data.len() + self.stride, INF);
-        self.delta.resize(self.delta.len() + self.words(), 0);
-        self.hi.resize(self.hi.len() + self.words(), INF);
-        self.lo.resize(self.lo.len() + self.words(), INF);
+        self.records().for_each(|r| r.resize((s + 1) * words, 0));
+        self.hi.resize(self.hi.len() + words, INF);
+        self.lo.resize(self.lo.len() + words, INF);
         s
+    }
+
+    /// Sets every live cell of row `s` in every record.
+    fn record_whole(&mut self, s: usize) {
+        let (n, words) = (self.n, self.words());
+        self.records().for_each(|r| set_prefix(&mut r[s * words..(s + 1) * words], n));
     }
 
     /// Overwrites row `s` (any values: migration, restore, recompute),
@@ -443,13 +478,12 @@ impl Arena {
     /// cache. A `row` shorter than the live columns is padded with `INF`
     /// in place; a longer one is cut.
     fn install(&mut self, s: usize, row: &[Dist]) {
-        let n = self.n;
         let (dst, track) = self.row_mut(s);
-        let k = row.len().min(n);
+        let k = row.len().min(dst.len());
         dst[..k].copy_from_slice(&row[..k]);
         dst[k..].fill(INF);
-        set_prefix(track.delta, n);
         chunk_bounds(dst, track.hi, track.lo);
+        self.record_whole(s);
     }
 
     /// Grows to `new_n` columns. Past capacity the stride doubles and rows,
@@ -460,7 +494,7 @@ impl Arena {
             let new_stride = new_n.max(self.stride * 2);
             let (words, new_words) = (self.words(), new_stride.div_ceil(CHUNK));
             self.data = relayout(&self.data, self.n, self.stride, new_stride, INF);
-            self.delta = relayout(&self.delta, words, words, new_words, 0);
+            self.records().for_each(|r| *r = relayout(r, words, words, new_words, 0));
             self.hi = relayout(&self.hi, words, words, new_words, INF);
             self.lo = relayout(&self.lo, words, words, new_words, INF);
             self.stride = new_stride;
@@ -472,42 +506,33 @@ impl Arena {
         self.n = new_n;
     }
 
-    /// Swap-removes row `s`, keeping slots dense; the row moved into `s`
-    /// brings its change record along. Returns the removed row (live
-    /// columns only). `tag` is OR-ed into the moved row's `slot_of` entry
-    /// (`LOCAL_BIT` for the local arena, `0` for cached).
-    fn swap_remove(&mut self, s: usize, slot_of: &mut [u32], tag: u32) -> Vec<Dist> {
+    /// Swap-removes row `s` and its `slot_of` entry, keeping slots dense;
+    /// the row moved into `s` brings its records and bounds along. `tag` is
+    /// OR-ed into the moved row's `slot_of` entry (`LOCAL_BIT` for the local
+    /// arena, `0` for cached).
+    fn swap_remove(&mut self, s: usize, slot_of: &mut [u32], tag: u32) {
         let (last, stride, words) = (self.ids.len() - 1, self.stride, self.words());
-        let row = self.row(s).to_vec();
+        slot_of[self.ids[s] as usize] = NO_SLOT;
         if s != last {
             self.data.copy_within(last * stride..(last + 1) * stride, s * stride);
             for bounds in [&mut self.hi, &mut self.lo] {
                 bounds.copy_within(last * words..(last + 1) * words, s * words);
             }
-            self.delta.copy_within(last * words..(last + 1) * words, s * words);
+            self.records().for_each(|r| r.copy_within(last * words..(last + 1) * words, s * words));
             let moved = self.ids[last];
             self.ids[s] = moved;
             slot_of[moved as usize] = s as u32 | tag;
         }
         self.ids.pop();
         self.data.truncate(last * stride);
-        self.delta.truncate(last * words);
+        self.records().for_each(|r| r.truncate(last * words));
         self.hi.truncate(last * words);
         self.lo.truncate(last * words);
-        row
-    }
-
-    fn clear(&mut self) {
-        self.data.clear();
-        self.delta.clear();
-        self.hi.clear();
-        self.lo.clear();
-        self.ids.clear();
     }
 
     /// Raises every row by `witness`'s rule and calls `raised(v, columns)`
     /// for each row that lost cells. A chunk that lost one gets `hi = INF`;
-    /// `lo` and the record stay as they are.
+    /// `lo` and the records stay as they are.
     fn raise(&mut self, witness: &Witness, mut raised: impl FnMut(VertexId, &[VertexId])) {
         let mut cols = Vec::new();
         for s in 0..self.ids.len() {
@@ -520,6 +545,12 @@ impl Arena {
                 raised(v, &cols);
             }
         }
+    }
+
+    /// Ids of the rows with a non-empty unpropagated record, in slot order.
+    fn unpropagated(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let rows = self.delta.chunks(self.words().max(1)).zip(&self.ids);
+        rows.filter(|(record, _)| record.iter().any(|&w| w != 0)).map(|(_, &v)| v)
     }
 }
 
@@ -844,7 +875,7 @@ impl KernelScratch {
 }
 
 /// Distance-vector store for one rank.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DvStore {
     /// Local rows.
     local: Arena,
@@ -859,6 +890,9 @@ pub struct DvStore {
     /// set survives until the publisher drains it, so an epoch's view
     /// delta covers exactly the rows whose closeness may have moved.
     epoch_dirty: DirtyBits,
+    /// One row of record words, all zero between writes: where a write to
+    /// a local row takes its lowered-cell mask ([`DvStore::write_local`]).
+    mask: Vec<u64>,
     tally: KernelTally,
 }
 
@@ -868,12 +902,13 @@ impl DvStore {
         let mut dirty = DirtyBits::default();
         dirty.ensure(n);
         Self {
-            local: Arena::new(n),
-            cached: Arena::new(n),
+            local: Arena::new(n, true),
+            cached: Arena::new(n, false),
             slot_of: vec![NO_SLOT; n],
             epoch_dirty: dirty.clone(),
             dirty,
-            ..Self::default()
+            mask: vec![0; n.div_ceil(CHUNK)],
+            tally: KernelTally::default(),
         }
     }
 
@@ -914,6 +949,30 @@ impl DvStore {
         self.epoch_dirty.insert(v);
     }
 
+    /// A tracked write to the local row of `v`: `f` records the cells it
+    /// lowers in the scratch mask and returns whether there are any. If so
+    /// the mask is OR-ed into both records of the row — unpropagated and
+    /// unsent — and the row is marked dirty.
+    fn write_local(&mut self, v: VertexId, f: impl FnOnce(&mut [Dist], Track<'_>) -> bool) -> bool {
+        let s = self.local_slot(v).expect("write to a missing local row");
+        let Self { local: Arena { n, stride, data, delta, unsent, hi, lo, .. }, mask, .. } = self;
+        let words = s * mask.len()..(s + 1) * mask.len();
+        let track =
+            Track { delta: &mut mask[..], hi: &mut hi[words.clone()], lo: &mut lo[words.clone()] };
+        let changed = f(&mut data[s * *stride..s * *stride + *n], track);
+        debug_assert!(changed || mask.iter().all(|&w| w == 0), "a lowering went unreported");
+        if changed {
+            let records = delta[words.clone()].iter_mut().zip(&mut unsent[words]);
+            for (lowered, (delta, unsent)) in mask.iter_mut().zip(records) {
+                *delta |= *lowered;
+                *unsent |= *lowered;
+                *lowered = 0;
+            }
+            self.mark_changed(v);
+        }
+        changed
+    }
+
     /// Adds a fresh local row for `v`: all `INF` except `row[v] = 0`,
     /// recorded whole. Marks it dirty. No-op if the row already exists.
     pub fn add_local_row(&mut self, v: VertexId) {
@@ -921,11 +980,10 @@ impl DvStore {
         if self.local_slot(v).is_none() {
             debug_assert!(self.cached_slot(v).is_none(), "add_local_row over cached row {v}");
             let s = self.local.push_inf(v);
-            let n = self.n();
             let (row, track) = self.local.row_mut(s);
             row[v as usize] = 0;
             track.lo[v as usize / CHUNK] = 0;
-            set_prefix(track.delta, n);
+            self.local.record_whole(s);
             self.slot_of[v as usize] = s as u32 | LOCAL_BIT;
         }
         self.mark_changed(v);
@@ -939,6 +997,7 @@ impl DvStore {
         debug_assert!(new_n >= self.n());
         self.local.grow(new_n);
         self.cached.grow(new_n);
+        self.mask.resize(self.local.words(), 0);
         self.slot_of.resize(new_n, NO_SLOT);
         self.dirty.ensure(new_n);
         self.epoch_dirty.ensure(new_n);
@@ -979,24 +1038,21 @@ impl DvStore {
     /// Returns whether anything was lowered. The row never leaves the
     /// arena.
     pub fn update_local_row(&mut self, v: VertexId, f: impl FnOnce(&mut RowMut<'_>)) -> bool {
-        let s = self.local_slot(v).expect("update_local_row on missing row");
-        let (row, track) = self.local.row_mut(s);
-        let mut handle = RowMut { row, track, changed: false };
-        f(&mut handle);
-        let changed = handle.changed;
-        if changed {
-            self.mark_changed(v);
-        }
-        changed
+        self.write_local(v, |row, track| {
+            let mut handle = RowMut { row, track, changed: false };
+            f(&mut handle);
+            handle.changed
+        })
     }
 
     /// Removes a local row entirely (migration). Returns it if present.
     pub fn remove_local(&mut self, v: VertexId) -> Option<Vec<Dist>> {
         let s = self.local_slot(v)?;
+        let row = self.local.row(s).to_vec();
         self.dirty.remove(v);
         self.epoch_dirty.remove(v);
-        self.slot_of[v as usize] = NO_SLOT;
-        Some(self.local.swap_remove(s, &mut self.slot_of, LOCAL_BIT))
+        self.local.swap_remove(s, &mut self.slot_of, LOCAL_BIT);
+        Some(row)
     }
 
     /// Installs a migrated or restored row as local (overwrites any cached
@@ -1004,7 +1060,6 @@ impl DvStore {
     /// is padded with `INF` in its slot.
     pub fn install_local(&mut self, v: VertexId, row: &[Dist], dirty: bool) {
         if let Some(s) = self.cached_slot(v) {
-            self.slot_of[v as usize] = NO_SLOT;
             self.cached.swap_remove(s, &mut self.slot_of, 0);
         }
         let s = match self.local_slot(v) {
@@ -1028,26 +1083,14 @@ impl DvStore {
     /// Element-wise min-merge into a local row. Returns `true` (and marks
     /// dirty) if any entry improved.
     pub fn min_merge_local(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
-        let s = self.local_slot(v).expect("min_merge_local on missing row");
-        let (row, track) = self.local.row_mut(s);
-        let changed = relax_via_tracked(row, 0, incoming, track);
-        if changed {
-            self.mark_changed(v);
-        }
-        changed
+        self.write_local(v, |row, track| relax_via_tracked(row, 0, incoming, track))
     }
 
     /// Sparse min-merge of `(column, distance)` pairs into a local row
     /// (delta wire format). Returns `true` (and marks dirty) if any entry
     /// improved.
     pub fn min_merge_local_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
-        let s = self.local_slot(v).expect("min_merge_local_sparse on missing row");
-        let (row, track) = self.local.row_mut(s);
-        let changed = min_merge_sparse_tracked(row, pairs, track);
-        if changed {
-            self.mark_changed(v);
-        }
-        changed
+        self.write_local(v, |row, track| min_merge_sparse_tracked(row, pairs, track))
     }
 
     /// Slot of `v`'s cached row and whether it had to be created (all
@@ -1104,14 +1147,13 @@ impl DvStore {
     /// after the change). Every cell goes through [`RowMut::lower`], so
     /// the row comes out closed except through recorded cells — the
     /// kernel's invariant — without a dense pass of every other row through
-    /// it. Returns whether anything was lowered and how many of `cols`
-    /// came back finite.
+    /// it. Returns how many of `cols` came back finite.
     pub fn refill(
         &mut self,
         v: VertexId,
         cols: &[VertexId],
         edges: &[(VertexId, Weight)],
-    ) -> (bool, usize) {
+    ) -> usize {
         let s = self.local_slot(v).expect("refill on missing row");
         let own = self.local.row(s);
         let mut best = vec![INF; cols.len()];
@@ -1127,7 +1169,7 @@ impl DvStore {
                 }
             }
         }
-        let changed = self.update_local_row(v, |row| {
+        self.update_local_row(v, |row| {
             for (&t, &d) in cols.iter().zip(&best) {
                 row.lower(t, d);
             }
@@ -1136,15 +1178,18 @@ impl DvStore {
             }
         });
         let row = self.local.row(s);
-        (changed, cols.iter().filter(|&&t| row[t as usize] != INF).count())
+        cols.iter().filter(|&&t| row[t as usize] != INF).count()
     }
 
-    /// Drops all cached external rows (used on repartition).
-    pub fn clear_cache(&mut self) {
-        for &v in &self.cached.ids {
-            self.slot_of[v as usize] = NO_SLOT;
+    /// Drops the cached rows `keep` does not name (after a migration: the
+    /// rows no local vertex neighbours any more).
+    pub fn retain_cached(&mut self, keep: impl Fn(VertexId) -> bool) {
+        // Downwards, so the row a swap-remove moves in was already judged.
+        for s in (0..self.cached.ids.len()).rev() {
+            if !keep(self.cached.ids[s]) {
+                self.cached.swap_remove(s, &mut self.slot_of, 0);
+            }
         }
-        self.cached.clear();
     }
 
     /// Marks a local row dirty.
@@ -1177,19 +1222,44 @@ impl DvStore {
         set_prefix(self.local.row_mut(s).1.delta, n);
     }
 
-    /// Declares every row propagated: empties both change records. For
-    /// states known to be closed — rows that are exact shortest paths of
-    /// one graph (IA), rows restored from a barrier snapshot.
+    /// Declares every row propagated: empties the unpropagated record of
+    /// both arenas. For states known to be closed — rows that are exact
+    /// shortest paths of one graph (IA), rows restored from a barrier
+    /// snapshot.
     pub fn clear_unpropagated(&mut self) {
         self.local.delta.fill(0);
         self.cached.delta.fill(0);
     }
 
-    /// True if local row `v` has cells recorded as unpropagated.
-    pub fn has_unpropagated(&self, v: VertexId) -> bool {
-        let words = self.local.words();
-        self.local_slot(v)
-            .is_some_and(|s| self.local.delta[s * words..(s + 1) * words].iter().any(|&w| w != 0))
+    /// Local rows with cells recorded as unpropagated, sorted: the pivots
+    /// still pending, as a snapshot lists them.
+    pub fn unpropagated_local_sorted(&self) -> Vec<VertexId> {
+        let mut ids: Vec<VertexId> = self.local.unpropagated().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The cells of local row `v` lowered since it was last sent and finite
+    /// now, as `(column, distance)` pairs in column order: exactly what a
+    /// receiver of that send lacks.
+    pub fn unsent_pairs(&self, v: VertexId) -> Vec<(VertexId, Dist)> {
+        let (s, words) =
+            (self.local_slot(v).expect("unsent_pairs on missing row"), self.local.words());
+        let row = self.local.row(s);
+        let mut pairs = Vec::new();
+        for_each_bit(&self.local.unsent[s * words..(s + 1) * words], |t| {
+            if row[t as usize] != INF {
+                pairs.push((t, row[t as usize]));
+            }
+        });
+        pairs
+    }
+
+    /// Empties the unsent record of local row `v`: it was just sent.
+    pub fn clear_unsent(&mut self, v: VertexId) {
+        let (s, words) =
+            (self.local_slot(v).expect("clear_unsent on missing row"), self.local.words());
+        self.local.unsent[s * words..(s + 1) * words].fill(0);
     }
 
     /// True if any local row awaits sending.
@@ -1213,13 +1283,15 @@ impl DvStore {
         ids
     }
 
-    /// Memory the rows, their change record and their chunk bounds occupy,
+    /// Memory the rows, their records and their chunk bounds occupy,
     /// in bytes (diagnostics; live columns only, excluding the arena's
     /// reserve capacity).
     pub fn memory_bytes(&self) -> usize {
-        let per_chunk = 8 + 2 * std::mem::size_of::<Dist>();
-        let per_row = self.n() * std::mem::size_of::<Dist>() + self.n().div_ceil(CHUNK) * per_chunk;
-        (self.num_local() + self.num_cached()) * per_row
+        let (cells, chunks) = (self.n() * std::mem::size_of::<Dist>(), self.n().div_ceil(CHUNK));
+        // Per chunk: one record word (two on the local arena) and two bounds.
+        let per_row =
+            |records: usize| cells + chunks * (8 * records + 2 * std::mem::size_of::<Dist>());
+        self.num_local() * per_row(2) + self.num_cached() * per_row(1)
     }
 
     /// Panics unless every chunk bound of every row holds: `lo ≤ min` and
@@ -1306,7 +1378,7 @@ impl DvStore {
         if nl == 0 || initial.is_empty() {
             return false;
         }
-        let Self { local, cached, slot_of, dirty, epoch_dirty, tally } = self;
+        let Self { local, cached, slot_of, dirty, epoch_dirty, tally, .. } = self;
         let (n, stride, words) = (local.n, local.stride, local.words());
         let rows = nl + cached.ids.len();
         let mut scratch = KernelScratch {
@@ -1386,6 +1458,9 @@ impl DvStore {
                     lo: &mut local.lo[s * words..(s + 1) * words],
                 };
                 relax_via_tracked(snap_row, 0, row, track);
+                // The diff seeds the next round; the unsent record keeps it.
+                let unsent = &mut local.unsent[s * words..(s + 1) * words];
+                unsent.iter_mut().zip(&scratch.delta[at..]).for_each(|(u, d)| *u |= d);
                 scratch.push_pivot(v, true, (row, &local.lo[s * words..]), nl, rows);
                 dirty.insert(v);
                 epoch_dirty.insert(v);
@@ -1393,6 +1468,16 @@ impl DvStore {
             }
         }
         any
+    }
+
+    /// [`DvStore::relax_to_fixed_point`] seeded by every row of either
+    /// arena with a non-empty unpropagated record (one scan of the record
+    /// words finds them): all there is to propagate.
+    pub fn relax_unpropagated(&mut self, threads: usize) -> bool {
+        let mut seeds: Vec<VertexId> =
+            self.local.unpropagated().chain(self.cached.unpropagated()).collect();
+        seeds.sort_unstable();
+        self.relax_to_fixed_point(&seeds, threads)
     }
 
     // --------------------------------------------------------------------
@@ -1979,7 +2064,7 @@ mod tests {
         assert!(!dv.min_merge_cached(1, &[6, 1, 7]));
         assert_eq!(dv.row(1).unwrap(), &[4, 0, 5]);
         assert_eq!(dv.num_cached(), 1);
-        dv.clear_cache();
+        dv.retain_cached(|_| false);
         assert!(dv.row(1).is_none());
     }
 
@@ -2121,7 +2206,9 @@ mod tests {
         let mut dv = DvStore::new(100);
         dv.add_local_row(0);
         dv.min_merge_cached(5, &[0; 100]);
-        assert_eq!(dv.memory_bytes(), 2 * (100 * 4 + 2 * (8 + 4 + 4)));
+        // Two chunks a row: two record words each on the local row, one on
+        // the cached one, and two bounds.
+        assert_eq!(dv.memory_bytes(), (100 * 4 + 2 * (16 + 4 + 4)) + (100 * 4 + 2 * (8 + 4 + 4)));
     }
 
     #[test]
@@ -2303,10 +2390,92 @@ mod tests {
         assert!(recorded(&dv, 0).is_empty());
         assert_eq!(dv.row(2).unwrap()[150], 1);
 
-        dv.clear_cache();
+        dv.retain_cached(|_| false);
         assert!(dv.cached.delta.is_empty());
         dv.min_merge_cached_sparse(4, &[(1, 1)]);
         assert_eq!(recorded(&dv, 4), vec![1], "a re-created cached row starts with a clean record");
+    }
+
+    /// Columns of `v`'s unsent record, sorted.
+    fn unsent(dv: &DvStore, v: VertexId) -> Vec<u32> {
+        let (s, words) = (dv.local_slot(v).expect("local row"), dv.local.words());
+        let mut cols = Vec::new();
+        for_each_bit(&dv.local.unsent[s * words..(s + 1) * words], |t| cols.push(t));
+        cols
+    }
+
+    #[test]
+    fn the_unsent_record_takes_every_lowering_and_only_a_send_clears_it() {
+        let mut dv = DvStore::new(70);
+        dv.add_local_row(4);
+        dv.add_local_row(3);
+        assert_eq!(unsent(&dv, 3), (0..70).collect::<Vec<_>>(), "fresh rows are unsent whole");
+        assert_eq!(dv.unsent_pairs(3), vec![(3, 0)], "INF cells never travel");
+        dv.clear_unsent(3);
+        dv.clear_unsent(4);
+        dv.relax_unpropagated(1);
+
+        // Every tracked write feeds it, next to the unpropagated record.
+        let mut incoming = vec![INF; 70];
+        (incoming[3], incoming[5], incoming[69]) = (7, 2, 9);
+        dv.min_merge_local(3, &incoming);
+        dv.min_merge_local_sparse(3, &[(5, 2), (64, 1)]);
+        dv.update_local_row(3, |row| row.lower(4, 6));
+        assert_eq!(unsent(&dv, 3), vec![4, 5, 64, 69]);
+        assert_eq!(recorded(&dv, 3), unsent(&dv, 3));
+        // Seeding consumes the one record and not the other; what the
+        // kernel lowers (row 3 through its new cell 4) is unsent too.
+        dv.min_merge_local(4, &[8; 70]);
+        dv.relax_unpropagated(1);
+        assert!(recorded(&dv, 3).is_empty() && recorded(&dv, 4).is_empty());
+        assert_eq!(dv.row(3).unwrap()[10], 14);
+        assert_eq!(unsent(&dv, 3).len(), 70 - 1, "all but the self cell came down");
+        assert!(dv.mask.iter().all(|&w| w == 0), "the scratch mask is zero between writes");
+
+        // A send clears it; a lowering after that is the whole delta.
+        dv.clear_unsent(3);
+        dv.min_merge_local_sparse(3, &[(64, 0)]);
+        assert_eq!(dv.unsent_pairs(3), vec![(64, 0)]);
+        // A raise sets no bit, and a raised cell with one is left out.
+        let mut gone = vec![INF; 70];
+        (gone[3], gone[64]) = (0, 0);
+        let raised = dv.raise(&Witness::vertex(gone));
+        assert!(raised.iter().any(|(v, cols)| *v == 3 && cols.contains(&64)));
+        assert_eq!(unsent(&dv, 3), vec![64]);
+        assert!(dv.unsent_pairs(3).is_empty());
+
+        // Growth, a re-layout and a swap-remove keep it with its row; the
+        // cached arena has none.
+        dv.min_merge_cached(9, &[1; 70]);
+        dv.grow_columns(300);
+        dv.min_merge_local_sparse(3, &[(250, 2)]);
+        dv.remove_local(4);
+        assert_eq!(unsent(&dv, 3), vec![64, 250]);
+        assert!(dv.cached.unsent.is_empty());
+        dv.install_local(9, &[1; 300], true);
+        assert_eq!(unsent(&dv, 9).len(), 300, "installed rows are unsent whole");
+    }
+
+    #[test]
+    fn the_seeds_are_the_recorded_rows_of_either_arena() {
+        let mut dv = converged_half_path();
+        assert!(!dv.relax_unpropagated(1), "nothing recorded, nothing to do");
+        assert_eq!(dv.kernel_tally().calls, 1, "an empty seed set is not a call");
+        // A cached row's record seeds the call like a local one's.
+        dv.min_merge_cached(2, &[INF, INF, 0, 1]);
+        dv.min_merge_cached(3, &[INF, INF, 1, 0]);
+        assert!(dv.unpropagated_local_sorted().is_empty());
+        assert!(dv.relax_unpropagated(1));
+        assert_eq!(dv.row(0).unwrap(), &[0, 1, 2, 3]);
+        assert!([0, 1, 2, 3].iter().all(|&v| recorded(&dv, v).is_empty()));
+        dv.min_merge_local_sparse(1, &[(3, 1)]);
+        assert_eq!(dv.unpropagated_local_sorted(), vec![1]);
+
+        // Eviction keeps what it is told to, slots stay dense.
+        dv.retain_cached(|v| v == 3);
+        assert_eq!((dv.num_cached(), dv.row(2)), (1, None));
+        assert_eq!(dv.row(3).unwrap(), &[INF, INF, 1, 0]);
+        dv.check_bounds();
     }
 
     #[test]
@@ -2602,8 +2771,8 @@ mod tests {
         assert_eq!(dv.row(2).unwrap(), &[INF, 1, 0, 1, 2, INF]);
         // Row 0 gets 3 back through 5; its one remaining edge is re-seeded
         // (a no-op here). Row 1 gets 4 back through 2.
-        assert_eq!(dv.refill(0, &raised[0].1, &[(5, 1)]), (true, 1));
-        assert_eq!(dv.refill(1, &raised[1].1, &[(2, 1)]), (true, 1));
+        assert_eq!(dv.refill(0, &raised[0].1, &[(5, 1)]), 1);
+        assert_eq!(dv.refill(1, &raised[1].1, &[(2, 1)]), 1);
         assert_eq!(dv.row(0).unwrap(), &[0, INF, INF, 3, 2, 1]);
         assert_eq!(dv.row(1).unwrap(), &[INF, 0, 1, 2, 3, INF]);
         // Refilled cells are recorded like any lowering, and the rows are
@@ -2615,8 +2784,8 @@ mod tests {
         // refilled; a direct edge alone brings it back.
         let mut lone = DvStore::new(3);
         lone.install_local(0, &[0, INF, INF], false);
-        assert_eq!(lone.refill(0, &[1, 2], &[]), (false, 0));
-        assert_eq!(lone.refill(0, &[1, 2], &[(2, 7)]), (true, 1));
+        assert_eq!(lone.refill(0, &[1, 2], &[]), 0);
+        assert_eq!(lone.refill(0, &[1, 2], &[(2, 7)]), 1);
         assert_eq!(lone.row(0).unwrap(), &[0, INF, 7]);
     }
 

@@ -35,7 +35,7 @@ use aaa_partition::simple::{
     BlockPartitioner, HashPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use aaa_partition::{
-    LoadSignals, MultilevelPartitioner, Partition, Partitioner, RebalanceConfig, RebalancePlan,
+    moves_between, LoadSignals, MultilevelPartitioner, Partition, Partitioner, RebalanceConfig,
     Rebalancer,
 };
 use aaa_runtime::{ChaosPlan, Cluster, ClusterConfig, ClusterError, FaultPlan, RunStats};
@@ -841,20 +841,6 @@ impl AnytimeEngine {
         self.drain_changes().map(|_| ())
     }
 
-    /// Vertex additions with constraint-driven strategy selection
-    /// (Fig. 1 line 16): the policy picks RoundRobin-PS, CutEdge-PS or
-    /// Repartition-S from the batch's size and structure. Returns the
-    /// strategy it chose.
-    pub fn apply_vertex_additions_auto(
-        &mut self,
-        batch: &VertexBatch,
-        policy: &StrategyPolicy,
-    ) -> Result<AssignStrategy, CoreError> {
-        let strategy = policy.choose(batch, self.graph.num_vertices());
-        self.apply_vertex_additions(batch, strategy)?;
-        Ok(strategy)
-    }
-
     /// Executes a vertex-addition batch at a barrier (drain path).
     fn exec_vertex_additions(
         &mut self,
@@ -938,119 +924,103 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// Repartition-S (§IV.C.1b): repartition the whole graph (including the
-    /// new vertices), migrate the partial results to their new owners, and
-    /// let subsequent RC steps absorb the change. No per-edge relaxation is
-    /// performed — the paper trades that for the repartition.
+    /// Repartition-S (§IV.C.1b): partition the grown graph and adopt the
+    /// result ([`AnytimeEngine::adopt`]). No per-edge relaxation is
+    /// performed — the paper trades that for the repartition — and
+    /// subsequent RC steps absorb the change.
     fn apply_repartition(&mut self, batch: &VertexBatch, seed: u64) -> Result<(), CoreError> {
         let base = self.graph.num_vertices() as VertexId;
         self.graph.add_vertices(batch.len());
-        for &(a, b, w) in &batch.global_edges(base) {
+        let edges = batch.global_edges(base);
+        for &(a, b, w) in &edges {
             self.graph.add_edge(a, b, w)?;
         }
-        self.repartition_and_migrate(seed)
+        let fresh = self.fresh_partition(seed)?;
+        self.adopt(&fresh, base, edges)
     }
 
-    /// Repartitions the *current* graph and migrates partial results to the
-    /// new owners. Also usable on its own as the load-rebalancing operation
-    /// the paper lists as future work ("graph rebalancing strategies to
-    /// deal with load imbalances").
+    /// Migrates partial results to a fresh multilevel partition of the
+    /// *current* graph — the load-rebalancing operation the paper lists as
+    /// future work ("graph rebalancing strategies to deal with load
+    /// imbalances"): Repartition-S without a batch.
     pub fn rebalance(&mut self, seed: u64) -> Result<(), CoreError> {
-        self.repartition_and_migrate(seed)?;
+        let fresh = self.fresh_partition(seed)?;
+        self.migrate_vertices(&moves_between(&self.partition, &fresh))?;
         self.publish_view(false);
         Ok(())
     }
 
-    fn repartition_and_migrate(&mut self, seed: u64) -> Result<(), CoreError> {
-        let observing = self.cluster.observing();
-        let (sim0, wall0) = if observing {
-            (self.cluster.sim_now_us(), self.cluster.wall_now_us())
-        } else {
-            (0.0, 0.0)
-        };
-        let before = *self.cluster.stats();
-        // The whole-graph repartitioning is the strategy's main cost
-        // (parallel ParMETIS in the paper) — charge its compute time.
+    /// A multilevel partition of the driver's graph. The whole-graph
+    /// repartitioning is Repartition-S's main cost (parallel ParMETIS in
+    /// the paper) — its compute time is charged.
+    fn fresh_partition(&mut self, seed: u64) -> Result<Partition, CoreError> {
         let started = std::time::Instant::now();
-        let new_part =
+        let fresh =
             MultilevelPartitioner::seeded(seed).partition(&self.graph, self.config.procs)?;
         self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
-        let assignment: Vec<PartId> = new_part.assignment().to_vec();
+        Ok(fresh)
+    }
 
-        // Price the assignment broadcast (every rank must learn the map).
-        let payload = assignment.clone();
-        self.cluster.broadcast(0, move |_| payload, |a| 4 * a.len(), |_, _, _| {});
-
-        // Migrate rows to their new owners; each rank rebuilds its local
-        // structures from the new map. The closures only need disjoint
-        // parts of `self`.
-        let graph = &self.graph;
-        let owner_ref: &[PartId] = &assignment;
-        self.cluster.exchange(
-            move |_, s: &mut RankState| s.migrate_out(owner_ref),
-            RowMsg::size_bytes,
-            move |_, s, inbox| {
-                s.migrate_in(owner_ref, inbox, |v| graph.neighbors(v).to_vec());
+    /// Takes the engine to `target`, a partition of the driver's graph, of
+    /// which the ranks have yet to see the vertices from `base` on and
+    /// their `edges`. The existing vertices `target` assigns elsewhere
+    /// migrate first ([`AnytimeEngine::migrate_vertices`]), so rows travel
+    /// at their old width; then the batch is announced under `target`'s
+    /// owners and its edges are seeded on their endpoints' rows.
+    fn adopt(
+        &mut self,
+        target: &Partition,
+        base: VertexId,
+        edges: Vec<(VertexId, VertexId, Weight)>,
+    ) -> Result<(), CoreError> {
+        self.migrate_vertices(&moves_between(&self.partition, target))?;
+        let owners = target.assignment()[base as usize..].to_vec();
+        self.partition.extend(owners.iter().copied())?;
+        let msg = GrowMsg { base, owners, edges };
+        self.cluster.broadcast(
+            0,
+            move |_| msg,
+            GrowMsg::size_bytes,
+            |_, s, m| {
+                s.grow(m);
+                s.seed_edges(&m.edges);
             },
         );
-        let moved = assignment
-            .iter()
-            .enumerate()
-            .filter(|&(v, &p)| {
-                v < self.partition.len() && self.partition.part_of(v as VertexId) != p
-            })
-            .count() as u64;
-        self.partition = new_part;
-        let delta = self.cluster.stats().delta_since(&before);
-        self.cluster.record_migration(moved, delta.bytes);
-        if observing {
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::Migration,
-                rank: DRIVER_LANE,
-                superstep: self.rc_steps as u64,
-                sim_start_us: sim0,
-                sim_dur_us: self.cluster.sim_now_us() - sim0,
-                wall_start_us: wall0,
-                wall_dur_us: self.cluster.wall_now_us() - wall0,
-                messages: moved,
-                bytes: delta.bytes,
-            });
-        }
         Ok(())
     }
 
-    /// Evaluates the background rebalancer at an RC-step barrier (the
-    /// tentpole of adaptive repartitioning): reads the load/cut signals,
-    /// asks the policy for a plan, and executes it — a budgeted row
-    /// migration for moderate skew, or a policy-escalated full repartition.
+    /// Evaluates the background rebalancer at an RC-step barrier: reads the
+    /// load/cut signals, asks the policy for its move list — budgeted for
+    /// moderate skew, the diff to a fresh partition when it escalates — and
+    /// migrates it, charging the planning to the cluster clock.
     ///
     /// Deferred while fault or chaos injection is armed: migration ships
     /// each row exactly once over the faultable exchange path, and a
     /// dropped row would orphan its vertex permanently.
     fn maybe_rebalance(&mut self) -> Result<(), CoreError> {
         let cfg = self.config.rebalance;
-        if !cfg.due_at(self.rc_steps) {
+        let armed = self.cluster.chaos_plan().is_some() || self.cluster.fault_plan().is_some();
+        if !cfg.due_at(self.rc_steps) || armed {
             return Ok(());
         }
-        if self.cluster.chaos_plan().is_some() || self.cluster.fault_plan().is_some() {
-            return Ok(());
-        }
+        let started = std::time::Instant::now();
         let mut signals = LoadSignals::measure(&self.graph, &self.partition);
         if cfg.use_measured {
             signals = signals.with_measured_skew(rank_skew(self.cluster.rank_busy_us()));
         }
-        match Rebalancer::new(cfg).plan(&self.graph, &self.partition, &signals) {
-            RebalancePlan::Hold => Ok(()),
-            RebalancePlan::Migrate(moves) => self.migrate_vertices(&moves),
-            RebalancePlan::Repartition => self.repartition_and_migrate(cfg.seed),
-        }
+        let moves = Rebalancer::new(cfg).moves(&self.graph, &self.partition, &signals)?;
+        self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
+        self.migrate_vertices(&moves)
     }
 
-    /// Applies a budgeted set of ownership moves: broadcasts the move list
-    /// so every rank updates its replicated owner map (and drops delta-wire
-    /// tracking — boundary destinations changed everywhere), then ships
-    /// only the moved rows over the LogP-priced exchange and counts the
-    /// event in the run stats so the perf gate sees the traffic.
+    /// The one migration path, for a move list of any size. Broadcasts the
+    /// list so every rank updates its replicated owner map (and drops
+    /// delta-wire tracking — boundary destinations changed everywhere),
+    /// ships only the moved rows over the LogP-priced exchange, after which
+    /// each rank evicts the cached rows it has no neighbour of any more,
+    /// and counts the event in the run stats so the perf gate sees the
+    /// traffic. Under Repartition-S the driver's graph has grown already;
+    /// a rank takes from it the edges among the vertices it has seen.
     fn migrate_vertices(&mut self, moves: &[(VertexId, PartId)]) -> Result<(), CoreError> {
         if moves.is_empty() {
             return Ok(());
@@ -1065,10 +1035,9 @@ impl AnytimeEngine {
         for &(v, p) in moves {
             self.partition.set_part(v, p)?;
         }
-        let payload: Vec<(VertexId, PartId)> = moves.to_vec();
         self.cluster.broadcast(
             0,
-            move |_| payload,
+            |_| moves,
             |m| 8 * m.len(),
             |_, s: &mut RankState, m| s.apply_reassignment(m),
         );
@@ -1076,7 +1045,10 @@ impl AnytimeEngine {
         self.cluster.exchange(
             |_, s: &mut RankState| s.migrate_out_moved(),
             RowMsg::size_bytes,
-            move |_, s, inbox| s.migrate_in_moved(moves, inbox, |v| graph.neighbors(v).to_vec()),
+            move |_, s, inbox| {
+                s.migrate_in_moved(moves, inbox, |v| graph.neighbors(v).to_vec());
+                s.evict_unneeded_cached();
+            },
         );
         let delta = self.cluster.stats().delta_since(&before);
         self.cluster.record_migration(moves.len() as u64, delta.bytes);
@@ -1879,4 +1851,104 @@ fn rank_skew(busy_us: &[f64]) -> Option<f64> {
     let mean = total / busy_us.len() as f64;
     let max = busy_us.iter().cloned().fold(0.0, f64::max);
     Some(max / mean)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::changes::preferential_batch;
+    use aaa_graph::closeness::closeness_exact;
+    use aaa_graph::generators::{barabasi_albert, WeightModel};
+    use aaa_graph::Csr;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The one migration path under move lists of every shape — empty,
+        /// one vertex, everything to one rank, a label permutation (every
+        /// row moves, nothing else changes), a fresh multilevel partition,
+        /// a random relabelling — each with and without a vertex batch
+        /// attached (the Repartition-S shape), from converged and
+        /// non-converged states, on both wires.
+        #[test]
+        fn any_move_list_migrates_to_an_admissible_state_and_the_exact_fixed_point(
+            n in 24usize..90,
+            procs in 2usize..=6,
+            knobs in 0u64..u64::MAX,
+            shape in 0u32..6,
+        ) {
+            let bit = |at: u32| knobs >> at & 1 == 1;
+            let weights =
+                if bit(0) { WeightModel::Unit } else { WeightModel::UniformRange { lo: 1, hi: 5 } };
+            let graph = barabasi_albert(n, 2, weights, knobs >> 32).expect("generator");
+            let mut config = EngineConfig::deterministic(procs);
+            config.wire = if bit(1) { WireFormat::Delta } else { WireFormat::Full };
+            let mut engine = AnytimeEngine::new(graph, config).expect("engine");
+            if bit(2) {
+                engine.run_to_convergence();
+            } else {
+                engine.rc_step();
+            }
+
+            // The driver's graph grows first, as under Repartition-S.
+            let base = n as VertexId;
+            let batch = if bit(3) { preferential_batch(engine.graph(), 5, 2, knobs >> 8) } else {
+                VertexBatch::default()
+            };
+            engine.graph.add_vertices(batch.len());
+            let edges = batch.global_edges(base);
+            for &(a, b, w) in &edges {
+                engine.graph.add_edge(a, b, w).expect("fresh edge");
+            }
+            let current = engine.partition.assignment().to_vec();
+            let p = procs as PartId;
+            let mut target: Vec<PartId> = match shape {
+                0 => current.clone(),
+                1 => {
+                    let mut one = current.clone();
+                    one[(knobs >> 16) as usize % n] += 1;
+                    one[(knobs >> 16) as usize % n] %= p;
+                    one
+                }
+                2 => vec![(knobs >> 16) as PartId % p; n],
+                3 => current.iter().map(|&q| (q + 1) % p).collect(),
+                4 => engine.fresh_partition(knobs >> 16).expect("partition").assignment()[..n]
+                    .to_vec(),
+                _ => (0..n).map(|v| (knobs >> (v % 60)) as PartId % p).collect(),
+            };
+            target.extend((0..batch.len()).map(|i| (knobs >> (20 + i)) as PartId % p));
+            let moved = current.iter().zip(&target).filter(|(was, now)| was != now).count() as u64;
+            let target = Partition::new(target, procs).expect("parts in range");
+
+            let before = engine.stats();
+            if batch.is_empty() {
+                engine.migrate_vertices(&moves_between(&engine.partition, &target)).expect("moves");
+            } else {
+                engine.adopt(&target, base, edges).expect("adoption");
+            }
+            prop_assert_eq!(engine.partition(), &target);
+            let stats = engine.stats();
+            prop_assert_eq!(stats.migrated_rows - before.migrated_rows, moved);
+            prop_assert_eq!(stats.migrations - before.migrations, u64::from(moved > 0));
+            // Admissible, and no rank keeps a cached row it has no
+            // neighbour of — unless nothing moved, which evicts nothing.
+            engine.check_admissible();
+            for s in engine.cluster.ranks().iter().filter(|_| moved > 0) {
+                for v in s.dv().all_ids_sorted().into_iter().filter(|&v| !s.dv().is_local(v)) {
+                    let needed = engine.graph.neighbors(v).iter().any(|&(t, _)| s.dv().is_local(t));
+                    prop_assert!(needed, "rank {} keeps row {v} for no neighbour", s.rank());
+                }
+            }
+
+            prop_assert!(engine.run_to_convergence().converged);
+            let csr = Csr::from_adj(engine.graph());
+            prop_assert_eq!(engine.distances(), aaa_graph::apsp::apsp_dijkstra(&csr));
+            let (got, want) = (engine.closeness(), closeness_exact(&csr));
+            prop_assert!(
+                got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())),
+                "closeness is not bit-equal to the oracle"
+            );
+        }
+    }
 }

@@ -45,9 +45,7 @@ use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
 use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
-use aaa_partition::{
-    LoadSignals, Partition, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer,
-};
+use aaa_partition::{LoadSignals, Partition, RebalanceConfig, Rebalancer};
 use aaa_runtime::bytes::{get_u32s, put_u32s};
 use aaa_runtime::net::{FrameKind, NetError, Transport};
 use aaa_runtime::{ClusterError, FaultCounters, Rank};
@@ -310,13 +308,14 @@ pub enum NetMsg {
     ResendAll,
     /// Coordinator → worker: orderly end of run.
     Bye,
-    /// Coordinator → worker: the background rebalancer moved `moves`
-    /// vertices to new owners. Every worker updates its replicated owner
-    /// map, then ships the rows it lost as [`NetMsg::Rows`] bundles
-    /// (relayed like a produce phase) and answers [`NetMsg::RowsDone`];
-    /// the following [`NetMsg::Consume`] installs the gained rows. `adj`
-    /// carries the adjacency of every moved vertex (deduped per
-    /// undirected edge) so receivers can rebuild local structure.
+    /// Coordinator → worker: the one migration op — `moves` vertices, few
+    /// or most of the graph, go to new owners. Every worker updates its
+    /// replicated owner map, then ships the rows it lost as
+    /// [`NetMsg::Rows`] bundles (relayed like a produce phase) and answers
+    /// [`NetMsg::RowsDone`]; the following [`NetMsg::Consume`] installs the
+    /// gained rows. `adj` carries the adjacency of every moved vertex
+    /// (deduped per undirected edge) so receivers can rebuild local
+    /// structure.
     Reassign { round: u64, moves: Vec<(VertexId, PartId)>, adj: Vec<(VertexId, VertexId, Weight)> },
     /// Publisher → view replica: one published epoch as a change set (the
     /// wire form of `publish::ViewDelta`; replication lands in a later
@@ -576,9 +575,60 @@ fn protocol_err(peer: &str, what: impl std::fmt::Display) -> NetError {
     NetError::Protocol { peer: peer.to_string(), what: what.to_string() }
 }
 
+/// The protocol boundary's range check: ids decoded from a frame index the
+/// owner map and the DV store, so the first of `ids` not below `limit` is
+/// refused, named by `field`.
+fn check_ids<T: Transport>(
+    link: &T,
+    field: &str,
+    ids: impl IntoIterator<Item = u32>,
+    limit: usize,
+) -> Result<(), NetError> {
+    match ids.into_iter().find(|&id| id as usize >= limit) {
+        Some(id) => Err(protocol_err(&link.peer(), format!("{field} {id} is not below {limit}"))),
+        None => Ok(()),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------
+
+type Adjacency = FxHashMap<VertexId, Vec<(VertexId, Weight)>>;
+
+/// Undirected adjacency lists of an edge list off the wire.
+fn adjacency(edges: &[(VertexId, VertexId, Weight)]) -> Adjacency {
+    let mut adj = Adjacency::default();
+    for &(a, b, w) in edges {
+        adj.entry(a).or_default().push((b, w));
+        adj.entry(b).or_default().push((a, w));
+    }
+    adj
+}
+
+/// The rank `Init` built, which every later message `what` addresses.
+fn ready<'a, T: Transport>(
+    state: &'a mut Option<RankState>,
+    link: &T,
+    what: &str,
+) -> Result<&'a mut RankState, NetError> {
+    state.as_mut().ok_or_else(|| protocol_err(&link.peer(), format!("{what} before Init")))
+}
+
+/// Ships the bundles of a produce or a migrate-out phase, then its
+/// `RowsDone`.
+fn send_rows<T: Transport>(
+    link: &mut T,
+    round: u64,
+    outgoing: Vec<(Rank, RowMsg)>,
+) -> Result<(), NetError> {
+    let sent = !outgoing.is_empty();
+    for (dest, msg) in outgoing {
+        link.send(FrameKind::Data, &NetMsg::Rows { round, peer: dest as u32, msg }.encode())?;
+    }
+    link.send(FrameKind::Data, &NetMsg::RowsDone { round, sent }.encode())?;
+    Ok(())
+}
 
 /// Runs one rank as a transport-driven reactor until the coordinator says
 /// goodbye (clean `Ok`), the link dies past repair, or nothing arrives for
@@ -589,17 +639,20 @@ fn protocol_err(peer: &str, what: impl std::fmt::Display) -> NetError {
 /// convergence, recovery — lives in the coordinator. That is what makes
 /// blind re-execution safe: every state transition a worker performs
 /// (min-merge, relaxation, resend marking) is idempotent, so a replayed
-/// or repeated command converges to the same state.
+/// or repeated command converges to the same state. Vertex ids and parts
+/// in a decoded frame are range-checked against the `Init` that sized this
+/// rank before anything indexes with them; a frame that fails ends the
+/// worker with [`NetError::Protocol`].
 pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result<(), NetError> {
     let mut state: Option<RankState> = None;
     let mut inbox: Vec<(Rank, RowMsg)> = Vec::new();
     let mut cap_bytes = usize::MAX;
-    // In-flight budgeted migration: the next Consume installs migrated
-    // rows (using the adjacency shipped with the Reassign) instead of
-    // running the normal min-merge.
-    let mut migrating = false;
-    let mut moved_adj: FxHashMap<VertexId, Vec<(VertexId, Weight)>> = FxHashMap::default();
-    let mut pending_moves: Vec<(VertexId, PartId)> = Vec::new();
+    // Vertices and ranks as `Init` gave them: the limits of every id.
+    let (mut n, mut procs) = (0, 0);
+    // In-flight migration, as its Reassign shipped it (the moves, the moved
+    // vertices' adjacency): the next Consume installs migrated rows instead
+    // of running the normal min-merge.
+    let mut migration: Option<(Vec<(VertexId, PartId)>, Adjacency)> = None;
     loop {
         let frame = link.recv(Some(idle_deadline))?;
         match frame.kind {
@@ -609,12 +662,12 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
         }
         let msg = NetMsg::decode(&frame.payload).map_err(|e| protocol_err(&link.peer(), e))?;
         match msg {
-            NetMsg::Init { rank, procs: _, wire, cap_bytes: cap, owner, edges } => {
-                let mut adj: FxHashMap<VertexId, Vec<(VertexId, Weight)>> = FxHashMap::default();
-                for &(a, b, w) in &edges {
-                    adj.entry(a).or_default().push((b, w));
-                    adj.entry(b).or_default().push((a, w));
-                }
+            NetMsg::Init { rank, procs: p, wire, cap_bytes: cap, owner, edges } => {
+                (n, procs) = (owner.len(), p as usize);
+                check_ids(link, "Init.rank", [rank], procs)?;
+                check_ids(link, "Init.owner part", owner.iter().copied(), procs)?;
+                check_ids(link, "Init.edges endpoint", edges.iter().flat_map(|e| [e.0, e.1]), n)?;
+                let adj = adjacency(&edges);
                 let mut s = RankState::build(rank as Rank, owner, |v| {
                     adj.get(&v).cloned().unwrap_or_default()
                 });
@@ -626,25 +679,16 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
             }
             NetMsg::Produce { round } => {
-                let s = state
-                    .as_mut()
-                    .ok_or_else(|| protocol_err(&link.peer(), "Produce before Init"))?;
+                let s = ready(&mut state, link, "Produce")?;
                 inbox.clear();
-                let outgoing = s.produce_rc_messages(cap_bytes);
-                let sent = s.last_sent;
-                for (dest, msg) in outgoing {
-                    let wire = NetMsg::Rows { round, peer: dest as u32, msg };
-                    link.send(FrameKind::Data, &wire.encode())?;
-                }
-                link.send(FrameKind::Data, &NetMsg::RowsDone { round, sent }.encode())?;
+                send_rows(link, round, s.produce_rc_messages(cap_bytes))?;
             }
             NetMsg::Rows { round: _, peer, msg } => {
+                check_ids(link, "Rows.rows vertex", msg.rows.iter().map(|r| r.0), n)?;
                 inbox.push((peer as Rank, msg));
             }
             NetMsg::Consume { round, expect } => {
-                let s = state
-                    .as_mut()
-                    .ok_or_else(|| protocol_err(&link.peer(), "Consume before Init"))?;
+                let s = ready(&mut state, link, "Consume")?;
                 if inbox.len() != expect as usize {
                     // The link is ordered and replayed, so this can only be
                     // a coordinator bug — surface it loudly.
@@ -656,43 +700,39 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                         ),
                     ));
                 }
-                if migrating {
-                    migrating = false;
-                    let adj = std::mem::take(&mut moved_adj);
-                    let moves = std::mem::take(&mut pending_moves);
-                    s.migrate_in_moved(&moves, std::mem::take(&mut inbox), |v| {
-                        adj.get(&v).cloned().unwrap_or_default()
-                    });
-                    // Gained rows are dirty; report conservatively so the
-                    // coordinator keeps the run active until they flow.
-                    let reply = NetMsg::StepDone { round, changed: true, dirty: s.has_dirty() };
-                    link.send(FrameKind::Data, &reply.encode())?;
-                } else {
-                    s.consume_rc_messages(std::mem::take(&mut inbox));
-                    let reply =
-                        NetMsg::StepDone { round, changed: s.last_changed, dirty: s.has_dirty() };
-                    link.send(FrameKind::Data, &reply.encode())?;
-                }
+                let changed = match migration.take() {
+                    Some((moves, adj)) => {
+                        s.migrate_in_moved(&moves, std::mem::take(&mut inbox), |v| {
+                            adj.get(&v).cloned().unwrap_or_default()
+                        });
+                        s.evict_unneeded_cached();
+                        // Gained rows are dirty; report conservatively so
+                        // the coordinator keeps the run active until they
+                        // flow.
+                        true
+                    }
+                    None => {
+                        s.consume_rc_messages(std::mem::take(&mut inbox));
+                        s.last_changed
+                    }
+                };
+                let reply = NetMsg::StepDone { round, changed, dirty: s.has_dirty() };
+                link.send(FrameKind::Data, &reply.encode())?;
             }
             NetMsg::GatherClose => {
-                let s = state
-                    .as_ref()
-                    .ok_or_else(|| protocol_err(&link.peer(), "GatherClose before Init"))?;
+                let s = ready(&mut state, link, "GatherClose")?;
                 let pairs =
                     s.local_closeness().into_iter().map(|(v, c)| (v, c.to_bits())).collect();
                 link.send(FrameKind::Data, &NetMsg::CloseReply { pairs }.encode())?;
             }
             NetMsg::GatherRows => {
-                let s = state
-                    .as_ref()
-                    .ok_or_else(|| protocol_err(&link.peer(), "GatherRows before Init"))?;
+                let s = ready(&mut state, link, "GatherRows")?;
                 let reply = NetMsg::RowsReply { rows: s.local_rows() };
                 link.send(FrameKind::Data, &reply.encode())?;
             }
             NetMsg::Absorb { rows } => {
-                let s = state
-                    .as_mut()
-                    .ok_or_else(|| protocol_err(&link.peer(), "Absorb before Init"))?;
+                let s = ready(&mut state, link, "Absorb")?;
+                check_ids(link, "Absorb.rows vertex", rows.iter().map(|r| r.0), n)?;
                 let snap = RankSnapshot {
                     rank: s.rank() as u32,
                     local: rows.into_iter().collect(),
@@ -705,42 +745,28 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
             }
             NetMsg::ResendAll => {
-                let s = state
-                    .as_mut()
-                    .ok_or_else(|| protocol_err(&link.peer(), "ResendAll before Init"))?;
+                let s = ready(&mut state, link, "ResendAll")?;
                 s.mark_all_for_resend();
                 s.relax_pending();
                 inbox.clear();
                 // An aborted migration round resyncs like any other abort;
                 // the coordinator will re-issue the Reassign if it still
                 // wants the moves.
-                migrating = false;
-                moved_adj.clear();
-                pending_moves.clear();
+                migration = None;
                 let rank = s.rank() as u32;
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
             }
             NetMsg::Bye => return Ok(()),
             NetMsg::Reassign { round, moves, adj } => {
-                let s = state
-                    .as_mut()
-                    .ok_or_else(|| protocol_err(&link.peer(), "Reassign before Init"))?;
+                let s = ready(&mut state, link, "Reassign")?;
+                check_ids(link, "Reassign.moves vertex", moves.iter().map(|m| m.0), n)?;
+                check_ids(link, "Reassign.moves part", moves.iter().map(|m| m.1), procs)?;
+                check_ids(link, "Reassign.adj endpoint", adj.iter().flat_map(|e| [e.0, e.1]), n)?;
                 inbox.clear();
-                moved_adj.clear();
-                for &(a, b, w) in &adj {
-                    moved_adj.entry(a).or_default().push((b, w));
-                    moved_adj.entry(b).or_default().push((a, w));
-                }
                 s.apply_reassignment(&moves);
-                migrating = true;
-                pending_moves = moves;
                 let outgoing = s.migrate_out_moved();
-                let sent = !outgoing.is_empty();
-                for (dest, msg) in outgoing {
-                    let wire = NetMsg::Rows { round, peer: dest as u32, msg };
-                    link.send(FrameKind::Data, &wire.encode())?;
-                }
-                link.send(FrameKind::Data, &NetMsg::RowsDone { round, sent }.encode())?;
+                migration = Some((moves, adjacency(&adj)));
+                send_rows(link, round, outgoing)?;
             }
             NetMsg::Ready { .. }
             | NetMsg::RowsDone { .. }
@@ -812,11 +838,10 @@ pub struct NetConfig {
     /// Gather a checkpoint (all rows, per rank) every this many rounds
     /// (0 = never). The latest checkpoint seeds respawned workers.
     pub checkpoint_every: u64,
-    /// Background rebalancer policy, evaluated at round barriers. Budgeted
-    /// moves ride [`NetMsg::Reassign`] rounds; the wholesale repartition
-    /// escalation is de-escalated to repeated budgeted moves over the wire
-    /// (full graph redistribution is an Init-scale operation). Default:
-    /// disabled.
+    /// Background rebalancer policy, evaluated at round barriers. Whatever
+    /// move list it plans — budgeted, or a whole fresh partition — rides
+    /// one [`NetMsg::Reassign`] round, as in the in-process engine.
+    /// Default: disabled.
     pub rebalance: RebalanceConfig,
 }
 
@@ -920,15 +945,10 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         self.started.elapsed().as_secs_f64() * 1e6
     }
 
-    fn span(&self, kind: SpanKind, rank: Rank) {
+    /// An instant on `lane` (a rank, or `DRIVER_LANE`).
+    fn span(&self, kind: SpanKind, lane: i64) {
         if self.sink.enabled() {
-            self.sink.record(SpanEvent::instant(
-                kind,
-                rank as i64,
-                self.round,
-                0.0,
-                self.wall_us(),
-            ));
+            self.sink.record(SpanEvent::instant(kind, lane, self.round, 0.0, self.wall_us()));
         }
     }
 
@@ -998,7 +1018,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                 if self.send_msg(rank, &msg).and_then(|()| self.await_ready(rank)).is_ok() {
                     break;
                 }
-                self.span(SpanKind::Heartbeat, rank);
+                self.span(SpanKind::Heartbeat, rank as i64);
                 if self.probe(rank).is_ok() {
                     // Link is alive — the Ready was lost in flight (e.g. a
                     // corrupted frame poisoned one stream); just re-issue.
@@ -1011,18 +1031,18 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                 }
                 match supervisor.revive(rank, &mut self.links[rank], self.revivals[rank]) {
                     Revive::Healed => {
-                        self.span(SpanKind::Reconnect, rank);
+                        self.span(SpanKind::Reconnect, rank as i64);
                         self.recoveries += 1;
                     }
                     Revive::Respawned(link) => {
-                        self.span(SpanKind::Reconnect, rank);
+                        self.span(SpanKind::Reconnect, rank as i64);
                         self.recoveries += 1;
                         self.links[rank] = link;
                     }
                     Revive::Gone => return Err(self.degraded(rank)),
                 }
             }
-            self.span(SpanKind::Connection, rank);
+            self.span(SpanKind::Connection, rank as i64);
         }
         Ok(())
     }
@@ -1040,15 +1060,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             // migration round climbs the same supervision ladder; the
             // resync clears the workers' in-flight migration state.
             if let Some(moves) = self.pending_moves.take().or_else(|| self.plan_rebalance()) {
-                if self.sink.enabled() {
-                    self.sink.record(SpanEvent::instant(
-                        SpanKind::Migration,
-                        DRIVER_LANE,
-                        self.round,
-                        0.0,
-                        self.wall_us(),
-                    ));
-                }
+                self.span(SpanKind::Migration, DRIVER_LANE);
                 if let Err((rank, err)) = self.migration_round(&moves) {
                     // Park the moves: the resync clears the workers'
                     // in-flight migration state, and the next round
@@ -1062,7 +1074,8 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                     continue;
                 }
             }
-            match self.one_round() {
+            let kick = NetMsg::Produce { round: self.round };
+            match self.exchange_round(&kick, "in produce phase", "in consume phase") {
                 Ok(active) => {
                     if !active {
                         return match self.gather_closeness() {
@@ -1178,18 +1191,11 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         Ok(active)
     }
 
-    /// One BSP round over all live ranks. Returns whether anything moved.
-    fn one_round(&mut self) -> Result<bool, (Rank, NetError)> {
-        let kick = NetMsg::Produce { round: self.round };
-        self.exchange_round(&kick, "in produce phase", "in consume phase")
-    }
-
-    /// Plans a budgeted migration for this round barrier, or `None`. The
-    /// planner is the same one the in-process engine uses, run over the
-    /// coordinator's owner map; the wholesale `Repartition` escalation is
-    /// de-escalated to a PS budgeted pass (a full redistribution is an
-    /// Init-scale operation, not a round-barrier one). Skipped while any
-    /// rank is dead — moves toward a dead rank would strand rows.
+    /// Plans a migration for this round barrier, or `None`: whatever move
+    /// list the planner the in-process engine uses returns over the
+    /// coordinator's owner map — budgeted, or the diff to a fresh
+    /// partition. Skipped while any rank is dead — moves toward a dead
+    /// rank would strand rows.
     fn plan_rebalance(&mut self) -> Option<Vec<(VertexId, PartId)>> {
         let cfg = self.config.rebalance;
         if !cfg.due_at(self.round as usize) || self.dead.iter().any(|&d| d) {
@@ -1197,21 +1203,11 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         }
         let partition = Partition::new(self.owner.clone(), self.links.len()).ok()?;
         let signals = LoadSignals::measure(self.graph, &partition);
-        let moves = match Rebalancer::new(cfg).plan(self.graph, &partition, &signals) {
-            RebalancePlan::Hold => Vec::new(),
-            RebalancePlan::Migrate(moves) => moves,
-            RebalancePlan::Repartition => {
-                let ps = RebalanceConfig { policy: RebalancePolicy::Ps, ..cfg };
-                match Rebalancer::new(ps).plan(self.graph, &partition, &signals) {
-                    RebalancePlan::Migrate(moves) => moves,
-                    _ => Vec::new(),
-                }
-            }
-        };
+        let moves = Rebalancer::new(cfg).moves(self.graph, &partition, &signals).ok()?;
         (!moves.is_empty()).then_some(moves)
     }
 
-    /// One budgeted-migration round: broadcast the `Reassign` (the moves
+    /// One migration round: broadcast the `Reassign` (the moves
     /// plus the moved vertices' adjacency, deduplicated), relay the
     /// migrated row bundles exactly like a recombination round, and wait
     /// for every rank to confirm installation. The owner map is updated
@@ -1263,7 +1259,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             // Step 1: probe. A worker that answers within the probe
             // deadline hit a transient fault (delayed frames, a reconnect
             // in progress) — no supervisor needed.
-            self.span(SpanKind::Heartbeat, rank);
+            self.span(SpanKind::Heartbeat, rank as i64);
             if self.probe(rank).is_ok() {
                 self.probes_survived += 1;
                 match self.resync_all() {
@@ -1281,7 +1277,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             }
             match supervisor.revive(rank, &mut self.links[rank], self.revivals[rank]) {
                 Revive::Healed => {
-                    self.span(SpanKind::Reconnect, rank);
+                    self.span(SpanKind::Reconnect, rank as i64);
                     self.recoveries += 1;
                     // Same process: state intact. Verify liveness (a
                     // failure climbs the ladder again), then kick.
@@ -1290,7 +1286,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                     }
                 }
                 Revive::Respawned(link) => {
-                    self.span(SpanKind::Reconnect, rank);
+                    self.span(SpanKind::Reconnect, rank as i64);
                     self.recoveries += 1;
                     self.links[rank] = link;
                     // Fresh process: full re-init, then min-merge the last
@@ -1300,7 +1296,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                         continue;
                     }
                     if let Some(rows) = self.checkpoints[rank].clone() {
-                        self.span(SpanKind::Restore, rank);
+                        self.span(SpanKind::Restore, rank as i64);
                         if self
                             .send_msg(rank, &NetMsg::Absorb { rows })
                             .and_then(|()| self.await_ready(rank))

@@ -427,12 +427,6 @@ impl PublishedView {
         self.closeness.top_k_rescan(k)
     }
 
-    /// How many entries the maintained top-k snapshot covers
-    /// (`min(`[`TOPK_SERVE_CAP`]`, n)` on every published view).
-    pub fn topk_coverage(&self) -> usize {
-        self.closeness.topk.len()
-    }
-
     /// Whether this view carries certified per-vertex bounds.
     pub fn has_bounds(&self) -> bool {
         !self.bounds.is_empty()

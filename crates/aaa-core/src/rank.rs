@@ -8,7 +8,7 @@ use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId,
 use aaa_runtime::Rank;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Re-exported kernel (it lives next to the arena it operates on).
 pub use crate::dv::relax_via;
@@ -19,12 +19,12 @@ pub enum WireFormat {
     /// Every send carries the full row (the paper's baseline wire).
     #[default]
     Full,
-    /// Sends only the improved `(column, distance)` pairs to destinations
-    /// known to hold the previously-sent row, falling back to the full row
-    /// when the delta is dense or the destination is unsynced. Entries
-    /// only decrease between invalidations, and an invalidation raises the
-    /// sender's last-sent copy and the receivers' cached copy by the same
-    /// rule, so a delta chain reconstructs the row exactly.
+    /// Sends only the `(column, distance)` pairs lowered since the row's
+    /// last send — the store's *unsent* record, no copy of what was sent —
+    /// to destinations known to hold that send, falling back to the full
+    /// row when the delta is dense or the destination is unsynced. See
+    /// [`RankState::produce_rc_messages`] for why the chain reconstructs
+    /// the row exactly, invalidations included.
     Delta,
 }
 
@@ -92,9 +92,8 @@ impl GrowMsg {
 /// decremental changes (edge removals, weight increases, vertex removals)
 /// cost in cells instead of a restart. Exact functions of the run, like
 /// [`KernelTally`]. Rows and cells count **local** rows only, so summed
-/// over ranks they are cells of the n × n matrix; cached copies and the
-/// Delta wire's last-sent copies are raised by the same rule but not
-/// counted.
+/// over ranks they are cells of the n × n matrix; cached copies are raised
+/// by the same rule but not counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InvalidationTally {
     /// Invalidations run: one per removed edge, per weight increase and
@@ -143,18 +142,14 @@ pub struct RankState {
     dv: DvStore,
     /// Rows gathered for the in-flight edge relaxation (Fig. 3 broadcasts).
     gathered: FxHashMap<VertexId, BoundedRow>,
-    /// Local rows changed by dynamic updates, pending intra-rank relaxation
-    /// (unordered, may repeat; sorted and deduplicated when consumed).
-    pending: Vec<VertexId>,
     /// Wire format for produced RC messages.
     wire: WireFormat,
     /// Worker threads for the relaxation kernel (1 = sequential).
     kernel_threads: usize,
-    /// Delta wire tracking: per row, the copy as of its last send, and the
-    /// destinations known to hold exactly that copy. An invalidation
-    /// raises these copies by the rule the destinations apply to their
-    /// cached ones ([`RankState::invalidate`]), which keeps "exactly".
-    sent_snapshot: FxHashMap<VertexId, Vec<Dist>>,
+    /// Delta wire tracking: per row, the destinations that hold it as of
+    /// its last send (what changed since is the store's unsent record).
+    /// Cleared — the next produce sends full rows — whenever receiver
+    /// caches may diverge from that: migration, restore, recovery resend.
     synced: FxHashMap<VertexId, Vec<Rank>>,
     /// Whether the last produce emitted anything / consume changed anything
     /// (drives the global convergence reduction).
@@ -187,10 +182,8 @@ impl RankState {
             edge_seen: FxHashSet::default(),
             dv,
             gathered: FxHashMap::default(),
-            pending: Vec::new(),
             wire: WireFormat::Full,
             kernel_threads: 1,
-            sent_snapshot: FxHashMap::default(),
             synced: FxHashMap::default(),
             last_sent: false,
             last_changed: false,
@@ -248,14 +241,6 @@ impl RankState {
                 self.edge_seen.insert(edge_key(v, t));
             }
         }
-    }
-
-    /// Drops the delta-wire sync tracking: the next produce sends full
-    /// rows. Required whenever receiver caches may diverge from what this
-    /// rank believes it sent (migration, restore, recovery resend).
-    fn reset_wire_tracking(&mut self) {
-        self.sent_snapshot.clear();
-        self.synced.clear();
     }
 
     // --------------------------------------------------------------------
@@ -363,51 +348,52 @@ impl RankState {
     /// (the paper's maximum message size `M`). Dirty non-boundary rows are
     /// simply retired — no one else needs them.
     ///
-    /// Under [`WireFormat::Delta`], a destination that already holds this
-    /// row's previously-sent copy receives only the improved `(col, dist)`
-    /// pairs, unless the delta is dense enough that the full row is
-    /// smaller on the wire. `delta_pairs` is exact because the row is
-    /// nowhere above its last-sent copy: entries only decrease between
-    /// invalidations, and an invalidation raises the copy *with* the row —
-    /// a cell raised in the row is raised in the copy, which held at least
-    /// as much — exactly as the destination raises its cached copy.
+    /// Under [`WireFormat::Delta`], a destination that holds this row as of
+    /// its last send receives only the pairs of the store's unsent record,
+    /// unless the delta is dense enough that the full row is smaller on the
+    /// wire. The payload is exactly what such a receiver lacks. A clear
+    /// bit: the cell was not lowered since the send, so it equals the
+    /// receiver's, and if an invalidation raised it, the one rule
+    /// ([`Witness::raise_row`]) decided alike on both sides. A set bit on a
+    /// finite cell: it was lowered, the row is dirty, the cell travels. A
+    /// set bit on an `INF` cell: lowered, then raised together with the
+    /// receiver's at-least-as-great copy; `INF` never travels. The record
+    /// is cleared when, and only when, the row is sent: a dirty row without
+    /// a destination (a vertex that lost every edge) keeps its bits, for
+    /// once it is re-attached its receivers still hold the old send.
     pub fn produce_rc_messages(&mut self, cap_bytes: usize) -> Vec<(Rank, RowMsg)> {
         let dirty = self.dv.take_dirty_sorted();
-        let mut buckets: FxHashMap<Rank, Vec<(VertexId, RowPayload)>> = FxHashMap::default();
+        let mut buckets: BTreeMap<Rank, Vec<(VertexId, RowPayload)>> = BTreeMap::new();
         for v in dirty {
             let dests = self.boundary_destinations(v);
             if dests.is_empty() {
                 continue;
             }
             let row = self.dv.local_row(v).expect("dirty row must be local");
+            // Empty under the Full wire. One delta serves every synced
+            // destination: they all hold the same send.
+            let synced = self.synced.get(&v);
+            let mut pairs = None;
+            for &q in &dests {
+                let payload = if synced.is_some_and(|s| s.binary_search(&q).is_ok()) {
+                    let pairs = pairs.get_or_insert_with(|| self.dv.unsent_pairs(v));
+                    if 8 * pairs.len() < 4 * row.len() {
+                        RowPayload::Delta(pairs.clone())
+                    } else {
+                        RowPayload::Full(row.to_vec())
+                    }
+                } else {
+                    RowPayload::Full(row.to_vec())
+                };
+                buckets.entry(q).or_default().push((v, payload));
+            }
+            self.dv.clear_unsent(v);
             if self.wire == WireFormat::Delta {
-                // One delta serves every synced destination: they all hold
-                // the same last-sent copy.
-                let pairs = self.sent_snapshot.get(&v).map(|prev| delta_pairs(prev, row));
-                let synced = self.synced.get(&v);
-                for &q in &dests {
-                    let in_sync = synced.is_some_and(|s| s.binary_search(&q).is_ok());
-                    let payload = match &pairs {
-                        Some(p) if in_sync && 8 * p.len() < 4 * row.len() => {
-                            RowPayload::Delta(p.clone())
-                        }
-                        _ => RowPayload::Full(row.to_vec()),
-                    };
-                    buckets.entry(q).or_default().push((v, payload));
-                }
-                self.sent_snapshot.insert(v, row.to_vec());
                 self.synced.insert(v, dests);
-            } else {
-                for &q in &dests {
-                    buckets.entry(q).or_default().push((v, RowPayload::Full(row.to_vec())));
-                }
             }
         }
         let mut out = Vec::new();
-        let mut dests: Vec<Rank> = buckets.keys().copied().collect();
-        dests.sort_unstable();
-        for q in dests {
-            let rows = buckets.remove(&q).expect("bucket exists");
+        for (q, rows) in buckets {
             // Chunk to the message cap; every chunk carries ≥ 1 row.
             let mut chunk: Vec<(VertexId, RowPayload)> = Vec::new();
             let mut bytes = 0usize;
@@ -431,48 +417,22 @@ impl RankState {
     /// Consume phase of one RC step: min-merge received boundary rows and
     /// run the recombination strategy (min-plus relaxation with the changed
     /// rows as pivots — the Floyd–Warshall-flavoured local refresh of
-    /// §IV.C.1). Sets [`RankState::last_changed`].
+    /// §IV.C.1). The kernel's seeds are the rows whose unpropagated record
+    /// is non-empty: the ones merged here and whatever dynamic updates left
+    /// pending. Sets [`RankState::last_changed`].
     pub fn consume_rc_messages(&mut self, inbox: Vec<(Rank, RowMsg)>) {
-        let mut worklist: Vec<VertexId> = Vec::new();
         for (_, msg) in inbox {
             for (v, payload) in msg.rows {
                 let local = self.dv.is_local(v);
-                let changed = match payload {
-                    RowPayload::Full(row) => {
-                        if local {
-                            self.dv.min_merge_local(v, &row)
-                        } else {
-                            self.dv.min_merge_cached(v, &row)
-                        }
-                    }
-                    RowPayload::Delta(pairs) => {
-                        if local {
-                            self.dv.min_merge_local_sparse(v, &pairs)
-                        } else {
-                            self.dv.min_merge_cached_sparse(v, &pairs)
-                        }
-                    }
+                match payload {
+                    RowPayload::Full(row) if local => self.dv.min_merge_local(v, &row),
+                    RowPayload::Full(row) => self.dv.min_merge_cached(v, &row),
+                    RowPayload::Delta(pairs) if local => self.dv.min_merge_local_sparse(v, &pairs),
+                    RowPayload::Delta(pairs) => self.dv.min_merge_cached_sparse(v, &pairs),
                 };
-                if changed {
-                    worklist.push(v);
-                }
             }
         }
-        // Any dynamic-update pivots that have not been propagated yet join
-        // this step's worklist.
-        worklist.append(&mut self.pending);
-        self.last_changed = self.relax_seeds(worklist);
-    }
-
-    /// Min-plus relaxation until the rank-local fixed point, seeded by the
-    /// changed rows in `seeds` (any order, repeats allowed). The kernel
-    /// itself lives with the arena ([`DvStore::relax_to_fixed_point`]) and
-    /// takes *what* changed in each seed from the store's change record.
-    /// Returns whether any local row changed.
-    fn relax_seeds(&mut self, mut seeds: Vec<VertexId>) -> bool {
-        seeds.sort_unstable();
-        seeds.dedup();
-        self.dv.relax_to_fixed_point(&seeds, self.kernel_threads)
+        self.last_changed = self.dv.relax_unpropagated(self.kernel_threads);
     }
 
     // --------------------------------------------------------------------
@@ -495,7 +455,6 @@ impl RankState {
                 self.local.push(v);
                 self.adj.insert(v, Vec::new());
                 self.dv.add_local_row(v);
-                self.pending.push(v);
             }
         }
         self.local.sort_unstable();
@@ -579,14 +538,14 @@ impl RankState {
     /// `D[a][t] > D[a][x] + w + D[y][t]` and the symmetric direction, using
     /// the stashed broadcast rows of `x` and `y`.
     pub fn apply_edge_relax(&mut self, x: VertexId, y: VertexId, w: Weight) {
-        let Self { gathered, local, dv, pending, .. } = self;
+        let Self { gathered, local, dv, .. } = self;
         let rx = gathered.get(&x);
         let ry = gathered.get(&y);
         for &a in local.iter() {
             if !dv.is_local(a) {
                 continue;
             }
-            let changed = dv.update_local_row(a, |row| {
+            dv.update_local_row(a, |row| {
                 if let Some(ry) = ry {
                     row.relax_via(dist_add(row.get(x), w as Dist), ry);
                 }
@@ -594,9 +553,6 @@ impl RankState {
                     row.relax_via(dist_add(row.get(y), w as Dist), rx);
                 }
             });
-            if changed {
-                pending.push(a);
-            }
         }
     }
 
@@ -609,160 +565,66 @@ impl RankState {
     /// change (the companion deletion \[10\] and weight-change \[7\]
     /// algorithms' job), run after the change reached the adjacency.
     /// Every cell held here that `witness` cannot vouch for is raised to
-    /// `INF`: local rows, cached rows, and the Delta wire's last-sent
-    /// copies, all by the one rule ([`Witness::raise_row`]), so a receiver's
-    /// cached copy and the sender's record of it stay equal cell for cell.
-    /// Each raised local cell is then refilled from the rows held here and
-    /// the direct edges, the refilled rows are relaxed to the rank-local
-    /// fixed point, and what this rank cannot know comes back with RC: a
-    /// raised local row is dirty, and a raised cached row is re-sent by its
-    /// owner because an owner row that differs from its last-sent copy is
-    /// dirty already.
+    /// `INF`, in both arenas by the one rule ([`Witness::raise_row`]) and in
+    /// no copy beside them: the Delta wire keeps bits, not rows, and a
+    /// raise owes them nothing ([`RankState::produce_rc_messages`]). Each
+    /// raised local cell is then refilled from the rows held here and the
+    /// direct edges, the refilled rows are relaxed to the rank-local fixed
+    /// point, and what this rank cannot know comes back with RC: a raised
+    /// local row is dirty, and a raised cached cell comes back with its
+    /// owner's next send — the owner raised it too, or holds it lower than
+    /// it last sent, which left the row dirty and the cell's bit set.
     pub fn invalidate(&mut self, witness: &Witness) -> InvalidationTally {
         let raised = self.dv.raise(witness);
-        let mut cols = Vec::new();
-        for (&v, copy) in &mut self.sent_snapshot {
-            cols.clear();
-            witness.raise_row(v, copy, &mut cols);
-        }
         let mut tally =
             InvalidationTally { rows_raised: raised.len() as u64, ..InvalidationTally::default() };
         for (v, cols) in &raised {
-            let (changed, refilled) = self.dv.refill(*v, cols, &self.adj[v]);
             tally.cells_raised += cols.len() as u64;
-            tally.cells_refilled += refilled as u64;
-            // A row with nothing refilled has nothing to propagate (and
-            // seeding it without a record would count as all of it).
-            if changed {
-                self.pending.push(*v);
-            }
+            tally.cells_refilled += self.dv.refill(*v, cols, &self.adj[v]) as u64;
         }
         self.relax_pending();
         tally
     }
 
-    /// Runs the intra-rank relaxation over all pivots accumulated by
-    /// dynamic updates, so partial results are consistent before the next
-    /// RC exchange.
+    /// Runs the intra-rank relaxation over everything dynamic updates left
+    /// unpropagated, so partial results are consistent before the next RC
+    /// exchange.
     pub fn relax_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        self.relax_seeds(pending);
+        self.dv.relax_unpropagated(self.kernel_threads);
     }
 
     // --------------------------------------------------------------------
-    // Repartition-S support
+    // Migration
     // --------------------------------------------------------------------
+    //
+    // One path moves rows whatever the size of the move list (a budgeted
+    // rebalance, the diff to a fresh partition, Repartition-S):
+    // `apply_reassignment` on every rank, then one exchange of
+    // `migrate_out_moved` / `migrate_in_moved` + `evict_unneeded_cached`.
+    // A row that stays is not re-announced: whoever gains a neighbour of it
+    // gains that neighbour's row as its old owner left it, relaxed through
+    // the copy cached there, and the new owner map routes every later
+    // change of the kept row.
 
-    /// Produce side of the migration exchange: removes rows whose vertex
-    /// now belongs elsewhere and addresses them to the new owner.
-    /// Migration always ships full rows, whatever the wire format.
-    pub fn migrate_out(&mut self, new_owner: &[PartId]) -> Vec<(Rank, RowMsg)> {
-        let mut buckets: FxHashMap<Rank, Vec<(VertexId, RowPayload)>> = FxHashMap::default();
-        let Self { local, dv, rank, .. } = self;
-        for &v in local.iter() {
-            let q = new_owner[v as usize] as Rank;
-            if q != *rank {
-                if let Some(row) = dv.remove_local(v) {
-                    buckets.entry(q).or_default().push((v, RowPayload::Full(row)));
-                }
-            }
-        }
-        // Receiver caches are about to be rebuilt wholesale.
-        self.reset_wire_tracking();
-        let mut dests: Vec<Rank> = buckets.keys().copied().collect();
-        dests.sort_unstable();
-        dests
-            .into_iter()
-            .map(|q| (q, RowMsg { rows: buckets.remove(&q).expect("bucket") }))
-            .collect()
-    }
-
-    /// Consume side of the migration exchange: installs the new ownership,
-    /// rebuilds local structures from `adjacency_of`, installs received
-    /// rows, creates trivial rows for vertices that never had one (new
-    /// vertices under Repartition-S keep only their direct edges — the
-    /// paper's "DVs of the existing vertices are not immediately updated"),
-    /// and marks everything dirty so the next RC steps redistribute state.
-    pub fn migrate_in(
-        &mut self,
-        new_owner: &[PartId],
-        inbox: Vec<(Rank, RowMsg)>,
-        adjacency_of: impl Fn(VertexId) -> Vec<(VertexId, Weight)>,
-    ) {
-        self.owner = new_owner.to_vec();
-        let n = self.owner.len();
-        self.dv.grow_columns(n);
-        self.dv.clear_cache();
-        self.gathered.clear();
-        self.pending.clear();
-        self.reset_wire_tracking();
-        self.local =
-            (0..n as VertexId).filter(|&v| self.owner[v as usize] as usize == self.rank).collect();
-        self.adj.clear();
-        for &v in &self.local {
-            self.adj.insert(v, adjacency_of(v));
-        }
-        self.rebuild_edge_seen();
-        for (_, msg) in inbox {
-            for (v, payload) in msg.rows {
-                debug_assert_eq!(self.owner[v as usize] as usize, self.rank);
-                match payload {
-                    RowPayload::Full(row) => self.dv.install_local(v, &row, true),
-                    RowPayload::Delta(_) => {
-                        debug_assert!(false, "migration ships full rows");
-                    }
-                }
-            }
-        }
-        // Rows this rank kept across the migration stay; fresh vertices get
-        // the trivial row. Every local row is then re-seeded with its
-        // direct edges — stale rows know nothing about edges added with the
-        // batch, and the RC relaxation can only propagate facts that exist
-        // in some row.
-        let Self { local, adj, dv, .. } = self;
-        for &v in local.iter() {
-            if !dv.is_local(v) {
-                let mut row = vec![INF; n];
-                row[v as usize] = 0;
-                dv.install_local(v, &row, true);
-            }
-            dv.update_local_row(v, |row| {
-                for &(t, w) in &adj[&v] {
-                    row.lower(t, w as Dist);
-                }
-            });
-        }
-        // Force a full local relaxation on the next RC step: the migration
-        // changed which rows live together, so every pairing is new here.
-        self.pending.extend_from_slice(&self.local);
-        self.dv.mark_all_unpropagated();
-        self.dv.mark_all_dirty();
-    }
-
-    // --------------------------------------------------------------------
-    // Budgeted rebalance support
-    // --------------------------------------------------------------------
-
-    /// Applies a budgeted reassignment to the replicated owner map without
-    /// touching rows. Must run on **every** rank, including bystanders that
-    /// neither send nor receive rows: the moves change boundary-destination
-    /// sets everywhere, and a delta chain aimed at a receiver that never
-    /// held the base copy would be unsound — so wire tracking is dropped
-    /// and the next produce ships full rows.
+    /// Applies a reassignment to the replicated owner map without touching
+    /// rows. Must run on **every** rank, including bystanders that neither
+    /// send nor receive rows: the moves change boundary-destination sets
+    /// everywhere, and a delta chain aimed at a receiver that never held
+    /// the base copy (or evicted it) would be unsound — so wire tracking is
+    /// dropped and the next produce ships full rows.
     pub fn apply_reassignment(&mut self, moves: &[(VertexId, PartId)]) {
         for &(v, p) in moves {
             self.owner[v as usize] = p;
         }
-        self.reset_wire_tracking();
+        self.synced.clear();
     }
 
-    /// Produce side of a budgeted migration: ships full rows of local
-    /// vertices whose (already reassigned) owner is elsewhere. Unlike
-    /// [`RankState::migrate_out`], the local set and adjacency shrink in
-    /// place — no wholesale rebuild, so the cost scales with the move
-    /// budget rather than the rank's whole holding.
+    /// Produce side of a migration: ships full rows (whatever the wire
+    /// format) of local vertices whose (already reassigned) owner is
+    /// elsewhere. The local set and adjacency shrink in place, so the cost
+    /// scales with the move list rather than the rank's whole holding.
     pub fn migrate_out_moved(&mut self) -> Vec<(Rank, RowMsg)> {
-        let mut buckets: FxHashMap<Rank, Vec<(VertexId, RowPayload)>> = FxHashMap::default();
+        let mut buckets: BTreeMap<Rank, Vec<(VertexId, RowPayload)>> = BTreeMap::new();
         let mut departed = false;
         for i in (0..self.local.len()).rev() {
             let v = self.local[i];
@@ -774,29 +636,23 @@ impl RankState {
                 buckets.entry(q).or_default().push((v, RowPayload::Full(row)));
             }
             self.adj.remove(&v);
-            self.pending.retain(|&p| p != v);
             self.local.remove(i);
             departed = true;
         }
         if departed {
             self.rebuild_edge_seen();
         }
-        let mut dests: Vec<Rank> = buckets.keys().copied().collect();
-        dests.sort_unstable();
-        dests
-            .into_iter()
-            .map(|q| {
-                let mut rows = buckets.remove(&q).expect("bucket");
-                rows.sort_unstable_by_key(|&(v, _)| v);
-                (q, RowMsg { rows })
-            })
-            .collect()
+        let sorted = |(q, mut rows): (Rank, Vec<(VertexId, RowPayload)>)| {
+            rows.sort_unstable_by_key(|&(v, _)| v);
+            (q, RowMsg { rows })
+        };
+        buckets.into_iter().map(sorted).collect()
     }
 
-    /// Consume side of a budgeted migration: installs gained rows, extends
-    /// the local set and adjacency in place, re-seeds each gained row with
-    /// its direct edges, and queues the gained vertices as relaxation
-    /// pivots. The owner map must already reflect the reassignment (see
+    /// Consume side of a migration: installs gained rows — recorded whole,
+    /// so each is a pivot of the next relaxation — extends the local set
+    /// and adjacency in place and re-seeds each gained row with its direct
+    /// edges. The owner map must already reflect the reassignment (see
     /// [`RankState::apply_reassignment`]). A shipped row carries everything
     /// the old owner knew at the barrier, and later improvements from other
     /// ranks re-route here through the updated owner map, so the relaxation
@@ -846,18 +702,46 @@ impl RankState {
             if let Err(at) = self.local.binary_search(&v) {
                 self.local.insert(at, v);
             }
-            self.adj.insert(v, adjacency_of(v));
-        }
-        self.rebuild_edge_seen();
-        let Self { adj, dv, .. } = self;
-        for &v in &gained {
-            dv.update_local_row(v, |row| {
-                for &(t, w) in &adj[&v] {
+            // Only the edges among vertices this rank has seen: under
+            // Repartition-S the rest arrive with the batch.
+            let mut edges = adjacency_of(v);
+            edges.retain(|&(t, _)| (t as usize) < n);
+            self.dv.update_local_row(v, |row| {
+                for &(t, w) in &edges {
                     row.lower(t, w as Dist);
                 }
             });
+            self.adj.insert(v, edges);
         }
-        self.pending.extend(gained);
+        self.rebuild_edge_seen();
+    }
+
+    /// Drops every cached row whose vertex no longer neighbours a local
+    /// vertex — the last step of a migration's consume side. Such a row
+    /// gets no update any more (this rank is not a destination of it), yet
+    /// every raise, refill and checkpoint would walk it. Apart from
+    /// [`RankState::migrate_in_moved`] because `tests/relax_equivalence.rs`
+    /// compares that one's row membership with a model that never evicts.
+    pub fn evict_unneeded_cached(&mut self) {
+        let mut needed = vec![false; self.owner.len()];
+        for &(t, _) in self.adj.values().flatten() {
+            needed[t as usize] = true;
+        }
+        self.dv.retain_cached(|v| needed[v as usize]);
+    }
+
+    /// Lowers `D[a][b]` and `D[b][a]` to `w` for every listed edge, on the
+    /// rows held here: all Repartition-S tells the rows about a batch's
+    /// edges (the anywhere strategies relax every row over each one
+    /// instead), and what RC needs to take it from there.
+    pub fn seed_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) {
+        for &(a, b, w) in edges {
+            for (x, y) in [(a, b), (b, a)] {
+                if self.dv.is_local(x) {
+                    self.dv.update_local_row(x, |row| row.lower(y, w as Dist));
+                }
+            }
+        }
     }
 
     // --------------------------------------------------------------------
@@ -865,29 +749,19 @@ impl RankState {
     // --------------------------------------------------------------------
 
     /// Captures this rank's DV state for a snapshot. Only row data, the
-    /// dirty mask and pending pivots are captured — ownership and
+    /// dirty mask and the pending pivots are captured — ownership and
     /// adjacency are rebuilt deterministically from the graph + partition
-    /// sections on restore. Broadcast stashes (`gathered`) are never
-    /// captured: snapshots are taken at superstep barriers, where they are
-    /// empty.
+    /// sections on restore. `pending` is derived: the local rows whose
+    /// unpropagated record is non-empty (at a barrier no cached row has
+    /// one). Broadcast stashes (`gathered`) are never captured: snapshots
+    /// are taken at superstep barriers, where they are empty.
     pub fn to_snapshot(&self) -> RankSnapshot {
-        let mut pending = self.pending.clone();
-        pending.sort_unstable();
-        pending.dedup();
-        // What lets a restore come back propagated without persisting the
-        // change record: at a barrier only pending rows still carry one.
-        debug_assert!(
-            self.local
-                .iter()
-                .all(|&v| !self.dv.has_unpropagated(v) || pending.binary_search(&v).is_ok()),
-            "a recorded row is not pending at a snapshot barrier"
-        );
         RankSnapshot {
             rank: self.rank as u32,
             local: self.dv.export_local_sorted(),
             cached: self.dv.export_cached_sorted(),
             dirty: self.dv.dirty_sorted(),
-            pending,
+            pending: self.dv.unpropagated_local_sorted(),
         }
     }
 
@@ -896,10 +770,10 @@ impl RankState {
     /// graph + partition and the rows must come back bit-identical. Rows
     /// for vertices this rank does not own are skipped; rows shorter than
     /// the current column count are INF-padded by the store. The dirty
-    /// mask and pending set are installed exactly as captured. The rows
-    /// come back propagated: a snapshot is taken at a barrier, where every
-    /// lowered row has already seeded a kernel call, so only the pending
-    /// rows — whose record the snapshot does not carry — are marked whole.
+    /// mask is installed exactly as captured. The rows come back
+    /// propagated: a snapshot is taken at a barrier, where every lowered
+    /// row has already seeded a kernel call, so only the pending rows —
+    /// whose record the snapshot does not carry — are marked whole.
     ///
     /// For recovery against a possibly *older* snapshot use
     /// [`RankState::absorb_snapshot`] instead: replacement here would wipe
@@ -921,14 +795,14 @@ impl RankState {
                 self.dv.mark_dirty(v);
             }
         }
-        self.pending.clear();
-        self.pending.extend(snap.pending.iter().copied().filter(|&v| self.dv.is_local(v)));
         self.dv.clear_unpropagated();
-        for &v in &self.pending {
-            self.dv.mark_unpropagated(v);
+        for &v in &snap.pending {
+            if self.dv.is_local(v) {
+                self.dv.mark_unpropagated(v);
+            }
         }
         self.gathered.clear();
-        self.reset_wire_tracking();
+        self.synced.clear();
         self.last_sent = false;
         self.last_changed = false;
     }
@@ -966,8 +840,7 @@ impl RankState {
     pub fn mark_all_for_resend(&mut self) {
         self.dv.mark_all_dirty();
         self.dv.mark_all_unpropagated();
-        self.pending.extend_from_slice(&self.local);
-        self.reset_wire_tracking();
+        self.synced.clear();
     }
 
     // --------------------------------------------------------------------
@@ -998,14 +871,13 @@ impl RankState {
 
     /// Panics unless this rank's state is admissible for the graph whose
     /// exact distances are `exact` — all that RC needs to reach the exact
-    /// fixed point from here: every held cell (local, cached, last-sent
-    /// copy) is at least the true distance, and every local row has its
-    /// self cell and its direct edges seeded.
+    /// fixed point from here: every held cell (local or cached) is at least
+    /// the true distance, and every local row has its self cell and its
+    /// direct edges seeded.
     #[cfg(any(test, debug_assertions))]
     pub fn check_admissible(&self, exact: &aaa_graph::apsp::DistMatrix) {
-        let held = self.dv.all_ids_sorted().into_iter().map(|v| (v, self.dv.row(v).expect("row")));
-        let sent = self.sent_snapshot.iter().map(|(&v, copy)| (v, &copy[..]));
-        for (v, row) in held.chain(sent) {
+        for v in self.dv.all_ids_sorted() {
+            let row = self.dv.row(v).expect("row");
             for (t, (&d, &truth)) in row.iter().zip(exact.row(v)).enumerate() {
                 assert!(
                     d >= truth,
@@ -1028,23 +900,12 @@ impl RankState {
     }
 }
 
-/// The sparse improvements from `prev` to `cur`. Columns `prev` never had
-/// (the row grew since the last send) count as `INF` — the receiver's copy
-/// grew with `INF` fill too, so the bases agree.
-fn delta_pairs(prev: &[Dist], cur: &[Dist]) -> Vec<(VertexId, Dist)> {
-    let mut pairs = Vec::new();
-    for (t, &d) in cur.iter().enumerate() {
-        let before = prev.get(t).copied().unwrap_or(INF);
-        if d < before {
-            pairs.push((t as VertexId, d));
-        }
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aaa_graph::AdjGraph;
+    use aaa_store::algo;
+    use proptest::prelude::*;
 
     /// Path 0-1-2-3 (unit weights) split as {0,1} | {2,3}.
     fn two_rank_path() -> (RankState, RankState) {
@@ -1223,36 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_roundtrip() {
-        let (mut r0, mut r1) = two_rank_path();
-        r0.initial_approximation();
-        r1.initial_approximation();
-        // Move vertex 1 to rank 1.
-        let new_owner = vec![0, 1, 1, 1];
-        let adj = |v: VertexId| -> Vec<(VertexId, Weight)> {
-            match v {
-                0 => vec![(1, 1)],
-                1 => vec![(0, 1), (2, 1)],
-                2 => vec![(1, 1), (3, 1)],
-                3 => vec![(2, 1)],
-                _ => vec![],
-            }
-        };
-        let out0 = r0.migrate_out(&new_owner);
-        assert_eq!(out0.len(), 1);
-        assert_eq!(out0[0].0, 1);
-        let out1 = r1.migrate_out(&new_owner);
-        assert!(out1.is_empty());
-        r0.migrate_in(&new_owner, vec![], adj);
-        r1.migrate_in(&new_owner, out0.into_iter().map(|(_, m)| (0, m)).collect(), adj);
-        assert_eq!(r0.local_vertices(), &[0]);
-        assert_eq!(r1.local_vertices(), &[1, 2, 3]);
-        // Migrated row kept its partial results (d(1,2) = 1 from IA).
-        assert_eq!(r1.dv().row(1).unwrap()[2], 1);
-        assert!(r1.has_dirty());
-    }
-
-    #[test]
     fn budgeted_move_roundtrip_converges_to_same_fixed_point() {
         let adj = |v: VertexId| -> Vec<(VertexId, Weight)> {
             match v {
@@ -1280,6 +1111,7 @@ mod tests {
         r0.migrate_in_moved(&moves, vec![], adj);
         assert_eq!(r0.local_vertices(), &[0]);
         assert_eq!(r1.local_vertices(), &[1, 2, 3]);
+        assert!(r1.has_dirty(), "a gained row is announced");
         // The shipped row kept the old owner's partial results.
         assert_eq!(r1.dv().row(1).unwrap()[2], 1);
         // RC steps after the move reach the exact distances.
@@ -1358,64 +1190,415 @@ mod tests {
         assert_eq!((after.calls - before.calls, after.rounds - before.rounds), (1, 2));
     }
 
-    /// The Delta wire across an invalidation: sender and receiver raise
-    /// their copies of a sent row by the same rule, so they stay equal cell
-    /// for cell, the next delta is exact, and the exchange ends on the
-    /// distances of the graph without the edge.
-    #[test]
-    fn invalidation_keeps_last_sent_copies_equal_to_the_cached_ones() {
-        // Cycle 0-1-2-3-4-5-0 split {0,1,2} | {3,4,5}; edge 0-1 goes.
-        let ring = |v: VertexId| vec![((v + 1) % 6, 1), ((v + 5) % 6, 1)];
-        let owner = vec![0, 0, 0, 1, 1, 1];
-        let (mut r0, mut r1) =
-            (RankState::build(0, owner.clone(), ring), RankState::build(1, owner, ring));
-        // One exchange; `None` once nothing is left to send, else whether
-        // a sparse delta travelled.
-        let exchange = |r0: &mut RankState, r1: &mut RankState| {
-            let (out0, out1) =
-                (r0.produce_rc_messages(usize::MAX), r1.produce_rc_messages(usize::MAX));
-            let mut payloads = out0.iter().chain(&out1).flat_map(|(_, m)| &m.rows).peekable();
-            payloads.peek()?;
-            let sparse = payloads.any(|(_, p)| matches!(p, RowPayload::Delta(_)));
-            r0.consume_rc_messages(out1.into_iter().map(|(_, m)| (1, m)).collect());
-            r1.consume_rc_messages(out0.into_iter().map(|(_, m)| (0, m)).collect());
-            Some(sparse)
-        };
-        for r in [&mut r0, &mut r1] {
-            r.set_wire(WireFormat::Delta);
-            r.initial_approximation();
-        }
-        while exchange(&mut r0, &mut r1).is_some() {}
-        let row = |s: usize| -> Vec<Dist> {
-            (0..6usize).map(|t| t.abs_diff(s).min(6 - t.abs_diff(s)) as Dist).collect()
-        };
-        assert_eq!(r0.dv().row(0).unwrap(), &row(0)[..]);
+    /// The sparse improvements from `prev` to `cur` — how the Delta wire
+    /// derived its payloads while the sender kept a copy of every sent row,
+    /// and the oracle the unsent record is held to. Columns `prev` never had
+    /// (the row grew since the send) count as `INF`, like the receiver's.
+    fn delta_pairs(prev: &[Dist], cur: &[Dist]) -> Vec<(VertexId, Dist)> {
+        let before = |t: usize| prev.get(t).copied().unwrap_or(INF);
+        let lowered = cur.iter().enumerate().filter(|&(t, &d)| d < before(t));
+        lowered.map(|(t, &d)| (t as VertexId, d)).collect()
+    }
 
-        let witness = Witness::edge(row(0), row(1), 1);
-        let mut tally = InvalidationTally::default();
-        for r in [&mut r0, &mut r1] {
-            r.erase_edge(0, 1);
-            tally += r.invalidate(&witness);
+    /// A few ranks on the Delta wire, driven by hand, next to the copies
+    /// the ranks no longer keep: `shadow[v]` is row `v` as of its last send,
+    /// raised by every witness since. Before any send the unsent record of
+    /// every synced row must name exactly `delta_pairs(shadow, row)`; after
+    /// every exchange each receiver's copy must equal what was sent.
+    struct ShadowedWire {
+        graph: AdjGraph,
+        owner: Vec<PartId>,
+        ranks: Vec<RankState>,
+        shadow: FxHashMap<VertexId, Vec<Dist>>,
+    }
+
+    impl ShadowedWire {
+        fn new(graph: AdjGraph, owner: Vec<PartId>, procs: usize) -> Self {
+            let ranks = (0..procs)
+                .map(|r| {
+                    let mut s = RankState::build(r, owner.clone(), |v| graph.neighbors(v).to_vec());
+                    s.set_wire(WireFormat::Delta);
+                    s.initial_approximation();
+                    s
+                })
+                .collect();
+            Self { graph, owner, ranks, shadow: FxHashMap::default() }
         }
+
+        fn owner_of(&mut self, v: VertexId) -> &mut RankState {
+            &mut self.ranks[self.owner[v as usize] as usize]
+        }
+
+        /// Every row some destination holds a send of: bits against copy.
+        fn check_send_records(&self, ctx: &str) {
+            for r in &self.ranks {
+                for (&v, _) in r.synced.iter().filter(|(_, dests)| !dests.is_empty()) {
+                    let row = r.dv.local_row(v).expect("synced rows are local");
+                    let want = delta_pairs(&self.shadow[&v], row);
+                    assert_eq!(r.dv.unsent_pairs(v), want, "{ctx}: unsent record of row {v}");
+                }
+            }
+        }
+
+        /// One exchange; `None` once nothing is left to send, else whether
+        /// a sparse delta travelled.
+        fn exchange(&mut self, ctx: &str) -> Option<bool> {
+            self.check_send_records(ctx);
+            let mut inboxes: Vec<Vec<(Rank, RowMsg)>> = vec![Vec::new(); self.ranks.len()];
+            let (mut sent, mut sparse) = (Vec::new(), false);
+            for src in 0..self.ranks.len() {
+                for (q, msg) in self.ranks[src].produce_rc_messages(usize::MAX) {
+                    for (v, payload) in &msg.rows {
+                        let row = self.ranks[src].dv.local_row(*v).expect("sent rows are local");
+                        if let RowPayload::Delta(pairs) = payload {
+                            assert_eq!(pairs, &delta_pairs(&self.shadow[v], row), "{ctx}: row {v}");
+                            sparse = true;
+                        }
+                        sent.push((q, *v, row.to_vec()));
+                    }
+                    inboxes[q].push((src, msg));
+                }
+            }
+            if sent.is_empty() {
+                return None;
+            }
+            for (r, inbox) in self.ranks.iter_mut().zip(inboxes) {
+                r.consume_rc_messages(inbox);
+            }
+            for (q, v, row) in sent {
+                assert_eq!(self.ranks[q].dv.row(v), Some(&row[..]), "{ctx}: rank {q}'s row {v}");
+                self.shadow.insert(v, row);
+            }
+            Some(sparse)
+        }
+
+        /// Exchanges until quiet; whether a sparse delta travelled.
+        fn settle(&mut self, ctx: &str) -> bool {
+            let mut sparse = false;
+            for _ in 0..64 {
+                match self.exchange(ctx) {
+                    Some(delta) => sparse |= delta,
+                    None => return sparse,
+                }
+            }
+            panic!("{ctx}: no quiescence after 64 exchanges");
+        }
+
+        /// The Fig. 3 relaxation of one recorded edge on every rank,
+        /// leaving the changed rows pending when `relax` is off.
+        fn relax_edge(&mut self, u: VertexId, v: VertexId, w: Weight, relax: bool) {
+            let (ru, rv) =
+                (self.owner_of(u).row_for_broadcast(u), self.owner_of(v).row_for_broadcast(v));
+            for r in &mut self.ranks {
+                r.stash_row(u, &ru);
+                r.stash_row(v, &rv);
+                r.apply_edge_relax(u, v, w);
+                if relax {
+                    r.relax_pending();
+                }
+                r.clear_gathered();
+            }
+        }
+
+        fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight, relax: bool) {
+            self.graph.add_edge(u, v, w).expect("fresh edge");
+            self.ranks.iter_mut().for_each(|r| r.record_edge(u, v, w));
+            self.relax_edge(u, v, w, relax);
+        }
+
+        /// Selective invalidation with the real witness, on the ranks and
+        /// on the shadow alike.
+        fn remove_edge(&mut self, u: VertexId, v: VertexId) -> InvalidationTally {
+            let w = self.graph.edge_weight(u, v).expect("edge exists");
+            let witness =
+                Witness::edge(algo::dijkstra(&self.graph, u), algo::dijkstra(&self.graph, v), w);
+            self.graph.remove_edge(u, v).expect("edge exists");
+            let mut tally = InvalidationTally::default();
+            for r in &mut self.ranks {
+                r.erase_edge(u, v);
+                tally += r.invalidate(&witness);
+            }
+            let mut cols = Vec::new();
+            for (&x, copy) in &mut self.shadow {
+                witness.raise_row(x, copy, &mut cols);
+            }
+            tally
+        }
+
+        /// One new vertex owned by `p`, attached to `t`: relaxed over its
+        /// edge (the anywhere strategies) or only seeded (Repartition-S).
+        fn grow(&mut self, p: PartId, t: VertexId, w: Weight, seed_only: bool) {
+            let x = self.graph.add_vertices(1);
+            self.graph.add_edge(x, t, w).expect("fresh edge");
+            self.owner.push(p);
+            let msg = GrowMsg { base: x, owners: vec![p], edges: vec![(x, t, w)] };
+            self.ranks.iter_mut().for_each(|r| r.grow(&msg));
+            if seed_only {
+                self.ranks.iter_mut().for_each(|r| r.seed_edges(&msg.edges));
+            } else {
+                self.relax_edge(x, t, w, true);
+            }
+        }
+
+        /// The one migration path, as both drivers run it.
+        fn migrate(&mut self, moves: &[(VertexId, PartId)]) {
+            for &(v, p) in moves {
+                self.owner[v as usize] = p;
+            }
+            self.ranks.iter_mut().for_each(|r| r.apply_reassignment(moves));
+            let mut inboxes: Vec<Vec<(Rank, RowMsg)>> = vec![Vec::new(); self.ranks.len()];
+            for src in 0..self.ranks.len() {
+                for (q, msg) in self.ranks[src].migrate_out_moved() {
+                    inboxes[q].push((src, msg));
+                }
+            }
+            let graph = &self.graph;
+            for (r, inbox) in self.ranks.iter_mut().zip(inboxes) {
+                r.migrate_in_moved(moves, inbox, |v| graph.neighbors(v).to_vec());
+                r.evict_unneeded_cached();
+            }
+        }
+
+        /// Every rank admissible for the graph as it stands, every send
+        /// record exact.
+        fn check(&self, ctx: &str) {
+            let exact = aaa_graph::apsp::apsp_dijkstra(&aaa_graph::Csr::from_adj(&self.graph));
+            for r in &self.ranks {
+                r.check_admissible(&exact);
+                r.dv.check_bounds();
+            }
+            self.check_send_records(ctx);
+        }
+
+        /// Settles and compares every local row with exact distances.
+        fn assert_exact(&mut self, ctx: &str) {
+            self.settle(ctx);
+            for v in 0..self.graph.num_vertices() as VertexId {
+                let want = algo::dijkstra(&self.graph, v);
+                assert_eq!(self.owner_of(v).dv.local_row(v), Some(&want[..]), "{ctx}: row {v}");
+            }
+        }
+    }
+
+    /// Cycle 0-1-2-3-4-5-0, unit weights, split {0,1,2} | {3,4,5}.
+    fn two_rank_ring() -> ShadowedWire {
+        let mut b = aaa_graph::GraphBuilder::with_vertices(6);
+        (0..6).for_each(|v| {
+            b.edge(v, (v + 1) % 6, 1);
+        });
+        ShadowedWire::new(b.build().expect("ring"), vec![0, 0, 0, 1, 1, 1], 2)
+    }
+
+    /// The Delta wire across an invalidation: the receivers raise their
+    /// copies of a sent row by the rule the sender's row is raised by, so
+    /// the unsent bits still name exactly what the receivers lack — no
+    /// copy at the sender to raise with them — the next delta is exact,
+    /// and the exchange ends on the distances of the graph without the
+    /// edge.
+    #[test]
+    fn invalidation_keeps_the_unsent_record_exact_against_the_receivers_copies() {
+        let mut wire = two_rank_ring();
+        wire.settle("cold");
+        assert_eq!(wire.ranks[0].dv.row(0).unwrap(), &[0, 1, 2, 3, 2, 1]);
+
+        let tally = wire.remove_edge(0, 1);
         // The paths over the edge, ties included: 3 cells each from its
         // ends, 2 from their neighbors, 1 from the far side.
         assert_eq!((tally.rows_raised, tally.cells_raised), (6, 12));
         assert!(tally.cells_refilled > 0 && tally.cells_refilled < 12);
-        for (sender, receiver) in [(&r0, &r1), (&r1, &r0)] {
-            assert!(!sender.sent_snapshot.is_empty());
-            for (v, copy) in &sender.sent_snapshot {
-                assert_eq!(receiver.dv().row(*v).unwrap(), &copy[..], "last-sent copy of {v}");
-            }
+        // Each receiver's copy is the shadow: the last send, raised.
+        assert!(!wire.shadow.is_empty());
+        for (v, copy) in &wire.shadow {
+            let receiver = &wire.ranks[1 - wire.owner[*v as usize] as usize];
+            assert_eq!(receiver.dv.row(*v).unwrap(), &copy[..], "receiver's copy of row {v}");
         }
-        let mut sparse = false;
-        while let Some(delta) = exchange(&mut r0, &mut r1) {
-            sparse |= delta;
-        }
-        assert!(sparse, "the sync survived the invalidation: deltas, not full rows");
+        wire.check("after the raise");
+        assert!(wire.settle("re-converging"), "the sync survived: deltas, not full rows");
         // The path 1-2-3-4-5-0.
-        assert_eq!(r0.dv().row(0).unwrap(), &[0, 5, 4, 3, 2, 1]);
-        assert_eq!(r0.dv().row(1).unwrap(), &[5, 0, 1, 2, 3, 4]);
-        assert_eq!(r1.dv().row(3).unwrap(), &[3, 2, 1, 0, 1, 2]);
+        assert_eq!(wire.ranks[0].dv.row(0).unwrap(), &[0, 5, 4, 3, 2, 1]);
+        assert_eq!(wire.ranks[0].dv.row(1).unwrap(), &[5, 0, 1, 2, 3, 4]);
+        assert_eq!(wire.ranks[1].dv.row(3).unwrap(), &[3, 2, 1, 0, 1, 2]);
+    }
+
+    /// A dirty row that `produce` retires for want of a destination was not
+    /// sent, so it keeps its unsent bits. Vertex 2 loses its one cut edge;
+    /// its row is raised and partly refilled from rows held beside it,
+    /// while rank 1's copy of it stays raised. Once a new vertex on rank 1
+    /// attaches to 2, rank 1 is a destination again and still counts as
+    /// synced: the delta must carry the refilled cells, not only the new
+    /// column. (Clearing the record at the retire ships `(6, 1)` alone,
+    /// and vertex 6 never learns its way to 3, 4 and 5.)
+    #[test]
+    fn a_row_retired_without_a_destination_keeps_its_send_record() {
+        let mut wire = two_rank_ring();
+        wire.settle("cold");
+        wire.remove_edge(2, 3);
+        assert_eq!(wire.ranks[0].dv.row(2).unwrap()[3..], [5, 4, 3], "refilled through 0 and 5");
+        assert_eq!(wire.ranks[1].dv.row(2).unwrap()[3..], [INF; 3], "the copy waits");
+        assert!(wire.ranks[0].boundary_destinations(2).is_empty());
+        wire.settle("without the cut edge");
+        assert_eq!(wire.ranks[0].dv.unsent_pairs(2), vec![(3, 5), (4, 4), (5, 3)]);
+
+        wire.grow(1, 2, 1, true);
+        assert_eq!(wire.ranks[0].boundary_destinations(2), vec![1]);
+        wire.check("re-attached");
+        assert!(wire.settle("re-attached"), "rank 1 still holds the old send: a delta");
+        assert_eq!(wire.ranks[1].dv.row(2).unwrap(), &[2, 1, 0, 5, 4, 3, 1]);
+        wire.assert_exact("re-attached");
+        assert_eq!(wire.ranks[1].dv.row(6).unwrap(), &[3, 2, 1, 6, 5, 4, 0]);
+    }
+
+    /// A simple connected-ish weighted graph on `n ∈ [6, 80]` vertices (up
+    /// to two chunks a row) with its owner map over `procs ∈ {2, 3}` ranks.
+    fn arb_wire() -> impl Strategy<Value = (AdjGraph, Vec<PartId>, usize)> {
+        (6usize..80, 2usize..=3).prop_flat_map(|(n, procs)| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..5), n..3 * n);
+            let owner = proptest::collection::vec(0..procs as PartId, n);
+            (edges, owner).prop_map(move |(edges, owner)| {
+                let mut b = aaa_graph::GraphBuilder::with_vertices(n);
+                // A spanning path keeps most of the graph reachable.
+                (1..n as u32).for_each(|v| {
+                    b.edge(v - 1, v, 2);
+                });
+                for (u, v, w) in edges {
+                    b.edge(u, v, w);
+                }
+                (b.build().expect("builder output is always valid"), owner, procs)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Op-programs over everything that touches a row between two
+        /// sends, landing between the exchanges of a run that has not
+        /// converged: the unsent bits must stand in for the last-sent copy
+        /// at every send, and the run must end on the exact distances.
+        #[test]
+        fn unsent_bits_name_exactly_what_a_last_sent_copy_would(
+            setup in arb_wire(),
+            warmup in 0usize..3,
+            program in proptest::collection::vec((0u32..7, 0u64..u64::MAX), 1..14),
+        ) {
+            let (graph, owner, procs) = setup;
+            let mut wire = ShadowedWire::new(graph, owner, procs);
+            for _ in 0..warmup {
+                wire.exchange("warmup");
+            }
+            for (step, (op, a)) in program.into_iter().enumerate() {
+                let ctx = format!("step {step} op {op}");
+                let n = wire.graph.num_vertices();
+                let pick = |shift: u32, m: usize| ((a >> shift) % m.max(1) as u64) as usize;
+                let edge = wire.graph.edges().nth(pick(0, wire.graph.num_edges()));
+                match (op, edge) {
+                    (0, _) => {
+                        for _ in 0..1 + pick(0, 3) {
+                            wire.exchange(&ctx);
+                        }
+                    }
+                    (1, _) => {
+                        let (u, v) = (pick(0, n) as u32, pick(20, n) as u32);
+                        if u != v && !wire.graph.has_edge(u, v) {
+                            wire.add_edge(u, v, 1 + pick(40, 4) as u32, a >> 50 & 1 == 0);
+                        }
+                    }
+                    (2, _) => {
+                        let p = pick(0, procs) as PartId;
+                        wire.grow(p, pick(8, n) as u32, 1 + pick(40, 4) as u32, a >> 50 & 1 == 0);
+                    }
+                    (3, Some((u, v, _))) => {
+                        wire.remove_edge(u, v);
+                    }
+                    (4, _) => {
+                        // One vertex each off up to two ranks, wherever
+                        // the bits say.
+                        let moves: Vec<(VertexId, PartId)> = (0..1 + pick(0, 2))
+                            .map(|i| pick(8 + 16 * i as u32, n) as VertexId)
+                            .map(|v| (v, ((wire.owner[v as usize] as usize + 1) % procs) as PartId))
+                            .collect();
+                        let distinct = moves.len() < 2 || moves[0].0 != moves[1].0;
+                        if distinct {
+                            wire.migrate(&moves);
+                        }
+                    }
+                    (5, _) => {
+                        // Dirty a row while it has no boundary destination,
+                        // then give it one: every cut edge of `v` goes, a
+                        // round passes, a remote vertex attaches.
+                        let v = pick(0, n) as u32;
+                        let home = wire.owner[v as usize];
+                        let cut: Vec<u32> = wire.graph.neighbors(v).iter().map(|e| e.0)
+                            .filter(|&t| wire.owner[t as usize] != home).collect();
+                        for t in cut {
+                            wire.remove_edge(v, t);
+                        }
+                        wire.exchange(&ctx);
+                        let away = ((home as usize + 1) % procs) as PartId;
+                        wire.grow(away, v, 1 + pick(40, 4) as u32, a >> 50 & 1 == 0);
+                    }
+                    // A vertex loses every edge at once.
+                    (6, _) => {
+                        let v = pick(0, n) as u32;
+                        let nbrs: Vec<u32> = wire.graph.neighbors(v).iter().map(|e| e.0).collect();
+                        for t in nbrs {
+                            wire.remove_edge(v, t);
+                        }
+                    }
+                    _ => {}
+                }
+                wire.check(&ctx);
+            }
+            wire.assert_exact("quiescence");
+        }
+    }
+
+    /// `pending` is derived, and it is complete: a snapshot taken between a
+    /// Repartition-S wave and its first RC step lists every row the wave
+    /// left unpropagated — the migrated rows, the new vertices', the
+    /// endpoints of the new edges — and the restored engine continues
+    /// through the kernel calls and rounds of the live one to the same
+    /// fixed point. It may only make more dense passes: an endpoint that
+    /// stayed put owes one column on the live engine and comes back marked
+    /// whole, the record not being part of the snapshot.
+    #[test]
+    fn a_snapshot_after_a_repartition_wave_lists_its_pending_rows_and_restores_them() {
+        use crate::changes::preferential_batch;
+        use crate::{AnytimeEngine, AssignStrategy, EngineConfig};
+        use aaa_graph::generators::{barabasi_albert, WeightModel};
+
+        let graph = barabasi_albert(150, 2, WeightModel::Unit, 7).expect("generator");
+        let config = EngineConfig::deterministic(4);
+        let mut live = AnytimeEngine::new(graph, config.clone()).expect("engine");
+        live.run_to_convergence();
+        let before: Vec<PartId> = live.partition().assignment().to_vec();
+        let wave = preferential_batch(live.graph(), 12, 2, 31);
+        live.apply_vertex_additions(&wave, AssignStrategy::Repartition { seed: 3 }).expect("wave");
+
+        let snapshot = live.snapshot();
+        let mut pending: Vec<VertexId> =
+            snapshot.ranks.iter().flat_map(|r| r.pending.iter().copied()).collect();
+        pending.sort_unstable();
+        let after = live.partition().assignment();
+        let mut want: Vec<VertexId> = (0..after.len() as VertexId)
+            .filter(|&v| before.get(v as usize) != Some(&after[v as usize]))
+            .chain(wave.global_edges(150).into_iter().map(|e| e.1))
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(pending, want);
+        assert!(want.len() > wave.len(), "the wave moved no row");
+
+        let mut restored = AnytimeEngine::from_snapshot(&snapshot, config).expect("restore");
+        let at_snapshot = live.kernel_tally();
+        let (live_run, restored_run) = (live.run_to_convergence(), restored.run_to_convergence());
+        assert_eq!(restored_run, live_run);
+        assert_eq!(restored.distances(), live.distances());
+        assert_eq!(restored.closeness(), live.closeness());
+        // The restored stores' tallies start at zero.
+        let (now, was, got) = (live.kernel_tally(), at_snapshot, restored.kernel_tally());
+        assert_eq!((got.calls, got.rounds), (now.calls - was.calls, now.rounds - was.rounds));
+        assert!(got.dense_passes >= now.dense_passes - was.dense_passes);
     }
 
     #[test]

@@ -261,3 +261,79 @@ fn unknown_tags_and_trailing_bytes_are_typed_errors() {
     msg[9] = 9;
     assert!(matches!(NetMsg::decode(&msg), Err(WireError::UnknownWire(9))));
 }
+
+/// A frame can decode cleanly and still name a vertex or a rank the `Init`
+/// never sized the worker for. The ids index the owner map and the DV
+/// store, so the worker must refuse them at the protocol boundary — with
+/// `NetError::Protocol` naming the field — and return, not die in a panic.
+/// One case per message that carries ids; the well-formed twin of each is
+/// served.
+#[test]
+fn out_of_range_ids_from_the_wire_end_the_worker_with_a_protocol_error() {
+    use aaa_core::run_worker;
+    use aaa_runtime::net::{FrameKind, LocalTransport, NetError, Transport};
+    use std::time::Duration;
+
+    // Feeds one worker `msgs`, then a shutdown; how its thread ended.
+    let verdict = |msgs: Vec<NetMsg>| {
+        let (mut coordinator, mut worker) = LocalTransport::pair("coordinator", "rank0");
+        let handle = std::thread::spawn(move || run_worker(&mut worker, Duration::from_secs(10)));
+        for msg in msgs {
+            // A worker that already refused a frame has hung up.
+            let _ = coordinator.send(FrameKind::Data, &msg.encode());
+        }
+        let _ = coordinator.send(FrameKind::Shutdown, &[]);
+        handle.join().expect("the worker returns; it does not panic")
+    };
+    let init = |rank: u32, owner: Vec<u32>, edges: Vec<(u32, u32, u32)>| NetMsg::Init {
+        rank,
+        procs: 2,
+        wire: WireFormat::Full,
+        cap_bytes: 0,
+        owner,
+        edges,
+    };
+    // Path 0-1-2-3 split 2|2, the worker is rank 0.
+    let good = || init(0, vec![0, 0, 1, 1], vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+    let rows = |v: u32| NetMsg::Rows {
+        round: 1,
+        peer: 1,
+        msg: RowMsg { rows: vec![(v, RowPayload::Full(vec![2, 1, 0, 1]))] },
+    };
+    let consume = NetMsg::Consume { round: 1, expect: 1 };
+    let reassign = |moves, adj| NetMsg::Reassign { round: 1, moves, adj };
+
+    let served: Vec<Vec<NetMsg>> = vec![
+        vec![good(), rows(2), consume.clone()],
+        vec![good(), NetMsg::Absorb { rows: vec![(1, vec![1, 0, 1, 2])] }],
+        // Rank 0 gives vertex 1 away and gains nothing.
+        vec![
+            good(),
+            reassign(vec![(1, 1)], vec![(1, 0, 1), (1, 2, 1)]),
+            NetMsg::Consume { round: 1, expect: 0 },
+        ],
+    ];
+    for msgs in served {
+        let ended = verdict(msgs.clone());
+        assert!(ended.is_ok(), "{msgs:?}: worker ended with {ended:?}");
+    }
+    let refused: Vec<(Vec<NetMsg>, &str)> = vec![
+        (vec![init(0, vec![0, 0, 1, 2], vec![])], "Init.owner part 2"),
+        (vec![init(0, vec![0, 0, 1, 1], vec![(0, 4, 1)])], "Init.edges endpoint 4"),
+        (vec![init(2, vec![0, 0, 1, 1], vec![])], "Init.rank 2"),
+        (vec![good(), rows(9), consume.clone()], "Rows.rows vertex 9"),
+        (vec![rows(0)], "Rows.rows vertex 0"),
+        (vec![good(), NetMsg::Absorb { rows: vec![(4, vec![0; 4])] }], "Absorb.rows vertex 4"),
+        (vec![good(), reassign(vec![(77, 1)], vec![])], "Reassign.moves vertex 77"),
+        (vec![good(), reassign(vec![(1, 2)], vec![])], "Reassign.moves part 2"),
+        (vec![good(), reassign(vec![(1, 1)], vec![(1, 4, 1)])], "Reassign.adj endpoint 4"),
+    ];
+    for (msgs, field) in refused {
+        match verdict(msgs.clone()) {
+            Err(NetError::Protocol { what, .. }) => {
+                assert!(what.starts_with(field), "{msgs:?}: refused with '{what}'")
+            }
+            other => panic!("{msgs:?}: worker ended with {other:?}"),
+        }
+    }
+}

@@ -23,7 +23,9 @@ pub mod simple;
 
 pub use multilevel::{MultilevelConfig, MultilevelPartitioner};
 pub use quality::{boundary_vertices, cut_edges, cut_weight, edge_balance, vertex_balance};
-pub use rebalance::{LoadSignals, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer};
+pub use rebalance::{
+    moves_between, LoadSignals, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer,
+};
 
 use aaa_graph::{PartId, VertexId};
 use aaa_store::GraphStore;

@@ -6,7 +6,10 @@
 //! load and edge-cut signals, and when the configured skew threshold is
 //! crossed it either plans a small budgeted set of boundary-vertex
 //! migrations (the PS-flavoured move, xDGP/SDP style) or escalates to a
-//! full repartition (the RS-flavoured move). Because the DV fixed point is
+//! full repartition (the RS-flavoured move). Either way what a driver
+//! executes is a move list ([`Rebalancer::moves`]): a fresh partition is
+//! the list of vertices it assigns elsewhere ([`moves_between`]) — long,
+//! not a different operation. Because the DV fixed point is
 //! the exact distance matrix — independent of which rank owns which row —
 //! any plan this module produces preserves bit-identical converged
 //! answers; only *where* the work happens changes.
@@ -19,7 +22,7 @@
 //! deployments that want wall-clock-driven decisions.
 
 use crate::quality::{per_part_cut, vertex_balance};
-use crate::Partition;
+use crate::{MultilevelPartitioner, Partition, PartitionError, Partitioner};
 use aaa_graph::{PartId, VertexId};
 use aaa_store::GraphStore;
 
@@ -33,8 +36,8 @@ pub enum RebalancePolicy {
     /// Partial strategy: migrate up to a budget of boundary vertices from
     /// overloaded parts whenever skew exceeds the trigger.
     Ps,
-    /// Repartition strategy: full multilevel repartition + wholesale
-    /// migration whenever skew exceeds the trigger.
+    /// Repartition strategy: full multilevel repartition, migrating every
+    /// vertex it assigns elsewhere, whenever skew exceeds the trigger.
     Rs,
     /// Budgeted migrations while skew is moderate; escalate to a full
     /// repartition once it passes [`RebalanceConfig::rs_trigger`].
@@ -162,8 +165,16 @@ pub enum RebalancePlan {
     /// at most [`RebalanceConfig::budget`] entries, every move strictly
     /// improves the donor/recipient balance.
     Migrate(Vec<(VertexId, PartId)>),
-    /// Skew is beyond repair-by-budget: full repartition + migration.
+    /// Skew is beyond repair-by-budget: migrate to a fresh partition.
     Repartition,
+}
+
+/// The moves that take `current` to `target`: every vertex of `current`
+/// that `target` — which may cover more vertices, as a partition of a
+/// grown graph does — assigns to another part, in vertex order.
+pub fn moves_between(current: &Partition, target: &Partition) -> Vec<(VertexId, PartId)> {
+    let parts = current.assignment().iter().zip(target.assignment()).enumerate();
+    parts.filter(|(_, (was, now))| was != now).map(|(v, (_, &now))| (v as VertexId, now)).collect()
 }
 
 /// The background rebalancer: a pure planner over load/cut signals.
@@ -218,6 +229,26 @@ impl Rebalancer {
                 } else {
                     RebalancePlan::Hold
                 }
+            }
+        }
+    }
+
+    /// [`Rebalancer::plan`] as what every driver executes, a move list:
+    /// empty to hold, the budgeted moves, or for a repartition the moves to
+    /// a fresh multilevel partition under [`RebalanceConfig::seed`] — whose
+    /// labels are arbitrary, so most vertices move.
+    pub fn moves<G: GraphStore>(
+        &self,
+        g: &G,
+        p: &Partition,
+        signals: &LoadSignals,
+    ) -> Result<Vec<(VertexId, PartId)>, PartitionError> {
+        match self.plan(g, p, signals) {
+            RebalancePlan::Hold => Ok(Vec::new()),
+            RebalancePlan::Migrate(moves) => Ok(moves),
+            RebalancePlan::Repartition => {
+                let fresh = MultilevelPartitioner::seeded(self.config.seed).partition(g, p.k())?;
+                Ok(moves_between(p, &fresh))
             }
         }
     }
@@ -390,6 +421,34 @@ mod tests {
         // Moderate skew: the same policy plans budgeted moves instead.
         let mild = LoadSignals { imbalance: 1.3, ..s.clone() };
         assert!(matches!(r.plan(&g, &p, &mild), RebalancePlan::Migrate(_)));
+    }
+
+    #[test]
+    fn a_repartition_is_the_move_list_to_the_fresh_partition() {
+        let g = path(30);
+        let p = skewed_partition(30, 3);
+        let s = LoadSignals::measure(&g, &p);
+        let r = Rebalancer::new(RebalanceConfig {
+            seed: 5,
+            ..RebalanceConfig::with_policy(RebalancePolicy::Rs)
+        });
+        assert_eq!(r.plan(&g, &p, &s), RebalancePlan::Repartition);
+        let moves = r.moves(&g, &p, &s).unwrap();
+        let fresh = MultilevelPartitioner::seeded(5).partition(&g, 3).unwrap();
+        let mut q = p.clone();
+        for &(v, part) in &moves {
+            assert_ne!(p.part_of(v), part, "a move changes the owner");
+            q.set_part(v, part).unwrap();
+        }
+        assert_eq!(q, fresh);
+        assert!(moves.windows(2).all(|w| w[0].0 < w[1].0), "vertex order, no repeats");
+        // Nothing to do is the empty list; a longer target only moves
+        // the vertices both cover.
+        assert!(moves_between(&fresh, &fresh).is_empty());
+        let grown = Partition::new([p.assignment(), &[2, 2]].concat(), 3).unwrap();
+        assert!(moves_between(&p, &grown).is_empty());
+        let hold = Rebalancer::new(RebalanceConfig::default());
+        assert!(hold.moves(&g, &p, &s).unwrap().is_empty());
     }
 
     #[test]

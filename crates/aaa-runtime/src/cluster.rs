@@ -283,12 +283,6 @@ impl<S: Send> Cluster<S> {
         self.chaos
     }
 
-    /// Whether faults may still fire at the *current* superstep (a plan is
-    /// installed and the chaos horizon has not passed).
-    pub fn chaos_active(&self) -> bool {
-        self.chaos.is_some_and(|c| c.active_at(self.stats.supersteps))
-    }
-
     /// True while the delay queue holds messages that have not been
     /// delivered yet. A quiescent-looking cluster with undelivered traffic
     /// is *not* done — the supervised loop keeps stepping until this

@@ -742,27 +742,6 @@ impl SocketTransport {
         Ok(())
     }
 
-    /// Resets all sequencing state — used when the peer is a *fresh*
-    /// process (new session) whose state, including its receive cursor,
-    /// started over.
-    pub fn reset_session(&mut self) {
-        self.next_seq = 0;
-        self.last_recv = 0;
-        self.peer_acked = 0;
-        self.replay.clear();
-    }
-
-    /// Whether the underlying stream is currently up.
-    pub fn is_up(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    /// Marks the stream down (e.g. after the supervisor killed the
-    /// process behind it).
-    pub fn mark_down(&mut self) {
-        self.conn = None;
-    }
-
     /// Blocks until the peer has acknowledged every sequenced frame sent
     /// so far, healing the link (reconnect + replay) whenever progress
     /// stalls. Only call when no inbound application frames are expected

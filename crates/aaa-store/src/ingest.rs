@@ -51,14 +51,6 @@ impl PairSorter {
         Ok(())
     }
 
-    /// Queues a batch of undirected edges.
-    pub fn push_edges(&mut self, batch: &[(VertexId, VertexId, Weight)]) -> Result<(), StoreError> {
-        for &(u, v, w) in batch {
-            self.push_edge(u, v, w)?;
-        }
-        Ok(())
-    }
-
     /// Number of sorted runs spilled so far (observable for tests).
     pub fn runs_spilled(&self) -> usize {
         self.runs.len()

@@ -172,12 +172,16 @@ fn socket_transport_matches_the_in_process_engine_bitwise() {
     }
 }
 
-/// The rebalancer must work over the wire exactly as it does in-process:
-/// budgeted `Reassign` rounds migrate rows between worker processes, the
-/// fixed point stays bit-identical to the oracle, and the ownership map
-/// ends up measurably less skewed than it started.
+/// The rebalancer must work over the wire exactly as it does in-process,
+/// whatever it plans: budgeted `Ps` moves and the `Rs` diff to a fresh
+/// multilevel partition ride the same `Reassign` rounds between worker
+/// processes, the fixed point stays bit-identical to the oracle, and the
+/// ownership map ends up measurably less skewed than it started — under
+/// `Rs`, on the multilevel partition itself.
 #[test]
 fn background_rebalancer_works_over_the_wire() {
+    use aaa_partition::{MultilevelPartitioner, Partitioner};
+
     let graph = barabasi_albert(140, 2, WeightModel::UniformRange { lo: 1, hi: 4 }, 33).unwrap();
     let mut engine = AnytimeEngine::new(graph.clone(), EngineConfig::deterministic(PROCS)).unwrap();
     engine.run_to_convergence();
@@ -186,9 +190,9 @@ fn background_rebalancer_works_over_the_wire() {
     // A deliberately skewed ownership map: everything on rank 0 except
     // one vertex per other rank.
     let n = graph.num_vertices();
-    let mut owner = vec![0u32; n];
+    let mut skewed = vec![0u32; n];
     for q in 1..PROCS {
-        owner[n - q] = q as u32;
+        skewed[n - q] = q as u32;
     }
     let balance = |owner: &[u32]| {
         let mut sizes = [0usize; PROCS];
@@ -198,42 +202,49 @@ fn background_rebalancer_works_over_the_wire() {
         let ideal = n.div_ceil(PROCS) as f64;
         sizes.iter().copied().max().unwrap() as f64 / ideal
     };
-    let skew_before = balance(&owner);
+    let skew_before = balance(&skewed);
     assert!(skew_before > 2.0, "scenario must start skewed");
 
-    let mut links = Vec::new();
-    let mut workers = Vec::new();
-    for rank in 0..PROCS {
-        let (coord, mut worker) = LocalTransport::pair("coordinator", &format!("rank{rank}"));
-        links.push(coord);
-        workers.push(std::thread::spawn(move || run_worker(&mut worker, Duration::from_secs(30))));
-    }
-    let config = NetConfig {
-        rebalance: RebalanceConfig {
-            every: 2,
-            budget: 16,
-            ..RebalanceConfig::with_policy(RebalancePolicy::Ps)
-        },
-        ..NetConfig::default()
-    };
-    let mut runner = NetRunner::new(&graph, owner, links, config);
-    runner.init(&mut NoSupervisor).expect("init succeeds over local transport");
-    let outcome = runner.run(&mut NoSupervisor);
-    let skew_after = balance(runner.owner());
-    runner.shutdown();
-    for w in workers {
-        w.join().expect("worker thread panicked").expect("worker exited cleanly");
-    }
-    match outcome {
-        NetOutcome::Converged(summary) => {
-            assert_bit_identical(&summary.closeness, &oracle, "rebalanced");
+    for policy in [RebalancePolicy::Ps, RebalancePolicy::Rs] {
+        let mut links = Vec::new();
+        let mut workers = Vec::new();
+        for rank in 0..PROCS {
+            let (coord, mut worker) = LocalTransport::pair("coordinator", &format!("rank{rank}"));
+            links.push(coord);
+            workers
+                .push(std::thread::spawn(move || run_worker(&mut worker, Duration::from_secs(30))));
         }
-        NetOutcome::Degraded(report) => panic!("degraded without faults: {:?}", report.reason),
+        let rebalance =
+            RebalanceConfig { every: 2, budget: 16, ..RebalanceConfig::with_policy(policy) };
+        let config = NetConfig { rebalance, ..NetConfig::default() };
+        let mut runner = NetRunner::new(&graph, skewed.clone(), links, config);
+        runner.init(&mut NoSupervisor).expect("init succeeds over local transport");
+        let outcome = runner.run(&mut NoSupervisor);
+        let owner_after = runner.owner().to_vec();
+        runner.shutdown();
+        for w in workers {
+            w.join().expect("worker thread panicked").expect("worker exited cleanly");
+        }
+        match outcome {
+            NetOutcome::Converged(summary) => {
+                assert_bit_identical(&summary.closeness, &oracle, &format!("{policy:?}"));
+            }
+            NetOutcome::Degraded(report) => {
+                panic!("{policy:?} degraded without faults: {:?}", report.reason)
+            }
+        }
+        let skew_after = balance(&owner_after);
+        assert!(
+            skew_after < skew_before,
+            "{policy:?}: migration never improved balance: {skew_before} -> {skew_after}"
+        );
+        if policy == RebalancePolicy::Rs {
+            // One `Reassign` took the fleet to the planner's fresh
+            // partition (which then holds); nothing de-escalated it.
+            let fresh = MultilevelPartitioner::seeded(rebalance.seed).partition(&graph, PROCS);
+            assert_eq!(owner_after, fresh.unwrap().assignment());
+        }
     }
-    assert!(
-        skew_after < skew_before,
-        "migration never improved balance: {skew_before} -> {skew_after}"
-    );
 }
 
 /// Heals worker links in place: waits for the worker's redial on the

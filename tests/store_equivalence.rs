@@ -12,6 +12,7 @@ use anytime_anywhere::graph::{AdjGraph, Csr, GraphBuilder};
 use anytime_anywhere::store::{algo, edges, CompressedGraph, GraphStore, LoadMode, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An arbitrary simple weighted graph with `n ∈ [2, 40]` vertices.
 fn arb_graph() -> impl Strategy<Value = AdjGraph> {
@@ -27,8 +28,12 @@ fn arb_graph() -> impl Strategy<Value = AdjGraph> {
     })
 }
 
+/// A temp path no other call shares: the harness runs tests on parallel
+/// threads of one process, and several of them ask for the same `name`.
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("aaa-store-eq-{}-{name}", std::process::id()))
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("aaa-store-eq-{}-{call}-{name}", std::process::id()))
 }
 
 fn rows<G: GraphStore>(g: &G) -> Vec<Vec<(u32, u32)>> {
