@@ -5,6 +5,6 @@ use aaa_bench::{experiments, observe, CommonArgs};
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("ablation_partitioner", &args);
+    observe::maybe_observe("ablation_partitioner", &args, observe::observed_run);
     experiments::ablation_partitioner(&args).emit(args.csv.as_ref());
 }

@@ -6,7 +6,7 @@ use aaa_bench::{experiments, observe, CommonArgs};
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("chaos_overhead", &args);
+    observe::maybe_observe("chaos_overhead", &args, observe::observed_run);
     experiments::chaos_overhead(&args).emit(args.csv.as_ref());
     println!("\nFaults stop at a finite superstep horizon (partial synchrony), so every");
     println!("row reconverges to the clean fixed point; the overhead column is the price");

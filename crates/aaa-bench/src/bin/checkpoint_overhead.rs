@@ -7,7 +7,7 @@ use aaa_bench::{experiments, observe, CommonArgs};
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("checkpoint_overhead", &args);
+    observe::maybe_observe("checkpoint_overhead", &args, observe::observed_run);
     experiments::checkpoint_overhead(&args).emit(args.csv.as_ref());
     println!("\nSnapshot size is dominated by the per-rank DV rows (Θ(n²/P) distances");
     println!("per rank at convergence), so bytes grow quadratically with the vertex");

@@ -6,7 +6,7 @@ use aaa_bench::{experiments, observe, CommonArgs};
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("fig4", &args);
+    observe::maybe_observe("fig4", &args, observe::observed_run);
     experiments::fig4(&args).emit(args.csv.as_ref());
     println!("\nExpected shape (paper): anytime anywhere is several times cheaper than");
     println!("the restart baseline at every injection point; the baseline is flat in");

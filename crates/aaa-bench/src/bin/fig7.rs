@@ -11,7 +11,7 @@ fn main() {
     if args.scale == CommonArgs::default().scale && !std::env::args().any(|a| a == "--scale") {
         args.scale = 50_000;
     }
-    observe::maybe_observe("fig7", &args);
+    observe::maybe_observe("fig7", &args, observe::observed_run);
     experiments::fig7(&args).emit(args.csv.as_ref());
     println!("\nExpected shape (paper): Repartition-S < CutEdge-PS < RoundRobin-PS in");
     println!("new cut-edges, with the gap growing with the batch size.");

@@ -14,17 +14,20 @@
 //! refresh a committed baseline (a report that does not round-trip never
 //! becomes a baseline). `--validate` parses every given report (or every
 //! `.json` inside a given directory) as a current-version `RunReport` and
-//! fails if any is stale or malformed — CI runs it over
-//! `results/baselines/` so format changes can never silently orphan a
-//! committed baseline.
+//! fails if any is stale, malformed, or not canonical (re-serializing it
+//! must reproduce the file's bytes) — CI runs it over `results/baselines/`
+//! so format changes can never silently orphan a committed baseline.
 //!
-//! Exit codes: 0 = no regression, 1 = regression, 2 = usage / IO / parse /
-//! scenario-mismatch errors.
+//! Exit codes: 0 = no regression, 1 = a gated metric regressed or the
+//! candidate lost a row its baseline carries (`MISSING`), 2 = usage / IO /
+//! parse / scenario-mismatch errors.
 //!
 //! Gated metrics are exact functions of (scenario, seed, code): simulated
-//! communication time, message/byte counts, step counts and the final
-//! convergence error. Measured metrics (compute/wall time) appear in the
-//! table for humans but never fail the gate — CI hosts are noisy.
+//! communication time, message/byte counts, step counts, the final
+//! convergence error and every section row (`section.row`) both reports
+//! carry. Measured metrics (compute/wall time, wall-derived section rows)
+//! appear in the table for humans but never fail the gate — CI hosts are
+//! noisy.
 
 use aaa_bench::Table;
 use aaa_observe::{compare, regressed, GateConfig, MetricDiff, RunReport};
@@ -51,7 +54,9 @@ fn load(path: &str) -> RunReport {
 }
 
 fn fmt_value(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
+    if v.is_nan() {
+        "—".into()
+    } else if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
         format!("{v:.2}")
@@ -59,7 +64,9 @@ fn fmt_value(v: f64) -> String {
 }
 
 fn fmt_change(d: &MetricDiff) -> String {
-    if d.rel_change.is_infinite() {
+    if d.missing() {
+        "—".into()
+    } else if d.rel_change.is_infinite() {
         "+inf".into()
     } else {
         format!("{:+.2}%", d.rel_change * 100.0)
@@ -68,7 +75,7 @@ fn fmt_change(d: &MetricDiff) -> String {
 
 /// `--validate`: every argument is a report file or a directory whose
 /// `.json` entries are reports; each must parse as a current-version
-/// [`RunReport`].
+/// [`RunReport`] and be canonical.
 fn validate(paths: &[&str]) -> ! {
     if paths.is_empty() {
         fail("--validate wants at least one file or directory");
@@ -97,7 +104,11 @@ fn validate(paths: &[&str]) -> ! {
     for f in &files {
         let shown = f.display();
         match std::fs::read_to_string(f).map_err(|e| e.to_string()).and_then(|text| {
-            RunReport::from_json_str(&text).map(|r| r.scenario).map_err(|e| e.to_string())
+            let report = RunReport::from_json_str(&text).map_err(|e| e.to_string())?;
+            if report.to_json_string() != text {
+                return Err("not canonical: re-serializing it changes the bytes".into());
+            }
+            Ok(report.scenario)
         }) {
             Ok(scenario) => println!("perfgate: {shown}: ok ({scenario})"),
             Err(e) => {
@@ -110,7 +121,10 @@ fn validate(paths: &[&str]) -> ! {
         eprintln!("perfgate: {bad}/{} baseline reports failed validation", files.len());
         std::process::exit(2);
     }
-    println!("perfgate: all {} baseline reports parse as current-version RunReport", files.len());
+    println!(
+        "perfgate: all {} baseline reports parse as current-version RunReport and are canonical",
+        files.len()
+    );
     std::process::exit(0);
 }
 
@@ -185,7 +199,9 @@ fn main() {
         &["metric", "baseline", "candidate", "change", "threshold", "verdict"],
     );
     for d in &rows {
-        let verdict = if d.regressed {
+        let verdict = if d.missing() {
+            "MISSING"
+        } else if d.regressed {
             "REGRESSED"
         } else if !d.gated {
             "info"
@@ -194,7 +210,7 @@ fn main() {
         };
         let threshold = if d.gated { format!("{:.0}%", d.threshold * 100.0) } else { "—".into() };
         table.row(vec![
-            d.name.to_string(),
+            d.name.clone(),
             fmt_value(d.baseline),
             fmt_value(d.candidate),
             fmt_change(d),
@@ -205,8 +221,9 @@ fn main() {
     table.emit(None);
 
     if regressed(&rows) {
-        let worst: Vec<&str> = rows.iter().filter(|d| d.regressed).map(|d| d.name).collect();
-        eprintln!("\nperfgate: FAIL — regressed metrics: {}", worst.join(", "));
+        let worst: Vec<&str> =
+            rows.iter().filter(|d| d.regressed).map(|d| d.name.as_str()).collect();
+        eprintln!("\nperfgate: FAIL — regressed or missing metrics: {}", worst.join(", "));
         std::process::exit(1);
     }
     println!("\nperfgate: OK — no gated metric regressed");

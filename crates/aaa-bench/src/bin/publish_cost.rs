@@ -7,7 +7,7 @@
 //!
 //! `--report` / `--trace` emit the pinned **publish scenario**
 //! (`fig4:pinned:publish`, the engine-driven change stream with one forced
-//! full republication) whose `publish` tally CI gates against
+//! full republication) whose `publish` section CI gates against
 //! `results/baselines/ci_smoke_publish.json`.
 
 use aaa_bench::{observe, CommonArgs, Table};
@@ -44,17 +44,7 @@ fn changed_entries(rng: &mut ChaCha8Rng, n: usize, k: usize) -> Vec<(u32, f64)> 
 
 fn main() {
     let args = CommonArgs::parse();
-    if args.report.is_some() || args.trace.is_some() {
-        let (report, trace) = observe::observed_publish_run("fig4", &args);
-        if let Some(path) = &args.report {
-            std::fs::write(path, report.to_json_string()).expect("report write");
-            println!("(run report written to {})", path.display());
-        }
-        if let Some(path) = &args.trace {
-            std::fs::write(path, trace).expect("trace write");
-            println!("(chrome trace written to {})", path.display());
-        }
-    }
+    observe::maybe_observe("fig4", &args, observe::observed_publish_run);
 
     let base = base_closeness(N);
     let mut table = Table::new(

@@ -7,7 +7,7 @@
 //!
 //! `--report` / `--trace` additionally emit the pinned **serve scenario**
 //! (`fig4:pinned:serve`, a deterministic coalescing change stream whose
-//! `changes` tally CI gates against `results/baselines/ci_smoke_serve.json`).
+//! `changes` section CI gates against `results/baselines/ci_smoke_serve.json`).
 
 use aaa_bench::experiments::base_graph;
 use aaa_bench::{observe, CommonArgs, Table};
@@ -24,17 +24,7 @@ const MEASURE: Duration = Duration::from_millis(1500);
 
 fn main() {
     let args = CommonArgs::parse();
-    if args.report.is_some() || args.trace.is_some() {
-        let (report, trace) = observe::observed_serve_run("fig4", &args);
-        if let Some(path) = &args.report {
-            std::fs::write(path, report.to_json_string()).expect("report write");
-            println!("(run report written to {})", path.display());
-        }
-        if let Some(path) = &args.trace {
-            std::fs::write(path, trace).expect("trace write");
-            println!("(chrome trace written to {})", path.display());
-        }
-    }
+    observe::maybe_observe("fig4", &args, observe::observed_serve_run);
 
     let g = base_graph(&args);
     let n = g.num_vertices() as u32;

@@ -30,17 +30,7 @@ fn policy_name(p: RebalancePolicy) -> &'static str {
 
 fn main() {
     let args = CommonArgs::parse();
-    if args.report.is_some() || args.trace.is_some() {
-        let (report, trace) = observe::observed_stream_run("fig4", &args);
-        if let Some(path) = &args.report {
-            std::fs::write(path, report.to_json_string()).expect("report write");
-            println!("(run report written to {})", path.display());
-        }
-        if let Some(path) = &args.trace {
-            std::fs::write(path, trace).expect("trace write");
-            println!("(chrome trace written to {})", path.display());
-        }
-    }
+    observe::maybe_observe("fig4", &args, observe::observed_stream_run);
 
     let g = base_graph(&args);
     let mut table = Table::new(

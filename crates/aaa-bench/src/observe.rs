@@ -15,45 +15,25 @@ use crate::experiments::{addition_batch, base_graph};
 use crate::{CommonArgs, StoreBackend};
 use aaa_core::quality::QualityTracker;
 use aaa_core::{AnytimeEngine, AssignStrategy, EngineConfig, MemorySink, MetricKind, WireFormat};
-use aaa_observe::{
-    aggregate_phases, chrome_trace, per_rank_busy, ChangeTally, MetricsTally, QualityPoint,
-    RunReport,
-};
+use aaa_observe::{aggregate_phases, chrome_trace, per_rank_busy, QualityPoint, RunReport};
 use std::sync::Arc;
 
 /// RC steps run before the dynamic batch is injected.
 const STEPS_BEFORE_BATCH: usize = 4;
 
-/// Suffixes the pinned scenario name when extra metrics are enabled, so
-/// each metric set gates against its own committed baseline (`perfgate`
-/// refuses to compare reports from different scenarios).
-fn metrics_suffix(name: &mut String, args: &CommonArgs) {
-    if args.metrics.contains(&MetricKind::Betweenness) {
-        name.push_str(":betweenness");
-    }
-}
-
-/// The report's optional `metrics` section: the incremental-betweenness
-/// effort tally, present exactly when the engine maintained the metric.
-/// Every field is an exact function of the pinned change stream, so the
-/// perf gate diffs them under the both-present rule.
-fn metrics_tally(engine: &AnytimeEngine) -> Option<MetricsTally> {
-    engine.metric_tally(MetricKind::Betweenness).map(|t| MetricsTally {
-        betweenness_epochs: t.epochs,
-        sources_recomputed: t.sources_recomputed,
-        full_recomputes: t.full_recomputes,
-        changed_entries: t.changed_entries,
-    })
-}
-
-/// If `--report` or `--trace` was given, runs the pinned observed scenario
-/// named `<scenario>:pinned` and writes the requested artifacts. A no-op
+/// If `--report` or `--trace` was given, runs the pinned scenario `run`
+/// (one of the `observed_*_run` functions below) under the name
+/// `<scenario>:pinned…` and writes the requested artifacts. A no-op
 /// otherwise.
-pub fn maybe_observe(scenario: &str, args: &CommonArgs) {
+pub fn maybe_observe(
+    scenario: &str,
+    args: &CommonArgs,
+    run: fn(&str, &CommonArgs) -> (RunReport, String),
+) {
     if args.report.is_none() && args.trace.is_none() {
         return;
     }
-    let (report, trace) = observed_run(scenario, args);
+    let (report, trace) = run(scenario, args);
     if let Some(path) = &args.report {
         std::fs::write(path, report.to_json_string()).expect("report write");
         println!("(run report written to {})", path.display());
@@ -62,6 +42,54 @@ pub fn maybe_observe(scenario: &str, args: &CommonArgs) {
         std::fs::write(path, trace).expect("trace write");
         println!("(chrome trace written to {})", path.display());
     }
+}
+
+/// The engine configuration every pinned scenario starts from.
+fn pinned_config(args: &CommonArgs) -> EngineConfig {
+    let mut config = EngineConfig::deterministic(args.procs);
+    config.wire = args.wire;
+    config.metrics = args.metrics.clone();
+    config
+}
+
+/// `<scenario>:pinned<kind>` plus one suffix per flag that changes what is
+/// measured — the wire format, the storage backend (where `store` says the
+/// scenario has such a variant) and the maintained metric set. `perfgate`
+/// refuses to compare reports from different scenarios, so each variant
+/// gates against its own committed baseline.
+fn pinned_name(scenario: &str, kind: &str, args: &CommonArgs, store: bool) -> String {
+    let mut name = format!("{scenario}:pinned{kind}");
+    if args.wire == WireFormat::Delta {
+        name.push_str(":wire=delta");
+    }
+    if store && args.store == StoreBackend::Compressed {
+        name.push_str(":store=compressed");
+    }
+    if args.metrics.contains(&MetricKind::Betweenness) {
+        name.push_str(":betweenness");
+    }
+    name
+}
+
+/// Closes a pinned run: the engine reports itself ([`AnytimeEngine::report`]
+/// — header, `changes`, `migration`, `publish`, `metrics`), the harness
+/// adds what only it knows (scale, seed, quality samples) and what the sink
+/// recorded (phases, ranks, the trace).
+fn finish(
+    engine: &AnytimeEngine,
+    sink: &MemorySink,
+    name: &str,
+    args: &CommonArgs,
+    quality: Vec<QualityPoint>,
+) -> (RunReport, String) {
+    let events = sink.drain();
+    let mut report = engine.report(name);
+    report.scale = args.scale as u64;
+    report.seed = args.seed;
+    report.phases = aggregate_phases(&events);
+    report.ranks = per_rank_busy(&events);
+    report.quality = quality;
+    (report, chrome_trace(&events, args.procs))
 }
 
 /// Runs the pinned scenario and returns its report plus the rendered
@@ -75,9 +103,7 @@ pub fn maybe_observe(scenario: &str, args: &CommonArgs) {
 /// its own committed baseline.
 pub fn observed_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
     let sink = Arc::new(MemorySink::new());
-    let mut config = EngineConfig::deterministic(args.procs);
-    config.wire = args.wire;
-    config.metrics = args.metrics.clone();
+    let config = pinned_config(args);
     let g = base_graph(args);
     let mut engine = match args.store {
         StoreBackend::Plain => {
@@ -144,37 +170,7 @@ pub fn observed_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
         }
     }
 
-    let events = sink.drain();
-    // Per-wire (and per-backend) scenario names: `perfgate` refuses to
-    // compare reports from different scenarios, so each wire format and
-    // storage backend gates against its own committed baseline.
-    let mut name = match args.wire {
-        WireFormat::Full => format!("{scenario}:pinned"),
-        WireFormat::Delta => format!("{scenario}:pinned:wire=delta"),
-    };
-    if args.store == StoreBackend::Compressed {
-        name.push_str(":store=compressed");
-    }
-    metrics_suffix(&mut name, args);
-    let mut report = engine.stats().init_report(&name);
-    report.scale = args.scale as u64;
-    report.procs = args.procs as u64;
-    report.seed = args.seed;
-    report.rc_steps = engine.rc_steps_done() as u64;
-    report.phases = aggregate_phases(&events);
-    report.ranks = per_rank_busy(&events);
-    report.quality = quality;
-    let ingest = engine.ingest_stats();
-    report.changes = Some(ChangeTally {
-        submitted: ingest.submitted,
-        coalesced: ingest.coalesced,
-        applied: ingest.applied,
-        drains: ingest.drains,
-        epochs: engine.epochs_published(),
-    });
-    report.metrics = metrics_tally(&engine);
-    let trace = chrome_trace(&events, args.procs);
-    (report, trace)
+    finish(&engine, &sink, &pinned_name(scenario, "", args, true), args, quality)
 }
 
 /// Runs the pinned **serve scenario** — the ingest → compute → publish
@@ -195,9 +191,7 @@ pub fn observed_serve_run(scenario: &str, args: &CommonArgs) -> (RunReport, Stri
     use rand_chacha::ChaCha8Rng;
 
     let sink = Arc::new(MemorySink::new());
-    let mut config = EngineConfig::deterministic(args.procs);
-    config.wire = args.wire;
-    config.metrics = args.metrics.clone();
+    let config = pinned_config(args);
     let g = base_graph(args);
     let mut engine =
         AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction");
@@ -287,54 +281,27 @@ pub fn observed_serve_run(scenario: &str, args: &CommonArgs) -> (RunReport, Stri
         sample(&mut engine, &mut tracker, &mut quality);
     }
 
-    let events = sink.drain();
-    let mut name = match args.wire {
-        WireFormat::Full => format!("{scenario}:pinned:serve"),
-        WireFormat::Delta => format!("{scenario}:pinned:serve:wire=delta"),
-    };
-    metrics_suffix(&mut name, args);
-    let mut report = engine.stats().init_report(&name);
-    report.scale = args.scale as u64;
-    report.procs = args.procs as u64;
-    report.seed = args.seed;
-    report.rc_steps = engine.rc_steps_done() as u64;
-    report.phases = aggregate_phases(&events);
-    report.ranks = per_rank_busy(&events);
-    report.quality = quality;
-    let ingest = engine.ingest_stats();
-    report.changes = Some(ChangeTally {
-        submitted: ingest.submitted,
-        coalesced: ingest.coalesced,
-        applied: ingest.applied,
-        drains: ingest.drains,
-        epochs: engine.epochs_published(),
-    });
-    report.metrics = metrics_tally(&engine);
-    let trace = chrome_trace(&events, args.procs);
-    (report, trace)
+    finish(&engine, &sink, &pinned_name(scenario, ":serve", args, false), args, quality)
 }
 
 /// Runs the pinned **publish scenario** — the delta publication path under
 /// a change stream, with one forced O(n) republication mid-run so both
-/// publish paths land in the tally — and returns its report (scenario
+/// publish paths land in the `publish` section — and returns its report (scenario
 /// `<name>:pinned:publish`) plus the rendered Chrome trace.
 ///
-/// The report carries the `publish` section (full vs. delta epochs,
-/// changed rows, chunks copied vs. structurally shared, top-k index
-/// rebuilds). Chunk-sharing decisions are an exact function of the change
-/// stream — publication happens driver-side at barriers on drained
-/// epoch-dirty sets — so every row is deterministic and CI gates it
-/// against `results/baselines/ci_smoke_publish.json`.
+/// This is the cell whose baseline pins the engine's `publish` section
+/// (full vs. delta epochs, changed rows, chunks copied vs. structurally
+/// shared, top-k index rebuilds). Chunk-sharing decisions are an exact
+/// function of the change stream — publication happens driver-side at
+/// barriers on drained epoch-dirty sets — so every row is deterministic
+/// and CI gates it against `results/baselines/ci_smoke_publish.json`.
 pub fn observed_publish_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
     use aaa_core::DynamicChange;
-    use aaa_observe::PublishTally;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     let sink = Arc::new(MemorySink::new());
-    let mut config = EngineConfig::deterministic(args.procs);
-    config.wire = args.wire;
-    config.metrics = args.metrics.clone();
+    let config = pinned_config(args);
     let g = base_graph(args);
     let mut engine =
         AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction");
@@ -378,39 +345,7 @@ pub fn observed_publish_run(scenario: &str, args: &CommonArgs) -> (RunReport, St
     engine.set_force_full_publish(false);
     while engine.rc_step() {}
 
-    let events = sink.drain();
-    let mut name = match args.wire {
-        WireFormat::Full => format!("{scenario}:pinned:publish"),
-        WireFormat::Delta => format!("{scenario}:pinned:publish:wire=delta"),
-    };
-    metrics_suffix(&mut name, args);
-    let mut report = engine.stats().init_report(&name);
-    report.scale = args.scale as u64;
-    report.procs = args.procs as u64;
-    report.seed = args.seed;
-    report.rc_steps = engine.rc_steps_done() as u64;
-    report.phases = aggregate_phases(&events);
-    report.ranks = per_rank_busy(&events);
-    let ingest = engine.ingest_stats();
-    report.changes = Some(ChangeTally {
-        submitted: ingest.submitted,
-        coalesced: ingest.coalesced,
-        applied: ingest.applied,
-        drains: ingest.drains,
-        epochs: engine.epochs_published(),
-    });
-    let publish = engine.publish_stats();
-    report.publish = Some(PublishTally {
-        full_epochs: publish.full_epochs,
-        delta_epochs: publish.delta_epochs,
-        changed_rows: publish.changed_rows,
-        chunks_copied: publish.chunks_copied,
-        chunks_shared: publish.chunks_shared,
-        topk_rebuilds: publish.topk_rebuilds,
-    });
-    report.metrics = metrics_tally(&engine);
-    let trace = chrome_trace(&events, args.procs);
-    (report, trace)
+    finish(&engine, &sink, &pinned_name(scenario, ":publish", args, false), args, Vec::new())
 }
 
 /// Runs the pinned **stream scenario** — the adversarial hub-targeting
@@ -419,10 +354,11 @@ pub fn observed_publish_run(scenario: &str, args: &CommonArgs) -> (RunReport, St
 /// report (scenario `<name>:pinned:stream`) plus the rendered Chrome
 /// trace.
 ///
-/// The report carries both new optional sections: `stream` (offered
-/// batches, deterministic p99/max epoch staleness, peak queue depth and
-/// the final vertex imbalance the rebalancer achieved) and `migration`
-/// (events, rows moved, priced traffic). Everything except the
+/// The driver adds its own `stream` section (offered batches,
+/// deterministic p99/max epoch staleness, peak queue depth and the final
+/// vertex imbalance the rebalancer achieved) to the engine's, of which
+/// `migration` (events, rows moved, priced traffic) is the one this cell
+/// exists to pin. Everything except the
 /// wall-derived `changes_per_sec` is an exact function of the scenario,
 /// so CI gates it against `results/baselines/ci_smoke_stream.json`.
 /// Measured-skew decisions stay off (`use_measured: false`) — the pinned
@@ -432,9 +368,7 @@ pub fn observed_stream_run(scenario: &str, args: &CommonArgs) -> (RunReport, Str
     use aaa_core::{RebalanceConfig, RebalancePolicy};
 
     let sink = Arc::new(MemorySink::new());
-    let mut config = EngineConfig::deterministic(args.procs);
-    config.wire = args.wire;
-    config.metrics = args.metrics.clone();
+    let mut config = pinned_config(args);
     config.rebalance = RebalanceConfig {
         every: 2,
         trigger: 1.05,
@@ -462,42 +396,39 @@ pub fn observed_stream_run(scenario: &str, args: &CommonArgs) -> (RunReport, Str
     };
     let outcome = drive_stream(&mut engine, &stream);
 
-    let events = sink.drain();
-    let mut name = match args.wire {
-        WireFormat::Full => format!("{scenario}:pinned:stream"),
-        WireFormat::Delta => format!("{scenario}:pinned:stream:wire=delta"),
-    };
-    if args.store == StoreBackend::Compressed {
-        name.push_str(":store=compressed");
-    }
-    metrics_suffix(&mut name, args);
-    let mut report = engine.stats().init_report(&name);
-    report.scale = args.scale as u64;
-    report.procs = args.procs as u64;
-    report.seed = args.seed;
-    report.rc_steps = engine.rc_steps_done() as u64;
-    report.phases = aggregate_phases(&events);
-    report.ranks = per_rank_busy(&events);
-    let ingest = engine.ingest_stats();
-    report.changes = Some(ChangeTally {
-        submitted: ingest.submitted,
-        coalesced: ingest.coalesced,
-        applied: ingest.applied,
-        drains: ingest.drains,
-        epochs: engine.epochs_published(),
-    });
-    report.stream = Some(outcome.tally());
-    report.metrics = metrics_tally(&engine);
-    let trace = chrome_trace(&events, args.procs);
+    let (mut report, trace) =
+        finish(&engine, &sink, &pinned_name(scenario, ":stream", args, true), args, Vec::new());
+    report.sections.push(outcome.section());
     (report, trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aaa_observe::{compare, GateConfig};
 
     fn small_args() -> CommonArgs {
         CommonArgs { scale: 120, procs: 3, seed: 7, ..CommonArgs::default() }
+    }
+
+    /// Every row the perf gate gates reads the same in `a` and `b`: the gate
+    /// itself at threshold 0, both ways round (so neither report may carry
+    /// a section or row the other lacks). Wall-derived rows are exempt by
+    /// the gate's own list.
+    fn assert_same_gated(a: &RunReport, b: &RunReport) {
+        let strict = GateConfig { default_threshold: 0.0, overrides: Vec::new() };
+        for (x, y) in [(a, b), (b, a)] {
+            let rows = compare(x, y, &strict);
+            let off: Vec<&str> =
+                rows.iter().filter(|r| r.regressed).map(|r| r.name.as_str()).collect();
+            assert!(off.is_empty(), "gated rows differ: {off:?}");
+        }
+    }
+
+    /// Reads the counters of one section of `report` (all are integers).
+    fn row_of<'a>(report: &'a RunReport, section: &'a str) -> impl Fn(&str) -> u64 + 'a {
+        let section = report.section(section).unwrap_or_else(|| panic!("no `{section}` section"));
+        move |row| section.get(row).unwrap_or_else(|| panic!("no `{row}` row")) as u64
     }
 
     #[test]
@@ -506,12 +437,7 @@ mod tests {
         let (a, _) = observed_run("unit", &args);
         let (b, _) = observed_run("unit", &args);
         assert_eq!(a.scenario, "unit:pinned");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.supersteps, b.supersteps);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.rc_steps, b.rc_steps);
+        assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
         assert_eq!(a.checkpoints, 1);
         assert!(a.rc_steps as usize > STEPS_BEFORE_BATCH);
@@ -527,18 +453,16 @@ mod tests {
         let (a, _) = observed_serve_run("unit", &args);
         let (b, _) = observed_serve_run("unit", &args);
         assert_eq!(a.scenario, "unit:pinned:serve");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.supersteps, b.supersteps);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.rc_steps, b.rc_steps);
-        assert_eq!(a.changes, b.changes);
-        let tally = a.changes.expect("serve scenario records its change tally");
-        assert!(tally.coalesced > 0, "batch fold + edge merges must coalesce");
-        assert_eq!(tally.drains, 2, "one drain per convergence wave");
-        assert_eq!(tally.submitted, tally.coalesced + tally.applied, "stream fully drained");
-        assert!(tally.epochs > a.rc_steps, "construction + per-step + per-drain epochs");
+        assert_same_gated(&a, &b);
+        let changes = row_of(&a, "changes");
+        assert!(changes("coalesced") > 0, "batch fold + edge merges must coalesce");
+        assert_eq!(changes("drains"), 2, "one drain per convergence wave");
+        assert_eq!(
+            changes("submitted"),
+            changes("coalesced") + changes("applied"),
+            "stream fully drained"
+        );
+        assert!(changes("epochs") > a.rc_steps, "construction + per-step + per-drain epochs");
         let last = a.final_quality().expect("quality sampled");
         assert!(last.error < 1e-6, "converged run matches exact closeness");
     }
@@ -554,17 +478,12 @@ mod tests {
         let (a, _) = observed_run("unit", &plain);
         let (b, _) = observed_run("unit", &store);
         assert_eq!(b.scenario, "unit:pinned:store=compressed");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.supersteps, b.supersteps);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.rc_steps, b.rc_steps);
+        assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
     }
 
     /// The publish scenario must reproduce its whole gated surface — in
-    /// particular the `publish` tally, whose chunk-sharing counters are a
+    /// particular the `publish` section, whose chunk-sharing counters are a
     /// function of the change stream alone — and must exercise both
     /// publication paths.
     #[test]
@@ -573,27 +492,23 @@ mod tests {
         let (a, _) = observed_publish_run("unit", &args);
         let (b, _) = observed_publish_run("unit", &args);
         assert_eq!(a.scenario, "unit:pinned:publish");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.supersteps, b.supersteps);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.rc_steps, b.rc_steps);
-        assert_eq!(a.changes, b.changes);
-        assert_eq!(a.publish, b.publish);
-        let tally = a.publish.expect("publish tally");
-        assert!(tally.full_epochs >= 2, "construction + forced-full wave");
-        assert!(tally.delta_epochs > tally.full_epochs, "steady state publishes by delta");
-        assert!(tally.changed_rows > 0, "the change stream dirties rows");
+        assert_same_gated(&a, &b);
+        let publish = row_of(&a, "publish");
+        assert!(publish("full_epochs") >= 2, "construction + forced-full wave");
+        assert!(
+            publish("delta_epochs") > publish("full_epochs"),
+            "steady state publishes by delta"
+        );
+        assert!(publish("changed_rows") > 0, "the change stream dirties rows");
         assert_eq!(
-            tally.full_epochs + tally.delta_epochs,
-            a.changes.expect("change tally").epochs,
+            publish("full_epochs") + publish("delta_epochs"),
+            row_of(&a, "changes")("epochs"),
             "every published epoch is classified"
         );
     }
 
     /// The stream scenario's gated surface — traffic, steps, the change
-    /// tally, the migration tally and the integer stream metrics — must
+    /// section, the migration section and the integer stream rows — must
     /// be byte-reproducible; only `changes_per_sec` may differ.
     #[test]
     fn observed_stream_run_is_deterministic_and_migrates() {
@@ -601,29 +516,16 @@ mod tests {
         let (a, _) = observed_stream_run("unit", &args);
         let (b, _) = observed_stream_run("unit", &args);
         assert_eq!(a.scenario, "unit:pinned:stream");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.supersteps, b.supersteps);
-        assert_eq!(a.collectives, b.collectives);
-        assert_eq!(a.rc_steps, b.rc_steps);
-        assert_eq!(a.changes, b.changes);
-        assert_eq!(a.migration, b.migration);
-        let (sa, sb) = (a.stream.expect("stream tally"), b.stream.expect("stream tally"));
-        assert_eq!(sa.offered, sb.offered);
-        assert_eq!(sa.ticks, sb.ticks);
-        assert_eq!(sa.p99_staleness_epochs, sb.p99_staleness_epochs);
-        assert_eq!(sa.max_staleness_epochs, sb.max_staleness_epochs);
-        assert_eq!(sa.peak_queue, sb.peak_queue);
-        assert_eq!(sa.final_imbalance_milli, sb.final_imbalance_milli);
-        let migration = a.migration.expect("migration tally");
-        assert!(migration.migrations > 0, "the adversarial stream must trigger migrations");
-        assert!(migration.migration_bytes > 0, "migration traffic must be priced");
-        assert!(sa.offered > 0 && sa.peak_queue > 0);
+        assert_same_gated(&a, &b);
+        let stream = row_of(&a, "stream");
+        let migration = row_of(&a, "migration");
+        assert!(migration("migrations") > 0, "the adversarial stream must trigger migrations");
+        assert!(migration("migration_bytes") > 0, "migration traffic must be priced");
+        assert!(stream("offered") > 0 && stream("peak_queue") > 0);
     }
 
     /// The betweenness cell must (a) reproduce its whole gated surface
-    /// including the `metrics` tally, (b) leave the *closeness* gated
+    /// including the `metrics` section, (b) leave the *closeness* gated
     /// metrics byte-identical to the closeness-only run (metric updates
     /// happen driver-side at publish barriers and are never priced), and
     /// (c) show the incremental path doing measurably less work than a
@@ -636,29 +538,28 @@ mod tests {
         let (a, _) = observed_run("unit", &args);
         let (b, _) = observed_run("unit", &args);
         assert_eq!(a.scenario, "unit:pinned:betweenness");
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.sim_comm_us, b.sim_comm_us);
-        assert_eq!(a.rc_steps, b.rc_steps);
+        assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
-        assert_eq!(a.metrics, b.metrics);
         // Maintaining the extra column must not perturb the priced run.
         assert_eq!(a.messages, plain.messages);
         assert_eq!(a.bytes, plain.bytes);
         assert_eq!(a.sim_comm_us, plain.sim_comm_us);
         assert_eq!(a.rc_steps, plain.rc_steps);
         assert_eq!(a.quality, plain.quality);
-        assert!(plain.metrics.is_none(), "closeness-only run carries no metrics section");
-        let t = a.metrics.expect("betweenness run records its tally");
-        assert!(t.betweenness_epochs > 0 && t.changed_entries > 0);
-        assert!(t.full_recomputes >= 1, "the vertex batch drain forces a rebuild");
+        assert!(
+            plain.section("metrics").is_none(),
+            "closeness-only run carries no metrics section"
+        );
+        let t = row_of(&a, "metrics");
+        assert!(t("betweenness_epochs") > 0 && t("changed_entries") > 0);
+        assert!(t("full_recomputes") >= 1, "the vertex batch drain forces a rebuild");
         let n = (args.scale + args.scaled(512, 8)) as u64;
         assert!(
-            t.sources_recomputed < n * t.betweenness_epochs,
+            t("sources_recomputed") < n * t("betweenness_epochs"),
             "incremental updates must beat a per-epoch full rescan \
              ({} sources over {} epochs of n = {})",
-            t.sources_recomputed,
-            t.betweenness_epochs,
+            t("sources_recomputed"),
+            t("betweenness_epochs"),
             n
         );
     }

@@ -12,7 +12,7 @@
 use aaa_core::changes::{preferential_batch, NewVertex, VertexBatch};
 use aaa_core::{AnytimeEngine, AssignStrategy, DynamicChange};
 use aaa_graph::{AdjGraph, VertexId};
-use aaa_observe::StreamTally;
+use aaa_observe::Section;
 use aaa_partition::vertex_balance;
 use std::time::Instant;
 
@@ -117,18 +117,22 @@ impl StreamOutcome {
         percentile(&self.staleness, q)
     }
 
-    /// The report section the perf gate diffs; `changes_per_sec` rides
-    /// along info-only.
-    pub fn tally(&self) -> StreamTally {
-        StreamTally {
-            offered: self.offered,
-            ticks: self.ticks,
-            p99_staleness_epochs: self.staleness_quantile(0.99),
-            max_staleness_epochs: self.staleness.last().copied().unwrap_or(0),
-            peak_queue: self.peak_queue,
-            final_imbalance_milli: (self.final_imbalance * 1000.0).round() as u64,
-            changes_per_sec: self.changes_per_sec,
-        }
+    /// The report's `stream` section. Every row is deterministic and gated
+    /// except `changes_per_sec`, which the gate lists as wall-derived.
+    pub fn section(&self) -> Section {
+        Section::new(
+            "stream",
+            &[
+                ("offered", self.offered as f64),
+                ("ticks", self.ticks as f64),
+                ("p99_staleness_epochs", self.staleness_quantile(0.99) as f64),
+                ("max_staleness_epochs", self.staleness.last().copied().unwrap_or(0) as f64),
+                ("peak_queue", self.peak_queue as f64),
+                // ×1000 and rounded, so the gate diffs an integer.
+                ("final_imbalance_milli", (self.final_imbalance * 1000.0).round()),
+                ("changes_per_sec", self.changes_per_sec),
+            ],
+        )
     }
 }
 
@@ -330,9 +334,10 @@ mod tests {
         assert_eq!(out.offered, expected);
         assert_eq!(out.staleness.len() as u64, out.offered, "every batch got a staleness sample");
         assert!(out.peak_queue >= 4, "the burst tick must queue (got {})", out.peak_queue);
-        let tally = out.tally();
-        assert_eq!(tally.offered, out.offered);
-        assert!(tally.max_staleness_epochs >= tally.p99_staleness_epochs);
-        assert!(tally.final_imbalance_milli >= 1000, "balance ratio is at least 1.0");
+        let section = out.section();
+        let row = |name| section.get(name).expect(name);
+        assert_eq!(row("offered"), out.offered as f64);
+        assert!(row("max_staleness_epochs") >= row("p99_staleness_epochs"));
+        assert!(row("final_imbalance_milli") >= 1000.0, "balance ratio is at least 1.0");
     }
 }

@@ -30,7 +30,7 @@ use aaa_checkpoint::{
 };
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
-use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
+use aaa_observe::{EventSink, NoopSink, RunReport, Section, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::simple::{
     BlockPartitioner, HashPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
@@ -380,6 +380,59 @@ impl AnytimeEngine {
     /// Accumulated runtime statistics (traffic, simulated time, wall time).
     pub fn stats(&self) -> RunStats {
         *self.cluster.stats()
+    }
+
+    /// The run report as far as the engine can state it: the runtime's
+    /// header and `migration` section ([`RunStats::init_report`]) with
+    /// `procs` and `rc_steps` filled, plus the sections this layer owns —
+    /// `changes` (ingest counters and epochs minted), `publish`, and
+    /// `metrics` when the betweenness column is maintained. The caller
+    /// adds what only it knows: scale, seed, quality samples and the
+    /// sink-derived phases and ranks.
+    pub fn report(&self, scenario: &str) -> RunReport {
+        let mut report = self.stats().init_report(scenario);
+        report.procs = self.config.procs as u64;
+        report.rc_steps = self.rc_steps as u64;
+        let ingest = self.changes.stats();
+        // `changes` goes ahead of the runtime's `migration`: file order is
+        // part of the report format, and this is the order on disk.
+        report.sections.insert(
+            0,
+            Section::new(
+                "changes",
+                &[
+                    ("submitted", ingest.submitted as f64),
+                    ("coalesced", ingest.coalesced as f64),
+                    ("applied", ingest.applied as f64),
+                    ("drains", ingest.drains as f64),
+                    ("epochs", self.epochs_published() as f64),
+                ],
+            ),
+        );
+        let publish = self.publisher.stats();
+        report.sections.push(Section::new(
+            "publish",
+            &[
+                ("full_epochs", publish.full_epochs as f64),
+                ("delta_epochs", publish.delta_epochs as f64),
+                ("changed_rows", publish.changed_rows as f64),
+                ("chunks_copied", publish.chunks_copied as f64),
+                ("chunks_shared", publish.chunks_shared as f64),
+                ("topk_rebuilds", publish.topk_rebuilds as f64),
+            ],
+        ));
+        if let Some(tally) = self.metric_tally(MetricKind::Betweenness) {
+            report.sections.push(Section::new(
+                "metrics",
+                &[
+                    ("betweenness_epochs", tally.epochs as f64),
+                    ("sources_recomputed", tally.sources_recomputed as f64),
+                    ("full_recomputes", tally.full_recomputes as f64),
+                    ("changed_entries", tally.changed_entries as f64),
+                ],
+            ));
+        }
+        report
     }
 
     // ----------------------------------------------------------------
@@ -1630,10 +1683,9 @@ impl AnytimeEngine {
                     let retry = spec.supervised.expect("guarded by is_some");
                     attempts += 1;
                     retries += 1;
-                    let seed = self.cluster.chaos_plan().map_or(0, |p| p.seed);
-                    let mut wait = retry.backoff_jittered_us(attempts, seed);
+                    let mut wait = RetryPolicy::backoff_us(attempts);
                     if matches!(incident, ClusterError::RankStalled { .. }) {
-                        wait += retry.deadline_us;
+                        wait += RetryPolicy::STALL_DEADLINE_US;
                     }
                     if self.cluster.observing() {
                         // The backoff is real simulated network time: a span

@@ -144,8 +144,8 @@ impl fmt::Display for MetricMask {
 }
 
 /// Work counters one metric accumulates across publish epochs; surfaced
-/// through `RunReport.metrics` so the perf gate can pin the incremental
-/// win (sources recomputed ≪ n × epochs).
+/// as the report's `metrics` section (`AnytimeEngine::report`) so the perf
+/// gate can pin the incremental win (sources recomputed ≪ n × epochs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricTally {
     /// Publish epochs in which the metric's `update` hook ran.

@@ -77,67 +77,30 @@ pub struct RetryPolicy {
     /// Checkpoint fallbacks allowed before the loop gives up and returns a
     /// degraded-mode answer.
     pub max_fallbacks: u32,
-    /// Simulated backoff charged for the first retry (µs).
-    pub backoff_base_us: f64,
-    /// Multiplier applied per further consecutive retry (exponential
-    /// backoff).
-    pub backoff_factor: f64,
-    /// Extra simulated time charged when a rank stall is detected — the
-    /// supervisor's per-superstep deadline that expired before it declared
-    /// the rank slow (µs).
-    pub deadline_us: f64,
-    /// Jitter fraction applied to the backoff: each attempt's wait is
-    /// scaled by a deterministic factor in `[1 − jitter, 1]` drawn by
-    /// SplitMix64 from the chaos seed and the attempt number — so the
-    /// schedule decorrelates retries across seeds without any RNG state,
-    /// and is invariant across executors (the draw depends only on
-    /// `(seed, attempt)`). `0.0` (the default) disables jitter and makes
-    /// [`RetryPolicy::backoff_jittered_us`] equal [`RetryPolicy::backoff_us`]
-    /// exactly.
-    pub jitter: f64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: 8,
-            max_fallbacks: 1,
-            backoff_base_us: 200.0,
-            backoff_factor: 2.0,
-            deadline_us: 5_000.0,
-            jitter: 0.0,
-        }
+        Self { max_attempts: 8, max_fallbacks: 1 }
     }
 }
 
 impl RetryPolicy {
+    /// Simulated backoff charged for the first retry (µs).
+    const BACKOFF_BASE_US: f64 = 200.0;
+    /// Multiplier applied per further consecutive retry.
+    const BACKOFF_FACTOR: f64 = 2.0;
+    /// Extra simulated time charged when a rank stall is detected — the
+    /// supervisor's per-superstep deadline that expired before it declared
+    /// the rank slow (µs).
+    pub const STALL_DEADLINE_US: f64 = 5_000.0;
+
     /// Simulated backoff before retry number `attempt` (1-based):
-    /// `base · factor^(attempt−1)`, with the exponent clamped so pathological
-    /// policies cannot overflow to infinity.
-    pub fn backoff_us(&self, attempt: u32) -> f64 {
+    /// `base · factor^(attempt−1)`, with the exponent clamped so a long
+    /// run of faulty barriers cannot overflow to infinity.
+    pub fn backoff_us(attempt: u32) -> f64 {
         let exp = attempt.saturating_sub(1).min(16);
-        self.backoff_base_us * self.backoff_factor.powi(exp as i32)
-    }
-
-    /// [`RetryPolicy::backoff_us`] scaled by the deterministic jitter
-    /// factor for `(seed, attempt)`. With `jitter == 0.0` the factor is
-    /// exactly `1.0` and this returns `backoff_us(attempt)` bit-for-bit.
-    pub fn backoff_jittered_us(&self, attempt: u32, seed: u64) -> f64 {
-        if self.jitter <= 0.0 {
-            return self.backoff_us(attempt);
-        }
-        let j = self.jitter.min(1.0);
-        let u = aaa_runtime::unit_f64(aaa_runtime::mix64(seed, &[17, attempt as u64]));
-        self.backoff_us(attempt) * (1.0 - j * u)
-    }
-
-    /// The supervisor's deadline for attempt number `attempt` (1-based):
-    /// the base deadline stretched by the same clamped exponential as the
-    /// backoff, so later retries — which wait longer — are also given
-    /// longer to succeed before being declared failed.
-    pub fn attempt_deadline_us(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(16);
-        self.deadline_us * self.backoff_factor.powi(exp as i32)
+        Self::BACKOFF_BASE_US * Self::BACKOFF_FACTOR.powi(exp as i32)
     }
 }
 
@@ -194,65 +157,15 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_saturates() {
-        let p = RetryPolicy::default();
-        assert!((p.backoff_us(1) - 200.0).abs() < 1e-9);
-        assert!((p.backoff_us(2) - 400.0).abs() < 1e-9);
-        assert!((p.backoff_us(4) - 1600.0).abs() < 1e-9);
+        let backoff_us = RetryPolicy::backoff_us;
+        assert!((backoff_us(1) - 200.0).abs() < 1e-9);
+        assert!((backoff_us(2) - 400.0).abs() < 1e-9);
+        assert!((backoff_us(4) - 1600.0).abs() < 1e-9);
         // Exponent clamps at 16: attempt 18 and attempt 100 cost the same.
-        assert_eq!(p.backoff_us(18), p.backoff_us(100));
-        assert!(p.backoff_us(100).is_finite());
+        assert_eq!(backoff_us(18), backoff_us(100));
+        assert!(backoff_us(100).is_finite());
         // attempt 0 is treated as the first retry.
-        assert_eq!(p.backoff_us(0), p.backoff_us(1));
-    }
-
-    #[test]
-    fn zero_jitter_matches_plain_backoff_bitwise() {
-        let p = RetryPolicy::default();
-        for attempt in 0..40 {
-            for seed in [0u64, 1, 42, u64::MAX] {
-                assert_eq!(
-                    p.backoff_jittered_us(attempt, seed).to_bits(),
-                    p.backoff_us(attempt).to_bits(),
-                    "jitter 0.0 must be a bitwise no-op (attempt {attempt}, seed {seed})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn jittered_backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy { jitter: 0.5, ..RetryPolicy::default() };
-        for attempt in 1..20 {
-            let a = p.backoff_jittered_us(attempt, 7);
-            let b = p.backoff_jittered_us(attempt, 7);
-            assert_eq!(a.to_bits(), b.to_bits(), "same (seed, attempt) must redraw identically");
-            let raw = p.backoff_us(attempt);
-            assert!(
-                a >= raw * 0.5 - 1e-9 && a <= raw,
-                "jittered wait {a} outside [{}, {raw}]",
-                raw * 0.5
-            );
-        }
-        // Different seeds decorrelate somewhere in the schedule.
-        assert!((1..20).any(|a| {
-            p.backoff_jittered_us(a, 1).to_bits() != p.backoff_jittered_us(a, 2).to_bits()
-        }));
-        // Oversized jitter clamps to 1.0 and never goes negative.
-        let wild = RetryPolicy { jitter: 5.0, ..RetryPolicy::default() };
-        for attempt in 1..10 {
-            assert!(wild.backoff_jittered_us(attempt, 3) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn attempt_deadline_grows_with_backoff_and_saturates() {
-        let p = RetryPolicy::default();
-        assert!((p.attempt_deadline_us(1) - 5_000.0).abs() < 1e-9);
-        assert!((p.attempt_deadline_us(2) - 10_000.0).abs() < 1e-9);
-        assert!((p.attempt_deadline_us(3) - 20_000.0).abs() < 1e-9);
-        assert_eq!(p.attempt_deadline_us(18), p.attempt_deadline_us(100));
-        assert!(p.attempt_deadline_us(100).is_finite());
-        assert_eq!(p.attempt_deadline_us(0), p.attempt_deadline_us(1));
+        assert_eq!(backoff_us(0), backoff_us(1));
     }
 
     #[test]

@@ -2,20 +2,42 @@
 //! baseline, metric by metric, and decides which changes are regressions.
 //!
 //! Only *deterministic* metrics are gated — simulated communication time,
-//! traffic counters, step counts, and final convergence error are exact
-//! functions of (scenario, seed, code), so any drift is a real behavioral
-//! change. Measured metrics (compute/wall durations) vary with the host
-//! and CI neighbor noise; they are reported in the diff table for humans
-//! but can never fail the gate. See DESIGN.md §S24 for the rationale.
+//! traffic counters, step counts, final convergence error and section rows
+//! are exact functions of (scenario, seed, code), so any drift is a real
+//! behavioral change. Measured metrics (compute/wall durations) vary with
+//! the host and CI neighbor noise; they are reported in the diff table for
+//! humans but can never fail the gate. See DESIGN.md §8 for the rationale.
+//!
+//! Sections ([`crate::report::Section`]) go through one loop and one rule,
+//! whose two halves are deliberately asymmetric:
+//!
+//! * **both present → diffed.** A row both reports carry is diffed under
+//!   the name `section.row`. A section or row only the *candidate* carries
+//!   adds nothing: a layer that starts reporting a new counter must not
+//!   break the baselines committed before it.
+//! * **baseline only → `MISSING`.** A row — or the final quality sample —
+//!   the baseline carries and the candidate lost fails the gate like a
+//!   regression. Otherwise a report stripped of its sections would pass.
+//!
+//! Every diffed section row is gated unless it is named in
+//! `WALL_DERIVED` below, the one list of rows computed from the wall clock.
+//! The flag lives here and not in the JSON on purpose: a per-row flag in
+//! the file would be report version 2 and a rewrite of every committed
+//! baseline, for one row.
 
 use crate::report::RunReport;
+
+/// Section rows derived from the wall clock: shown (after the fixed info
+/// rows) but never gated.
+const WALL_DERIVED: [&str; 1] = ["stream.changes_per_sec"];
 
 /// Thresholds for the comparator.
 #[derive(Debug, Clone)]
 pub struct GateConfig {
     /// Maximum allowed relative increase for gated metrics (0.10 = +10%).
     pub default_threshold: f64,
-    /// Per-metric overrides, by metric name.
+    /// Per-metric overrides, by metric name (`section.row` for a section
+    /// row).
     pub overrides: Vec<(String, f64)>,
 }
 
@@ -39,50 +61,58 @@ impl GateConfig {
 /// One row of the comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDiff {
-    pub name: &'static str,
+    pub name: String,
     pub baseline: f64,
+    /// NaN when the candidate lost the row (see [`MetricDiff::missing`]);
+    /// a report never carries a NaN of its own.
     pub candidate: f64,
     /// `(candidate - baseline) / baseline`; 0 when both are 0, +∞ when the
-    /// baseline is 0 and the candidate is not.
+    /// baseline is 0 and the candidate is not, NaN for a missing row.
     pub rel_change: f64,
     /// Threshold applied (gated metrics only; 0 for info metrics).
     pub threshold: f64,
     /// Whether this metric can fail the gate.
     pub gated: bool,
-    /// Gated and over threshold.
+    /// Gated and over threshold, or missing.
     pub regressed: bool,
 }
 
-fn rel_change(baseline: f64, candidate: f64) -> f64 {
-    if baseline == 0.0 {
-        if candidate == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        (candidate - baseline) / baseline
+impl MetricDiff {
+    /// Whether the baseline carries this row and the candidate does not.
+    pub fn missing(&self) -> bool {
+        self.candidate.is_nan()
     }
 }
 
+/// One diffed row; `candidate` is `None` when the candidate lost it.
 fn diff(
-    name: &'static str,
+    name: &str,
     baseline: f64,
-    candidate: f64,
+    candidate: Option<f64>,
     gated: bool,
     cfg: &GateConfig,
 ) -> MetricDiff {
-    let rel = rel_change(baseline, candidate);
+    let rel_change = match candidate {
+        None => f64::NAN,
+        Some(c) if baseline != 0.0 => (c - baseline) / baseline,
+        Some(c) => {
+            if c == 0.0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        }
+    };
     let threshold = if gated { cfg.threshold_for(name) } else { 0.0 };
     MetricDiff {
-        name,
+        name: name.to_string(),
         baseline,
-        candidate,
-        rel_change: rel,
+        candidate: candidate.unwrap_or(f64::NAN),
+        rel_change,
         threshold,
         gated,
         // Only increases regress; a metric that went *down* is a win.
-        regressed: gated && rel > threshold,
+        regressed: gated && (candidate.is_none() || rel_change > threshold),
     }
 }
 
@@ -92,171 +122,43 @@ fn diff(
 /// Reports for different scenarios are not comparable; the caller should
 /// check [`RunReport::scenario`] before calling (the CLI does).
 pub fn compare(candidate: &RunReport, baseline: &RunReport, cfg: &GateConfig) -> Vec<MetricDiff> {
+    let (b, c) = (baseline, candidate);
+    let gate = |name: &str, b: f64, c: f64| diff(name, b, Some(c), true, cfg);
+    let info = |name: &str, b: f64, c: f64| diff(name, b, Some(c), false, cfg);
     let mut rows = vec![
-        // Deterministic → gated.
-        diff("sim_comm_us", baseline.sim_comm_us, candidate.sim_comm_us, true, cfg),
-        diff("messages", baseline.messages as f64, candidate.messages as f64, true, cfg),
-        diff("bytes", baseline.bytes as f64, candidate.bytes as f64, true, cfg),
-        diff("supersteps", baseline.supersteps as f64, candidate.supersteps as f64, true, cfg),
-        diff("collectives", baseline.collectives as f64, candidate.collectives as f64, true, cfg),
-        diff("rc_steps", baseline.rc_steps as f64, candidate.rc_steps as f64, true, cfg),
+        gate("sim_comm_us", b.sim_comm_us, c.sim_comm_us),
+        gate("messages", b.messages as f64, c.messages as f64),
+        gate("bytes", b.bytes as f64, c.bytes as f64),
+        gate("supersteps", b.supersteps as f64, c.supersteps as f64),
+        gate("collectives", b.collectives as f64, c.collectives as f64),
+        gate("rc_steps", b.rc_steps as f64, c.rc_steps as f64),
     ];
-    // Final convergence error is deterministic too; gate it when both runs
-    // sampled quality.
-    if let (Some(b), Some(c)) = (baseline.final_quality(), candidate.final_quality()) {
-        rows.push(diff("final_error", b.error, c.error, true, cfg));
+    // Final convergence error is deterministic too: diffed when the
+    // baseline sampled quality, missing when only the candidate did not.
+    if let Some(q) = b.final_quality() {
+        rows.push(diff("final_error", q.error, c.final_quality().map(|q| q.error), true, cfg));
     }
-    // ChangeLog drain counters are deterministic too, but the section is
-    // optional (pre-pipeline baselines omit it), so gate only when both
-    // reports carry it — an old baseline vs. a new candidate stays diffable
-    // on the classic metrics alone.
-    if let (Some(b), Some(c)) = (baseline.changes, candidate.changes) {
-        rows.push(diff("changes_submitted", b.submitted as f64, c.submitted as f64, true, cfg));
-        rows.push(diff("changes_coalesced", b.coalesced as f64, c.coalesced as f64, true, cfg));
-        rows.push(diff("changes_applied", b.applied as f64, c.applied as f64, true, cfg));
-        rows.push(diff("change_drains", b.drains as f64, c.drains as f64, true, cfg));
-        rows.push(diff("publish_epochs", b.epochs as f64, c.epochs as f64, true, cfg));
-    }
-    // Migration counters follow the same both-present rule.
-    if let (Some(b), Some(c)) = (baseline.migration, candidate.migration) {
-        rows.push(diff("migrations", b.migrations as f64, c.migrations as f64, true, cfg));
-        rows.push(diff("migrated_rows", b.migrated_rows as f64, c.migrated_rows as f64, true, cfg));
-        rows.push(diff(
-            "migration_bytes",
-            b.migration_bytes as f64,
-            c.migration_bytes as f64,
-            true,
-            cfg,
-        ));
-    }
-    // Streaming-workload counters: deterministic integers are gated,
-    // wall-derived throughput is info-only.
-    if let (Some(b), Some(c)) = (baseline.stream, candidate.stream) {
-        rows.push(diff("stream_offered", b.offered as f64, c.offered as f64, true, cfg));
-        rows.push(diff("stream_ticks", b.ticks as f64, c.ticks as f64, true, cfg));
-        rows.push(diff(
-            "stream_p99_staleness_epochs",
-            b.p99_staleness_epochs as f64,
-            c.p99_staleness_epochs as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "stream_max_staleness_epochs",
-            b.max_staleness_epochs as f64,
-            c.max_staleness_epochs as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff("stream_peak_queue", b.peak_queue as f64, c.peak_queue as f64, true, cfg));
-        rows.push(diff(
-            "stream_final_imbalance_milli",
-            b.final_imbalance_milli as f64,
-            c.final_imbalance_milli as f64,
-            true,
-            cfg,
-        ));
-    }
-    // View-publication counters are deterministic (chunk sharing depends
-    // only on the change stream), so every row is gated. Names carry a
-    // `publish_` prefix; `publish_epochs` above is owned by ChangeTally.
-    if let (Some(b), Some(c)) = (baseline.publish, candidate.publish) {
-        rows.push(diff(
-            "publish_full_epochs",
-            b.full_epochs as f64,
-            c.full_epochs as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "publish_delta_epochs",
-            b.delta_epochs as f64,
-            c.delta_epochs as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "publish_changed_rows",
-            b.changed_rows as f64,
-            c.changed_rows as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "publish_chunks_copied",
-            b.chunks_copied as f64,
-            c.chunks_copied as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "publish_chunks_shared",
-            b.chunks_shared as f64,
-            c.chunks_shared as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "publish_topk_rebuilds",
-            b.topk_rebuilds as f64,
-            c.topk_rebuilds as f64,
-            true,
-            cfg,
-        ));
-    }
-    // Extra-metric maintenance counters are deterministic driver-side
-    // work (which sources recompute depends only on the change stream),
-    // so every row is gated under the same both-present rule.
-    if let (Some(b), Some(c)) = (baseline.metrics, candidate.metrics) {
-        rows.push(diff(
-            "metric_betweenness_epochs",
-            b.betweenness_epochs as f64,
-            c.betweenness_epochs as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "metric_sources_recomputed",
-            b.sources_recomputed as f64,
-            c.sources_recomputed as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "metric_full_recomputes",
-            b.full_recomputes as f64,
-            c.full_recomputes as f64,
-            true,
-            cfg,
-        ));
-        rows.push(diff(
-            "metric_changed_entries",
-            b.changed_entries as f64,
-            c.changed_entries as f64,
-            true,
-            cfg,
-        ));
+    // The one section loop, in the baseline's file order. Wall-derived
+    // rows are set aside so they print after the fixed info rows.
+    let mut wall_derived = Vec::new();
+    for section in &b.sections {
+        let theirs = c.section(&section.name);
+        for (row, value) in &section.rows {
+            let name = format!("{}.{row}", section.name);
+            let candidate = theirs.and_then(|s| s.get(row));
+            if candidate.is_some() && WALL_DERIVED.contains(&name.as_str()) {
+                wall_derived.push(diff(&name, *value, candidate, false, cfg));
+            } else {
+                rows.push(diff(&name, *value, candidate, true, cfg));
+            }
+        }
     }
     // Host-dependent → info only.
-    rows.push(diff(
-        "sim_compute_us",
-        baseline.sim_compute_us,
-        candidate.sim_compute_us,
-        false,
-        cfg,
-    ));
-    rows.push(diff("sim_total_us", baseline.sim_total_us(), candidate.sim_total_us(), false, cfg));
-    rows.push(diff("wall_us", baseline.wall_us, candidate.wall_us, false, cfg));
-    rows.push(diff(
-        "faults_injected",
-        baseline.faults.injected() as f64,
-        candidate.faults.injected() as f64,
-        false,
-        cfg,
-    ));
-    if let (Some(b), Some(c)) = (baseline.stream, candidate.stream) {
-        rows.push(diff("stream_changes_per_sec", b.changes_per_sec, c.changes_per_sec, false, cfg));
-    }
+    rows.push(info("sim_compute_us", b.sim_compute_us, c.sim_compute_us));
+    rows.push(info("sim_total_us", b.sim_total_us(), c.sim_total_us()));
+    rows.push(info("wall_us", b.wall_us, c.wall_us));
+    rows.push(info("faults_injected", b.faults.injected() as f64, c.faults.injected() as f64));
+    rows.extend(wall_derived);
     rows
 }
 
@@ -268,7 +170,8 @@ pub fn regressed(rows: &[MetricDiff]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::QualityPoint;
+    use crate::report::tests::emitted_sections;
+    use crate::report::{QualityPoint, Section};
 
     fn baseline() -> RunReport {
         RunReport {
@@ -342,146 +245,78 @@ mod tests {
         assert!(row.regressed);
     }
 
+    /// The one rule, over every section the system emits.
     #[test]
-    fn change_counters_gate_only_when_both_reports_have_them() {
-        use crate::report::ChangeTally;
-        let tally = ChangeTally { submitted: 10, coalesced: 2, applied: 8, drains: 4, epochs: 12 };
-        // Old baseline (no section) vs. new candidate: no change rows.
-        let base = baseline();
-        let mut cand = base.clone();
-        cand.changes = Some(tally);
-        let rows = compare(&cand, &base, &GateConfig::default());
-        assert!(!rows.iter().any(|r| r.name.starts_with("changes_")));
-        assert!(!regressed(&rows));
-        // Both sides carry the section: counters are gated.
-        let mut base2 = base.clone();
-        base2.changes = Some(tally);
-        let mut cand2 = base2.clone();
-        cand2.changes = Some(ChangeTally { applied: 20, ..tally });
-        let rows = compare(&cand2, &base2, &GateConfig::default());
-        let row = rows.iter().find(|r| r.name == "changes_applied").unwrap();
-        assert!(row.gated && row.regressed);
-        // Identical tallies pass at threshold zero.
+    fn sections_gate_under_the_both_present_rule() {
         let strict = GateConfig { default_threshold: 0.0, ..GateConfig::default() };
-        assert!(!regressed(&compare(&base2, &base2, &strict)));
-    }
-
-    #[test]
-    fn migration_and_stream_sections_gate_like_changes() {
-        use crate::report::{MigrationTally, StreamTally};
-        let mig = MigrationTally { migrations: 2, migrated_rows: 32, migration_bytes: 6144 };
-        let stream = StreamTally {
-            offered: 400,
-            ticks: 50,
-            p99_staleness_epochs: 2,
-            max_staleness_epochs: 4,
-            peak_queue: 30,
-            final_imbalance_milli: 1100,
-            changes_per_sec: 9000.0,
+        let in_section = |rows: &[MetricDiff], s: &Section| {
+            rows.iter().filter(|r| r.name.starts_with(&format!("{}.", s.name))).count()
         };
-        // Old baseline (neither section) vs. new candidate: no extra rows,
-        // so existing pinned baselines keep diffing at +0.00%.
-        let base = baseline();
-        let mut cand = base.clone();
-        cand.migration = Some(mig);
-        cand.stream = Some(stream);
-        let rows = compare(&cand, &base, &GateConfig::default());
-        assert!(!rows.iter().any(|r| r.name.starts_with("migrat") || r.name.starts_with("stream")));
-        assert!(!regressed(&rows));
-        // Both sides carry them: integers gate, throughput stays info-only.
-        let mut base2 = base.clone();
-        base2.migration = Some(mig);
-        base2.stream = Some(stream);
-        let mut cand2 = base2.clone();
-        cand2.migration = Some(MigrationTally { migrated_rows: 64, ..mig });
-        cand2.stream =
-            Some(StreamTally { p99_staleness_epochs: 9, changes_per_sec: 90_000.0, ..stream });
-        let rows = compare(&cand2, &base2, &GateConfig::default());
-        assert!(rows.iter().any(|r| r.name == "migrated_rows" && r.gated && r.regressed));
-        assert!(rows
-            .iter()
-            .any(|r| r.name == "stream_p99_staleness_epochs" && r.gated && r.regressed));
-        let tput = rows.iter().find(|r| r.name == "stream_changes_per_sec").unwrap();
-        assert!(!tput.gated, "wall-derived throughput must never fail the gate");
-        // Identical sections pass even at threshold zero.
-        let strict = GateConfig { default_threshold: 0.0, ..GateConfig::default() };
-        assert!(!regressed(&compare(&base2, &base2, &strict)));
-    }
-
-    #[test]
-    fn publish_section_gates_every_row_under_both_present_rule() {
-        use crate::report::PublishTally;
-        let tally = PublishTally {
-            full_epochs: 1,
-            delta_epochs: 20,
-            changed_rows: 256,
-            chunks_copied: 24,
-            chunks_shared: 96,
-            topk_rebuilds: 2,
-        };
-        // Old baseline without the section: a new candidate adds no rows.
-        let base = baseline();
-        let mut cand = base.clone();
-        cand.publish = Some(tally);
-        let rows = compare(&cand, &base, &GateConfig::default());
-        assert!(!rows.iter().any(|r| r.name.starts_with("publish_")));
-        assert!(!regressed(&rows));
-        // Both sides carry it: every row is gated and a drift fails.
-        let mut base2 = base.clone();
-        base2.publish = Some(tally);
-        let mut cand2 = base2.clone();
-        cand2.publish = Some(PublishTally { chunks_copied: 48, ..tally });
-        let rows = compare(&cand2, &base2, &GateConfig::default());
-        for name in [
-            "publish_full_epochs",
-            "publish_delta_epochs",
-            "publish_changed_rows",
-            "publish_chunks_copied",
-            "publish_chunks_shared",
-            "publish_topk_rebuilds",
-        ] {
-            assert!(rows.iter().any(|r| r.name == name && r.gated), "{name} must be gated");
+        for section in emitted_sections() {
+            // Old baseline (no section) vs. new candidate: no extra rows,
+            // so existing pinned baselines keep diffing at +0.00%.
+            let base = baseline();
+            let cand = RunReport { sections: vec![section.clone()], ..base.clone() };
+            let rows = compare(&cand, &base, &GateConfig::default());
+            assert_eq!(in_section(&rows, &section), 0, "{}: candidate-only rows", section.name);
+            assert!(!regressed(&rows));
+            // Both sides carry it: identical sections pass at threshold 0
+            // with one row per section row …
+            let base = cand;
+            let rows = compare(&base, &base, &strict);
+            assert_eq!(in_section(&rows, &section), section.rows.len());
+            assert!(!regressed(&rows) && !rows.iter().any(MetricDiff::missing));
+            // … and a drift on any one row fails exactly that row, unless
+            // the row is wall-derived: shown, last, and never failing.
+            for (i, (row, value)) in section.rows.iter().enumerate() {
+                let name = format!("{}.{row}", section.name);
+                let mut cand = base.clone();
+                cand.sections[0].rows[i].1 = value * 10.0;
+                let rows = compare(&cand, &base, &GateConfig::default());
+                let d = rows.iter().find(|r| r.name == name).expect("row is diffed");
+                if name == "stream.changes_per_sec" {
+                    assert!(!d.gated && !d.regressed, "wall-derived throughput never fails");
+                    assert_eq!(rows.last().map(|r| r.name.as_str()), Some(name.as_str()));
+                    assert!(!regressed(&rows));
+                } else {
+                    assert!(d.gated && d.regressed, "{name} must be gated");
+                    assert_eq!(rows.iter().filter(|r| r.regressed).count(), 1);
+                }
+            }
         }
-        assert!(rows.iter().any(|r| r.name == "publish_chunks_copied" && r.regressed));
-        // Identical sections pass even at threshold zero.
-        let strict = GateConfig { default_threshold: 0.0, ..GateConfig::default() };
-        assert!(!regressed(&compare(&base2, &base2, &strict)));
     }
 
+    /// The asymmetric half: what the baseline carries, the candidate must.
     #[test]
-    fn metrics_section_gates_every_row_under_both_present_rule() {
-        use crate::report::MetricsTally;
-        let tally = MetricsTally {
-            betweenness_epochs: 10,
-            sources_recomputed: 420,
-            full_recomputes: 1,
-            changed_entries: 700,
+    fn a_candidate_that_lost_rows_fails_the_gate() {
+        let base = RunReport { sections: emitted_sections(), ..baseline() };
+        let lost = |cand: &RunReport| -> Vec<String> {
+            let rows = compare(cand, &base, &GateConfig::default());
+            assert_eq!(regressed(&rows), rows.iter().any(MetricDiff::missing));
+            rows.into_iter().filter(|r| r.missing() && r.regressed).map(|r| r.name).collect()
         };
-        // Old baseline without the section: a new candidate adds no rows.
-        let base = baseline();
+        assert!(lost(&base).is_empty());
+        // A whole section, a single row, the quality samples.
         let mut cand = base.clone();
-        cand.metrics = Some(tally);
-        let rows = compare(&cand, &base, &GateConfig::default());
-        assert!(!rows.iter().any(|r| r.name.starts_with("metric_")));
-        assert!(!regressed(&rows));
-        // Both sides carry it: every row is gated and a drift fails.
-        let mut base2 = base.clone();
-        base2.metrics = Some(tally);
-        let mut cand2 = base2.clone();
-        cand2.metrics = Some(MetricsTally { sources_recomputed: 840, ..tally });
-        let rows = compare(&cand2, &base2, &GateConfig::default());
-        for name in [
-            "metric_betweenness_epochs",
-            "metric_sources_recomputed",
-            "metric_full_recomputes",
-            "metric_changed_entries",
-        ] {
-            assert!(rows.iter().any(|r| r.name == name && r.gated), "{name} must be gated");
-        }
-        assert!(rows.iter().any(|r| r.name == "metric_sources_recomputed" && r.regressed));
-        // Identical sections pass even at threshold zero.
-        let strict = GateConfig { default_threshold: 0.0, ..GateConfig::default() };
-        assert!(!regressed(&compare(&base2, &base2, &strict)));
+        cand.sections.retain(|s| s.name != "migration");
+        assert_eq!(
+            lost(&cand),
+            ["migration.migrations", "migration.migrated_rows", "migration.migration_bytes"]
+        );
+        let mut cand = base.clone();
+        cand.sections[0].rows.retain(|(row, _)| row != "drains");
+        assert_eq!(lost(&cand), ["changes.drains"]);
+        let mut cand = base.clone();
+        cand.quality.clear();
+        assert_eq!(lost(&cand), ["final_error"]);
+        // A lost wall-derived row is still a lost row.
+        let mut cand = base.clone();
+        cand.sections[2].rows.retain(|(row, _)| row != "changes_per_sec");
+        assert_eq!(lost(&cand), ["stream.changes_per_sec"]);
+        // The other direction stays free: a baseline without quality
+        // samples or sections takes any candidate.
+        let bare = RunReport { quality: Vec::new(), ..baseline() };
+        assert!(!regressed(&compare(&base, &bare, &GateConfig::default())));
     }
 
     #[test]

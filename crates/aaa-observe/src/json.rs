@@ -77,6 +77,18 @@ impl Json {
         }
     }
 
+    /// The value as a signed integer (rejects fractional values and
+    /// anything outside `i64`; `i64::MAX as f64` rounds up to 2^63, hence
+    /// the strict upper comparison).
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Json::Num(n) if n.fract() == 0.0 && n >= i64::MIN as f64 && n < i64::MAX as f64 => {
+                Some(n as i64)
+            }
+            _ => None,
+        }
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -87,6 +99,14 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The fields of an object, in document order.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -102,6 +122,12 @@ impl Json {
         self.field(key)?
             .as_u64()
             .ok_or_else(|| JsonError::Shape(format!("field `{key}` is not a non-negative integer")))
+    }
+
+    pub fn i64_field(&self, key: &str) -> Result<i64, JsonError> {
+        self.field(key)?
+            .as_i64()
+            .ok_or_else(|| JsonError::Shape(format!("field `{key}` is not an integer")))
     }
 
     pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
@@ -506,5 +532,10 @@ mod tests {
         let err = v.u64_field("s").unwrap_err();
         assert!(err.to_string().contains("`s`"));
         assert!(Json::Num(1.5).as_u64().is_none(), "fractional is not u64");
+        assert_eq!(Json::Num(-1.0).as_i64(), Some(-1));
+        assert_eq!(Json::Num(i64::MIN as f64).as_i64(), Some(i64::MIN));
+        for bad in [1.5, 1e300, -1e300, i64::MAX as f64] {
+            assert!(Json::Num(bad).as_i64().is_none(), "{bad} is not an i64");
+        }
     }
 }

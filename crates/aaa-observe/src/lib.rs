@@ -12,14 +12,23 @@
 //! - **Chrome-trace export** ([`chrome_trace`]): renders events as a Trace
 //!   Event Format JSON array on the *simulated* timeline, openable in
 //!   Perfetto / `chrome://tracing`.
-//! - **Run reports** ([`RunReport`]): a stable, versioned JSON document
-//!   aggregating counters, the LogP cost breakdown, fault tallies,
-//!   per-phase/per-rank durations, and convergence-quality samples.
-//!   Serialization is hand-rolled ([`Json`]) — no serde, exact `f64`
-//!   round-trips.
+//! - **Run reports** ([`RunReport`]): a stable, versioned JSON document —
+//!   a typed header (counters, the LogP cost breakdown, fault counters),
+//!   per-phase/per-rank durations, convergence-quality samples, and named
+//!   [`Section`]s. A section is a name plus an ordered list of
+//!   `(row, number)`; any layer may push one for the counters it owns
+//!   (`Section::new` at the producer is the whole cost of a new counter —
+//!   the writer, the reader and the gate are one loop each and know no
+//!   section by name). Serialization is hand-rolled ([`Json`]) — no serde,
+//!   exact `f64` round-trips, sections and rows kept in file order.
 //! - **Perf gate** ([`compare`]): diffs two reports with per-metric
-//!   relative thresholds. Only deterministic metrics can fail the gate;
-//!   CI wires this up via the `perfgate` binary in `aaa-bench`.
+//!   relative thresholds. Only deterministic metrics can fail the gate.
+//!   A section row is diffed, as `section.row`, when both reports carry
+//!   it; one only the candidate carries adds nothing (new counters never
+//!   break old baselines); one only the baseline carries is `MISSING` and
+//!   fails. Rows derived from the wall clock are named in one list in
+//!   [`gate`] and are shown but never gated. CI wires this up via the
+//!   `perfgate` binary in `aaa-bench`.
 //!
 //! This crate sits *below* `aaa-runtime` in the dependency graph and uses
 //! only `std`, so every layer of the system can record into it.
@@ -35,8 +44,8 @@ pub use event::{SpanEvent, SpanKind, DRIVER_LANE};
 pub use gate::{compare, regressed, GateConfig, MetricDiff};
 pub use json::{Json, JsonError};
 pub use report::{
-    aggregate_phases, per_rank_busy, ChangeTally, FaultTally, MetricsTally, MigrationTally,
-    PhaseReport, PublishTally, QualityPoint, RankReport, RunReport, StreamTally, REPORT_VERSION,
+    aggregate_phases, per_rank_busy, FaultCounters, PhaseReport, QualityPoint, RankReport,
+    RunReport, Section, REPORT_VERSION,
 };
 pub use sink::{EventSink, MemorySink, NoopSink};
 pub use trace::chrome_trace;

@@ -1,14 +1,28 @@
 //! The machine-readable run report: a stable, versioned JSON document
-//! summarizing one engine run — counters, the LogP cost breakdown, fault
-//! tallies, per-phase and per-rank aggregates from the event sink, and
-//! convergence-quality samples.
+//! summarizing one engine run — a typed header (scenario parameters,
+//! traffic and step counters, the LogP cost breakdown, fault counters),
+//! per-phase and per-rank aggregates from the event sink,
+//! convergence-quality samples, and any number of named [`Section`]s.
+//!
+//! A **section** is a name plus an ordered list of `(row, number)` pairs —
+//! on disk, a top-level JSON object of numbers. Whichever layer owns a set
+//! of counters states them itself with one [`Section::new`] pushed onto
+//! [`RunReport::sections`] (`RunStats::init_report` for the runtime,
+//! `AnytimeEngine::report` for the engine, the streaming driver for its
+//! own); nothing in this file knows a section by name, and [`crate::gate`]
+//! names only the rows it must not gate. The reader takes every top-level
+//! key that is not part of the typed header as a section and keeps
+//! sections and rows in document order; the writer emits them in that
+//! order after `quality`. File order is therefore part of the format: it
+//! is what lets a committed baseline re-serialize to its own bytes
+//! (`perfgate --validate` checks exactly that).
 //!
 //! The report is the contract between a run and the perf gate
 //! ([`crate::gate`]): CI regenerates a report for a pinned scenario and
 //! diffs it against a checked-in baseline. Only *deterministic* metrics
 //! are gated (simulated communication time, traffic counters, step counts,
-//! quality); measured wall/compute durations are carried for humans but
-//! never gated — they jitter with the host (see DESIGN.md §S24).
+//! quality, section rows); measured wall/compute durations are carried for
+//! humans but never gated — they jitter with the host (see DESIGN.md §8).
 
 use crate::event::{SpanEvent, SpanKind};
 use crate::json::{Json, JsonError};
@@ -17,18 +31,38 @@ use crate::json::{Json, JsonError};
 /// comparator must never silently diff incompatible documents.
 pub const REPORT_VERSION: u64 = 1;
 
-/// Injected-fault and repair tallies (mirror of the runtime's counters).
+/// Top-level keys of the typed header. `params`, `counters`, `sim` and
+/// `faults` are objects of numbers too, but they are *not* sections: every
+/// other top-level key is.
+const HEADER: [&str; 10] = [
+    "version", "scenario", "params", "counters", "sim", "wall_us", "faults", "phases", "ranks",
+    "quality",
+];
+
+/// Per-fault-kind counters for the chaos layer (`aaa-runtime::chaos`),
+/// carried by `RunStats` and written as the report's `faults` object.
+///
+/// The first five fields count *injected* faults; `retransmits` counts the
+/// rows the supervised recovery loop re-announced in response — it is
+/// repair work, not a fault, so [`FaultCounters::injected`] excludes it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTally {
+pub struct FaultCounters {
+    /// Messages transmitted but lost in flight.
     pub dropped: u64,
+    /// Messages delivered twice.
     pub duplicated: u64,
+    /// Messages held past their superstep barrier.
     pub delayed: u64,
+    /// Messages rejected by the receiver's checksum.
     pub corrupted: u64,
+    /// Rank-stall events (a rank's whole outbox held for a superstep).
     pub stalls: u64,
+    /// DV rows re-announced by supervised retry / verification passes.
     pub retransmits: u64,
 }
 
-impl FaultTally {
+impl FaultCounters {
+    /// Total injected faults (everything except `retransmits`).
     pub fn injected(&self) -> u64 {
         self.dropped + self.duplicated + self.delayed + self.corrupted + self.stalls
     }
@@ -62,107 +96,29 @@ pub struct RankReport {
     pub wall_busy_us: f64,
 }
 
-/// Ingest-pipeline tallies: ChangeLog traffic and published-view epochs.
+/// A named, ordered list of numeric rows — the one way a layer puts its
+/// own counters into a report.
 ///
-/// Optional in the wire format (reports predating the pipeline split omit
-/// the section), so old baselines keep parsing — the gate only diffs these
-/// counters when *both* reports carry them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChangeTally {
-    /// Changes accepted by `submit`.
-    pub submitted: u64,
-    /// Changes absorbed into an earlier queued change instead of queueing.
-    pub coalesced: u64,
-    /// Changes actually executed against the graph by drains.
-    pub applied: u64,
-    /// Drain batches that applied at least one change.
-    pub drains: u64,
-    /// Published-view epochs minted by the publish layer.
-    pub epochs: u64,
+/// Sections are optional in the wire format: a report simply carries the
+/// ones its producers pushed, and old baselines keep parsing. The perf
+/// gate diffs a row, under the name `section.row`, when both reports carry
+/// it (see [`crate::gate`]). Counters are written as `f64`; they stay
+/// exact up to 2^53.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Section {
+    pub name: String,
+    pub rows: Vec<(String, f64)>,
 }
 
-/// Row-migration tallies from the background rebalancer (budgeted moves
-/// and policy-escalated full repartitions).
-///
-/// Optional in the wire format — reports predating adaptive
-/// repartitioning omit the section, so old baselines keep parsing and the
-/// gate only diffs these counters when *both* reports carry them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MigrationTally {
-    /// Migration events (one per rebalance barrier that moved rows).
-    pub migrations: u64,
-    /// DV rows shipped to a new owner across all events.
-    pub migrated_rows: u64,
-    /// Bytes of migration traffic (ownership broadcasts + row payloads);
-    /// a subset of the report's top-level `bytes`.
-    pub migration_bytes: u64,
-}
+impl Section {
+    pub fn new(name: &str, rows: &[(&str, f64)]) -> Self {
+        Self { name: name.to_string(), rows: rows.iter().map(|&(r, v)| (r.into(), v)).collect() }
+    }
 
-/// Streaming-workload tallies from the `stream_load` driver.
-///
-/// Optional like [`MigrationTally`]. All integer fields are deterministic
-/// and gateable; `changes_per_sec` is wall-derived and carried for humans
-/// only — the gate must never diff it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamTally {
-    /// Changes the workload generator offered to `submit`.
-    pub offered: u64,
-    /// Ticks the driver ran (one `submit` batch per tick).
-    pub ticks: u64,
-    /// p99 of epoch staleness: epochs between a change's submission and
-    /// the published epoch that first reflects it.
-    pub p99_staleness_epochs: u64,
-    /// Worst-case epoch staleness observed.
-    pub max_staleness_epochs: u64,
-    /// Peak backlog at tick boundaries: offered batches not yet
-    /// reflected in a published epoch (the coalescing log itself may
-    /// hold fewer entries).
-    pub peak_queue: u64,
-    /// Final vertex imbalance ×1000 (max part size over ideal), so the
-    /// gate diffs an integer instead of a float.
-    pub final_imbalance_milli: u64,
-    /// Sustained throughput (offered changes / driver wall time) —
-    /// host-dependent, info-only.
-    pub changes_per_sec: f64,
-}
-
-/// View-publication tallies from the delta publisher.
-///
-/// Optional like [`StreamTally`]. Every field counts deterministic
-/// publisher work (chunk sharing decisions depend only on the change
-/// stream), so the gate diffs all of them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PublishTally {
-    /// Epochs published via the O(n) full-rebuild path.
-    pub full_epochs: u64,
-    /// Epochs published via the O(changed) delta path.
-    pub delta_epochs: u64,
-    /// Closeness rows carried by delta publications.
-    pub changed_rows: u64,
-    /// Value chunks copy-on-written across all publications.
-    pub chunks_copied: u64,
-    /// Value chunks structurally shared with the previous view.
-    pub chunks_shared: u64,
-    /// Maintained top-k index rebuilds (underflow or full publish).
-    pub topk_rebuilds: u64,
-}
-
-/// Extra-metric maintenance tallies (incremental betweenness et al.).
-///
-/// Optional like [`PublishTally`]. Every field counts deterministic
-/// driver-side metric work, so the gate diffs all of them —
-/// `sources_recomputed` is the headline: it is what the incremental
-/// update saves over an every-epoch full rescan (`n × epochs` sources).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsTally {
-    /// Publish epochs in which extra metrics were updated.
-    pub betweenness_epochs: u64,
-    /// Per-source dependency recomputations across all epochs.
-    pub sources_recomputed: u64,
-    /// Updates that rebuilt from scratch (first epoch, post-invalidation).
-    pub full_recomputes: u64,
-    /// Column entries whose value changed bits across all epochs.
-    pub changed_entries: u64,
+    /// The value of row `row`, if the section has one.
+    pub fn get(&self, row: &str) -> Option<f64> {
+        self.rows.iter().find(|(r, _)| r == row).map(|&(_, v)| v)
+    }
 }
 
 /// One convergence-quality sample (mirrors the engine's quality tracker).
@@ -199,25 +155,17 @@ pub struct RunReport {
     pub sim_compute_us: f64,
     /// Measured wall time of rank computation (µs) — host-dependent.
     pub wall_us: f64,
-    pub faults: FaultTally,
-    /// Ingest/publish tallies — `None` for reports from before the
-    /// pipeline split (and for runs that never touched the ChangeLog).
-    pub changes: Option<ChangeTally>,
-    /// Row-migration tallies — `None` for reports from before adaptive
-    /// repartitioning.
-    pub migration: Option<MigrationTally>,
-    /// Streaming-workload tallies — `None` unless the run came from the
-    /// `stream_load` driver.
-    pub stream: Option<StreamTally>,
-    /// View-publication tallies — `None` for reports from before delta
-    /// publication (and for drivers that never publish views).
-    pub publish: Option<PublishTally>,
-    /// Extra-metric tallies — `None` unless the run maintained metrics
-    /// beyond closeness (e.g. `--metrics betweenness`).
-    pub metrics: Option<MetricsTally>,
+    pub faults: FaultCounters,
     pub phases: Vec<PhaseReport>,
     pub ranks: Vec<RankReport>,
     pub quality: Vec<QualityPoint>,
+    /// Layer-owned counter sections, in the order they are written.
+    pub sections: Vec<Section>,
+}
+
+/// A JSON object of numbers, keys in the given order.
+fn nums<'a>(rows: impl IntoIterator<Item = (&'a str, f64)>) -> Json {
+    Json::Obj(rows.into_iter().map(|(k, v)| (k.to_string(), Json::Num(v))).collect())
 }
 
 impl RunReport {
@@ -231,163 +179,94 @@ impl RunReport {
         self.quality.last().copied()
     }
 
+    /// The section named `name`, if a producer pushed one.
+    pub fn section(&self, name: &str) -> Option<&Section> {
+        self.sections.iter().find(|s| s.name == name)
+    }
+
     // ---------------------------------------------------------------
     // Serialization
     // ---------------------------------------------------------------
 
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
+        let f = &self.faults;
+        let phase = |p: &PhaseReport| {
+            Json::Obj(vec![
+                ("name".into(), Json::Str(p.name.clone())),
+                ("count".into(), Json::Num(p.count as f64)),
+                ("sim_us".into(), Json::Num(p.sim_us)),
+                ("wall_us".into(), Json::Num(p.wall_us)),
+                ("messages".into(), Json::Num(p.messages as f64)),
+                ("bytes".into(), Json::Num(p.bytes as f64)),
+            ])
+        };
+        let rank = |r: &RankReport| {
+            nums([
+                ("rank", r.rank as f64),
+                ("spans", r.spans as f64),
+                ("sim_busy_us", r.sim_busy_us),
+                ("wall_busy_us", r.wall_busy_us),
+            ])
+        };
+        let quality = |q: &QualityPoint| {
+            nums([
+                ("rc_step", q.rc_step as f64),
+                ("error", q.error),
+                ("top_k_recall", q.top_k_recall),
+            ])
+        };
+        let mut fields: Vec<(String, Json)> = vec![
             ("version".into(), Json::Num(REPORT_VERSION as f64)),
             ("scenario".into(), Json::Str(self.scenario.clone())),
             (
                 "params".into(),
-                Json::Obj(vec![
-                    ("scale".into(), Json::Num(self.scale as f64)),
-                    ("procs".into(), Json::Num(self.procs as f64)),
-                    ("seed".into(), Json::Num(self.seed as f64)),
+                nums([
+                    ("scale", self.scale as f64),
+                    ("procs", self.procs as f64),
+                    ("seed", self.seed as f64),
                 ]),
             ),
             (
                 "counters".into(),
-                Json::Obj(vec![
-                    ("messages".into(), Json::Num(self.messages as f64)),
-                    ("bytes".into(), Json::Num(self.bytes as f64)),
-                    ("supersteps".into(), Json::Num(self.supersteps as f64)),
-                    ("collectives".into(), Json::Num(self.collectives as f64)),
-                    ("checkpoints".into(), Json::Num(self.checkpoints as f64)),
-                    ("restores".into(), Json::Num(self.restores as f64)),
-                    ("rc_steps".into(), Json::Num(self.rc_steps as f64)),
+                nums([
+                    ("messages", self.messages as f64),
+                    ("bytes", self.bytes as f64),
+                    ("supersteps", self.supersteps as f64),
+                    ("collectives", self.collectives as f64),
+                    ("checkpoints", self.checkpoints as f64),
+                    ("restores", self.restores as f64),
+                    ("rc_steps", self.rc_steps as f64),
                 ]),
             ),
             (
                 "sim".into(),
-                Json::Obj(vec![
-                    ("comm_us".into(), Json::Num(self.sim_comm_us)),
-                    ("compute_us".into(), Json::Num(self.sim_compute_us)),
-                    ("total_us".into(), Json::Num(self.sim_total_us())),
+                nums([
+                    ("comm_us", self.sim_comm_us),
+                    ("compute_us", self.sim_compute_us),
+                    ("total_us", self.sim_total_us()),
                 ]),
             ),
             ("wall_us".into(), Json::Num(self.wall_us)),
             (
                 "faults".into(),
-                Json::Obj(vec![
-                    ("dropped".into(), Json::Num(self.faults.dropped as f64)),
-                    ("duplicated".into(), Json::Num(self.faults.duplicated as f64)),
-                    ("delayed".into(), Json::Num(self.faults.delayed as f64)),
-                    ("corrupted".into(), Json::Num(self.faults.corrupted as f64)),
-                    ("stalls".into(), Json::Num(self.faults.stalls as f64)),
-                    ("retransmits".into(), Json::Num(self.faults.retransmits as f64)),
+                nums([
+                    ("dropped", f.dropped as f64),
+                    ("duplicated", f.duplicated as f64),
+                    ("delayed", f.delayed as f64),
+                    ("corrupted", f.corrupted as f64),
+                    ("stalls", f.stalls as f64),
+                    ("retransmits", f.retransmits as f64),
                 ]),
             ),
-            (
-                "phases".into(),
-                Json::Arr(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(p.name.clone())),
-                                ("count".into(), Json::Num(p.count as f64)),
-                                ("sim_us".into(), Json::Num(p.sim_us)),
-                                ("wall_us".into(), Json::Num(p.wall_us)),
-                                ("messages".into(), Json::Num(p.messages as f64)),
-                                ("bytes".into(), Json::Num(p.bytes as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "ranks".into(),
-                Json::Arr(
-                    self.ranks
-                        .iter()
-                        .map(|r| {
-                            Json::Obj(vec![
-                                ("rank".into(), Json::Num(r.rank as f64)),
-                                ("spans".into(), Json::Num(r.spans as f64)),
-                                ("sim_busy_us".into(), Json::Num(r.sim_busy_us)),
-                                ("wall_busy_us".into(), Json::Num(r.wall_busy_us)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "quality".into(),
-                Json::Arr(
-                    self.quality
-                        .iter()
-                        .map(|q| {
-                            Json::Obj(vec![
-                                ("rc_step".into(), Json::Num(q.rc_step as f64)),
-                                ("error".into(), Json::Num(q.error)),
-                                ("top_k_recall".into(), Json::Num(q.top_k_recall)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("phases".into(), Json::Arr(self.phases.iter().map(phase).collect())),
+            ("ranks".into(), Json::Arr(self.ranks.iter().map(rank).collect())),
+            ("quality".into(), Json::Arr(self.quality.iter().map(quality).collect())),
         ];
-        if let Some(c) = &self.changes {
-            fields.push((
-                "changes".into(),
-                Json::Obj(vec![
-                    ("submitted".into(), Json::Num(c.submitted as f64)),
-                    ("coalesced".into(), Json::Num(c.coalesced as f64)),
-                    ("applied".into(), Json::Num(c.applied as f64)),
-                    ("drains".into(), Json::Num(c.drains as f64)),
-                    ("epochs".into(), Json::Num(c.epochs as f64)),
-                ]),
-            ));
-        }
-        if let Some(m) = &self.migration {
-            fields.push((
-                "migration".into(),
-                Json::Obj(vec![
-                    ("migrations".into(), Json::Num(m.migrations as f64)),
-                    ("migrated_rows".into(), Json::Num(m.migrated_rows as f64)),
-                    ("migration_bytes".into(), Json::Num(m.migration_bytes as f64)),
-                ]),
-            ));
-        }
-        if let Some(s) = &self.stream {
-            fields.push((
-                "stream".into(),
-                Json::Obj(vec![
-                    ("offered".into(), Json::Num(s.offered as f64)),
-                    ("ticks".into(), Json::Num(s.ticks as f64)),
-                    ("p99_staleness_epochs".into(), Json::Num(s.p99_staleness_epochs as f64)),
-                    ("max_staleness_epochs".into(), Json::Num(s.max_staleness_epochs as f64)),
-                    ("peak_queue".into(), Json::Num(s.peak_queue as f64)),
-                    ("final_imbalance_milli".into(), Json::Num(s.final_imbalance_milli as f64)),
-                    ("changes_per_sec".into(), Json::Num(s.changes_per_sec)),
-                ]),
-            ));
-        }
-        if let Some(p) = &self.publish {
-            fields.push((
-                "publish".into(),
-                Json::Obj(vec![
-                    ("full_epochs".into(), Json::Num(p.full_epochs as f64)),
-                    ("delta_epochs".into(), Json::Num(p.delta_epochs as f64)),
-                    ("changed_rows".into(), Json::Num(p.changed_rows as f64)),
-                    ("chunks_copied".into(), Json::Num(p.chunks_copied as f64)),
-                    ("chunks_shared".into(), Json::Num(p.chunks_shared as f64)),
-                    ("topk_rebuilds".into(), Json::Num(p.topk_rebuilds as f64)),
-                ]),
-            ));
-        }
-        if let Some(m) = &self.metrics {
-            fields.push((
-                "metrics".into(),
-                Json::Obj(vec![
-                    ("betweenness_epochs".into(), Json::Num(m.betweenness_epochs as f64)),
-                    ("sources_recomputed".into(), Json::Num(m.sources_recomputed as f64)),
-                    ("full_recomputes".into(), Json::Num(m.full_recomputes as f64)),
-                    ("changed_entries".into(), Json::Num(m.changed_entries as f64)),
-                ]),
-            ));
+        for s in &self.sections {
+            // The reader takes header keys as the header: a section of
+            // that name would be written and then silently dropped.
+            assert!(!HEADER.contains(&s.name.as_str()), "section `{}` shadows the header", s.name);
+            fields.push((s.name.clone(), nums(s.rows.iter().map(|(r, v)| (r.as_str(), *v)))));
         }
         Json::Obj(fields)
     }
@@ -424,7 +303,7 @@ impl RunReport {
             sim_comm_us: sim.f64_field("comm_us")?,
             sim_compute_us: sim.f64_field("compute_us")?,
             wall_us: doc.f64_field("wall_us")?,
-            faults: FaultTally {
+            faults: FaultCounters {
                 dropped: faults.u64_field("dropped")?,
                 duplicated: faults.u64_field("duplicated")?,
                 delayed: faults.u64_field("delayed")?,
@@ -434,52 +313,6 @@ impl RunReport {
             },
             ..RunReport::default()
         };
-        // Optional section: absent in pre-pipeline reports and baselines.
-        if let Some(c) = doc.get("changes") {
-            report.changes = Some(ChangeTally {
-                submitted: c.u64_field("submitted")?,
-                coalesced: c.u64_field("coalesced")?,
-                applied: c.u64_field("applied")?,
-                drains: c.u64_field("drains")?,
-                epochs: c.u64_field("epochs")?,
-            });
-        }
-        if let Some(m) = doc.get("migration") {
-            report.migration = Some(MigrationTally {
-                migrations: m.u64_field("migrations")?,
-                migrated_rows: m.u64_field("migrated_rows")?,
-                migration_bytes: m.u64_field("migration_bytes")?,
-            });
-        }
-        if let Some(s) = doc.get("stream") {
-            report.stream = Some(StreamTally {
-                offered: s.u64_field("offered")?,
-                ticks: s.u64_field("ticks")?,
-                p99_staleness_epochs: s.u64_field("p99_staleness_epochs")?,
-                max_staleness_epochs: s.u64_field("max_staleness_epochs")?,
-                peak_queue: s.u64_field("peak_queue")?,
-                final_imbalance_milli: s.u64_field("final_imbalance_milli")?,
-                changes_per_sec: s.f64_field("changes_per_sec")?,
-            });
-        }
-        if let Some(p) = doc.get("publish") {
-            report.publish = Some(PublishTally {
-                full_epochs: p.u64_field("full_epochs")?,
-                delta_epochs: p.u64_field("delta_epochs")?,
-                changed_rows: p.u64_field("changed_rows")?,
-                chunks_copied: p.u64_field("chunks_copied")?,
-                chunks_shared: p.u64_field("chunks_shared")?,
-                topk_rebuilds: p.u64_field("topk_rebuilds")?,
-            });
-        }
-        if let Some(m) = doc.get("metrics") {
-            report.metrics = Some(MetricsTally {
-                betweenness_epochs: m.u64_field("betweenness_epochs")?,
-                sources_recomputed: m.u64_field("sources_recomputed")?,
-                full_recomputes: m.u64_field("full_recomputes")?,
-                changed_entries: m.u64_field("changed_entries")?,
-            });
-        }
         for p in doc.arr_field("phases")? {
             report.phases.push(PhaseReport {
                 name: p.str_field("name")?.to_string(),
@@ -492,7 +325,7 @@ impl RunReport {
         }
         for r in doc.arr_field("ranks")? {
             report.ranks.push(RankReport {
-                rank: r.f64_field("rank")? as i64,
+                rank: r.i64_field("rank")?,
                 spans: r.u64_field("spans")?,
                 sim_busy_us: r.f64_field("sim_busy_us")?,
                 wall_busy_us: r.f64_field("wall_busy_us")?,
@@ -504,6 +337,29 @@ impl RunReport {
                 error: q.f64_field("error")?,
                 top_k_recall: q.f64_field("top_k_recall")?,
             });
+        }
+        // Everything outside the header is a section. This is input from
+        // disk: a value that is not a number, or a name that appears
+        // twice, is refused by name — never skipped.
+        let fields = doc.as_obj().unwrap_or_default();
+        for (name, value) in fields.iter().filter(|(k, _)| !HEADER.contains(&k.as_str())) {
+            let rows = value.as_obj().ok_or_else(|| {
+                JsonError::Shape(format!("field `{name}` is not a section (an object of numbers)"))
+            })?;
+            if report.section(name).is_some() {
+                return Err(JsonError::Shape(format!("section `{name}` appears twice")));
+            }
+            let mut section = Section::new(name, &[]);
+            for (row, v) in rows {
+                let v = v.as_f64().ok_or_else(|| {
+                    JsonError::Shape(format!("row `{name}.{row}` is not a number"))
+                })?;
+                if section.get(row).is_some() {
+                    return Err(JsonError::Shape(format!("row `{name}.{row}` appears twice")));
+                }
+                section.rows.push((row.clone(), v));
+            }
+            report.sections.push(section);
         }
         Ok(report)
     }
@@ -553,7 +409,7 @@ pub fn per_rank_busy(events: &[SpanEvent]) -> Vec<RankReport> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::event::DRIVER_LANE;
 
@@ -573,12 +429,7 @@ mod tests {
             sim_comm_us: 123456.25,
             sim_compute_us: 789.5,
             wall_us: 321.125,
-            faults: FaultTally { dropped: 2, retransmits: 5, ..FaultTally::default() },
-            changes: None,
-            migration: None,
-            stream: None,
-            publish: None,
-            metrics: None,
+            faults: FaultCounters { dropped: 2, retransmits: 5, ..FaultCounters::default() },
             phases: vec![PhaseReport {
                 name: "superstep".into(),
                 count: 160,
@@ -595,7 +446,62 @@ mod tests {
                 QualityPoint { rc_step: 0, error: 0.25, top_k_recall: 0.6 },
                 QualityPoint { rc_step: 5, error: 0.0, top_k_recall: 1.0 },
             ],
+            sections: Vec::new(),
         }
+    }
+
+    /// One of every section the system emits today, in the order the
+    /// producers push them. The schema and the gate are tested over this
+    /// table; neither names a section anywhere else.
+    pub(crate) fn emitted_sections() -> Vec<Section> {
+        vec![
+            Section::new(
+                "changes",
+                &[
+                    ("submitted", 10.0),
+                    ("coalesced", 3.0),
+                    ("applied", 7.0),
+                    ("drains", 2.0),
+                    ("epochs", 14.0),
+                ],
+            ),
+            Section::new(
+                "migration",
+                &[("migrations", 3.0), ("migrated_rows", 48.0), ("migration_bytes", 9216.0)],
+            ),
+            Section::new(
+                "stream",
+                &[
+                    ("offered", 500.0),
+                    ("ticks", 64.0),
+                    ("p99_staleness_epochs", 3.0),
+                    ("max_staleness_epochs", 5.0),
+                    ("peak_queue", 40.0),
+                    ("final_imbalance_milli", 1125.0),
+                    ("changes_per_sec", 12345.5),
+                ],
+            ),
+            Section::new(
+                "publish",
+                &[
+                    ("full_epochs", 2.0),
+                    ("delta_epochs", 38.0),
+                    ("changed_rows", 512.0),
+                    ("chunks_copied", 44.0),
+                    ("chunks_shared", 196.0),
+                    ("topk_rebuilds", 3.0),
+                ],
+            ),
+            Section::new(
+                "metrics",
+                &[
+                    ("betweenness_epochs", 12.0),
+                    ("sources_recomputed", 640.0),
+                    ("full_recomputes", 2.0),
+                    ("changed_entries", 911.0),
+                ],
+            ),
+        ]
     }
 
     #[test]
@@ -609,84 +515,57 @@ mod tests {
     }
 
     #[test]
-    fn changes_section_round_trips_and_is_optional() {
-        // Absent section stays absent (old baselines parse as None).
+    fn every_section_round_trips_and_is_optional() {
+        // Absent stays absent and is not written (old baselines parse with
+        // no sections).
         let without = sample_report();
-        assert!(without.changes.is_none());
-        assert!(!without.to_json_string().contains("\"changes\""));
+        let bare = without.to_json_string();
+        assert!(RunReport::from_json_str(&bare).expect("parses").sections.is_empty());
+        // Each section alone, then all of them together.
+        let mut cases: Vec<Vec<Section>> =
+            emitted_sections().into_iter().map(|s| vec![s]).collect();
+        cases.push(emitted_sections());
+        for sections in cases {
+            for s in &sections {
+                assert!(without.section(&s.name).is_none());
+                assert!(!bare.contains(&format!("\"{}\"", s.name)), "{} written", s.name);
+            }
+            let with = RunReport { sections, ..sample_report() };
+            let text = with.to_json_string();
+            let back = RunReport::from_json_str(&text).expect("own output parses");
+            assert_eq!(back, with, "sections and rows keep their order");
+            assert_eq!(back.to_json_string(), text);
+        }
+    }
 
-        let mut with = sample_report();
-        with.changes =
-            Some(ChangeTally { submitted: 10, coalesced: 3, applied: 7, drains: 2, epochs: 14 });
-        let text = with.to_json_string();
-        let back = RunReport::from_json_str(&text).expect("own output parses");
-        assert_eq!(back, with);
-        assert_eq!(back.to_json_string(), text);
+    /// The reader's refusals: input from disk is never skipped silently.
+    #[test]
+    fn malformed_sections_are_refused_by_name() {
+        let text = RunReport { sections: emitted_sections(), ..sample_report() }.to_json_string();
+        let cases = [
+            ("\"drains\": 2", "\"drains\": \"2\"", "`changes.drains` is not a number"),
+            ("\"drains\": 2", "\"drains\": null", "`changes.drains` is not a number"),
+            ("\"drains\": 2", "\"drains\": {\"n\": 2}", "`changes.drains` is not a number"),
+            ("\"drains\": 2", "\"drains\": [2]", "`changes.drains` is not a number"),
+            ("\"drains\": 2", "\"applied\": 2", "`changes.applied` appears twice"),
+            ("\"migration\": {", "\"changes\": {", "section `changes` appears twice"),
+            ("\"migration\": {", "\"probe\": 3, \"migration\": {", "`probe` is not a section"),
+            ("\"rank\": 0", "\"rank\": 1.5", "`rank` is not an integer"),
+            ("\"rank\": 0", "\"rank\": 1e300", "`rank` is not an integer"),
+        ];
+        for (from, to, want) in cases {
+            assert!(text.contains(from), "fixture lost {from}");
+            let err = RunReport::from_json_str(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(matches!(err, JsonError::Shape(_)), "{to}: {err}");
+            assert!(err.to_string().contains(want), "{to}: got `{err}`, want `{want}`");
+        }
     }
 
     #[test]
-    fn migration_and_stream_sections_round_trip_and_are_optional() {
-        let without = sample_report();
-        assert!(without.migration.is_none() && without.stream.is_none());
-        let text = without.to_json_string();
-        assert!(!text.contains("\"migration\"") && !text.contains("\"stream\""));
-
-        let mut with = sample_report();
-        with.migration =
-            Some(MigrationTally { migrations: 3, migrated_rows: 48, migration_bytes: 9216 });
-        with.stream = Some(StreamTally {
-            offered: 500,
-            ticks: 64,
-            p99_staleness_epochs: 3,
-            max_staleness_epochs: 5,
-            peak_queue: 40,
-            final_imbalance_milli: 1125,
-            changes_per_sec: 12345.5,
-        });
-        let text = with.to_json_string();
-        let back = RunReport::from_json_str(&text).expect("own output parses");
-        assert_eq!(back, with);
-        assert_eq!(back.to_json_string(), text);
-    }
-
-    #[test]
-    fn publish_section_round_trips_and_is_optional() {
-        let without = sample_report();
-        assert!(without.publish.is_none());
-        assert!(!without.to_json_string().contains("\"publish\""));
-
-        let mut with = sample_report();
-        with.publish = Some(PublishTally {
-            full_epochs: 2,
-            delta_epochs: 38,
-            changed_rows: 512,
-            chunks_copied: 44,
-            chunks_shared: 196,
-            topk_rebuilds: 3,
-        });
-        let text = with.to_json_string();
-        let back = RunReport::from_json_str(&text).expect("own output parses");
-        assert_eq!(back, with);
-        assert_eq!(back.to_json_string(), text);
-    }
-
-    #[test]
-    fn metrics_section_round_trips_and_is_optional() {
-        let without = sample_report();
-        assert!(without.metrics.is_none());
-        assert!(!without.to_json_string().contains("\"metrics\""));
-
-        let mut with = sample_report();
-        with.metrics = Some(MetricsTally {
-            betweenness_epochs: 12,
-            sources_recomputed: 640,
-            full_recomputes: 2,
-            changed_entries: 911,
-        });
-        let text = with.to_json_string();
-        let back = RunReport::from_json_str(&text).expect("own output parses");
-        assert_eq!(back, with);
-        assert_eq!(back.to_json_string(), text);
+    #[should_panic(expected = "shadows the header")]
+    fn a_section_may_not_shadow_the_header() {
+        let _ = RunReport { sections: vec![Section::new("counters", &[])], ..sample_report() }
+            .to_json();
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! byte-level corruption of a well-formed report document must come back
 //! as `Ok` (the flip landed somewhere inert, e.g. inside a digit) or a
 //! **typed** `JsonError` — never a panic, never an abort, never a hang.
+//! The document carries sections, so the flips also land in the generic
+//! section reader (names, rows, values).
 
-use aaa_observe::{Json, JsonError, PhaseReport, QualityPoint, RankReport, RunReport};
+use aaa_observe::{Json, JsonError, PhaseReport, QualityPoint, RankReport, RunReport, Section};
 
 /// A representative nested report document — objects inside arrays inside
 /// objects, strings, floats, and enough length that flips land in every
@@ -52,6 +54,10 @@ fn sample_doc() -> String {
             QualityPoint { rc_step: 1, error: 0.5, top_k_recall: 0.25 },
             QualityPoint { rc_step: 15, error: 0.0, top_k_recall: 1.0 },
         ],
+        sections: vec![
+            Section::new("changes", &[("submitted", 10.0), ("drains", 2.0), ("epochs", 14.0)]),
+            Section::new("stream", &[("peak_queue", 4.0), ("changes_per_sec", 103.852_181_167)]),
+        ],
         ..RunReport::default()
     };
     report.to_json_string()
@@ -64,6 +70,52 @@ fn the_sample_doc_round_trips() {
     let report = RunReport::from_json(&doc).expect("uncorrupted doc decodes");
     assert_eq!(report.scenario, "fig4:corruption");
     assert_eq!(report.rc_steps, 15);
+    assert_eq!(report.sections.len(), 2);
+}
+
+/// Replace every top-level value and every value one level down — header
+/// fields, array elements, section rows — one at a time, by a value of
+/// each JSON type. The decoder must answer each with `Ok` (the confused
+/// value happened to be acceptable) or a typed `Shape` error, and a section
+/// row must refuse everything but a number: it is never skipped.
+#[test]
+fn every_type_confusion_is_a_typed_shape_error() {
+    let Json::Obj(top) = Json::parse(&sample_doc()).expect("parses") else { panic!("object") };
+    let confusions = [
+        Json::Null,
+        Json::Bool(true),
+        Json::Num(-1.5),
+        Json::Str("x".into()),
+        Json::Arr(vec![Json::Num(1.0)]),
+        Json::Obj(vec![("k".into(), Json::Num(1.0))]),
+    ];
+    let mut refused_rows = 0;
+    for i in 0..top.len() {
+        let inner = match &top[i].1 {
+            Json::Obj(fields) => fields.len(),
+            Json::Arr(items) => items.len(),
+            _ => 0,
+        };
+        // The two sections are the last two top-level fields.
+        let section = i >= top.len() - 2;
+        for j in std::iter::once(None).chain((0..inner).map(Some)) {
+            for wrong in &confusions {
+                let mut bad = top.clone();
+                match (&mut bad[i].1, j) {
+                    (Json::Obj(fields), Some(j)) => fields[j].1 = wrong.clone(),
+                    (Json::Arr(items), Some(j)) => items[j] = wrong.clone(),
+                    (whole, _) => *whole = wrong.clone(),
+                }
+                let row = section && j.is_some();
+                match RunReport::from_json(&Json::Obj(bad)) {
+                    Ok(_) => assert!(!row || matches!(wrong, Json::Num(_)), "{i}.{j:?}: {wrong:?}"),
+                    Err(JsonError::Shape(_)) => refused_rows += row as usize,
+                    Err(e) => panic!("decoder returned a syntax error at {i}.{j:?}: {e}"),
+                }
+            }
+        }
+    }
+    assert_eq!(refused_rows, 5 * 5, "five section rows, five non-numbers each");
 }
 
 /// Flip one bit in every byte position. The parser must return a typed

@@ -41,9 +41,8 @@ pub use chaos::{ChannelFault, ChaosPlan};
 pub use cluster::{Cluster, ClusterConfig, ClusterError, ExecutionMode, FaultPlan};
 pub use logp::LogPModel;
 pub use net::{
-    decode_frame, encode_frame, mix64, read_hello, unit_f64, Backoff, Frame, FrameError, FrameKind,
-    HeartbeatConfig, Hello, LocalTransport, NetChaos, NetError, NetFault, SocketTransport,
-    Transport,
+    decode_frame, encode_frame, mix64, read_hello, Backoff, Frame, FrameError, FrameKind, Hello,
+    LocalTransport, NetChaos, NetError, NetFault, SocketTransport, Transport,
 };
 pub use schedule::ExchangeSchedule;
 pub use stats::{FaultCounters, RunStats};

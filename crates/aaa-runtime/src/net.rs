@@ -59,13 +59,6 @@ pub fn mix64(seed: u64, vals: &[u64]) -> u64 {
     mix(seed, vals)
 }
 
-/// Maps a hash to the unit interval (53 high bits) — companion of
-/// [`mix64`].
-#[inline]
-pub fn unit_f64(x: u64) -> f64 {
-    unit(x)
-}
-
 // ---------------------------------------------------------------------
 // Frame codec
 // ---------------------------------------------------------------------
@@ -437,20 +430,6 @@ impl Backoff {
         let raw = (self.base_ms as f64 * self.factor.powi(exp as i32)).min(self.cap_ms as f64);
         let jitter = 0.5 + 0.5 * unit(mix(self.seed, &[13, lane, attempt as u64]));
         ((raw * jitter) as u64).max(1)
-    }
-}
-
-/// Heartbeat-based failure-detector parameters: probe every `interval`,
-/// declare the peer dead after `deadline` without any frame from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
-    pub interval: Duration,
-    pub deadline: Duration,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        Self { interval: Duration::from_millis(200), deadline: Duration::from_secs(5) }
     }
 }
 

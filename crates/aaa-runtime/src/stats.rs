@@ -2,51 +2,26 @@
 
 use std::time::Duration;
 
-/// Per-fault-kind counters for the chaos layer (see `crate::chaos`).
-///
-/// The first five fields count *injected* faults; `retransmits` counts the
-/// rows the supervised recovery loop re-announced in response — it is
-/// repair work, not a fault, so [`FaultCounters::injected`] excludes it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Messages transmitted but lost in flight.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages held past their superstep barrier.
-    pub delayed: u64,
-    /// Messages rejected by the receiver's checksum.
-    pub corrupted: u64,
-    /// Rank-stall events (a rank's whole outbox held for a superstep).
-    pub stalls: u64,
-    /// DV rows re-announced by supervised retry / verification passes.
-    pub retransmits: u64,
+pub use aaa_observe::FaultCounters;
+use aaa_observe::{RunReport, Section};
+
+fn merge_faults(into: &mut FaultCounters, other: &FaultCounters) {
+    into.dropped += other.dropped;
+    into.duplicated += other.duplicated;
+    into.delayed += other.delayed;
+    into.corrupted += other.corrupted;
+    into.stalls += other.stalls;
+    into.retransmits += other.retransmits;
 }
 
-impl FaultCounters {
-    /// Total injected faults (everything except `retransmits`).
-    pub fn injected(&self) -> u64 {
-        self.dropped + self.duplicated + self.delayed + self.corrupted + self.stalls
-    }
-
-    fn merge(&mut self, other: &FaultCounters) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.corrupted += other.corrupted;
-        self.stalls += other.stalls;
-        self.retransmits += other.retransmits;
-    }
-
-    fn delta_since(&self, baseline: &FaultCounters) -> FaultCounters {
-        FaultCounters {
-            dropped: self.dropped.saturating_sub(baseline.dropped),
-            duplicated: self.duplicated.saturating_sub(baseline.duplicated),
-            delayed: self.delayed.saturating_sub(baseline.delayed),
-            corrupted: self.corrupted.saturating_sub(baseline.corrupted),
-            stalls: self.stalls.saturating_sub(baseline.stalls),
-            retransmits: self.retransmits.saturating_sub(baseline.retransmits),
-        }
+fn faults_since(now: &FaultCounters, baseline: &FaultCounters) -> FaultCounters {
+    FaultCounters {
+        dropped: now.dropped.saturating_sub(baseline.dropped),
+        duplicated: now.duplicated.saturating_sub(baseline.duplicated),
+        delayed: now.delayed.saturating_sub(baseline.delayed),
+        corrupted: now.corrupted.saturating_sub(baseline.corrupted),
+        stalls: now.stalls.saturating_sub(baseline.stalls),
+        retransmits: now.retransmits.saturating_sub(baseline.retransmits),
     }
 }
 
@@ -121,15 +96,17 @@ impl RunStats {
         self.migrations += other.migrations;
         self.migrated_rows += other.migrated_rows;
         self.migration_bytes += other.migration_bytes;
-        self.faults.merge(&other.faults);
+        merge_faults(&mut self.faults, &other.faults);
         self.wall += other.wall;
     }
 
-    /// Seeds a [`RunReport`](aaa_observe::RunReport) with this block's
-    /// counters and clocks. The caller fills in the scenario parameters
-    /// and the sink-derived sections (phases, ranks, quality).
-    pub fn init_report(&self, scenario: &str) -> aaa_observe::RunReport {
-        aaa_observe::RunReport {
+    /// Seeds a [`RunReport`] with this block's counters and clocks, and
+    /// states the runtime's own section, `migration`. The caller fills in
+    /// the scenario parameters and the sink-derived parts (phases, ranks,
+    /// quality); layers above push their sections
+    /// (`AnytimeEngine::report` is the usual entry point).
+    pub fn init_report(&self, scenario: &str) -> RunReport {
+        RunReport {
             scenario: scenario.to_string(),
             messages: self.messages,
             bytes: self.bytes,
@@ -140,20 +117,16 @@ impl RunStats {
             sim_comm_us: self.sim_comm_us,
             sim_compute_us: self.sim_compute_us,
             wall_us: self.wall.as_secs_f64() * 1e6,
-            faults: aaa_observe::FaultTally {
-                dropped: self.faults.dropped,
-                duplicated: self.faults.duplicated,
-                delayed: self.faults.delayed,
-                corrupted: self.faults.corrupted,
-                stalls: self.faults.stalls,
-                retransmits: self.faults.retransmits,
-            },
-            migration: Some(aaa_observe::MigrationTally {
-                migrations: self.migrations,
-                migrated_rows: self.migrated_rows,
-                migration_bytes: self.migration_bytes,
-            }),
-            ..aaa_observe::RunReport::default()
+            faults: self.faults,
+            sections: vec![Section::new(
+                "migration",
+                &[
+                    ("migrations", self.migrations as f64),
+                    ("migrated_rows", self.migrated_rows as f64),
+                    ("migration_bytes", self.migration_bytes as f64),
+                ],
+            )],
+            ..RunReport::default()
         }
     }
 
@@ -175,7 +148,7 @@ impl RunStats {
             migrations: self.migrations.saturating_sub(baseline.migrations),
             migrated_rows: self.migrated_rows.saturating_sub(baseline.migrated_rows),
             migration_bytes: self.migration_bytes.saturating_sub(baseline.migration_bytes),
-            faults: self.faults.delta_since(&baseline.faults),
+            faults: faults_since(&self.faults, &baseline.faults),
             wall: self.wall.saturating_sub(baseline.wall),
         }
     }

@@ -24,7 +24,7 @@ fn main() {
     // Faults forever (infinite horizon), almost no patience: the supervised
     // loop is forced onto the degraded path quickly.
     engine.set_chaos(ChaosPlan::seeded(7, 0.8, u64::MAX));
-    let policy = RetryPolicy { max_attempts: 2, max_fallbacks: 1, ..RetryPolicy::default() };
+    let policy = RetryPolicy { max_attempts: 2, max_fallbacks: 1 };
     let run = engine.run_supervised(&policy).expect("supervised run");
 
     let report = run.degraded.expect("endless faults with a tiny budget must degrade");

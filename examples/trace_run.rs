@@ -46,11 +46,11 @@ fn main() {
     let trace = chrome_trace(&events, procs);
     std::fs::write("trace_run.trace.json", &trace).expect("trace write");
 
-    let mut report = engine.stats().init_report("trace_run:example");
+    // The engine states its own header and counter sections; the caller
+    // adds the workload parameters and what the sink recorded.
+    let mut report = engine.report("trace_run:example");
     report.scale = 600;
-    report.procs = procs as u64;
     report.seed = 42;
-    report.rc_steps = engine.rc_steps_done() as u64;
     report.phases = aggregate_phases(&events);
     report.ranks = per_rank_busy(&events);
     std::fs::write("trace_run.report.json", report.to_json_string()).expect("report write");

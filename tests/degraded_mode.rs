@@ -18,7 +18,7 @@ fn degraded_answer_carries_a_certified_bound() {
     // Faults never stop (infinite horizon) and the supervisor is given no
     // budget at all: the first detectable incident forces the degraded path.
     e.set_chaos(ChaosPlan::seeded(7, 0.8, u64::MAX));
-    let policy = RetryPolicy { max_attempts: 0, max_fallbacks: 0, ..RetryPolicy::default() };
+    let policy = RetryPolicy { max_attempts: 0, max_fallbacks: 0 };
     let run = e.run_supervised(&policy).unwrap();
 
     assert!(!run.summary.converged);
@@ -68,7 +68,7 @@ fn checkpoint_fallback_is_used_before_degrading() {
     let mut e = AnytimeEngine::new(g, EngineConfig::deterministic(4)).unwrap();
     e.set_chaos(ChaosPlan::seeded(21, 0.8, u64::MAX));
     // One consecutive retry, then fall back; two fallbacks allowed.
-    let policy = RetryPolicy { max_attempts: 1, max_fallbacks: 2, ..RetryPolicy::default() };
+    let policy = RetryPolicy { max_attempts: 1, max_fallbacks: 2 };
     let run = e.run_supervised(&policy).unwrap();
     // Under an infinite-horizon 80% plan the run must exhaust the budget…
     let report = run.degraded.expect("endless faults must degrade eventually");

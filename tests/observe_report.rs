@@ -1,15 +1,18 @@
 //! Integration tests for the observability layer (S24): armed engine runs
-//! produce consistent spans, reports round-trip through their JSON form,
-//! the Chrome-trace export is valid JSON, and recording never perturbs the
+//! produce consistent spans, reports round-trip through their JSON form —
+//! for arbitrary section lists, not only the ones the system emits — the
+//! Chrome-trace export is valid JSON, and recording never perturbs the
 //! deterministic accounting.
 
 use anytime_anywhere::core::changes::preferential_batch;
 use anytime_anywhere::core::{AnytimeEngine, AssignStrategy, EngineConfig, MemorySink, SpanKind};
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
 use anytime_anywhere::observe::{
-    aggregate_phases, chrome_trace, compare, per_rank_busy, regressed, GateConfig, Json, RunReport,
+    aggregate_phases, chrome_trace, compare, per_rank_busy, regressed, GateConfig, Json,
+    MetricDiff, RunReport, Section,
 };
 use anytime_anywhere::runtime::RunStats;
+use proptest::prelude::*;
 use std::sync::Arc;
 
 const PROCS: usize = 4;
@@ -104,6 +107,114 @@ fn report_round_trips_and_gate_accepts_self() {
     let rows = compare(&back, &report, &cfg);
     assert!(!regressed(&rows));
     assert!(rows.iter().all(|r| r.rel_change == 0.0 || !r.gated));
+}
+
+/// The "one line per section" claim: a section no code outside this test
+/// has heard of is written, read back and gated like any other.
+#[test]
+fn an_ad_hoc_section_round_trips_and_gates_with_no_other_edit() {
+    let (stats, _) = run_scenario(false);
+    let bare = stats.init_report("itest:probe");
+    let mut base = bare.clone();
+    base.sections.push(Section::new("probe", &[("cells_touched", 1234.0), ("hit_ratio", 0.375)]));
+
+    let text = base.to_json_string();
+    assert!(text.contains("\"probe\""));
+    let back = RunReport::from_json_str(&text).expect("parses");
+    assert_eq!(back, base);
+    assert_eq!(back.to_json_string(), text);
+    assert_eq!(back.section("probe").and_then(|s| s.get("hit_ratio")), Some(0.375));
+
+    let strict = GateConfig { default_threshold: 0.0, overrides: vec![] };
+    let probe_rows = |rows: &[MetricDiff]| -> Vec<(String, bool, bool)> {
+        let of_probe = rows.iter().filter(|r| r.name.starts_with("probe."));
+        of_probe.map(|r| (r.name.clone(), r.regressed, r.missing())).collect()
+    };
+    // Both present: every row diffed under `section.row`, identical passes.
+    let rows = compare(&back, &base, &strict);
+    assert!(!regressed(&rows));
+    assert_eq!(
+        probe_rows(&rows),
+        [("probe.cells_touched".into(), false, false), ("probe.hit_ratio".into(), false, false)]
+    );
+    // A drift fails the drifted row only.
+    let mut drifted = base.clone();
+    drifted.sections.last_mut().expect("probe").rows[0].1 += 1.0;
+    assert_eq!(
+        probe_rows(&compare(&drifted, &base, &strict)),
+        [("probe.cells_touched".into(), true, false), ("probe.hit_ratio".into(), false, false)]
+    );
+    // Candidate-only: an older baseline is not broken by the new section.
+    let rows = compare(&base, &bare, &strict);
+    assert!(!regressed(&rows) && probe_rows(&rows).is_empty());
+    // Baseline-only: a candidate that lost the section fails, row by row.
+    let rows = compare(&bare, &base, &strict);
+    assert!(regressed(&rows));
+    assert_eq!(
+        probe_rows(&rows),
+        [("probe.cells_touched".into(), true, true), ("probe.hit_ratio".into(), true, true)]
+    );
+}
+
+/// A section or row name from raw bits: a few characters out of an
+/// alphabet that exercises the writer's escapes, made unique — and kept
+/// off the header's key names — by its position.
+fn arb_name(bits: u64, position: usize) -> String {
+    const ALPHABET: [&str; 8] = ["a", "Z", "_", ".", " ", "\"", "\\", "é"];
+    let len = bits as usize % 5;
+    let chars = (0..len).map(|i| ALPHABET[(bits >> (8 + 3 * i)) as usize % ALPHABET.len()]);
+    format!("{}{position}", chars.collect::<String>())
+}
+
+/// A finite row value from raw bits: exact counters up to 2^53, small
+/// counts, non-integral ratios, and any finite bit pattern at all.
+fn arb_value(kind: u8, bits: u64) -> f64 {
+    match kind {
+        0 => (bits % ((1 << 53) + 1)) as f64,
+        1 => (bits % 1000) as f64,
+        2 => (bits >> 11) as f64 / 3072.0,
+        _ => Some(f64::from_bits(bits)).filter(|v| v.is_finite()).unwrap_or(-0.25),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_sections_round_trip_and_gate_against_themselves(
+        raw in proptest::collection::vec(
+            (
+                0u64..=u64::MAX,
+                proptest::collection::vec((0u64..=u64::MAX, 0u8..4, 0u64..=u64::MAX), 0..6),
+            ),
+            0..5,
+        ),
+    ) {
+        let sections = raw.iter().enumerate().map(|(i, (name, rows))| Section {
+            name: arb_name(*name, i),
+            rows: rows
+                .iter()
+                .enumerate()
+                .map(|(j, &(row, kind, bits))| (arb_name(row, j), arb_value(kind, bits)))
+                .collect(),
+        });
+        let report = RunReport {
+            scenario: "itest:arbitrary".into(),
+            sim_comm_us: 1.5,
+            sections: sections.collect(),
+            ..RunReport::default()
+        };
+        let text = report.to_json_string();
+        let back = RunReport::from_json_str(&text).expect("own output parses");
+        prop_assert_eq!(&back, &report);
+        // The text is a fixed point.
+        prop_assert_eq!(back.to_json_string(), text);
+        let strict = GateConfig { default_threshold: 0.0, overrides: vec![] };
+        let rows = compare(&back, &report, &strict);
+        prop_assert!(!rows.iter().any(|r| r.regressed || r.missing()));
+        let section_rows: usize = report.sections.iter().map(|s| s.rows.len()).sum();
+        prop_assert_eq!(rows.len(), 6 + section_rows + 4);
+    }
 }
 
 #[test]
