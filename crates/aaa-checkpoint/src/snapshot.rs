@@ -5,11 +5,9 @@
 //! module owns the bytes. See the crate docs for the full format appendix.
 
 use crate::error::CheckpointError;
-use crate::wire::{
-    put_f64, put_u32, put_u64, read_section, read_u32, write_section, PayloadReader, SectionWriter,
-};
+use crate::wire::{decode, read_array, read_section, read_u32, write_section, SectionWriter};
 use aaa_graph::{Dist, PartId, VertexId, Weight};
-use aaa_runtime::bytes::put_u32s;
+use aaa_runtime::bytes::{put_u32, put_u32s, put_u64, Cursor, ShortRead};
 use aaa_runtime::{FaultCounters, RunStats};
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -228,8 +226,8 @@ impl Snapshot {
         p.clear();
         put_u64(&mut p, self.stats.messages);
         put_u64(&mut p, self.stats.bytes);
-        put_f64(&mut p, self.stats.sim_comm_us);
-        put_f64(&mut p, self.stats.sim_compute_us);
+        put_u64(&mut p, self.stats.sim_comm_us.to_bits());
+        put_u64(&mut p, self.stats.sim_compute_us.to_bits());
         put_u64(&mut p, self.stats.supersteps);
         put_u64(&mut p, self.stats.collectives);
         put_u64(&mut p, self.stats.checkpoints);
@@ -295,14 +293,7 @@ impl Snapshot {
     /// version, section structure and every CRC. All failure modes are
     /// typed [`CheckpointError`]s.
     pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CheckpointError::Truncated { section: "header" }
-            } else {
-                CheckpointError::from(e)
-            }
-        })?;
+        let magic: [u8; 8] = read_array(&mut r, "header")?;
         if magic != MAGIC {
             return Err(CheckpointError::BadMagic { found: magic });
         }
@@ -327,79 +318,78 @@ impl Snapshot {
             let tag = read_section(&mut r, &mut payload)?;
             match &tag {
                 b"META" => {
-                    let mut p = PayloadReader::new(&payload, "META");
-                    let m = EngineMeta {
-                        procs: p.u32()?,
-                        rc_steps: p.u64()?,
-                        rr_cursor: p.u64()?,
-                        changes_applied: p.u64()?,
-                    };
-                    p.finish()?;
+                    let m = decode(&payload, "META", |p| {
+                        Ok(EngineMeta {
+                            procs: p.u32()?,
+                            rc_steps: p.u64()?,
+                            rr_cursor: p.u64()?,
+                            changes_applied: p.u64()?,
+                        })
+                    })?;
                     if meta.replace(m).is_some() {
                         return Err(CheckpointError::Malformed("duplicate META section".into()));
                     }
                 }
                 b"GRPH" => {
-                    let mut p = PayloadReader::new(&payload, "GRPH");
-                    let num_vertices = p.u64()?;
-                    let m = p.len_prefix(12)?;
-                    let mut edges = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        edges.push((p.u32()?, p.u32()?, p.u32()?));
-                    }
-                    p.finish()?;
-                    if graph.replace(GraphSnapshot { num_vertices, edges }).is_some() {
+                    let g = decode(&payload, "GRPH", |p| {
+                        let num_vertices = p.u64()?;
+                        let m = p.count_u64(12)?;
+                        let mut edges = Vec::with_capacity(m);
+                        for _ in 0..m {
+                            edges.push((p.u32()?, p.u32()?, p.u32()?));
+                        }
+                        Ok(GraphSnapshot { num_vertices, edges })
+                    })?;
+                    if graph.replace(g).is_some() {
                         return Err(CheckpointError::Malformed("duplicate GRPH section".into()));
                     }
                 }
                 b"PART" => {
-                    let mut p = PayloadReader::new(&payload, "PART");
-                    let k = p.u32()?;
-                    let len = p.len_prefix(4)?;
-                    let mut assignment = Vec::with_capacity(len);
-                    p.u32s(len, &mut assignment)?;
-                    p.finish()?;
-                    if partition.replace(PartitionSnapshot { k, assignment }).is_some() {
+                    let part = decode(&payload, "PART", |p| {
+                        let k = p.u32()?;
+                        let len = p.count_u64(4)?;
+                        let mut assignment = Vec::with_capacity(len);
+                        p.u32s(len, &mut assignment)?;
+                        Ok(PartitionSnapshot { k, assignment })
+                    })?;
+                    if partition.replace(part).is_some() {
                         return Err(CheckpointError::Malformed("duplicate PART section".into()));
                     }
                 }
                 b"STAT" => {
-                    let mut p = PayloadReader::new(&payload, "STAT");
-                    let s = RunStats {
-                        messages: p.u64()?,
-                        bytes: p.u64()?,
-                        sim_comm_us: p.f64()?,
-                        sim_compute_us: p.f64()?,
-                        supersteps: p.u64()?,
-                        collectives: p.u64()?,
-                        checkpoints: p.u64()?,
-                        restores: p.u64()?,
-                        migrations: p.u64()?,
-                        migrated_rows: p.u64()?,
-                        migration_bytes: p.u64()?,
-                        faults: FaultCounters {
-                            dropped: p.u64()?,
-                            duplicated: p.u64()?,
-                            delayed: p.u64()?,
-                            corrupted: p.u64()?,
-                            stalls: p.u64()?,
-                            retransmits: p.u64()?,
-                        },
-                        wall: Duration::from_nanos(p.u64()?),
-                    };
-                    p.finish()?;
+                    let s = decode(&payload, "STAT", |p| {
+                        Ok(RunStats {
+                            messages: p.u64()?,
+                            bytes: p.u64()?,
+                            sim_comm_us: f64::from_bits(p.u64()?),
+                            sim_compute_us: f64::from_bits(p.u64()?),
+                            supersteps: p.u64()?,
+                            collectives: p.u64()?,
+                            checkpoints: p.u64()?,
+                            restores: p.u64()?,
+                            migrations: p.u64()?,
+                            migrated_rows: p.u64()?,
+                            migration_bytes: p.u64()?,
+                            faults: FaultCounters {
+                                dropped: p.u64()?,
+                                duplicated: p.u64()?,
+                                delayed: p.u64()?,
+                                corrupted: p.u64()?,
+                                stalls: p.u64()?,
+                                retransmits: p.u64()?,
+                            },
+                            wall: Duration::from_nanos(p.u64()?),
+                        })
+                    })?;
                     if stats.replace(s).is_some() {
                         return Err(CheckpointError::Malformed("duplicate STAT section".into()));
                     }
                 }
                 b"METR" => {
-                    let mut p = PayloadReader::new(&payload, "METR");
-                    let n = p.u32()? as usize;
-                    let mut ids = Vec::with_capacity(n.min(payload.len()));
-                    for _ in 0..n {
-                        ids.push(p.u8()?);
-                    }
-                    p.finish()?;
+                    let ids = decode(&payload, "METR", |p| {
+                        let n = p.u32()? as usize;
+                        Ok(p.take(n)?.to_vec())
+                    })?;
                     if ids.is_empty() {
                         // The writer omits the section entirely when there
                         // are no extra metrics; an empty one is corruption.
@@ -410,16 +400,14 @@ impl Snapshot {
                     }
                 }
                 b"RNKS" => {
-                    let mut p = PayloadReader::new(&payload, "RNKS");
-                    let rank = p.u32()?;
                     // Every row costs at least its 12-byte header, so the
                     // payload length bounds rows and cells alike.
-                    let read_rows = |p: &mut PayloadReader| -> Result<_, CheckpointError> {
-                        let n = p.len_prefix(12)?;
+                    let read_rows = |p: &mut Cursor<'_>| -> Result<_, ShortRead> {
+                        let n = p.count_u64(12)?;
                         let mut rows = RowTable::with_capacity(n, p.remaining() / 4);
                         for _ in 0..n {
                             let v = p.u32()?;
-                            let len = p.len_prefix(4)?;
+                            let len = p.count_u64(4)?;
                             p.u32s(len, &mut rows.cells)?;
                             rows.ids.push(v);
                             rows.ends.push(rows.cells.len());
@@ -427,18 +415,21 @@ impl Snapshot {
                         rows.cells.shrink_to_fit();
                         Ok(rows)
                     };
-                    let local = read_rows(&mut p)?;
-                    let cached = read_rows(&mut p)?;
-                    let read_ids = |p: &mut PayloadReader| -> Result<_, CheckpointError> {
-                        let n = p.len_prefix(4)?;
+                    let read_ids = |p: &mut Cursor<'_>| -> Result<_, ShortRead> {
+                        let n = p.count_u64(4)?;
                         let mut ids = Vec::with_capacity(n);
                         p.u32s(n, &mut ids)?;
                         Ok(ids)
                     };
-                    let dirty = read_ids(&mut p)?;
-                    let pending = read_ids(&mut p)?;
-                    p.finish()?;
-                    ranks.push(RankSnapshot { rank, local, cached, dirty, pending });
+                    ranks.push(decode(&payload, "RNKS", |p| {
+                        Ok(RankSnapshot {
+                            rank: p.u32()?,
+                            local: read_rows(p)?,
+                            cached: read_rows(p)?,
+                            dirty: read_ids(p)?,
+                            pending: read_ids(p)?,
+                        })
+                    })?);
                 }
                 other => {
                     return Err(CheckpointError::Malformed(format!(

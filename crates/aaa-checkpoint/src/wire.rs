@@ -1,26 +1,16 @@
-//! Little-endian wire primitives and the length-prefixed, CRC-protected
-//! section framing. Every read threads the current section name so a short
-//! read becomes a precise [`CheckpointError::Truncated`].
+//! The length-prefixed, CRC-protected section framing. Fields inside a
+//! section are read through `aaa-runtime`'s one byte [`Cursor`] and written
+//! with its `put_*` twins; this module only pins the section's name onto
+//! the cursor's short read ([`decode`]), so a truncated field becomes a
+//! precise [`CheckpointError::Truncated`].
 
 use crate::error::CheckpointError;
-use aaa_runtime::bytes::{crc32, get_u32s, Crc32};
+use aaa_runtime::bytes::{crc32, Crc32, Cursor, ShortRead};
 use std::io::{Read, Write};
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
-
-pub fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub fn put_f64(out: &mut Vec<u8>, x: f64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
 
 /// One framed section — tag, length, payload, CRC — whose payload is
 /// handed over in pieces: each piece is checksummed and written while it
@@ -68,30 +58,25 @@ pub fn write_section(
 // Reading
 // ---------------------------------------------------------------------------
 
-fn read_exact(
+/// The next `N` bytes of the stream; its end inside them is truncation of
+/// `section`.
+pub fn read_array<const N: usize>(
     r: &mut impl Read,
-    buf: &mut [u8],
     section: &'static str,
-) -> Result<(), CheckpointError> {
-    r.read_exact(buf).map_err(|e| {
+) -> Result<[u8; N], CheckpointError> {
+    let mut buf = [0u8; N];
+    r.read_exact(&mut buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             CheckpointError::Truncated { section }
         } else {
             e.into()
         }
-    })
+    })?;
+    Ok(buf)
 }
 
 pub fn read_u32(r: &mut impl Read, section: &'static str) -> Result<u32, CheckpointError> {
-    let mut b = [0u8; 4];
-    read_exact(r, &mut b, section)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-pub fn read_u64(r: &mut impl Read, section: &'static str) -> Result<u64, CheckpointError> {
-    let mut b = [0u8; 8];
-    read_exact(r, &mut b, section)?;
-    Ok(u64::from_le_bytes(b))
+    Ok(u32::from_le_bytes(read_array(r, section)?))
 }
 
 /// Reads one framed section into `payload` (cleared first; its capacity is
@@ -102,9 +87,8 @@ pub fn read_u64(r: &mut impl Read, section: &'static str) -> Result<u64, Checkpo
 /// arrive and a corrupted length over a short stream is `Truncated`, not
 /// a multi-gigabyte zero-fill.
 pub fn read_section(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<[u8; 4], CheckpointError> {
-    let mut tag = [0u8; 4];
-    read_exact(r, &mut tag, "section header")?;
-    let len = read_u64(r, "section header")?;
+    let tag: [u8; 4] = read_array(r, "section header")?;
+    let len = u64::from_le_bytes(read_array(r, "section header")?);
     if len > MAX_SECTION_BYTES {
         return Err(CheckpointError::Malformed(format!(
             "section {} declares {len} bytes (limit {MAX_SECTION_BYTES})",
@@ -131,78 +115,20 @@ pub fn read_section(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<[u8; 4],
 /// snapshot, low enough to reject garbage lengths from corrupted headers.
 const MAX_SECTION_BYTES: u64 = 16 << 30;
 
-/// Cursor over a section payload for field-level decoding.
-pub struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Decodes the fields of one section payload: `fields` reads them off the
+/// shared [`Cursor`]; a short read is truncation inside `section`, and
+/// bytes left over are malformed — sections carry no trailing garbage.
+pub fn decode<'a, T>(
+    payload: &'a [u8],
     section: &'static str,
-}
-
-impl<'a> PayloadReader<'a> {
-    pub fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Self { buf, pos: 0, section }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if n > self.buf.len() - self.pos {
-            return Err(CheckpointError::Truncated { section: self.section });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Appends the next `n` `u32`s to `out` in one bulk copy.
-    pub fn u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), CheckpointError> {
-        let bytes = n.checked_mul(4).ok_or(CheckpointError::Truncated { section: self.section })?;
-        get_u32s(self.take(bytes)?, out);
-        Ok(())
-    }
-
-    /// A `u64` length prefix validated against the bytes actually left
-    /// (each element needs at least `elem_bytes`), so corrupted counts fail
-    /// as truncation instead of huge allocations.
-    pub fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, CheckpointError> {
-        let n = self.u64()? as usize;
-        let fits = n.checked_mul(elem_bytes).map(|total| self.pos + total <= self.buf.len());
-        if fits != Some(true) {
-            return Err(CheckpointError::Truncated { section: self.section });
-        }
-        Ok(n)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// True when every byte has been consumed — sections must not carry
-    /// trailing garbage.
-    pub fn finish(&self) -> Result<(), CheckpointError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(CheckpointError::Malformed(format!(
-                "section {}: {} trailing bytes",
-                self.section,
-                self.buf.len() - self.pos
-            )))
+    fields: impl FnOnce(&mut Cursor<'a>) -> Result<T, ShortRead>,
+) -> Result<T, CheckpointError> {
+    let mut cursor = Cursor::new(payload);
+    let value = fields(&mut cursor).map_err(|_| CheckpointError::Truncated { section })?;
+    match cursor.remaining() {
+        0 => Ok(value),
+        extra => {
+            Err(CheckpointError::Malformed(format!("section {section}: {extra} trailing bytes")))
         }
     }
 }
@@ -267,29 +193,38 @@ mod tests {
     }
 
     #[test]
-    fn payload_reader_guards_lengths_and_trailing() {
+    fn decode_pins_the_section_name_and_refuses_trailing_bytes() {
+        use aaa_runtime::bytes::{put_u32, put_u64};
         let mut p = Vec::new();
         put_u32(&mut p, 7);
         put_u64(&mut p, 2);
         put_u32(&mut p, 10);
         put_u32(&mut p, 20);
-        let mut r = PayloadReader::new(&p, "TEST");
-        assert_eq!(r.u32().unwrap(), 7);
-        let n = r.len_prefix(4).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(r.u32().unwrap(), 10);
-        assert_eq!(r.u32().unwrap(), 20);
-        r.finish().unwrap();
+        let fields = |c: &mut Cursor<'_>| {
+            let head = c.u32()?;
+            let n = c.count_u64(4)?;
+            let mut row = Vec::with_capacity(n);
+            c.u32s(n, &mut row)?;
+            Ok((head, row))
+        };
+        assert_eq!(decode(&p, "TEST", fields), Ok((7, vec![10, 20])));
 
+        // Cut anywhere, the short read carries the section's name.
+        for cut in 0..p.len() {
+            let err = decode(&p[..cut], "TEST", fields).unwrap_err();
+            assert_eq!(err, CheckpointError::Truncated { section: "TEST" }, "cut {cut}");
+        }
         // A count larger than the remaining bytes is truncation.
-        let mut bad = Vec::new();
-        put_u64(&mut bad, 1000);
-        let mut r = PayloadReader::new(&bad, "TEST");
-        assert!(matches!(r.len_prefix(4), Err(CheckpointError::Truncated { .. })));
-
+        let mut bad = p.clone();
+        bad[4..12].copy_from_slice(&1000u64.to_le_bytes());
+        assert_eq!(
+            decode(&bad, "TEST", fields),
+            Err(CheckpointError::Truncated { section: "TEST" })
+        );
         // Trailing bytes are malformed.
-        let mut r = PayloadReader::new(&p, "TEST");
-        r.u32().unwrap();
-        assert!(matches!(r.finish(), Err(CheckpointError::Malformed(_))));
+        assert!(matches!(
+            decode(&p, "TEST", |c: &mut Cursor<'_>| c.u32()),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

@@ -82,7 +82,15 @@ mod tests {
         assert_eq!(c1.len(), 40);
         assert_eq!(c2.len(), 41);
         assert_eq!(baseline.runs(), 2);
-        let one = restart_run(&g1, &EngineConfig::deterministic(3)).unwrap().1;
-        assert!(baseline.total_stats().sim_total_us() > one.sim_total_us());
+        // The accumulated cost is the sum of the restarts', on the columns
+        // that are exact functions of the run (compute time is measured).
+        let config = EngineConfig::deterministic(3);
+        let [one, two] = [&g1, &g2].map(|g| restart_run(g, &config).unwrap().1);
+        let total = baseline.total_stats();
+        assert_eq!(total.sim_comm_us, one.sim_comm_us + two.sim_comm_us);
+        assert_eq!(total.messages, one.messages + two.messages);
+        assert_eq!(total.bytes, one.bytes + two.bytes);
+        assert_eq!(total.supersteps, one.supersteps + two.supersteps);
+        assert!(one.messages > 0 && two.bytes > one.bytes, "the grown graph costs more");
     }
 }

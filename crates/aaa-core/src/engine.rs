@@ -87,9 +87,6 @@ pub struct EngineConfig {
     pub message_cap_bytes: usize,
     /// Safety bound on recombination steps per convergence run.
     pub max_rc_steps: usize,
-    /// Seeded attempts for CutEdge-PS (the paper scores one partition per
-    /// processor and keeps the best).
-    pub cutedge_tries: usize,
     /// Wire format for RC row exchanges (full rows vs sparse deltas).
     pub wire: WireFormat,
     /// What each published epoch carries: closeness only (default) or
@@ -116,7 +113,6 @@ impl EngineConfig {
             cluster: ClusterConfig::default(),
             message_cap_bytes: 1 << 20,
             max_rc_steps: 10_000,
-            cutedge_tries: 4,
             wire: WireFormat::Full,
             publish_bounds: BoundsMode::None,
             rebalance: RebalanceConfig::default(),
@@ -305,11 +301,13 @@ impl AnytimeEngine {
         let mut cluster = Cluster::new(states, config.cluster);
         cluster.set_sink(sink);
         if cluster.observing() {
+            // The one span built by hand: it was measured before the
+            // cluster, and with it the clocks `Cluster::span` reads, existed.
             cluster.emit(SpanEvent {
                 kind: SpanKind::DomainDecomposition,
                 rank: DRIVER_LANE,
                 superstep: 0,
-                sim_start_us: cluster.sim_now_us(),
+                sim_start_us: 0.0,
                 sim_dur_us: dd_us,
                 wall_start_us: 0.0,
                 wall_dur_us: dd_us,
@@ -470,8 +468,7 @@ impl AnytimeEngine {
     /// when a restore rewound the vertex count below the published view's
     /// (the chunked store never shrinks in place).
     fn publish_view(&mut self, converged: bool) {
-        let observing = self.cluster.observing();
-        let wall0 = if observing { self.cluster.wall_now_us() } else { 0.0 };
+        let mark = self.cluster.mark();
         let n = self.graph.num_vertices();
         // Epoch-dirty tracking is drained on every publish — a full epoch
         // resets it too, so the next delta is relative to what this epoch
@@ -534,8 +531,8 @@ impl AnytimeEngine {
                 extra_deltas,
             );
         }
-        if observing {
-            // Zero simulated duration (renders as an instant, like
+        if self.cluster.observing() {
+            // Unpriced, so an instant on the simulated clock (like
             // checkpoints); the real cost rides in wall_dur. The payload
             // fields carry the delta this epoch shipped: `messages` is
             // the re-stated row count, `bytes` its `NetMsg::ViewDelta`
@@ -545,17 +542,8 @@ impl AnytimeEngine {
                 .last_delta()
                 .map(|d| (d.rows() as u64, d.encoded_bytes() as u64))
                 .unwrap_or((0, 0));
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::Publish,
-                rank: DRIVER_LANE,
-                superstep: self.rc_steps as u64,
-                sim_start_us: self.cluster.sim_now_us(),
-                sim_dur_us: 0.0,
-                wall_start_us: wall0,
-                wall_dur_us: self.cluster.wall_now_us() - wall0,
-                messages: rows,
-                bytes: delta_bytes,
-            });
+            let step = self.rc_steps as u64;
+            self.cluster.span(SpanKind::Publish, DRIVER_LANE, step, mark, rows, delta_bytes);
         }
     }
 
@@ -620,12 +608,7 @@ impl AnytimeEngine {
         // drain failure is a programming error, not a runtime condition.
         self.drain_changes().expect("queued change failed to apply at the RC barrier");
         self.maybe_rebalance().expect("rebalance failed at the RC barrier");
-        let observing = self.cluster.observing();
-        let (sim0, wall0) = if observing {
-            (self.cluster.sim_now_us(), self.cluster.wall_now_us())
-        } else {
-            (0.0, 0.0)
-        };
+        let mark = self.cluster.mark();
         let cap = self.config.message_cap_bytes;
         self.cluster.exchange(
             move |_, s: &mut RankState| s.produce_rc_messages(cap),
@@ -634,22 +617,11 @@ impl AnytimeEngine {
         );
         self.rc_steps += 1;
         let more = self.cluster.allreduce_or(|_, s| s.last_sent || s.last_changed || s.has_dirty());
-        if observing {
-            // One span bracketing the whole step (exchange + quiescence
-            // reduction), on the driver lane; `superstep` carries the
-            // RC-step index.
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::RcStep,
-                rank: DRIVER_LANE,
-                superstep: (self.rc_steps - 1) as u64,
-                sim_start_us: sim0,
-                sim_dur_us: self.cluster.sim_now_us() - sim0,
-                wall_start_us: wall0,
-                wall_dur_us: self.cluster.wall_now_us() - wall0,
-                messages: 0,
-                bytes: 0,
-            });
-        }
+        // One span bracketing the whole step (exchange + quiescence
+        // reduction), on the driver lane; `superstep` carries the RC-step
+        // index.
+        let step = (self.rc_steps - 1) as u64;
+        self.cluster.span(SpanKind::RcStep, DRIVER_LANE, step, mark, 0, 0);
         self.publish_view(!more);
         more
     }
@@ -808,8 +780,7 @@ impl AnytimeEngine {
         if self.changes.is_empty() {
             return Ok(0);
         }
-        let observing = self.cluster.observing();
-        let wall0 = if observing { self.cluster.wall_now_us() } else { 0.0 };
+        let mark = self.cluster.mark();
         let mut applied = 0usize;
         let mut outcome = Ok(());
         while let Some(pc) = self.changes.pop() {
@@ -845,20 +816,11 @@ impl AnytimeEngine {
         }
         if applied > 0 {
             self.changes.record_drain();
-            if observing {
-                // `messages` carries the number of changes applied.
-                self.cluster.emit(SpanEvent {
-                    kind: SpanKind::Drain,
-                    rank: DRIVER_LANE,
-                    superstep: self.rc_steps as u64,
-                    sim_start_us: self.cluster.sim_now_us(),
-                    sim_dur_us: 0.0,
-                    wall_start_us: wall0,
-                    wall_dur_us: self.cluster.wall_now_us() - wall0,
-                    messages: applied as u64,
-                    bytes: 0,
-                });
-            }
+            // The drain is driver work; what its changes cost the cluster
+            // is in their own collective and superstep spans. `messages`
+            // carries the number of changes applied.
+            let (step, mark) = (self.rc_steps as u64, self.cluster.unpriced(mark));
+            self.cluster.span(SpanKind::Drain, DRIVER_LANE, step, mark, applied as u64, 0);
             self.publish_view(false);
         }
         outcome.map(|()| applied)
@@ -915,8 +877,6 @@ impl AnytimeEngine {
             AssignStrategy::CutEdge { seed, tries } => {
                 // CutEdge-PS partitions the new-vertex graph (serial METIS
                 // in the paper); charge that compute to the cluster clock.
-                // `tries = 0` defers to the engine-wide default.
-                let tries = if tries == 0 { self.config.cutedge_tries } else { tries };
                 let started = std::time::Instant::now();
                 let owners = cut_edge_assign(batch, base, self.config.procs, seed, tries)?;
                 self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
@@ -1048,8 +1008,11 @@ impl AnytimeEngine {
     /// migrates it, charging the planning to the cluster clock.
     ///
     /// Deferred while fault or chaos injection is armed: migration ships
-    /// each row exactly once over the faultable exchange path, and a
-    /// dropped row would orphan its vertex permanently.
+    /// each row exactly once over the faultable exchange path, and a row
+    /// the plan drops restarts at its new owner from the trivial row —
+    /// sound, but an optional rebalance is not worth re-converging for. A
+    /// migration someone asked for (`rebalance`, Repartition-S) runs under
+    /// the plan, behind the structural barrier of [`Cluster::exchange`].
     fn maybe_rebalance(&mut self) -> Result<(), CoreError> {
         let cfg = self.config.rebalance;
         let armed = self.cluster.chaos_plan().is_some() || self.cluster.fault_plan().is_some();
@@ -1078,12 +1041,11 @@ impl AnytimeEngine {
         if moves.is_empty() {
             return Ok(());
         }
-        let observing = self.cluster.observing();
-        let (sim0, wall0) = if observing {
-            (self.cluster.sim_now_us(), self.cluster.wall_now_us())
-        } else {
-            (0.0, 0.0)
-        };
+        // Structural barrier (see `Cluster::exchange`): a row delayed from
+        // before the move is addressed under the old owner map, and the
+        // exchange below would install it as a migrated row.
+        self.cluster.drop_undelivered();
+        let mark = self.cluster.mark();
         let before = *self.cluster.stats();
         for &(v, p) in moves {
             self.partition.set_part(v, p)?;
@@ -1105,19 +1067,8 @@ impl AnytimeEngine {
         );
         let delta = self.cluster.stats().delta_since(&before);
         self.cluster.record_migration(moves.len() as u64, delta.bytes);
-        if observing {
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::Migration,
-                rank: DRIVER_LANE,
-                superstep: self.rc_steps as u64,
-                sim_start_us: sim0,
-                sim_dur_us: self.cluster.sim_now_us() - sim0,
-                wall_start_us: wall0,
-                wall_dur_us: self.cluster.wall_now_us() - wall0,
-                messages: moves.len() as u64,
-                bytes: delta.bytes,
-            });
-        }
+        let (step, rows) = (self.rc_steps as u64, moves.len() as u64);
+        self.cluster.span(SpanKind::Migration, DRIVER_LANE, step, mark, rows, delta.bytes);
         Ok(())
     }
 
@@ -1279,6 +1230,10 @@ impl AnytimeEngine {
         v: VertexId,
         change: impl FnOnce(&mut Self) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
+        // Structural barrier (see `Cluster::exchange`): a row delayed from
+        // before the change may lie below the distances it leaves, and a
+        // min-merge after the raise would keep it there.
+        self.cluster.drop_undelivered();
         let started = std::time::Instant::now();
         let witness = if u == v {
             Witness::vertex(algo::dijkstra(&self.graph, v))
@@ -1338,26 +1293,13 @@ impl AnytimeEngine {
     /// ingest changes are **not** persisted — drain first if they must
     /// survive the snapshot.
     pub fn snapshot(&mut self) -> Snapshot {
-        let observing = self.cluster.observing();
-        let wall0 = if observing { self.cluster.wall_now_us() } else { 0.0 };
+        let mark = self.cluster.mark();
         self.cluster.record_checkpoint();
         let ranks: Vec<RankSnapshot> =
             self.cluster.ranks_mut().iter().map(|s| s.to_snapshot()).collect();
-        if observing {
-            // An instant on the simulated clock (snapshotting is driver
-            // work, not priced cluster time); real cost rides in wall_dur.
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::Checkpoint,
-                rank: DRIVER_LANE,
-                superstep: self.rc_steps as u64,
-                sim_start_us: self.cluster.sim_now_us(),
-                sim_dur_us: 0.0,
-                wall_start_us: wall0,
-                wall_dur_us: self.cluster.wall_now_us() - wall0,
-                messages: 0,
-                bytes: 0,
-            });
-        }
+        // An instant on the simulated clock (snapshotting is driver work,
+        // not priced cluster time); real cost rides in wall_dur.
+        self.cluster.span(SpanKind::Checkpoint, DRIVER_LANE, self.rc_steps as u64, mark, 0, 0);
         Snapshot {
             meta: EngineMeta {
                 procs: self.config.procs as u32,
@@ -1486,9 +1428,10 @@ impl AnytimeEngine {
 
     /// Arms the chaos layer: every subsequent cross-rank message is subject
     /// to the plan's seeded drop/duplicate/delay/corrupt/stall faults (see
-    /// `aaa_runtime::chaos`). [`ChaosPlan::none`] disarms it — the cluster
-    /// then takes its original fast routing path, so an unarmed engine pays
-    /// nothing for this feature.
+    /// `aaa_runtime::chaos`). [`ChaosPlan::none`] disarms it: the routing
+    /// loop is the same one, every fate `Deliver`. A delayed row never
+    /// crosses a decremental change or a migration — see
+    /// [`Cluster::exchange`] for the rule.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
         self.cluster.set_chaos(plan);
     }
@@ -1655,15 +1598,8 @@ impl AnytimeEngine {
                         if injected_now != faults_seen {
                             faults_seen = injected_now;
                             verification_passes += 1;
-                            if self.cluster.observing() {
-                                self.cluster.emit(SpanEvent::instant(
-                                    SpanKind::Verification,
-                                    DRIVER_LANE,
-                                    steps as u64,
-                                    self.cluster.sim_now_us(),
-                                    self.cluster.wall_now_us(),
-                                ));
-                            }
+                            let (step, now) = (steps as u64, self.cluster.mark());
+                            self.cluster.span(SpanKind::Verification, DRIVER_LANE, step, now, 0, 0);
                             self.resend_all();
                             continue;
                         }
@@ -1687,22 +1623,11 @@ impl AnytimeEngine {
                     if matches!(incident, ClusterError::RankStalled { .. }) {
                         wait += RetryPolicy::STALL_DEADLINE_US;
                     }
-                    if self.cluster.observing() {
-                        // The backoff is real simulated network time: a span
-                        // of exactly the charged wait.
-                        self.cluster.emit(SpanEvent {
-                            kind: SpanKind::Retry,
-                            rank: DRIVER_LANE,
-                            superstep: steps as u64,
-                            sim_start_us: self.cluster.sim_now_us(),
-                            sim_dur_us: wait,
-                            wall_start_us: self.cluster.wall_now_us(),
-                            wall_dur_us: 0.0,
-                            messages: 0,
-                            bytes: 0,
-                        });
-                    }
+                    // The backoff is real simulated network time: a span of
+                    // exactly the charged wait.
+                    let mark = self.cluster.mark();
                     self.cluster.charge_comm_us(wait);
+                    self.cluster.span(SpanKind::Retry, DRIVER_LANE, steps as u64, mark, 0, 0);
                     if attempts > retry.max_attempts {
                         if fallbacks < retry.max_fallbacks {
                             if let Some(snap) = &fallback {
@@ -1771,15 +1696,8 @@ impl AnytimeEngine {
         if let Some(f) = fault {
             self.cluster.inject_fault(f);
         }
-        if self.cluster.observing() {
-            self.cluster.emit(SpanEvent::instant(
-                SpanKind::Restore,
-                DRIVER_LANE,
-                self.rc_steps as u64,
-                self.cluster.sim_now_us(),
-                self.cluster.wall_now_us(),
-            ));
-        }
+        let (step, now) = (self.rc_steps as u64, self.cluster.mark());
+        self.cluster.span(SpanKind::Restore, DRIVER_LANE, step, now, 0, 0);
         // Restart announcement flow from the restored rows, and let readers
         // see the rewound answer as a fresh epoch.
         self.resend_all();
@@ -1847,6 +1765,7 @@ impl AnytimeEngine {
                 snap.meta.procs, self.config.procs
             )));
         }
+        let mark = self.cluster.mark();
         let started = std::time::Instant::now();
         let owner: Vec<PartId> = self.partition.assignment().to_vec();
         let graph = &self.graph;
@@ -1865,23 +1784,11 @@ impl AnytimeEngine {
         }
         let rebuild_us = started.elapsed().as_secs_f64() * 1e6;
         self.cluster.ranks_mut()[rank] = fresh;
-        if self.cluster.observing() {
-            // The rebuild runs on the recovered rank's lane.
-            self.cluster.emit(SpanEvent {
-                kind: SpanKind::Recovery,
-                rank: rank as i64,
-                superstep: self.rc_steps as u64,
-                sim_start_us: self.cluster.sim_now_us(),
-                sim_dur_us: rebuild_us,
-                wall_start_us: self.cluster.wall_now_us() - rebuild_us,
-                wall_dur_us: rebuild_us,
-                messages: 0,
-                bytes: 0,
-            });
-        }
         // The rebuild is real recovery work — charge it to the cluster
-        // clock — and the resend pass below is a priced superstep.
+        // clock, as a span on the recovered rank's lane — and the resend
+        // pass below is a priced superstep.
         self.cluster.charge_compute_us(rebuild_us);
+        self.cluster.span(SpanKind::Recovery, rank as i64, self.rc_steps as u64, mark, 0, 0);
         self.cluster.step(|_, s| s.mark_all_for_resend());
         self.cluster.record_restore();
         // The recovered rank's rows were rewound to the snapshot; cached

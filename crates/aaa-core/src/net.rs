@@ -46,7 +46,7 @@ use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
 use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::{LoadSignals, Partition, RebalanceConfig, Rebalancer};
-use aaa_runtime::bytes::{get_u32s, put_u32s};
+use aaa_runtime::bytes::{put_u32, put_u32s, put_u64, Cursor, ShortRead};
 use aaa_runtime::net::{FrameKind, NetError, Transport};
 use aaa_runtime::{ClusterError, FaultCounters, Rank};
 use rustc_hash::FxHashMap;
@@ -93,88 +93,45 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Little-endian cursor with typed underflow errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated { at: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        let s = self.bytes.get(self.pos..end).ok_or(WireError::Truncated { at: self.pos })?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos + 8;
-        let s = self.bytes.get(self.pos..end).ok_or(WireError::Truncated { at: self.pos })?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    /// A `u32` that will be used as an element count: additionally bounded
-    /// by the bytes actually remaining (each element costs ≥ `min_elem`
-    /// bytes), so a corrupted count cannot drive a huge allocation.
-    fn count(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let left = self.bytes.len() - self.pos;
-        if n.saturating_mul(min_elem.max(1)) > left {
-            return Err(WireError::Truncated { at: self.pos });
-        }
-        Ok(n)
-    }
-
-    /// A length-prefixed row of `u32`s: the count is validated against the
-    /// bytes left, then the cells are decoded in one bulk copy.
-    fn row(&mut self) -> Result<Vec<Dist>, WireError> {
-        let len = self.count(4)?;
-        let end = self.pos + 4 * len;
-        let mut row = Vec::with_capacity(len);
-        get_u32s(&self.bytes[self.pos..end], &mut row);
-        self.pos = end;
-        Ok(row)
-    }
-
-    /// A counted list of `(id, 64 value bits)` pairs — closeness replies
-    /// and every view-delta column.
-    fn pairs(&mut self) -> Result<Vec<(VertexId, u64)>, WireError> {
-        let n = self.count(12)?;
-        let mut pairs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let v = self.u32()?;
-            let bits = self.u64()?;
-            pairs.push((v, bits));
-        }
-        Ok(pairs)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos != self.bytes.len() {
-            Err(WireError::TrailingBytes { extra: self.bytes.len() - self.pos })
-        } else {
-            Ok(())
-        }
+impl From<ShortRead> for WireError {
+    fn from(short: ShortRead) -> Self {
+        WireError::Truncated { at: short.at }
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A length-prefixed row of `u32`s: the count is validated against the
+/// bytes left, then the cells are decoded in one bulk copy.
+fn get_row(r: &mut Cursor<'_>) -> Result<Vec<Dist>, ShortRead> {
+    let len = r.count_u32(4)?;
+    let mut row = Vec::with_capacity(len);
+    r.u32s(len, &mut row)?;
+    Ok(row)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// A counted list of fixed-size records, each read by `record`; the count
+/// is validated against `record_bytes` apiece before the list is sized.
+fn get_list<T>(
+    r: &mut Cursor<'_>,
+    record_bytes: usize,
+    mut record: impl FnMut(&mut Cursor<'_>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.count_u32(record_bytes)?;
+    let mut list = Vec::with_capacity(n);
+    for _ in 0..n {
+        list.push(record(r)?);
+    }
+    Ok(list)
+}
+
+/// A counted list of `(id, 64 value bits)` pairs — closeness replies and
+/// every view-delta column.
+fn get_pairs(r: &mut Cursor<'_>) -> Result<Vec<(VertexId, u64)>, WireError> {
+    get_list(r, 12, |r| Ok((r.u32()?, r.u64()?)))
+}
+
+/// A counted list of `(u32, u32, u32)` triples: weighted edges.
+fn get_triples(r: &mut Cursor<'_>) -> Result<Vec<(u32, u32, u32)>, WireError> {
+    get_list(r, 12, |r| Ok((r.u32()?, r.u32()?, r.u32()?)))
 }
 
 /// A length-prefixed row of `u32`s, cells in one bulk copy.
@@ -213,28 +170,16 @@ fn encode_rowmsg(out: &mut Vec<u8>, msg: &RowMsg) {
     }
 }
 
-fn decode_rowmsg(r: &mut Reader<'_>) -> Result<RowMsg, WireError> {
-    let n = r.count(9)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
+fn decode_rowmsg(r: &mut Cursor<'_>) -> Result<RowMsg, WireError> {
+    let rows = get_list(r, 9, |r| {
         let v = r.u32()?;
-        let kind = r.u8()?;
-        let payload = match kind {
-            0 => RowPayload::Full(r.row()?),
-            1 => {
-                let len = r.count(8)?;
-                let mut pairs = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let c = r.u32()?;
-                    let d = r.u32()?;
-                    pairs.push((c, d));
-                }
-                RowPayload::Delta(pairs)
-            }
+        let payload = match r.u8()? {
+            0 => RowPayload::Full(get_row(r)?),
+            1 => RowPayload::Delta(get_list(r, 8, |r| Ok((r.u32()?, r.u32()?)))?),
             other => return Err(WireError::UnknownPayload(other)),
         };
-        rows.push((v, payload));
-    }
+        Ok((v, payload))
+    })?;
     Ok(RowMsg { rows })
 }
 
@@ -246,14 +191,8 @@ fn encode_rows(out: &mut Vec<u8>, rows: &[(VertexId, Vec<Dist>)]) {
     }
 }
 
-fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<(VertexId, Vec<Dist>)>, WireError> {
-    let n = r.count(8)?;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = r.u32()?;
-        rows.push((v, r.row()?));
-    }
-    Ok(rows)
+fn decode_rows(r: &mut Cursor<'_>) -> Result<Vec<(VertexId, Vec<Dist>)>, WireError> {
+    get_list(r, 8, |r| Ok((r.u32()?, get_row(r)?)))
 }
 
 /// The protocol messages carried inside `Data` frames. Everything the
@@ -357,10 +296,7 @@ impl NetMsg {
                     WireFormat::Delta => 1,
                 });
                 put_u64(&mut out, *cap_bytes);
-                put_u32(&mut out, owner.len() as u32);
-                for &p in owner {
-                    put_u32(&mut out, p);
-                }
+                put_row(&mut out, owner);
                 put_u32(&mut out, edges.len() as u32);
                 for &(a, b, w) in edges {
                     put_u32(&mut out, a);
@@ -466,7 +402,7 @@ impl NetMsg {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
+        let mut r = Cursor::new(bytes);
         let tag = r.u8()?;
         let msg = match tag {
             1 => {
@@ -478,19 +414,8 @@ impl NetMsg {
                     other => return Err(WireError::UnknownWire(other)),
                 };
                 let cap_bytes = r.u64()?;
-                let n = r.count(4)?;
-                let mut owner = Vec::with_capacity(n);
-                for _ in 0..n {
-                    owner.push(r.u32()?);
-                }
-                let m = r.count(12)?;
-                let mut edges = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let a = r.u32()?;
-                    let b = r.u32()?;
-                    let w = r.u32()?;
-                    edges.push((a, b, w));
-                }
+                let owner = get_row(&mut r)?;
+                let edges = get_triples(&mut r)?;
                 NetMsg::Init { rank, procs, wire, cap_bytes, owner, edges }
             }
             2 => NetMsg::Ready { rank: r.u32()? },
@@ -510,7 +435,7 @@ impl NetMsg {
                 NetMsg::StepDone { round, changed, dirty }
             }
             8 => NetMsg::GatherClose,
-            9 => NetMsg::CloseReply { pairs: r.pairs()? },
+            9 => NetMsg::CloseReply { pairs: get_pairs(&mut r)? },
             10 => NetMsg::GatherRows,
             11 => NetMsg::RowsReply { rows: decode_rows(&mut r)? },
             12 => NetMsg::Absorb { rows: decode_rows(&mut r)? },
@@ -518,21 +443,8 @@ impl NetMsg {
             14 => NetMsg::Bye,
             15 => {
                 let round = r.u64()?;
-                let n = r.count(8)?;
-                let mut moves = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let v = r.u32()?;
-                    let p = r.u32()?;
-                    moves.push((v, p));
-                }
-                let m = r.count(12)?;
-                let mut adj = Vec::with_capacity(m);
-                for _ in 0..m {
-                    let a = r.u32()?;
-                    let b = r.u32()?;
-                    let w = r.u32()?;
-                    adj.push((a, b, w));
-                }
+                let moves = get_list(&mut r, 8, |r| Ok((r.u32()?, r.u32()?)))?;
+                let adj = get_triples(&mut r)?;
                 NetMsg::Reassign { round, moves, adj }
             }
             16 => {
@@ -544,12 +456,12 @@ impl NetMsg {
                 if flags & !(VIEW_CONVERGED | VIEW_FULL | VIEW_EXTRAS) != 0 {
                     return Err(WireError::ReservedFlags(flags));
                 }
-                let entries = r.pairs()?;
-                let bounds = r.pairs()?;
+                let entries = get_pairs(&mut r)?;
+                let bounds = get_pairs(&mut r)?;
                 let mut extras = Vec::new();
                 if flags & VIEW_EXTRAS != 0 {
                     for _ in 0..r.u8()? {
-                        extras.push((r.u8()?, r.pairs()?));
+                        extras.push((r.u8()?, get_pairs(&mut r)?));
                     }
                 }
                 NetMsg::ViewDelta {
@@ -566,8 +478,10 @@ impl NetMsg {
             }
             other => return Err(WireError::UnknownTag(other)),
         };
-        r.finish()?;
-        Ok(msg)
+        match r.remaining() {
+            0 => Ok(msg),
+            extra => Err(WireError::TrailingBytes { extra }),
+        }
     }
 }
 
@@ -825,13 +739,8 @@ pub struct NetConfig {
     pub wire: WireFormat,
     /// Per-message row-bundle cap in bytes (0 = unbounded).
     pub message_cap_bytes: u64,
-    /// Safety bound on rounds before degrading with
-    /// [`DegradedReason::StepBudgetExhausted`].
-    pub max_rounds: u64,
-    /// How long to wait for any single protocol reply before suspecting
-    /// the worker.
-    pub reply_deadline: Duration,
-    /// How long a suspected worker gets to answer the heartbeat probe.
+    /// How long a suspected worker gets to answer the heartbeat probe, and
+    /// a wounded one to hand over its rows when the run degrades.
     pub probe_deadline: Duration,
     /// Revivals allowed per rank before the run degrades.
     pub max_revivals: u32,
@@ -850,8 +759,6 @@ impl Default for NetConfig {
         Self {
             wire: WireFormat::Full,
             message_cap_bytes: 0,
-            max_rounds: 10_000,
-            reply_deadline: Duration::from_secs(10),
             probe_deadline: Duration::from_secs(2),
             max_revivals: 3,
             checkpoint_every: 4,
@@ -883,6 +790,22 @@ pub enum NetOutcome {
     Degraded(Box<DegradedReport>),
 }
 
+/// Safety bound on rounds before a run degrades with
+/// [`DegradedReason::StepBudgetExhausted`].
+const MAX_ROUNDS: u64 = 10_000;
+
+/// How long a worker gets to answer a protocol message before it is
+/// suspected and probed.
+const REPLY_DEADLINE: Duration = Duration::from_secs(10);
+
+/// The reply matcher for the generic completion ack, [`NetMsg::Ready`].
+fn acked(msg: NetMsg) -> Result<Option<()>, NetMsg> {
+    match msg {
+        NetMsg::Ready { .. } => Ok(Some(())),
+        other => Err(other),
+    }
+}
+
 /// Gathered DV rows for one rank: the in-memory checkpoint payload.
 type CheckpointRows = Vec<(VertexId, Vec<Dist>)>;
 
@@ -900,6 +823,9 @@ pub struct NetRunner<'g, T: Transport> {
     revivals: Vec<u32>,
     /// Ranks the supervisor has given up on.
     dead: Vec<bool>,
+    /// Ranks `0..initialised` have answered an `Init`; the rest are not
+    /// part of any round, resync or gather yet.
+    initialised: usize,
     started: Instant,
     recoveries: u32,
     probes_survived: u32,
@@ -923,6 +849,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             checkpoints: vec![None; procs],
             revivals: vec![0; procs],
             dead: vec![false; procs],
+            initialised: 0,
             started: Instant::now(),
             recoveries: 0,
             probes_survived: 0,
@@ -968,10 +895,8 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         Ok(())
     }
 
-    /// Receives the next protocol message from `rank` within the reply
-    /// deadline.
-    fn recv_msg(&mut self, rank: Rank) -> Result<NetMsg, NetError> {
-        let deadline = self.config.reply_deadline;
+    /// Receives the next protocol message from `rank` within `deadline`.
+    fn recv_msg(&mut self, rank: Rank, deadline: Duration) -> Result<NetMsg, NetError> {
         loop {
             let frame = self.links[rank].recv(Some(deadline))?;
             match frame.kind {
@@ -987,63 +912,35 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         }
     }
 
-    /// Waits for a [`NetMsg::Ready`] from `rank`.
-    fn await_ready(&mut self, rank: Rank) -> Result<(), NetError> {
-        match self.recv_msg(rank)? {
-            NetMsg::Ready { .. } => Ok(()),
-            other => Err(protocol_err(
-                &self.links[rank].peer(),
-                format!("expected Ready, got {other:?}"),
-            )),
-        }
-    }
-
-    /// Initializes every worker (Init → Ready). Must be called once before
-    /// [`NetRunner::run`]; failures here climb the same supervision ladder
-    /// as mid-run failures — probe, then revive under the revival budget —
-    /// except that no global resync runs (later ranks have not been
-    /// initialized yet, so there is nothing to resynchronize). Re-sending
-    /// `Init` after a heal is safe: no rows have flowed, so resetting the
-    /// rank's state is idempotent.
+    /// Initializes every worker (Init → Ready), in rank order. Must be
+    /// called once before [`NetRunner::run`]. `init` is the supervision
+    /// ladder's first client: a failed `Init` climbs `NetRunner::supervise`
+    /// like any mid-run failure — probe, then revive under the revival
+    /// budget, then degrade — with the resync reaching only the ranks
+    /// initialised so far. Re-sending `Init` after a transient fault is
+    /// safe: no rows have flowed, so resetting the rank's state is
+    /// idempotent.
     pub fn init(&mut self, supervisor: &mut dyn WorkerSupervisor<T>) -> Result<(), NetOutcome> {
         for rank in 0..self.links.len() {
-            let max_attempts = 2 * (self.config.max_revivals + 2);
-            let mut attempts = 0u32;
-            loop {
-                attempts += 1;
-                if attempts > max_attempts {
-                    return Err(self.degraded(rank));
-                }
-                let msg = self.init_msg(rank);
-                if self.send_msg(rank, &msg).and_then(|()| self.await_ready(rank)).is_ok() {
-                    break;
-                }
-                self.span(SpanKind::Heartbeat, rank as i64);
-                if self.probe(rank).is_ok() {
-                    // Link is alive — the Ready was lost in flight (e.g. a
-                    // corrupted frame poisoned one stream); just re-issue.
-                    self.probes_survived += 1;
-                    continue;
-                }
-                self.revivals[rank] += 1;
-                if self.revivals[rank] > self.config.max_revivals {
-                    return Err(self.degraded(rank));
-                }
-                match supervisor.revive(rank, &mut self.links[rank], self.revivals[rank]) {
-                    Revive::Healed => {
-                        self.span(SpanKind::Reconnect, rank as i64);
-                        self.recoveries += 1;
-                    }
-                    Revive::Respawned(link) => {
-                        self.span(SpanKind::Reconnect, rank as i64);
-                        self.recoveries += 1;
-                        self.links[rank] = link;
-                    }
-                    Revive::Gone => return Err(self.degraded(rank)),
-                }
+            if let Err((failed, err)) = self.init_rank(rank) {
+                self.supervise(failed, err, supervisor)?;
             }
             self.span(SpanKind::Connection, rank as i64);
         }
+        Ok(())
+    }
+
+    /// (Re-)initialises one worker: `Init`, then — for a respawn — the last
+    /// gathered checkpoint min-merged back in, so work done before the kill
+    /// is not lost.
+    fn init_rank(&mut self, rank: Rank) -> Result<(), (Rank, NetError)> {
+        let init = self.init_msg(rank);
+        self.ask(rank, &init, REPLY_DEADLINE, acked)?;
+        if let Some(rows) = self.checkpoints[rank].clone() {
+            self.span(SpanKind::Restore, rank as i64);
+            self.ask(rank, &NetMsg::Absorb { rows }, REPLY_DEADLINE, acked)?;
+        }
+        self.initialised = self.initialised.max(rank + 1);
         Ok(())
     }
 
@@ -1051,7 +948,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// failure degrades the run, or the round budget runs out.
     pub fn run(&mut self, supervisor: &mut dyn WorkerSupervisor<T>) -> NetOutcome {
         loop {
-            if self.round >= self.config.max_rounds {
+            if self.round >= MAX_ROUNDS {
                 return self.degrade_with(DegradedReason::StepBudgetExhausted);
             }
             self.round += 1;
@@ -1104,24 +1001,28 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         }
     }
 
-    /// Ranks the supervisor has not given up on, in rank order.
+    /// Initialised ranks the supervisor has not given up on, in rank order.
     fn live(&self) -> Vec<Rank> {
-        (0..self.links.len()).filter(|&r| !self.dead[r]).collect()
+        (0..self.initialised).filter(|&r| !self.dead[r]).collect()
     }
 
     /// Receives from `rank` until `matcher` returns the reply a phase is
-    /// waiting for. `Ok(None)` means the message was this phase's and more
-    /// follow; a message handed back as `Err` is dropped when it is a stale
-    /// `Rows` / `RowsDone` / `StepDone` / `Ready` an aborted round left in
-    /// flight, and is a protocol error naming `phase` otherwise.
+    /// waiting for, or until `deadline` has passed since the call — however
+    /// many messages it takes, so the bound holds. `Ok(None)` means the message was this phase's and more follow; a
+    /// message handed back as `Err` is dropped when it is a stale `Rows` /
+    /// `RowsDone` / `StepDone` / `Ready` an aborted round left in flight,
+    /// and is a protocol error naming `phase` otherwise.
     fn await_reply<R>(
         &mut self,
         rank: Rank,
         phase: &str,
+        deadline: Duration,
         mut matcher: impl FnMut(NetMsg) -> Result<Option<R>, NetMsg>,
     ) -> Result<R, (Rank, NetError)> {
+        let until = Instant::now() + deadline;
         loop {
-            match matcher(self.recv_msg(rank).map_err(|e| (rank, e))?) {
+            let left = until.saturating_duration_since(Instant::now());
+            match matcher(self.recv_msg(rank, left).map_err(|e| (rank, e))?) {
                 Ok(Some(reply)) => return Ok(reply),
                 Ok(None)
                 | Err(
@@ -1139,6 +1040,20 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                 }
             }
         }
+    }
+
+    /// The one request/reply: sends `msg` to `rank` and waits, under
+    /// [`NetRunner::await_reply`]'s rules, for the answer `matcher` picks
+    /// out. Serves Init, Absorb, ResendAll, GatherRows and GatherClose.
+    fn ask<R>(
+        &mut self,
+        rank: Rank,
+        msg: &NetMsg,
+        deadline: Duration,
+        matcher: impl FnMut(NetMsg) -> Result<Option<R>, NetMsg>,
+    ) -> Result<R, (Rank, NetError)> {
+        self.send_msg(rank, msg).map_err(|e| (rank, e))?;
+        self.await_reply(rank, "in reply to a request", deadline, matcher)
     }
 
     /// The exchange a recombination round and a migration round share,
@@ -1161,7 +1076,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         let mut relay: Vec<Vec<NetMsg>> = self.links.iter().map(|_| Vec::new()).collect();
         let mut active = false;
         for &rank in &live {
-            active |= self.await_reply(rank, out_phase, |msg| match msg {
+            active |= self.await_reply(rank, out_phase, REPLY_DEADLINE, |msg| match msg {
                 NetMsg::Rows { round: r, peer, msg } if r == round => {
                     if let Some(bundle) = relay.get_mut(peer as usize) {
                         bundle.push(NetMsg::Rows { round, peer: rank as u32, msg });
@@ -1181,7 +1096,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             self.send_msg(rank, &NetMsg::Consume { round, expect }).map_err(|e| (rank, e))?;
         }
         for &rank in &live {
-            active |= self.await_reply(rank, in_phase, |msg| match msg {
+            active |= self.await_reply(rank, in_phase, REPLY_DEADLINE, |msg| match msg {
                 NetMsg::StepDone { round: r, changed, dirty } if r == round => {
                     Ok(Some(changed || dirty))
                 }
@@ -1233,9 +1148,11 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     }
 
     /// The supervision ladder for a failed rank: probe (transient?) →
-    /// revive (heal / respawn) → degrade. On success the whole cluster is
-    /// kicked with `ResendAll` — blind re-announcement is always safe and
-    /// re-floods whatever the aborted round lost.
+    /// revive (heal / respawn) → degrade. A respawned process — and a rank
+    /// whose very first `Init` was what failed — is (re-)initialised; then
+    /// the whole cluster is kicked with `ResendAll` — blind re-announcement
+    /// is always safe and re-floods whatever the aborted round lost. On
+    /// `Ok` the rank it was called for is initialised and in step.
     ///
     /// Faults during recovery itself (a chaotic link tearing mid-probe, a
     /// resync hitting a second failed rank) re-enter the ladder rather
@@ -1260,53 +1177,35 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             // deadline hit a transient fault (delayed frames, a reconnect
             // in progress) — no supervisor needed.
             self.span(SpanKind::Heartbeat, rank as i64);
+            let mut respawned = false;
             if self.probe(rank).is_ok() {
                 self.probes_survived += 1;
-                match self.resync_all() {
-                    Ok(()) => return Ok(()),
-                    Err((r, _)) => {
-                        rank = r;
-                        continue;
+            } else {
+                // Step 2: the supervisor. Heal or respawn, within budget.
+                self.revivals[rank] += 1;
+                if self.revivals[rank] > self.config.max_revivals {
+                    return Err(self.degraded(rank));
+                }
+                match supervisor.revive(rank, &mut self.links[rank], self.revivals[rank]) {
+                    Revive::Healed => {}
+                    Revive::Respawned(link) => {
+                        self.links[rank] = link;
+                        respawned = true;
                     }
+                    Revive::Gone => return Err(self.degraded(rank)),
+                }
+                self.span(SpanKind::Reconnect, rank as i64);
+                self.recoveries += 1;
+                // A healed link is the same process, state intact: verify
+                // liveness (a failure climbs the ladder again).
+                if !respawned && self.probe(rank).is_err() {
+                    continue;
                 }
             }
-            // Step 2: the supervisor. Heal or respawn, within budget.
-            self.revivals[rank] += 1;
-            if self.revivals[rank] > self.config.max_revivals {
-                return Err(self.degraded(rank));
-            }
-            match supervisor.revive(rank, &mut self.links[rank], self.revivals[rank]) {
-                Revive::Healed => {
-                    self.span(SpanKind::Reconnect, rank as i64);
-                    self.recoveries += 1;
-                    // Same process: state intact. Verify liveness (a
-                    // failure climbs the ladder again), then kick.
-                    if self.probe(rank).is_err() {
-                        continue;
-                    }
-                }
-                Revive::Respawned(link) => {
-                    self.span(SpanKind::Reconnect, rank as i64);
-                    self.recoveries += 1;
-                    self.links[rank] = link;
-                    // Fresh process: full re-init, then min-merge the last
-                    // checkpoint so work done before the kill is not lost.
-                    let msg = self.init_msg(rank);
-                    if self.send_msg(rank, &msg).and_then(|()| self.await_ready(rank)).is_err() {
-                        continue;
-                    }
-                    if let Some(rows) = self.checkpoints[rank].clone() {
-                        self.span(SpanKind::Restore, rank as i64);
-                        if self
-                            .send_msg(rank, &NetMsg::Absorb { rows })
-                            .and_then(|()| self.await_ready(rank))
-                            .is_err()
-                        {
-                            continue;
-                        }
-                    }
-                }
-                Revive::Gone => return Err(self.degraded(rank)),
+            // Step 3: a fresh process starts from `Init` (a failure climbs
+            // again); everyone else resyncs.
+            if (respawned || rank >= self.initialised) && self.init_rank(rank).is_err() {
+                continue;
             }
             match self.resync_all() {
                 Ok(()) => return Ok(()),
@@ -1339,18 +1238,23 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// aborted round may have applied partially — min-merge makes the
     /// overlap harmless and the re-flood restores whatever was lost.
     fn resync_all(&mut self) -> Result<(), (Rank, NetError)> {
-        let live = self.live();
-        for &rank in &live {
-            self.send_msg(rank, &NetMsg::ResendAll).map_err(|e| (rank, e))?;
-        }
-        for rank in live {
+        for rank in self.live() {
             // Also drains whatever the aborted round left in flight.
-            self.await_reply(rank, "during resync", |msg| match msg {
-                NetMsg::Ready { .. } => Ok(Some(())),
-                other => Err(other),
-            })?;
+            self.ask(rank, &NetMsg::ResendAll, REPLY_DEADLINE, acked)?;
         }
         Ok(())
+    }
+
+    /// All rows of one rank, within `deadline`.
+    fn gather_rows(
+        &mut self,
+        rank: Rank,
+        deadline: Duration,
+    ) -> Result<CheckpointRows, (Rank, NetError)> {
+        self.ask(rank, &NetMsg::GatherRows, deadline, |msg| match msg {
+            NetMsg::RowsReply { rows } => Ok(Some(rows)),
+            other => Err(other),
+        })
     }
 
     /// Gathers all rows from every live rank into the in-memory
@@ -1358,12 +1262,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     fn gather_checkpoint(&mut self) -> Result<(), (Rank, NetError)> {
         self.span(SpanKind::Checkpoint, 0);
         for rank in self.live() {
-            self.send_msg(rank, &NetMsg::GatherRows).map_err(|e| (rank, e))?;
-            let rows = self.await_reply(rank, "during gather", |msg| match msg {
-                NetMsg::RowsReply { rows } => Ok(Some(rows)),
-                other => Err(other),
-            })?;
-            self.checkpoints[rank] = Some(rows);
+            self.checkpoints[rank] = Some(self.gather_rows(rank, REPLY_DEADLINE)?);
         }
         Ok(())
     }
@@ -1373,8 +1272,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         let n = self.owner.len();
         let mut closeness = vec![0.0f64; n];
         for rank in self.live() {
-            self.send_msg(rank, &NetMsg::GatherClose).map_err(|e| (rank, e))?;
-            let pairs = self.await_reply(rank, "during closeness gather", |msg| match msg {
+            let pairs = self.ask(rank, &NetMsg::GatherClose, REPLY_DEADLINE, |msg| match msg {
                 NetMsg::CloseReply { pairs } => Ok(Some(pairs)),
                 other => Err(other),
             })?;
@@ -1409,17 +1307,13 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         let n = self.owner.len();
         let mut matrix = DistMatrix::new(n);
         for rank in 0..self.links.len() {
-            // Live workers give fresher rows than the checkpoint; fall back
-            // to the checkpoint, and to nothing (INF rows → conservative
-            // bounds) for ranks that are gone without one.
-            let salvaged: Option<Vec<(VertexId, Vec<Dist>)>> = if self.dead[rank] {
-                self.checkpoints[rank].clone()
-            } else {
-                match self.salvage_rows(rank) {
-                    Some(rows) => Some(rows),
-                    None => self.checkpoints[rank].clone(),
-                }
-            };
+            // Live workers give fresher rows than the checkpoint — best
+            // effort, a possibly-wounded one gets the probe deadline; fall
+            // back to the checkpoint, and to nothing (INF rows →
+            // conservative bounds) for ranks that are gone without one.
+            let live = !self.dead[rank] && rank < self.initialised;
+            let fresh = live.then(|| self.gather_rows(rank, self.config.probe_deadline).ok());
+            let salvaged = fresh.flatten().or_else(|| self.checkpoints[rank].clone());
             if let Some(rows) = salvaged {
                 for (v, row) in rows {
                     if (v as usize) < n {
@@ -1446,22 +1340,6 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             estimate,
             bound,
         }))
-    }
-
-    /// Best-effort row gather from one possibly-wounded worker.
-    fn salvage_rows(&mut self, rank: Rank) -> Option<Vec<(VertexId, Vec<Dist>)>> {
-        self.send_msg(rank, &NetMsg::GatherRows).ok()?;
-        let deadline = Instant::now() + self.config.probe_deadline;
-        loop {
-            if Instant::now() >= deadline {
-                return None;
-            }
-            match self.recv_msg(rank) {
-                Ok(NetMsg::RowsReply { rows }) => return Some(rows),
-                Ok(_) => continue,
-                Err(_) => return None,
-            }
-        }
     }
 }
 
@@ -1640,5 +1518,168 @@ mod tests {
         let mut bomb = vec![11u8]; // RowsReply
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(NetMsg::decode(&bomb), Err(WireError::Truncated { .. })));
+    }
+
+    // -----------------------------------------------------------------
+    // The ladder, once: `init` is its first client
+    // -----------------------------------------------------------------
+
+    use aaa_graph::closeness::closeness_exact;
+    use aaa_graph::generators::{barabasi_albert, WeightModel};
+    use aaa_graph::Csr;
+    use aaa_runtime::net::{Frame, LocalTransport};
+    use std::thread::JoinHandle;
+
+    const RANKS: usize = 3;
+
+    /// A coordinator-side link with a script: the next `lose` protocol
+    /// replies vanish in flight (the wait for them times out at once), and
+    /// after `sends_left` sends the peer is dead.
+    struct Scripted {
+        inner: LocalTransport,
+        lose: usize,
+        sends_left: usize,
+    }
+
+    impl Transport for Scripted {
+        fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<u64, NetError> {
+            self.sends_left =
+                self.sends_left.checked_sub(1).ok_or(NetError::PeerDead { peer: self.peer() })?;
+            self.inner.send(kind, payload)
+        }
+
+        fn recv(&mut self, deadline: Option<Duration>) -> Result<Frame, NetError> {
+            if self.sends_left == 0 {
+                return Err(NetError::PeerDead { peer: self.peer() });
+            }
+            let frame = self.inner.recv(deadline)?;
+            if frame.kind == FrameKind::Data && self.lose > 0 {
+                self.lose -= 1;
+                return Err(NetError::Timeout { peer: self.peer(), waited: Duration::ZERO });
+            }
+            Ok(frame)
+        }
+
+        fn peer(&self) -> String {
+            self.inner.peer()
+        }
+    }
+
+    type Worker = JoinHandle<Result<(), NetError>>;
+
+    /// A live worker thread behind a scripted link.
+    fn worker(rank: Rank, lose: usize, sends_left: usize) -> (Scripted, Worker) {
+        let (inner, mut far) = LocalTransport::pair("coordinator", &format!("rank{rank}"));
+        let thread = std::thread::spawn(move || run_worker(&mut far, Duration::from_secs(5)));
+        (Scripted { inner, lose, sends_left }, thread)
+    }
+
+    /// Respawns any rank with a healthy worker, or heals nothing, as told.
+    struct Script {
+        respawn: bool,
+        spawned: Vec<Worker>,
+        calls: Vec<(Rank, u32)>,
+    }
+
+    impl WorkerSupervisor<Scripted> for Script {
+        fn revive(&mut self, rank: Rank, _link: &mut Scripted, attempt: u32) -> Revive<Scripted> {
+            self.calls.push((rank, attempt));
+            if !self.respawn {
+                return Revive::Healed;
+            }
+            let (link, thread) = worker(rank, 0, usize::MAX);
+            self.spawned.push(thread);
+            Revive::Respawned(link)
+        }
+    }
+
+    /// Runs `init` + `run` over three ranks whose links follow `scripts`
+    /// (`(lose, sends_left)` per rank), under `supervisor`.
+    fn supervised(
+        scripts: [(usize, usize); RANKS],
+        max_revivals: u32,
+        supervisor: &mut Script,
+    ) -> (Result<NetOutcome, NetOutcome>, Vec<f64>) {
+        let graph = barabasi_albert(40, 2, WeightModel::UniformRange { lo: 1, hi: 4 }, 7).unwrap();
+        let owner = (0..40).map(|v| v % RANKS as PartId).collect();
+        let (links, workers): (Vec<_>, Vec<_>) =
+            (0..RANKS).map(|r| worker(r, scripts[r].0, scripts[r].1)).unzip();
+        let config = NetConfig {
+            max_revivals,
+            probe_deadline: Duration::from_millis(500),
+            ..NetConfig::default()
+        };
+        let mut runner = NetRunner::new(&graph, owner, links, config);
+        let outcome = runner.init(supervisor).map(|()| runner.run(supervisor));
+        runner.shutdown();
+        drop(runner);
+        // A worker whose link the script killed never hears the goodbye; it
+        // ends when its link's other end is dropped with the runner.
+        for w in workers.into_iter().chain(supervisor.spawned.drain(..)) {
+            let _ = w.join().expect("worker thread panicked");
+        }
+        (outcome, closeness_exact(&Csr::from_adj(&graph)))
+    }
+
+    fn converged(outcome: Result<NetOutcome, NetOutcome>) -> NetSummary {
+        match outcome {
+            Ok(NetOutcome::Converged(summary)) => summary,
+            Ok(NetOutcome::Degraded(r)) | Err(NetOutcome::Degraded(r)) => {
+                panic!("degraded: {:?}", r.reason)
+            }
+            Err(NetOutcome::Converged(_)) => unreachable!("init never converges"),
+        }
+    }
+
+    fn degraded_reason(outcome: Result<NetOutcome, NetOutcome>) -> DegradedReason {
+        match outcome {
+            Ok(NetOutcome::Degraded(r)) | Err(NetOutcome::Degraded(r)) => r.reason,
+            _ => panic!("the run converged"),
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_ready_lost_during_init_is_survived_by_the_probe() {
+        let mut nobody = Script { respawn: false, spawned: Vec::new(), calls: Vec::new() };
+        let scripts = [(0, usize::MAX), (1, usize::MAX), (0, usize::MAX)];
+        let (outcome, oracle) = supervised(scripts, 3, &mut nobody);
+        let summary = converged(outcome);
+        assert_eq!((summary.probes_survived, summary.recoveries), (1, 0));
+        assert!(nobody.calls.is_empty(), "a transient fault needs no supervisor");
+        assert_eq!(bits(&summary.closeness), bits(&oracle));
+    }
+
+    #[test]
+    fn a_worker_killed_during_init_is_respawned_and_reinitialised() {
+        let mut respawner = Script { respawn: true, spawned: Vec::new(), calls: Vec::new() };
+        let scripts = [(0, usize::MAX), (0, 0), (0, usize::MAX)];
+        let (outcome, oracle) = supervised(scripts, 3, &mut respawner);
+        let summary = converged(outcome);
+        assert_eq!((summary.probes_survived, summary.recoveries), (0, 1));
+        assert_eq!(respawner.calls, [(1, 1)]);
+        assert_eq!(bits(&summary.closeness), bits(&oracle));
+    }
+
+    #[test]
+    fn an_exhausted_budget_degrades_alike_during_init_and_mid_run() {
+        // The link of rank 1 is dead from the start, or dies after its
+        // `Init` and first `Produce`; the supervisor can only "heal" it.
+        let reasons = [0, 2].map(|sends_left| {
+            let mut healer = Script { respawn: false, spawned: Vec::new(), calls: Vec::new() };
+            let scripts = [(0, usize::MAX), (0, sends_left), (0, usize::MAX)];
+            let (outcome, _) = supervised(scripts, 2, &mut healer);
+            assert_eq!(healer.calls, [(1, 1), (1, 2)], "both climbs charge rank 1's budget");
+            (outcome.is_err(), degraded_reason(outcome))
+        });
+        let [(in_init, first), (mid_run, second)] = reasons;
+        assert!(in_init && !mid_run, "the first run must degrade out of `init`");
+        let failed = |round| DegradedReason::RetriesExhausted {
+            last: ClusterError::RankFailed { rank: 1, superstep: round },
+        };
+        assert_eq!((first, second), (failed(0), failed(1)));
     }
 }

@@ -14,7 +14,7 @@
 //! * large single-step batches → Repartition-S.
 
 use crate::changes::VertexBatch;
-use crate::strategies::AssignStrategy;
+use crate::strategies::{AssignStrategy, CUTEDGE_TRIES};
 
 /// Tunable constraints for strategy selection.
 #[derive(Debug, Clone)]
@@ -36,7 +36,12 @@ pub struct StrategyPolicy {
 
 impl Default for StrategyPolicy {
     fn default() -> Self {
-        Self { repartition_fraction: 0.05, cutedge_internal_ratio: 0.5, seed: 0, cutedge_tries: 4 }
+        Self {
+            repartition_fraction: 0.05,
+            cutedge_internal_ratio: 0.5,
+            seed: 0,
+            cutedge_tries: CUTEDGE_TRIES,
+        }
     }
 }
 
@@ -86,21 +91,16 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Simulated backoff charged for the first retry (µs).
-    const BACKOFF_BASE_US: f64 = 200.0;
-    /// Multiplier applied per further consecutive retry.
-    const BACKOFF_FACTOR: f64 = 2.0;
     /// Extra simulated time charged when a rank stall is detected — the
     /// supervisor's per-superstep deadline that expired before it declared
     /// the rank slow (µs).
     pub const STALL_DEADLINE_US: f64 = 5_000.0;
 
-    /// Simulated backoff before retry number `attempt` (1-based):
-    /// `base · factor^(attempt−1)`, with the exponent clamped so a long
-    /// run of faulty barriers cannot overflow to infinity.
+    /// Simulated backoff before retry number `attempt` (1-based): 200 µs,
+    /// doubling per further consecutive retry, on the runtime's one
+    /// clamped-exponent schedule — no run of faulty barriers overflows it.
     pub fn backoff_us(attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(16);
-        Self::BACKOFF_BASE_US * Self::BACKOFF_FACTOR.powi(exp as i32)
+        aaa_runtime::chaos::backoff(200.0, 2.0, attempt)
     }
 }
 

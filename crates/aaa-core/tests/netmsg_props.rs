@@ -165,7 +165,10 @@ proptest! {
         let bytes = msg.encode();
         for cut in 0..bytes.len() {
             match NetMsg::decode(&bytes[..cut]) {
-                Err(_) => {}
+                // Every byte present is a valid one, so the first thing to
+                // go wrong is the cursor running out — at or before the cut.
+                Err(WireError::Truncated { at }) => prop_assert!(at <= cut, "at {at}, cut {cut}"),
+                Err(other) => prop_assert!(false, "prefix of {cut} bytes: {other:?}"),
                 // Dropping trailing bytes can only produce a shorter valid
                 // message if the codec were ambiguous — it is length-prefixed
                 // everywhere, so a strict prefix must never decode.
@@ -175,6 +178,16 @@ proptest! {
                     bytes.len()
                 ),
             }
+        }
+        // A count larger than the bytes left, planted at every offset: where
+        // it lands on a count it is a short read — never an allocation sized
+        // by it; where it lands on a value the message decodes to something
+        // else or fails its own check. Nothing panics, nothing aborts.
+        let mut bomb = bytes.clone();
+        for at in 1..bytes.len().saturating_sub(3) {
+            bomb[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let _ = NetMsg::decode(&bomb);
+            bomb[at..at + 4].copy_from_slice(&bytes[at..at + 4]);
         }
     }
 }

@@ -17,6 +17,12 @@
 //!   bytes in one call. Safe code (`chunks_exact(4)` + `to_le_bytes` /
 //!   `from_le_bytes`) that compiles to a block copy on little-endian hosts
 //!   and stays correct on big-endian ones.
+//! * [`Cursor`] — the one reader of both byte paths: little-endian fields
+//!   off a slice, every read bounds-checked by one `take`, every element
+//!   count checked against the bytes left *before* it sizes an allocation.
+//!   Its only failure is [`ShortRead`], which the frame codec, `NetMsg`'s
+//!   `WireError` and the checkpoint's `CheckpointError` each wrap in their
+//!   own truncation variant. [`put_u32`] / [`put_u64`] are the writing side.
 
 /// Slice-by-16 lookup tables: `TABLES[0]` is the classic byte-at-a-time
 /// table; `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
@@ -130,6 +136,119 @@ pub fn get_u32s(bytes: &[u8], out: &mut Vec<u32>) {
     out.extend(bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])));
 }
 
+/// Appends `x` little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, x: u32) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+/// Appends `x` little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, x: u64) {
+    out.extend_from_slice(&x.to_le_bytes());
+}
+
+/// A read ran past the end of the buffer: `at` is the offset the cursor
+/// stood at when the bytes ran out (for an element count, just past the
+/// count itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShortRead {
+    pub at: usize,
+}
+
+/// Little-endian read cursor over a byte slice. Never panics and never
+/// allocates on the word of the input: a length the buffer cannot back is a
+/// [`ShortRead`] before anything is sized by it.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes — the one bounds check every other read goes
+    /// through.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ShortRead> {
+        if n > self.remaining() {
+            return Err(ShortRead { at: self.pos });
+        }
+        let s = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ShortRead> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, ShortRead> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, ShortRead> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, ShortRead> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, ShortRead> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Appends the next `n` `u32`s to `out` in one bulk copy.
+    #[inline]
+    pub fn u32s(&mut self, n: usize, out: &mut Vec<u32>) -> Result<(), ShortRead> {
+        let bytes = n.checked_mul(4).ok_or(ShortRead { at: self.pos })?;
+        get_u32s(self.take(bytes)?, out);
+        Ok(())
+    }
+
+    /// `n` as an element count, refused unless the bytes left can hold `n`
+    /// elements of at least `elem_bytes` each — so a corrupted count is a
+    /// short read, never a huge allocation.
+    #[inline]
+    fn bounded(&self, n: u64, elem_bytes: usize) -> Result<usize, ShortRead> {
+        let fits = usize::try_from(n)
+            .ok()
+            .and_then(|n| (n.checked_mul(elem_bytes.max(1))? <= self.remaining()).then_some(n));
+        fits.ok_or(ShortRead { at: self.pos })
+    }
+
+    /// A `u32` element count (socket messages), bounded by the bytes left.
+    #[inline]
+    pub fn count_u32(&mut self, elem_bytes: usize) -> Result<usize, ShortRead> {
+        let n = self.u32()?;
+        self.bounded(n.into(), elem_bytes)
+    }
+
+    /// A `u64` element count (checkpoint sections), bounded by the bytes
+    /// left.
+    #[inline]
+    pub fn count_u64(&mut self, elem_bytes: usize) -> Result<usize, ShortRead> {
+        let n = self.u64()?;
+        self.bounded(n, elem_bytes)
+    }
+
+    /// Bytes not yet consumed; a complete message or section leaves none.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,6 +352,79 @@ mod tests {
         let mut out = Vec::new();
         put_u32s(&mut out, &[0x0403_0201, u32::MAX]);
         assert_eq!(out, [1, 2, 3, 4, 0xFF, 0xFF, 0xFF, 0xFF]);
+    }
+
+    #[test]
+    fn cursor_reads_every_width_and_reports_where_it_ran_out() {
+        let mut buf = vec![7u8];
+        buf.extend_from_slice(&0x0201u16.to_le_bytes());
+        put_u32(&mut buf, 0x0403_0201);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_u32s(&mut buf, &[10, 20, 30]);
+        let read = |buf: &[u8]| -> Result<_, ShortRead> {
+            let mut c = Cursor::new(buf);
+            let mut row = vec![9];
+            let fields = (c.u8()?, c.u16()?, c.u32()?, c.u64()?);
+            c.u32s(3, &mut row)?;
+            Ok((fields, row, c.remaining()))
+        };
+        assert_eq!(
+            read(&buf),
+            Ok(((7, 0x0201, 0x0403_0201, u64::MAX - 1), vec![9, 10, 20, 30], 0))
+        );
+        // Cut anywhere, the read that runs out names the offset it began at.
+        let starts = [0usize, 1, 3, 7, 15];
+        for cut in 0..buf.len() {
+            let at = *starts.iter().rev().find(|&&s| s <= cut).expect("0 is a start");
+            assert_eq!(read(&buf[..cut]), Err(ShortRead { at }), "cut at {cut}");
+        }
+        // A failed read consumes nothing.
+        let mut c = Cursor::new(&buf[..2]);
+        assert_eq!(c.u8(), Ok(7));
+        assert_eq!(c.u32(), Err(ShortRead { at: 1 }));
+        assert_eq!((c.u8(), c.remaining()), (Ok(1), 0));
+        assert_eq!(c.take(0), Ok(&[][..]));
+    }
+
+    #[test]
+    fn a_count_the_bytes_left_cannot_back_is_a_short_read_not_an_allocation() {
+        for elem in [1usize, 4, 12] {
+            for n in 0..6u32 {
+                let mut buf = Vec::new();
+                put_u32(&mut buf, n);
+                buf.resize(4 + 24, 0);
+                let got = Cursor::new(&buf).count_u32(elem);
+                let want =
+                    if n as usize * elem <= 24 { Ok(n as usize) } else { Err(ShortRead { at: 4 }) };
+                assert_eq!(got, want, "{n} elements of {elem} bytes in 24");
+                let mut wide = Vec::new();
+                put_u64(&mut wide, n.into());
+                wide.resize(8 + 24, 0);
+                assert_eq!(
+                    Cursor::new(&wide).count_u64(elem),
+                    want.map_err(|_| ShortRead { at: 8 })
+                );
+            }
+        }
+        // Counts no buffer could back, including ones whose byte size wraps.
+        for n in [u32::MAX as u64, 1 << 40, u64::MAX / 4 + 1, u64::MAX] {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, n);
+            buf.extend_from_slice(&[0; 16]);
+            assert_eq!(Cursor::new(&buf).count_u64(4), Err(ShortRead { at: 8 }), "count {n}");
+        }
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX);
+        assert_eq!(Cursor::new(&buf).count_u32(9), Err(ShortRead { at: 4 }));
+        // A zero-size element still costs a byte, as the codecs assume.
+        put_u32(&mut buf, 0);
+        assert_eq!(Cursor::new(&buf).count_u32(0), Err(ShortRead { at: 4 }));
+        // A bulk row longer than the buffer, or than the address space.
+        let mut c = Cursor::new(&buf);
+        let mut out = Vec::new();
+        assert_eq!(c.u32s(3, &mut out), Err(ShortRead { at: 0 }));
+        assert_eq!(c.u32s(usize::MAX / 2, &mut out), Err(ShortRead { at: 0 }));
+        assert!(out.is_empty() && out.capacity() == 0);
     }
 
     /// Best-of-five wall time of `f`, in seconds.

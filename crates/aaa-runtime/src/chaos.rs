@@ -67,10 +67,16 @@ pub struct ChaosPlan {
     pub horizon: u64,
 }
 
-/// SplitMix64 finalizer — the same generator `FaultPlan::seeded` uses.
+/// SplitMix64's increment; a stream seeded with `s` yields
+/// `splitmix64(s)`, `splitmix64(s + GAMMA)`, `splitmix64(s + 2·GAMMA)`, …
+pub(crate) const SPLITMIX_GAMMA: u64 = 0x9e3779b97f4a7c15;
+
+/// One SplitMix64 step — the workspace's only generator: every seeded
+/// schedule ([`ChaosPlan`], `FaultPlan::seeded`, `NetChaos`, `Backoff`
+/// jitter) is a pure function of it.
 #[inline]
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
+    z = z.wrapping_add(SPLITMIX_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
@@ -92,9 +98,29 @@ pub(crate) fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// The one draw: the index of the first of `probs` whose cumulative
+/// probability exceeds `u`, or `None` (deliver) when `u` clears them all.
+/// Order is part of every seeded schedule — a plan lists its fault kinds
+/// in the order it has always tested them.
+pub(crate) fn pick(u: f64, probs: &[f64]) -> Option<usize> {
+    let mut edge = 0.0;
+    probs.iter().position(|&p| {
+        edge += p;
+        u < edge
+    })
+}
+
+/// The one wait: `base · factor^(attempt − 1)` for 1-based `attempt`, the
+/// exponent clamped at 16 so no run of failures overflows the schedule.
+/// The supervised loop charges it to the simulated clock in µs; `Backoff`
+/// caps, jitters and sleeps it in ms.
+pub fn backoff(base: f64, factor: f64, attempt: u32) -> f64 {
+    base * factor.powi(attempt.saturating_sub(1).min(16) as i32)
+}
+
 impl ChaosPlan {
     /// The inert plan: no fault ever fires. Installing it is equivalent to
-    /// not installing a plan at all (the cluster keeps its fast path).
+    /// not installing a plan at all (every fate is `Deliver`).
     pub fn none() -> Self {
         Self {
             seed: 0,
@@ -153,20 +179,13 @@ impl ChaosPlan {
         if !self.active_at(superstep) {
             return ChannelFault::Deliver;
         }
-        let h = mix(self.seed, &[1, superstep, src as u64, dst as u64, ordinal]);
-        let u = unit(h);
-        if u < self.drop_p {
-            ChannelFault::Drop
-        } else if u < self.drop_p + self.dup_p {
-            ChannelFault::Duplicate
-        } else if u < self.drop_p + self.dup_p + self.delay_p {
-            let k = 1 + mix(self.seed, &[2, superstep, src as u64, dst as u64, ordinal])
-                % self.max_delay.max(1);
-            ChannelFault::Delay(k)
-        } else if u < self.drop_p + self.dup_p + self.delay_p + self.corrupt_p {
-            ChannelFault::Corrupt
-        } else {
-            ChannelFault::Deliver
+        let draw = |tag: u64| mix(self.seed, &[tag, superstep, src as u64, dst as u64, ordinal]);
+        match pick(unit(draw(1)), &[self.drop_p, self.dup_p, self.delay_p, self.corrupt_p]) {
+            Some(0) => ChannelFault::Drop,
+            Some(1) => ChannelFault::Duplicate,
+            Some(2) => ChannelFault::Delay(1 + draw(2) % self.max_delay.max(1)),
+            Some(_) => ChannelFault::Corrupt,
+            None => ChannelFault::Deliver,
         }
     }
 

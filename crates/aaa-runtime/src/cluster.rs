@@ -1,7 +1,7 @@
 //! The BSP cluster: P ranks with private state, superstep execution,
 //! message routing and cost accounting.
 
-use crate::chaos::{ChannelFault, ChaosPlan};
+use crate::chaos::{splitmix64, ChannelFault, ChaosPlan, SPLITMIX_GAMMA};
 use crate::logp::LogPModel;
 use crate::schedule::{all_to_all_cost_us, ExchangeSchedule};
 use crate::stats::RunStats;
@@ -62,17 +62,10 @@ impl FaultPlan {
         if p == 0 || max_superstep == 0 {
             return Self::inert();
         }
-        // SplitMix64: two independent draws from one seed.
-        let mut x = seed.wrapping_add(0x9e3779b97f4a7c15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        let rank = (next() % p as u64) as Rank;
-        let superstep = 1 + next() % max_superstep;
+        // Draws 1 and 2 of the SplitMix64 stream seeded with `seed`.
+        let draw = |k: u64| splitmix64(seed.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(k)));
+        let rank = (draw(1) % p as u64) as Rank;
+        let superstep = 1 + draw(2) % max_superstep;
         Self { rank, superstep }
     }
 
@@ -122,6 +115,7 @@ impl std::error::Error for ClusterError {}
 /// victim or a stalled rank's outbox, delivered at the first exchange of
 /// the matching payload type at or after superstep `due`. The payload is
 /// type-erased because `exchange` is generic per call.
+#[derive(Debug)]
 struct DelayedMsg {
     due: u64,
     src: Rank,
@@ -129,14 +123,15 @@ struct DelayedMsg {
     payload: Box<dyn Any + Send>,
 }
 
-impl std::fmt::Debug for DelayedMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DelayedMsg")
-            .field("due", &self.due)
-            .field("src", &self.src)
-            .field("dst", &self.dst)
-            .finish_non_exhaustive()
-    }
+/// Where a span opens: both clocks and the traffic counters, read by
+/// [`Cluster::mark`]. All zeros while no live sink is installed.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mark {
+    comm_us: f64,
+    compute_us: f64,
+    wall_us: f64,
+    messages: u64,
+    bytes: u64,
 }
 
 /// A fixed set of `P` ranks advanced in BSP supersteps.
@@ -273,7 +268,7 @@ impl<S: Send> Cluster<S> {
 
     /// Installs a chaos plan for all subsequent exchanges and broadcasts.
     /// An inert plan ([`ChaosPlan::none`] or equivalent) uninstalls chaos
-    /// entirely, so the disabled path stays zero-cost.
+    /// entirely: every fate is then `Deliver`.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
         self.chaos = if plan.is_none() { None } else { Some(plan) };
     }
@@ -289,6 +284,16 @@ impl<S: Send> Cluster<S> {
     /// drains.
     pub fn has_undelivered(&self) -> bool {
         !self.delayed.is_empty()
+    }
+
+    /// Empties the delay queue, counting every entry in
+    /// [`FaultCounters::dropped`](crate::FaultCounters) — the structural
+    /// barrier of [`Cluster::exchange`]'s docs. The counter moves
+    /// [`FaultCounters::injected`](crate::FaultCounters::injected), so a
+    /// supervised run re-announces what was lost before it trusts quiescence.
+    pub fn drop_undelivered(&mut self) {
+        self.stats.faults.dropped += self.delayed.len() as u64;
+        self.delayed.clear();
     }
 
     /// Surfaces chaos incidents detected at the last barrier (corruptions,
@@ -382,28 +387,81 @@ impl<S: Send> Cluster<S> {
         self.sink_armed
     }
 
-    /// Position on the simulated clock (µs): where the next span starts.
-    #[inline]
-    pub fn sim_now_us(&self) -> f64 {
-        self.stats.sim_total_us()
-    }
-
-    /// Position on the wall clock (µs since this cluster's epoch).
-    #[inline]
-    pub fn wall_now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
-    }
-
-    /// Records a span if a live sink is installed. Callers at higher
-    /// layers (the engine) use this together with [`Cluster::sim_now_us`] /
-    /// [`Cluster::wall_now_us`] to place their own spans; guard event
-    /// construction behind [`Cluster::observing`] to keep disarmed runs
-    /// free.
+    /// Records a hand-built span if a live sink is installed — for the one
+    /// span measured before the cluster's clocks exist (the engine's domain
+    /// decomposition). Everything else goes through [`Cluster::span`].
     #[inline]
     pub fn emit(&self, event: SpanEvent) {
         if self.sink_armed {
             self.sink.record(event);
         }
+    }
+
+    /// Opens a span here: the position on both clocks and the traffic
+    /// counters. All zeros while the sink is disarmed — one predictable
+    /// branch, no clock read.
+    #[inline]
+    pub fn mark(&self) -> Mark {
+        if !self.sink_armed {
+            return Mark::default();
+        }
+        Mark {
+            comm_us: self.stats.sim_comm_us,
+            compute_us: self.stats.sim_compute_us,
+            wall_us: self.epoch.elapsed().as_secs_f64() * 1e6,
+            messages: self.stats.messages,
+            bytes: self.stats.bytes,
+        }
+    }
+
+    /// `mark`, restated as an instant at the simulated clock's current
+    /// position: for driver work the cluster does not price as a whole (an
+    /// ingest drain), whose span keeps its wall duration and has no
+    /// simulated one.
+    pub fn unpriced(&self, mark: Mark) -> Mark {
+        Mark { comm_us: self.stats.sim_comm_us, compute_us: self.stats.sim_compute_us, ..mark }
+    }
+
+    /// Closes the span `mark` opened and records it on `lane` (a rank, or
+    /// [`DRIVER_LANE`]): it starts where the mark stood and lasts, on each
+    /// clock, what that clock advanced since — so an operation priced
+    /// between the two calls spans exactly its price, and unpriced driver
+    /// work is an instant on the simulated clock with its real cost in
+    /// `wall_dur_us`. `step` is the span's `superstep` field; `messages` and
+    /// `bytes` are the payload the span reports. No-op while disarmed.
+    pub fn span(
+        &self,
+        kind: SpanKind,
+        lane: i64,
+        step: u64,
+        mark: Mark,
+        messages: u64,
+        bytes: u64,
+    ) {
+        if !self.sink_armed {
+            return;
+        }
+        let now = self.mark();
+        self.sink.record(SpanEvent {
+            kind,
+            rank: lane,
+            superstep: step,
+            sim_start_us: mark.comm_us + mark.compute_us,
+            sim_dur_us: (now.comm_us - mark.comm_us) + (now.compute_us - mark.compute_us),
+            wall_start_us: mark.wall_us,
+            wall_dur_us: now.wall_us - mark.wall_us,
+            messages,
+            bytes,
+        });
+    }
+
+    /// [`Cluster::span`] on the driver lane at the current superstep, its
+    /// payload the traffic priced since `mark` — the shape of this module's
+    /// own exchange and collective spans.
+    fn traffic_span(&self, kind: SpanKind, superstep: u64, mark: Mark) {
+        let (messages, bytes) =
+            (self.stats.messages - mark.messages, self.stats.bytes - mark.bytes);
+        self.span(kind, DRIVER_LANE, superstep, mark, messages, bytes);
     }
 
     fn record_compute(&mut self, per_rank_us: &[f64], started: Instant, wall: std::time::Duration) {
@@ -468,17 +526,36 @@ impl<S: Send> Cluster<S> {
     /// 3. messages are delivered (in sender order — deterministic),
     /// 4. every rank *consumes* its inbox.
     ///
-    /// Self-addressed messages are delivered locally and cost nothing.
+    /// Self-addressed messages are delivered locally, cost nothing and are
+    /// exempt from chaos.
     ///
-    /// With a [`ChaosPlan`] installed, every cross-rank message is routed
-    /// through its [`ChannelFault`] fate (drop / duplicate / delay /
-    /// corrupt), whole outboxes are held when their rank stalls, and due
-    /// delayed messages from earlier supersteps are appended to the
-    /// inboxes. Fates are drawn in this driver-side routing phase — which
-    /// is sequential under both execution modes — so a seeded plan is
-    /// exactly reproducible. Without a plan (and with an empty delay
-    /// queue) routing takes the original fast path: no per-message chaos
-    /// branch exists on it.
+    /// Routing is one loop, sequential at the driver under both execution
+    /// modes. Every cross-rank message takes the [`ChannelFault`] fate the
+    /// installed [`ChaosPlan`] draws for `(seed, superstep, src, dst,
+    /// ordinal)` — `Deliver` when no plan is armed — so a seeded plan is
+    /// exactly reproducible and an unarmed cluster runs the same loop with
+    /// zero fault counters. A rank that stalls has its whole outbox held one
+    /// superstep; due entries of the delay queue with this exchange's
+    /// payload type are appended to the inboxes in queue order.
+    ///
+    /// Pricing: delivered, dropped and corrupted copies traversed the wire
+    /// and are priced at this barrier (a corruption additionally pays a
+    /// 1-byte NACK); duplicates are priced twice; delayed and stall-held
+    /// messages are priced when they finally traverse.
+    ///
+    /// **No delayed row crosses a structural barrier.** A queued row is an
+    /// upper bound only for the graph, and is addressed only under the
+    /// owner map, it was produced under. After a decremental change it may
+    /// lie *below* the true distance, and a min-merge would keep it there
+    /// for good; after a migration its destination may no longer hold the
+    /// vertex, and the queue — which matches payloads by type — would hand
+    /// it to the migration's consume as a migrated row. So the engine's
+    /// invalidation and migration paths call [`Cluster::drop_undelivered`]
+    /// first. Losing a row is always safe (a drop loses progress, never
+    /// correctness) and the count moves `faults.injected()`, which makes a
+    /// supervised run re-announce it. The migration exchange itself still
+    /// runs under the armed plan, which is why the engine's background
+    /// rebalancer defers while one is armed.
     ///
     /// # Panics
     /// If a message is addressed to a rank `>= P`.
@@ -496,68 +573,108 @@ impl<S: Send> Cluster<S> {
         // Phase 1: produce (compute superstep).
         let outboxes: Vec<Vec<(Rank, M)>> = self.step(produce);
 
-        // Phase 2: price and route.
-        let (msg0, bytes0, comm0, sim_route_start, wall_route_start) = if self.sink_armed {
-            (
-                self.stats.messages,
-                self.stats.bytes,
-                self.stats.sim_comm_us,
-                self.stats.sim_total_us(),
-                self.wall_now_us(),
-            )
-        } else {
-            (0, 0, 0.0, 0.0, 0.0)
-        };
+        // Phase 2: route and price.
+        let mark = self.mark();
         let mut bytes = vec![vec![0usize; p]; p];
-        let mut inboxes: Vec<Vec<(Rank, M)>> = if self.chaos.is_none() && self.delayed.is_empty() {
-            // Pre-size each inbox from a counting pass so the routing loop
-            // below never reallocates mid-delivery.
-            let mut counts = vec![0usize; p];
-            for outbox in &outboxes {
-                for &(dst, _) in outbox {
-                    if let Some(c) = counts.get_mut(dst) {
-                        *c += 1;
-                    }
-                }
+        // Prices `copies` traversals of a `sz`-byte message over a link.
+        let mut transmit =
+            |stats: &mut RunStats, src: Rank, dst: Rank, sz: usize, copies: usize| {
+                bytes[src][dst] += copies * sz;
+                stats.messages += copies as u64;
+                stats.bytes += (copies * sz) as u64;
+            };
+        // Pre-size each inbox from a counting pass so a fault-free routing
+        // loop never reallocates mid-delivery.
+        let mut counts = vec![0usize; p];
+        for &(dst, _) in outboxes.iter().flatten() {
+            if let Some(c) = counts.get_mut(dst) {
+                *c += 1;
             }
-            counts.into_iter().map(Vec::with_capacity).collect()
-        } else {
-            (0..p).map(|_| Vec::new()).collect()
-        };
-        if self.chaos.is_none() && self.delayed.is_empty() {
-            // Fast path — byte-for-byte the pre-chaos routing loop.
-            for (src, outbox) in outboxes.into_iter().enumerate() {
-                for (dst, msg) in outbox {
-                    assert!(dst < p, "rank {src} addressed message to nonexistent rank {dst}");
-                    if dst != src {
-                        let sz = size_of(&msg);
-                        bytes[src][dst] += sz;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                    }
+        }
+        let mut inboxes: Vec<Vec<(Rank, M)>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let chaos = self.chaos.filter(|c| c.active_at(superstep));
+        let mut ordinal = 0u64;
+        for (src, outbox) in outboxes.into_iter().enumerate() {
+            // A stalled rank's whole outbox misses the barrier and flushes
+            // next superstep; local deliveries are unaffected.
+            let stalled = !outbox.is_empty() && chaos.is_some_and(|c| c.stalls(superstep, src));
+            if stalled {
+                self.stats.faults.stalls += 1;
+                self.pending_chaos.push(ClusterError::RankStalled { rank: src, superstep });
+            }
+            for (dst, msg) in outbox {
+                assert!(dst < p, "rank {src} addressed message to nonexistent rank {dst}");
+                if dst == src {
                     inboxes[dst].push((src, msg));
+                    continue;
                 }
+                if stalled {
+                    let payload = Box::new(msg);
+                    self.delayed.push(DelayedMsg { due: superstep + 1, src, dst, payload });
+                    continue;
+                }
+                ordinal += 1;
+                let fate =
+                    chaos.map_or(ChannelFault::Deliver, |c| c.fate(superstep, src, dst, ordinal));
+                let sz = size_of(&msg);
+                let copies = match fate {
+                    ChannelFault::Deliver => {
+                        inboxes[dst].push((src, msg));
+                        1
+                    }
+                    ChannelFault::Drop => {
+                        // Transmitted and lost: costs bandwidth, delivers
+                        // nothing. Safe because DV rows are upper bounds —
+                        // a drop loses progress, never correctness.
+                        self.stats.faults.dropped += 1;
+                        1
+                    }
+                    ChannelFault::Duplicate => {
+                        self.stats.faults.duplicated += 1;
+                        inboxes[dst].push((src, msg.clone()));
+                        inboxes[dst].push((src, msg));
+                        2
+                    }
+                    ChannelFault::Delay(k) => {
+                        self.stats.faults.delayed += 1;
+                        let payload = Box::new(msg);
+                        self.delayed.push(DelayedMsg { due: superstep + k, src, dst, payload });
+                        0
+                    }
+                    ChannelFault::Corrupt => {
+                        // Paid for the garbled copy plus a 1-byte NACK;
+                        // the receiver's checksum rejects the payload.
+                        self.stats.sim_comm_us += self.config.model.message_cost_us(1);
+                        self.stats.faults.corrupted += 1;
+                        self.pending_chaos.push(ClusterError::MessageCorrupted {
+                            src,
+                            dst,
+                            superstep,
+                        });
+                        1
+                    }
+                };
+                transmit(&mut self.stats, src, dst, sz, copies);
             }
-        } else {
-            self.route_with_chaos(superstep, outboxes, &size_of, &mut bytes, &mut inboxes);
+        }
+        // Deliver due queue entries of this payload type, in queue order
+        // (deterministic; consumers min-merge, so order is also
+        // semantically irrelevant). They traverse the wire now, so they
+        // are priced now.
+        for d in std::mem::take(&mut self.delayed) {
+            if d.due <= superstep && d.payload.is::<M>() {
+                let msg = *d.payload.downcast::<M>().expect("type just checked");
+                transmit(&mut self.stats, d.src, d.dst, size_of(&msg), 1);
+                inboxes[d.dst].push((d.src, msg));
+            } else {
+                self.delayed.push(d);
+            }
         }
         self.stats.sim_comm_us +=
             all_to_all_cost_us(self.config.schedule, &self.config.model, &bytes);
-        if self.sink_armed {
-            // The priced routing phase, on the driver lane. Durations are
-            // deltas, so chaos extras (NACKs, retransmissions) are included.
-            self.sink.record(SpanEvent {
-                kind: SpanKind::Exchange,
-                rank: DRIVER_LANE,
-                superstep,
-                sim_start_us: sim_route_start,
-                sim_dur_us: self.stats.sim_comm_us - comm0,
-                wall_start_us: wall_route_start,
-                wall_dur_us: self.wall_now_us() - wall_route_start,
-                messages: self.stats.messages - msg0,
-                bytes: self.stats.bytes - bytes0,
-            });
-        }
+        // The priced routing phase, on the driver lane; chaos extras (NACKs,
+        // retransmissions) are included.
+        self.traffic_span(SpanKind::Exchange, superstep, mark);
 
         // Phase 3: consume (compute superstep).
         let started = Instant::now();
@@ -576,131 +693,6 @@ impl<S: Send> Cluster<S> {
         };
         let wall = started.elapsed();
         self.record_compute(&times, started, wall);
-    }
-
-    /// The chaos/delay-queue routing path of [`Cluster::exchange`]. Runs
-    /// sequentially at the driver regardless of execution mode, so fault
-    /// fates — keyed on `(seed, superstep, src, dst, ordinal)` — are
-    /// identical under `Sequential` and `Parallel`.
-    ///
-    /// Pricing rules: delivered, dropped and corrupted copies traversed
-    /// the wire and are priced at this barrier (a corruption additionally
-    /// pays a 1-byte NACK); duplicates are priced twice; delayed and
-    /// stall-held messages are priced when they finally traverse. Self
-    /// messages are local and exempt from chaos entirely.
-    fn route_with_chaos<M, FS>(
-        &mut self,
-        superstep: u64,
-        outboxes: Vec<Vec<(Rank, M)>>,
-        size_of: &FS,
-        bytes: &mut [Vec<usize>],
-        inboxes: &mut [Vec<(Rank, M)>],
-    ) where
-        M: Clone + Send + 'static,
-        FS: Fn(&M) -> usize,
-    {
-        let p = self.p();
-        let chaos = self.chaos.filter(|c| c.active_at(superstep));
-        let mut ordinal = 0u64;
-        for (src, outbox) in outboxes.into_iter().enumerate() {
-            if chaos.is_some_and(|c| c.stalls(superstep, src)) && !outbox.is_empty() {
-                // The whole outbox misses the barrier and flushes next
-                // superstep; local deliveries are unaffected.
-                self.stats.faults.stalls += 1;
-                self.pending_chaos.push(ClusterError::RankStalled { rank: src, superstep });
-                for (dst, msg) in outbox {
-                    assert!(dst < p, "rank {src} addressed message to nonexistent rank {dst}");
-                    if dst == src {
-                        inboxes[dst].push((src, msg));
-                    } else {
-                        self.delayed.push(DelayedMsg {
-                            due: superstep + 1,
-                            src,
-                            dst,
-                            payload: Box::new(msg),
-                        });
-                    }
-                }
-                continue;
-            }
-            for (dst, msg) in outbox {
-                assert!(dst < p, "rank {src} addressed message to nonexistent rank {dst}");
-                if dst == src {
-                    inboxes[dst].push((src, msg));
-                    continue;
-                }
-                ordinal += 1;
-                let fate =
-                    chaos.map_or(ChannelFault::Deliver, |c| c.fate(superstep, src, dst, ordinal));
-                let sz = size_of(&msg);
-                match fate {
-                    ChannelFault::Deliver => {
-                        bytes[src][dst] += sz;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        inboxes[dst].push((src, msg));
-                    }
-                    ChannelFault::Drop => {
-                        // Transmitted and lost: costs bandwidth, delivers
-                        // nothing. Safe because DV rows are upper bounds —
-                        // a drop loses progress, never correctness.
-                        bytes[src][dst] += sz;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        self.stats.faults.dropped += 1;
-                    }
-                    ChannelFault::Duplicate => {
-                        bytes[src][dst] += 2 * sz;
-                        self.stats.messages += 2;
-                        self.stats.bytes += 2 * sz as u64;
-                        self.stats.faults.duplicated += 1;
-                        inboxes[dst].push((src, msg.clone()));
-                        inboxes[dst].push((src, msg));
-                    }
-                    ChannelFault::Delay(k) => {
-                        self.stats.faults.delayed += 1;
-                        self.delayed.push(DelayedMsg {
-                            due: superstep + k,
-                            src,
-                            dst,
-                            payload: Box::new(msg),
-                        });
-                    }
-                    ChannelFault::Corrupt => {
-                        // Paid for the garbled copy plus a 1-byte NACK;
-                        // the receiver's checksum rejects the payload.
-                        bytes[src][dst] += sz;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        self.stats.sim_comm_us += self.config.model.message_cost_us(1);
-                        self.stats.faults.corrupted += 1;
-                        self.pending_chaos.push(ClusterError::MessageCorrupted {
-                            src,
-                            dst,
-                            superstep,
-                        });
-                    }
-                }
-            }
-        }
-        // Deliver due queue entries of this payload type, in queue order
-        // (deterministic; consumers min-merge, so order is also
-        // semantically irrelevant). They traverse the wire now, so they
-        // are priced now.
-        let mut kept = Vec::with_capacity(self.delayed.len());
-        for d in std::mem::take(&mut self.delayed) {
-            if d.due <= superstep && d.payload.is::<M>() {
-                let msg = *d.payload.downcast::<M>().expect("type just checked");
-                let sz = size_of(&msg);
-                bytes[d.src][d.dst] += sz;
-                self.stats.messages += 1;
-                self.stats.bytes += sz as u64;
-                inboxes[d.dst].push((d.src, msg));
-            } else {
-                kept.push(d);
-            }
-        }
-        self.delayed = kept;
     }
 
     /// Broadcast from `root`: `produce` builds the payload on the root rank,
@@ -732,73 +724,50 @@ impl<S: Send> Cluster<S> {
         let payload = produce(&mut self.states[root]);
         let sz = size_of(&payload);
         let p = self.p();
-        let (msg0, bytes0, comm0, sim_start, wall_start) = if self.sink_armed {
-            (
-                self.stats.messages,
-                self.stats.bytes,
-                self.stats.sim_comm_us,
-                self.stats.sim_total_us(),
-                self.wall_now_us(),
-            )
-        } else {
-            (0, 0, 0.0, 0.0, 0.0)
-        };
+        let mark = self.mark();
         self.stats.sim_comm_us += self.config.model.broadcast_cost_us(p, sz);
         self.stats.messages += (p - 1) as u64;
         self.stats.bytes += (sz * (p - 1)) as u64;
         self.stats.collectives += 1;
         let superstep = self.stats.supersteps;
-        if self.chaos.is_some_and(|c| c.active_at(superstep)) {
-            let plan = self.chaos.expect("checked above");
+        if let Some(plan) = self.chaos.filter(|c| c.active_at(superstep)) {
             let link_cost = self.config.model.message_cost_us(sz);
+            let faults = &mut self.stats.faults;
             for (ordinal, (from, to)) in
                 crate::schedule::broadcast_tree(p, root).into_iter().enumerate()
             {
-                match plan.fate(superstep, from, to, ordinal as u64) {
-                    ChannelFault::Deliver => {}
+                // What the acknowledged link pays for its fate: extra
+                // copies of the payload, and extra time.
+                let (copies, wait_us) = match plan.fate(superstep, from, to, ordinal as u64) {
+                    ChannelFault::Deliver => continue,
                     ChannelFault::Drop => {
                         // Lost link: one retransmission after a timeout.
-                        self.stats.faults.dropped += 1;
-                        self.stats.faults.retransmits += 1;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        self.stats.sim_comm_us += link_cost;
+                        faults.dropped += 1;
+                        faults.retransmits += 1;
+                        (1, link_cost)
                     }
                     ChannelFault::Duplicate => {
-                        self.stats.faults.duplicated += 1;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        self.stats.sim_comm_us += link_cost;
+                        faults.duplicated += 1;
+                        (1, link_cost)
                     }
                     ChannelFault::Delay(k) => {
                         // The subtree waits k extra link latencies.
-                        self.stats.faults.delayed += 1;
-                        self.stats.sim_comm_us += k as f64 * link_cost;
+                        faults.delayed += 1;
+                        (0, k as f64 * link_cost)
                     }
                     ChannelFault::Corrupt => {
                         // Checksum failure on a tree link: NACK + resend.
-                        self.stats.faults.corrupted += 1;
-                        self.stats.faults.retransmits += 1;
-                        self.stats.messages += 1;
-                        self.stats.bytes += sz as u64;
-                        self.stats.sim_comm_us += link_cost + self.config.model.message_cost_us(1);
+                        faults.corrupted += 1;
+                        faults.retransmits += 1;
+                        (1, link_cost + self.config.model.message_cost_us(1))
                     }
-                }
+                };
+                self.stats.messages += copies;
+                self.stats.bytes += copies * sz as u64;
+                self.stats.sim_comm_us += wait_us;
             }
         }
-        if self.sink_armed {
-            self.sink.record(SpanEvent {
-                kind: SpanKind::Collective,
-                rank: DRIVER_LANE,
-                superstep: self.stats.supersteps,
-                sim_start_us: sim_start,
-                sim_dur_us: self.stats.sim_comm_us - comm0,
-                wall_start_us: wall_start,
-                wall_dur_us: self.wall_now_us() - wall_start,
-                messages: self.stats.messages - msg0,
-                bytes: self.stats.bytes - bytes0,
-            });
-        }
+        self.traffic_span(SpanKind::Collective, superstep, mark);
         let payload_ref = &payload;
         self.step(move |rank, state| consume(rank, state, payload_ref))
     }
@@ -831,21 +800,10 @@ impl<S: Send> Cluster<S> {
 
     /// Prices an all-reduction and records its Collective span.
     fn record_collective(&mut self, cost_us: f64) {
-        if self.sink_armed {
-            self.sink.record(SpanEvent {
-                kind: SpanKind::Collective,
-                rank: DRIVER_LANE,
-                superstep: self.stats.supersteps,
-                sim_start_us: self.stats.sim_total_us(),
-                sim_dur_us: cost_us,
-                wall_start_us: self.wall_now_us(),
-                wall_dur_us: 0.0,
-                messages: 0,
-                bytes: 0,
-            });
-        }
+        let mark = self.mark();
         self.stats.sim_comm_us += cost_us;
         self.stats.collectives += 1;
+        self.traffic_span(SpanKind::Collective, self.stats.supersteps, mark);
     }
 }
 
@@ -996,7 +954,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_none_keeps_fast_path_and_zero_counters() {
+    fn chaos_none_routes_like_no_plan_with_zero_counters() {
         let clean = |plan: Option<ChaosPlan>| {
             let mut c = Cluster::new(vec![0u64; 4], config(ExecutionMode::Sequential));
             if let Some(p) = plan {
@@ -1083,6 +1041,37 @@ mod tests {
         assert_eq!(c.ranks()[1], vec![42]);
         assert!(!c.has_undelivered());
         assert_eq!(c.stats().messages, 1, "priced once, when it traverses");
+    }
+
+    #[test]
+    fn a_structural_barrier_drops_the_delay_queue_and_counts_it() {
+        let plan = ChaosPlan { delay_p: 1.0, max_delay: 3, horizon: 1, ..ChaosPlan::none() };
+        let mut c = Cluster::new(vec![Vec::<u32>::new(); 3], config(ExecutionMode::Sequential));
+        c.set_chaos(plan);
+        let round = |c: &mut Cluster<Vec<u32>>| {
+            c.exchange(
+                |rank, _| (0..3).filter(|&d| d != rank).map(|d| (d, rank as u32)).collect(),
+                |_| 4,
+                |_, s, inbox| s.extend(inbox.into_iter().map(|(_, m)| m)),
+            );
+        };
+        round(&mut c);
+        assert!(c.has_undelivered());
+        assert_eq!((c.stats().faults.delayed, c.stats().faults.dropped), (6, 0));
+        let injected = c.stats().faults.injected();
+        c.drop_undelivered();
+        assert!(!c.has_undelivered());
+        assert_eq!(c.stats().faults.dropped, 6);
+        assert_eq!(c.stats().faults.injected(), injected + 6, "a supervised run must notice");
+        assert_eq!(c.stats().messages, 0, "a dropped entry never traversed: not priced");
+        // Past the horizon only the new round's messages arrive.
+        round(&mut c);
+        for (rank, got) in c.ranks().iter().enumerate() {
+            let want: Vec<u32> = (0..3).filter(|&s| s != rank as u32).collect();
+            assert_eq!(got, &want, "rank {rank}");
+        }
+        c.drop_undelivered();
+        assert_eq!(c.stats().faults.dropped, 6, "an empty queue drops nothing");
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! decides whether to respawn, fall back to a checkpoint, or degrade.
 
 pub use crate::bytes::crc32;
-use crate::bytes::Crc32;
-use crate::chaos::{mix, unit};
+use crate::bytes::{Crc32, Cursor, ShortRead};
+use crate::chaos::{backoff, mix, pick, unit};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -201,38 +201,35 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// and try again"; every other error poisons the stream (framing can no
 /// longer be trusted and the connection must be torn down).
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        return Err(FrameError::Truncated { have: buf.len(), need: FRAME_HEADER_LEN });
-    }
-    let magic = u16::from_le_bytes([buf[0], buf[1]]);
+    let short = |need: usize| move |_: ShortRead| FrameError::Truncated { have: buf.len(), need };
+    let mut c = Cursor::new(buf);
+    let header = |c: &mut Cursor<'_>| -> Result<_, ShortRead> {
+        Ok((c.u16()?, c.u8()?, c.u8()?, c.u64()?, c.u32()?, c.u32()?))
+    };
+    let (magic, kind, flags, seq, len, got) = header(&mut c).map_err(short(FRAME_HEADER_LEN))?;
     if magic != FRAME_MAGIC {
         return Err(FrameError::BadMagic(magic));
     }
-    let kind = FrameKind::from_u8(buf[2]).ok_or(FrameError::UnknownKind(buf[2]))?;
-    if buf[3] != 0 {
-        return Err(FrameError::BadFlags(buf[3]));
+    let kind = FrameKind::from_u8(kind).ok_or(FrameError::UnknownKind(kind))?;
+    if flags != 0 {
+        return Err(FrameError::BadFlags(flags));
     }
-    let seq = u64::from_le_bytes(buf[4..12].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::TooLarge { len, cap: MAX_FRAME_PAYLOAD });
     }
     let total = FRAME_HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Err(FrameError::Truncated { have: buf.len(), need: total });
-    }
-    let got = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes"));
+    let payload = c.take(len as usize).map_err(short(total))?;
     // The sender checksummed the frame with its CRC field zeroed; feed the
     // same bytes in three pieces rather than copying the frame to zero it.
     let mut crc = Crc32::new();
     crc.update(&buf[..16]);
     crc.update(&[0; 4]);
-    crc.update(&buf[FRAME_HEADER_LEN..total]);
+    crc.update(payload);
     let expect = crc.finish();
     if expect != got {
         return Err(FrameError::BadCrc { expect, got });
     }
-    Ok((Frame { kind, seq, payload: buf[FRAME_HEADER_LEN..total].to_vec() }, total))
+    Ok((Frame { kind, seq, payload: payload.to_vec() }, total))
 }
 
 // ---------------------------------------------------------------------
@@ -264,14 +261,11 @@ impl Hello {
     }
 
     pub fn from_bytes(b: &[u8]) -> Result<Self, FrameError> {
-        if b.len() < 20 {
-            return Err(FrameError::Truncated { have: b.len(), need: 20 });
-        }
-        Ok(Self {
-            rank: u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")),
-            session: u64::from_le_bytes(b[4..12].try_into().expect("8 bytes")),
-            last_recv: u64::from_le_bytes(b[12..20].try_into().expect("8 bytes")),
-        })
+        let mut c = Cursor::new(b);
+        let read = |c: &mut Cursor<'_>| -> Result<Self, ShortRead> {
+            Ok(Self { rank: c.u32()?, session: c.u64()?, last_recv: c.u64()? })
+        };
+        read(&mut c).map_err(|_| FrameError::Truncated { have: b.len(), need: 20 })
     }
 }
 
@@ -373,29 +367,16 @@ impl NetChaos {
         if self.is_none() || ordinal >= self.horizon {
             return NetFault::Deliver;
         }
-        let u = unit(mix(self.seed, &[11, lane, ordinal]));
-        let mut edge = self.corrupt_p;
-        if u < edge {
-            return NetFault::Corrupt;
+        let draw = |tag: u64| mix(self.seed, &[tag, lane, ordinal]);
+        let probs = [self.corrupt_p, self.dup_p, self.delay_p, self.reset_p, self.partial_p];
+        match pick(unit(draw(11)), &probs) {
+            Some(0) => NetFault::Corrupt,
+            Some(1) => NetFault::Duplicate,
+            Some(2) => NetFault::DelayMs(1 + draw(12) % self.max_delay_ms.max(1)),
+            Some(3) => NetFault::Reset,
+            Some(_) => NetFault::PartialWrite,
+            None => NetFault::Deliver,
         }
-        edge += self.dup_p;
-        if u < edge {
-            return NetFault::Duplicate;
-        }
-        edge += self.delay_p;
-        if u < edge {
-            let ms = 1 + mix(self.seed, &[12, lane, ordinal]) % self.max_delay_ms.max(1);
-            return NetFault::DelayMs(ms);
-        }
-        edge += self.reset_p;
-        if u < edge {
-            return NetFault::Reset;
-        }
-        edge += self.partial_p;
-        if u < edge {
-            return NetFault::PartialWrite;
-        }
-        NetFault::Deliver
     }
 }
 
@@ -426,8 +407,7 @@ impl Backoff {
     /// Delay before retry `attempt` (1-based) on `lane`, in milliseconds.
     /// Always ≥ 1 so a retry loop can never spin hot.
     pub fn delay_ms(&self, attempt: u32, lane: u64) -> u64 {
-        let exp = attempt.saturating_sub(1).min(16);
-        let raw = (self.base_ms as f64 * self.factor.powi(exp as i32)).min(self.cap_ms as f64);
+        let raw = backoff(self.base_ms as f64, self.factor, attempt).min(self.cap_ms as f64);
         let jitter = 0.5 + 0.5 * unit(mix(self.seed, &[13, lane, attempt as u64]));
         ((raw * jitter) as u64).max(1)
     }
@@ -831,9 +811,10 @@ impl SocketTransport {
                 continue;
             }
             net_trace!("{} reconnect attempt {attempt}: hello sent, awaiting ack", self.peer);
-            match read_frame_from(&mut conn, Some(self.handshake_timeout), &self.peer) {
-                Ok(f) if f.kind == FrameKind::HelloAck && f.payload.len() >= 8 => {
-                    let cursor = u64::from_le_bytes(f.payload[..8].try_into().expect("8 bytes"));
+            match read_frame_from(&mut conn, Some(self.handshake_timeout), &self.peer)
+                .map(|f| (f.kind, Cursor::new(&f.payload).u64()))
+            {
+                Ok((FrameKind::HelloAck, Ok(cursor))) => {
                     self.conn = Some(conn);
                     // A chaos fault during replay kills this stream too;
                     // that is a failed attempt, not a dead peer.
@@ -1171,9 +1152,7 @@ impl Transport for SocketTransport {
                     }
                 }
                 FrameKind::Ack => {
-                    if frame.payload.len() >= 8 {
-                        let upto =
-                            u64::from_le_bytes(frame.payload[..8].try_into().expect("8 bytes"));
+                    if let Ok(upto) = Cursor::new(&frame.payload).u64() {
                         self.peer_acked = self.peer_acked.max(upto);
                         while self.replay.front().is_some_and(|(s, _)| *s <= self.peer_acked) {
                             self.replay.pop_front();

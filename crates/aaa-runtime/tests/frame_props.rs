@@ -13,6 +13,7 @@
 //!   every truncation is `FrameError::Truncated` (the "read more"
 //!   signal), never a panic or a bogus frame.
 
+use aaa_runtime::net::{FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 use aaa_runtime::{decode_frame, encode_frame, Frame, FrameError, FrameKind, Hello};
 use proptest::prelude::*;
 
@@ -108,18 +109,27 @@ proptest! {
     ) {
         let bytes = encode_frame(&Frame { kind, seq, payload });
         for cut in 0..bytes.len() {
-            match decode_frame(&bytes[..cut]) {
-                Err(FrameError::Truncated { have, need }) => {
-                    prop_assert_eq!(have, cut);
-                    prop_assert!(need > cut, "need {need} must exceed the {cut} bytes present");
-                    prop_assert!(
-                        need <= bytes.len(),
-                        "need {need} overshoots the true frame length {}",
-                        bytes.len()
-                    );
-                }
-                other => prop_assert!(false, "truncation at {cut} gave {other:?}"),
-            }
+            // The cursor takes twice: the header whole, then the payload
+            // the header declares — and asks for exactly that much.
+            let need = if cut < FRAME_HEADER_LEN { FRAME_HEADER_LEN } else { bytes.len() };
+            prop_assert_eq!(
+                decode_frame(&bytes[..cut]),
+                Err(FrameError::Truncated { have: cut, need })
+            );
+        }
+        // A declared length larger than the bytes left — by one, or by
+        // anything up to the cap — asks for more and sizes nothing by it.
+        for extra in [1u32, 2, 255, 65_536, MAX_FRAME_PAYLOAD - (bytes.len() - FRAME_HEADER_LEN) as u32] {
+            let mut long = bytes.clone();
+            let claimed = (bytes.len() - FRAME_HEADER_LEN) as u32 + extra;
+            long[12..16].copy_from_slice(&claimed.to_le_bytes());
+            prop_assert_eq!(
+                decode_frame(&long),
+                Err(FrameError::Truncated {
+                    have: bytes.len(),
+                    need: FRAME_HEADER_LEN + claimed as usize,
+                })
+            );
         }
     }
 
@@ -133,7 +143,10 @@ proptest! {
         let bytes = hello.to_bytes();
         prop_assert_eq!(Hello::from_bytes(&bytes).expect("own encoding decodes"), hello);
         for cut in 0..bytes.len() {
-            prop_assert!(Hello::from_bytes(&bytes[..cut]).is_err());
+            prop_assert_eq!(
+                Hello::from_bytes(&bytes[..cut]),
+                Err(FrameError::Truncated { have: cut, need: bytes.len() })
+            );
         }
     }
 }

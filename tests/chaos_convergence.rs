@@ -9,8 +9,12 @@
 //! The CI chaos-soak job sweeps `CHAOS_SOAK_SEED` to vary the fault plans
 //! across matrix entries without touching the code.
 
-use anytime_anywhere::core::{AnytimeEngine, ChaosPlan, EngineConfig, RetryPolicy};
+use anytime_anywhere::core::changes::preferential_batch;
+use anytime_anywhere::core::{AnytimeEngine, AssignStrategy, ChaosPlan, EngineConfig, RetryPolicy};
+use anytime_anywhere::graph::apsp::apsp_dijkstra;
+use anytime_anywhere::graph::closeness::closeness_exact;
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
+use anytime_anywhere::graph::Csr;
 use anytime_anywhere::runtime::ExecutionMode;
 use proptest::prelude::*;
 
@@ -113,4 +117,78 @@ fn repair_work_is_accounted() {
         faults.injected()
     );
     assert!(run.retries + run.verification_passes > 0);
+}
+
+/// No delayed row crosses a migration. The delay queue matches payloads by
+/// type, and an RC row and a migrated row are the same type: a row delayed
+/// from before a Repartition-S wave (or a `rebalance()`) would be handed to
+/// the migration's consume and installed as a migrated row at a rank that
+/// does not own its vertex. Under an armed plan both end where every other
+/// run ends — no panic, and exact at quiescence.
+#[test]
+fn a_migration_under_an_armed_plan_installs_no_delayed_row() {
+    for seed in 0..40u64 {
+        for wave in [true, false] {
+            let g = barabasi_albert(70, 2, WeightModel::Unit, seed).unwrap();
+            let mut engine = AnytimeEngine::new(g, EngineConfig::deterministic(4)).unwrap();
+            engine.set_chaos(ChaosPlan::seeded(mix(seed ^ 0xabc, soak_seed()), 0.3, 40));
+            for _ in 0..2 {
+                let _ = engine.rc_step_checked();
+            }
+            if wave {
+                let batch = preferential_batch(engine.graph(), 12, 2, seed);
+                engine
+                    .apply_vertex_additions(&batch, AssignStrategy::Repartition { seed })
+                    .unwrap();
+            } else {
+                engine.rebalance(seed).unwrap();
+            }
+            let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+            let run = engine.run_supervised(&policy).unwrap();
+            let ctx = format!("seed {seed}, {}", if wave { "Repartition-S" } else { "rebalance" });
+            assert!(run.converged(), "{ctx}: degraded: {:?}", run.degraded.map(|d| d.reason));
+            let csr = Csr::from_adj(engine.graph());
+            assert!(engine.distances() == apsp_dijkstra(&csr), "{ctx}: converged wrong");
+            let (got, want) = (engine.closeness(), closeness_exact(&csr));
+            assert!(
+                got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())),
+                "{ctx}: closeness is not bit-equal to the oracle"
+            );
+        }
+    }
+}
+
+/// The routing loop, the fate draw and the backoff schedule each exist once;
+/// what they add up to is pinned. Ten supervised runs (five seeds × rates
+/// 0.1 / 0.3): simulated communication time to the bit, traffic, retries
+/// and every fault counter are the numbers the two routing paths, two draws
+/// and two schedules produced before they were folded. A change of the sim
+/// clock or of chaos accounting moves this on purpose, with the baselines.
+#[test]
+fn supervised_chaos_accounting_is_pinned() {
+    let g = barabasi_albert(80, 2, WeightModel::UniformRange { lo: 1, hi: 6 }, 3).unwrap();
+    let rows: Vec<String> = [0.1, 0.3]
+        .into_iter()
+        .flat_map(|rate| (1..=5u64).map(move |seed| (rate, seed)))
+        .map(|(rate, seed)| {
+            let mut e = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
+            e.set_chaos(ChaosPlan::seeded(seed, rate, 24));
+            let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+            let run = e.run_supervised(&policy).unwrap();
+            let s = e.stats();
+            format!(
+                "rate {rate} seed {seed}: comm {:#018x} msgs {} bytes {} steps {} retries {} \
+                 verifications {} {:?}",
+                s.sim_comm_us.to_bits(),
+                s.messages,
+                s.bytes,
+                s.supersteps,
+                run.retries,
+                run.verification_passes,
+                s.faults
+            )
+        })
+        .collect();
+    let digest = rows.iter().flat_map(|r| r.bytes()).fold(0u64, |h, b| mix(h, b.into()));
+    assert_eq!(digest, 7731448083195685195, "accounting moved:\n{}", rows.join("\n"));
 }

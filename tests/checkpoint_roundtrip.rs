@@ -5,7 +5,9 @@
 //! with rows of unequal length, through a reader that trickles bytes, at
 //! every truncation point and under every single-bit flip.
 
-use anytime_anywhere::checkpoint::{CheckpointError, RowTable, Snapshot, FORMAT_VERSION, MAGIC};
+use anytime_anywhere::checkpoint::{
+    crc32, CheckpointError, RowTable, Snapshot, FORMAT_VERSION, MAGIC,
+};
 use anytime_anywhere::core::{AnytimeEngine, CoreError, EngineConfig};
 use anytime_anywhere::graph::{AdjGraph, GraphBuilder};
 use anytime_anywhere::runtime::ExecutionMode;
@@ -54,6 +56,33 @@ fn ragged(rows: &RowTable, cuts: &[usize]) -> RowTable {
         .enumerate()
         .map(|(i, (v, row))| (v, &row[..row.len().saturating_sub(cut(i))]))
         .collect()
+}
+
+/// The framed sections of a serialized snapshot: offset of the tag, the
+/// tag, the payload.
+fn sections(bytes: &[u8]) -> Vec<(usize, [u8; 4], &[u8])> {
+    let mut at = MAGIC.len() + 8;
+    let mut out = Vec::new();
+    while at < bytes.len() {
+        let tag: [u8; 4] = bytes[at..at + 4].try_into().unwrap();
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        out.push((at, tag, &bytes[at + 12..at + 12 + len]));
+        at += 12 + len + 4;
+    }
+    out
+}
+
+/// `bytes` with the payload of the section at `at` replaced, its length
+/// field and CRC trailer made good — so the reader gets past the framing
+/// and into the fields.
+fn resealed(bytes: &[u8], at: usize, payload: &[u8]) -> Vec<u8> {
+    let old = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+    let mut out = bytes[..at + 4].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&bytes[at + 12 + old + 4..]);
+    out
 }
 
 fn config(p: usize, parallel: bool) -> EngineConfig {
@@ -146,6 +175,29 @@ proptest! {
                 matches!(err, CheckpointError::Truncated { .. } | CheckpointError::Malformed(_)),
                 "cut {}: {:?}", cut, err
             );
+        }
+        // Past the CRC: each section re-sealed (length and checksum made
+        // good again) around a payload cut at every offset is truncation
+        // *inside that section* — the field cursor's short read under the
+        // section's name — and around a count larger than the bytes left,
+        // planted at every offset, is a typed error or some other snapshot,
+        // never an allocation sized by the count.
+        for (at, tag, payload) in sections(&bytes) {
+            let name = String::from_utf8_lossy(&tag).into_owned();
+            for cut in 0..payload.len() {
+                let err = Snapshot::from_bytes(&resealed(&bytes, at, &payload[..cut]))
+                    .expect_err("cut section parsed");
+                prop_assert!(
+                    matches!(err, CheckpointError::Truncated { section } if section == name),
+                    "section {} cut at {}: {:?}", name, cut, err
+                );
+            }
+            let mut bomb = payload.to_vec();
+            for i in 0..payload.len().saturating_sub(7) {
+                bomb[i..i + 8].copy_from_slice(&(u64::MAX >> 8).to_le_bytes());
+                let _ = Snapshot::from_bytes(&resealed(&bytes, at, &bomb));
+                bomb[i..i + 8].copy_from_slice(&payload[i..i + 8]);
+            }
         }
         // CRC-32 catches every single-bit error inside a payload; header,
         // tag, length and CRC-field flips surface as the other typed

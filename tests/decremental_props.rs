@@ -7,10 +7,12 @@
 //! engine sits on the exact fixed point, bit for bit.
 
 use anytime_anywhere::core::{
-    AnytimeEngine, AssignStrategy, DynamicChange, EngineConfig, NewVertex, VertexBatch, WireFormat,
+    AnytimeEngine, AssignStrategy, ChaosPlan, DynamicChange, EngineConfig, NewVertex, RetryPolicy,
+    VertexBatch, WireFormat,
 };
 use anytime_anywhere::graph::apsp::apsp_dijkstra;
 use anytime_anywhere::graph::closeness::closeness_exact;
+use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
 use anytime_anywhere::graph::{AdjGraph, Csr, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
@@ -169,5 +171,71 @@ proptest! {
             got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())),
             "closeness is not bit-equal to the oracle"
         );
+    }
+}
+
+/// No delayed row crosses a decremental change. Under an armed chaos plan
+/// the delay queue holds rows produced before the change; one delivered
+/// after the raise would be min-merged *below* the distances the change
+/// left, for good — a run that reports convergence on a wrong answer. Every
+/// decremental op, landing mid-analysis under a balanced plan and under a
+/// delay-only one: if the supervised run says converged, it is exact, bit
+/// for bit; if it degrades, its bounds cover the exact answer.
+#[test]
+fn a_decremental_change_under_an_armed_plan_ends_exact_or_covered() {
+    for seed in 0..60u64 {
+        let g = barabasi_albert(70, 2, WeightModel::UniformRange { lo: 1, hi: 6 }, seed).unwrap();
+        let (u, v, w) = g.edges().nth(seed as usize % g.num_edges()).expect("in range");
+        let balanced = ChaosPlan::seeded(seed ^ 0xabc, 0.3, 24);
+        let delay_only = ChaosPlan { delay_p: 0.3, max_delay: 3, ..ChaosPlan::none() };
+        let delay_only = ChaosPlan { seed: seed ^ 0xabc, horizon: 24, ..delay_only };
+        for (plan, op) in [balanced, delay_only].into_iter().flat_map(|p| [(p, 0), (p, 1), (p, 2)])
+        {
+            let ctx = format!("seed {seed}, op {op}, delay-only {}", plan.drop_p == 0.0);
+            let mut full = g.clone();
+            let mut engine = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
+            engine.set_chaos(plan);
+            for _ in 0..2 {
+                // An incident at the barrier is what the plan is for.
+                let _ = engine.rc_step_checked();
+            }
+            match op {
+                0 => {
+                    full.remove_edge(u, v).unwrap();
+                    engine.remove_edge(u, v).unwrap();
+                }
+                1 => {
+                    full.set_weight(u, v, w + 3).unwrap();
+                    engine.set_edge_weight(u, v, w + 3).unwrap();
+                }
+                _ => {
+                    for (t, _) in g.neighbors(u).to_vec() {
+                        full.remove_edge(u, t).unwrap();
+                    }
+                    engine.remove_vertices(&[u]).unwrap();
+                }
+            }
+            let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+            let run = engine.run_supervised(&policy).unwrap();
+            let csr = Csr::from_adj(&full);
+            let exact = closeness_exact(&csr);
+            match &run.degraded {
+                None => {
+                    assert!(run.converged(), "{ctx}: neither converged nor degraded");
+                    assert!(engine.distances() == apsp_dijkstra(&csr), "{ctx}: converged wrong");
+                    let got = engine.closeness();
+                    assert!(
+                        got.iter().map(|c| c.to_bits()).eq(exact.iter().map(|c| c.to_bits())),
+                        "{ctx}: closeness is not bit-equal to the oracle"
+                    );
+                }
+                Some(report) => {
+                    for (x, (est, b)) in exact.iter().zip(report.estimate.iter().zip(&report.bound))
+                    {
+                        assert!((x - est).abs() <= b + 1e-12, "{ctx}: |{x} − {est}| > bound {b}");
+                    }
+                }
+            }
+        }
     }
 }
