@@ -1,0 +1,103 @@
+#!/usr/bin/env bash
+# "Keep it gone": each simplification PR deleted a duplicate mechanism, and
+# each block below fails if one comes back. Plain greps over the tree, no
+# build needed; CI runs this once, on the plain perf-gate cell. Run from
+# anywhere: `bash .github/once.sh`.
+set -e
+cd "$(dirname "$0")/.."
+
+# One dense kernel. `relax_via` stays the one dense inner loop: one portable
+# body, one AVX2 instantiation, both reached through `relax_via` alone (the
+# bounded pass calls it per run of chunks).
+[ "$(grep -rn "fn relax_via_avx2" crates/aaa-core | wc -l)" = 1 ] || { echo "expected exactly one relax_via_avx2"; exit 1; }
+uses=$(grep -rn "relax_via_scalar(" crates/aaa-core)
+echo "$uses"
+[ "$(echo "$uses" | wc -l)" = 3 ] || { echo "relax_via_scalar has a caller besides relax_via and relax_via_avx2"; exit 1; }
+
+# One checksum.
+defs=$(grep -rn "fn crc32(" crates/aaa-runtime crates/aaa-checkpoint crates/aaa-core)
+echo "$defs"
+[ "$(echo "$defs" | wc -l)" = 1 ] || { echo "expected exactly one crc32 definition"; exit 1; }
+
+# One publish path. Names of the forked publish paths PR 15 folded into one;
+# none may come back under crates/.
+if grep -rnE 'ViewDeltaMulti|publish_changes_with|publish_with\(|take_epoch_closeness|mod spmd' crates/; then
+  echo "a second publish path (or spmd) is back"; exit 1
+fi
+
+# One decremental path. The restart PR 17 replaced by selective invalidation
+# was deleted, not kept beside it; neither name may come back under crates/.
+if grep -rnE 'recompute_from_scratch|partial_restart' crates/; then
+  echo "a restart path is back beside selective invalidation"; exit 1
+fi
+
+# One migration path, one send record. PR 18 folded the wholesale migration
+# pair into the move-list path and the Delta wire's last-sent row copies into
+# a bit record; the old `delta_pairs` diff survives as a test oracle only.
+# The block also logs the non-test size (lines above the first
+# `#[cfg(test)]`) of the four files the fold was meant to shrink.
+if grep -rnE 'sent_snapshot|fn migrate_out\(|fn migrate_in\(' crates/; then
+  echo "the wholesale migration pair or the last-sent copies are back"; exit 1
+fi
+for f in $(grep -rl 'fn delta_pairs' crates/); do
+  first_test=$(grep -n -m1 '#\[cfg(test)\]' "$f" | cut -d: -f1)
+  def=$(grep -n -m1 'fn delta_pairs' "$f" | cut -d: -f1)
+  [ -n "$first_test" ] && [ "$def" -gt "$first_test" ] || { echo "$f: delta_pairs outside tests"; exit 1; }
+done
+for f in dv rank engine net; do
+  awk -v f="$f.rs" '/#\[cfg\(test\)\]/ { print f ": " NR - 1 " non-test lines"; done = 1; exit } END { if (!done) print f ": " NR " non-test lines" }' "crates/aaa-core/src/$f.rs"
+done
+
+# One report mechanism. PR 20 folded the five per-section tally structs,
+# their writer, reader and gate arms and the runtime's mirror of the fault
+# counters into one section mechanism; none of the names may come back. The
+# block also logs the non-test size of the three files the fold was meant to
+# shrink (554 / 267 / 494 before it).
+if grep -rnE 'ChangeTally|MigrationTally|StreamTally|PublishTally|MetricsTally|fn metrics_tally' crates/ examples/ tests/; then
+  echo "a per-section tally struct is back beside the section mechanism"; exit 1
+fi
+defs=$(grep -rnE 'struct (FaultTally|FaultCounters)' crates/)
+echo "$defs"
+[ "$(echo "$defs" | wc -l)" = 1 ] || { echo "expected exactly one fault-counter struct"; exit 1; }
+for f in crates/aaa-observe/src/report.rs crates/aaa-observe/src/gate.rs crates/aaa-bench/src/observe.rs; do
+  awk -v f="$f" '/#\[cfg\(test\)\]/ { print f ": " NR - 1 " non-test lines"; done = 1; exit } END { if (!done) print f ": " NR " non-test lines" }' "$f"
+done
+
+# Between ranks, once. PR 21: between ranks each thing exists once — one
+# routing loop in `Cluster::exchange`, one ladder and one request/reply in
+# `NetRunner`, one byte cursor (and one count-against-bytes-left guard) in
+# `aaa-runtime::bytes`, one SplitMix64 in `chaos.rs`. None of the folded
+# names may come back under crates/. The block also logs the non-test size of
+# the files the fold touched (1467 / 1907 / 851 / 1229 / 181 / 132 / 209
+# before it).
+if grep -rnE 'fn route_with_chaos|fn await_ready|fn salvage_rows|struct Reader<' crates/; then
+  echo "a second routing loop, Ready wait, row salvage or byte reader is back"; exit 1
+fi
+if grep -rnE 'fn (len_prefix|count|count_u32|count_u64|bounded)\(' crates/ | grep -v '^crates/aaa-runtime/src/bytes.rs:'; then
+  echo "a count-against-bytes-left guard is defined outside aaa-runtime/src/bytes.rs"; exit 1
+fi
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+gens=0; muls=0
+for f in $(grep -rlE 'fn splitmix64|0xbf58476d1ce4e5b9' crates/); do
+  gens=$((gens + $(nontest "$f" | grep -c 'fn splitmix64' || true)))
+  muls=$((muls + $(nontest "$f" | grep -c '0xbf58476d1ce4e5b9' || true)))
+done
+echo "fn splitmix64: $gens, multiplier literals: $muls"
+[ "$gens" = 1 ] && [ "$muls" = 1 ] || { echo "expected exactly one SplitMix64 under crates/"; exit 1; }
+for f in aaa-core/src/net aaa-core/src/engine aaa-runtime/src/cluster aaa-runtime/src/net aaa-runtime/src/chaos aaa-runtime/src/bytes aaa-checkpoint/src/wire; do
+  echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
+done
+
+# A rank holds rows in two places, the kernel is the only thing that relaxes.
+# PR 22 made a broadcast row a cached row and every write a min-merge: the
+# stash beside the arenas, its row type, the second tracked write handle and
+# the second bounded round loop were deleted, not wrapped; none may come back
+# under crates/, and outside tests `relax_via_bounded` alone computes a chunk
+# mask. (The migration block above logs the non-test size of the three files
+# the fold shrank: dv / rank / engine were 1984 / 902 / 1814 before it.)
+if grep -rnE 'struct (BoundedRow|RowMut)|fn (update_local_row|stash_row|apply_edge_relax|clear_gathered)\(|gathered: *FxHashMap' crates/; then
+  echo "the broadcast stash, its row type or the RowMut write handle is back"; exit 1
+fi
+callers=$(nontest crates/aaa-core/src/dv.rs | awk '/^ *(pub )?(unsafe )?fn / { name = $0 } /(^|[^_a-z])walk_mask\(/ && !/fn walk_mask\(/ { print name }')
+echo "walk_mask called from: $callers"
+[ "$(echo "$callers" | grep -c 'fn ')" = 1 ] && echo "$callers" | grep -q 'fn relax_via_bounded(' || { echo "walk_mask has a caller besides relax_via_bounded"; exit 1; }

@@ -47,8 +47,8 @@
 //!   ([`DvStore::clear_unsent`]).
 //!
 //! Both have one producer, the lowered-cell mask of a write: exactly the
-//! cells it lowered (the min-merges, [`DvStore::update_local_row`], the
-//! kernel's post-round diff) or the whole row (fresh and installed rows;
+//! cells it lowered (the min-merges, dense and sparse, and the kernel's
+//! post-round diff) or the whole row (fresh and installed rows;
 //! [`DvStore::mark_all_unpropagated`] for events that pair rows anew
 //! without lowering a cell). A write to a local row takes its mask in a
 //! scratch row of words and ORs it into both records afterwards, so the
@@ -80,10 +80,10 @@
 //!   throughout, like their cells), [`DvStore::raise`] every chunk it
 //!   touches.
 //! * `lo[c]` ≤ every live cell of the chunk. A write that lowers a cell
-//!   without walking its chunk ([`RowMut::lower`], the sparse merges)
-//!   lowers `lo[c]` with it.
+//!   without walking its chunk (the sparse merges) lowers `lo[c]` with it.
 //!
-//! A dense tracked write (the min-merges, [`RowMut::relax_via`], the
+//! A write is a min-merge, an install or a raise. A dense tracked write (the
+//! dense min-merges, [`DvStore::min_merge_through`] among them, the
 //! kernel's post-round diff, an install) recomputes both bounds exactly
 //! for every chunk it changed, from the cells it already holds. A pass of
 //! row `v` through row `u` can lower a cell of chunk `c` only if
@@ -110,9 +110,9 @@
 //! * the **closure invariant**: a raise only ever slackens
 //!   `D[v][t] ≤ D[v][u] + D[u][t]` on its right-hand side; where it raised
 //!   the left-hand side, [`DvStore::refill`] re-derives the cell as the
-//!   least `D[v][u] + D[u][t]` over every row held here through the
-//!   tracked [`RowMut::lower`] — so it is closed when written, and
-//!   whatever is lowered later on its right is recorded like any lowering;
+//!   least `D[v][u] + D[u][t]` over every row held here, written by the
+//!   tracked sparse merge — so it is closed when written, and whatever is
+//!   lowered later on its right is recorded like any lowering;
 //! * the **dirty sets**: a local row that lost a cell is dirty and
 //!   epoch-dirty. A cached row is not refilled; it waits for its owner's
 //!   resend.
@@ -318,8 +318,7 @@ impl Witness {
     /// Raises to `INF` every finite `row[t] ≥ L(x, t)` of vertex `x`'s
     /// row — never `row[x]`, which no change invalidates — and appends the
     /// raised columns to `cols`, in increasing order. The one statement of
-    /// the rule: both arenas and the Delta wire's last-sent copies go
-    /// through it.
+    /// the rule: both arenas go through it.
     pub fn raise_row(&self, x: VertexId, row: &mut [Dist], cols: &mut Vec<VertexId>) {
         let (ru, rv) = (&self.ru[..], self.rv.as_deref().unwrap_or(&self.ru));
         let (a, b) = (rv[x as usize].saturating_add(self.w), ru[x as usize].saturating_add(self.w));
@@ -597,77 +596,6 @@ impl std::iter::Sum for KernelTally {
             acc += t;
             acc
         })
-    }
-}
-
-/// A row held outside the arenas — a stashed broadcast row — with the
-/// per-chunk lower bounds a bounded pass through it needs, computed once.
-#[derive(Debug, Clone)]
-pub struct BoundedRow {
-    cells: Vec<Dist>,
-    lo: Vec<Dist>,
-}
-
-impl BoundedRow {
-    /// Takes `cells`, padded with `INF` (or cut) to `n` columns.
-    pub fn new(mut cells: Vec<Dist>, n: usize) -> Self {
-        cells.resize(n, INF);
-        let lo = cells.chunks(CHUNK).map(|chunk| min_max(chunk).0).collect();
-        Self { cells, lo }
-    }
-
-    /// Grows to `n` columns, `INF`-filled.
-    pub fn grow(&mut self, n: usize) {
-        self.cells.resize(n, INF);
-        self.lo.resize(n.div_ceil(CHUNK), INF);
-    }
-}
-
-/// A local row under a tracked write: every lowering goes through this
-/// handle, so the change record and the bounds cannot miss one.
-pub struct RowMut<'a> {
-    row: &'a mut [Dist],
-    track: Track<'a>,
-    changed: bool,
-}
-
-impl RowMut<'_> {
-    /// Current value of column `t`.
-    #[inline]
-    pub fn get(&self, t: VertexId) -> Dist {
-        self.row[t as usize]
-    }
-
-    /// `row[t] = min(row[t], d)`.
-    #[inline]
-    pub fn lower(&mut self, t: VertexId, d: Dist) {
-        if d < self.row[t as usize] {
-            self.row[t as usize] = d;
-            self.track.lowered(t as usize, d);
-            self.changed = true;
-        }
-    }
-
-    /// `row[t] = min(row[t], through + via[t])` for all `t`, walking only
-    /// the chunks the bounds cannot rule out.
-    pub fn relax_via(&mut self, through: Dist, via: &BoundedRow) {
-        if through == INF {
-            return;
-        }
-        let (n, chunks) = (self.row.len(), via.lo.len());
-        for g in (0..chunks).step_by(CHUNK) {
-            let end = (g + CHUNK).min(chunks);
-            let mask = walk_mask(&self.track.hi[g..end], through, &via.lo[g..end]);
-            for_each_run(mask, end - g, |a, b| {
-                let cols = (g + a) * CHUNK..((g + b) * CHUNK).min(n);
-                self.changed |= relax_via_tracked(
-                    &mut self.row[cols.clone()],
-                    through,
-                    &via.cells[cols],
-                    self.track.range(g + a, g + b),
-                );
-            });
-        }
     }
 }
 
@@ -1033,18 +961,6 @@ impl DvStore {
         ids
     }
 
-    /// Runs `f` on the local row of `v` through a [`RowMut`], which
-    /// records exactly the cells `f` lowers; a change marks the row dirty.
-    /// Returns whether anything was lowered. The row never leaves the
-    /// arena.
-    pub fn update_local_row(&mut self, v: VertexId, f: impl FnOnce(&mut RowMut<'_>)) -> bool {
-        self.write_local(v, |row, track| {
-            let mut handle = RowMut { row, track, changed: false };
-            f(&mut handle);
-            handle.changed
-        })
-    }
-
     /// Removes a local row entirely (migration). Returns it if present.
     pub fn remove_local(&mut self, v: VertexId) -> Option<Vec<Dist>> {
         let s = self.local_slot(v)?;
@@ -1125,6 +1041,21 @@ impl DvStore {
         min_merge_sparse_tracked(row, pairs, track) | new
     }
 
+    /// `row_p ← min(row_p, through + row_q)` between two rows held here,
+    /// each in either arena: the tracked dense pass the min-merges make
+    /// with `through = 0`, so a cached `p` records what it lowered like a
+    /// local one. Returns whether anything improved; `false` if either row
+    /// is missing.
+    pub fn min_merge_through(&mut self, p: VertexId, through: Dist, q: VertexId) -> bool {
+        let Some(via) = self.row(q).map(<[Dist]>::to_vec) else { return false };
+        if let Some(s) = self.cached_slot(p) {
+            let (row, track) = self.cached.row_mut(s);
+            return relax_via_tracked(row, through, &via, track);
+        }
+        self.is_local(p)
+            && self.write_local(p, |row, track| relax_via_tracked(row, through, &via, track))
+    }
+
     /// The one write that increases cells: raises to `INF` every cell of
     /// both arenas `witness` cannot vouch for (see [`Witness`] for the rule
     /// and the module docs for what the record and the bounds are owed).
@@ -1144,8 +1075,8 @@ impl DvStore {
     /// Re-derives the raised cells `cols` of local row `v` from what is
     /// held here: the least `D[v][u] + D[u][t]` over every row `u` of both
     /// arenas, and the direct edges `edges` of `v` (the graph as it stands
-    /// after the change). Every cell goes through [`RowMut::lower`], so
-    /// the row comes out closed except through recorded cells — the
+    /// after the change). Every cell goes through the tracked sparse merge,
+    /// so the row comes out closed except through recorded cells — the
     /// kernel's invariant — without a dense pass of every other row through
     /// it. Returns how many of `cols` came back finite.
     pub fn refill(
@@ -1169,14 +1100,9 @@ impl DvStore {
                 }
             }
         }
-        self.update_local_row(v, |row| {
-            for (&t, &d) in cols.iter().zip(&best) {
-                row.lower(t, d);
-            }
-            for &(t, w) in edges {
-                row.lower(t, w as Dist);
-            }
-        });
+        let derived = cols.iter().copied().zip(best);
+        let pairs: Vec<_> = derived.chain(edges.iter().map(|&(t, w)| (t, w as Dist))).collect();
+        self.min_merge_local_sparse(v, &pairs);
         let row = self.local.row(s);
         cols.iter().filter(|&&t| row[t as usize] != INF).count()
     }
@@ -2083,13 +2009,13 @@ mod tests {
     }
 
     #[test]
-    fn update_local_row_marks_dirty_on_change() {
+    fn sparse_min_merge_marks_dirty_on_change() {
         let mut dv = DvStore::new(2);
         dv.add_local_row(0);
         dv.take_dirty_sorted();
-        assert!(!dv.update_local_row(0, |row| row.lower(1, INF)));
+        assert!(!dv.min_merge_local_sparse(0, &[(1, INF)]));
         assert!(!dv.has_dirty());
-        assert!(dv.update_local_row(0, |row| row.lower(1, 7)));
+        assert!(dv.min_merge_local_sparse(0, &[(1, 7)]));
         assert_eq!(dv.row(0).unwrap(), &[0, 7]);
         assert!(dv.has_dirty());
     }
@@ -2339,16 +2265,20 @@ mod tests {
         assert_eq!(recorded(&dv, 3), vec![5, 69], "an unimproved column is not recorded");
         assert!(dv.min_merge_local_sparse(3, &[(5, 2), (64, 1)]));
         assert_eq!(recorded(&dv, 3), vec![5, 64, 69]);
-        assert!(dv.update_local_row(3, |row| {
-            row.lower(0, 4);
-            row.lower(5, 3);
-        }));
+        assert!(dv.min_merge_local_sparse(3, &[(0, 4), (5, 3)]));
         assert_eq!(recorded(&dv, 3), vec![0, 5, 64, 69]);
 
         assert!(dv.min_merge_cached(8, &incoming));
         assert_eq!(recorded(&dv, 8), vec![3, 5, 69], "a new cached row records its finite cells");
         assert!(dv.min_merge_cached_sparse(8, &[(1, 1), (5, 6)]));
         assert_eq!(recorded(&dv, 8), vec![1, 3, 5, 69]);
+        // Through an edge of weight 1 to row 3: columns 0, 3 and 64 come down.
+        assert!(dv.min_merge_through(8, 1, 3));
+        assert_eq!(
+            recorded(&dv, 8),
+            vec![0, 1, 3, 5, 64, 69],
+            "a cached row records like a local one"
+        );
         dv.install_cached(9, &[1; 70]);
         assert_eq!(recorded(&dv, 9).len(), 70);
     }
@@ -2420,7 +2350,7 @@ mod tests {
         (incoming[3], incoming[5], incoming[69]) = (7, 2, 9);
         dv.min_merge_local(3, &incoming);
         dv.min_merge_local_sparse(3, &[(5, 2), (64, 1)]);
-        dv.update_local_row(3, |row| row.lower(4, 6));
+        dv.min_merge_local_sparse(3, &[(4, 6)]);
         assert_eq!(unsent(&dv, 3), vec![4, 5, 64, 69]);
         assert_eq!(recorded(&dv, 3), unsent(&dv, 3));
         // Seeding consumes the one record and not the other; what the
@@ -2531,9 +2461,8 @@ mod tests {
         let mut dv = DvStore::new(130);
         dv.add_local_row(70);
         assert_eq!((bounds(&dv, 70, 0), bounds(&dv, 70, 1)), ((INF, INF), (0, INF)));
-        // `RowMut::lower` and the sparse merges lower `lo` with the cell
-        // and leave `hi` stale.
-        assert!(dv.update_local_row(70, |row| row.lower(3, 9)));
+        // The sparse merges lower `lo` with the cell and leave `hi` stale.
+        assert!(dv.min_merge_local_sparse(70, &[(3, 9)]));
         assert_eq!(bounds(&dv, 70, 0), (9, INF));
         assert!(dv.min_merge_local_sparse(70, &[(5, 4), (129, 2)]));
         assert_eq!((bounds(&dv, 70, 0), bounds(&dv, 70, 2)), ((4, INF), (2, INF)));
@@ -2550,17 +2479,18 @@ mod tests {
     }
 
     #[test]
-    fn bounded_edge_relax_refreshes_the_chunks_it_empties() {
+    fn edge_merge_refreshes_the_chunks_it_empties() {
         let mut dv = DvStore::new(320);
         dv.install_local(0, &[5; 320], false);
         dv.relax_to_fixed_point(&[0], 1);
         dv.grow_columns(330);
         assert_eq!(bounds(&dv, 0, 5), (INF, INF));
-        // Only the grown chunk can improve through a row of 6s; the pass
-        // leaves it without an INF cell and with exact bounds, and walks
-        // no other chunk.
-        let via = BoundedRow::new(vec![6; 330], 330);
-        assert!(dv.update_local_row(0, |row| row.relax_via(1, &via)));
+        // Only the grown chunk improves through a held row of 6s over an
+        // edge of weight 1; the pass leaves it without an INF cell and
+        // with exact bounds, and records no other chunk.
+        dv.install_cached(1, &[6; 330]);
+        assert!(dv.min_merge_through(0, 1, 1));
+        assert!(!dv.min_merge_through(0, 1, 2) && !dv.min_merge_through(2, 1, 0), "a missing row");
         assert_eq!(dv.row(0).unwrap()[320..], [7; 10]);
         assert_eq!((bounds(&dv, 0, 4), bounds(&dv, 0, 5)), ((5, 5), (7, 7)));
         assert_eq!(recorded(&dv, 0), (320..330).collect::<Vec<_>>());
@@ -2705,7 +2635,7 @@ mod tests {
         dv.clear_unpropagated();
         dv.clear_dirty();
         dv.take_epoch_dirty_sorted();
-        dv.update_local_row(10, |row| row.lower(5, 4));
+        dv.min_merge_local_sparse(10, &[(5, 4)]);
         dv.take_dirty_sorted();
         dv.take_epoch_dirty_sorted();
         let all_bounds = |dv: &DvStore, v| [0, 1, 2].map(|c| bounds(dv, v, c));

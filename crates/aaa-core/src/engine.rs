@@ -887,8 +887,8 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// The anywhere vertex-addition strategy (Fig. 3): grow DVs, then per
-    /// new edge broadcast both endpoint rows and relax every local row.
+    /// The anywhere vertex-addition strategy (Fig. 3): grow DVs, then relax
+    /// over each new edge in turn and settle once.
     fn apply_anywhere(
         &mut self,
         batch: &VertexBatch,
@@ -908,32 +908,13 @@ impl AnytimeEngine {
         let msg = GrowMsg { base, owners, edges: edges.clone() };
         self.cluster.broadcast(0, move |_| msg, GrowMsg::size_bytes, |_, s, m| s.grow(m));
 
-        // Fig. 3 main loop: per edge, broadcast the endpoint rows from
-        // their owners (tree broadcast) and run the add-edge relaxation on
-        // every rank.
+        // Fig. 3 main loop, then one step propagates the batch's effects to
+        // rank-local fixed points; changed rows are now dirty and flow out
+        // on the next RC step.
         for &(x, y, w) in &edges {
-            let ox = self.partition.part_of(x) as usize;
-            let oy = self.partition.part_of(y) as usize;
-            self.cluster.broadcast(
-                ox,
-                move |s: &mut RankState| (x, s.row_for_broadcast(x)),
-                |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
-                |_, s, m| s.stash_row(m.0, &m.1),
-            );
-            self.cluster.broadcast(
-                oy,
-                move |s: &mut RankState| (y, s.row_for_broadcast(y)),
-                |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
-                |_, s, m| s.stash_row(m.0, &m.1),
-            );
-            self.cluster.step(move |_, s| s.apply_edge_relax(x, y, w));
+            self.relax_over_edge(x, y, w, false);
         }
-        // Propagate the batch's effects to rank-local fixed points; changed
-        // rows are now dirty and flow out on the next RC step.
-        self.cluster.step(|_, s| {
-            s.relax_pending();
-            s.clear_gathered();
-        });
+        self.cluster.step(|_, s| s.settle());
         Ok(())
     }
 
@@ -1141,7 +1122,7 @@ impl AnytimeEngine {
             |_| 12,
             |_, s, &(a, b, w)| s.record_edge(a, b, w),
         );
-        self.relax_single_edge(u, v, w);
+        self.relax_over_edge(u, v, w, true);
         self.changes_applied += 1;
         Ok(())
     }
@@ -1186,7 +1167,7 @@ impl AnytimeEngine {
         } else {
             reweight(self)?;
             if w < old {
-                self.relax_single_edge(u, v, w);
+                self.relax_over_edge(u, v, w, true);
             }
         }
         self.changes_applied += 1;
@@ -1259,25 +1240,29 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    fn relax_single_edge(&mut self, u: VertexId, v: VertexId, w: Weight) {
-        let ou = self.partition.part_of(u) as usize;
-        let ov = self.partition.part_of(v) as usize;
+    /// Tree-broadcasts the row of `v` from its owner (Fig. 3 line 22); every
+    /// other rank holds it.
+    fn share_row(&mut self, v: VertexId) {
         self.cluster.broadcast(
-            ou,
-            move |s: &mut RankState| (u, s.row_for_broadcast(u)),
-            |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
-            |_, s, m| s.stash_row(m.0, &m.1),
-        );
-        self.cluster.broadcast(
-            ov,
+            self.partition.part_of(v) as usize,
             move |s: &mut RankState| (v, s.row_for_broadcast(v)),
             |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
-            |_, s, m| s.stash_row(m.0, &m.1),
+            |_, s, m| s.hold_row(m.0, &m.1),
         );
+    }
+
+    /// An added (or lightened) edge `(x, y, w)`, the one driver op behind a
+    /// wave's edges, `AddEdge` and the weight decrease: both endpoint rows
+    /// are shared and one step absorbs the edge on every rank — and settles,
+    /// unless the caller settles a whole wave at once.
+    fn relax_over_edge(&mut self, x: VertexId, y: VertexId, w: Weight, settle: bool) {
+        self.share_row(x);
+        self.share_row(y);
         self.cluster.step(move |_, s| {
-            s.apply_edge_relax(u, v, w);
-            s.relax_pending();
-            s.clear_gathered();
+            s.absorb_edge(x, y, w);
+            if settle {
+                s.settle();
+            }
         });
     }
 

@@ -506,7 +506,8 @@ impl PublishedView {
 /// `entries`/`bounds` are sorted by vertex id. A `full` delta re-states
 /// every vertex (construction, restore, structural bound invalidation);
 /// otherwise entries cover exactly the rows whose DV values changed since
-/// the previous publish.
+/// the previous publish — every new vertex's among them (a new row is
+/// epoch-dirty), which is all a follower lets a view grow by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewDelta {
     pub epoch: u64,
@@ -541,6 +542,10 @@ pub enum ViewDeltaError {
     UnsortedIds { id: VertexId },
     /// A non-full delta would shrink the view it applies to.
     Shrinks { n: usize, prev: usize },
+    /// The delta's `n` is more than its closeness entries back: a thin
+    /// delta restates every id past the view it lands on, a full one every
+    /// id, and `backed` is as far as these reach.
+    Unbacked { n: usize, backed: usize },
 }
 
 impl std::fmt::Display for ViewDeltaError {
@@ -557,6 +562,9 @@ impl std::fmt::Display for ViewDeltaError {
             }
             ViewDeltaError::Shrinks { n, prev } => {
                 write!(f, "non-full delta shrinks the view from {prev} to {n} vertices")
+            }
+            ViewDeltaError::Unbacked { n, backed } => {
+                write!(f, "delta claims {n} vertices, its entries back {backed}")
             }
         }
     }
@@ -670,6 +678,13 @@ impl ViewDelta {
                 }
                 floor = id as u64 + 1;
             }
+        }
+        // `n` sizes every column, so it must not outrun what the wire paid
+        // for: the closeness entries, sorted and in range, from `base` up.
+        let base = if self.full { 0 } else { prev.num_vertices() };
+        let backed = base + self.entries.iter().filter(|e| e.0 as usize >= base).count();
+        if backed < self.n {
+            return Err(ViewDeltaError::Unbacked { n: self.n, backed });
         }
         Ok(self.build(prev, &mut Vec::new()).0)
     }
@@ -1393,6 +1408,34 @@ mod tests {
             ViewDeltaError::DuplicateMetric(MetricKind::Closeness)
         );
         assert_eq!(refused(|d| d.n = 7), ViewDeltaError::Shrinks { n: 7, prev: 8 });
+        // A view grows only as far as the closeness entries reach: a thin
+        // delta restates every id past the previous view, a full one every
+        // id. A wire `n` beyond that is refused before any column is sized
+        // by it (at `u32::MAX` that would be ~34 GB a column).
+        const HUGE: usize = u32::MAX as usize;
+        let unbacked = |n| ViewDeltaError::Unbacked { n, backed: 8 };
+        assert_eq!(refused(|d| d.n = HUGE), unbacked(HUGE));
+        assert_eq!(refused(|d| d.n = 9), unbacked(9));
+        let restate = |d: &mut ViewDelta| {
+            d.full = true;
+            d.entries = (0..8).map(|v| (v, 0.5)).collect();
+        };
+        let refused_full = |n: usize| {
+            let mut bad = good.clone();
+            restate(&mut bad);
+            bad.n = n;
+            bad.apply_to(&prev).unwrap_err()
+        };
+        assert_eq!(refused_full(HUGE), unbacked(HUGE));
+        assert_eq!(refused_full(9), unbacked(9));
+        // Backed growth applies: the new id restated, thin or full.
+        let mut grown = ViewDelta { n: 9, ..good.clone() };
+        grown.entries.push((8, 0.3));
+        assert_eq!(grown.apply_to(&prev).unwrap().num_vertices(), 9);
+        restate(&mut grown);
+        assert_eq!(grown.apply_to(&prev), Err(unbacked(9)));
+        grown.entries.push((8, 0.3));
+        assert_eq!(grown.apply_to(&prev).unwrap().closeness()[8], 0.3);
         let mut msg = good.to_msg();
         if let NetMsg::ViewDelta { extras, .. } = &mut msg {
             extras[0].0 = 77;

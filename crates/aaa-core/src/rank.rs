@@ -2,7 +2,7 @@
 //! the IA-phase Dijkstra, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
-use crate::dv::{BoundedRow, DvStore, KernelTally, Witness};
+use crate::dv::{DvStore, KernelTally, Witness};
 use aaa_checkpoint::RankSnapshot;
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
@@ -140,8 +140,9 @@ pub struct RankState {
     edge_seen: FxHashSet<u64>,
     /// Distance vectors.
     dv: DvStore,
-    /// Rows gathered for the in-flight edge relaxation (Fig. 3 broadcasts).
-    gathered: FxHashMap<VertexId, BoundedRow>,
+    /// Broadcast rows the in-flight batch added to the cached arena (Fig. 3
+    /// line 22), for [`RankState::settle`] to drop the ones nobody needs.
+    held: Vec<VertexId>,
     /// Wire format for produced RC messages.
     wire: WireFormat,
     /// Worker threads for the relaxation kernel (1 = sequential).
@@ -181,7 +182,7 @@ impl RankState {
             adj,
             edge_seen: FxHashSet::default(),
             dv,
-            gathered: FxHashMap::default(),
+            held: Vec::new(),
             wire: WireFormat::Full,
             kernel_threads: 1,
             synced: FxHashMap::default(),
@@ -255,6 +256,7 @@ impl RankState {
         let m = ids.len();
         let mut dist = vec![INF; m];
         let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
+        let mut pairs = Vec::with_capacity(m);
         let Self { local, dv, .. } = self;
         for &v in local.iter() {
             let s = index_of[&v];
@@ -275,11 +277,9 @@ impl RankState {
                 }
             }
             // Write results into the global-indexed row.
-            dv.update_local_row(v, |row| {
-                for (&g, &d) in ids.iter().zip(&dist) {
-                    row.lower(g, d);
-                }
-            });
+            pairs.clear();
+            pairs.extend(ids.iter().copied().zip(dist.iter().copied()));
+            dv.min_merge_local_sparse(v, &pairs);
         }
         // The rows are exact shortest paths of one sub-graph, so they are
         // closed among themselves: nothing is left to propagate here.
@@ -446,9 +446,6 @@ impl RankState {
         debug_assert_eq!(msg.base as usize, self.owner.len(), "grow out of order");
         self.owner.extend_from_slice(&msg.owners);
         self.dv.grow_columns(self.owner.len());
-        for row in self.gathered.values_mut() {
-            row.grow(self.owner.len());
-        }
         for (i, &o) in msg.owners.iter().enumerate() {
             if o as usize == self.rank {
                 let v = msg.base + i as VertexId;
@@ -512,53 +509,57 @@ impl RankState {
         }
     }
 
-    /// Clones the current row of `v` for broadcasting (Fig. 3 line 22).
-    /// Falls back to the trivial row if this rank has never seen `v`
-    /// (cannot happen for owners).
+    /// Clones the current row of `v` for broadcasting (Fig. 3 line 22); the
+    /// owner's call.
     pub fn row_for_broadcast(&self, v: VertexId) -> Vec<Dist> {
-        match self.dv.row(v) {
-            Some(r) => r.to_vec(),
-            None => {
-                let mut row = vec![INF; self.dv.n()];
-                row[v as usize] = 0;
-                row
+        self.dv.local_row(v).expect("a row is broadcast by its owner").to_vec()
+    }
+
+    /// Receives a broadcast row: a broadcast row is a held row. A non-owner
+    /// min-merges it into its cached arena (the owner already has it),
+    /// remembering the id if it held no row of `v` before.
+    pub fn hold_row(&mut self, v: VertexId, row: &[Dist]) {
+        if !self.dv.is_local(v) {
+            if self.dv.row(v).is_none() {
+                self.held.push(v);
             }
+            self.dv.min_merge_cached(v, row);
         }
     }
 
-    /// Stashes a broadcast row for the in-flight edge relaxation, with the
-    /// chunk bounds every pass through it will use.
-    pub fn stash_row(&mut self, v: VertexId, row: &[Dist]) {
-        self.gathered.insert(v, BoundedRow::new(row.to_vec(), self.dv.n()));
+    /// The edge addition (Fig. 3 lines 26–34, from the authors'
+    /// edge-addition algorithm [9]) for the new edge `(x, y, w)`: each
+    /// endpoint row held here, local or cached, takes
+    /// `row_p ← min(row_p, w + row_q)` — path lengths now that the edge
+    /// exists, so a cached copy may take it as well as the owner's row, and
+    /// ranks that hold equal copies compute equal `x′`, `y′`. The kernel then
+    /// gives every local row `a`
+    /// `D[a][t] ≤ D[a][x] + x′[t] ≤ D[a][x] + w + D[y][t]` and the symmetric
+    /// direction — the paper's line-29 test — when it next runs.
+    pub fn absorb_edge(&mut self, x: VertexId, y: VertexId, w: Weight) {
+        self.dv.min_merge_through(x, w as Dist, y);
+        self.dv.min_merge_through(y, w as Dist, x);
     }
 
-    /// The edge-addition relaxation (Fig. 3 lines 26–34, from the authors'
-    /// edge-addition algorithm [9]): for every local row `a` and the new
-    /// edge `(x, y, w)`, test
-    /// `D[a][t] > D[a][x] + w + D[y][t]` and the symmetric direction, using
-    /// the stashed broadcast rows of `x` and `y`.
-    pub fn apply_edge_relax(&mut self, x: VertexId, y: VertexId, w: Weight) {
-        let Self { gathered, local, dv, .. } = self;
-        let rx = gathered.get(&x);
-        let ry = gathered.get(&y);
-        for &a in local.iter() {
-            if !dv.is_local(a) {
-                continue;
-            }
-            dv.update_local_row(a, |row| {
-                if let Some(ry) = ry {
-                    row.relax_via(dist_add(row.get(x), w as Dist), ry);
-                }
-                if let Some(rx) = rx {
-                    row.relax_via(dist_add(row.get(y), w as Dist), rx);
-                }
-            });
+    /// Ends a dynamic batch: relaxes to the rank-local fixed point and drops
+    /// exactly the rows the batch newly held that no local vertex
+    /// neighbours. Not [`RankState::evict_unneeded_cached`]: a row cached
+    /// before the batch stays although nothing here neighbours it any more,
+    /// for its owner's `synced` may still list this rank, and a Delta aimed
+    /// here once the vertex is re-attached needs the base it was cut from.
+    pub fn settle(&mut self) {
+        self.relax_pending();
+        if self.held.is_empty() {
+            return;
         }
-    }
-
-    /// Clears the broadcast stash (end of a dynamic batch).
-    pub fn clear_gathered(&mut self) {
-        self.gathered.clear();
+        let mut drop = vec![false; self.owner.len()];
+        for v in self.held.drain(..) {
+            drop[v as usize] = true;
+        }
+        for &(t, _) in self.adj.values().flatten() {
+            drop[t as usize] = false;
+        }
+        self.dv.retain_cached(|v| !drop[v as usize]);
     }
 
     /// Selective invalidation — this rank's share of every decremental
@@ -706,11 +707,8 @@ impl RankState {
             // Repartition-S the rest arrive with the batch.
             let mut edges = adjacency_of(v);
             edges.retain(|&(t, _)| (t as usize) < n);
-            self.dv.update_local_row(v, |row| {
-                for &(t, w) in &edges {
-                    row.lower(t, w as Dist);
-                }
-            });
+            let seeds: Vec<_> = edges.iter().map(|&(t, w)| (t, w as Dist)).collect();
+            self.dv.min_merge_local_sparse(v, &seeds);
             self.adj.insert(v, edges);
         }
         self.rebuild_edge_seen();
@@ -738,7 +736,7 @@ impl RankState {
         for &(a, b, w) in edges {
             for (x, y) in [(a, b), (b, a)] {
                 if self.dv.is_local(x) {
-                    self.dv.update_local_row(x, |row| row.lower(y, w as Dist));
+                    self.dv.min_merge_local_sparse(x, &[(y, w as Dist)]);
                 }
             }
         }
@@ -753,8 +751,7 @@ impl RankState {
     /// adjacency are rebuilt deterministically from the graph + partition
     /// sections on restore. `pending` is derived: the local rows whose
     /// unpropagated record is non-empty (at a barrier no cached row has
-    /// one). Broadcast stashes (`gathered`) are never captured: snapshots
-    /// are taken at superstep barriers, where they are empty.
+    /// one).
     pub fn to_snapshot(&self) -> RankSnapshot {
         RankSnapshot {
             rank: self.rank as u32,
@@ -801,7 +798,6 @@ impl RankState {
                 self.dv.mark_unpropagated(v);
             }
         }
-        self.gathered.clear();
         self.synced.clear();
         self.last_sent = false;
         self.last_changed = false;
@@ -1057,21 +1053,26 @@ mod tests {
     }
 
     #[test]
-    fn edge_relax_uses_gathered_rows() {
+    fn edge_absorb_uses_held_rows() {
         let (mut r0, _) = two_rank_path();
         r0.initial_approximation();
-        // Pretend a new edge 0-3 of weight 1; rank 0 gathers row(3).
-        r0.stash_row(3, &[INF, INF, 1, 0]);
-        r0.stash_row(0, &r0.row_for_broadcast(0));
-        r0.apply_edge_relax(0, 3, 1);
-        // Row 0 learns d(0,3) = 1 and d(0,2) = 2 (via 3).
-        let row0 = r0.dv().row(0).unwrap();
-        assert_eq!(row0[3], 1);
-        assert_eq!(row0[2], 2);
-        // Row 1: d(1,3) ≤ d(1,0) + 1 + 0 = 2.
-        assert_eq!(r0.dv().row(1).unwrap()[3], 2);
-        r0.clear_gathered();
-        r0.relax_pending();
+        // Pretend a new edge 0-3 of weight 1; rank 0 holds row(3), and as
+        // the owner of row 0 ignores its own broadcast.
+        r0.hold_row(3, &[INF, INF, 1, 0]);
+        r0.hold_row(0, &r0.row_for_broadcast(0));
+        assert_eq!(r0.held, vec![3]);
+        r0.absorb_edge(0, 3, 1);
+        // Row 0 learns d(0,3) = 1 and d(0,2) = 2 (via 3) at once, and the
+        // held copy of row 3 its way back over the edge.
+        assert_eq!(r0.dv().row(0).unwrap(), &[0, 1, 2, 1]);
+        assert_eq!(r0.dv().row(3).unwrap(), &[1, 2, 1, 0]);
+        // Row 1 waits for the kernel: d(1,3) ≤ d(1,0) + 1 + 0 = 2.
+        assert_eq!(r0.dv().row(1).unwrap()[3], INF);
+        r0.settle();
+        assert_eq!(r0.dv().row(1).unwrap(), &[1, 0, 1, 2]);
+        // Rank 0 did not record the edge, so nothing local neighbours 3:
+        // the held row goes with its batch.
+        assert!(r0.dv().row(3).is_none() && r0.held.is_empty());
     }
 
     #[test]
@@ -1284,26 +1285,28 @@ mod tests {
             panic!("{ctx}: no quiescence after 64 exchanges");
         }
 
-        /// The Fig. 3 relaxation of one recorded edge on every rank,
-        /// leaving the changed rows pending when `relax` is off.
-        fn relax_edge(&mut self, u: VertexId, v: VertexId, w: Weight, relax: bool) {
+        /// What a driver does about one recorded edge on every rank: the
+        /// Fig. 3 relaxation (both endpoint rows held, the edge absorbed,
+        /// the batch settled), or — `seed_only`, Repartition-S's path — the
+        /// endpoint cells alone, which leaves those rows pending.
+        fn relax_edge(&mut self, u: VertexId, v: VertexId, w: Weight, seed_only: bool) {
+            if seed_only {
+                return self.ranks.iter_mut().for_each(|r| r.seed_edges(&[(u, v, w)]));
+            }
             let (ru, rv) =
                 (self.owner_of(u).row_for_broadcast(u), self.owner_of(v).row_for_broadcast(v));
             for r in &mut self.ranks {
-                r.stash_row(u, &ru);
-                r.stash_row(v, &rv);
-                r.apply_edge_relax(u, v, w);
-                if relax {
-                    r.relax_pending();
-                }
-                r.clear_gathered();
+                r.hold_row(u, &ru);
+                r.hold_row(v, &rv);
+                r.absorb_edge(u, v, w);
+                r.settle();
             }
         }
 
         fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight, relax: bool) {
             self.graph.add_edge(u, v, w).expect("fresh edge");
             self.ranks.iter_mut().for_each(|r| r.record_edge(u, v, w));
-            self.relax_edge(u, v, w, relax);
+            self.relax_edge(u, v, w, !relax);
         }
 
         /// Selective invalidation with the real witness, on the ranks and
@@ -1333,11 +1336,7 @@ mod tests {
             self.owner.push(p);
             let msg = GrowMsg { base: x, owners: vec![p], edges: vec![(x, t, w)] };
             self.ranks.iter_mut().for_each(|r| r.grow(&msg));
-            if seed_only {
-                self.ranks.iter_mut().for_each(|r| r.seed_edges(&msg.edges));
-            } else {
-                self.relax_edge(x, t, w, true);
-            }
+            self.relax_edge(x, t, w, seed_only);
         }
 
         /// The one migration path, as both drivers run it.
@@ -1378,6 +1377,11 @@ mod tests {
                 assert_eq!(self.owner_of(v).dv.local_row(v), Some(&want[..]), "{ctx}: row {v}");
             }
         }
+    }
+
+    /// Sorted ids of the rows `r` holds without owning them.
+    fn cached(r: &RankState) -> Vec<VertexId> {
+        r.dv.all_ids_sorted().into_iter().filter(|&v| !r.dv.is_local(v)).collect()
     }
 
     /// Cycle 0-1-2-3-4-5-0, unit weights, split {0,1,2} | {3,4,5}.
@@ -1448,6 +1452,35 @@ mod tests {
         assert_eq!(wire.ranks[1].dv.row(6).unwrap(), &[3, 2, 1, 6, 5, 4, 0]);
     }
 
+    /// A batch drops only the rows it held itself. Vertex 2 loses its one
+    /// cut edge, so nothing on rank 1 neighbours it any more — yet rank 0's
+    /// `synced[2]` still lists rank 1, and rank 1's copy of row 2 is the
+    /// base the next Delta is cut against. A wave elsewhere (vertex 6 joins
+    /// rank 0; rank 1 holds row 6 for the length of the batch and drops it)
+    /// must leave that copy alone: once vertex 7 attaches to 2 by a seeded
+    /// grow, which ships no endpoint row, rank 1 gets a Delta of row 2.
+    /// (Dropping by `evict_unneeded_cached` throws the base away and the
+    /// Delta lands on an all-`INF` row.)
+    #[test]
+    fn a_wave_keeps_the_rows_cached_before_it() {
+        let mut wire = two_rank_ring();
+        wire.settle("cold");
+        wire.remove_edge(2, 3);
+        wire.settle("without the cut edge");
+        assert_eq!(cached(&wire.ranks[1]), vec![0, 2]);
+
+        wire.grow(0, 0, 1, false);
+        assert_eq!(cached(&wire.ranks[1]), vec![0, 2], "row 6 went with its batch, row 2 stayed");
+        assert!(wire.ranks.iter().all(|r| r.held.is_empty()));
+        wire.check("after the wave");
+
+        wire.grow(1, 2, 1, true);
+        wire.check("re-attached");
+        assert!(wire.settle("re-attached"), "rank 1 still holds the old send: a delta");
+        wire.assert_exact("re-attached");
+        assert_eq!(wire.ranks[1].dv.row(7).unwrap(), &[3, 2, 1, 6, 5, 4, 4, 0]);
+    }
+
     /// A simple connected-ish weighted graph on `n ∈ [6, 80]` vertices (up
     /// to two chunks a row) with its owner map over `procs ∈ {2, 3}` ranks.
     fn arb_wire() -> impl Strategy<Value = (AdjGraph, Vec<PartId>, usize)> {
@@ -1470,6 +1503,52 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Fig. 3 lines 22–34 on the new ops, at any point of a run: after
+        /// `hold_row` ×2, `absorb_edge` and `settle`, every local row
+        /// passes the line-29 test against the rows as they were before
+        /// the batch (the kernel applied it, through `x′` and `y′`), every
+        /// rank is admissible, and no held row outlives the batch: the
+        /// cached ids are the old ones plus only what a local vertex now
+        /// neighbours.
+        #[test]
+        fn an_absorbed_edge_puts_every_local_row_under_line_29(
+            setup in arb_wire(),
+            warmup in 0usize..3,
+            a in 0u64..u64::MAX,
+            w in 1u32..5,
+        ) {
+            let (graph, owner, procs) = setup;
+            let mut wire = ShadowedWire::new(graph, owner, procs);
+            for _ in 0..warmup {
+                wire.exchange("warmup");
+            }
+            let n = wire.graph.num_vertices();
+            let (x, y) = ((a % n as u64) as VertexId, ((a >> 32) % n as u64) as VertexId);
+            prop_assume!(x != y && !wire.graph.has_edge(x, y));
+            let before = wire.ranks.clone();
+            let (rx, ry) =
+                (wire.owner_of(x).row_for_broadcast(x), wire.owner_of(y).row_for_broadcast(y));
+            wire.add_edge(x, y, w, true);
+            wire.check("absorbed");
+            for (r, old) in wire.ranks.iter().zip(&before) {
+                for &v in r.local_vertices() {
+                    let (row, was) = (r.dv.local_row(v).unwrap(), old.dv.local_row(v).unwrap());
+                    let (via_x, via_y) = (dist_add(was[x as usize], w), dist_add(was[y as usize], w));
+                    for t in 0..n {
+                        let line_29 = dist_add(via_x, ry[t]).min(dist_add(via_y, rx[t]));
+                        prop_assert!(row[t] <= was[t].min(line_29), "rank {} cell {v}→{t}", r.rank);
+                    }
+                }
+                prop_assert!(r.held.is_empty());
+                let (now, then) = (cached(r), cached(old));
+                prop_assert!(then.iter().all(|v| now.contains(v)), "a row cached before is gone");
+                for v in now.into_iter().filter(|v| !then.contains(v)) {
+                    let neighboured = r.adj.values().flatten().any(|&(t, _)| t == v);
+                    prop_assert!(neighboured, "rank {} kept row {v}, which it only held", r.rank);
+                }
+            }
+        }
 
         /// Op-programs over everything that touches a row between two
         /// sends, landing between the exchanges of a run that has not

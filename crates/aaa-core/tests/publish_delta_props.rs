@@ -7,8 +7,8 @@
 //! under concurrent readers throughout.
 
 use aaa_core::{
-    AnytimeEngine, AssignStrategy, BoundsMode, DynamicChange, EngineConfig, MetricKind, NewVertex,
-    PublishedView, Publisher, VertexBatch, TOPK_SERVE_CAP,
+    AnytimeEngine, AssignStrategy, BoundsMode, DynamicChange, EngineConfig, MetricKind, NetMsg,
+    NewVertex, PublishedView, Publisher, VertexBatch, ViewDelta, TOPK_SERVE_CAP,
 };
 use aaa_graph::AdjGraph;
 use proptest::prelude::*;
@@ -38,6 +38,27 @@ fn assert_views_match(a: &PublishedView, b: &PublishedView) {
         assert_eq!(a.top_k(k), b.top_k(k), "top_k({k}) drifted");
         assert_eq!(a.top_k(k), a.top_k_rescan(k), "index disagrees with the rescan oracle");
         assert_eq!(a.metric_top_k(bc, k), b.metric_top_k(bc, k), "betweenness top_k({k}) drifted");
+    }
+}
+
+/// The replication contract: the leader's newest delta, encoded, must alone
+/// turn the follower's view into the leader's, bit for bit.
+fn follow(delta: &ViewDelta, leader: &PublishedView, follower: &mut Arc<PublishedView>) {
+    let decoded = NetMsg::decode(&delta.to_msg().encode()).expect("delta decodes");
+    let applied = ViewDelta::from_msg(&decoded)
+        .expect("ViewDelta message")
+        .apply_to(follower)
+        .expect("the leader's own delta fits");
+    assert_eq!(&applied, leader, "follower drifted");
+    *follower = Arc::new(applied);
+}
+
+/// [`follow`] for a live engine, whose barriers mint at most one epoch each.
+fn follow_engine(engine: &AnytimeEngine, follower: &mut Arc<PublishedView>) {
+    let leader = engine.published();
+    if leader.epoch != follower.epoch {
+        assert_eq!(leader.epoch, follower.epoch + 1, "one epoch per barrier");
+        follow(engine.last_view_delta().expect("delta recorded"), &leader, follower);
     }
 }
 
@@ -113,11 +134,14 @@ proptest! {
             let n = current.closeness.len();
             match code {
                 // Thin epoch: growth plus the changed rows of every column.
+                // Like the engine's, it restates the closeness of every new
+                // id — a follower grows a view no further.
                 0..=2 => {
-                    let n = n + size;
+                    let (old, n) = (n as u32, n + size);
                     current.resize(n);
+                    let grown = (old..n as u32).map(|id| (id, id * 53 + 5));
                     let mut entries: Vec<(u32, f64)> =
-                        raw.into_iter().map(|(id, v)| (id % n as u32, val(v))).collect();
+                        raw.into_iter().chain(grown).map(|(id, v)| (id % n as u32, val(v))).collect();
                     entries.sort_by_key(|e| e.0);
                     entries.dedup_by_key(|e| e.0);
                     let derive = |column: &mut Option<Vec<f64>>, salt: u32| match column {
@@ -156,16 +180,7 @@ proptest! {
             current.publish_full(&mut full, step + 1);
             assert_views_match(&delta.latest(), &full.latest());
 
-            // Follower: the encoded delta alone must reconstruct the
-            // leader's view bit for bit (the replication contract).
-            let wire = delta.last_delta().expect("delta recorded").to_msg().encode();
-            let decoded = aaa_core::NetMsg::decode(&wire).expect("delta decodes");
-            let applied = aaa_core::ViewDelta::from_msg(&decoded)
-                .expect("ViewDelta message")
-                .apply_to(&follower)
-                .expect("the leader's own delta fits");
-            assert_eq!(&applied, delta.latest().as_ref(), "follower drifted");
-            follower = Arc::new(applied);
+            follow(delta.last_delta().expect("delta recorded"), &delta.latest(), &mut follower);
         }
     }
 }
@@ -192,8 +207,13 @@ fn engine_pair(
     (a, b)
 }
 
-/// Mirrors one scripted operation onto both engines.
-fn apply_op(engine: &mut AnytimeEngine, op: &(u8, u32, u32, u32)) {
+/// Mirrors one scripted operation onto both engines; `barrier` sees the
+/// engine after every call that may have minted an epoch.
+fn apply_op(
+    engine: &mut AnytimeEngine,
+    op: &(u8, u32, u32, u32),
+    mut barrier: impl FnMut(&AnytimeEngine),
+) {
     let &(code, x, y, w) = op;
     let n = engine.graph().num_vertices() as u32;
     let (u, v) = (x % n, y % n);
@@ -224,12 +244,16 @@ fn apply_op(engine: &mut AnytimeEngine, op: &(u8, u32, u32, u32)) {
             );
         }
         4 => {
+            // The step's own drain, made visible: it mints an epoch too.
+            engine.drain_changes().expect("queued changes passed submit");
+            barrier(engine);
             engine.rc_step();
         }
         _ => {
             let _ = engine.drain_changes();
         }
     }
+    barrier(engine);
 }
 
 proptest! {
@@ -249,14 +273,20 @@ proptest! {
         let mode = if certified == 1 { BoundsMode::Certified } else { BoundsMode::None };
         let (mut a, mut b) = engine_pair(n, &edges, mode);
         assert_views_match(&a.published(), &b.published());
+        let mut follower = a.published();
         for op in &ops {
-            apply_op(&mut a, op);
-            apply_op(&mut b, op);
+            apply_op(&mut a, op, |a| follow_engine(a, &mut follower));
+            apply_op(&mut b, op, |_| ());
             assert_views_match(&a.published(), &b.published());
         }
         let _ = a.drain_changes();
         let _ = b.drain_changes();
-        while a.rc_step() { prop_assert!(b.rc_step()); }
+        follow_engine(&a, &mut follower);
+        while a.rc_step() {
+            prop_assert!(b.rc_step());
+            follow_engine(&a, &mut follower);
+        }
+        follow_engine(&a, &mut follower);
         prop_assert!(!b.rc_step());
         assert_views_match(&a.published(), &b.published());
         prop_assert!(a.published().converged);
@@ -276,16 +306,20 @@ proptest! {
         a.run_to_convergence();
         b.run_to_convergence();
         assert_views_match(&a.published(), &b.published());
+        let mut follower = a.published();
 
         a.remove_vertices(&[victim % n as u32]).expect("removal");
         b.remove_vertices(&[victim % n as u32]).expect("removal");
         assert_views_match(&a.published(), &b.published());
+        follow_engine(&a, &mut follower);
 
         a.rebalance(seed).expect("rebalance");
         b.rebalance(seed).expect("rebalance");
+        follow_engine(&a, &mut follower);
         a.rc_step();
         b.rc_step();
         assert_views_match(&a.published(), &b.published());
+        follow_engine(&a, &mut follower);
 
         // Restore rewinds both engines to the checkpoint; the restored
         // publisher starts over (full first epoch), and the pair must

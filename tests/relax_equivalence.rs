@@ -58,6 +58,8 @@ struct Reference {
     rows: BTreeMap<u32, Vec<u32>>,
     dirty: BTreeSet<u32>,
     pending: BTreeSet<u32>,
+    /// Cached rows the batch in flight created by holding a broadcast.
+    held: Vec<u32>,
 }
 
 impl Reference {
@@ -73,6 +75,7 @@ impl Reference {
             rows,
             dirty: state.dv().dirty_sorted().into_iter().collect(),
             pending: state.to_snapshot().pending.into_iter().collect(),
+            held: Vec::new(),
         }
     }
 
@@ -187,22 +190,53 @@ impl Reference {
         self.locals.sort_unstable();
     }
 
-    /// The old `apply_edge_relax` against the broadcast rows of `x`, `y`.
-    fn edge_relax(&mut self, x: u32, y: u32, w: u32, rx: &[u32], ry: &[u32]) {
-        for &a in &self.locals {
-            let row = self.rows.get_mut(&a).expect("local row");
-            let mut changed = false;
-            let dx = row[x as usize];
-            if dx != INF {
-                changed |= relax_row(row, dx.saturating_add(w), ry);
+    /// The rank's `hold_row`: a non-owner min-merges the broadcast row
+    /// into its cached copy, remembering a row it did not hold before.
+    fn hold(&mut self, v: u32, row: &[u32]) {
+        if self.is_local(v) {
+            return;
+        }
+        if !self.rows.contains_key(&v) {
+            self.held.push(v);
+        }
+        if self.merge(v, &RowPayload::Full(row.to_vec())) {
+            self.pending.insert(v);
+        }
+    }
+
+    /// The rank's `absorb_edge`: each endpoint row, local or cached, takes
+    /// the other's through the edge and queues as a pivot.
+    fn absorb_edge(&mut self, x: u32, y: u32, w: u32) {
+        for (p, q) in [(x, y), (y, x)] {
+            let via = self.rows[&q].clone();
+            if relax_row(self.rows.get_mut(&p).expect("held row"), w, &via) {
+                self.pending.insert(p);
+                if self.is_local(p) {
+                    self.dirty.insert(p);
+                }
             }
-            let dy = row[y as usize];
-            if dy != INF {
-                changed |= relax_row(row, dy.saturating_add(w), rx);
+        }
+    }
+
+    /// The rank's `settle`: relax, then the rows the batch newly held go,
+    /// except those a local vertex neighbours.
+    fn settle(&mut self, neighboured: impl Fn(u32) -> bool) {
+        self.relax_pending();
+        for v in std::mem::take(&mut self.held) {
+            if !neighboured(v) {
+                self.rows.remove(&v);
             }
-            if changed {
-                self.dirty.insert(a);
-                self.pending.insert(a);
+        }
+    }
+
+    /// The rank's `seed_edges`: the endpoint cells of each edge on the rows
+    /// held locally, left pending.
+    fn seed_edges(&mut self, edges: &[(u32, u32, u32)]) {
+        for &(a, b, w) in edges {
+            for (x, y) in [(a, b), (b, a)] {
+                if self.is_local(x) && self.merge(x, &RowPayload::Delta(vec![(y, w)])) {
+                    self.pending.insert(x);
+                }
             }
         }
     }
@@ -369,7 +403,8 @@ proptest! {
 
     /// Random programs over every write path that feeds the kernel: Full
     /// and Delta (sparse-pair) merges into local and cached rows, vertex
-    /// growth with the Fig. 3 edge relaxation, budgeted migration in both
+    /// growth with the Fig. 3 edge relaxation (hold, absorb, settle) or the
+    /// seeded edges of Repartition-S, budgeted migration in both
     /// directions (swap-remove must carry a moved row's record), the
     /// recovery kick (`absorb_snapshot` + `mark_all_for_resend`) and real
     /// exchanges with the peer. Rows and dirty sets must match the old
@@ -433,28 +468,37 @@ proptest! {
                     trio.reference.grow(&msg, 0);
                     trio.each(|s| s.grow(&msg));
                     r1.grow(&msg);
-                    for (x, y, w) in edges {
-                        let row_of = |v: u32| match owner[v as usize] {
-                            0 => trio.seq.row_for_broadcast(v),
-                            _ => r1.row_for_broadcast(v),
-                        };
-                        let (rx, ry) = (row_of(x), row_of(y));
-                        trio.reference.edge_relax(x, y, w, &rx, &ry);
-                        for s in [&mut trio.seq, &mut trio.par, &mut r1] {
-                            s.stash_row(x, &rx);
-                            s.stash_row(y, &ry);
-                            s.apply_edge_relax(x, y, w);
+                    // Half the time the batch is only seeded (Repartition-S's
+                    // way with its edges) and left pending, so exact records
+                    // cross whatever the next step does to the arena (a
+                    // migration swap-removes rows under them).
+                    if a >> 40 & 1 != 0 {
+                        trio.reference.seed_edges(&edges);
+                        trio.each(|s| s.seed_edges(&edges));
+                        r1.seed_edges(&edges);
+                    } else {
+                        for (x, y, w) in edges {
+                            for v in [x, y] {
+                                let row = match owner[v as usize] {
+                                    0 => trio.seq.row_for_broadcast(v),
+                                    _ => r1.row_for_broadcast(v),
+                                };
+                                trio.reference.hold(v, &row);
+                                for s in [&mut trio.seq, &mut trio.par, &mut r1] {
+                                    s.hold_row(v, &row);
+                                }
+                            }
+                            trio.reference.absorb_edge(x, y, w);
+                            for s in [&mut trio.seq, &mut trio.par, &mut r1] {
+                                s.absorb_edge(x, y, w);
+                            }
                         }
+                        let local = |t: u32| owner[t as usize] == 0;
+                        trio.reference.settle(|v| g.neighbors(v).iter().any(|e| local(e.0)));
+                        trio.each(RankState::settle);
+                        trio.check(&ctx);
+                        r1.settle();
                     }
-                    // Half the time the batch is left pending, so exact
-                    // records cross whatever the next step does to the
-                    // arena (a migration swap-removes rows under them).
-                    if a >> 40 & 1 == 0 {
-                        trio.relax_pending(&ctx);
-                    }
-                    trio.each(RankState::clear_gathered);
-                    r1.relax_pending();
-                    r1.clear_gathered();
                 }
                 // Budgeted migration: one vertex each way where possible.
                 3 => {
