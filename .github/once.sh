@@ -101,3 +101,19 @@ fi
 callers=$(nontest crates/aaa-core/src/dv.rs | awk '/^ *(pub )?(unsafe )?fn / { name = $0 } /(^|[^_a-z])walk_mask\(/ && !/fn walk_mask\(/ { print name }')
 echo "walk_mask called from: $callers"
 [ "$(echo "$callers" | grep -c 'fn ')" = 1 ] && echo "$callers" | grep -q 'fn relax_via_bounded(' || { echo "walk_mask has a caller besides relax_via_bounded"; exit 1; }
+
+# A drained change voids no metric. PR 23: each applied change states the
+# edges it made or unmade and the publish barrier recomputes only the sources
+# whose row moved or under whose row such an edge is tight; only a rewind
+# (`recover_rank`) starts the metrics over, and a full *epoch* restates the
+# maintained column, it does not re-ask for every row. So outside tests
+# `invalidate_all(` has one call site, in `recover_rank`, and nothing derives
+# "all rows" from the publisher's `full`.
+calls=$(for f in $(grep -rl '\.invalidate_all(' crates/); do
+  nontest "$f" | awk -v f="$f" '/^ *(pub )?fn / { name = $0 } /\.invalidate_all\(/ { print f ":" name }'
+done)
+echo "invalidate_all called from: $calls"
+[ "$(echo "$calls" | grep -c 'fn ')" = 1 ] && echo "$calls" | grep -q 'fn recover_rank(' || { echo "invalidate_all has a caller besides recover_rank"; exit 1; }
+if grep -rnE 'want_all|update_extra_metrics\(full|full *\|\|[^;]*wants_all_rows|wants_all_rows\(\)[^;]*\|\| *full' crates/; then
+  echo "the metrics are asked for every row because the publisher wants a full epoch"; exit 1
+fi

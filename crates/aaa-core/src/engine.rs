@@ -29,7 +29,7 @@ use aaa_checkpoint::{
     Snapshot,
 };
 use aaa_graph::apsp::DistMatrix;
-use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
+use aaa_graph::{dist_add, AdjGraph, Dist, PartId, VertexId, Weight, INF};
 use aaa_observe::{EventSink, NoopSink, RunReport, Section, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::simple::{
     BlockPartitioner, HashPartitioner, RandomPartitioner, RoundRobinPartitioner,
@@ -226,6 +226,11 @@ pub struct AnytimeEngine {
     /// columns from [`EngineConfig::metrics`]. Extra-metric state lives at
     /// the driver and is updated at publish barriers from drained DV rows.
     metrics: MetricSet,
+    /// The edges made or unmade since the last publish barrier, each with
+    /// the weight under which it was or is tight: what the barrier tests
+    /// the unmoved rows against ([`AnytimeEngine::update_extra_metrics`]).
+    /// Stays empty on a closeness-only engine.
+    touched: Vec<(VertexId, VertexId, Weight)>,
 }
 
 impl AnytimeEngine {
@@ -334,6 +339,7 @@ impl AnytimeEngine {
             changes: ChangeLog::new(),
             publisher: Publisher::new(publish_bounds),
             metrics,
+            touched: Vec::new(),
         };
         // The anytime contract starts at construction: the IA answer is the
         // first published epoch.
@@ -479,7 +485,7 @@ impl AnytimeEngine {
         // vertex's bound and forces the full path below.
         self.publisher.cache_for(&self.graph);
         let full = self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
-        let extra_deltas = self.update_extra_metrics(full, &changed);
+        let extra_deltas = self.update_extra_metrics(&changed);
         let primary = self.metrics.primary();
         let cache = self.publisher.cache_for(&self.graph);
         // Every row this epoch re-states — all of them on a full epoch —
@@ -547,35 +553,47 @@ impl AnytimeEngine {
         }
     }
 
-    /// Hands this epoch's DV rows to the extra metrics and collects each
-    /// one's changed-entry delta. `changed` is the per-rank epoch-dirty
-    /// vertex list the caller already drained; when the publisher is doing
-    /// a full rebuild or a metric was invalidated by a structural change,
-    /// every local row is gathered instead. Driver-side and unpriced, like
-    /// the rest of the publish barrier. No-op on closeness-only engines.
+    /// Hands the extra metrics the rows their state may depend on and
+    /// collects each one's changed-entry delta: the epoch-dirty rows
+    /// (`changed`, per rank, as the caller drained them) and the rows under
+    /// which an edge changed since the last barrier is tight — Kourtellis et
+    /// al.'s per-source test, two cell reads per row and edge, made where
+    /// the row lives. Any other source's cached state is what recomputing it
+    /// would return (DESIGN.md §15). Every row only when a metric has no
+    /// state to keep (fresh, or rewound by `recover_rank`); a full *epoch*
+    /// needs no row at all, it restates the column the metric maintains.
+    /// Driver-side and unpriced, like the rest of the publish barrier. No-op
+    /// on closeness-only engines.
     fn update_extra_metrics(
         &mut self,
-        full: bool,
         changed: &[Vec<VertexId>],
     ) -> Vec<(MetricKind, Vec<(VertexId, f64)>)> {
         if self.metrics.closeness_only() {
             return Vec::new();
         }
-        let want_all = full || self.metrics.wants_all_rows();
-        let mut rows: Vec<(VertexId, Vec<Dist>)> = if want_all {
-            self.cluster.barrier_read(|_, s| s.local_rows()).into_iter().flatten().collect()
-        } else {
-            self.cluster
-                .barrier_read(|r, s| {
-                    changed[r]
-                        .iter()
-                        .map(|&v| (v, s.dv().local_row(v).expect("local row").to_vec()))
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
+        let touched = std::mem::take(&mut self.touched);
+        let all = self.metrics.wants_all_rows();
+        let tight = |row: &[Dist], &(u, v, w): &(VertexId, VertexId, Weight)| {
+            let (du, dv) = (row[u as usize], row[v as usize]);
+            du != INF
+                && dv != INF
+                && (dist_add(du, w as Dist) == dv || dist_add(dv, w as Dist) == du)
         };
+        let per_rank = self.cluster.barrier_read(|r, s| {
+            // With no edge to test, the dirty list is the answer as it is.
+            let ids = if all || !touched.is_empty() { s.local_vertices() } else { &changed[r] };
+            ids.iter()
+                .filter_map(|&v| {
+                    let row = s.dv().local_row(v).expect("local row");
+                    let wanted = all
+                        || touched.is_empty()
+                        || changed[r].binary_search(&v).is_ok()
+                        || touched.iter().any(|e| tight(row, e));
+                    wanted.then(|| (v, row.to_vec()))
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut rows: Vec<(VertexId, Vec<Dist>)> = per_rank.into_iter().flatten().collect();
         rows.sort_unstable_by_key(|e| e.0);
         let n = self.graph.num_vertices();
         let graph = &self.graph;
@@ -799,14 +817,13 @@ impl AnytimeEngine {
             match res {
                 Ok(()) => {
                     applied += 1;
+                    // What the change did to the edge set — certified
+                    // bounds to rebuild, sources whose shortest-path
+                    // counts may have shifted where no distance did — it
+                    // stated itself (`edges_changed`). One that altered
+                    // nothing (a weight set to itself, isolated victims)
+                    // still counts and still publishes its epoch below.
                     self.changes.record_applied();
-                    // The graph changed; certified bounds must be rebuilt
-                    // and path-dependent metric state (e.g. cached
-                    // betweenness dependency vectors — shortest-path
-                    // counts can shift even where distances do not) is
-                    // stale everywhere.
-                    self.publisher.invalidate_cache();
-                    self.metrics.invalidate_all();
                 }
                 Err(e) => {
                     outcome = Err(e);
@@ -824,6 +841,19 @@ impl AnytimeEngine {
             self.publish_view(false);
         }
         outcome.map(|()| applied)
+    }
+
+    /// The one thing an applied change tells the layers above the DV rows:
+    /// the edges it made or unmade, each with the weight under which it was
+    /// or is tight. Certified bounds are rebuilt for the new structure; the
+    /// per-source metrics get the list at the next publish barrier
+    /// ([`AnytimeEngine::update_extra_metrics`]), a closeness-only engine
+    /// keeps none. A change that altered no edge does not call this.
+    fn edges_changed(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>) {
+        self.publisher.invalidate_cache();
+        if !self.metrics.closeness_only() {
+            self.touched.extend(edges);
+        }
     }
 
     // ----------------------------------------------------------------
@@ -883,6 +913,7 @@ impl AnytimeEngine {
                 self.apply_anywhere(batch, base, owners)?;
             }
         }
+        self.edges_changed(batch.global_edges(base));
         self.changes_applied += 1;
         Ok(())
     }
@@ -1084,11 +1115,13 @@ impl AnytimeEngine {
                 continue;
             }
             self.invalidate_through(v, v, |engine| {
-                let edges: Vec<(VertexId, VertexId)> =
-                    engine.graph.neighbors(v).iter().map(|&(t, _)| (v, t)).collect();
-                for &(a, b) in &edges {
-                    engine.graph.remove_edge(a, b)?;
+                let incident = engine.graph.neighbors(v).to_vec();
+                for &(t, _) in &incident {
+                    engine.graph.remove_edge(v, t)?;
                 }
+                let edges: Vec<(VertexId, VertexId)> =
+                    incident.iter().map(|&(t, _)| (v, t)).collect();
+                engine.edges_changed(incident.into_iter().map(|(t, w)| (v, t, w)));
                 engine.cluster.broadcast(
                     0,
                     move |_| edges,
@@ -1123,6 +1156,7 @@ impl AnytimeEngine {
             |_, s, &(a, b, w)| s.record_edge(a, b, w),
         );
         self.relax_over_edge(u, v, w, true);
+        self.edges_changed([(u, v, w)]);
         self.changes_applied += 1;
         Ok(())
     }
@@ -1170,6 +1204,9 @@ impl AnytimeEngine {
                 self.relax_over_edge(u, v, w, true);
             }
         }
+        if w != old {
+            self.edges_changed([(u, v, old), (u, v, w)]);
+        }
         self.changes_applied += 1;
         Ok(())
     }
@@ -1186,7 +1223,10 @@ impl AnytimeEngine {
 
     fn exec_remove_edge(&mut self, u: VertexId, v: VertexId) -> Result<(), CoreError> {
         self.invalidate_through(u, v, |engine| {
+            // `Some` whenever the removal goes through.
+            let w = engine.graph.edge_weight(u, v);
             engine.graph.remove_edge(u, v)?;
+            engine.edges_changed(w.map(|w| (u, v, w)));
             engine.cluster.broadcast(0, move |_| (u, v), |_| 8, |_, s, &(a, b)| s.erase_edge(a, b));
             Ok(())
         })?;
@@ -1393,6 +1433,7 @@ impl AnytimeEngine {
             changes: ChangeLog::new(),
             publisher: Publisher::new(publish_bounds),
             metrics,
+            touched: Vec::new(),
         };
         engine.publish_view(false);
         Ok(engine)

@@ -17,7 +17,12 @@
 //! * [`IncBetweenness`] — incremental betweenness per Kourtellis et al.
 //!   (*Scalable Online Betweenness Centrality in Evolving Graphs*): a
 //!   Brandes-style dependency vector is cached per source and recomputed
-//!   only for sources whose rows changed in the epoch; the published
+//!   only for the sources a change touched — those whose row moved in the
+//!   epoch, and those under whose row an edge made or unmade since the
+//!   last epoch is tight (`row[u] + w == row[v]` or the mirror): the
+//!   kernel reads nothing of the edge set but which pairs are tight under
+//!   the row it is given, so any other source's vector is bit for bit
+//!   what recomputing it would return (DESIGN.md §15). The published
 //!   column is re-summed fresh in source order so that at convergence it
 //!   is **bit-identical** to the deterministic exact oracle
 //!   (`aaa_store::algo::betweenness_exact`).
@@ -153,7 +158,8 @@ pub struct MetricTally {
     /// Per-source dependency recomputations performed (the unit of
     /// incremental work; a full rescan costs `n` of these per epoch).
     pub sources_recomputed: u64,
-    /// Epochs that had to rebuild from scratch (post-drain invalidation).
+    /// Epochs that had to rebuild from scratch (no state yet, or a rank
+    /// rewound by recovery) — not what a drained change costs.
     pub full_recomputes: u64,
     /// Score entries whose bits changed across all epochs.
     pub changed_entries: u64,
@@ -161,13 +167,17 @@ pub struct MetricTally {
 
 /// A maintained per-vertex centrality column over the engine's DV rows.
 ///
-/// Lifecycle per publish epoch: the engine drains the epoch-dirty rows at
-/// a barrier (all rows when [`Metric::wants_all_rows`] demands it), calls
+/// Lifecycle per publish epoch: at the barrier the engine gathers every
+/// source a change touched — the epoch-dirty rows, and the rows under
+/// which an edge changed since the last epoch is tight: a structural
+/// change can reshape a shortest-path DAG without moving any distance, so
+/// row-dirty tracking alone is not a sound change signal for
+/// path-counting metrics, and the tight test is what closes the gap —
+/// (all rows when [`Metric::wants_all_rows`] demands it), calls
 /// [`Metric::update`], and publishes the returned changed entries (or the
 /// [`Metric::full_column`] on a full epoch). [`Metric::invalidate`] fires
-/// whenever drained graph changes are applied — structural change can
-/// reshape shortest-path DAGs without moving any distance, so row-dirty
-/// tracking alone is not a sound change signal for path-counting metrics.
+/// on rewinds only (`recover_rank` putting a rank back on snapshot rows);
+/// a drained change never voids the metric.
 pub trait Metric: Send {
     /// Which column this metric maintains.
     fn kind(&self) -> MetricKind;
@@ -177,18 +187,20 @@ pub trait Metric: Send {
     /// metrics worker-side with zero extra state.
     fn score_from_row(&self, row: &[Dist]) -> Option<f64>;
 
-    /// Graph structure changed (vertices/edges added, removed or
-    /// reweighted): cached state derived from the old edge set is void.
+    /// Rows were rewound behind the change tracking's back: cached state
+    /// derived from them is void. (A change to the graph is *not* this —
+    /// the sources it touched arrive through [`Metric::update`].)
     fn invalidate(&mut self);
 
     /// True when the next [`Metric::update`] needs every row, not just
     /// the epoch-dirty ones (e.g. rebuilding after [`Metric::invalidate`]).
     fn wants_all_rows(&self) -> bool;
 
-    /// Consume this epoch's changed `(vertex, row)` pairs (sorted by id;
-    /// all `n` rows when [`Metric::wants_all_rows`] was true) against the
-    /// current adjacency, and return the score entries whose bits changed,
-    /// sorted by vertex id.
+    /// Consume this epoch's touched `(vertex, row)` pairs — every source
+    /// whose row moved or under whose row a changed edge is tight, sorted
+    /// by id; all `n` rows when [`Metric::wants_all_rows`] was true —
+    /// against the current adjacency, and return the score entries whose
+    /// bits changed, sorted by vertex id.
     fn update(
         &mut self,
         n: usize,
@@ -272,7 +284,7 @@ impl Metric for ClosenessMetric {
 }
 
 /// Incremental betweenness: per-source Brandes dependency vectors cached
-/// and recomputed only for sources whose rows changed.
+/// and recomputed only for the sources [`Metric::update`] is handed.
 ///
 /// Bit-identity contract: the published column is always a *fresh* sum of
 /// the cached per-source vectors in increasing source order, halved —
@@ -286,11 +298,12 @@ pub struct IncBetweenness {
     /// Per-source dependency vector (unhalved δ). A vector may be shorter
     /// than the current `n` when the graph grew since it was computed;
     /// missing entries are implicitly `+0.0`, which is bit-safe to skip in
-    /// the sum. (In practice growth invalidates everything anyway.)
+    /// the sum. A source that reaches a new vertex has a moved row and is
+    /// recomputed; one in another component keeps its shorter vector.
     deps: Vec<Vec<f64>>,
     /// The currently-published column (halved), for bit-diffing deltas.
     totals: Vec<f64>,
-    /// Set on structural change; cleared after the next full rebuild.
+    /// Set by [`Metric::invalidate`]; cleared after the next full rebuild.
     dirty_all: bool,
     tally: MetricTally,
     fresh: bool,
@@ -457,7 +470,8 @@ impl MetricSet {
         self.extras.iter().map(|e| e.kind()).collect()
     }
 
-    /// Signals structural change to every stateful metric.
+    /// Voids every stateful metric's cached state (rewinds only — see
+    /// [`Metric::invalidate`]).
     pub fn invalidate_all(&mut self) {
         for e in &mut self.extras {
             e.invalidate();

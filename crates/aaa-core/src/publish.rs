@@ -924,7 +924,9 @@ impl Publisher {
     }
 
     /// Drops the bounds cache; the next certified publish rebuilds it.
-    /// Called by the engine whenever the graph structure changes. Under
+    /// Called by the engine whenever the graph structure changes — and only
+    /// then: an applied change that altered no edge (a weight set to what
+    /// it was, the removal of isolated vertices) leaves the cache alone. Under
     /// [`BoundsMode::Certified`] this also forces the next publish onto
     /// the full path: new bounds apply to *every* vertex, not just the
     /// rows whose DV values moved. Under [`BoundsMode::None`] published

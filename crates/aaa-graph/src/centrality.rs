@@ -124,6 +124,53 @@ fn brandes_from(g: &Csr, s: VertexId) -> Vec<f64> {
     out
 }
 
+/// Largest finite distance, as a multiple of the row length, up to which
+/// [`canonical_order`] counts instead of sorting: its counters are one per
+/// distance value, so the counting pass stays linear in the row.
+const COUNTING_SPAN: usize = 4;
+
+/// The finite entries of `row` in canonical `(distance, id)` order. A
+/// counting pass over the distances (ids ascend inside a bucket because the
+/// row is walked in id order) whenever the largest finite distance is
+/// O(n) — every unit-weight graph — and a comparison sort otherwise; both
+/// yield the one sequence.
+fn canonical_order(row: &[Dist]) -> Vec<VertexId> {
+    let n = row.len();
+    let (mut finite, mut max) = (0usize, 0 as Dist);
+    for &d in row {
+        if d != INF {
+            finite += 1;
+            max = max.max(d);
+        }
+    }
+    if max as usize > COUNTING_SPAN * n {
+        let mut order: Vec<VertexId> =
+            (0..n as VertexId).filter(|&v| row[v as usize] != INF).collect();
+        order.sort_unstable_by_key(|&v| (row[v as usize], v));
+        return order;
+    }
+    // `next[d]` is where the next id at distance `d` goes: bucket sizes,
+    // shifted by one, summed into bucket starts.
+    let mut next = vec![0u32; max as usize + 2];
+    for &d in row {
+        if d != INF {
+            next[d as usize + 1] += 1;
+        }
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut order = vec![0 as VertexId; finite];
+    for (v, &d) in row.iter().enumerate() {
+        if d != INF {
+            let slot = &mut next[d as usize];
+            order[*slot as usize] = v as VertexId;
+            *slot += 1;
+        }
+    }
+    order
+}
+
 /// Brandes dependency vector of one source, derived from its distance
 /// *row* instead of a fresh Dijkstra traversal — the kernel shared by the
 /// deterministic betweenness oracle below and the engine's incremental
@@ -135,7 +182,11 @@ fn brandes_from(g: &Csr, s: VertexId) -> Vec<f64> {
 /// neighbor-list order. Two callers handing in the same row and the same
 /// edge set therefore get **bit-identical** vectors regardless of backend
 /// (adjacency-list vs CSR), which is what lets the incremental metric
-/// promise exact equality with the oracle at convergence.
+/// promise exact equality with the oracle at convergence. Of the edge set
+/// the result depends on nothing but which pairs are *tight* under the row
+/// (`row[p] + w == row[v]`, both finite): an edge change that leaves the
+/// row and that set alone leaves the vector alone, bit for bit — the
+/// engine's per-source test rests on this.
 ///
 /// `row` may be a partial (admissible, entrywise ≥ exact) anytime row: a
 /// vertex whose row entry is finite but not yet witnessed by any
@@ -145,14 +196,22 @@ fn brandes_from(g: &Csr, s: VertexId) -> Vec<f64> {
 /// does. Requires positive edge weights (zero-weight edges would break
 /// the strict distance ordering path counting relies on). The source's
 /// own entry is zeroed (a vertex never mediates for itself).
+///
+/// Both sweeps apply the tightness test as a `0.0` / `1.0` factor, not a
+/// branch (a tightness branch mispredicts on most edge visits). That is
+/// the same floats in the same order as the branching loop **provided
+/// every path count σ is finite**: for finite non-negative `x`,
+/// `x * 1.0 == x`, `x * 0.0` is `+0.0`, and adding `+0.0` to an
+/// accumulator that started at `+0.0` and only ever took non-negative
+/// terms leaves its bits alone. (A σ that overflowed to `∞` made the
+/// branching loop return `NaN`s too — `∞ / ∞` — just different ones.)
 pub fn dependency_from_row<F, I>(source: VertexId, row: &[Dist], succ: F) -> Vec<f64>
 where
     F: Fn(VertexId) -> I,
     I: Iterator<Item = (VertexId, Weight)>,
 {
     let n = row.len();
-    let mut order: Vec<VertexId> = (0..n as VertexId).filter(|&v| row[v as usize] != INF).collect();
-    order.sort_unstable_by_key(|&v| (row[v as usize], v));
+    let order = canonical_order(row);
 
     // Forward sweep: push path counts along tight edges. Processing in
     // canonical order means every contribution to `sigma[t]` arrives in
@@ -163,7 +222,8 @@ where
         sigma[source as usize] = 1.0;
     }
     for &v in &order {
-        if sigma[v as usize] == 0.0 {
+        let sv = sigma[v as usize];
+        if sv == 0.0 {
             continue; // no consistent shortest-path mass reaches v yet
         }
         let dv = row[v as usize];
@@ -172,17 +232,18 @@ where
                 continue; // neighbor beyond this row's coverage (mid-grow)
             }
             let dt = row[t as usize];
-            if dt != INF && dist_add(dv, w as Dist) == dt && dt > dv {
-                sigma[t as usize] += sigma[v as usize];
-            }
+            let tight = (dt != INF) & (dist_add(dv, w as Dist) == dt) & (dt > dv);
+            sigma[t as usize] += sv * f64::from(u8::from(tight));
         }
     }
 
     // Backward sweep in reverse canonical order: classic Brandes
-    // accumulation, each `delta[p]` receiving one term per tight edge.
+    // accumulation, each `delta[p]` receiving one term per tight edge (and
+    // a `+0.0` per other edge; so does a `p` with `σ = 0`).
     let mut delta = vec![0.0f64; n];
     for &v in order.iter().rev() {
-        if v == source || sigma[v as usize] == 0.0 {
+        let sv = sigma[v as usize];
+        if v == source || sv == 0.0 {
             continue;
         }
         let dv = row[v as usize];
@@ -192,9 +253,8 @@ where
                 continue;
             }
             let dp = row[p as usize];
-            if dp != INF && dp < dv && dist_add(dp, w as Dist) == dv && sigma[p as usize] != 0.0 {
-                delta[p as usize] += sigma[p as usize] / sigma[v as usize] * term;
-            }
+            let tight = (dp != INF) & (dp < dv) & (dist_add(dp, w as Dist) == dv);
+            delta[p as usize] += sigma[p as usize] * f64::from(u8::from(tight)) / sv * term;
         }
     }
     if (source as usize) < n {
@@ -393,6 +453,221 @@ mod tests {
         // All-INF row (source not yet reached) yields zeros.
         let zeros = dependency_from_row(2, &[INF; 4], |v| g.neighbors(v));
         assert_eq!(zeros, vec![0.0; 4]);
+    }
+
+    /// The branching, comparison-sorting loop `dependency_from_row` was
+    /// before its sweeps went branch-free, kept verbatim: the bit record
+    /// the kernel is held to.
+    fn reference_dependency<F, I>(source: VertexId, row: &[Dist], succ: F) -> Vec<f64>
+    where
+        F: Fn(VertexId) -> I,
+        I: Iterator<Item = (VertexId, Weight)>,
+    {
+        let n = row.len();
+        let mut order: Vec<VertexId> =
+            (0..n as VertexId).filter(|&v| row[v as usize] != INF).collect();
+        order.sort_unstable_by_key(|&v| (row[v as usize], v));
+
+        let mut sigma = vec![0.0f64; n];
+        if (source as usize) < n && row[source as usize] != INF {
+            sigma[source as usize] = 1.0;
+        }
+        for &v in &order {
+            if sigma[v as usize] == 0.0 {
+                continue;
+            }
+            let dv = row[v as usize];
+            for (t, w) in succ(v) {
+                if t == v || t as usize >= n {
+                    continue;
+                }
+                let dt = row[t as usize];
+                if dt != INF && dist_add(dv, w as Dist) == dt && dt > dv {
+                    sigma[t as usize] += sigma[v as usize];
+                }
+            }
+        }
+
+        let mut delta = vec![0.0f64; n];
+        for &v in order.iter().rev() {
+            if v == source || sigma[v as usize] == 0.0 {
+                continue;
+            }
+            let dv = row[v as usize];
+            let term = 1.0 + delta[v as usize];
+            for (p, w) in succ(v) {
+                if p == v || p as usize >= n {
+                    continue;
+                }
+                let dp = row[p as usize];
+                if dp != INF && dp < dv && dist_add(dp, w as Dist) == dv && sigma[p as usize] != 0.0
+                {
+                    delta[p as usize] += sigma[p as usize] / sigma[v as usize] * term;
+                }
+            }
+        }
+        if (source as usize) < n {
+            delta[source as usize] = 0.0;
+        }
+        delta
+    }
+
+    fn assert_same_bits(g: &AdjGraph, source: VertexId, row: &[Dist], what: &str) {
+        let succ = |v: VertexId| g.neighbors(v).iter().copied();
+        let new = dependency_from_row(source, row, succ);
+        let old = reference_dependency(source, row, succ);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&new), bits(&old), "{what}, source {source}");
+    }
+
+    /// BA, ER and planted-partition graphs, unit and weighted.
+    fn kernel_graphs() -> Vec<(&'static str, AdjGraph)> {
+        use crate::generators::{
+            barabasi_albert, erdos_renyi, planted_partition, PlantedPartition, WeightModel,
+        };
+        let sbm = PlantedPartition { communities: 4, size: 20, p_in: 0.3, p_out: 0.02 };
+        let weighted = WeightModel::UniformRange { lo: 1, hi: 7 };
+        vec![
+            ("ba unit", barabasi_albert(90, 3, WeightModel::Unit, 11).unwrap()),
+            ("ba weighted", barabasi_albert(90, 3, weighted, 12).unwrap()),
+            ("er unit", erdos_renyi(80, 200, WeightModel::Unit, 13).unwrap()),
+            ("er weighted", erdos_renyi(80, 200, weighted, 14).unwrap()),
+            ("sbm unit", planted_partition(&sbm, WeightModel::Unit, 15).unwrap().0),
+            ("sbm weighted", planted_partition(&sbm, weighted, 16).unwrap().0),
+        ]
+    }
+
+    #[test]
+    fn dependency_matches_the_reference_loop_on_exact_rows() {
+        for (name, g) in kernel_graphs() {
+            let csr = Csr::from_adj(&g);
+            for s in 0..g.num_vertices() as VertexId {
+                assert_same_bits(&g, s, &crate::sssp::dijkstra(&csr, s), name);
+            }
+        }
+    }
+
+    #[test]
+    fn dependency_matches_the_reference_loop_on_partial_rows() {
+        for (name, g) in kernel_graphs() {
+            let csr = Csr::from_adj(&g);
+            let n = g.num_vertices();
+            for s in 0..n as VertexId {
+                let exact = crate::sssp::dijkstra(&csr, s);
+                // IA-grade: the self cell and the direct edges, all else INF.
+                let mut ia = vec![INF; n];
+                ia[s as usize] = 0;
+                for &(t, w) in g.neighbors(s) {
+                    ia[t as usize] = w as Dist;
+                }
+                assert_same_bits(&g, s, &ia, name);
+                // Every third cell not reached yet.
+                let mut holes = exact.clone();
+                holes.iter_mut().skip(1).step_by(3).for_each(|d| *d = INF);
+                assert_same_bits(&g, s, &holes, name);
+                // Admissible but unwitnessed: every fourth finite cell sits
+                // well above its distance, so no tight predecessor
+                // vouches for it (σ = 0) and whatever hangs off it is cut.
+                let mut stale = exact.clone();
+                for d in stale.iter_mut().skip(2).step_by(4) {
+                    if *d != INF && *d != 0 {
+                        *d = *d * 2 + 1;
+                    }
+                }
+                assert_same_bits(&g, s, &stale, name);
+                // A row of another source entirely.
+                assert_same_bits(&g, (s + 1) % n as VertexId, &exact, name);
+            }
+        }
+    }
+
+    /// A path of `n` vertices whose far end lies `far` away: weight 1
+    /// everywhere but on the last edge.
+    fn stretched_path(n: usize, far: Dist) -> AdjGraph {
+        let mut g = AdjGraph::with_vertices(n);
+        for v in 0..n as VertexId - 2 {
+            g.add_edge(v, v + 1, 1).unwrap();
+        }
+        let last = n as VertexId - 1;
+        g.add_edge(last - 1, last, far - (last - 1)).unwrap();
+        g
+    }
+
+    #[test]
+    fn dependency_matches_the_reference_loop_on_both_sides_of_the_counting_threshold() {
+        let n = 40;
+        let limit = (COUNTING_SPAN * n) as Dist;
+        for far in [limit, limit + 1, 1 << 30] {
+            let g = stretched_path(n, far);
+            let csr = Csr::from_adj(&g);
+            let row = crate::sssp::dijkstra(&csr, 0);
+            assert_eq!(row[n - 1], far);
+            let sorted = {
+                let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
+                ids.sort_unstable_by_key(|&v| (row[v as usize], v));
+                ids
+            };
+            assert_eq!(canonical_order(&row), sorted, "far end at {far}");
+            for s in 0..n as VertexId {
+                assert_same_bits(&g, s, &crate::sssp::dijkstra(&csr, s), "stretched path");
+            }
+        }
+    }
+
+    #[test]
+    fn dependency_of_the_empty_row_and_of_an_out_of_range_source() {
+        let g = path4();
+        assert!(dependency_from_row(0, &[], |v| g.neighbors(v)).is_empty());
+        assert!(canonical_order(&[]).is_empty());
+        assert!(canonical_order(&[INF; 3]).is_empty());
+        // A source the row does not cover seeds no path mass: all zeros,
+        // and no cell beyond the row is touched.
+        let row = crate::sssp::dijkstra(&g, 1);
+        let adj = {
+            let mut a = AdjGraph::with_vertices(4);
+            for v in 0..3 {
+                a.add_edge(v, v + 1, 1).unwrap();
+            }
+            a
+        };
+        assert_same_bits(&adj, 9, &row, "out-of-range source");
+        assert_eq!(dependency_from_row(9, &row, |v| g.neighbors(v)), vec![0.0; 4]);
+    }
+
+    /// Host-stable speed gate: the branch-free, counting-order kernel
+    /// against the loop it replaced, same process, same rows. Run with
+    /// `cargo test --release -p aaa-graph -- --ignored dependency_kernel_ratio --nocapture`.
+    #[test]
+    #[ignore = "timing: run in release, alone"]
+    fn dependency_kernel_ratio() {
+        use crate::generators::{barabasi_albert, WeightModel};
+        use std::hint::black_box;
+        use std::time::Instant;
+        let n = 450;
+        let g = barabasi_albert(n, 3, WeightModel::Unit, 42).unwrap();
+        let csr = Csr::from_adj(&g);
+        let rows: Vec<Vec<Dist>> =
+            (0..n as VertexId).map(|s| crate::sssp::dijkstra(&csr, s)).collect();
+        let succ = |v: VertexId| g.neighbors(v).iter().copied();
+        let best_of_7 = |kernel: &dyn Fn(VertexId, &[Dist]) -> Vec<f64>| {
+            (0..7)
+                .map(|_| {
+                    let started = Instant::now();
+                    for (s, row) in rows.iter().enumerate() {
+                        black_box(kernel(s as VertexId, black_box(row)));
+                    }
+                    started.elapsed().as_secs_f64() * 1e6 / n as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let old = best_of_7(&|s, row| reference_dependency(s, row, succ));
+        let new = best_of_7(&|s, row| dependency_from_row(s, row, succ));
+        println!(
+            "dependency kernel, n = {n} BA m = 3: reference {old:.1} us/source, \
+             kernel {new:.1} us/source, ratio {:.2}x",
+            old / new
+        );
+        assert!(old >= 1.5 * new, "kernel {new:.1} us vs reference {old:.1} us per source");
     }
 
     #[test]
