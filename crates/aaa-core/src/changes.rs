@@ -79,13 +79,19 @@ impl VertexBatch {
     /// existing vertices: batch vertex `i` becomes `base + i`.
     pub fn global_edges(&self, base: VertexId) -> Vec<(VertexId, VertexId, Weight)> {
         let mut out = Vec::with_capacity(self.num_edges());
-        for (i, nv) in self.vertices.iter().enumerate() {
-            let me = base + i as VertexId;
-            for &(t, w) in &nv.edges {
-                out.push((me, t, w));
-            }
-        }
+        out.extend(self.iter_global_edges(base));
         out
+    }
+
+    /// [`VertexBatch::global_edges`] without the list.
+    pub fn iter_global_edges(
+        &self,
+        base: VertexId,
+    ) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
+        self.vertices
+            .iter()
+            .zip(base..)
+            .flat_map(|(nv, me)| nv.edges.iter().map(move |&(t, w)| (me, t, w)))
     }
 
     /// Edges internal to the batch (both endpoints new), in *batch-local*

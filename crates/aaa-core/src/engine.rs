@@ -228,8 +228,10 @@ pub struct AnytimeEngine {
     metrics: MetricSet,
     /// The edges made or unmade since the last publish barrier, each with
     /// the weight under which it was or is tight: what the barrier tests
-    /// the unmoved rows against ([`AnytimeEngine::update_extra_metrics`]).
-    /// Stays empty on a closeness-only engine.
+    /// the unmoved rows against — DV rows for the per-source metrics
+    /// ([`AnytimeEngine::update_extra_metrics`]), hop rows for the
+    /// certified bounds ([`Publisher::cache_for`]). Stays empty on an
+    /// engine with neither.
     touched: Vec<(VertexId, VertexId, Weight)>,
 }
 
@@ -423,6 +425,9 @@ impl AnytimeEngine {
                 ("chunks_copied", publish.chunks_copied as f64),
                 ("chunks_shared", publish.chunks_shared as f64),
                 ("topk_rebuilds", publish.topk_rebuilds as f64),
+                ("bounds_repairs", publish.bounds_repairs as f64),
+                ("bounds_rows_rewalked", publish.bounds_rows_rewalked as f64),
+                ("bounds_rebuilds", publish.bounds_rebuilds as f64),
             ],
         ));
         if let Some(tally) = self.metric_tally(MetricKind::Betweenness) {
@@ -468,11 +473,13 @@ impl AnytimeEngine {
     ///
     /// The hot path is `O(changed)`: each rank drains its epoch-dirty row
     /// set (values changed since the last publish) and the publisher
-    /// applies the resulting `ViewDelta` by structural sharing. The full
-    /// `O(n)` rebuild runs only when the publisher demands it — first
-    /// epoch, certified-bounds invalidation, forced-full override — or
-    /// when a restore rewound the vertex count below the published view's
-    /// (the chunked store never shrinks in place).
+    /// applies the resulting `ViewDelta` by structural sharing; under
+    /// certified bounds a drain's epoch also re-states the rows whose hop
+    /// counts its changes moved. The full `O(n)` rebuild runs only when
+    /// the publisher demands it — first epoch, a rewind, a moved weight
+    /// extreme, forced-full override — or when a restore rewound the
+    /// vertex count below the published view's (the chunked store never
+    /// shrinks in place).
     fn publish_view(&mut self, converged: bool) {
         let mark = self.cluster.mark();
         let n = self.graph.num_vertices();
@@ -481,17 +488,31 @@ impl AnytimeEngine {
         // actually published. The one drain feeds the closeness delta and
         // the extra metrics' row hand-off.
         let changed = self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
-        // `cache_for` may rebuild (structural change), which moves every
-        // vertex's bound and forces the full path below.
-        self.publisher.cache_for(&self.graph);
+        let touched = std::mem::take(&mut self.touched);
+        // The rows whose bound moved under an unmoved DV row. A rebuild or
+        // a moved weight extreme moves every bound instead and forces the
+        // full path below.
+        let hop_moved = self.publisher.cache_for(&self.graph, &touched);
         let full = self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
-        let extra_deltas = self.update_extra_metrics(&changed);
+        let extra_deltas = self.update_extra_metrics(&changed, &touched);
+        // What a thin epoch re-states: the DV-dirty rows and those, each at
+        // its owner. The metrics above were handed the former only.
+        let mut restated = changed;
+        if !full && !hop_moved.is_empty() {
+            for &v in &hop_moved {
+                restated[self.partition.part_of(v) as usize].push(v);
+            }
+            for ids in &mut restated {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+        }
         let primary = self.metrics.primary();
-        let cache = self.publisher.cache_for(&self.graph);
+        let cache = self.publisher.cache();
         // Every row this epoch re-states — all of them on a full epoch —
         // scored where it lives; the bound is `0.0` without a cache.
         let scored = self.cluster.barrier_read(|r, s| {
-            let ids = if full { s.local_vertices() } else { &changed[r] };
+            let ids = if full { s.local_vertices() } else { &restated[r] };
             ids.iter()
                 .map(|&v| {
                     let row = s.dv().local_row(v).expect("local row");
@@ -556,9 +577,9 @@ impl AnytimeEngine {
     /// Hands the extra metrics the rows their state may depend on and
     /// collects each one's changed-entry delta: the epoch-dirty rows
     /// (`changed`, per rank, as the caller drained them) and the rows under
-    /// which an edge changed since the last barrier is tight — Kourtellis et
-    /// al.'s per-source test, two cell reads per row and edge, made where
-    /// the row lives. Any other source's cached state is what recomputing it
+    /// which a `touched` edge — one changed since the last barrier — is
+    /// tight: Kourtellis et al.'s per-source test, two cell reads per row
+    /// and edge, made where the row lives. Any other source's cached state is what recomputing it
     /// would return (DESIGN.md §15). Every row only when a metric has no
     /// state to keep (fresh, or rewound by `recover_rank`); a full *epoch*
     /// needs no row at all, it restates the column the metric maintains.
@@ -567,11 +588,11 @@ impl AnytimeEngine {
     fn update_extra_metrics(
         &mut self,
         changed: &[Vec<VertexId>],
+        touched: &[(VertexId, VertexId, Weight)],
     ) -> Vec<(MetricKind, Vec<(VertexId, f64)>)> {
         if self.metrics.closeness_only() {
             return Vec::new();
         }
-        let touched = std::mem::take(&mut self.touched);
         let all = self.metrics.wants_all_rows();
         let tight = |row: &[Dist], &(u, v, w): &(VertexId, VertexId, Weight)| {
             let (du, dv) = (row[u as usize], row[v as usize]);
@@ -817,10 +838,10 @@ impl AnytimeEngine {
             match res {
                 Ok(()) => {
                     applied += 1;
-                    // What the change did to the edge set — certified
-                    // bounds to rebuild, sources whose shortest-path
-                    // counts may have shifted where no distance did — it
-                    // stated itself (`edges_changed`). One that altered
+                    // What the change did to the edge set — hop rows to
+                    // repair, sources whose shortest-path counts may have
+                    // shifted where no distance did — it stated itself
+                    // (`edges_changed`). One that altered
                     // nothing (a weight set to itself, isolated victims)
                     // still counts and still publishes its epoch below.
                     self.changes.record_applied();
@@ -845,13 +866,15 @@ impl AnytimeEngine {
 
     /// The one thing an applied change tells the layers above the DV rows:
     /// the edges it made or unmade, each with the weight under which it was
-    /// or is tight. Certified bounds are rebuilt for the new structure; the
-    /// per-source metrics get the list at the next publish barrier
-    /// ([`AnytimeEngine::update_extra_metrics`]), a closeness-only engine
-    /// keeps none. A change that altered no edge does not call this.
+    /// or is tight. They are only noted: the next publish barrier hands the
+    /// whole drain's list to the per-source metrics
+    /// ([`AnytimeEngine::update_extra_metrics`]) and to the certified
+    /// bounds ([`Publisher::cache_for`]), each of which re-derives only
+    /// what the edges can have moved. An engine with neither keeps no list
+    /// and does not walk `edges`. A change that altered no edge does not
+    /// call this.
     fn edges_changed(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>) {
-        self.publisher.invalidate_cache();
-        if !self.metrics.closeness_only() {
+        if !self.metrics.closeness_only() || self.config.publish_bounds == BoundsMode::Certified {
             self.touched.extend(edges);
         }
     }
@@ -913,7 +936,7 @@ impl AnytimeEngine {
                 self.apply_anywhere(batch, base, owners)?;
             }
         }
-        self.edges_changed(batch.global_edges(base));
+        self.edges_changed(batch.iter_global_edges(base));
         self.changes_applied += 1;
         Ok(())
     }
@@ -1703,7 +1726,9 @@ impl AnytimeEngine {
         let sink = self.cluster.sink();
         let mut publisher =
             std::mem::replace(&mut self.publisher, Publisher::new(BoundsMode::None));
-        // The graph is about to be rewound; certified bounds must rebuild.
+        // The graph is about to be rewound, and no list of edges says how:
+        // certified bounds rebuild. (The edges noted so far go with the
+        // engine `from_snapshot` replaces.)
         publisher.invalidate_cache();
         let changes = std::mem::take(&mut self.changes);
         *self = Self::from_snapshot(snap, self.config.clone())?;
@@ -1818,8 +1843,11 @@ impl AnytimeEngine {
         self.cluster.step(|_, s| s.mark_all_for_resend());
         self.cluster.record_restore();
         // The recovered rank's rows were rewound to the snapshot; cached
-        // per-source metric state derived from the old rows is stale.
+        // per-source metric state derived from the old rows is stale, and
+        // like every rewind this one starts the bounds and the view over.
         self.metrics.invalidate_all();
+        self.publisher.invalidate_cache();
+        self.touched.clear();
         self.publish_view(false);
         Ok(())
     }

@@ -78,8 +78,8 @@ pub use publish::{
     TOPK_SERVE_CAP,
 };
 pub use quality::{
-    degraded_closeness_bounds, CertifiedBoundsCache, DegradedReason, DegradedReport, QualitySample,
-    QualityTracker,
+    degraded_closeness_bounds, BoundsRepair, CertifiedBoundsCache, DegradedReason, DegradedReport,
+    QualitySample, QualityTracker,
 };
 pub use rank::{InvalidationTally, WireFormat};
 pub use strategies::AssignStrategy;

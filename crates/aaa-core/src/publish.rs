@@ -51,7 +51,7 @@ use crate::metric::{MetricKind, MetricMask};
 use crate::net::NetMsg;
 use crate::quality::CertifiedBoundsCache;
 use aaa_graph::closeness::top_k;
-use aaa_graph::{AdjGraph, VertexId};
+use aaa_graph::{AdjGraph, VertexId, Weight};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
@@ -76,9 +76,10 @@ pub enum BoundsMode {
     #[default]
     None,
     /// Publish certified per-vertex error bounds alongside closeness, via
-    /// [`CertifiedBoundsCache`] (n BFS per graph version, amortized over
-    /// epochs). Bounds are sound at every epoch and non-increasing across
-    /// epochs on a quiescing run.
+    /// [`CertifiedBoundsCache`] (n BFS once, then repaired per drain: only
+    /// the hop rows a drain's edges can have moved are walked again).
+    /// Bounds are sound at every epoch and non-increasing across epochs on
+    /// a quiescing run.
     Certified,
 }
 
@@ -504,10 +505,11 @@ impl PublishedView {
 /// — the unit of view replication to reader processes (ROADMAP item 1).
 ///
 /// `entries`/`bounds` are sorted by vertex id. A `full` delta re-states
-/// every vertex (construction, restore, structural bound invalidation);
+/// every vertex (construction, restore, a moved weight extreme);
 /// otherwise entries cover exactly the rows whose DV values changed since
 /// the previous publish — every new vertex's among them (a new row is
-/// epoch-dirty), which is all a follower lets a view grow by.
+/// epoch-dirty), which is all a follower lets a view grow by — and, with
+/// certified bounds, the rows whose hop counts a drained change moved.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewDelta {
     pub epoch: u64,
@@ -839,6 +841,13 @@ pub struct PublishStats {
     /// Bounded rescans of the top-k index (full publishes + underflow
     /// refills).
     pub topk_rebuilds: u64,
+    /// Publish barriers at which the certified-bounds cache was repaired
+    /// for the edges noted since the last one.
+    pub bounds_repairs: u64,
+    /// Hop rows those repairs walked again (a rebuild walks all `n`).
+    pub bounds_rows_rewalked: u64,
+    /// Full builds of the cache: the first epoch and every rewind.
+    pub bounds_rebuilds: u64,
 }
 
 /// The engine-side writer half of the publish layer: mints epochs, owns
@@ -849,15 +858,16 @@ pub struct Publisher {
     cell: Arc<ViewCell>,
     epoch: u64,
     mode: BoundsMode,
-    /// Lazily (re)built per graph version under [`BoundsMode::Certified`];
-    /// invalidated by the engine on any structural change.
+    /// Built for the first epoch under [`BoundsMode::Certified`], repaired
+    /// at every later barrier ([`Publisher::cache_for`]), dropped by the
+    /// engine only when it rewinds.
     cache: Option<CertifiedBoundsCache>,
     /// Maintained top-k index per column, closeness first.
     indexes: Vec<(MetricKind, TopKIndex)>,
     /// The next publish must re-state every vertex: set at construction,
-    /// after a certified-bounds invalidation (a structural change moves
-    /// the bounds of *unchanged* rows too), and by restore paths that may
-    /// rewind the vertex count.
+    /// when the bounds cache was built afresh or a weight extreme moved
+    /// (either moves the bound of *every* row), and by restore paths that
+    /// may rewind the vertex count.
     needs_full: bool,
     /// Test/bench override: disable the delta path entirely.
     force_full: bool,
@@ -923,14 +933,12 @@ impl Publisher {
         self.force_full = on;
     }
 
-    /// Drops the bounds cache; the next certified publish rebuilds it.
-    /// Called by the engine whenever the graph structure changes — and only
-    /// then: an applied change that altered no edge (a weight set to what
-    /// it was, the removal of isolated vertices) leaves the cache alone. Under
-    /// [`BoundsMode::Certified`] this also forces the next publish onto
-    /// the full path: new bounds apply to *every* vertex, not just the
-    /// rows whose DV values moved. Under [`BoundsMode::None`] published
-    /// values are unaffected by structure, so the delta path stands.
+    /// Drops the bounds cache; the next certified publish rebuilds it and
+    /// takes the full path. For the engine's rewinds only (a checkpoint
+    /// fallback, a recovered rank): there the graph or the rows went back
+    /// to an earlier state and no list of edges says how. A drained change
+    /// never comes here — it notes its edges and [`Publisher::cache_for`]
+    /// repairs the cache for them.
     pub fn invalidate_cache(&mut self) {
         self.cache = None;
         if self.mode == BoundsMode::Certified {
@@ -938,18 +946,48 @@ impl Publisher {
         }
     }
 
-    /// The bounds cache for the current graph, building it if needed, or
-    /// `None` under [`BoundsMode::None`] — a publisher without a cache
-    /// publishes no bounds. A rebuild moves every vertex's bound, so it
-    /// forces the full path.
-    pub fn cache_for(&mut self, graph: &AdjGraph) -> Option<&CertifiedBoundsCache> {
+    /// Makes the bounds cache right for `graph` and returns the rows whose
+    /// bound moved although their DV row may not have (sorted; every new
+    /// vertex among them). `touched` is every edge made or unmade since the
+    /// last call. The cache is *repaired* for them
+    /// ([`CertifiedBoundsCache::repair`]); it is built afresh — forcing the
+    /// full path, as a moved weight extreme does, since then every bound
+    /// moves — only when there is none or `graph` has fewer vertices than
+    /// it. Under [`BoundsMode::None`] there is no cache and nothing to do.
+    pub fn cache_for(
+        &mut self,
+        graph: &AdjGraph,
+        touched: &[(VertexId, VertexId, Weight)],
+    ) -> Vec<VertexId> {
         if self.mode == BoundsMode::None {
-            return None;
+            return Vec::new();
         }
-        if self.cache.as_ref().map(|c| c.n()) != Some(graph.num_vertices()) {
-            self.needs_full = true;
-            self.cache = Some(CertifiedBoundsCache::new(graph));
+        let n = graph.num_vertices();
+        let rebuild = || CertifiedBoundsCache::new(graph);
+        match &mut self.cache {
+            // Nothing noted, nothing grown: the matrix stands.
+            Some(cache) if cache.n() == n && touched.is_empty() => Vec::new(),
+            Some(cache) if cache.n() <= n => {
+                let repair = cache.repair(graph, touched);
+                debug_assert!(*cache == rebuild(), "a repaired bounds cache equals a rebuilt one");
+                self.stats.bounds_repairs += 1;
+                self.stats.bounds_rows_rewalked += repair.rows_rewalked as u64;
+                self.needs_full |= repair.extremes_moved;
+                repair.rows_changed
+            }
+            _ => {
+                self.cache = Some(rebuild());
+                self.stats.bounds_rebuilds += 1;
+                self.needs_full = true;
+                Vec::new()
+            }
         }
+    }
+
+    /// The bounds cache as [`Publisher::cache_for`] left it; `None` under
+    /// [`BoundsMode::None`] — a publisher without a cache publishes no
+    /// bounds.
+    pub fn cache(&self) -> Option<&CertifiedBoundsCache> {
         self.cache.as_ref()
     }
 
@@ -1086,18 +1124,53 @@ mod tests {
         assert!(empty.top_k(3).is_empty());
     }
 
+    /// `cache_for` is handed graphs without an edge being noted: growth is
+    /// repaired (a new vertex's edges are read off the graph), fewer
+    /// vertices and `invalidate_cache` build afresh and force the full path.
     #[test]
-    fn cache_rebuilds_on_size_change_and_invalidation() {
-        use aaa_graph::AdjGraph;
+    fn cache_is_repaired_on_growth_and_rebuilt_on_a_rewind() {
+        let counts = |p: &Publisher| (p.stats().bounds_repairs, p.stats().bounds_rebuilds);
         let mut g = AdjGraph::with_vertices(3);
         g.add_edge(0, 1, 1).unwrap();
         let mut p = Publisher::new(BoundsMode::Certified);
-        assert_eq!(p.cache_for(&g).unwrap().n(), 3);
-        let g2 = AdjGraph::with_vertices(5);
-        assert_eq!(p.cache_for(&g2).unwrap().n(), 5, "size mismatch must rebuild");
+        assert!(p.cache_for(&g, &[]).is_empty());
+        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (0, 1)));
+        p.publish(0, 0, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
+        // Same graph, nothing noted: the cache stands, untouched.
+        assert!(p.cache_for(&g, &[]).is_empty());
+        assert_eq!(counts(&p), (0, 1));
+
+        // Two new vertices, one hanging off the isolated vertex 2: row 2
+        // gains it within reach, rows 0 and 1 see neither.
+        let mut grown = g.clone();
+        grown.add_vertices(2);
+        grown.add_edge(3, 2, 1).unwrap();
+        assert_eq!(p.cache_for(&grown, &[]), vec![2, 3, 4]);
+        assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
+        assert_eq!((counts(&p), p.stats().bounds_rows_rewalked), ((1, 1), 2));
+        assert!(!p.wants_full(), "a repair keeps the delta path");
+
+        // A heavier edge moves `w_max`, and with it every interval.
+        grown.set_weight(0, 1, 4).unwrap();
+        assert!(p.cache_for(&grown, &[(0, 1, 1), (0, 1, 4)]).is_empty());
+        assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
+        assert_eq!(counts(&p), (2, 1));
+        assert!(p.wants_full(), "a moved weight extreme forces the full path");
+        p.publish(1, 1, false, vec![0.0; 5], vec![0.0; 5], Vec::new());
+
+        // Fewer vertices is a rewind: no repair leads there.
+        assert!(p.cache_for(&g, &[]).is_empty());
+        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (2, 2)));
+        assert!(p.wants_full());
+        p.publish(2, 1, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
         p.invalidate_cache();
-        assert_eq!(p.cache_for(&g2).unwrap().n(), 5);
-        assert!(Publisher::new(BoundsMode::None).cache_for(&g2).is_none());
+        assert!(p.cache().is_none() && p.wants_full());
+        p.cache_for(&g, &[]);
+        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (2, 3)));
+
+        let mut none = Publisher::new(BoundsMode::None);
+        assert!(none.cache_for(&grown, &[(0, 1, 1)]).is_empty());
+        assert!(none.cache().is_none() && none.stats() == PublishStats::default());
     }
 
     #[test]
@@ -1243,7 +1316,7 @@ mod tests {
         // Certified invalidation forces the full path.
         assert!(p.wants_full());
         let g = AdjGraph::with_vertices(40);
-        p.cache_for(&g);
+        p.cache_for(&g, &[]);
         p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40], Vec::new());
         let full_delta = p.last_delta().unwrap().clone();
         assert!(full_delta.full);

@@ -7,7 +7,7 @@
 
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::{closeness_from_row, mean_relative_error, top_k};
-use aaa_graph::{Dist, INF};
+use aaa_graph::{Dist, VertexId, Weight, INF};
 use aaa_runtime::{ClusterError, FaultCounters};
 use aaa_store::{algo, GraphStore};
 use std::fmt;
@@ -171,9 +171,10 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
     let n = graph.num_vertices();
     assert_eq!(rows.n(), n, "distance matrix does not match the graph");
     let w_min = aaa_store::edges(graph).map(|(_, _, w)| w).min().unwrap_or(1).max(1) as u64;
+    let (mut hops, mut queue) = (vec![INF; n], Vec::new());
     (0..n as u32)
         .map(|v| {
-            let hops = algo::bfs_hops(graph, v);
+            algo::bfs_hops_into(graph, v, &mut hops, &mut queue);
             let row = rows.row(v);
             let mut lower_sum = 0u64;
             let mut covered = true;
@@ -181,7 +182,7 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
                 if u as u32 == v {
                     continue;
                 }
-                if hops[u] != u32::MAX {
+                if hops[u] != INF {
                     lower_sum += w_min * hops[u] as u64;
                     if row[u] == INF {
                         covered = false;
@@ -202,13 +203,16 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
 // Certified per-vertex closeness intervals (publish layer)
 // ----------------------------------------------------------------
 
-/// Precomputed structure for certified closeness intervals, amortized over
-/// many published epochs of the *same* graph version.
+/// The hop matrix behind certified closeness intervals, maintained across
+/// the epochs and the changes of one run.
 ///
 /// The publish layer stamps every epoch with per-vertex error bounds; doing
 /// `n` BFS traversals per epoch would dwarf the RC step itself, so the hop
-/// counts (and the weight extremes) are computed once here and the engine
-/// rebuilds the cache only when the graph structure changes.
+/// counts (and the weight extremes) are computed once here. A drained
+/// change does not throw them away either: [`repair`] re-walks only the
+/// rows the drain's edges can have moved and says which rows those were
+/// (DESIGN.md §17). The full build runs for the first epoch and after a
+/// rewind.
 ///
 /// For a vertex `v` with current DV row `row`, [`interval`] returns a
 /// certified interval `[c_lo, c_hi]` containing the true closeness:
@@ -228,13 +232,40 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
 /// row = d_true`, so `c_lo` equals the true closeness exactly.
 ///
 /// [`interval`]: CertifiedBoundsCache::interval
-#[derive(Debug, Clone)]
+/// [`repair`]: CertifiedBoundsCache::repair
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifiedBoundsCache {
     n: usize,
     w_min: u64,
     w_max: u64,
-    /// Flat n×n matrix of unit-weight hop counts (`u32::MAX` unreachable).
-    hops: Vec<u32>,
+    /// Flat n×n matrix of unit-weight hop counts (`INF` unreachable);
+    /// symmetric, the graph is undirected.
+    hops: Vec<Dist>,
+}
+
+/// What one [`CertifiedBoundsCache::repair`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundsRepair {
+    /// The rows whose hop row is not what it was — a count moved, or a new
+    /// vertex came within reach — so whose interval moves under an
+    /// unchanged DV row, and every new vertex; sorted by id.
+    pub rows_changed: Vec<VertexId>,
+    /// Rows walked by BFS: the new vertices and the old rows that failed
+    /// the test, whether or not the walk then found a difference.
+    pub rows_rewalked: usize,
+    /// `w_min` or `w_max` is not what it was: every interval moves.
+    pub extremes_moved: bool,
+}
+
+/// `(w_min, w_max)` over the graph's edges; `(1, 1)` without any.
+fn weight_extremes<G: GraphStore>(graph: &G) -> (u64, u64) {
+    let mut w_min = u64::MAX;
+    let mut w_max = 1u64;
+    for (_, _, w) in aaa_store::edges(graph) {
+        w_min = w_min.min(w as u64);
+        w_max = w_max.max(w as u64);
+    }
+    (if w_min == u64::MAX { 1 } else { w_min }, w_max)
 }
 
 impl CertifiedBoundsCache {
@@ -242,20 +273,108 @@ impl CertifiedBoundsCache {
     /// any storage backend.
     pub fn new<G: GraphStore>(graph: &G) -> Self {
         let n = graph.num_vertices();
-        let mut w_min = u64::MAX;
-        let mut w_max = 1u64;
-        for (_, _, w) in aaa_store::edges(graph) {
-            w_min = w_min.min(w as u64);
-            w_max = w_max.max(w as u64);
-        }
-        if w_min == u64::MAX {
-            w_min = 1;
-        }
-        let mut hops = Vec::with_capacity(n * n);
-        for v in 0..n as u32 {
-            hops.extend(algo::bfs_hops(graph, v));
+        let (w_min, w_max) = weight_extremes(graph);
+        let mut hops = vec![INF; n * n];
+        let mut queue = Vec::new();
+        for (v, row) in hops.chunks_exact_mut(n.max(1)).enumerate() {
+            algo::bfs_hops_into(graph, v as VertexId, row, &mut queue);
         }
         Self { n, w_min, w_max, hops }
+    }
+
+    /// Brings the cache from the graph it was right for to `graph`, which
+    /// has the same vertices or more. `touched` names every edge between
+    /// the cache's vertices that was added, removed or reweighted in
+    /// between, in any order and any number of times; a new vertex's edges
+    /// are read off `graph`. Afterwards the cache equals
+    /// `CertifiedBoundsCache::new(graph)`.
+    ///
+    /// New vertices are walked afresh (a new row is also every old row's
+    /// new column). An old row `x` keeps its hop counts `h` unless one of
+    /// two tests against them fails (DESIGN.md §17 has the proofs):
+    ///
+    /// * **(A)** a touched edge `(u, v)` is *absent* now and `h(u) + 1 =
+    ///   h(v)`: then `v` must have a neighbour at level `h(u)` in `graph`.
+    ///   If every such `v` has one, every vertex keeps a parent one level
+    ///   up, so no hop count can have grown;
+    /// * **(B)** a touched edge `(u, v)` is *present* now: then `|h(u) −
+    ///   h(v)| ≤ 1`, unreachable against reachable counting as a
+    ///   violation. If every such edge passes, no edge of `graph` spans
+    ///   two levels, so no hop count can have shrunk.
+    ///
+    /// A row that fails is walked again and reported only if a count moved;
+    /// a row that gained a new vertex within reach is reported as well.
+    pub fn repair<G: GraphStore>(
+        &mut self,
+        graph: &G,
+        touched: &[(VertexId, VertexId, Weight)],
+    ) -> BoundsRepair {
+        let (n0, n) = (self.n, graph.num_vertices());
+        assert!(n >= n0, "a bounds cache is repaired onto the same vertices or more");
+        let extremes = weight_extremes(graph);
+        let extremes_moved = extremes != (self.w_min, self.w_max);
+        (self.w_min, self.w_max) = extremes;
+
+        // Each pair once, lower id first, split by what the graph says now.
+        let mut pairs: Vec<(VertexId, VertexId)> = touched
+            .iter()
+            .map(|&(u, v, _)| (u.min(v), u.max(v)))
+            .chain(
+                (n0 as VertexId..n as VertexId)
+                    .flat_map(|v| graph.successors(v).map(move |(t, _)| (v.min(t), v.max(t)))),
+            )
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let (present, absent): (Vec<_>, Vec<_>) =
+            pairs.into_iter().partition(|&(u, v)| graph.successors(u).any(|(t, _)| t == v));
+
+        let mut queue = Vec::new();
+        if n > n0 {
+            let mut hops = vec![INF; n * n];
+            for (old, new) in self.hops.chunks_exact(n0.max(1)).zip(hops.chunks_exact_mut(n)) {
+                new[..n0].copy_from_slice(old);
+            }
+            for v in n0..n {
+                algo::bfs_hops_into(graph, v as VertexId, &mut hops[v * n..][..n], &mut queue);
+            }
+            for x in 0..n0 {
+                for v in n0..n {
+                    hops[x * n + v] = hops[v * n + x];
+                }
+            }
+            (self.n, self.hops) = (n, hops);
+        }
+
+        let stale = |h: &[Dist]| {
+            present.iter().any(|&(u, v)| h[u as usize].abs_diff(h[v as usize]) > 1)
+                || absent.iter().any(|&(u, v)| {
+                    let (hu, hv) = (h[u as usize], h[v as usize]);
+                    let (far, near) = if hu > hv { (u, hv) } else { (v, hu) };
+                    hu.abs_diff(hv) == 1
+                        && !graph.successors(far).any(|(t, _)| h[t as usize] == near)
+                })
+        };
+        let mut rows_changed = Vec::new();
+        let mut rows_rewalked = n - n0;
+        let mut walked = vec![INF; n];
+        for (x, row) in self.hops.chunks_exact_mut(n.max(1)).take(n0).enumerate() {
+            // A new vertex within reach is a new term of the interval.
+            let mut changed = row[n0..].iter().any(|&h| h != INF);
+            if stale(row) {
+                rows_rewalked += 1;
+                algo::bfs_hops_into(graph, x as VertexId, &mut walked, &mut queue);
+                if walked != *row {
+                    row.copy_from_slice(&walked);
+                    changed = true;
+                }
+            }
+            if changed {
+                rows_changed.push(x as VertexId);
+            }
+        }
+        rows_changed.extend(n0 as VertexId..n as VertexId);
+        BoundsRepair { rows_changed, rows_rewalked, extremes_moved }
     }
 
     /// Number of vertices the cache was built for.
@@ -272,7 +391,7 @@ impl CertifiedBoundsCache {
         let mut upper_sum = 0u64;
         let mut lower_sum = 0u64;
         for u in 0..self.n {
-            if u as u32 == v || hops[u] == u32::MAX {
+            if u as u32 == v || hops[u] == INF {
                 continue;
             }
             let h = hops[u] as u64;
@@ -417,6 +536,128 @@ mod tests {
                 assert!((lo2 - ex).abs() < 1e-12, "converged c_lo must equal exact");
                 assert!(ex <= hi2 + 1e-12);
             }
+        }
+    }
+
+    /// One burst of changes applied to `g` the way the engine's `exec_*`
+    /// apply them, noting every edge made or unmade.
+    fn apply_burst(g: &mut AdjGraph, ops: &[(u8, u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
+        let mut touched = Vec::new();
+        for &(code, x, y, w) in ops {
+            let n = g.num_vertices() as u32;
+            let (u, v, w) = (x % n, y % n, 1 + w % 4);
+            // The `x`-th edge there is, so removals and reweights land.
+            let picked = g.edges().nth(x as usize % g.num_edges().max(1));
+            match code % 7 {
+                // A batch of 1–3 vertices with 0–3 edges each, targets among
+                // the old vertices and the batch itself.
+                0 => {
+                    let k = 1 + y % 3;
+                    g.add_vertices(k as usize);
+                    for i in 0..k {
+                        for e in 0..(x >> (2 * i)) % 4 {
+                            let t = (y / 3 + 7 * e + i) % (n + k);
+                            if t != n + i && !g.has_edge(n + i, t) {
+                                g.add_edge(n + i, t, w).unwrap();
+                                touched.push((n + i, t, w));
+                            }
+                        }
+                    }
+                }
+                1 if u != v && !g.has_edge(u, v) => {
+                    g.add_edge(u, v, w).unwrap();
+                    touched.push((u, v, w));
+                }
+                2 => {
+                    if let Some((a, b, old)) = picked {
+                        g.remove_edge(a, b).unwrap();
+                        touched.push((a, b, old));
+                    }
+                }
+                3 => {
+                    if let Some((a, b, old)) = picked.filter(|e| e.2 != w) {
+                        g.set_weight(a, b, w).unwrap();
+                        touched.extend([(a, b, old), (a, b, w)]);
+                    }
+                }
+                4 => {
+                    for (t, old) in g.neighbors(u).to_vec() {
+                        g.remove_edge(u, t).unwrap();
+                        touched.push((u, t, old));
+                    }
+                }
+                // One edge there and back inside the burst: removed and
+                // re-added, or added and removed.
+                5 => {
+                    if let Some((a, b, old)) = picked {
+                        g.remove_edge(a, b).unwrap();
+                        g.add_edge(a, b, w).unwrap();
+                        touched.extend([(a, b, old), (a, b, w)]);
+                    }
+                }
+                6 if u != v && !g.has_edge(u, v) => {
+                    g.add_edge(u, v, w).unwrap();
+                    g.remove_edge(u, v).unwrap();
+                    touched.extend([(u, v, w), (u, v, w)]);
+                }
+                _ => {}
+            }
+        }
+        touched
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(320))]
+
+        /// After any burst — vertex batches with edges among themselves,
+        /// edge additions, removals (on trees: every one disconnects),
+        /// reweights, vertex removals, an edge there and back — the repaired
+        /// cache is the rebuilt one, and the rows it reports are exactly the
+        /// rows that differ from what they were, plus the new ids.
+        #[test]
+        fn a_repaired_cache_equals_a_rebuilt_one(
+            n in 2usize..26,
+            parents in proptest::collection::vec((0u32..1000, 1u32..5), 25),
+            chords in proptest::collection::vec((0u32..1000, 0u32..1000, 1u32..5), 0..12),
+            tree in 0u8..3,
+            ops in proptest::collection::vec((0u8..7, 0u32..1000, 0u32..1000, 0u32..8), 1..10),
+        ) {
+            // A random forest-free tree; two times in three with chords.
+            let mut g = AdjGraph::with_vertices(n);
+            for v in 1..n as u32 {
+                let (p, w) = parents[v as usize - 1];
+                g.add_edge(v, p % v, w).unwrap();
+            }
+            for &(a, b, w) in chords.iter().filter(|_| tree != 0) {
+                let (a, b) = (a % n as u32, b % n as u32);
+                if a != b && !g.has_edge(a, b) {
+                    g.add_edge(a, b, w).unwrap();
+                }
+            }
+            let mut cache = CertifiedBoundsCache::new(&g);
+            let before = cache.clone();
+            let touched = apply_burst(&mut g, &ops);
+            let repair = cache.repair(&g, &touched);
+            let rebuilt = CertifiedBoundsCache::new(&g);
+            proptest::prop_assert!(cache == rebuilt, "repair differs from rebuild");
+
+            let (n0, n1) = (before.n, rebuilt.n);
+            let expected: Vec<VertexId> = (0..n1)
+                .filter(|&x| {
+                    x >= n0 || {
+                        let mut was = before.hops[x * n0..][..n0].to_vec();
+                        was.resize(n1, INF);
+                        was != rebuilt.hops[x * n1..][..n1]
+                    }
+                })
+                .map(|x| x as VertexId)
+                .collect();
+            proptest::prop_assert_eq!(&repair.rows_changed, &expected);
+            proptest::prop_assert!(repair.rows_rewalked <= n1);
+            proptest::prop_assert_eq!(
+                repair.extremes_moved,
+                (before.w_min, before.w_max) != (rebuilt.w_min, rebuilt.w_max)
+            );
         }
     }
 

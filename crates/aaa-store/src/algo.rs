@@ -12,25 +12,42 @@ use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// BFS hop counts from `source` (`INF` when unreachable).
-pub fn bfs_hops<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
-    let n = g.num_vertices();
-    let mut dist = vec![INF; n];
-    if n == 0 {
-        return dist;
+/// BFS hop counts from `source` (`INF` when unreachable), writing into a
+/// caller-provided buffer (reset to `INF`). `queue` is scratch: cleared
+/// here, so one pair of buffers serves any number of sources.
+pub fn bfs_hops_into<G: GraphStore>(
+    g: &G,
+    source: VertexId,
+    dist: &mut [Dist],
+    queue: &mut Vec<VertexId>,
+) {
+    debug_assert_eq!(dist.len(), g.num_vertices());
+    dist.fill(INF);
+    queue.clear();
+    if dist.is_empty() {
+        return;
     }
-    let mut queue = std::collections::VecDeque::new();
     dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
+    queue.push(source);
+    // Every vertex enters the queue at most once, so a cursor into the
+    // growing list is the whole FIFO.
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
         let d = dist[v as usize];
         for (t, _) in g.successors(v) {
             if dist[t as usize] == INF {
                 dist[t as usize] = d + 1;
-                queue.push_back(t);
+                queue.push(t);
             }
         }
     }
+}
+
+/// BFS hop counts from `source` (`INF` when unreachable).
+pub fn bfs_hops<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
+    let mut dist = vec![INF; g.num_vertices()];
+    bfs_hops_into(g, source, &mut dist, &mut Vec::new());
     dist
 }
 

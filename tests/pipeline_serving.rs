@@ -5,9 +5,12 @@
 
 use anytime_anywhere::core::changes::{preferential_batch, DynamicChange};
 use anytime_anywhere::core::{
-    AnytimeEngine, AssignStrategy, BoundsMode, EngineConfig, PublishedView,
+    AnytimeEngine, AssignStrategy, BoundsMode, CertifiedBoundsCache, EngineConfig, MetricKind,
+    NewVertex, PublishedView, VertexBatch, ViewDelta, WireFormat,
 };
+use anytime_anywhere::graph::closeness::closeness_exact;
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
+use anytime_anywhere::graph::{AdjGraph, Csr};
 use anytime_anywhere::serve::ServeHandle;
 use std::sync::Arc;
 
@@ -128,6 +131,185 @@ fn certified_bounds_cover_the_exact_answer_and_tighten_per_epoch() {
     let last = hu.view();
     for v in 0..last.num_vertices() {
         assert!(last.error_bound(v as u32).unwrap() < 1e-9);
+    }
+}
+
+/// A `Certified` + `[Betweenness]` engine publishing by delta, its twin
+/// with the delta path disabled, and a follower that only ever applies the
+/// first one's `last_view_delta()`.
+struct Lockstep {
+    delta: AnytimeEngine,
+    full: AnytimeEngine,
+    follower: PublishedView,
+    /// Drain epochs the delta engine published thin.
+    thin_drains: usize,
+}
+
+impl Lockstep {
+    fn config() -> EngineConfig {
+        let mut cfg = EngineConfig::deterministic(3);
+        cfg.publish_bounds = BoundsMode::Certified;
+        cfg.metrics = vec![MetricKind::Betweenness];
+        cfg.wire = WireFormat::Delta;
+        cfg
+    }
+
+    /// Runs `op` — which mints exactly one epoch — on both engines, lets
+    /// the follower catch up, and holds all three views to each other and
+    /// to the exact answer for the graph as it is now.
+    fn barrier(&mut self, what: &str, op: impl Fn(&mut AnytimeEngine)) {
+        let before = self.delta.epochs_published();
+        op(&mut self.delta);
+        op(&mut self.full);
+        assert_eq!(self.delta.epochs_published(), before + 1, "{what}: one epoch per barrier");
+        self.follow(what);
+    }
+
+    fn follow(&mut self, what: &str) {
+        let delta = self.delta.last_view_delta().expect("an epoch was published");
+        let shipped = ViewDelta::from_msg(&delta.to_msg()).expect("decodes");
+        self.follower = shipped.apply_to(&self.follower).expect("fits the follower's view");
+        let (a, b) = (self.delta.published(), self.full.published());
+        assert_eq!(&self.follower, a.as_ref(), "{what}: follower");
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for other in [b.as_ref(), &self.follower] {
+            assert_eq!(bits(a.closeness()), bits(other.closeness()), "{what}: closeness");
+            assert_eq!(bits(a.bounds()), bits(other.bounds()), "{what}: bounds");
+            assert_eq!(
+                bits(a.metric_values(MetricKind::Betweenness).unwrap()),
+                bits(other.metric_values(MetricKind::Betweenness).unwrap()),
+                "{what}: betweenness"
+            );
+        }
+        let exact = closeness_exact(&Csr::from_adj(self.delta.graph()));
+        assert_eq!(a.num_vertices(), exact.len(), "{what}");
+        for (v, exact) in exact.iter().enumerate() {
+            let (c, bound) = (a.closeness()[v], a.error_bound(v as u32).unwrap());
+            assert!((c - exact).abs() <= bound + 1e-12, "{what}: |{c} - {exact}| > {bound} at {v}");
+        }
+    }
+
+    /// Submits `burst` to both engines and drains it at one barrier.
+    fn drain(&mut self, what: &str, burst: &[(DynamicChange, AssignStrategy)]) {
+        self.barrier(what, |e| {
+            for (change, strategy) in burst {
+                e.submit_with_strategy(change.clone(), *strategy).expect("valid change");
+            }
+            assert!(e.drain_changes().expect("drains") > 0);
+        });
+        let delta = self.delta.last_view_delta().unwrap();
+        self.thin_drains += usize::from(!delta.full);
+    }
+
+    fn rc_step(&mut self) {
+        self.barrier("rc step", |e| {
+            e.rc_step();
+        });
+    }
+}
+
+/// The delta path under certified bounds: a drain's epoch re-states only
+/// the DV-dirty rows and the rows whose hop counts moved, and still every
+/// epoch is bit-identical to the forced-full twin's and to a follower's —
+/// across additions under every strategy, a bridge removed, reweights that
+/// do and do not move a weight extreme, a vertex removed, an edge there and
+/// back, a recovered rank and a checkpoint restore.
+#[test]
+fn certified_delta_epochs_match_the_full_path_and_a_follower_at_every_epoch() {
+    use AssignStrategy::{CutEdge, Repartition, RoundRobin};
+    let g = barabasi_albert(48, 2, WeightModel::UniformRange { lo: 1, hi: 3 }, 21).unwrap();
+    let delta = AnytimeEngine::new(g.clone(), Lockstep::config()).unwrap();
+    let mut full = AnytimeEngine::new(g, Lockstep::config()).unwrap();
+    full.set_force_full_publish(true);
+    let follower = PublishedView::empty();
+    let mut t = Lockstep { delta, full, follower, thin_drains: 0 };
+    t.follow("construction");
+    t.rc_step();
+
+    let pendant = |at: u32| {
+        DynamicChange::AddVertices(VertexBatch {
+            vertices: vec![NewVertex { edges: vec![(at, 2)] }],
+        })
+    };
+    let batch =
+        |g: &AdjGraph, k, seed| DynamicChange::AddVertices(preferential_batch(g, k, 2, seed));
+    let [(eu, ev), (fu, fv)] = non_edges(t.delta.graph(), 2, u32::MAX)[..] else {
+        panic!("a 48-vertex BA graph has non-edges")
+    };
+
+    // Vertex 48 hangs off vertex 5 by a bridge; an edge joins two old rows.
+    t.drain(
+        "pendant + edge",
+        &[(pendant(5), RoundRobin), (DynamicChange::AddEdge { u: eu, v: ev, w: 1 }, RoundRobin)],
+    );
+    t.rc_step();
+    // Repartition-S relaxes nothing at the drain: old rows come within
+    // reach of the new vertices with their DV rows unmoved.
+    t.drain("repartition batch", &[(batch(t.delta.graph(), 3, 7), Repartition { seed: 1 })]);
+    t.drain("cut-edge batch", &[(batch(t.delta.graph(), 2, 8), CutEdge { seed: 0, tries: 2 })]);
+    t.rc_step();
+    // The bridge goes: vertex 48 is cut off from every row.
+    t.drain("bridge removed", &[(DynamicChange::RemoveEdge { u: 48, v: 5 }, RoundRobin)]);
+    let snapshot = t.delta.snapshot();
+    let (ru, rv, rw) = t.delta.graph().edges().find(|e| e.2 == 2).expect("a weight-2 edge");
+    t.drain(
+        "reweight inside the extremes",
+        &[(DynamicChange::SetWeight { u: ru, v: rv, w: rw + 1 }, RoundRobin)],
+    );
+    t.rc_step();
+    let full_before = t.delta.publish_stats().full_epochs;
+    t.drain("w_max moves", &[(DynamicChange::SetWeight { u: ru, v: rv, w: 9 }, RoundRobin)]);
+    assert_eq!(t.delta.publish_stats().full_epochs, full_before + 1, "every interval moved");
+    t.drain(
+        "mixed burst",
+        &[
+            (DynamicChange::RemoveVertices(vec![7]), RoundRobin),
+            (DynamicChange::RemoveEdge { u: eu, v: ev }, RoundRobin),
+            (DynamicChange::AddEdge { u: eu, v: ev, w: 2 }, RoundRobin),
+            (pendant(3), RoundRobin),
+        ],
+    );
+    t.rc_step();
+
+    // A rank rewound to the snapshot (which predates decremental changes,
+    // so it restarts from its IA rows): a rewind, so a full epoch.
+    t.barrier("recover rank", |e| e.recover_rank(1, &snapshot).expect("recovers"));
+    assert!(t.delta.last_view_delta().unwrap().full);
+    t.rc_step();
+    t.drain("after recovery", &[(DynamicChange::RemoveEdge { u: eu, v: ev }, RoundRobin)]);
+
+    // Structural drains took the thin path, on a cache repaired for each;
+    // built it was twice, for the first epoch and after the rewind.
+    let stats = t.delta.publish_stats();
+    assert!(t.thin_drains >= 7, "only {} thin drain epochs", t.thin_drains);
+    assert_eq!((stats.bounds_repairs, stats.bounds_rebuilds), (8, 2), "{stats:?}");
+    assert!(stats.bounds_rows_rewalked < 8 * 48 / 2, "{stats:?}");
+
+    // Checkpoint restore: new engines, a new first epoch, the same follower.
+    let restore = |e: &mut AnytimeEngine| {
+        AnytimeEngine::from_snapshot(&e.snapshot(), Lockstep::config()).expect("restores")
+    };
+    (t.delta, t.full) = (restore(&mut t.delta), restore(&mut t.full));
+    t.full.set_force_full_publish(true);
+    t.follow("restore");
+    t.drain(
+        "after restore",
+        &[
+            (batch(t.delta.graph(), 2, 9), RoundRobin),
+            (DynamicChange::AddEdge { u: fu, v: fv, w: 1 }, RoundRobin),
+        ],
+    );
+    assert!(!t.delta.last_view_delta().unwrap().full);
+    while !t.delta.published().converged {
+        t.rc_step();
+    }
+
+    // What stands at the end is what a fresh cache would certify.
+    let fresh = CertifiedBoundsCache::new(t.delta.graph());
+    let (rows, last) = (t.delta.distances(), t.delta.published());
+    for v in 0..last.num_vertices() as u32 {
+        let (lo, hi) = fresh.interval(v, rows.row(v));
+        assert_eq!(last.error_bound(v).unwrap().to_bits(), (hi - lo).to_bits(), "vertex {v}");
     }
 }
 
