@@ -141,3 +141,25 @@ echo "invalidate_cache called from: $drops"
 for f in quality publish engine; do
   echo "aaa-core/src/$f.rs: $(nontest "crates/aaa-core/src/$f.rs" | wc -l) non-test lines"
 done
+
+# One dependency kernel. PR 25: betweenness runs up to eight sources through
+# one forward and one backward sweep over the union of their canonical orders,
+# and the one-source kernel was deleted, not kept beside it. So outside tests
+# the two Brandes sweeps over rows exist once — the only two loops over
+# `succ(v)` carrying a weight are in the batched body `dependencies_portable`
+# — with exactly one AVX2 instantiation of it, and aaa-core calls no
+# dependency function but `dependencies_from_rows`. The block also logs the
+# non-test size of the two files the kernel lives in (327 / 486 before it,
+# 500 / 505 after).
+sweeps=$(nontest crates/aaa-graph/src/centrality.rs | awk '/^ *(pub )?(unsafe )?fn / { name = $0 } /for \([a-z]+, w\) in succ\(/ { print name }')
+echo "Brandes sweeps in: $sweeps"
+[ "$(echo "$sweeps" | grep -c 'fn dependencies_portable<')" = 2 ] && [ "$(echo "$sweeps" | wc -l)" = 2 ] || { echo "a Brandes sweep exists outside the batched body"; exit 1; }
+avx=$(grep -rnE 'fn [a-z_]+_avx2' crates/aaa-graph)
+echo "$avx"
+[ "$(echo "$avx" | wc -l)" = 1 ] && echo "$avx" | grep -q 'fn dependencies_avx2<' || { echo "expected exactly one AVX2 instantiation, dependencies_avx2"; exit 1; }
+kernels=$(for f in $(grep -rl 'dependenc' crates/aaa-core/src); do nontest "$f" | grep -oE '\bdependenc[a-z_]*\(' || true; done | sort -u)
+echo "aaa-core calls: $kernels"
+[ "$kernels" = "dependencies_from_rows(" ] || { echo "aaa-core calls a dependency kernel besides dependencies_from_rows"; exit 1; }
+for f in aaa-graph/src/centrality aaa-core/src/metric; do
+  echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
+done

@@ -438,6 +438,7 @@ impl AnytimeEngine {
                     ("sources_recomputed", tally.sources_recomputed as f64),
                     ("full_recomputes", tally.full_recomputes as f64),
                     ("changed_entries", tally.changed_entries as f64),
+                    ("kernel_batches", tally.kernel_batches as f64),
                 ],
             ));
         }

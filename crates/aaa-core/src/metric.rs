@@ -22,12 +22,14 @@
 //!   last epoch is tight (`row[u] + w == row[v]` or the mirror): the
 //!   kernel reads nothing of the edge set but which pairs are tight under
 //!   the row it is given, so any other source's vector is bit for bit
-//!   what recomputing it would return (DESIGN.md §15). The published
-//!   column is re-summed fresh in source order so that at convergence it
-//!   is **bit-identical** to the deterministic exact oracle
+//!   what recomputing it would return (DESIGN.md §15). The touched sources
+//!   go through the kernel eight at a time, grouped by locality; every
+//!   lane is bit for bit the one-source pass, so grouping moves no bit.
+//!   The published column is re-summed fresh in source order so that at
+//!   convergence it is **bit-identical** to the deterministic exact oracle
 //!   (`aaa_store::algo::betweenness_exact`).
 
-use aaa_graph::centrality::dependency_from_row;
+use aaa_graph::centrality::{bfs_ranks, dependencies_from_rows, DependencyScratch, LANES};
 use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, VertexId};
 use aaa_store::algo;
@@ -158,6 +160,11 @@ pub struct MetricTally {
     /// Per-source dependency recomputations performed (the unit of
     /// incremental work; a full rescan costs `n` of these per epoch).
     pub sources_recomputed: u64,
+    /// Batched kernel calls those recomputations took, up to
+    /// `aaa_graph::centrality::LANES` sources each:
+    /// `sources_recomputed / (kernel_batches × LANES)` is the share of
+    /// lanes that did useful work.
+    pub kernel_batches: u64,
     /// Epochs that had to rebuild from scratch (no state yet, or a rank
     /// rewound by recovery) — not what a drained change costs.
     pub full_recomputes: u64,
@@ -284,7 +291,9 @@ impl Metric for ClosenessMetric {
 }
 
 /// Incremental betweenness: per-source Brandes dependency vectors cached
-/// and recomputed only for the sources [`Metric::update`] is handed.
+/// and recomputed only for the sources [`Metric::update`] is handed —
+/// ordered by their BFS rank in the current graph and cut into batches of
+/// `LANES` for `dependencies_from_rows`, each vector written back in place.
 ///
 /// Bit-identity contract: the published column is always a *fresh* sum of
 /// the cached per-source vectors in increasing source order, halved —
@@ -307,18 +316,14 @@ pub struct IncBetweenness {
     dirty_all: bool,
     tally: MetricTally,
     fresh: bool,
+    /// The kernel's buffers, kept across batches and epochs.
+    scratch: DependencyScratch,
 }
 
 impl IncBetweenness {
     /// A metric with no cached state; the first update rebuilds fully.
     pub fn new() -> Self {
-        Self {
-            deps: Vec::new(),
-            totals: Vec::new(),
-            dirty_all: false,
-            tally: MetricTally::default(),
-            fresh: true,
-        }
+        Self { fresh: true, ..Self::default() }
     }
 }
 
@@ -353,11 +358,25 @@ impl Metric for IncBetweenness {
         } else if self.deps.len() < n {
             self.deps.resize(n, Vec::new());
         }
-        for (v, row) in rows {
-            self.deps[*v as usize] =
-                dependency_from_row(*v, row, |u| adj.neighbors(u).iter().copied());
-            self.tally.sources_recomputed += 1;
+        // Sources close in the graph share most of their rows' cells, so a
+        // batch of them walks a short union order; which sources share a
+        // batch changes no bit.
+        let succ = |u: VertexId| adj.neighbors(u).iter().copied();
+        let rank = bfs_ranks(adj.num_vertices(), succ);
+        let mut by_rank: Vec<&(VertexId, Vec<Dist>)> = rows.iter().collect();
+        by_rank.sort_unstable_by_key(|(v, _)| rank[*v as usize]);
+        for batch in by_rank.chunks(LANES) {
+            let sources: Vec<VertexId> = batch.iter().map(|(v, _)| *v).collect();
+            let lanes: Vec<&[Dist]> = batch.iter().map(|(_, row)| row.as_slice()).collect();
+            let mut out: Vec<Vec<f64>> =
+                sources.iter().map(|&v| std::mem::take(&mut self.deps[v as usize])).collect();
+            dependencies_from_rows(&sources, &lanes, succ, &mut self.scratch, &mut out);
+            for (&v, dep) in sources.iter().zip(out) {
+                self.deps[v as usize] = dep;
+            }
+            self.tally.kernel_batches += 1;
         }
+        self.tally.sources_recomputed += rows.len() as u64;
         self.dirty_all = false;
         self.fresh = false;
 
@@ -553,6 +572,7 @@ mod tests {
         assert_eq!(m.tally().epochs, 2);
         assert_eq!(m.tally().full_recomputes, 1);
         assert_eq!(m.tally().sources_recomputed, 6);
+        assert_eq!(m.tally().kernel_batches, 1); // six sources, one batch
     }
 
     #[test]
@@ -584,6 +604,7 @@ mod tests {
         let delta = m.update(6, &rows, &g);
         assert!(delta.is_empty());
         assert_eq!(m.tally().sources_recomputed, before + 2);
+        assert_eq!(m.tally().kernel_batches, 2);
     }
 
     #[test]

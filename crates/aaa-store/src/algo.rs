@@ -103,18 +103,19 @@ pub fn closeness_exact<G: GraphStore + Sync>(g: &G) -> Vec<f64> {
 /// `(distance, id)` tie-breaks — bit-identical to
 /// `aaa_graph::centrality::betweenness_exact_det` on the same edge set.
 ///
-/// Per-source rows are computed in parallel, but the dependency vectors
-/// are summed sequentially in increasing source order via
-/// [`aaa_graph::centrality::betweenness_from_rows`], so the result is a
-/// bit-exact function of the graph alone (no reduction-order dependence).
-/// This is the `recompute_exact` oracle for the engine's incremental
-/// betweenness metric.
+/// Per-source rows are computed in parallel and lent to
+/// [`aaa_graph::centrality::betweenness_from_rows`], which runs them
+/// through the batched kernel and sums the dependency vectors sequentially
+/// in increasing source order, so the result is a bit-exact function of
+/// the graph alone (no reduction-order dependence). This is the
+/// `recompute_exact` oracle for the engine's incremental betweenness
+/// metric.
 pub fn betweenness_exact<G: GraphStore + Sync>(g: &G) -> Vec<f64> {
     let n = g.num_vertices();
     let rows: Vec<Vec<Dist>> = (0..n).into_par_iter().map(|s| dijkstra(g, s as VertexId)).collect();
     aaa_graph::centrality::betweenness_from_rows(
         n,
-        |s| rows[s as usize].clone(),
+        |s| rows[s as usize].as_slice(),
         |v| g.successors(v),
     )
 }
