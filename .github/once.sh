@@ -163,3 +163,27 @@ echo "aaa-core calls: $kernels"
 for f in aaa-graph/src/centrality aaa-core/src/metric; do
   echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
 done
+
+# One multi-source walk. PR 26: IA on unit weights, the certified hop matrix
+# (its build and its repair) and the degraded report walk their sources
+# through one bit-parallel multi-source BFS, `aaa_graph::sssp::bfs_rows`,
+# `BFS_LANES` sources per pass, instead of one search each; the
+# buffer-reusing `bfs_hops_into` they called went with the loops. So the walk
+# body exists once in aaa-graph, non-test aaa-core code walks no hop row one
+# source at a time, and it builds a `BinaryHeap` in one place only: IA's
+# Dijkstra loop for weighted sub-graphs. The block also logs the non-test
+# size of the three files the walk touched (898 / 409 / 64 before it,
+# 917 / 419 / 157 after).
+walks=$(grep -rnE 'fn bfs_rows[<(]' crates/aaa-graph)
+echo "$walks"
+[ "$(echo "$walks" | wc -l)" = 1 ] || { echo "expected exactly one multi-source walk body, bfs_rows"; exit 1; }
+singles=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE 'bfs_hops(_into)?\(' | sed "s|^|$f:|" || true; done)
+[ -z "$singles" ] || { echo "$singles"; echo "aaa-core walks hop rows one source at a time"; exit 1; }
+heaps=$(for f in crates/aaa-core/src/*.rs; do
+  nontest "$f" | awk -v f="$f" '/^ *(pub )?fn / { name = $0 } /BinaryHeap/ && !/^use / { print f ":" name }'
+done)
+echo "BinaryHeap built in: $heaps"
+[ "$(echo "$heaps" | grep -c 'fn ')" = 1 ] && echo "$heaps" | grep -q 'rank.rs: *pub fn initial_approximation(' || { echo "aaa-core builds a BinaryHeap outside IA's weighted branch"; exit 1; }
+for f in aaa-core/src/rank aaa-core/src/quality aaa-graph/src/sssp; do
+  echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
+done

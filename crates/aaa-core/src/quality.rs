@@ -7,6 +7,7 @@
 
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::{closeness_from_row, mean_relative_error, top_k};
+use aaa_graph::sssp::{bfs_rows, BFS_LANES};
 use aaa_graph::{Dist, VertexId, Weight, INF};
 use aaa_runtime::{ClusterError, FaultCounters};
 use aaa_store::{algo, GraphStore};
@@ -171,10 +172,13 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
     let n = graph.num_vertices();
     assert_eq!(rows.n(), n, "distance matrix does not match the graph");
     let w_min = aaa_store::edges(graph).map(|(_, _, w)| w).min().unwrap_or(1).max(1) as u64;
-    let (mut hops, mut queue) = (vec![INF; n], Vec::new());
-    (0..n as u32)
-        .map(|v| {
-            algo::bfs_hops_into(graph, v, &mut hops, &mut queue);
+    let sources: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut walked = vec![INF; BFS_LANES.min(n) * n];
+    let mut bound = Vec::with_capacity(n);
+    for batch in sources.chunks(BFS_LANES) {
+        let walked = &mut walked[..batch.len() * n];
+        bfs_rows(n, |v| graph.successors(v), batch, walked);
+        bound.extend(batch.iter().zip(walked.chunks_exact(n)).map(|(&v, hops)| {
             let row = rows.row(v);
             let mut lower_sum = 0u64;
             let mut covered = true;
@@ -195,8 +199,9 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
             let c_hi = if lower_sum > 0 { 1.0 / lower_sum as f64 } else { 0.0 };
             let c_lo = if covered { c_est } else { 0.0 };
             ((c_est - c_lo).max(c_hi - c_est)).max(0.0)
-        })
-        .collect()
+        }));
+    }
+    bound
 }
 
 // ----------------------------------------------------------------
@@ -269,16 +274,15 @@ fn weight_extremes<G: GraphStore>(graph: &G) -> (u64, u64) {
 }
 
 impl CertifiedBoundsCache {
-    /// Builds the cache for the current graph (n BFS traversals). Works on
+    /// Builds the cache for the current graph: all n hop rows, walked
+    /// `BFS_LANES` at a time by the multi-source BFS [`bfs_rows`]. Works on
     /// any storage backend.
     pub fn new<G: GraphStore>(graph: &G) -> Self {
         let n = graph.num_vertices();
         let (w_min, w_max) = weight_extremes(graph);
         let mut hops = vec![INF; n * n];
-        let mut queue = Vec::new();
-        for (v, row) in hops.chunks_exact_mut(n.max(1)).enumerate() {
-            algo::bfs_hops_into(graph, v as VertexId, row, &mut queue);
-        }
+        let all: Vec<VertexId> = (0..n as VertexId).collect();
+        bfs_rows(n, |v| graph.successors(v), &all, &mut hops);
         Self { n, w_min, w_max, hops }
     }
 
@@ -303,7 +307,10 @@ impl CertifiedBoundsCache {
     ///   two levels, so no hop count can have shrunk.
     ///
     /// A row that fails is walked again and reported only if a count moved;
-    /// a row that gained a new vertex within reach is reported as well.
+    /// a row that gained a new vertex within reach is reported as well. The
+    /// tests read the new columns, so the new rows are walked first; then
+    /// every row is tested, and the rows that fail are walked together,
+    /// `BFS_LANES` per pass of [`bfs_rows`].
     pub fn repair<G: GraphStore>(
         &mut self,
         graph: &G,
@@ -329,15 +336,14 @@ impl CertifiedBoundsCache {
         let (present, absent): (Vec<_>, Vec<_>) =
             pairs.into_iter().partition(|&(u, v)| graph.successors(u).any(|(t, _)| t == v));
 
-        let mut queue = Vec::new();
+        let succ = |v| graph.successors(v);
         if n > n0 {
             let mut hops = vec![INF; n * n];
             for (old, new) in self.hops.chunks_exact(n0.max(1)).zip(hops.chunks_exact_mut(n)) {
                 new[..n0].copy_from_slice(old);
             }
-            for v in n0..n {
-                algo::bfs_hops_into(graph, v as VertexId, &mut hops[v * n..][..n], &mut queue);
-            }
+            let fresh: Vec<VertexId> = (n0 as VertexId..n as VertexId).collect();
+            bfs_rows(n, succ, &fresh, &mut hops[n0 * n..]);
             for x in 0..n0 {
                 for v in n0..n {
                     hops[x * n + v] = hops[v * n + x];
@@ -355,26 +361,30 @@ impl CertifiedBoundsCache {
                         && !graph.successors(far).any(|(t, _)| h[t as usize] == near)
                 })
         };
-        let mut rows_changed = Vec::new();
-        let mut rows_rewalked = n - n0;
-        let mut walked = vec![INF; n];
-        for (x, row) in self.hops.chunks_exact_mut(n.max(1)).take(n0).enumerate() {
-            // A new vertex within reach is a new term of the interval.
-            let mut changed = row[n0..].iter().any(|&h| h != INF);
+        // A new vertex within reach is a new term of the interval.
+        let mut changed: Vec<bool> = Vec::with_capacity(n);
+        let mut rewalk = Vec::new();
+        for (x, row) in self.hops.chunks_exact(n.max(1)).take(n0).enumerate() {
+            changed.push(row[n0..].iter().any(|&h| h != INF));
             if stale(row) {
-                rows_rewalked += 1;
-                algo::bfs_hops_into(graph, x as VertexId, &mut walked, &mut queue);
-                if walked != *row {
-                    row.copy_from_slice(&walked);
-                    changed = true;
-                }
-            }
-            if changed {
-                rows_changed.push(x as VertexId);
+                rewalk.push(x as VertexId);
             }
         }
-        rows_changed.extend(n0 as VertexId..n as VertexId);
-        BoundsRepair { rows_changed, rows_rewalked, extremes_moved }
+        changed.resize(n, true);
+        let mut walked = vec![INF; BFS_LANES.min(rewalk.len()) * n];
+        for batch in rewalk.chunks(BFS_LANES) {
+            let walked = &mut walked[..batch.len() * n];
+            bfs_rows(n, succ, batch, walked);
+            for (&x, new) in batch.iter().zip(walked.chunks_exact(n)) {
+                let row = &mut self.hops[x as usize * n..][..n];
+                if row != new {
+                    row.copy_from_slice(new);
+                    changed[x as usize] = true;
+                }
+            }
+        }
+        let rows_changed = (0..n as VertexId).filter(|&x| changed[x as usize]).collect();
+        BoundsRepair { rows_changed, rows_rewalked: n - n0 + rewalk.len(), extremes_moved }
     }
 
     /// Number of vertices the cache was built for.
@@ -606,6 +616,37 @@ mod tests {
         touched
     }
 
+    /// The hop matrix of `g` built one `bfs_hops` row at a time — the
+    /// reference the walk is held to.
+    fn hops_by_rows(g: &AdjGraph) -> Vec<Dist> {
+        (0..g.num_vertices() as VertexId).flat_map(|v| algo::bfs_hops(g, v)).collect()
+    }
+
+    /// Past `BFS_LANES` vertices both walks of a repair take two passes: 300
+    /// on a path, closed into a ring (every row moves), then 260 new
+    /// vertices hung off it.
+    #[test]
+    fn a_repair_past_one_pass_equals_the_rows_walked_one_by_one() {
+        let n0 = 300;
+        let mut g = AdjGraph::with_vertices(n0);
+        for v in 1..n0 as VertexId {
+            g.add_edge(v - 1, v, 1).unwrap();
+        }
+        let mut cache = CertifiedBoundsCache::new(&g);
+        assert!(cache.hops == hops_by_rows(&g));
+        g.add_edge(0, n0 as VertexId - 1, 1).unwrap();
+        let base = g.add_vertices(260);
+        for v in base..base + 260 {
+            g.add_edge(v, (v * 7) % n0 as VertexId, 1).unwrap();
+        }
+        let repair = cache.repair(&g, &[(0, n0 as VertexId - 1, 1)]);
+        // 260 new rows, then more than one pass of old ones.
+        assert!(repair.rows_rewalked > 260 + BFS_LANES, "{}", repair.rows_rewalked);
+        assert_eq!(repair.rows_changed.len(), g.num_vertices());
+        assert!(cache.hops == hops_by_rows(&g), "repair differs from bfs_hops");
+        assert!(cache == CertifiedBoundsCache::new(&g));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(320))]
 
@@ -640,6 +681,7 @@ mod tests {
             let repair = cache.repair(&g, &touched);
             let rebuilt = CertifiedBoundsCache::new(&g);
             proptest::prop_assert!(cache == rebuilt, "repair differs from rebuild");
+            proptest::prop_assert!(cache.hops == hops_by_rows(&g), "walk differs from bfs_hops");
 
             let (n0, n1) = (before.n, rebuilt.n);
             let expected: Vec<VertexId> = (0..n1)

@@ -1,9 +1,10 @@
 //! Per-processor state and the rank-local pieces of the algorithm:
-//! the IA-phase Dijkstra, the recombination-step produce/consume logic,
+//! the IA-phase walk, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
 use crate::dv::{DvStore, KernelTally, Witness};
 use aaa_checkpoint::RankSnapshot;
+use aaa_graph::sssp::{bfs_rows, BFS_LANES};
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -248,48 +249,66 @@ impl RankState {
     // IA phase
     // --------------------------------------------------------------------
 
-    /// Initial approximation: Dijkstra from every local vertex over the
-    /// *local sub-graph* (local vertices plus external boundary vertices,
-    /// using only edges incident to local vertices — §IV.B).
+    /// Initial approximation: the shortest paths from every local vertex
+    /// over the *local sub-graph* (local vertices plus external boundary
+    /// vertices, using only edges incident to local vertices — §IV.B).
+    ///
+    /// When every edge of the sub-graph weighs 1 — every benchmark and paper
+    /// graph — hop counts are the distances, and the local vertices walk
+    /// together through the multi-source BFS [`bfs_rows`], `BFS_LANES` per
+    /// pass; otherwise each runs its own Dijkstra. Either way the rows are
+    /// the same integers.
     pub fn initial_approximation(&mut self) {
-        let (ids, index_of, adj_local) = self.local_subgraph();
+        let (ids, adj_local) = self.local_subgraph();
         let m = ids.len();
-        let mut dist = vec![INF; m];
-        let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
         let mut pairs = Vec::with_capacity(m);
         let Self { local, dv, .. } = self;
-        for &v in local.iter() {
-            let s = index_of[&v];
-            dist.fill(INF);
-            dist[s as usize] = 0;
-            heap.clear();
-            heap.push(Reverse((0, s)));
-            while let Some(Reverse((d, x))) = heap.pop() {
-                if d > dist[x as usize] {
-                    continue;
-                }
-                for &(t, w) in &adj_local[x as usize] {
-                    let nd = dist_add(d, w as Dist);
-                    if nd < dist[t as usize] {
-                        dist[t as usize] = nd;
-                        heap.push(Reverse((nd, t)));
+        // Writes a sub-graph row into the global-indexed row of `v`.
+        let mut merge = |v: VertexId, row: &[Dist]| {
+            pairs.clear();
+            pairs.extend(ids.iter().copied().zip(row.iter().copied()));
+            dv.min_merge_local_sparse(v, &pairs);
+        };
+        if adj_local.iter().flatten().all(|&(_, w)| w == 1) {
+            // The local vertices are the sub-graph's first indices.
+            let sources: Vec<u32> = (0..local.len() as u32).collect();
+            let mut rows = vec![INF; BFS_LANES.min(local.len()) * m];
+            for (batch, vs) in sources.chunks(BFS_LANES).zip(local.chunks(BFS_LANES)) {
+                let rows = &mut rows[..batch.len() * m];
+                bfs_rows(m, |x| adj_local[x as usize].iter().copied(), batch, rows);
+                vs.iter().zip(rows.chunks_exact(m)).for_each(|(&v, row)| merge(v, row));
+            }
+        } else {
+            let mut dist = vec![INF; m];
+            let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
+            for (s, &v) in local.iter().enumerate() {
+                dist.fill(INF);
+                dist[s] = 0;
+                heap.clear();
+                heap.push(Reverse((0, s as u32)));
+                while let Some(Reverse((d, x))) = heap.pop() {
+                    if d > dist[x as usize] {
+                        continue;
+                    }
+                    for &(t, w) in &adj_local[x as usize] {
+                        let nd = dist_add(d, w as Dist);
+                        if nd < dist[t as usize] {
+                            dist[t as usize] = nd;
+                            heap.push(Reverse((nd, t)));
+                        }
                     }
                 }
+                merge(v, &dist);
             }
-            // Write results into the global-indexed row.
-            pairs.clear();
-            pairs.extend(ids.iter().copied().zip(dist.iter().copied()));
-            dv.min_merge_local_sparse(v, &pairs);
         }
         // The rows are exact shortest paths of one sub-graph, so they are
         // closed among themselves: nothing is left to propagate here.
         dv.clear_unpropagated();
     }
 
-    /// Local sub-graph in dense local indices:
-    /// returns (local-index → global id, global id → local index, adjacency).
-    #[allow(clippy::type_complexity)]
-    fn local_subgraph(&self) -> (Vec<VertexId>, FxHashMap<VertexId, u32>, Vec<Vec<(u32, Weight)>>) {
+    /// Local sub-graph in dense local indices, the local vertices first:
+    /// returns (local index → global id, adjacency).
+    fn local_subgraph(&self) -> (Vec<VertexId>, Vec<Vec<(u32, Weight)>>) {
         let mut ids: Vec<VertexId> = self.local.clone();
         let mut index_of: FxHashMap<VertexId, u32> = FxHashMap::default();
         for (i, &v) in ids.iter().enumerate() {
@@ -311,14 +330,14 @@ impl RankState {
                 let ti = index_of[&t];
                 adj_local[vi as usize].push((ti, w));
                 // Cut edges exist only in the local vertex's list; mirror
-                // them so Dijkstra can relax through boundary vertices.
+                // them so a path can run through boundary vertices.
                 // Local-local edges already appear in both lists.
                 if !self.dv.is_local(t) {
                     adj_local[ti as usize].push((vi, w));
                 }
             }
         }
-        (ids, index_of, adj_local)
+        (ids, adj_local)
     }
 
     // --------------------------------------------------------------------
@@ -936,6 +955,41 @@ mod tests {
         assert_eq!(row0[1], 1);
         assert_eq!(row0[2], 2);
         assert_eq!(row0[3], INF); // 3 invisible to rank 0
+    }
+
+    /// Every IA row is the per-source Dijkstra row of the rank's local
+    /// sub-graph (the edges with a local end): on unit weights, where the
+    /// ranks walk, more than `BFS_LANES` sources at P = 2; and with one
+    /// weight-2 edge, which sends the ranks it touches to the Dijkstra loop.
+    #[test]
+    fn ia_rows_are_dijkstra_over_the_local_subgraph() {
+        use aaa_graph::generators::{barabasi_albert, WeightModel};
+        let unit = barabasi_albert(600, 3, WeightModel::Unit, 5).unwrap();
+        let mut weighted = unit.clone();
+        let (a, b, _) = unit.edges().nth(100).unwrap();
+        weighted.set_weight(a, b, 2).unwrap();
+        for graph in [&unit, &weighted] {
+            let n = graph.num_vertices();
+            for procs in [2, 4] {
+                let owner: Vec<PartId> = (0..n as PartId).map(|v| v % procs).collect();
+                for r in 0..procs {
+                    let mut s =
+                        RankState::build(r as Rank, owner.clone(), |v| graph.neighbors(v).to_vec());
+                    s.initial_approximation();
+                    let mut sub = AdjGraph::with_vertices(n);
+                    for (u, v, w) in graph.edges() {
+                        if owner[u as usize] == r || owner[v as usize] == r {
+                            sub.add_edge(u, v, w).unwrap();
+                        }
+                    }
+                    let sub = aaa_graph::Csr::from_adj(&sub);
+                    for (v, row) in s.local_rows() {
+                        let want = aaa_graph::sssp::dijkstra(&sub, v);
+                        assert!(row == want, "P = {procs}, rank {r}: IA row of {v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

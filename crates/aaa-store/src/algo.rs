@@ -12,23 +12,16 @@ use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// BFS hop counts from `source` (`INF` when unreachable), writing into a
-/// caller-provided buffer (reset to `INF`). `queue` is scratch: cleared
-/// here, so one pair of buffers serves any number of sources.
-pub fn bfs_hops_into<G: GraphStore>(
-    g: &G,
-    source: VertexId,
-    dist: &mut [Dist],
-    queue: &mut Vec<VertexId>,
-) {
-    debug_assert_eq!(dist.len(), g.num_vertices());
-    dist.fill(INF);
-    queue.clear();
+/// BFS hop counts from `source` (`INF` when unreachable). One source at a
+/// time: the reference that `aaa_graph::sssp::bfs_rows`, which walks many
+/// sources together, is tested against.
+pub fn bfs_hops<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
+    let mut dist = vec![INF; g.num_vertices()];
     if dist.is_empty() {
-        return;
+        return dist;
     }
     dist[source as usize] = 0;
-    queue.push(source);
+    let mut queue = vec![source];
     // Every vertex enters the queue at most once, so a cursor into the
     // growing list is the whole FIFO.
     let mut head = 0;
@@ -42,12 +35,6 @@ pub fn bfs_hops_into<G: GraphStore>(
             }
         }
     }
-}
-
-/// BFS hop counts from `source` (`INF` when unreachable).
-pub fn bfs_hops<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
-    let mut dist = vec![INF; g.num_vertices()];
-    bfs_hops_into(g, source, &mut dist, &mut Vec::new());
     dist
 }
 
