@@ -118,27 +118,40 @@ if grep -rnE 'want_all|update_extra_metrics\(full|full *\|\|[^;]*wants_all_rows|
   echo "the metrics are asked for every row because the publisher wants a full epoch"; exit 1
 fi
 
-# Certified bounds are repaired, not rebuilt. PR 24: a drained change only
-# notes its edges (`edges_changed`), and the publish barrier repairs the hop
-# matrix for the drain's batch (`CertifiedBoundsCache::repair`) and re-states
-# only the rows it moved. The full build is left to the first epoch and the
-# rewinds. So outside tests and comments `CertifiedBoundsCache::new(` has one
-# caller, `Publisher::cache_for`, and `invalidate_cache(` is called from the
-# rewind paths alone (`fallback_restore`, `recover_rank`) — never from
-# `edges_changed` or an `exec_*`. The block also logs the non-test size of the
-# three files the repair lives in (290 / 1047 / 1840 before it, 409 / 1085 / 1868 after).
+# One certified interval. The hop matrix is a function of the graph, rebuilt
+# by the multi-source walk at a barrier where an edge moved or the vertex
+# count changed, and compared with the old one for the rows a thin epoch
+# re-states; the incremental repair it replaced, its result type, its
+# rows-walked counter and the degraded report's own bounds formula were
+# deleted, and both drivers' degraded answers, assembled in
+# `DegradedReport::assemble` alone, bound each row by the interval
+# `CertifiedBoundsCache::interval` computes. So none of those names may come
+# back under crates/; outside tests and comments `CertifiedBoundsCache::new(`
+# is called from `Publisher::cache_for` alone (the degraded assembly walks its
+# hop rows 256 at a time, never the n×n matrix), `DegradedReport::assemble(`
+# is what both drivers' `degraded_run` / `degrade_with` call, and
+# `invalidate_cache(` is called from the rewind
+# paths alone (`fallback_restore`, `recover_rank`). The block also logs the
+# non-test size of the four files the interval lives in (419 / 1085 / 1869 /
+# 1345 before it).
+if grep -rnE 'fn repair\(|BoundsRepair|degraded_closeness_bounds|bounds_rows_rewalked' crates/; then
+  echo "the bounds repair or the degraded report's own bounds walk is back"; exit 1
+fi
 callers_of() {
   for f in $(grep -rlF "$1" crates/ examples/ src/); do
-    nontest "$f" | awk -v f="$f" -v call="$1" '/^ *(pub )?fn / { name = $0 } index($0, call) && !/^ *\/\// { print f ":" name }'
+    nontest "$f" | awk -v f="$f" -v call="$1" '/^ *(pub(\(crate\))? )?fn / { name = $0 } index($0, call) && !/^ *\/\// { print f ":" name }'
   done
 }
 builds=$(callers_of 'CertifiedBoundsCache::new(')
 echo "CertifiedBoundsCache::new called from: $builds"
 [ "$(echo "$builds" | grep -c 'fn ')" = 1 ] && echo "$builds" | grep -q 'publish.rs: *pub fn cache_for(' || { echo "CertifiedBoundsCache::new has a caller besides Publisher::cache_for"; exit 1; }
+assemblies=$(callers_of 'DegradedReport::assemble(')
+echo "DegradedReport::assemble called from: $assemblies"
+[ "$(echo "$assemblies" | grep -c 'fn ')" = 2 ] && echo "$assemblies" | grep -q 'engine.rs: *fn degraded_run(' && echo "$assemblies" | grep -q 'net.rs: *fn degrade_with(' || { echo "a driver's degraded answer bypasses DegradedReport::assemble"; exit 1; }
 drops=$(callers_of '.invalidate_cache(')
 echo "invalidate_cache called from: $drops"
 [ "$(echo "$drops" | grep -c 'fn ')" = 2 ] && echo "$drops" | grep -q 'fn fallback_restore(' && echo "$drops" | grep -q 'fn recover_rank(' || { echo "invalidate_cache is reached from outside the rewind paths"; exit 1; }
-for f in quality publish engine; do
+for f in quality publish engine net; do
   echo "aaa-core/src/$f.rs: $(nontest "crates/aaa-core/src/$f.rs" | wc -l) non-test lines"
 done
 
@@ -164,8 +177,8 @@ for f in aaa-graph/src/centrality aaa-core/src/metric; do
   echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
 done
 
-# One multi-source walk. PR 26: IA on unit weights, the certified hop matrix
-# (its build and its repair) and the degraded report walk their sources
+# One multi-source walk. IA on unit weights and the certified hop matrix
+# (which the degraded report reads as well) walk their sources
 # through one bit-parallel multi-source BFS, `aaa_graph::sssp::bfs_rows`,
 # `BFS_LANES` sources per pass, instead of one search each; the
 # buffer-reusing `bfs_hops_into` they called went with the loops. So the walk

@@ -21,7 +21,7 @@ use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
 use crate::policy::{RetryPolicy, StrategyPolicy};
 use crate::publish::{BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta};
-use crate::quality::{degraded_closeness_bounds, DegradedReason, DegradedReport};
+use crate::quality::{DegradedReason, DegradedReport};
 use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
 use crate::strategies::{cut_edge_assign, round_robin_assign, AssignStrategy};
 use aaa_checkpoint::{
@@ -228,10 +228,10 @@ pub struct AnytimeEngine {
     metrics: MetricSet,
     /// The edges made or unmade since the last publish barrier, each with
     /// the weight under which it was or is tight: what the barrier tests
-    /// the unmoved rows against — DV rows for the per-source metrics
-    /// ([`AnytimeEngine::update_extra_metrics`]), hop rows for the
-    /// certified bounds ([`Publisher::cache_for`]). Stays empty on an
-    /// engine with neither.
+    /// the unmoved DV rows against for the per-source metrics
+    /// ([`AnytimeEngine::update_extra_metrics`]); for the certified bounds
+    /// ([`Publisher::cache_for`]) only whether it is empty counts. Stays
+    /// empty on an engine with neither.
     touched: Vec<(VertexId, VertexId, Weight)>,
 }
 
@@ -425,9 +425,7 @@ impl AnytimeEngine {
                 ("chunks_copied", publish.chunks_copied as f64),
                 ("chunks_shared", publish.chunks_shared as f64),
                 ("topk_rebuilds", publish.topk_rebuilds as f64),
-                ("bounds_repairs", publish.bounds_repairs as f64),
-                ("bounds_rows_rewalked", publish.bounds_rows_rewalked as f64),
-                ("bounds_rebuilds", publish.bounds_rebuilds as f64),
+                ("bounds_builds", publish.bounds_builds as f64),
             ],
         ));
         if let Some(tally) = self.metric_tally(MetricKind::Betweenness) {
@@ -490,10 +488,10 @@ impl AnytimeEngine {
         // the extra metrics' row hand-off.
         let changed = self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
         let touched = std::mem::take(&mut self.touched);
-        // The rows whose bound moved under an unmoved DV row. A rebuild or
-        // a moved weight extreme moves every bound instead and forces the
+        // The rows whose bound moved under an unmoved DV row. A rewind or a
+        // moved weight extreme moves every bound instead and forces the
         // full path below.
-        let hop_moved = self.publisher.cache_for(&self.graph, &touched);
+        let hop_moved = self.publisher.cache_for(&self.graph, !touched.is_empty());
         let full = self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
         let extra_deltas = self.update_extra_metrics(&changed, &touched);
         // What a thin epoch re-states: the DV-dirty rows and those, each at
@@ -839,9 +837,9 @@ impl AnytimeEngine {
             match res {
                 Ok(()) => {
                     applied += 1;
-                    // What the change did to the edge set — hop rows to
-                    // repair, sources whose shortest-path counts may have
-                    // shifted where no distance did — it stated itself
+                    // What the change did to the edge set — whether the
+                    // bounds rebuild, sources whose shortest-path counts may
+                    // have shifted where no distance did — it stated itself
                     // (`edges_changed`). One that altered
                     // nothing (a weight set to itself, isolated victims)
                     // still counts and still publishes its epoch below.
@@ -869,11 +867,11 @@ impl AnytimeEngine {
     /// the edges it made or unmade, each with the weight under which it was
     /// or is tight. They are only noted: the next publish barrier hands the
     /// whole drain's list to the per-source metrics
-    /// ([`AnytimeEngine::update_extra_metrics`]) and to the certified
-    /// bounds ([`Publisher::cache_for`]), each of which re-derives only
-    /// what the edges can have moved. An engine with neither keeps no list
-    /// and does not walk `edges`. A change that altered no edge does not
-    /// call this.
+    /// ([`AnytimeEngine::update_extra_metrics`]), which re-derive only what
+    /// the edges can have moved, and tells the certified bounds
+    /// ([`Publisher::cache_for`]) that some edge moved. An engine with
+    /// neither keeps no list and does not walk `edges`. A change that
+    /// altered no edge does not call this.
     fn edges_changed(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>) {
         if !self.metrics.closeness_only() || self.config.publish_bounds == BoundsMode::Certified {
             self.touched.extend(edges);
@@ -1757,7 +1755,8 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// Assembles the degraded-mode answer from the engine's current state.
+    /// Assembles the degraded-mode answer from the engine's current state,
+    /// bounded by the certified intervals of the current graph.
     fn degraded_run(
         &mut self,
         steps: usize,
@@ -1766,21 +1765,20 @@ impl AnytimeEngine {
         verification_passes: u64,
         reason: DegradedReason,
     ) -> SupervisedRun {
-        let estimate = self.closeness();
-        let rows = self.distances();
-        let bound = degraded_closeness_bounds(&self.graph, &rows);
+        let report = DegradedReport::assemble(
+            &self.graph,
+            &self.distances(),
+            self.closeness(),
+            reason,
+            self.rc_steps,
+            self.stats().faults,
+        );
         SupervisedRun {
             summary: ConvergenceSummary { steps, converged: false },
             retries,
             fallbacks,
             verification_passes,
-            degraded: Some(DegradedReport {
-                reason,
-                rc_steps: self.rc_steps,
-                faults: self.stats().faults,
-                estimate,
-                bound,
-            }),
+            degraded: Some(report),
         }
     }
 

@@ -78,8 +78,7 @@ pub use publish::{
     TOPK_SERVE_CAP,
 };
 pub use quality::{
-    degraded_closeness_bounds, BoundsRepair, CertifiedBoundsCache, DegradedReason, DegradedReport,
-    QualitySample, QualityTracker,
+    CertifiedBoundsCache, DegradedReason, DegradedReport, QualitySample, QualityTracker,
 };
 pub use rank::{InvalidationTally, WireFormat};
 pub use strategies::AssignStrategy;

@@ -38,7 +38,7 @@
 //! checkpoints of dead ones) are gathered into a [`DegradedReport`] whose
 //! certified bounds cover the exact answer.
 
-use crate::quality::{degraded_closeness_bounds, DegradedReason, DegradedReport};
+use crate::quality::{DegradedReason, DegradedReport};
 use crate::rank::{RankState, RowMsg, RowPayload, WireFormat};
 use aaa_checkpoint::{RankSnapshot, RowTable};
 use aaa_graph::apsp::DistMatrix;
@@ -1302,7 +1302,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
 
     /// Assembles the certified degraded answer: salvage rows from every
     /// surviving worker (checkpoints stand in for dead ones), compute the
-    /// estimate, and bound the error against the graph structure.
+    /// estimate, and bound the error by the certified interval of each row.
     fn degrade_with(&mut self, reason: DegradedReason) -> NetOutcome {
         let n = self.owner.len();
         let mut matrix = DistMatrix::new(n);
@@ -1326,20 +1326,15 @@ impl<'g, T: Transport> NetRunner<'g, T> {
                 }
             }
         }
-        let estimate: Vec<f64> =
-            (0..n as VertexId).map(|v| closeness_from_row(matrix.row(v))).collect();
-        let bound = degraded_closeness_bounds(self.graph, &matrix);
+        let estimate = (0..n as VertexId).map(|v| closeness_from_row(matrix.row(v))).collect();
         let faults = FaultCounters {
             retransmits: self.recoveries as u64 + self.probes_survived as u64,
             ..FaultCounters::default()
         };
-        NetOutcome::Degraded(Box::new(DegradedReport {
-            reason,
-            rc_steps: self.round as usize,
-            faults,
-            estimate,
-            bound,
-        }))
+        let rc_steps = self.round as usize;
+        NetOutcome::Degraded(Box::new(DegradedReport::assemble(
+            self.graph, &matrix, estimate, reason, rc_steps, faults,
+        )))
     }
 }
 

@@ -51,7 +51,7 @@ use crate::metric::{MetricKind, MetricMask};
 use crate::net::NetMsg;
 use crate::quality::CertifiedBoundsCache;
 use aaa_graph::closeness::top_k;
-use aaa_graph::{AdjGraph, VertexId, Weight};
+use aaa_graph::{AdjGraph, VertexId};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
@@ -76,10 +76,10 @@ pub enum BoundsMode {
     #[default]
     None,
     /// Publish certified per-vertex error bounds alongside closeness, via
-    /// [`CertifiedBoundsCache`] (n BFS once, then repaired per drain: only
-    /// the hop rows a drain's edges can have moved are walked again).
-    /// Bounds are sound at every epoch and non-increasing across epochs on
-    /// a quiescing run.
+    /// [`CertifiedBoundsCache`] (all n hop rows, walked by one multi-source
+    /// BFS, again at each barrier where an edge moved or the vertex count
+    /// changed). Bounds are sound at every epoch and non-increasing across
+    /// epochs on a quiescing run.
     Certified,
 }
 
@@ -841,13 +841,9 @@ pub struct PublishStats {
     /// Bounded rescans of the top-k index (full publishes + underflow
     /// refills).
     pub topk_rebuilds: u64,
-    /// Publish barriers at which the certified-bounds cache was repaired
-    /// for the edges noted since the last one.
-    pub bounds_repairs: u64,
-    /// Hop rows those repairs walked again (a rebuild walks all `n`).
-    pub bounds_rows_rewalked: u64,
-    /// Full builds of the cache: the first epoch and every rewind.
-    pub bounds_rebuilds: u64,
+    /// Builds of the certified-bounds cache: the first epoch, each barrier
+    /// where an edge moved or the vertex count changed, and each rewind.
+    pub bounds_builds: u64,
 }
 
 /// The engine-side writer half of the publish layer: mints epochs, owns
@@ -858,9 +854,9 @@ pub struct Publisher {
     cell: Arc<ViewCell>,
     epoch: u64,
     mode: BoundsMode,
-    /// Built for the first epoch under [`BoundsMode::Certified`], repaired
-    /// at every later barrier ([`Publisher::cache_for`]), dropped by the
-    /// engine only when it rewinds.
+    /// Built for the first epoch under [`BoundsMode::Certified`], rebuilt at
+    /// every later barrier where the graph moved ([`Publisher::cache_for`]),
+    /// dropped by the engine only when it rewinds.
     cache: Option<CertifiedBoundsCache>,
     /// Maintained top-k index per column, closeness first.
     indexes: Vec<(MetricKind, TopKIndex)>,
@@ -933,12 +929,12 @@ impl Publisher {
         self.force_full = on;
     }
 
-    /// Drops the bounds cache; the next certified publish rebuilds it and
+    /// Drops the bounds cache; the next certified publish builds it and
     /// takes the full path. For the engine's rewinds only (a checkpoint
-    /// fallback, a recovered rank): there the graph or the rows went back
-    /// to an earlier state and no list of edges says how. A drained change
-    /// never comes here — it notes its edges and [`Publisher::cache_for`]
-    /// repairs the cache for them.
+    /// fallback, a recovered rank): there the rows went back to an earlier
+    /// state, so any bound may move, not only those whose hop row did. A
+    /// drained change never comes here — [`Publisher::cache_for`] rebuilds
+    /// the cache and says which rows moved.
     pub fn invalidate_cache(&mut self) {
         self.cache = None;
         if self.mode == BoundsMode::Certified {
@@ -948,40 +944,30 @@ impl Publisher {
 
     /// Makes the bounds cache right for `graph` and returns the rows whose
     /// bound moved although their DV row may not have (sorted; every new
-    /// vertex among them). `touched` is every edge made or unmade since the
-    /// last call. The cache is *repaired* for them
-    /// ([`CertifiedBoundsCache::repair`]); it is built afresh — forcing the
-    /// full path, as a moved weight extreme does, since then every bound
-    /// moves — only when there is none or `graph` has fewer vertices than
-    /// it. Under [`BoundsMode::None`] there is no cache and nothing to do.
-    pub fn cache_for(
-        &mut self,
-        graph: &AdjGraph,
-        touched: &[(VertexId, VertexId, Weight)],
-    ) -> Vec<VertexId> {
-        if self.mode == BoundsMode::None {
+    /// vertex among them). `edges_moved` says whether an edge was made,
+    /// unmade or reweighted since the last call. The cache is a function of
+    /// the graph, so it is built afresh whenever there is none, an edge
+    /// moved or the vertex count changed, and the rows returned are those
+    /// `CertifiedBoundsCache::moved_since` finds against the old one. The
+    /// full path is forced when every bound moves: a weight extreme moved,
+    /// or there is no old cache of as few vertices to compare with (the
+    /// first epoch, a rewind). Under [`BoundsMode::None`] there is no cache
+    /// and nothing to do.
+    pub fn cache_for(&mut self, graph: &AdjGraph, edges_moved: bool) -> Vec<VertexId> {
+        let n = graph.num_vertices();
+        let stands = self.cache.as_ref().is_some_and(|c| c.n() == n) && !edges_moved;
+        if self.mode == BoundsMode::None || stands {
             return Vec::new();
         }
-        let n = graph.num_vertices();
-        let rebuild = || CertifiedBoundsCache::new(graph);
-        match &mut self.cache {
-            // Nothing noted, nothing grown: the matrix stands.
-            Some(cache) if cache.n() == n && touched.is_empty() => Vec::new(),
-            Some(cache) if cache.n() <= n => {
-                let repair = cache.repair(graph, touched);
-                debug_assert!(*cache == rebuild(), "a repaired bounds cache equals a rebuilt one");
-                self.stats.bounds_repairs += 1;
-                self.stats.bounds_rows_rewalked += repair.rows_rewalked as u64;
-                self.needs_full |= repair.extremes_moved;
-                repair.rows_changed
-            }
-            _ => {
-                self.cache = Some(rebuild());
-                self.stats.bounds_rebuilds += 1;
-                self.needs_full = true;
-                Vec::new()
-            }
-        }
+        let fresh = CertifiedBoundsCache::new(graph);
+        self.stats.bounds_builds += 1;
+        let (rows, every_row) = match self.cache.take() {
+            Some(old) if old.n() <= n => fresh.moved_since(&old),
+            _ => (Vec::new(), true),
+        };
+        self.needs_full |= every_row;
+        self.cache = Some(fresh);
+        rows
     }
 
     /// The bounds cache as [`Publisher::cache_for`] left it; `None` under
@@ -1124,52 +1110,53 @@ mod tests {
         assert!(empty.top_k(3).is_empty());
     }
 
-    /// `cache_for` is handed graphs without an edge being noted: growth is
-    /// repaired (a new vertex's edges are read off the graph), fewer
-    /// vertices and `invalidate_cache` build afresh and force the full path.
+    /// `cache_for` builds the cache afresh wherever the graph moved — an
+    /// edge, or the vertex count — and names the rows whose hop row moved
+    /// plus the new ids; fewer vertices and `invalidate_cache` force the
+    /// full path.
     #[test]
-    fn cache_is_repaired_on_growth_and_rebuilt_on_a_rewind() {
-        let counts = |p: &Publisher| (p.stats().bounds_repairs, p.stats().bounds_rebuilds);
+    fn cache_is_rebuilt_when_an_edge_moves_or_n_changes() {
+        let builds = |p: &Publisher| p.stats().bounds_builds;
         let mut g = AdjGraph::with_vertices(3);
         g.add_edge(0, 1, 1).unwrap();
         let mut p = Publisher::new(BoundsMode::Certified);
-        assert!(p.cache_for(&g, &[]).is_empty());
-        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (0, 1)));
+        assert!(p.cache_for(&g, false).is_empty());
+        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 1));
         p.publish(0, 0, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
-        // Same graph, nothing noted: the cache stands, untouched.
-        assert!(p.cache_for(&g, &[]).is_empty());
-        assert_eq!(counts(&p), (0, 1));
+        // Same graph, no edge moved: the cache stands.
+        assert!(p.cache_for(&g, false).is_empty());
+        assert_eq!(builds(&p), 1);
 
         // Two new vertices, one hanging off the isolated vertex 2: row 2
         // gains it within reach, rows 0 and 1 see neither.
         let mut grown = g.clone();
         grown.add_vertices(2);
         grown.add_edge(3, 2, 1).unwrap();
-        assert_eq!(p.cache_for(&grown, &[]), vec![2, 3, 4]);
+        assert_eq!(p.cache_for(&grown, false), vec![2, 3, 4]);
         assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
-        assert_eq!((counts(&p), p.stats().bounds_rows_rewalked), ((1, 1), 2));
-        assert!(!p.wants_full(), "a repair keeps the delta path");
+        assert_eq!(builds(&p), 2);
+        assert!(!p.wants_full(), "growth keeps the delta path");
 
         // A heavier edge moves `w_max`, and with it every interval.
         grown.set_weight(0, 1, 4).unwrap();
-        assert!(p.cache_for(&grown, &[(0, 1, 1), (0, 1, 4)]).is_empty());
+        assert!(p.cache_for(&grown, true).is_empty());
         assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
-        assert_eq!(counts(&p), (2, 1));
+        assert_eq!(builds(&p), 3);
         assert!(p.wants_full(), "a moved weight extreme forces the full path");
         p.publish(1, 1, false, vec![0.0; 5], vec![0.0; 5], Vec::new());
 
-        // Fewer vertices is a rewind: no repair leads there.
-        assert!(p.cache_for(&g, &[]).is_empty());
-        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (2, 2)));
+        // Fewer vertices is a rewind, and so is a dropped cache.
+        assert!(p.cache_for(&g, false).is_empty());
+        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 4));
         assert!(p.wants_full());
         p.publish(2, 1, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
         p.invalidate_cache();
         assert!(p.cache().is_none() && p.wants_full());
-        p.cache_for(&g, &[]);
-        assert_eq!((p.cache().unwrap().n(), counts(&p)), (3, (2, 3)));
+        p.cache_for(&g, false);
+        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 5));
 
         let mut none = Publisher::new(BoundsMode::None);
-        assert!(none.cache_for(&grown, &[(0, 1, 1)]).is_empty());
+        assert!(none.cache_for(&grown, true).is_empty());
         assert!(none.cache().is_none() && none.stats() == PublishStats::default());
     }
 
@@ -1316,7 +1303,7 @@ mod tests {
         // Certified invalidation forces the full path.
         assert!(p.wants_full());
         let g = AdjGraph::with_vertices(40);
-        p.cache_for(&g, &[]);
+        p.cache_for(&g, false);
         p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40], Vec::new());
         let full_delta = p.last_delta().unwrap().clone();
         assert!(full_delta.full);

@@ -1,14 +1,20 @@
-//! Anytime-quality instrumentation.
+//! Anytime-quality instrumentation and the certified quality label.
 //!
 //! The anytime property (§III) promises solutions whose quality improves
 //! monotonically (non-decreasing) with computation. [`QualityTracker`]
 //! measures that: it compares the engine's partial closeness values against
 //! the exact values for the current graph and records the error per RC step.
+//!
+//! Without an exact reference, one interval says how good an answer is:
+//! [`CertifiedBoundsCache::interval`], read off a hop matrix that is a
+//! function of the graph. The publish layer stamps every epoch with it, and
+//! the degraded answer of either driver bounds every vertex with it
+//! (`DegradedReport::assemble`).
 
 use aaa_graph::apsp::DistMatrix;
-use aaa_graph::closeness::{closeness_from_row, mean_relative_error, top_k};
+use aaa_graph::closeness::{mean_relative_error, top_k};
 use aaa_graph::sssp::{bfs_rows, BFS_LANES};
-use aaa_graph::{Dist, VertexId, Weight, INF};
+use aaa_graph::{Dist, VertexId, INF};
 use aaa_runtime::{ClusterError, FaultCounters};
 use aaa_store::{algo, GraphStore};
 use std::fmt;
@@ -108,8 +114,9 @@ impl fmt::Display for DegradedReason {
 /// a per-vertex **certified error bound** — the anytime contract under
 /// unrecoverable faults ("an answer now, with a quality label", §III).
 ///
-/// Soundness: `|exact(v) − estimate(v)| ≤ bound(v)` for every vertex, by
-/// construction of [`degraded_closeness_bounds`]; [`DegradedReport::certifies`]
+/// Soundness: `|exact(v) − estimate(v)| ≤ bound(v)` for every vertex, since
+/// the bound reaches both ends of `v`'s certified interval, which holds the
+/// exact value (`DegradedReport::assemble`); [`DegradedReport::certifies`]
 /// checks exactly that against a reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradedReport {
@@ -126,6 +133,39 @@ pub struct DegradedReport {
 }
 
 impl DegradedReport {
+    /// The degraded answer `estimate`, each vertex bounded by the certified
+    /// interval `[c_lo, c_hi]` of its row in `rows`
+    /// ([`CertifiedBoundsCache::interval`]): `bound(v) = max(c_est − c_lo,
+    /// c_hi − c_est, 0)`, which covers the exact value wherever in the
+    /// interval it lies. The hop rows are walked off `graph` itself,
+    /// [`BFS_LANES`] at a time, so no n×n matrix is held next to `rows`.
+    /// Both drivers assemble their degraded reports here and nowhere else.
+    pub(crate) fn assemble<G: GraphStore>(
+        graph: &G,
+        rows: &DistMatrix,
+        estimate: Vec<f64>,
+        reason: DegradedReason,
+        rc_steps: usize,
+        faults: FaultCounters,
+    ) -> Self {
+        let n = graph.num_vertices();
+        assert_eq!(rows.n(), n, "distance matrix does not match the graph");
+        let extremes = weight_extremes(graph);
+        let sources: Vec<VertexId> = (0..n as VertexId).collect();
+        let mut walked = vec![INF; BFS_LANES.min(n) * n];
+        let mut bound = Vec::with_capacity(n);
+        for batch in sources.chunks(BFS_LANES) {
+            let walked = &mut walked[..batch.len() * n];
+            bfs_rows(n, |v| graph.successors(v), batch, walked);
+            bound.extend(batch.iter().zip(walked.chunks_exact(n)).map(|(&v, hops)| {
+                let (c_lo, c_hi) = interval(v, hops, rows.row(v), extremes);
+                let c_est = estimate[v as usize];
+                (c_est - c_lo).max(c_hi - c_est).max(0.0)
+            }));
+        }
+        Self { reason, rc_steps, faults, estimate, bound }
+    }
+
     /// Largest per-vertex bound (0 for an empty graph).
     pub fn max_bound(&self) -> f64 {
         self.bound.iter().copied().fold(0.0, f64::max)
@@ -152,72 +192,20 @@ impl DegradedReport {
     }
 }
 
-/// Per-vertex certified bounds on `|exact − estimate|` closeness, from the
-/// engine's current DV matrix and the (driver-known) graph structure.
-///
-/// The argument uses two invariants that hold throughout the RC phase, even
-/// under message loss:
-///
-/// * every finite DV entry is an **upper bound** on the true distance
-///   (entries only ever min-merge downward from genuine path lengths), so
-///   when the row covers every truly-reachable vertex, the estimate is a
-///   **lower** bound on true closeness (`c_lo = c_est`);
-/// * `w_min · hops(v,u)` is a **lower bound** on every true distance, so
-///   `c_hi = 1/Σ_reachable w_min·hops` is an upper bound on true closeness.
-///
-/// The bound is `max(c_est − c_lo, c_hi − c_est)`, clamped at 0. Rows that
-/// miss a reachable vertex (or carry an entry BFS says is unreachable —
-/// impossible unless state was corrupted) get the conservative `c_lo = 0`.
-pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) -> Vec<f64> {
-    let n = graph.num_vertices();
-    assert_eq!(rows.n(), n, "distance matrix does not match the graph");
-    let w_min = aaa_store::edges(graph).map(|(_, _, w)| w).min().unwrap_or(1).max(1) as u64;
-    let sources: Vec<VertexId> = (0..n as VertexId).collect();
-    let mut walked = vec![INF; BFS_LANES.min(n) * n];
-    let mut bound = Vec::with_capacity(n);
-    for batch in sources.chunks(BFS_LANES) {
-        let walked = &mut walked[..batch.len() * n];
-        bfs_rows(n, |v| graph.successors(v), batch, walked);
-        bound.extend(batch.iter().zip(walked.chunks_exact(n)).map(|(&v, hops)| {
-            let row = rows.row(v);
-            let mut lower_sum = 0u64;
-            let mut covered = true;
-            for u in 0..n {
-                if u as u32 == v {
-                    continue;
-                }
-                if hops[u] != INF {
-                    lower_sum += w_min * hops[u] as u64;
-                    if row[u] == INF {
-                        covered = false;
-                    }
-                } else if row[u] != INF {
-                    covered = false;
-                }
-            }
-            let c_est = closeness_from_row(row);
-            let c_hi = if lower_sum > 0 { 1.0 / lower_sum as f64 } else { 0.0 };
-            let c_lo = if covered { c_est } else { 0.0 };
-            ((c_est - c_lo).max(c_hi - c_est)).max(0.0)
-        }));
-    }
-    bound
-}
-
 // ----------------------------------------------------------------
-// Certified per-vertex closeness intervals (publish layer)
+// Certified per-vertex closeness intervals
 // ----------------------------------------------------------------
 
-/// The hop matrix behind certified closeness intervals, maintained across
-/// the epochs and the changes of one run.
+/// The hop matrix behind certified closeness intervals: a function of the
+/// graph, built by the multi-source walk.
 ///
 /// The publish layer stamps every epoch with per-vertex error bounds; doing
 /// `n` BFS traversals per epoch would dwarf the RC step itself, so the hop
-/// counts (and the weight extremes) are computed once here. A drained
-/// change does not throw them away either: [`repair`] re-walks only the
-/// rows the drain's edges can have moved and says which rows those were
-/// (DESIGN.md §17). The full build runs for the first epoch and after a
-/// rewind.
+/// counts (and the weight extremes) are computed here once per graph
+/// version: for the first epoch, and again at a publish barrier where an
+/// edge moved or the vertex count changed. `moved_since` says which rows
+/// a build moved against the one before it (DESIGN.md §17). A degraded
+/// report reads the same intervals.
 ///
 /// For a vertex `v` with current DV row `row`, [`interval`] returns a
 /// certified interval `[c_lo, c_hi]` containing the true closeness:
@@ -237,7 +225,6 @@ pub fn degraded_closeness_bounds<G: GraphStore>(graph: &G, rows: &DistMatrix) ->
 /// row = d_true`, so `c_lo` equals the true closeness exactly.
 ///
 /// [`interval`]: CertifiedBoundsCache::interval
-/// [`repair`]: CertifiedBoundsCache::repair
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifiedBoundsCache {
     n: usize,
@@ -246,20 +233,6 @@ pub struct CertifiedBoundsCache {
     /// Flat n×n matrix of unit-weight hop counts (`INF` unreachable);
     /// symmetric, the graph is undirected.
     hops: Vec<Dist>,
-}
-
-/// What one [`CertifiedBoundsCache::repair`] found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoundsRepair {
-    /// The rows whose hop row is not what it was — a count moved, or a new
-    /// vertex came within reach — so whose interval moves under an
-    /// unchanged DV row, and every new vertex; sorted by id.
-    pub rows_changed: Vec<VertexId>,
-    /// Rows walked by BFS: the new vertices and the old rows that failed
-    /// the test, whether or not the walk then found a difference.
-    pub rows_rewalked: usize,
-    /// `w_min` or `w_max` is not what it was: every interval moves.
-    pub extremes_moved: bool,
 }
 
 /// `(w_min, w_max)` over the graph's edges; `(1, 1)` without any.
@@ -271,6 +244,27 @@ fn weight_extremes<G: GraphStore>(graph: &G) -> (u64, u64) {
         w_max = w_max.max(w as u64);
     }
     (if w_min == u64::MAX { 1 } else { w_min }, w_max)
+}
+
+/// The certified interval of `v` from its hop row `hops` and its DV row
+/// `row`, under the weight extremes `(w_min, w_max)`: the body of
+/// [`CertifiedBoundsCache::interval`], which the degraded report applies to
+/// hop rows it walks itself.
+fn interval(v: VertexId, hops: &[Dist], row: &[Dist], (w_min, w_max): (u64, u64)) -> (f64, f64) {
+    let mut upper_sum = 0u64;
+    let mut lower_sum = 0u64;
+    for (u, (&h, &d)) in hops.iter().zip(row).enumerate() {
+        if u as VertexId == v || h == INF {
+            continue;
+        }
+        let cap = w_max * h as u64;
+        upper_sum += if d == INF { cap } else { (d as u64).min(cap) };
+        lower_sum += w_min * h as u64;
+    }
+    if upper_sum == 0 {
+        return (0.0, 0.0);
+    }
+    (1.0 / upper_sum as f64, 1.0 / lower_sum as f64)
 }
 
 impl CertifiedBoundsCache {
@@ -286,105 +280,25 @@ impl CertifiedBoundsCache {
         Self { n, w_min, w_max, hops }
     }
 
-    /// Brings the cache from the graph it was right for to `graph`, which
-    /// has the same vertices or more. `touched` names every edge between
-    /// the cache's vertices that was added, removed or reweighted in
-    /// between, in any order and any number of times; a new vertex's edges
-    /// are read off `graph`. Afterwards the cache equals
-    /// `CertifiedBoundsCache::new(graph)`.
-    ///
-    /// New vertices are walked afresh (a new row is also every old row's
-    /// new column). An old row `x` keeps its hop counts `h` unless one of
-    /// two tests against them fails (DESIGN.md §17 has the proofs):
-    ///
-    /// * **(A)** a touched edge `(u, v)` is *absent* now and `h(u) + 1 =
-    ///   h(v)`: then `v` must have a neighbour at level `h(u)` in `graph`.
-    ///   If every such `v` has one, every vertex keeps a parent one level
-    ///   up, so no hop count can have grown;
-    /// * **(B)** a touched edge `(u, v)` is *present* now: then `|h(u) −
-    ///   h(v)| ≤ 1`, unreachable against reachable counting as a
-    ///   violation. If every such edge passes, no edge of `graph` spans
-    ///   two levels, so no hop count can have shrunk.
-    ///
-    /// A row that fails is walked again and reported only if a count moved;
-    /// a row that gained a new vertex within reach is reported as well. The
-    /// tests read the new columns, so the new rows are walked first; then
-    /// every row is tested, and the rows that fail are walked together,
-    /// `BFS_LANES` per pass of [`bfs_rows`].
-    pub fn repair<G: GraphStore>(
-        &mut self,
-        graph: &G,
-        touched: &[(VertexId, VertexId, Weight)],
-    ) -> BoundsRepair {
-        let (n0, n) = (self.n, graph.num_vertices());
-        assert!(n >= n0, "a bounds cache is repaired onto the same vertices or more");
-        let extremes = weight_extremes(graph);
-        let extremes_moved = extremes != (self.w_min, self.w_max);
-        (self.w_min, self.w_max) = extremes;
-
-        // Each pair once, lower id first, split by what the graph says now.
-        let mut pairs: Vec<(VertexId, VertexId)> = touched
-            .iter()
-            .map(|&(u, v, _)| (u.min(v), u.max(v)))
-            .chain(
-                (n0 as VertexId..n as VertexId)
-                    .flat_map(|v| graph.successors(v).map(move |(t, _)| (v.min(t), v.max(t)))),
-            )
+    /// What moved from `old`, the cache of an earlier graph with the same
+    /// vertices or fewer, to `self`: the rows whose interval moves under an
+    /// unchanged DV row — each old row whose hop row differs (padded with
+    /// `INF` to the new width: a new vertex within reach is a new term) and
+    /// every new id, sorted — and whether a weight extreme moved, which
+    /// moves every interval.
+    pub(crate) fn moved_since(&self, old: &Self) -> (Vec<VertexId>, bool) {
+        let (n0, n) = (old.n, self.n);
+        assert!(n0 <= n, "a bounds cache is compared with one of the same vertices or fewer");
+        let rows = (0..n)
+            .filter(|&x| {
+                let now = &self.hops[x * n..][..n];
+                x >= n0
+                    || now[..n0] != old.hops[x * n0..][..n0]
+                    || now[n0..].iter().any(|&h| h != INF)
+            })
+            .map(|x| x as VertexId)
             .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        let (present, absent): (Vec<_>, Vec<_>) =
-            pairs.into_iter().partition(|&(u, v)| graph.successors(u).any(|(t, _)| t == v));
-
-        let succ = |v| graph.successors(v);
-        if n > n0 {
-            let mut hops = vec![INF; n * n];
-            for (old, new) in self.hops.chunks_exact(n0.max(1)).zip(hops.chunks_exact_mut(n)) {
-                new[..n0].copy_from_slice(old);
-            }
-            let fresh: Vec<VertexId> = (n0 as VertexId..n as VertexId).collect();
-            bfs_rows(n, succ, &fresh, &mut hops[n0 * n..]);
-            for x in 0..n0 {
-                for v in n0..n {
-                    hops[x * n + v] = hops[v * n + x];
-                }
-            }
-            (self.n, self.hops) = (n, hops);
-        }
-
-        let stale = |h: &[Dist]| {
-            present.iter().any(|&(u, v)| h[u as usize].abs_diff(h[v as usize]) > 1)
-                || absent.iter().any(|&(u, v)| {
-                    let (hu, hv) = (h[u as usize], h[v as usize]);
-                    let (far, near) = if hu > hv { (u, hv) } else { (v, hu) };
-                    hu.abs_diff(hv) == 1
-                        && !graph.successors(far).any(|(t, _)| h[t as usize] == near)
-                })
-        };
-        // A new vertex within reach is a new term of the interval.
-        let mut changed: Vec<bool> = Vec::with_capacity(n);
-        let mut rewalk = Vec::new();
-        for (x, row) in self.hops.chunks_exact(n.max(1)).take(n0).enumerate() {
-            changed.push(row[n0..].iter().any(|&h| h != INF));
-            if stale(row) {
-                rewalk.push(x as VertexId);
-            }
-        }
-        changed.resize(n, true);
-        let mut walked = vec![INF; BFS_LANES.min(rewalk.len()) * n];
-        for batch in rewalk.chunks(BFS_LANES) {
-            let walked = &mut walked[..batch.len() * n];
-            bfs_rows(n, succ, batch, walked);
-            for (&x, new) in batch.iter().zip(walked.chunks_exact(n)) {
-                let row = &mut self.hops[x as usize * n..][..n];
-                if row != new {
-                    row.copy_from_slice(new);
-                    changed[x as usize] = true;
-                }
-            }
-        }
-        let rows_changed = (0..n as VertexId).filter(|&x| changed[x as usize]).collect();
-        BoundsRepair { rows_changed, rows_rewalked: n - n0 + rewalk.len(), extremes_moved }
+        (rows, (old.w_min, old.w_max) != (self.w_min, self.w_max))
     }
 
     /// Number of vertices the cache was built for.
@@ -397,30 +311,15 @@ impl CertifiedBoundsCache {
     /// closeness is exactly 0 under the reachable-sum convention).
     pub fn interval(&self, v: u32, row: &[Dist]) -> (f64, f64) {
         assert_eq!(row.len(), self.n, "row does not match the cached graph");
-        let hops = &self.hops[v as usize * self.n..][..self.n];
-        let mut upper_sum = 0u64;
-        let mut lower_sum = 0u64;
-        for u in 0..self.n {
-            if u as u32 == v || hops[u] == INF {
-                continue;
-            }
-            let h = hops[u] as u64;
-            let cap = self.w_max * h;
-            let d_upper = if row[u] == INF { cap } else { (row[u] as u64).min(cap) };
-            upper_sum += d_upper;
-            lower_sum += self.w_min * h;
-        }
-        if upper_sum == 0 {
-            return (0.0, 0.0);
-        }
-        (1.0 / upper_sum as f64, 1.0 / lower_sum as f64)
+        interval(v, &self.hops[v as usize * self.n..][..self.n], row, (self.w_min, self.w_max))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aaa_graph::closeness::closeness_exact;
+    use crate::publish::{BoundsMode, Publisher};
+    use aaa_graph::closeness::{closeness_exact, closeness_from_row};
     use aaa_graph::generators::{barabasi_albert, WeightModel};
     use aaa_graph::{AdjGraph, Csr};
 
@@ -458,8 +357,17 @@ mod tests {
         t.record(0, &[0.0; 5]);
     }
 
+    /// The degraded report of `rows` over `g` as a driver assembles it: the
+    /// estimate read off the rows as they are.
+    fn degraded(g: &AdjGraph, rows: &DistMatrix, reason: DegradedReason) -> DegradedReport {
+        let estimate = (0..rows.n() as u32).map(|v| closeness_from_row(rows.row(v))).collect();
+        DegradedReport::assemble(g, rows, estimate, reason, 0, FaultCounters::default())
+    }
+
     /// Rows holding only the IA-grade knowledge (self + direct neighbours)
-    /// must still produce bounds that cover the true closeness.
+    /// must still produce bounds that cover the true closeness — and never
+    /// wider ones than the formula before the one interval, whose `c_lo` was
+    /// `c_est` on a row covering every reachable vertex and 0 otherwise.
     #[test]
     fn degraded_bounds_cover_exact_for_partial_rows() {
         for seed in [1u64, 7, 42] {
@@ -473,47 +381,80 @@ mod tests {
                     rows.set(v, t, w);
                 }
             }
-            let bound = degraded_closeness_bounds(&g, &rows);
-            let estimate: Vec<f64> =
-                (0..n as u32).map(|v| closeness_from_row(rows.row(v))).collect();
-            let report = DegradedReport {
-                reason: DegradedReason::StepBudgetExhausted,
-                rc_steps: 0,
-                faults: FaultCounters::default(),
-                estimate: estimate.clone(),
-                bound: bound.clone(),
-            };
+            let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
             assert!(report.certifies(&exact), "seed {seed}: bounds failed to cover exact");
             assert!(report.max_bound() > 0.0, "partial rows must admit real uncertainty");
             assert!(report.mean_bound() <= report.max_bound());
+            let cache = CertifiedBoundsCache::new(&g);
+            let mut tighter = 0;
+            for v in 0..n {
+                let (row, hops) = (rows.row(v as u32), &cache.hops[v * n..][..n]);
+                let covered = (0..n).all(|u| u == v || (hops[u] == INF) == (row[u] == INF));
+                let (c_est, c_hi) = (report.estimate[v], cache.interval(v as u32, row).1);
+                let was = (c_est - if covered { c_est } else { 0.0 }).max(c_hi - c_est).max(0.0);
+                let now = report.bound[v];
+                assert!(now <= was, "seed {seed} v{v}: {now} > {was}");
+                tighter += usize::from(now < was);
+            }
+            assert!(tighter > 0, "seed {seed}: rows missing a vertex tighten");
         }
     }
 
-    /// Fully converged rows are covered with the tight `c_lo = c_est` case:
-    /// the bound collapses to `c_hi − c_est` and still certifies.
+    /// Fully converged rows are covered with `c_lo = c_est`: the bound
+    /// collapses to `c_hi − c_est` and still certifies.
     #[test]
     fn degraded_bounds_cover_exact_for_converged_rows() {
         let g = barabasi_albert(30, 2, WeightModel::Unit, 9).unwrap();
         let exact = closeness_exact(&Csr::from_adj(&g));
         let rows = aaa_graph::apsp::apsp_dijkstra(&Csr::from_adj(&g));
-        let bound = degraded_closeness_bounds(&g, &rows);
-        let estimate: Vec<f64> =
-            (0..g.num_vertices() as u32).map(|v| closeness_from_row(rows.row(v))).collect();
-        for (v, (est, ex)) in estimate.iter().zip(&exact).enumerate() {
+        let reason = DegradedReason::RetriesExhausted {
+            last: ClusterError::RankStalled { rank: 1, superstep: 4 },
+        };
+        let report = degraded(&g, &rows, reason);
+        for (v, (est, ex)) in report.estimate.iter().zip(&exact).enumerate() {
             assert!((est - ex).abs() < 1e-12, "vertex {v}: converged rows must equal exact");
         }
-        let report = DegradedReport {
-            reason: DegradedReason::RetriesExhausted {
-                last: ClusterError::RankStalled { rank: 1, superstep: 4 },
-            },
-            rc_steps: 10,
-            faults: FaultCounters { stalls: 3, ..FaultCounters::default() },
-            estimate,
-            bound,
-        };
         assert!(report.certifies(&exact));
         assert!(report.reason.to_string().contains("stalled"));
         assert!(DegradedReason::StepBudgetExhausted.to_string().contains("budget"));
+    }
+
+    /// The report walks its hop rows in batches of `BFS_LANES`; across more
+    /// than one batch every bound is the one the cache's interval gives.
+    #[test]
+    fn degraded_bounds_are_the_cache_intervals_across_walk_batches() {
+        let g = barabasi_albert(BFS_LANES + 21, 2, WeightModel::UniformRange { lo: 1, hi: 3 }, 5)
+            .unwrap();
+        let n = g.num_vertices();
+        let mut rows = DistMatrix::new(n);
+        for v in 0..n as u32 {
+            for &(t, w) in g.neighbors(v).iter().step_by(2) {
+                rows.set(v, t, w);
+            }
+        }
+        let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
+        let cache = CertifiedBoundsCache::new(&g);
+        for v in 0..n {
+            let (lo, hi) = cache.interval(v as u32, rows.row(v as u32));
+            let c_est = report.estimate[v];
+            assert_eq!(report.bound[v], (c_est - lo).max(hi - c_est).max(0.0), "vertex {v}");
+        }
+    }
+
+    /// A row that misses a reachable vertex still has a lower end: on the
+    /// unit path 0–1–2, row 0 holding only `row[1] = 1` reads `c_est = 1`
+    /// inside `[1/3, 1/3]`, so the bound is 2/3 — not the 1 that a lower
+    /// end of 0 gave.
+    #[test]
+    fn a_row_missing_a_vertex_is_bounded_by_the_interval() {
+        let mut g = AdjGraph::with_vertices(3);
+        g.add_edge(0, 1, 1).unwrap();
+        g.add_edge(1, 2, 1).unwrap();
+        let mut rows = DistMatrix::new(3);
+        rows.set(0, 1, 1);
+        let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
+        assert!((report.bound[0] - 2.0 / 3.0).abs() < 1e-12, "{}", report.bound[0]);
+        assert!(report.certifies(&closeness_exact(&Csr::from_adj(&g))));
     }
 
     /// The certified interval contains the exact closeness at every stage
@@ -622,41 +563,18 @@ mod tests {
         (0..g.num_vertices() as VertexId).flat_map(|v| algo::bfs_hops(g, v)).collect()
     }
 
-    /// Past `BFS_LANES` vertices both walks of a repair take two passes: 300
-    /// on a path, closed into a ring (every row moves), then 260 new
-    /// vertices hung off it.
-    #[test]
-    fn a_repair_past_one_pass_equals_the_rows_walked_one_by_one() {
-        let n0 = 300;
-        let mut g = AdjGraph::with_vertices(n0);
-        for v in 1..n0 as VertexId {
-            g.add_edge(v - 1, v, 1).unwrap();
-        }
-        let mut cache = CertifiedBoundsCache::new(&g);
-        assert!(cache.hops == hops_by_rows(&g));
-        g.add_edge(0, n0 as VertexId - 1, 1).unwrap();
-        let base = g.add_vertices(260);
-        for v in base..base + 260 {
-            g.add_edge(v, (v * 7) % n0 as VertexId, 1).unwrap();
-        }
-        let repair = cache.repair(&g, &[(0, n0 as VertexId - 1, 1)]);
-        // 260 new rows, then more than one pass of old ones.
-        assert!(repair.rows_rewalked > 260 + BFS_LANES, "{}", repair.rows_rewalked);
-        assert_eq!(repair.rows_changed.len(), g.num_vertices());
-        assert!(cache.hops == hops_by_rows(&g), "repair differs from bfs_hops");
-        assert!(cache == CertifiedBoundsCache::new(&g));
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(320))]
 
         /// After any burst — vertex batches with edges among themselves,
         /// edge additions, removals (on trees: every one disconnects),
-        /// reweights, vertex removals, an edge there and back — the repaired
-        /// cache is the rebuilt one, and the rows it reports are exactly the
-        /// rows that differ from what they were, plus the new ids.
+        /// reweights, vertex removals, an edge there and back — the cache a
+        /// publish barrier refreshes is the one `new` builds, the rows it
+        /// reports are exactly the rows that differ from what they were,
+        /// plus the new ids, and the full path is forced exactly when a
+        /// weight extreme moved.
         #[test]
-        fn a_repaired_cache_equals_a_rebuilt_one(
+        fn a_refreshed_cache_equals_a_rebuilt_one(
             n in 2usize..26,
             parents in proptest::collection::vec((0u32..1000, 1u32..5), 25),
             chords in proptest::collection::vec((0u32..1000, 0u32..1000, 1u32..5), 0..12),
@@ -675,13 +593,15 @@ mod tests {
                     g.add_edge(a, b, w).unwrap();
                 }
             }
-            let mut cache = CertifiedBoundsCache::new(&g);
-            let before = cache.clone();
+            let mut p = Publisher::new(BoundsMode::Certified);
+            p.cache_for(&g, false);
+            p.publish(0, 0, false, vec![0.0; n], vec![0.0; n], Vec::new());
+            let before = p.cache().unwrap().clone();
             let touched = apply_burst(&mut g, &ops);
-            let repair = cache.repair(&g, &touched);
+            let rows = p.cache_for(&g, !touched.is_empty());
             let rebuilt = CertifiedBoundsCache::new(&g);
-            proptest::prop_assert!(cache == rebuilt, "repair differs from rebuild");
-            proptest::prop_assert!(cache.hops == hops_by_rows(&g), "walk differs from bfs_hops");
+            proptest::prop_assert!(p.cache() == Some(&rebuilt), "refresh differs from rebuild");
+            proptest::prop_assert!(rebuilt.hops == hops_by_rows(&g), "walk differs from bfs_hops");
 
             let (n0, n1) = (before.n, rebuilt.n);
             let expected: Vec<VertexId> = (0..n1)
@@ -694,10 +614,9 @@ mod tests {
                 })
                 .map(|x| x as VertexId)
                 .collect();
-            proptest::prop_assert_eq!(&repair.rows_changed, &expected);
-            proptest::prop_assert!(repair.rows_rewalked <= n1);
+            proptest::prop_assert_eq!(&rows, &expected);
             proptest::prop_assert_eq!(
-                repair.extremes_moved,
+                p.wants_full(),
                 (before.w_min, before.w_max) != (rebuilt.w_min, rebuilt.w_max)
             );
         }
@@ -721,21 +640,13 @@ mod tests {
         let mut rows = DistMatrix::new(3);
         rows.set(0, 1, 2);
         rows.set(1, 0, 2);
-        let bound = degraded_closeness_bounds(&g, &rows);
+        let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
+        let bound = &report.bound;
         assert_eq!(bound[2], 0.0, "an isolated vertex's closeness 0 is exact");
-        // 0 and 1 have fully-covered rows: bound is c_hi − c_est = 0 here
-        // because the only reachable vertex is the direct neighbour at the
-        // minimum weight.
+        // 0 and 1 have fully-covered rows: the interval collapses to the
+        // estimate, because the only reachable vertex is the direct
+        // neighbour at the minimum weight.
         assert!(bound[0].abs() < 1e-12 && bound[1].abs() < 1e-12);
-        let exact = closeness_exact(&Csr::from_adj(&g));
-        let estimate: Vec<f64> = (0..3).map(|v| closeness_from_row(rows.row(v))).collect();
-        let report = DegradedReport {
-            reason: DegradedReason::StepBudgetExhausted,
-            rc_steps: 1,
-            faults: FaultCounters::default(),
-            estimate,
-            bound,
-        };
-        assert!(report.certifies(&exact));
+        assert!(report.certifies(&closeness_exact(&Csr::from_adj(&g))));
     }
 }

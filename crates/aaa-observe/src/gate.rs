@@ -21,9 +21,11 @@
 //!
 //! Every diffed section row is gated unless it is named in
 //! `WALL_DERIVED` below, the one list of rows computed from the wall clock.
-//! The flag lives here and not in the JSON on purpose: a per-row flag in
-//! the file would be report version 2 and a rewrite of every committed
-//! baseline, for one row.
+//! A gated row regresses when it rises past its threshold, unless it is
+//! named in `HIGHER_IS_BETTER`: then it regresses when it falls past it,
+//! and a rise never does. Both flags live here and not in the JSON on
+//! purpose: a per-row flag in the file would be report version 2 and a
+//! rewrite of every committed baseline, for a few rows.
 
 use crate::report::RunReport;
 
@@ -31,10 +33,15 @@ use crate::report::RunReport;
 /// rows) but never gated.
 const WALL_DERIVED: [&str; 1] = ["stream.changes_per_sec"];
 
+/// Gated section rows whose rise is a win: changes folded into one before
+/// a drain, and closeness chunks a view shares with the one before it.
+const HIGHER_IS_BETTER: [&str; 2] = ["changes.coalesced", "publish.chunks_shared"];
+
 /// Thresholds for the comparator.
 #[derive(Debug, Clone)]
 pub struct GateConfig {
-    /// Maximum allowed relative increase for gated metrics (0.10 = +10%).
+    /// Maximum allowed relative move the wrong way for gated metrics (0.10
+    /// = 10%): a rise, or a fall for the rows where higher is better.
     pub default_threshold: f64,
     /// Per-metric overrides, by metric name (`section.row` for a section
     /// row).
@@ -104,6 +111,9 @@ fn diff(
         }
     };
     let threshold = if gated { cfg.threshold_for(name) } else { 0.0 };
+    // Only a move the wrong way regresses: up for most rows, down for the
+    // rows where higher is better.
+    let worse = if HIGHER_IS_BETTER.contains(&name) { -rel_change } else { rel_change };
     MetricDiff {
         name: name.to_string(),
         baseline,
@@ -111,8 +121,7 @@ fn diff(
         rel_change,
         threshold,
         gated,
-        // Only increases regress; a metric that went *down* is a win.
-        regressed: gated && (candidate.is_none() || rel_change > threshold),
+        regressed: gated && (candidate.is_none() || worse > threshold),
     }
 }
 
@@ -245,6 +254,32 @@ mod tests {
         assert!(row.regressed);
     }
 
+    /// The committed publish cell's baseline coalesces nothing: a change
+    /// that starts coalescing reads +∞ there, and passes.
+    #[test]
+    fn a_coalescing_candidate_passes_against_a_zero_baseline() {
+        let changes = |coalesced| Section::new("changes", &[("coalesced", coalesced)]);
+        let base = RunReport { sections: vec![changes(0.0)], ..baseline() };
+        let cand = RunReport { sections: vec![changes(4.0)], ..baseline() };
+        let rows = compare(&cand, &base, &GateConfig::default());
+        let row = rows.iter().find(|r| r.name == "changes.coalesced").unwrap();
+        assert!(row.gated && row.rel_change.is_infinite() && !row.regressed);
+        assert!(!regressed(&rows));
+    }
+
+    /// A view that shares a fifth fewer chunks with the one before it fails
+    /// the gate; one that shares a fifth more passes.
+    #[test]
+    fn a_fifth_fewer_shared_chunks_fails_the_gate() {
+        let publish = |shared| Section::new("publish", &[("chunks_shared", shared)]);
+        let base = RunReport { sections: vec![publish(100.0)], ..baseline() };
+        let fewer = RunReport { sections: vec![publish(80.0)], ..baseline() };
+        let rows = compare(&fewer, &base, &GateConfig::default());
+        assert!(rows.iter().any(|r| r.name == "publish.chunks_shared" && r.regressed));
+        let more = RunReport { sections: vec![publish(120.0)], ..baseline() };
+        assert!(!regressed(&compare(&more, &base, &GateConfig::default())));
+    }
+
     /// The one rule, over every section the system emits.
     #[test]
     fn sections_gate_under_the_both_present_rule() {
@@ -278,6 +313,14 @@ mod tests {
                     assert!(!d.gated && !d.regressed, "wall-derived throughput never fails");
                     assert_eq!(rows.last().map(|r| r.name.as_str()), Some(name.as_str()));
                     assert!(!regressed(&rows));
+                } else if HIGHER_IS_BETTER.contains(&name.as_str()) {
+                    // Gated, but a rise is a win: only the fall fails.
+                    assert!(d.gated && !regressed(&rows), "{name}: a rise must pass");
+                    cand.sections[0].rows[i].1 = value * 0.1;
+                    let rows = compare(&cand, &base, &GateConfig::default());
+                    let failed: Vec<&str> =
+                        rows.iter().filter(|r| r.regressed).map(|r| r.name.as_str()).collect();
+                    assert_eq!(failed, [name.as_str()]);
                 } else {
                     assert!(d.gated && d.regressed, "{name} must be gated");
                     assert_eq!(rows.iter().filter(|r| r.regressed).count(), 1);
