@@ -118,40 +118,34 @@ if grep -rnE 'want_all|update_extra_metrics\(full|full *\|\|[^;]*wants_all_rows|
   echo "the metrics are asked for every row because the publisher wants a full epoch"; exit 1
 fi
 
-# One certified interval. The hop matrix is a function of the graph, rebuilt
-# by the multi-source walk at a barrier where an edge moved or the vertex
-# count changed, and compared with the old one for the rows a thin epoch
-# re-states; the incremental repair it replaced, its result type, its
-# rows-walked counter and the degraded report's own bounds formula were
-# deleted, and both drivers' degraded answers, assembled in
-# `DegradedReport::assemble` alone, bound each row by the interval
-# `CertifiedBoundsCache::interval` computes. So none of those names may come
-# back under crates/; outside tests and comments `CertifiedBoundsCache::new(`
-# is called from `Publisher::cache_for` alone (the degraded assembly walks its
-# hop rows 256 at a time, never the n×n matrix), `DegradedReport::assemble(`
-# is what both drivers' `degraded_run` / `degrade_with` call, and
-# `invalidate_cache(` is called from the rewind
-# paths alone (`fallback_restore`, `recover_rank`). The block also logs the
-# non-test size of the four files the interval lives in (419 / 1085 / 1869 /
-# 1345 before it).
-if grep -rnE 'fn repair\(|BoundsRepair|degraded_closeness_bounds|bounds_rows_rewalked' crates/; then
-  echo "the bounds repair or the degraded report's own bounds walk is back"; exit 1
+# No hop matrix. The n × n hop matrix behind the certified bounds
+# (`CertifiedBoundsCache`), its rebuild at a publish barrier
+# (`Publisher::cache_for`), its diff against the old one (`moved_since`),
+# its drop on a rewind (`invalidate_cache`) and its build counter
+# (`bounds_builds`) were deleted, as were the repair before them, its result
+# type, its rows-walked counter and the degraded report's own bounds
+# formula. None of those names may come back under crates/. Each epoch walks
+# the hop rows of the rows it scores, `BFS_LANES` at a time, through the one
+# interval routine `certified_intervals`; so outside tests aaa-core calls
+# `bfs_rows(` from IA (`initial_approximation`) and that routine alone, and
+# `DegradedReport::assemble(` is still what both drivers' `degraded_run` /
+# `degrade_with` call. The block also logs the non-test size of the three
+# files the matrix lived in (317 / 1071 / 1867 before it went).
+if grep -rnE 'CertifiedBoundsCache|cache_for|invalidate_cache|moved_since|bounds_builds|fn repair\(|BoundsRepair|degraded_closeness_bounds|bounds_rows_rewalked' crates/; then
+  echo "the hop matrix, its lifecycle, the bounds repair or the degraded report's own bounds walk is back"; exit 1
 fi
 callers_of() {
   for f in $(grep -rlF "$1" crates/ examples/ src/); do
     nontest "$f" | awk -v f="$f" -v call="$1" '/^ *(pub(\(crate\))? )?fn / { name = $0 } index($0, call) && !/^ *\/\// { print f ":" name }'
   done
 }
-builds=$(callers_of 'CertifiedBoundsCache::new(')
-echo "CertifiedBoundsCache::new called from: $builds"
-[ "$(echo "$builds" | grep -c 'fn ')" = 1 ] && echo "$builds" | grep -q 'publish.rs: *pub fn cache_for(' || { echo "CertifiedBoundsCache::new has a caller besides Publisher::cache_for"; exit 1; }
+walks=$(callers_of 'bfs_rows(' | grep '^crates/aaa-core/' || true)
+echo "bfs_rows called in aaa-core from: $walks"
+[ "$(echo "$walks" | grep -c 'fn ')" = 2 ] && echo "$walks" | grep -q 'rank.rs: *pub fn initial_approximation(' && echo "$walks" | grep -q 'quality.rs: *pub(crate) fn certified_intervals<' || { echo "aaa-core walks hop rows outside IA and certified_intervals"; exit 1; }
 assemblies=$(callers_of 'DegradedReport::assemble(')
 echo "DegradedReport::assemble called from: $assemblies"
 [ "$(echo "$assemblies" | grep -c 'fn ')" = 2 ] && echo "$assemblies" | grep -q 'engine.rs: *fn degraded_run(' && echo "$assemblies" | grep -q 'net.rs: *fn degrade_with(' || { echo "a driver's degraded answer bypasses DegradedReport::assemble"; exit 1; }
-drops=$(callers_of '.invalidate_cache(')
-echo "invalidate_cache called from: $drops"
-[ "$(echo "$drops" | grep -c 'fn ')" = 2 ] && echo "$drops" | grep -q 'fn fallback_restore(' && echo "$drops" | grep -q 'fn recover_rank(' || { echo "invalidate_cache is reached from outside the rewind paths"; exit 1; }
-for f in quality publish engine net; do
+for f in quality publish engine; do
   echo "aaa-core/src/$f.rs: $(nontest "crates/aaa-core/src/$f.rs" | wc -l) non-test lines"
 done
 
@@ -177,7 +171,7 @@ for f in aaa-graph/src/centrality aaa-core/src/metric; do
   echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
 done
 
-# One multi-source walk. IA on unit weights and the certified hop matrix
+# One multi-source walk. IA on unit weights and the certified intervals
 # (which the degraded report reads as well) walk their sources
 # through one bit-parallel multi-source BFS, `aaa_graph::sssp::bfs_rows`,
 # `BFS_LANES` sources per pass, instead of one search each; the

@@ -11,7 +11,7 @@
 //! `results/baselines/ci_smoke_publish.json`.
 
 use aaa_bench::{observe, CommonArgs, Table};
-use aaa_core::{BoundsMode, Publisher};
+use aaa_core::Publisher;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeSet;
@@ -52,7 +52,7 @@ fn main() {
         &["path", "rows/epoch", "us/epoch", "chunks copied", "chunks shared", "speedup"],
     );
     let mut headline_speedup = 0.0;
-    let mut headline_delta = Publisher::new(BoundsMode::None);
+    let mut headline_delta = Publisher::new();
 
     // Two dirt levels: ~1% uniform (the headline — touches nearly every
     // 1024-row chunk, so the win is O(changed) row gathering plus
@@ -67,7 +67,7 @@ fn main() {
 
         // Delta path: one full publish to seed the view, then O(changed)
         // epochs with chunk sharing and incremental top-k upkeep.
-        let mut delta = Publisher::new(BoundsMode::None);
+        let mut delta = Publisher::new();
         delta.publish(0, 0, false, base.clone(), Vec::new(), Vec::new());
         let seeded = delta.stats();
         let started = Instant::now();
@@ -78,7 +78,7 @@ fn main() {
 
         // Full-rebuild baseline: the pre-delta behavior — regather all n
         // rows and rebuild the chunk store and top-k index every epoch.
-        let mut full = Publisher::new(BoundsMode::None);
+        let mut full = Publisher::new();
         full.set_force_full(true);
         let mut current = base.clone();
         full.publish(0, 0, false, current.clone(), Vec::new(), Vec::new());

@@ -21,7 +21,7 @@ use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
 use crate::policy::{RetryPolicy, StrategyPolicy};
 use crate::publish::{BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta};
-use crate::quality::{DegradedReason, DegradedReport};
+use crate::quality::{certified_intervals, DegradedReason, DegradedReport};
 use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
 use crate::strategies::{cut_edge_assign, round_robin_assign, AssignStrategy};
 use aaa_checkpoint::{
@@ -230,8 +230,9 @@ pub struct AnytimeEngine {
     /// the weight under which it was or is tight: what the barrier tests
     /// the unmoved DV rows against for the per-source metrics
     /// ([`AnytimeEngine::update_extra_metrics`]); for the certified bounds
-    /// ([`Publisher::cache_for`]) only whether it is empty counts. Stays
-    /// empty on an engine with neither.
+    /// only whether it is empty counts (if not, every row is a candidate,
+    /// [`AnytimeEngine::publish_view`]). Stays empty on an engine with
+    /// neither.
     touched: Vec<(VertexId, VertexId, Weight)>,
 }
 
@@ -327,7 +328,6 @@ impl AnytimeEngine {
         cluster.charge_compute_us(dd_us);
         // IA phase: per-source Dijkstra inside every rank's sub-graph.
         cluster.step(|_, s| s.initial_approximation());
-        let publish_bounds = config.publish_bounds;
         let metrics = MetricSet::from_kinds(&config.metrics);
         let mut engine = Self {
             graph,
@@ -339,7 +339,7 @@ impl AnytimeEngine {
             changes_applied: 0,
             invalidation: InvalidationTally::default(),
             changes: ChangeLog::new(),
-            publisher: Publisher::new(publish_bounds),
+            publisher: Publisher::new(),
             metrics,
             touched: Vec::new(),
         };
@@ -425,7 +425,6 @@ impl AnytimeEngine {
                 ("chunks_copied", publish.chunks_copied as f64),
                 ("chunks_shared", publish.chunks_shared as f64),
                 ("topk_rebuilds", publish.topk_rebuilds as f64),
-                ("bounds_builds", publish.bounds_builds as f64),
             ],
         ));
         if let Some(tally) = self.metric_tally(MetricKind::Betweenness) {
@@ -470,70 +469,61 @@ impl AnytimeEngine {
     /// exactly like checkpointing): no supersteps, messages, or simulated
     /// time are charged, so publishing never perturbs the priced metrics.
     ///
-    /// The hot path is `O(changed)`: each rank drains its epoch-dirty row
-    /// set (values changed since the last publish) and the publisher
-    /// applies the resulting `ViewDelta` by structural sharing; under
-    /// certified bounds a drain's epoch also re-states the rows whose hop
-    /// counts its changes moved. The full `O(n)` rebuild runs only when
-    /// the publisher demands it — first epoch, a rewind, a moved weight
-    /// extreme, forced-full override — or when a restore rewound the
-    /// vertex count below the published view's (the chunked store never
-    /// shrinks in place).
+    /// The hot path is `O(changed)`. The candidates are the rows the ranks
+    /// drain from their epoch-dirty sets (values changed since the last
+    /// publish); under certified bounds they are every row when an edge
+    /// moved since the last barrier, because a hop row or a weight extreme
+    /// may have moved with it. Each candidate is scored off the rank that
+    /// holds it — under `Certified` clamped into its interval, whose hop
+    /// rows are walked for the candidates alone — and a thin epoch re-states
+    /// exactly those whose published bits moved, every new id among them.
+    /// Any other row has the inputs it was last published with, so the
+    /// epoch is the forced-full one bit for bit (DESIGN.md §17). The full
+    /// `O(n)` rebuild runs only when the publisher demands it — first
+    /// epoch, a checkpoint fallback, forced-full override — or when a
+    /// restore rewound the vertex count below the published view's (the
+    /// chunked store never shrinks in place).
     fn publish_view(&mut self, converged: bool) {
         let mark = self.cluster.mark();
         let n = self.graph.num_vertices();
         // Epoch-dirty tracking is drained on every publish — a full epoch
         // resets it too, so the next delta is relative to what this epoch
-        // actually published. The one drain feeds the closeness delta and
-        // the extra metrics' row hand-off.
+        // actually published. The one drain feeds the candidates and the
+        // extra metrics' row hand-off.
         let changed = self.cluster.barrier_read_mut(|_, s: &mut RankState| s.take_epoch_changed());
         let touched = std::mem::take(&mut self.touched);
-        // The rows whose bound moved under an unmoved DV row. A rewind or a
-        // moved weight extreme moves every bound instead and forces the
-        // full path below.
-        let hop_moved = self.publisher.cache_for(&self.graph, !touched.is_empty());
-        let full = self.publisher.wants_full() || self.publisher.latest().num_vertices() > n;
+        let prev = self.publisher.latest();
+        let full = self.publisher.wants_full() || prev.num_vertices() > n;
         let extra_deltas = self.update_extra_metrics(&changed, &touched);
-        // What a thin epoch re-states: the DV-dirty rows and those, each at
-        // its owner. The metrics above were handed the former only.
-        let mut restated = changed;
-        if !full && !hop_moved.is_empty() {
-            for &v in &hop_moved {
-                restated[self.partition.part_of(v) as usize].push(v);
-            }
-            for ids in &mut restated {
-                ids.sort_unstable();
-                ids.dedup();
-            }
-        }
+        let certified = self.config.publish_bounds == BoundsMode::Certified;
+        let candidates: Vec<VertexId> = if full || certified && !touched.is_empty() {
+            (0..n as VertexId).collect()
+        } else {
+            let mut ids = changed.concat();
+            ids.sort_unstable();
+            ids
+        };
         let primary = self.metrics.primary();
-        let cache = self.publisher.cache();
-        // Every row this epoch re-states — all of them on a full epoch —
-        // scored where it lives; the bound is `0.0` without a cache.
-        let scored = self.cluster.barrier_read(|r, s| {
-            let ids = if full { s.local_vertices() } else { &restated[r] };
-            ids.iter()
-                .map(|&v| {
-                    let row = s.dv().local_row(v).expect("local row");
-                    let c = primary.score(row);
-                    // Partial rows can overestimate closeness (fewer
-                    // finite terms); the certified interval is sound, so
-                    // clamp into it.
-                    cache.map_or((v, c, 0.0), |cache| {
-                        let (lo, hi) = cache.interval(v, row);
-                        (v, c.clamp(lo, hi), hi - lo)
-                    })
-                })
-                .collect::<Vec<_>>()
-        });
-        let mut scored: Vec<(VertexId, f64, f64)> = scored.into_iter().flatten().collect();
-        scored.sort_unstable_by_key(|e| e.0);
-        let bounded = cache.is_some();
+        let (ranks, partition) = (self.cluster.ranks(), &self.partition);
+        let row = |v: VertexId| {
+            ranks[partition.part_of(v) as usize].dv().local_row(v).expect("local row")
+        };
+        let mut scored: Vec<(VertexId, f64, f64)> = if certified {
+            // Partial rows can overestimate closeness (fewer finite terms);
+            // the certified interval is sound, so clamp into it.
+            let intervals = certified_intervals(&self.graph, &candidates, row);
+            candidates
+                .iter()
+                .zip(intervals)
+                .map(|(&v, (lo, hi))| (v, primary.score(row(v)).clamp(lo, hi), hi - lo))
+                .collect()
+        } else {
+            candidates.iter().map(|&v| (v, primary.score(row(v)), 0.0)).collect()
+        };
         let (rc_steps, applied) = (self.rc_steps, self.changes_applied);
         if full {
-            debug_assert_eq!(scored.len(), n, "every vertex is local to exactly one rank");
             let closeness = scored.iter().map(|e| e.1).collect();
-            let bounds = if bounded { scored.iter().map(|e| e.2).collect() } else { Vec::new() };
+            let bounds = if certified { scored.iter().map(|e| e.2).collect() } else { Vec::new() };
             // Runs after `update_extra_metrics`, so each column reflects
             // this epoch's rows.
             let extras = self
@@ -544,9 +534,15 @@ impl AnytimeEngine {
                 .collect();
             self.publisher.publish(rc_steps, applied, converged, closeness, bounds, extras);
         } else {
+            // A candidate whose bits stand is not re-stated; an id the view
+            // lacks has no bits to stand.
+            let moved = |was: Option<f64>, now: f64| was.map(f64::to_bits) != Some(now.to_bits());
+            scored.retain(|&(v, c, b)| {
+                moved(prev.point(v), c) || certified && moved(prev.error_bound(v), b)
+            });
             let entries = scored.iter().map(|e| (e.0, e.1)).collect();
             let bounds =
-                if bounded { scored.iter().map(|e| (e.0, e.2)).collect() } else { Vec::new() };
+                if certified { scored.iter().map(|e| (e.0, e.2)).collect() } else { Vec::new() };
             self.publisher.publish_changes(
                 rc_steps,
                 applied,
@@ -837,10 +833,10 @@ impl AnytimeEngine {
             match res {
                 Ok(()) => {
                     applied += 1;
-                    // What the change did to the edge set — whether the
-                    // bounds rebuild, sources whose shortest-path counts may
-                    // have shifted where no distance did — it stated itself
-                    // (`edges_changed`). One that altered
+                    // What the change did to the edge set — whether every
+                    // bound is a candidate, sources whose shortest-path
+                    // counts may have shifted where no distance did — it
+                    // stated itself (`edges_changed`). One that altered
                     // nothing (a weight set to itself, isolated victims)
                     // still counts and still publishes its epoch below.
                     self.changes.record_applied();
@@ -868,10 +864,11 @@ impl AnytimeEngine {
     /// or is tight. They are only noted: the next publish barrier hands the
     /// whole drain's list to the per-source metrics
     /// ([`AnytimeEngine::update_extra_metrics`]), which re-derive only what
-    /// the edges can have moved, and tells the certified bounds
-    /// ([`Publisher::cache_for`]) that some edge moved. An engine with
-    /// neither keeps no list and does not walk `edges`. A change that
-    /// altered no edge does not call this.
+    /// the edges can have moved, and tells the certified bounds that some
+    /// edge moved, which makes every row a candidate for the epoch
+    /// ([`AnytimeEngine::publish_view`]). An engine with neither keeps no
+    /// list and does not walk `edges`. A change that altered no edge does
+    /// not call this.
     fn edges_changed(&mut self, edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>) {
         if !self.metrics.closeness_only() || self.config.publish_bounds == BoundsMode::Certified {
             self.touched.extend(edges);
@@ -1427,7 +1424,6 @@ impl AnytimeEngine {
         let mut cluster = Cluster::new(states, config.cluster);
         cluster.restore_stats(snap.stats);
         cluster.record_restore();
-        let publish_bounds = config.publish_bounds;
         // Union of the config's metrics and what the snapshot was
         // maintaining: restoring never silently drops a metric the
         // checkpointed engine carried. Unknown wire ids (from a future
@@ -1453,7 +1449,7 @@ impl AnytimeEngine {
             changes_applied: snap.meta.changes_applied,
             invalidation: InvalidationTally::default(),
             changes: ChangeLog::new(),
-            publisher: Publisher::new(publish_bounds),
+            publisher: Publisher::new(),
             metrics,
             touched: Vec::new(),
         };
@@ -1723,12 +1719,12 @@ impl AnytimeEngine {
         let chaos = self.cluster.chaos_plan();
         let fault = self.cluster.fault_plan();
         let sink = self.cluster.sink();
-        let mut publisher =
-            std::mem::replace(&mut self.publisher, Publisher::new(BoundsMode::None));
-        // The graph is about to be rewound, and no list of edges says how:
-        // certified bounds rebuild. (The edges noted so far go with the
-        // engine `from_snapshot` replaces.)
-        publisher.invalidate_cache();
+        let mut publisher = std::mem::take(&mut self.publisher);
+        // The snapshot was taken after `drive`'s drain, so the graph comes
+        // back unchanged and only the rows rewind. Which rows moved is lost:
+        // `from_snapshot` drains their epoch-dirty marks into its own
+        // publisher, discarded here. So the epoch below re-states every row.
+        publisher.request_full();
         let changes = std::mem::take(&mut self.changes);
         *self = Self::from_snapshot(snap, self.config.clone())?;
         self.publisher = publisher;
@@ -1842,11 +1838,10 @@ impl AnytimeEngine {
         self.cluster.step(|_, s| s.mark_all_for_resend());
         self.cluster.record_restore();
         // The recovered rank's rows were rewound to the snapshot; cached
-        // per-source metric state derived from the old rows is stale, and
-        // like every rewind this one starts the bounds and the view over.
+        // per-source metric state derived from the old rows is stale. The
+        // view needs nothing more: the fresh rows are epoch-dirty, the
+        // graph did not move, so the epoch below re-states what moved.
         self.metrics.invalidate_all();
-        self.publisher.invalidate_cache();
-        self.touched.clear();
         self.publish_view(false);
         Ok(())
     }

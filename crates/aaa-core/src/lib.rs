@@ -77,8 +77,6 @@ pub use publish::{
     BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta, ViewDeltaError,
     TOPK_SERVE_CAP,
 };
-pub use quality::{
-    CertifiedBoundsCache, DegradedReason, DegradedReport, QualitySample, QualityTracker,
-};
+pub use quality::{DegradedReason, DegradedReport, QualitySample, QualityTracker};
 pub use rank::{InvalidationTally, WireFormat};
 pub use strategies::AssignStrategy;

@@ -1215,17 +1215,19 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         Err(self.degraded(rank))
     }
 
-    /// Heartbeat round-trip with a fresh nonce.
+    /// Heartbeat round-trip with a fresh nonce, within the probe deadline
+    /// however many stale frames arrive first.
     fn probe(&mut self, rank: Rank) -> Result<(), NetError> {
         let nonce = (self.round << 16) ^ rank as u64 ^ 0x5a5a_5a5a;
         self.links[rank].send(FrameKind::Heartbeat, &nonce.to_le_bytes())?;
         let deadline = self.config.probe_deadline;
         let start = Instant::now();
         loop {
-            if start.elapsed() >= deadline {
+            let left = deadline.saturating_sub(start.elapsed());
+            if left.is_zero() {
                 return Err(NetError::Timeout { peer: self.links[rank].peer(), waited: deadline });
             }
-            let frame = self.links[rank].recv(Some(deadline))?;
+            let frame = self.links[rank].recv(Some(left))?;
             if frame.kind == FrameKind::HeartbeatAck && frame.payload == nonce.to_le_bytes() {
                 return Ok(());
             }
@@ -1558,6 +1560,45 @@ mod tests {
         fn peer(&self) -> String {
             self.inner.peer()
         }
+    }
+
+    /// A link whose every receive returns a stale heartbeat ack after
+    /// `stale_after`, noting the deadline it was given.
+    struct Stale {
+        stale_after: Duration,
+        deadlines: Vec<Duration>,
+    }
+
+    impl Transport for Stale {
+        fn send(&mut self, _kind: FrameKind, _payload: &[u8]) -> Result<u64, NetError> {
+            Ok(0)
+        }
+
+        fn recv(&mut self, deadline: Option<Duration>) -> Result<Frame, NetError> {
+            self.deadlines.push(deadline.expect("a probe bounds every receive"));
+            std::thread::sleep(self.stale_after);
+            Ok(Frame { kind: FrameKind::HeartbeatAck, seq: 0, payload: vec![0; 8] })
+        }
+
+        fn peer(&self) -> String {
+            "stale".into()
+        }
+    }
+
+    /// The probe deadline bounds the whole wait, as `await_reply`'s does: a
+    /// stale ack at 60 % of it leaves the next receive at most the 40 % that
+    /// is left, and the probe times out instead of waiting twice as long.
+    #[test]
+    fn a_stale_ack_does_not_extend_the_probe_deadline() {
+        let deadline = Duration::from_millis(200);
+        let graph = AdjGraph::with_vertices(1);
+        let link = Stale { stale_after: deadline * 3 / 5, deadlines: Vec::new() };
+        let config = NetConfig { probe_deadline: deadline, ..NetConfig::default() };
+        let mut runner = NetRunner::new(&graph, vec![0], vec![link], config);
+        assert!(matches!(runner.probe(0), Err(NetError::Timeout { .. })));
+        let asked = &runner.links[0].deadlines;
+        assert_eq!(asked.len(), 2, "{asked:?}");
+        assert!(asked[0] <= deadline && asked[1] <= deadline * 2 / 5, "{asked:?}");
     }
 
     type Worker = JoinHandle<Result<(), NetError>>;

@@ -49,9 +49,8 @@
 
 use crate::metric::{MetricKind, MetricMask};
 use crate::net::NetMsg;
-use crate::quality::CertifiedBoundsCache;
 use aaa_graph::closeness::top_k;
-use aaa_graph::{AdjGraph, VertexId};
+use aaa_graph::VertexId;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
@@ -75,11 +74,10 @@ pub enum BoundsMode {
     /// extra cost per epoch.
     #[default]
     None,
-    /// Publish certified per-vertex error bounds alongside closeness, via
-    /// [`CertifiedBoundsCache`] (all n hop rows, walked by one multi-source
-    /// BFS, again at each barrier where an edge moved or the vertex count
-    /// changed). Bounds are sound at every epoch and non-increasing across
-    /// epochs on a quiescing run.
+    /// Publish certified per-vertex error bounds alongside closeness: each
+    /// epoch walks the hop rows of the rows it scores, 256 per pass of one
+    /// multi-source BFS, and keeps nothing between epochs. Bounds are sound
+    /// at every epoch and non-increasing across epochs on a quiescing run.
     Certified,
 }
 
@@ -505,11 +503,10 @@ impl PublishedView {
 /// — the unit of view replication to reader processes (ROADMAP item 1).
 ///
 /// `entries`/`bounds` are sorted by vertex id. A `full` delta re-states
-/// every vertex (construction, restore, a moved weight extreme);
-/// otherwise entries cover exactly the rows whose DV values changed since
-/// the previous publish — every new vertex's among them (a new row is
-/// epoch-dirty), which is all a follower lets a view grow by — and, with
-/// certified bounds, the rows whose hop counts a drained change moved.
+/// every vertex (construction, restore); otherwise entries cover exactly
+/// the rows whose published bits moved since the previous publish — every
+/// new id among them, which is all a follower lets a view grow by — and,
+/// with certified bounds, `bounds` lists the same ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewDelta {
     pub epoch: u64,
@@ -841,29 +838,20 @@ pub struct PublishStats {
     /// Bounded rescans of the top-k index (full publishes + underflow
     /// refills).
     pub topk_rebuilds: u64,
-    /// Builds of the certified-bounds cache: the first epoch, each barrier
-    /// where an edge moved or the vertex count changed, and each rewind.
-    pub bounds_builds: u64,
 }
 
 /// The engine-side writer half of the publish layer: mints epochs, owns
-/// the bounds cache and the maintained top-k index, and swaps finished
-/// views into the shared [`ViewCell`].
+/// the maintained top-k indexes, and swaps finished views into the shared
+/// [`ViewCell`]. What a view says is the caller's: the publisher keeps no
+/// bounds state (the engine scores each epoch's rows, bounds included).
 #[derive(Debug)]
 pub struct Publisher {
     cell: Arc<ViewCell>,
     epoch: u64,
-    mode: BoundsMode,
-    /// Built for the first epoch under [`BoundsMode::Certified`], rebuilt at
-    /// every later barrier where the graph moved ([`Publisher::cache_for`]),
-    /// dropped by the engine only when it rewinds.
-    cache: Option<CertifiedBoundsCache>,
     /// Maintained top-k index per column, closeness first.
     indexes: Vec<(MetricKind, TopKIndex)>,
-    /// The next publish must re-state every vertex: set at construction,
-    /// when the bounds cache was built afresh or a weight extreme moved
-    /// (either moves the bound of *every* row), and by restore paths that
-    /// may rewind the vertex count.
+    /// The next publish must re-state every vertex: set at construction and
+    /// by [`Publisher::request_full`].
     needs_full: bool,
     /// Test/bench override: disable the delta path entirely.
     force_full: bool,
@@ -872,12 +860,10 @@ pub struct Publisher {
 }
 
 impl Publisher {
-    pub fn new(mode: BoundsMode) -> Self {
+    pub fn new() -> Self {
         Self {
             cell: Arc::new(ViewCell::default()),
             epoch: 0,
-            mode,
-            cache: None,
             indexes: Vec::new(),
             needs_full: true,
             force_full: false,
@@ -917,8 +903,8 @@ impl Publisher {
         self.needs_full || self.force_full
     }
 
-    /// Forces the next publish onto the full path (restore paths that may
-    /// rewind the vertex count below the published view's).
+    /// Forces the next publish onto the full path: a rewind whose rows
+    /// the delta path cannot name (the engine's checkpoint fallback).
     pub fn request_full(&mut self) {
         self.needs_full = true;
     }
@@ -927,54 +913,6 @@ impl Publisher {
     /// full-rebuild baseline for equivalence tests and the publish bench.
     pub fn set_force_full(&mut self, on: bool) {
         self.force_full = on;
-    }
-
-    /// Drops the bounds cache; the next certified publish builds it and
-    /// takes the full path. For the engine's rewinds only (a checkpoint
-    /// fallback, a recovered rank): there the rows went back to an earlier
-    /// state, so any bound may move, not only those whose hop row did. A
-    /// drained change never comes here — [`Publisher::cache_for`] rebuilds
-    /// the cache and says which rows moved.
-    pub fn invalidate_cache(&mut self) {
-        self.cache = None;
-        if self.mode == BoundsMode::Certified {
-            self.needs_full = true;
-        }
-    }
-
-    /// Makes the bounds cache right for `graph` and returns the rows whose
-    /// bound moved although their DV row may not have (sorted; every new
-    /// vertex among them). `edges_moved` says whether an edge was made,
-    /// unmade or reweighted since the last call. The cache is a function of
-    /// the graph, so it is built afresh whenever there is none, an edge
-    /// moved or the vertex count changed, and the rows returned are those
-    /// `CertifiedBoundsCache::moved_since` finds against the old one. The
-    /// full path is forced when every bound moves: a weight extreme moved,
-    /// or there is no old cache of as few vertices to compare with (the
-    /// first epoch, a rewind). Under [`BoundsMode::None`] there is no cache
-    /// and nothing to do.
-    pub fn cache_for(&mut self, graph: &AdjGraph, edges_moved: bool) -> Vec<VertexId> {
-        let n = graph.num_vertices();
-        let stands = self.cache.as_ref().is_some_and(|c| c.n() == n) && !edges_moved;
-        if self.mode == BoundsMode::None || stands {
-            return Vec::new();
-        }
-        let fresh = CertifiedBoundsCache::new(graph);
-        self.stats.bounds_builds += 1;
-        let (rows, every_row) = match self.cache.take() {
-            Some(old) if old.n() <= n => fresh.moved_since(&old),
-            _ => (Vec::new(), true),
-        };
-        self.needs_full |= every_row;
-        self.cache = Some(fresh);
-        rows
-    }
-
-    /// The bounds cache as [`Publisher::cache_for`] left it; `None` under
-    /// [`BoundsMode::None`] — a publisher without a cache publishes no
-    /// bounds.
-    pub fn cache(&self) -> Option<&CertifiedBoundsCache> {
-        self.cache.as_ref()
     }
 
     /// Publishes a new epoch via the full `O(n)` rebuild path. `bounds`
@@ -1069,13 +1007,19 @@ impl Publisher {
     }
 }
 
+impl Default for Publisher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn epochs_are_strictly_increasing_and_views_immutable() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         let cell = p.cell();
         assert_eq!(cell.load().epoch, 0);
         let v1 = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
@@ -1092,7 +1036,7 @@ mod tests {
 
     #[test]
     fn view_queries() {
-        let mut p = Publisher::new(BoundsMode::Certified);
+        let mut p = Publisher::new();
         let v = p.publish(3, 2, false, vec![0.1, 0.9, 0.4], vec![0.05, 0.0, 0.2], Vec::new());
         assert_eq!(v.num_vertices(), 3);
         assert_eq!(v.point(1), Some(0.9));
@@ -1110,60 +1054,10 @@ mod tests {
         assert!(empty.top_k(3).is_empty());
     }
 
-    /// `cache_for` builds the cache afresh wherever the graph moved — an
-    /// edge, or the vertex count — and names the rows whose hop row moved
-    /// plus the new ids; fewer vertices and `invalidate_cache` force the
-    /// full path.
-    #[test]
-    fn cache_is_rebuilt_when_an_edge_moves_or_n_changes() {
-        let builds = |p: &Publisher| p.stats().bounds_builds;
-        let mut g = AdjGraph::with_vertices(3);
-        g.add_edge(0, 1, 1).unwrap();
-        let mut p = Publisher::new(BoundsMode::Certified);
-        assert!(p.cache_for(&g, false).is_empty());
-        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 1));
-        p.publish(0, 0, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
-        // Same graph, no edge moved: the cache stands.
-        assert!(p.cache_for(&g, false).is_empty());
-        assert_eq!(builds(&p), 1);
-
-        // Two new vertices, one hanging off the isolated vertex 2: row 2
-        // gains it within reach, rows 0 and 1 see neither.
-        let mut grown = g.clone();
-        grown.add_vertices(2);
-        grown.add_edge(3, 2, 1).unwrap();
-        assert_eq!(p.cache_for(&grown, false), vec![2, 3, 4]);
-        assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
-        assert_eq!(builds(&p), 2);
-        assert!(!p.wants_full(), "growth keeps the delta path");
-
-        // A heavier edge moves `w_max`, and with it every interval.
-        grown.set_weight(0, 1, 4).unwrap();
-        assert!(p.cache_for(&grown, true).is_empty());
-        assert_eq!(p.cache().unwrap(), &CertifiedBoundsCache::new(&grown));
-        assert_eq!(builds(&p), 3);
-        assert!(p.wants_full(), "a moved weight extreme forces the full path");
-        p.publish(1, 1, false, vec![0.0; 5], vec![0.0; 5], Vec::new());
-
-        // Fewer vertices is a rewind, and so is a dropped cache.
-        assert!(p.cache_for(&g, false).is_empty());
-        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 4));
-        assert!(p.wants_full());
-        p.publish(2, 1, false, vec![0.0; 3], vec![0.0; 3], Vec::new());
-        p.invalidate_cache();
-        assert!(p.cache().is_none() && p.wants_full());
-        p.cache_for(&g, false);
-        assert_eq!((p.cache().unwrap().n(), builds(&p)), (3, 5));
-
-        let mut none = Publisher::new(BoundsMode::None);
-        assert!(none.cache_for(&grown, true).is_empty());
-        assert!(none.cache().is_none() && none.stats() == PublishStats::default());
-    }
-
     #[test]
     fn concurrent_readers_never_see_a_torn_view() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         let cell = p.cell();
         let stop = Arc::new(AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
@@ -1213,8 +1107,8 @@ mod tests {
     fn delta_publish_matches_full_rebuild_and_shares_chunks() {
         let n = 3 * CHUNK_VERTICES + 17;
         let base: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0).collect();
-        let mut fast = Publisher::new(BoundsMode::None);
-        let mut slow = Publisher::new(BoundsMode::None);
+        let mut fast = Publisher::new();
+        let mut slow = Publisher::new();
         fast.publish(0, 0, false, base.clone(), Vec::new(), Vec::new());
         slow.publish(0, 0, false, base, Vec::new(), Vec::new());
         // Dirty a handful of rows inside chunk 1 only.
@@ -1238,7 +1132,7 @@ mod tests {
 
     #[test]
     fn delta_publish_grows_the_view() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         p.publish(0, 0, false, vec![0.2; 10], Vec::new(), Vec::new());
         let v =
             p.publish_changes(1, 1, false, 12, vec![(10, 0.9), (11, 0.1)], Vec::new(), Vec::new());
@@ -1259,7 +1153,7 @@ mod tests {
         // rebuilds must keep the snapshot exact.
         let n = TOPK_INDEX_CAP * 3;
         let base: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         p.publish(0, 0, false, base, Vec::new(), Vec::new());
         for step in 0..TOPK_INDEX_CAP + 8 {
             let view = p.latest();
@@ -1280,7 +1174,7 @@ mod tests {
 
     #[test]
     fn topk_ties_break_by_id_on_both_paths() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         // All-equal values: order must be by id on the maintained path...
         let v = p.publish(0, 0, false, vec![0.5; 300], Vec::new(), Vec::new());
         let maintained = v.top_k(6);
@@ -1296,14 +1190,11 @@ mod tests {
 
     #[test]
     fn view_delta_roundtrips_through_netmsg_and_applies() {
-        let mut p = Publisher::new(BoundsMode::Certified);
+        let mut p = Publisher::new();
         p.publish(1, 0, false, vec![0.25; 40], vec![0.5; 40], Vec::new());
         let follower_base = p.latest();
-        p.invalidate_cache();
-        // Certified invalidation forces the full path.
+        p.request_full();
         assert!(p.wants_full());
-        let g = AdjGraph::with_vertices(40);
-        p.cache_for(&g, false);
         p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40], Vec::new());
         let full_delta = p.last_delta().unwrap().clone();
         assert!(full_delta.full);
@@ -1326,7 +1217,7 @@ mod tests {
 
     #[test]
     fn multi_metric_columns_publish_query_and_replicate() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         let bc: Vec<f64> = (0..40).map(|i| (i * 7 % 11) as f64).collect();
         let v = p.publish(
             1,
@@ -1418,7 +1309,7 @@ mod tests {
             assert_eq!(golden.len(), delta.encoded_bytes());
             assert_eq!(ViewDelta::from_msg(&NetMsg::decode(&golden).unwrap()).unwrap(), delta);
         }
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         let v = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
         assert!(p.last_delta().unwrap().extras.is_empty());
         assert_eq!(v.metrics(), MetricMask::only(MetricKind::Closeness));
@@ -1430,7 +1321,7 @@ mod tests {
 
     #[test]
     fn follower_refuses_deltas_that_do_not_fit() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         p.publish(1, 0, false, vec![0.5; 8], Vec::new(), Vec::new());
         let prev = p.latest();
         let good = ViewDelta {
@@ -1508,7 +1399,7 @@ mod tests {
 
     #[test]
     fn cell_wait_parks_until_epoch_lands() {
-        let mut p = Publisher::new(BoundsMode::None);
+        let mut p = Publisher::new();
         let cell = p.cell();
         let waiter = std::thread::spawn({
             let cell = cell.clone();

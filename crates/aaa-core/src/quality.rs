@@ -6,9 +6,9 @@
 //! the exact values for the current graph and records the error per RC step.
 //!
 //! Without an exact reference, one interval says how good an answer is:
-//! [`CertifiedBoundsCache::interval`], read off a hop matrix that is a
-//! function of the graph. The publish layer stamps every epoch with it, and
-//! the degraded answer of either driver bounds every vertex with it
+//! `certified_intervals`, read off hop rows it walks for exactly the rows
+//! asked about. The publish layer stamps every epoch with it, and the
+//! degraded answer of either driver bounds every vertex with it
 //! (`DegradedReport::assemble`).
 
 use aaa_graph::apsp::DistMatrix;
@@ -134,12 +134,11 @@ pub struct DegradedReport {
 
 impl DegradedReport {
     /// The degraded answer `estimate`, each vertex bounded by the certified
-    /// interval `[c_lo, c_hi]` of its row in `rows`
-    /// ([`CertifiedBoundsCache::interval`]): `bound(v) = max(c_est − c_lo,
-    /// c_hi − c_est, 0)`, which covers the exact value wherever in the
-    /// interval it lies. The hop rows are walked off `graph` itself,
-    /// [`BFS_LANES`] at a time, so no n×n matrix is held next to `rows`.
-    /// Both drivers assemble their degraded reports here and nowhere else.
+    /// interval `[c_lo, c_hi]` of its row in `rows` ([`certified_intervals`]
+    /// over the current `graph`): `bound(v) = max(c_est − c_lo, c_hi −
+    /// c_est, 0)`, which covers the exact value wherever in the interval it
+    /// lies. Both drivers assemble their degraded reports here and nowhere
+    /// else.
     pub(crate) fn assemble<G: GraphStore>(
         graph: &G,
         rows: &DistMatrix,
@@ -150,19 +149,13 @@ impl DegradedReport {
     ) -> Self {
         let n = graph.num_vertices();
         assert_eq!(rows.n(), n, "distance matrix does not match the graph");
-        let extremes = weight_extremes(graph);
-        let sources: Vec<VertexId> = (0..n as VertexId).collect();
-        let mut walked = vec![INF; BFS_LANES.min(n) * n];
-        let mut bound = Vec::with_capacity(n);
-        for batch in sources.chunks(BFS_LANES) {
-            let walked = &mut walked[..batch.len() * n];
-            bfs_rows(n, |v| graph.successors(v), batch, walked);
-            bound.extend(batch.iter().zip(walked.chunks_exact(n)).map(|(&v, hops)| {
-                let (c_lo, c_hi) = interval(v, hops, rows.row(v), extremes);
-                let c_est = estimate[v as usize];
-                (c_est - c_lo).max(c_hi - c_est).max(0.0)
-            }));
-        }
+        let all: Vec<VertexId> = (0..n as VertexId).collect();
+        let intervals = certified_intervals(graph, &all, |v| rows.row(v));
+        let bound = intervals
+            .iter()
+            .zip(&estimate)
+            .map(|(&(c_lo, c_hi), &c_est)| (c_est - c_lo).max(c_hi - c_est).max(0.0))
+            .collect();
         Self { reason, rc_steps, faults, estimate, bound }
     }
 
@@ -196,19 +189,19 @@ impl DegradedReport {
 // Certified per-vertex closeness intervals
 // ----------------------------------------------------------------
 
-/// The hop matrix behind certified closeness intervals: a function of the
-/// graph, built by the multi-source walk.
+/// The certified closeness interval `[c_lo, c_hi]` of each vertex of
+/// `vertices`, in order, against its DV row `row(v)`: the one routine behind
+/// every published bound and every degraded answer (DESIGN.md §17).
 ///
-/// The publish layer stamps every epoch with per-vertex error bounds; doing
-/// `n` BFS traversals per epoch would dwarf the RC step itself, so the hop
-/// counts (and the weight extremes) are computed here once per graph
-/// version: for the first epoch, and again at a publish barrier where an
-/// edge moved or the vertex count changed. `moved_since` says which rows
-/// a build moved against the one before it (DESIGN.md §17). A degraded
-/// report reads the same intervals.
+/// Nothing is kept between calls. The hop rows of exactly these vertices
+/// are walked off `graph` by the multi-source BFS [`bfs_rows`],
+/// [`BFS_LANES`] at a time into one `BFS_LANES × n` buffer, and the weight
+/// extremes come from one edge scan, so a caller that scores a few rows
+/// walks a few rows and nothing n × n is ever held. Works on any storage
+/// backend.
 ///
-/// For a vertex `v` with current DV row `row`, [`interval`] returns a
-/// certified interval `[c_lo, c_hi]` containing the true closeness:
+/// For a vertex `v` with DV row `row` and hop row `hops`, the interval
+/// contains the true closeness:
 ///
 /// * every finite DV entry is a genuine path length, hence an **upper**
 ///   bound on the true distance, and so is `w_max · hops(v,u)` (walk the
@@ -218,21 +211,33 @@ impl DegradedReport {
 /// * `w_min · hops(v,u)` is a **lower** bound on every true distance, so
 ///   `c_hi = 1/Σ w_min·hops ≥ c_true`.
 ///
-/// Because DV rows only ever min-merge downward, `c_lo` is non-decreasing
-/// and `c_hi` is fixed per graph version — the interval width `c_hi − c_lo`
-/// is **non-increasing across epochs** on a quiescing run (the anytime
-/// guarantee, stated per epoch), and at convergence `min(row, w_max·hops) =
-/// row = d_true`, so `c_lo` equals the true closeness exactly.
-///
-/// [`interval`]: CertifiedBoundsCache::interval
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertifiedBoundsCache {
-    n: usize,
-    w_min: u64,
-    w_max: u64,
-    /// Flat n×n matrix of unit-weight hop counts (`INF` unreachable);
-    /// symmetric, the graph is undirected.
-    hops: Vec<Dist>,
+/// `(0, 0)` when `v` reaches nothing (its true closeness is exactly 0 under
+/// the reachable-sum convention). Because DV rows only ever min-merge
+/// downward, `c_lo` is non-decreasing and `c_hi` is fixed per graph version
+/// — the interval width `c_hi − c_lo` is **non-increasing across epochs**
+/// on a quiescing run (the anytime guarantee, stated per epoch), and at
+/// convergence `min(row, w_max·hops) = row = d_true`, so `c_lo` equals the
+/// true closeness exactly.
+pub(crate) fn certified_intervals<'r, G: GraphStore>(
+    graph: &G,
+    vertices: &[VertexId],
+    row: impl Fn(VertexId) -> &'r [Dist],
+) -> Vec<(f64, f64)> {
+    let n = graph.num_vertices();
+    let extremes = weight_extremes(graph);
+    let mut walked = vec![INF; BFS_LANES.min(vertices.len()) * n];
+    let mut out = Vec::with_capacity(vertices.len());
+    for batch in vertices.chunks(BFS_LANES) {
+        let walked = &mut walked[..batch.len() * n];
+        bfs_rows(n, |v| graph.successors(v), batch, walked);
+        out.extend(
+            batch
+                .iter()
+                .zip(walked.chunks_exact(n))
+                .map(|(&v, hops)| interval(v, hops, row(v), extremes)),
+        );
+    }
+    out
 }
 
 /// `(w_min, w_max)` over the graph's edges; `(1, 1)` without any.
@@ -247,10 +252,9 @@ fn weight_extremes<G: GraphStore>(graph: &G) -> (u64, u64) {
 }
 
 /// The certified interval of `v` from its hop row `hops` and its DV row
-/// `row`, under the weight extremes `(w_min, w_max)`: the body of
-/// [`CertifiedBoundsCache::interval`], which the degraded report applies to
-/// hop rows it walks itself.
+/// `row`, under the weight extremes `(w_min, w_max)`.
 fn interval(v: VertexId, hops: &[Dist], row: &[Dist], (w_min, w_max): (u64, u64)) -> (f64, f64) {
+    debug_assert_eq!(row.len(), hops.len(), "row {v} does not match the graph");
     let mut upper_sum = 0u64;
     let mut lower_sum = 0u64;
     for (u, (&h, &d)) in hops.iter().zip(row).enumerate() {
@@ -267,58 +271,12 @@ fn interval(v: VertexId, hops: &[Dist], row: &[Dist], (w_min, w_max): (u64, u64)
     (1.0 / upper_sum as f64, 1.0 / lower_sum as f64)
 }
 
-impl CertifiedBoundsCache {
-    /// Builds the cache for the current graph: all n hop rows, walked
-    /// `BFS_LANES` at a time by the multi-source BFS [`bfs_rows`]. Works on
-    /// any storage backend.
-    pub fn new<G: GraphStore>(graph: &G) -> Self {
-        let n = graph.num_vertices();
-        let (w_min, w_max) = weight_extremes(graph);
-        let mut hops = vec![INF; n * n];
-        let all: Vec<VertexId> = (0..n as VertexId).collect();
-        bfs_rows(n, |v| graph.successors(v), &all, &mut hops);
-        Self { n, w_min, w_max, hops }
-    }
-
-    /// What moved from `old`, the cache of an earlier graph with the same
-    /// vertices or fewer, to `self`: the rows whose interval moves under an
-    /// unchanged DV row — each old row whose hop row differs (padded with
-    /// `INF` to the new width: a new vertex within reach is a new term) and
-    /// every new id, sorted — and whether a weight extreme moved, which
-    /// moves every interval.
-    pub(crate) fn moved_since(&self, old: &Self) -> (Vec<VertexId>, bool) {
-        let (n0, n) = (old.n, self.n);
-        assert!(n0 <= n, "a bounds cache is compared with one of the same vertices or fewer");
-        let rows = (0..n)
-            .filter(|&x| {
-                let now = &self.hops[x * n..][..n];
-                x >= n0
-                    || now[..n0] != old.hops[x * n0..][..n0]
-                    || now[n0..].iter().any(|&h| h != INF)
-            })
-            .map(|x| x as VertexId)
-            .collect();
-        (rows, (old.w_min, old.w_max) != (self.w_min, self.w_max))
-    }
-
-    /// Number of vertices the cache was built for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The certified closeness interval `[c_lo, c_hi]` for vertex `v` given
-    /// its current DV row. `(0, 0)` when `v` reaches nothing (its true
-    /// closeness is exactly 0 under the reachable-sum convention).
-    pub fn interval(&self, v: u32, row: &[Dist]) -> (f64, f64) {
-        assert_eq!(row.len(), self.n, "row does not match the cached graph");
-        interval(v, &self.hops[v as usize * self.n..][..self.n], row, (self.w_min, self.w_max))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publish::{BoundsMode, Publisher};
+    use crate::changes::{DynamicChange, NewVertex, VertexBatch};
+    use crate::engine::{AnytimeEngine, EngineConfig};
+    use crate::publish::{BoundsMode, PublishedView};
     use aaa_graph::closeness::{closeness_exact, closeness_from_row};
     use aaa_graph::generators::{barabasi_albert, WeightModel};
     use aaa_graph::{AdjGraph, Csr};
@@ -364,6 +322,12 @@ mod tests {
         DegradedReport::assemble(g, rows, estimate, reason, 0, FaultCounters::default())
     }
 
+    /// Every vertex's interval against its row in `rows`.
+    fn intervals(g: &AdjGraph, rows: &DistMatrix) -> Vec<(f64, f64)> {
+        let all: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        certified_intervals(g, &all, |v| rows.row(v))
+    }
+
     /// Rows holding only the IA-grade knowledge (self + direct neighbours)
     /// must still produce bounds that cover the true closeness — and never
     /// wider ones than the formula before the one interval, whose `c_lo` was
@@ -385,12 +349,11 @@ mod tests {
             assert!(report.certifies(&exact), "seed {seed}: bounds failed to cover exact");
             assert!(report.max_bound() > 0.0, "partial rows must admit real uncertainty");
             assert!(report.mean_bound() <= report.max_bound());
-            let cache = CertifiedBoundsCache::new(&g);
             let mut tighter = 0;
-            for v in 0..n {
-                let (row, hops) = (rows.row(v as u32), &cache.hops[v * n..][..n]);
+            for (v, &(_, c_hi)) in intervals(&g, &rows).iter().enumerate() {
+                let (row, hops) = (rows.row(v as u32), algo::bfs_hops(&g, v as u32));
                 let covered = (0..n).all(|u| u == v || (hops[u] == INF) == (row[u] == INF));
-                let (c_est, c_hi) = (report.estimate[v], cache.interval(v as u32, row).1);
+                let c_est = report.estimate[v];
                 let was = (c_est - if covered { c_est } else { 0.0 }).max(c_hi - c_est).max(0.0);
                 let now = report.bound[v];
                 assert!(now <= was, "seed {seed} v{v}: {now} > {was}");
@@ -419,10 +382,12 @@ mod tests {
         assert!(DegradedReason::StepBudgetExhausted.to_string().contains("budget"));
     }
 
-    /// The report walks its hop rows in batches of `BFS_LANES`; across more
-    /// than one batch every bound is the one the cache's interval gives.
+    /// The routine walks its hop rows in batches of `BFS_LANES`: across
+    /// more than one batch, for every vertex or any subset of them, each
+    /// interval is the one its `bfs_hops` row gives, and each degraded bound
+    /// is read off it.
     #[test]
-    fn degraded_bounds_are_the_cache_intervals_across_walk_batches() {
+    fn intervals_across_walk_batches_are_the_ones_of_single_rows() {
         let g = barabasi_albert(BFS_LANES + 21, 2, WeightModel::UniformRange { lo: 1, hi: 3 }, 5)
             .unwrap();
         let n = g.num_vertices();
@@ -432,13 +397,19 @@ mod tests {
                 rows.set(v, t, w);
             }
         }
+        let extremes = weight_extremes(&g);
+        let one_row = |v: VertexId| interval(v, &algo::bfs_hops(&g, v), rows.row(v), extremes);
         let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
-        let cache = CertifiedBoundsCache::new(&g);
-        for v in 0..n {
-            let (lo, hi) = cache.interval(v as u32, rows.row(v as u32));
+        for (v, &walked) in intervals(&g, &rows).iter().enumerate() {
+            let (lo, hi) = one_row(v as VertexId);
+            assert_eq!(walked, (lo, hi), "vertex {v}");
             let c_est = report.estimate[v];
             assert_eq!(report.bound[v], (c_est - lo).max(hi - c_est).max(0.0), "vertex {v}");
         }
+        let some: Vec<VertexId> = (0..n as VertexId).filter(|v| v % 3 != 1).collect();
+        let walked = certified_intervals(&g, &some, |v| rows.row(v));
+        assert!(some.iter().zip(walked).all(|(&v, i)| i == one_row(v)));
+        assert!(certified_intervals(&g, &[], |v| rows.row(v)).is_empty());
     }
 
     /// A row that misses a reachable vertex still has a lower end: on the
@@ -466,7 +437,6 @@ mod tests {
                 barabasi_albert(35, 2, WeightModel::UniformRange { lo: 1, hi: 4 }, seed).unwrap();
             let n = g.num_vertices();
             let exact = closeness_exact(&Csr::from_adj(&g));
-            let cache = CertifiedBoundsCache::new(&g);
             let truth = aaa_graph::apsp::apsp_dijkstra(&Csr::from_adj(&g));
 
             // Stage 1: IA-grade rows (self + direct neighbours only).
@@ -476,13 +446,12 @@ mod tests {
                     rows.set(v, t, w);
                 }
             }
-            for v in 0..n as u32 {
-                let (lo, hi) = cache.interval(v, rows.row(v));
-                let ex = exact[v as usize];
+            // Stage 2: converged rows — the interval must only tighten, and
+            // the lower end must hit the exact value.
+            let (partial, converged) = (intervals(&g, &rows), intervals(&g, &truth));
+            for (v, (&(lo, hi), &(lo2, hi2))) in partial.iter().zip(&converged).enumerate() {
+                let ex = exact[v];
                 assert!(lo <= ex + 1e-12 && ex <= hi + 1e-12, "seed {seed} v{v}: {lo}..{hi}");
-                // Stage 2: converged rows — interval must only tighten, and
-                // the lower end must hit the exact value.
-                let (lo2, hi2) = cache.interval(v, truth.row(v));
                 assert!(lo2 + 1e-12 >= lo && hi2 <= hi + 1e-12, "interval widened");
                 assert!((lo2 - ex).abs() < 1e-12, "converged c_lo must equal exact");
                 assert!(ex <= hi2 + 1e-12);
@@ -490,10 +459,13 @@ mod tests {
         }
     }
 
-    /// One burst of changes applied to `g` the way the engine's `exec_*`
-    /// apply them, noting every edge made or unmade.
-    fn apply_burst(g: &mut AdjGraph, ops: &[(u8, u32, u32, u32)]) -> Vec<(u32, u32, u32)> {
-        let mut touched = Vec::new();
+    /// One burst of changes as a stream submits it, each valid against `g`
+    /// as the burst has left it so far, and applied to `g`: vertex batches
+    /// with edges among themselves, edge additions, removals (on trees:
+    /// every one disconnects), reweights, vertex removals, an edge there and
+    /// back.
+    fn burst(g: &mut AdjGraph, ops: &[(u8, u32, u32, u32)]) -> Vec<DynamicChange> {
+        let mut changes = Vec::new();
         for &(code, x, y, w) in ops {
             let n = g.num_vertices() as u32;
             let (u, v, w) = (x % n, y % n, 1 + w % 4);
@@ -505,83 +477,120 @@ mod tests {
                 0 => {
                     let k = 1 + y % 3;
                     g.add_vertices(k as usize);
-                    for i in 0..k {
-                        for e in 0..(x >> (2 * i)) % 4 {
-                            let t = (y / 3 + 7 * e + i) % (n + k);
-                            if t != n + i && !g.has_edge(n + i, t) {
-                                g.add_edge(n + i, t, w).unwrap();
-                                touched.push((n + i, t, w));
+                    let vertices = (0..k)
+                        .map(|i| {
+                            let mut edges = Vec::new();
+                            for e in 0..(x >> (2 * i)) % 4 {
+                                let t = (y / 3 + 7 * e + i) % (n + k);
+                                if t != n + i && !g.has_edge(n + i, t) {
+                                    g.add_edge(n + i, t, w).unwrap();
+                                    edges.push((t, w));
+                                }
                             }
-                        }
-                    }
+                            NewVertex { edges }
+                        })
+                        .collect();
+                    changes.push(DynamicChange::AddVertices(VertexBatch { vertices }));
                 }
                 1 if u != v && !g.has_edge(u, v) => {
                     g.add_edge(u, v, w).unwrap();
-                    touched.push((u, v, w));
+                    changes.push(DynamicChange::AddEdge { u, v, w });
                 }
                 2 => {
-                    if let Some((a, b, old)) = picked {
+                    if let Some((a, b, _)) = picked {
                         g.remove_edge(a, b).unwrap();
-                        touched.push((a, b, old));
+                        changes.push(DynamicChange::RemoveEdge { u: a, v: b });
                     }
                 }
                 3 => {
-                    if let Some((a, b, old)) = picked.filter(|e| e.2 != w) {
+                    if let Some((a, b, _)) = picked.filter(|e| e.2 != w) {
                         g.set_weight(a, b, w).unwrap();
-                        touched.extend([(a, b, old), (a, b, w)]);
+                        changes.push(DynamicChange::SetWeight { u: a, v: b, w });
                     }
                 }
                 4 => {
-                    for (t, old) in g.neighbors(u).to_vec() {
+                    for (t, _) in g.neighbors(u).to_vec() {
                         g.remove_edge(u, t).unwrap();
-                        touched.push((u, t, old));
                     }
+                    changes.push(DynamicChange::RemoveVertices(vec![u]));
                 }
                 // One edge there and back inside the burst: removed and
                 // re-added, or added and removed.
                 5 => {
-                    if let Some((a, b, old)) = picked {
+                    if let Some((a, b, _)) = picked {
                         g.remove_edge(a, b).unwrap();
                         g.add_edge(a, b, w).unwrap();
-                        touched.extend([(a, b, old), (a, b, w)]);
+                        changes.push(DynamicChange::RemoveEdge { u: a, v: b });
+                        changes.push(DynamicChange::AddEdge { u: a, v: b, w });
                     }
                 }
                 6 if u != v && !g.has_edge(u, v) => {
-                    g.add_edge(u, v, w).unwrap();
-                    g.remove_edge(u, v).unwrap();
-                    touched.extend([(u, v, w), (u, v, w)]);
+                    changes.push(DynamicChange::AddEdge { u, v, w });
+                    changes.push(DynamicChange::RemoveEdge { u, v });
                 }
                 _ => {}
             }
         }
-        touched
+        changes
     }
 
-    /// The hop matrix of `g` built one `bfs_hops` row at a time — the
-    /// reference the walk is held to.
-    fn hops_by_rows(g: &AdjGraph) -> Vec<Dist> {
-        (0..g.num_vertices() as VertexId).flat_map(|v| algo::bfs_hops(g, v)).collect()
+    /// A certified engine and its forced-full twin over `g`.
+    fn certified_pair(g: &AdjGraph) -> (AnytimeEngine, AnytimeEngine) {
+        let mut config = EngineConfig::deterministic(3);
+        config.publish_bounds = BoundsMode::Certified;
+        let thin = AnytimeEngine::new(g.clone(), config.clone()).unwrap();
+        let mut full = AnytimeEngine::new(g.clone(), config).unwrap();
+        full.set_force_full_publish(true);
+        (thin, full)
+    }
+
+    fn bits(xs: Vec<f64>) -> Vec<u64> {
+        xs.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// The ids whose published `(closeness, bound)` bits differ between
+    /// `before` and `after`, with every id `before` lacks.
+    fn moved(before: &PublishedView, after: &PublishedView) -> Vec<VertexId> {
+        let pair = |view: &PublishedView, v| {
+            (view.point(v).map(f64::to_bits), view.error_bound(v).map(f64::to_bits))
+        };
+        (0..after.num_vertices() as VertexId)
+            .filter(|&v| pair(before, v) != pair(after, v))
+            .collect()
+    }
+
+    /// Holds the thin engine's last epoch to the twin's, bit for bit, and
+    /// its delta to the rows whose bits moved since `before`.
+    fn assert_thin_and_exact(thin: &AnytimeEngine, full: &AnytimeEngine, before: &PublishedView) {
+        let (a, b) = (thin.published(), full.published());
+        assert_eq!(bits(a.closeness()), bits(b.closeness()), "closeness");
+        assert_eq!(bits(a.bounds()), bits(b.bounds()), "bounds");
+        let delta = thin.last_view_delta().expect("an epoch was published");
+        assert!(!delta.full, "a drain or an RC step publishes a thin epoch");
+        let ids = |es: &[(VertexId, f64)]| es.iter().map(|e| e.0).collect::<Vec<_>>();
+        let moved = moved(before, &b);
+        assert_eq!(ids(&delta.entries), moved, "re-stated rows");
+        assert_eq!(ids(&delta.bounds), moved, "re-stated bounds");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(320))]
 
-        /// After any burst — vertex batches with edges among themselves,
-        /// edge additions, removals (on trees: every one disconnects),
-        /// reweights, vertex removals, an edge there and back — the cache a
-        /// publish barrier refreshes is the one `new` builds, the rows it
-        /// reports are exactly the rows that differ from what they were,
-        /// plus the new ids, and the full path is forced exactly when a
-        /// weight extreme moved.
+        /// After any burst, submitted and drained under `Certified` — and
+        /// at the RC step after it — the delta engine's view equals the
+        /// forced-full twin's bit for bit, and the epoch re-states exactly
+        /// the rows whose published bits moved (every new id among them):
+        /// no matrix, no diff, no full epoch for a moved weight extreme.
         #[test]
-        fn a_refreshed_cache_equals_a_rebuilt_one(
-            n in 2usize..26,
+        fn a_drained_burst_restates_exactly_the_rows_whose_bits_moved(
+            n in 4usize..26,
             parents in proptest::collection::vec((0u32..1000, 1u32..5), 25),
             chords in proptest::collection::vec((0u32..1000, 0u32..1000, 1u32..5), 0..12),
             tree in 0u8..3,
+            steps in 0usize..3,
             ops in proptest::collection::vec((0u8..7, 0u32..1000, 0u32..1000, 0u32..8), 1..10),
         ) {
-            // A random forest-free tree; two times in three with chords.
+            // A random tree; two times in three with chords.
             let mut g = AdjGraph::with_vertices(n);
             for v in 1..n as u32 {
                 let (p, w) = parents[v as usize - 1];
@@ -593,43 +602,55 @@ mod tests {
                     g.add_edge(a, b, w).unwrap();
                 }
             }
-            let mut p = Publisher::new(BoundsMode::Certified);
-            p.cache_for(&g, false);
-            p.publish(0, 0, false, vec![0.0; n], vec![0.0; n], Vec::new());
-            let before = p.cache().unwrap().clone();
-            let touched = apply_burst(&mut g, &ops);
-            let rows = p.cache_for(&g, !touched.is_empty());
-            let rebuilt = CertifiedBoundsCache::new(&g);
-            proptest::prop_assert!(p.cache() == Some(&rebuilt), "refresh differs from rebuild");
-            proptest::prop_assert!(rebuilt.hops == hops_by_rows(&g), "walk differs from bfs_hops");
-
-            let (n0, n1) = (before.n, rebuilt.n);
-            let expected: Vec<VertexId> = (0..n1)
-                .filter(|&x| {
-                    x >= n0 || {
-                        let mut was = before.hops[x * n0..][..n0].to_vec();
-                        was.resize(n1, INF);
-                        was != rebuilt.hops[x * n1..][..n1]
-                    }
-                })
-                .map(|x| x as VertexId)
-                .collect();
-            proptest::prop_assert_eq!(&rows, &expected);
-            proptest::prop_assert_eq!(
-                p.wants_full(),
-                (before.w_min, before.w_max) != (rebuilt.w_min, rebuilt.w_max)
-            );
+            let (mut thin, mut full) = certified_pair(&g);
+            for _ in 0..steps {
+                thin.rc_step();
+                full.rc_step();
+            }
+            let changes = burst(&mut g, &ops);
+            for change in changes {
+                thin.submit(change.clone()).unwrap();
+                full.submit(change).unwrap();
+            }
+            let before = thin.published();
+            if thin.drain_changes().unwrap() > 0 {
+                full.drain_changes().unwrap();
+                assert_thin_and_exact(&thin, &full, &before);
+            }
+            let edges = |g: &AdjGraph| g.edges().collect::<Vec<_>>();
+            proptest::prop_assert_eq!(edges(thin.graph()), edges(&g));
+            let before = thin.published();
+            thin.rc_step();
+            full.rc_step();
+            assert_thin_and_exact(&thin, &full, &before);
         }
+    }
+
+    /// A reweight past the heaviest edge moves `w_max`, and with it the
+    /// lower end of every interval whose row still misses a vertex: a thin
+    /// epoch of exactly those rows, bit-identical to the forced-full twin's.
+    #[test]
+    fn a_moved_weight_extreme_publishes_a_thin_epoch() {
+        let g = barabasi_albert(40, 2, WeightModel::UniformRange { lo: 1, hi: 3 }, 4).unwrap();
+        let (mut thin, mut full) = certified_pair(&g);
+        thin.rc_step();
+        full.rc_step();
+        let (u, v, _) = g.edges().next().unwrap();
+        let before = thin.published();
+        for e in [&mut thin, &mut full] {
+            e.submit(DynamicChange::SetWeight { u, v, w: 9 }).unwrap();
+            assert_eq!(e.drain_changes().unwrap(), 1);
+        }
+        assert_thin_and_exact(&thin, &full, &before);
+        assert!(thin.last_view_delta().unwrap().rows() > 0, "the extreme moved some bound");
     }
 
     #[test]
     fn certified_interval_is_zero_for_isolated_vertices() {
         let mut g = AdjGraph::with_vertices(3);
         g.add_edge(0, 1, 2).unwrap();
-        let cache = CertifiedBoundsCache::new(&g);
         let rows = DistMatrix::new(3);
-        assert_eq!(cache.interval(2, rows.row(2)), (0.0, 0.0));
-        assert_eq!(cache.n(), 3);
+        assert_eq!(certified_intervals(&g, &[2], |v| rows.row(v)), [(0.0, 0.0)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! never an allocation bomb from a hostile length prefix.
 
 use aaa_core::rank::{RowMsg, RowPayload, WireFormat};
-use aaa_core::{BoundsMode, NetMsg, Publisher, ViewDelta, WireError};
+use aaa_core::{NetMsg, Publisher, ViewDelta, WireError};
 use aaa_graph::INF;
 use proptest::prelude::*;
 
@@ -204,12 +204,8 @@ proptest! {
         prev_n in 0usize..64,
         bounded in 0u8..2,
     ) {
-        let (mode, bounds) = if bounded == 1 {
-            (BoundsMode::Certified, vec![0.125; prev_n])
-        } else {
-            (BoundsMode::None, Vec::new())
-        };
-        let mut leader = Publisher::new(mode);
+        let bounds = if bounded == 1 { vec![0.125; prev_n] } else { Vec::new() };
+        let mut leader = Publisher::new();
         let prev = leader.publish(1, 0, false, vec![0.5; prev_n], bounds, Vec::new());
         let decoded = NetMsg::decode(&msg.encode()).expect("own encoding decodes");
         if let Ok(delta) = ViewDelta::from_msg(&decoded) {

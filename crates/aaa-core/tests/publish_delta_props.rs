@@ -106,8 +106,8 @@ proptest! {
     /// views purely from each epoch's encoded `ViewDelta` must all hold
     /// the same bits — with and without bounds and an extra column,
     /// across chunk boundaries, random growth, a forced full restate (what
-    /// a certified-bounds invalidation asks for) and a full restate onto
-    /// fewer vertices (what a restore that rewinds the graph asks for).
+    /// a checkpoint fallback asks for) and a full restate onto fewer
+    /// vertices (what a restore that rewinds the graph asks for).
     #[test]
     fn delta_full_and_follower_views_agree(
         input in epochs_strategy(),
@@ -115,9 +115,8 @@ proptest! {
         betweenness in 0u8..2,
     ) {
         let (n0, raw_epochs) = input;
-        let mode = if certified == 1 { BoundsMode::Certified } else { BoundsMode::None };
-        let mut delta = Publisher::new(mode);
-        let mut full = Publisher::new(mode);
+        let mut delta = Publisher::new();
+        let mut full = Publisher::new();
         full.set_force_full(true);
 
         let column = |salt: u32| (0..n0).map(|i| val(i as u32 * 37 + salt)).collect::<Vec<f64>>();

@@ -5,8 +5,9 @@
 //! exact oracles use. The engine's IA phase in `aaa-core` (the paper runs a
 //! multithreaded Dijkstra there, §IV.B) walks its local vertices through
 //! [`bfs_rows`] when every local edge weighs 1, where hop counts are the
-//! distances, and runs a Dijkstra per local vertex otherwise; the certified
-//! hop matrix and the degraded report's hop rows walk through it always.
+//! distances, and runs a Dijkstra per local vertex otherwise; the hop rows
+//! behind the certified bounds and the degraded report walk through it
+//! always.
 
 use crate::{dist_add, Csr, Dist, VertexId, Weight, INF};
 use std::cmp::Reverse;

@@ -5,10 +5,15 @@
 //! disarming chaos afterwards lets the same engine reconverge exactly, and
 //! an engine that never arms chaos pays nothing for the feature.
 
-use anytime_anywhere::core::{AnytimeEngine, ChaosPlan, DegradedReason, EngineConfig, RetryPolicy};
+use anytime_anywhere::core::{
+    AnytimeEngine, BoundsMode, ChaosPlan, DegradedReason, EngineConfig, RetryPolicy, ViewCell,
+};
 use anytime_anywhere::graph::closeness::closeness_exact;
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
 use anytime_anywhere::graph::Csr;
+use anytime_anywhere::observe::{EventSink, SpanEvent, SpanKind};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn degraded_answer_carries_a_certified_bound() {
@@ -76,6 +81,78 @@ fn checkpoint_fallback_is_used_before_degrading() {
     // …but only after actually spending both fallbacks.
     assert_eq!(run.fallbacks, 2);
     assert!(run.retries > 2, "each fallback resets the consecutive-attempt counter");
+}
+
+/// Holds every epoch an engine publishes to the exact answer, as it lands:
+/// a sink sees the engine's `Publish` span right after the view is stored,
+/// and its `Restore` span right before a checkpoint fallback's epoch.
+#[derive(Debug)]
+struct EveryEpoch {
+    cell: Arc<ViewCell>,
+    exact: Vec<f64>,
+    restored: AtomicBool,
+    epochs: AtomicU64,
+    fallback_epochs: AtomicU64,
+}
+
+impl EventSink for EveryEpoch {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: SpanEvent) {
+        match event.kind {
+            SpanKind::Restore => self.restored.store(true, Ordering::Relaxed),
+            SpanKind::Publish => {
+                let view = self.cell.load();
+                for (v, &exact) in self.exact.iter().enumerate() {
+                    let (c, bound) = (view.point(v as u32).unwrap(), view.error_bound(v as u32));
+                    let bound = bound.expect("a certified view bounds every vertex");
+                    assert!((c - exact).abs() <= bound + 1e-12, "epoch {}, vertex {v}", view.epoch);
+                }
+                self.epochs.fetch_add(1, Ordering::Relaxed);
+                if self.restored.swap(false, Ordering::Relaxed) {
+                    self.fallback_epochs.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Certified bounds under supervision: through chaos and a checkpoint
+/// fallback every published epoch covers the exact answer, the fallback's
+/// included; the degraded answer the run ends in certifies, and no vertex's
+/// degraded bound is wider than the one the latest epoch published for it.
+/// (A fallback epoch that kept the rows from before the rewind would fail
+/// the last check here: two of its vertices read wider.)
+#[test]
+fn certified_epochs_and_the_degraded_answer_cover_exact_through_a_fallback() {
+    let g = barabasi_albert(50, 2, WeightModel::UniformRange { lo: 1, hi: 4 }, 5).unwrap();
+    let exact = closeness_exact(&Csr::from_adj(&g));
+    let mut cfg = EngineConfig::deterministic(4);
+    cfg.publish_bounds = BoundsMode::Certified;
+    let mut e = AnytimeEngine::new(g, cfg).unwrap();
+    let sink = Arc::new(EveryEpoch {
+        cell: e.view_cell(),
+        exact: exact.clone(),
+        restored: AtomicBool::new(false),
+        epochs: AtomicU64::new(0),
+        fallback_epochs: AtomicU64::new(0),
+    });
+    e.set_sink(sink.clone());
+    e.set_chaos(ChaosPlan::seeded(46, 0.8, u64::MAX));
+    let run = e.run_supervised(&RetryPolicy { max_attempts: 0, max_fallbacks: 1 }).unwrap();
+    let report = run.degraded.expect("endless faults must degrade eventually");
+    assert_eq!(run.fallbacks, 1);
+    assert_eq!(sink.fallback_epochs.load(Ordering::Relaxed), 1, "the fallback epoch checked");
+    assert!(sink.epochs.load(Ordering::Relaxed) > 2);
+    assert!(report.certifies(&exact));
+    let last = e.published();
+    for (v, &bound) in report.bound.iter().enumerate() {
+        let published = last.error_bound(v as u32).unwrap();
+        assert!(bound <= published, "vertex {v}: degraded {bound} > published {published}");
+    }
 }
 
 /// Acceptance criterion: chaos is zero-cost when disabled. An engine with

@@ -401,8 +401,8 @@ fn an_edge_between_equidistant_vertices_leaves_that_source_alone() {
 
 /// A change that changes nothing — a weight set to what it is, the removal
 /// of vertices without edges — still counts as applied and still publishes
-/// its epoch, but recomputes no source and keeps the bounds cache (no
-/// forced full epoch); the columns do not move.
+/// its epoch, but recomputes no source and forces no full epoch; the
+/// columns do not move.
 #[test]
 fn a_change_that_alters_nothing_voids_nothing() {
     let mut engine = converged_small_world(30);

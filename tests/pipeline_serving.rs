@@ -5,12 +5,13 @@
 
 use anytime_anywhere::core::changes::{preferential_batch, DynamicChange};
 use anytime_anywhere::core::{
-    AnytimeEngine, AssignStrategy, BoundsMode, CertifiedBoundsCache, EngineConfig, MetricKind,
-    NewVertex, PublishedView, VertexBatch, ViewDelta, WireFormat,
+    AnytimeEngine, AssignStrategy, BoundsMode, EngineConfig, MetricKind, NewVertex, PublishedView,
+    VertexBatch, ViewDelta, WireFormat,
 };
 use anytime_anywhere::graph::closeness::closeness_exact;
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
-use anytime_anywhere::graph::{AdjGraph, Csr};
+use anytime_anywhere::graph::sssp::bfs;
+use anytime_anywhere::graph::{AdjGraph, Csr, INF};
 use anytime_anywhere::serve::ServeHandle;
 use std::sync::Arc;
 
@@ -208,9 +209,9 @@ impl Lockstep {
     }
 }
 
-/// The delta path under certified bounds: a drain's epoch re-states only
-/// the DV-dirty rows and the rows whose hop counts moved, and still every
-/// epoch is bit-identical to the forced-full twin's and to a follower's —
+/// The delta path under certified bounds: an epoch re-states only the rows
+/// whose published bits moved, and still every epoch is bit-identical to
+/// the forced-full twin's and to a follower's —
 /// across additions under every strategy, a bridge removed, reweights that
 /// do and do not move a weight extreme, a vertex removed, an edge there and
 /// back, a recovered rank and a checkpoint restore.
@@ -259,7 +260,7 @@ fn certified_delta_epochs_match_the_full_path_and_a_follower_at_every_epoch() {
     t.rc_step();
     let full_before = t.delta.publish_stats().full_epochs;
     t.drain("w_max moves", &[(DynamicChange::SetWeight { u: ru, v: rv, w: 9 }, RoundRobin)]);
-    assert_eq!(t.delta.publish_stats().full_epochs, full_before + 1, "every interval moved");
+    assert_eq!(t.delta.publish_stats().full_epochs, full_before, "a thin epoch of what moved");
     t.drain(
         "mixed burst",
         &[
@@ -272,18 +273,18 @@ fn certified_delta_epochs_match_the_full_path_and_a_follower_at_every_epoch() {
     t.rc_step();
 
     // A rank rewound to the snapshot (which predates decremental changes,
-    // so it restarts from its IA rows): a rewind, so a full epoch.
+    // so it restarts from its IA rows): its rows are epoch-dirty, so a thin
+    // epoch.
     t.barrier("recover rank", |e| e.recover_rank(1, &snapshot).expect("recovers"));
-    assert!(t.delta.last_view_delta().unwrap().full);
+    assert!(!t.delta.last_view_delta().unwrap().full);
     t.rc_step();
     t.drain("after recovery", &[(DynamicChange::RemoveEdge { u: eu, v: ev }, RoundRobin)]);
 
-    // Structural drains took the thin path, on a cache rebuilt for each of
-    // the eight; built it was twice more, for the first epoch and after the
-    // rewind.
+    // Every drain took the thin path, and so did the rewind: the first
+    // epoch was the only full one.
     let stats = t.delta.publish_stats();
     assert!(t.thin_drains >= 7, "only {} thin drain epochs", t.thin_drains);
-    assert_eq!(stats.bounds_builds, 8 + 2, "{stats:?}");
+    assert_eq!(stats.full_epochs, 1, "{stats:?}");
 
     // Checkpoint restore: new engines, a new first epoch, the same follower.
     let restore = |e: &mut AnytimeEngine| {
@@ -304,11 +305,22 @@ fn certified_delta_epochs_match_the_full_path_and_a_follower_at_every_epoch() {
         t.rc_step();
     }
 
-    // What stands at the end is what a fresh cache would certify.
-    let fresh = CertifiedBoundsCache::new(t.delta.graph());
+    // What stands at the end is each row's interval, walked afresh from
+    // its hop row and the weight extremes (DESIGN.md §7).
     let (rows, last) = (t.delta.distances(), t.delta.published());
+    let g = Csr::from_adj(t.delta.graph());
+    let weights: Vec<u64> = t.delta.graph().edges().map(|e| e.2 as u64).collect();
+    let (w_min, w_max) = (*weights.iter().min().unwrap(), *weights.iter().max().unwrap());
     for v in 0..last.num_vertices() as u32 {
-        let (lo, hi) = fresh.interval(v, rows.row(v));
+        let (mut upper, mut lower) = (0u64, 0u64);
+        for (u, (&h, &d)) in bfs(&g, v).iter().zip(rows.row(v)).enumerate() {
+            if u as u32 != v && h != INF {
+                upper += (d as u64).min(w_max * h as u64);
+                lower += w_min * h as u64;
+            }
+        }
+        let (lo, hi) =
+            if upper == 0 { (0.0, 0.0) } else { (1.0 / upper as f64, 1.0 / lower as f64) };
         assert_eq!(last.error_bound(v).unwrap().to_bits(), (hi - lo).to_bits(), "vertex {v}");
     }
 }
