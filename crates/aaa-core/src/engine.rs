@@ -40,6 +40,7 @@ use aaa_partition::{
 };
 use aaa_runtime::{ChaosPlan, Cluster, ClusterConfig, ClusterError, FaultPlan, RunStats};
 use aaa_store::algo;
+use rustc_hash::FxHashSet;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -234,6 +235,12 @@ pub struct AnytimeEngine {
     /// [`AnytimeEngine::publish_view`]). Stays empty on an engine with
     /// neither.
     touched: Vec<(VertexId, VertexId, Weight)>,
+    /// A change of the drain in flight left rows for its one `settle`.
+    unsettled: bool,
+    /// `faults.injected()` at the last quiescence a supervised run verified
+    /// (0 on a fresh or restored engine): whatever was injected since, in a
+    /// run or not, costs the next supervised run a verification pass.
+    faults_verified: u64,
 }
 
 impl AnytimeEngine {
@@ -342,6 +349,8 @@ impl AnytimeEngine {
             publisher: Publisher::new(),
             metrics,
             touched: Vec::new(),
+            unsettled: false,
+            faults_verified: 0,
         };
         // The anytime contract starts at construction: the IA answer is the
         // first published epoch.
@@ -807,6 +816,9 @@ impl AnytimeEngine {
     /// between. Publishes a fresh view when anything was applied and
     /// returns the number of changes applied.
     ///
+    /// No rank relaxes until the last change has written its rows; then one
+    /// step settles every rank (DESIGN.md §5).
+    ///
     /// On an execution error the failing change is discarded, the changes
     /// behind it stay queued, and the error propagates (unreachable for
     /// streams that passed `submit` validation).
@@ -846,6 +858,9 @@ impl AnytimeEngine {
                     break;
                 }
             }
+        }
+        if std::mem::take(&mut self.unsettled) {
+            self.cluster.step(|_, s| s.settle());
         }
         if applied > 0 {
             self.changes.record_drain();
@@ -937,8 +952,8 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// The anywhere vertex-addition strategy (Fig. 3): grow DVs, then relax
-    /// over each new edge in turn and settle once.
+    /// The anywhere vertex-addition strategy (Fig. 3): grow DVs, then absorb
+    /// the new edges as one blocked update; the drain settles them.
     fn apply_anywhere(
         &mut self,
         batch: &VertexBatch,
@@ -957,14 +972,7 @@ impl AnytimeEngine {
         // Announce the batch (owners + edges) to every rank.
         let msg = GrowMsg { base, owners, edges: edges.clone() };
         self.cluster.broadcast(0, move |_| msg, GrowMsg::size_bytes, |_, s, m| s.grow(m));
-
-        // Fig. 3 main loop, then one step propagates the batch's effects to
-        // rank-local fixed points; changed rows are now dirty and flow out
-        // on the next RC step.
-        for &(x, y, w) in &edges {
-            self.relax_over_edge(x, y, w, false);
-        }
-        self.cluster.step(|_, s| s.settle());
+        self.relax_over_edges(&edges);
         Ok(())
     }
 
@@ -1174,7 +1182,7 @@ impl AnytimeEngine {
             |_| 12,
             |_, s, &(a, b, w)| s.record_edge(a, b, w),
         );
-        self.relax_over_edge(u, v, w, true);
+        self.relax_over_edges(&[(u, v, w)]);
         self.edges_changed([(u, v, w)]);
         self.changes_applied += 1;
         Ok(())
@@ -1220,7 +1228,7 @@ impl AnytimeEngine {
         } else {
             reweight(self)?;
             if w < old {
-                self.relax_over_edge(u, v, w, true);
+                self.relax_over_edges(&[(u, v, w)]);
             }
         }
         if w != old {
@@ -1296,33 +1304,28 @@ impl AnytimeEngine {
         for tally in per_rank {
             self.invalidation += tally;
         }
+        self.unsettled = true;
         Ok(())
     }
 
-    /// Tree-broadcasts the row of `v` from its owner (Fig. 3 line 22); every
-    /// other rank holds it.
-    fn share_row(&mut self, v: VertexId) {
-        self.cluster.broadcast(
-            self.partition.part_of(v) as usize,
-            move |s: &mut RankState| (v, s.row_for_broadcast(v)),
-            |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
-            |_, s, m| s.hold_row(m.0, &m.1),
-        );
-    }
-
-    /// An added (or lightened) edge `(x, y, w)`, the one driver op behind a
-    /// wave's edges, `AddEdge` and the weight decrease: both endpoint rows
-    /// are shared and one step absorbs the edge on every rank — and settles,
-    /// unless the caller settles a whole wave at once.
-    fn relax_over_edge(&mut self, x: VertexId, y: VertexId, w: Weight, settle: bool) {
-        self.share_row(x);
-        self.share_row(y);
-        self.cluster.step(move |_, s| {
-            s.absorb_edge(x, y, w);
-            if settle {
-                s.settle();
-            }
-        });
+    /// Added (or lightened) edges, the one driver op behind a wave, an
+    /// `AddEdge` and a weight decrease: each distinct endpoint row is
+    /// tree-broadcast once from its owner (Fig. 3 line 22), then one step
+    /// absorbs the edges in order on every rank — the rows a broadcast of
+    /// both endpoints before each edge would leave. The drain settles.
+    fn relax_over_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) {
+        let mut seen = FxHashSet::default();
+        let endpoints = edges.iter().flat_map(|&(x, y, _)| [x, y]).filter(|&v| seen.insert(v));
+        for v in endpoints.collect::<Vec<_>>() {
+            self.cluster.broadcast(
+                self.partition.part_of(v) as usize,
+                move |s: &mut RankState| (v, s.row_for_broadcast(v)),
+                |(_, r): &(VertexId, Vec<_>)| 8 + 4 * r.len(),
+                |_, s, m| s.hold_row(m.0, &m.1),
+            );
+        }
+        self.cluster.step(|_, s| edges.iter().for_each(|&(x, y, w)| s.absorb_edge(x, y, w)));
+        self.unsettled = true;
     }
 
     // ----------------------------------------------------------------
@@ -1452,6 +1455,8 @@ impl AnytimeEngine {
             publisher: Publisher::new(),
             metrics,
             touched: Vec::new(),
+            unsettled: false,
+            faults_verified: 0,
         };
         engine.publish_view(false);
         Ok(engine)
@@ -1546,7 +1551,8 @@ impl AnytimeEngine {
     /// * **Silent faults** (drops, delays) — invisible at the barrier, so
     ///   quiescence cannot be trusted on its word. At quiescence the
     ///   supervisor first drains any still-delayed messages, then compares
-    ///   the injected-fault counters against the last verified total; if
+    ///   the injected-fault counters against the last verified total — kept
+    ///   on the engine, so faults injected before this run count too; if
     ///   they moved, it runs a **verification pass** (full resend) before
     ///   accepting the fixed point. Convergence is declared only after a
     ///   quiescent round with no new faults and nothing in flight.
@@ -1591,7 +1597,8 @@ impl AnytimeEngine {
         let mut retries: u64 = 0;
         let mut fallbacks: u32 = 0;
         let mut verification_passes: u64 = 0;
-        let mut faults_seen = self.stats().faults.injected();
+        // What the verification pass in flight covers, if any.
+        let mut faults_seen = self.faults_verified;
         let mut steps = 0usize;
         loop {
             if steps >= self.config.max_rc_steps {
@@ -1637,7 +1644,7 @@ impl AnytimeEngine {
                         // Silent drops leave no incident; only the counters
                         // move. Verify the fixed point with a full resend if
                         // anything was injected since the last verified
-                        // total.
+                        // total — before this run too.
                         let injected_now = self.stats().faults.injected();
                         if injected_now != faults_seen {
                             faults_seen = injected_now;
@@ -1647,6 +1654,7 @@ impl AnytimeEngine {
                             self.resend_all();
                             continue;
                         }
+                        self.faults_verified = injected_now;
                     }
                     return Ok(SupervisedRun {
                         summary: ConvergenceSummary { steps, converged: true },
@@ -1726,7 +1734,9 @@ impl AnytimeEngine {
         // publisher, discarded here. So the epoch below re-states every row.
         publisher.request_full();
         let changes = std::mem::take(&mut self.changes);
+        let faults_verified = self.faults_verified;
         *self = Self::from_snapshot(snap, self.config.clone())?;
+        self.faults_verified = faults_verified;
         self.publisher = publisher;
         // The kept publisher still holds the pre-rewind extra-metric
         // columns, while `from_snapshot` already synced its fresh metric

@@ -141,7 +141,7 @@ pub struct RankState {
     edge_seen: FxHashSet<u64>,
     /// Distance vectors.
     dv: DvStore,
-    /// Broadcast rows the in-flight batch added to the cached arena (Fig. 3
+    /// Broadcast rows the drain in flight added to the cached arena (Fig. 3
     /// line 22), for [`RankState::settle`] to drop the ones nobody needs.
     held: Vec<VertexId>,
     /// Wire format for produced RC messages.
@@ -560,10 +560,11 @@ impl RankState {
         self.dv.min_merge_through(y, w as Dist, x);
     }
 
-    /// Ends a dynamic batch: relaxes to the rank-local fixed point and drops
-    /// exactly the rows the batch newly held that no local vertex
+    /// Ends a drain, the one relaxation of its changes: relaxes everything
+    /// they left unpropagated to the rank-local fixed point and drops
+    /// exactly the rows the drain newly held that no local vertex
     /// neighbours. Not [`RankState::evict_unneeded_cached`]: a row cached
-    /// before the batch stays although nothing here neighbours it any more,
+    /// before the drain stays although nothing here neighbours it any more,
     /// for its owner's `synced` may still list this rank, and a Delta aimed
     /// here once the vertex is re-attached needs the base it was cut from.
     pub fn settle(&mut self) {
@@ -589,11 +590,12 @@ impl RankState {
     /// no copy beside them: the Delta wire keeps bits, not rows, and a
     /// raise owes them nothing ([`RankState::produce_rc_messages`]). Each
     /// raised local cell is then refilled from the rows held here and the
-    /// direct edges, the refilled rows are relaxed to the rank-local fixed
-    /// point, and what this rank cannot know comes back with RC: a raised
-    /// local row is dirty, and a raised cached cell comes back with its
-    /// owner's next send — the owner raised it too, or holds it lower than
-    /// it last sent, which left the row dirty and the cell's bit set.
+    /// direct edges — recorded like any lowering, so nothing relaxes here:
+    /// the drain's [`RankState::settle`] does — and what this rank cannot
+    /// know comes back with RC: a raised local row is dirty, and a raised
+    /// cached cell comes back with its owner's next send — the owner raised
+    /// it too, or holds it lower than it last sent, which left the row
+    /// dirty and the cell's bit set.
     pub fn invalidate(&mut self, witness: &Witness) -> InvalidationTally {
         let raised = self.dv.raise(witness);
         let mut tally =
@@ -602,7 +604,6 @@ impl RankState {
             tally.cells_raised += cols.len() as u64;
             tally.cells_refilled += self.dv.refill(*v, cols, &self.adj[v]) as u64;
         }
-        self.relax_pending();
         tally
     }
 
@@ -1364,7 +1365,7 @@ mod tests {
         }
 
         /// Selective invalidation with the real witness, on the ranks and
-        /// on the shadow alike.
+        /// on the shadow alike, settled like a drain of the one change.
         fn remove_edge(&mut self, u: VertexId, v: VertexId) -> InvalidationTally {
             let w = self.graph.edge_weight(u, v).expect("edge exists");
             let witness =
@@ -1374,6 +1375,7 @@ mod tests {
             for r in &mut self.ranks {
                 r.erase_edge(u, v);
                 tally += r.invalidate(&witness);
+                r.settle();
             }
             let mut cols = Vec::new();
             for (&x, copy) in &mut self.shadow {

@@ -192,3 +192,34 @@ fn supervised_chaos_accounting_is_pinned() {
     let digest = rows.iter().flat_map(|r| r.bytes()).fold(0u64, |h, b| mix(h, b.into()));
     assert_eq!(digest, 7731448083195685195, "accounting moved:\n{}", rows.join("\n"));
 }
+
+/// The verified fault total lives on the engine, not in one run. Faults a
+/// plan injects before `run_supervised` — here by `rc_step_checked` steps
+/// whose incidents the caller ignores — are re-announced once the run
+/// reaches quiescence, although the plan's horizon has passed and the run
+/// itself sees no fault: one verification pass, then the exact answer. A
+/// second run has nothing left to verify.
+#[test]
+fn faults_injected_before_a_supervised_run_cost_it_one_verification_pass() {
+    let g = barabasi_albert(70, 2, WeightModel::UniformRange { lo: 1, hi: 6 }, 11).unwrap();
+    let horizon = 6;
+    let mut engine = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
+    engine.set_chaos(ChaosPlan::seeded(5, 0.5, horizon));
+    while engine.stats().supersteps < horizon {
+        let _ = engine.rc_step_checked();
+    }
+    let injected = engine.stats().faults.injected();
+    assert!(injected > 0, "a 50% plan over {horizon} supersteps must inject something");
+
+    let policy = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+    let run = engine.run_supervised(&policy).unwrap();
+    assert_eq!(engine.stats().faults.injected(), injected, "the horizon has passed");
+    assert!(run.converged());
+    assert_eq!((run.retries, run.verification_passes), (0, 1));
+    let csr = Csr::from_adj(&g);
+    assert!(engine.distances() == apsp_dijkstra(&csr), "converged wrong");
+    let (got, want) = (engine.closeness(), closeness_exact(&csr));
+    assert!(got.iter().map(|c| c.to_bits()).eq(want.iter().map(|c| c.to_bits())));
+
+    assert_eq!(engine.run_supervised(&policy).unwrap().verification_passes, 0);
+}

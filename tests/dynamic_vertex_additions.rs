@@ -193,3 +193,29 @@ fn round_robin_balances_across_batches() {
         assert_eq!(after - before, 3);
     }
 }
+
+/// A wave ships each distinct endpoint row once. Three new vertices with
+/// five edges name five distinct endpoints (vertex 0 thrice, vertex 60
+/// twice): the wave costs the grow broadcast, one broadcast per distinct
+/// endpoint — not two per edge — one step absorbing all five edges and the
+/// drain's one settle step, and converges to the exact distances.
+#[test]
+fn a_wave_broadcasts_each_distinct_endpoint_once() {
+    let g = barabasi_albert(60, 2, WeightModel::Unit, 5).unwrap();
+    let batch = VertexBatch {
+        vertices: vec![
+            NewVertex { edges: vec![(0, 1), (7, 1)] },
+            NewVertex { edges: vec![(0, 1)] },
+            NewVertex { edges: vec![(60, 1), (0, 2)] },
+        ],
+    };
+    let mut engine = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
+    engine.rc_step();
+    let before = engine.stats();
+    engine.apply_vertex_additions(&batch, AssignStrategy::RoundRobin).unwrap();
+    let after = engine.stats();
+    assert_eq!(after.collectives - before.collectives, 1 + 5);
+    assert_eq!(after.supersteps - before.supersteps, 1 + 5 + 1 + 1);
+    assert!(engine.run_to_convergence().converged);
+    assert_eq!(engine.distances(), apsp_dijkstra(&Csr::from_adj(&final_graph_of(&g, &batch))));
+}

@@ -2,10 +2,14 @@
 //! weight changes [7] — each must converge to the from-scratch answer on
 //! the final graph.
 
-use anytime_anywhere::core::{AnytimeEngine, AssignStrategy, DynamicChange, EngineConfig};
+use anytime_anywhere::core::{
+    AnytimeEngine, AssignStrategy, DynamicChange, EngineConfig, NewVertex, VertexBatch, WireFormat,
+};
 use anytime_anywhere::graph::apsp::apsp_dijkstra;
+use anytime_anywhere::graph::closeness::closeness_exact;
 use anytime_anywhere::graph::generators::{barabasi_albert, erdos_renyi, WeightModel};
 use anytime_anywhere::graph::{AdjGraph, Csr};
+use anytime_anywhere::runtime::ExecutionMode;
 
 fn assert_matches_reference(engine: &mut AnytimeEngine, expected_graph: &AdjGraph) {
     let summary = engine.run_to_convergence();
@@ -126,6 +130,79 @@ fn mixed_change_stream_via_apply_change() {
     engine.apply_change(&DynamicChange::RemoveEdge { u, v }, AssignStrategy::RoundRobin).unwrap();
 
     assert_matches_reference(&mut engine, &full);
+}
+
+/// A drain relaxes once. A mixed burst — a vertex batch, an `AddEdge`, a
+/// `RemoveEdge` and a weight increase — drained at once makes at most one
+/// kernel call per rank and costs exactly three supersteps fewer than the
+/// same burst drained one change at a time, whose four drains settle four
+/// times. Both converge to the exact distances and closeness, bit for bit,
+/// on either wire and either executor.
+#[test]
+fn a_burst_drained_at_once_settles_once_and_converges_like_one_change_at_a_time() {
+    let g = barabasi_albert(90, 2, WeightModel::UniformRange { lo: 1, hi: 5 }, 23).unwrap();
+    let (a, b, w) = g.edges().nth(7).unwrap();
+    let (c, d, _) = g.edges().nth(40).unwrap();
+    let (x, y) = (3, 88);
+    assert!(!g.has_edge(x, y));
+    let batch = VertexBatch {
+        vertices: vec![
+            NewVertex { edges: vec![(0, 2), (51, 1)] },
+            NewVertex { edges: vec![(90, 3)] },
+        ],
+    };
+    let burst = [
+        DynamicChange::AddVertices(batch.clone()),
+        DynamicChange::AddEdge { u: x, v: y, w: 2 },
+        DynamicChange::RemoveEdge { u: c, v: d },
+        DynamicChange::SetWeight { u: a, v: b, w: w + 3 },
+    ];
+    let mut full = g.clone();
+    full.add_vertices(batch.len());
+    for (s, t, w) in batch.global_edges(90) {
+        full.add_edge(s, t, w).unwrap();
+    }
+    full.add_edge(x, y, 2).unwrap();
+    full.remove_edge(c, d).unwrap();
+    full.set_weight(a, b, w + 3).unwrap();
+    let csr = Csr::from_adj(&full);
+    let (exact, exact_closeness) = (apsp_dijkstra(&csr), closeness_exact(&csr));
+
+    for wire in [WireFormat::Full, WireFormat::Delta] {
+        for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+            let mut config = EngineConfig::deterministic(4);
+            config.wire = wire;
+            config.cluster.mode = mode;
+            let run = |at_once: bool| {
+                let mut engine = AnytimeEngine::new(g.clone(), config.clone()).unwrap();
+                engine.rc_step();
+                let (stats, tally) = (engine.stats(), engine.kernel_tally());
+                for change in &burst {
+                    engine
+                        .submit_with_strategy(change.clone(), AssignStrategy::RoundRobin)
+                        .unwrap();
+                    if !at_once {
+                        engine.drain_changes().unwrap();
+                    }
+                }
+                engine.drain_changes().unwrap();
+                assert_eq!(engine.ingest_stats().applied, 4);
+                let supersteps = engine.stats().supersteps - stats.supersteps;
+                let calls = engine.kernel_tally().calls - tally.calls;
+                assert!(engine.run_to_convergence().converged);
+                (supersteps, calls, engine.distances(), engine.closeness())
+            };
+            let ctx = format!("{wire:?}, {mode:?}");
+            let (once, apart) = (run(true), run(false));
+            assert!(once.1 > 0 && once.1 <= 4, "{ctx}: {} kernel calls over 4 ranks", once.1);
+            assert_eq!(apart.0 - once.0, 3, "{ctx}: settle steps saved");
+            assert!(once.2 == exact && apart.2 == exact, "{ctx}: distances");
+            for closeness in [&once.3, &apart.3] {
+                let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(closeness), bits(&exact_closeness), "{ctx}: closeness");
+            }
+        }
+    }
 }
 
 #[test]

@@ -403,7 +403,8 @@ proptest! {
 
     /// Random programs over every write path that feeds the kernel: Full
     /// and Delta (sparse-pair) merges into local and cached rows, vertex
-    /// growth with the Fig. 3 edge relaxation (hold, absorb, settle) or the
+    /// growth with the Fig. 3 edge relaxation as the engine runs a wave
+    /// (each distinct endpoint held once, every edge absorbed, one settle) or the
     /// seeded edges of Repartition-S, budgeted migration in both
     /// directions (swap-remove must carry a moved row's record), the
     /// recovery kick (`absorb_snapshot` + `mark_all_for_resend`) and real
@@ -477,17 +478,23 @@ proptest! {
                         trio.each(|s| s.seed_edges(&edges));
                         r1.seed_edges(&edges);
                     } else {
-                        for (x, y, w) in edges {
-                            for v in [x, y] {
-                                let row = match owner[v as usize] {
-                                    0 => trio.seq.row_for_broadcast(v),
-                                    _ => r1.row_for_broadcast(v),
-                                };
-                                trio.reference.hold(v, &row);
-                                for s in [&mut trio.seq, &mut trio.par, &mut r1] {
-                                    s.hold_row(v, &row);
-                                }
+                        // The engine's wave: each distinct endpoint row is
+                        // held once, then every edge is absorbed in order.
+                        let mut shared = BTreeSet::new();
+                        for v in edges.iter().flat_map(|&(x, y, _)| [x, y]) {
+                            if !shared.insert(v) {
+                                continue;
                             }
+                            let row = match owner[v as usize] {
+                                0 => trio.seq.row_for_broadcast(v),
+                                _ => r1.row_for_broadcast(v),
+                            };
+                            trio.reference.hold(v, &row);
+                            for s in [&mut trio.seq, &mut trio.par, &mut r1] {
+                                s.hold_row(v, &row);
+                            }
+                        }
+                        for (x, y, w) in edges {
                             trio.reference.absorb_edge(x, y, w);
                             for s in [&mut trio.seq, &mut trio.par, &mut r1] {
                                 s.absorb_edge(x, y, w);
