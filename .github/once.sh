@@ -177,14 +177,15 @@ done
 # `BFS_LANES` sources per pass, instead of one search each; the
 # buffer-reusing `bfs_hops_into` they called went with the loops. So the walk
 # body exists once in aaa-graph, non-test aaa-core code walks no hop row one
-# source at a time, and it builds a `BinaryHeap` in one place only: IA's
-# Dijkstra loop for weighted sub-graphs. The block also logs the non-test
+# source at a time (calls no one-source `sssp::bfs(`), and it builds a
+# `BinaryHeap` in one place only: IA's Dijkstra loop for weighted
+# sub-graphs. The block also logs the non-test
 # size of the three files the walk touched (898 / 409 / 64 before it,
 # 917 / 419 / 157 after).
 walks=$(grep -rnE 'fn bfs_rows[<(]' crates/aaa-graph)
 echo "$walks"
 [ "$(echo "$walks" | wc -l)" = 1 ] || { echo "expected exactly one multi-source walk body, bfs_rows"; exit 1; }
-singles=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE 'bfs_hops(_into)?\(' | sed "s|^|$f:|" || true; done)
+singles=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE '\bbfs\(' | sed "s|^|$f:|" || true; done)
 [ -z "$singles" ] || { echo "$singles"; echo "aaa-core walks hop rows one source at a time"; exit 1; }
 heaps=$(for f in crates/aaa-core/src/*.rs; do
   nontest "$f" | awk -v f="$f" '/^ *(pub )?fn / { name = $0 } /BinaryHeap/ && !/^use / { print f ":" name }'
@@ -216,4 +217,33 @@ if echo "$body" | grep -nE 'relax|settle'; then
 fi
 for f in engine rank; do
   echo "aaa-core/src/$f.rs: $(nontest "crates/aaa-core/src/$f.rs" | wc -l) non-test lines"
+done
+
+# One graph layer. `GraphStore` and its plain impls moved down into
+# aaa-graph, and aaa-graph's reference kernels became generic over it. Gone
+# are the copies aaa-store kept in `algo` (`bfs_hops`, a second Dijkstra, a
+# second closeness and betweenness oracle, `sssp_fixed_point`), the
+# centrality measures nothing ran and the two `Metric` methods nothing
+# called. So across
+# crates/ each kernel has one body, none of the deleted names comes back, and
+# the heap Brandes lives below `centrality.rs`'s `#[cfg(test)]` alone, as the
+# oracle's independent cross-check. The block also logs the non-test size of
+# the two crates (2,643 / 1,558 before it, 2,647 / 1,286 after).
+for def in 'trait GraphStore ' 'fn dijkstra_into[<(]' 'fn dijkstra[<(]' 'fn bfs[<(]' 'fn closeness_exact[<(]' 'fn betweenness_exact_det[<(]'; do
+  found=$(grep -rnE "$def" crates/ || true)
+  [ "$(echo "$found" | grep -c .)" = 1 ] || { echo "$found"; echo "expected exactly one '$def' under crates/"; exit 1; }
+done
+if grep -rnE 'mod algo' crates/aaa-store; then
+  echo "aaa-store hosts kernel copies again"; exit 1
+fi
+if grep -rnE 'degree_centrality|eigenvector_centrality|clustering_coefficients|sssp_fixed_point|closeness_from_matrix|bounds_form|bfs_hops' crates/; then
+  echo "a deleted kernel copy, measure or Metric method is back"; exit 1
+fi
+first_test=$(grep -n -m1 '#\[cfg(test)\]' crates/aaa-graph/src/centrality.rs | cut -d: -f1)
+heap=$(grep -rnE 'betweenness_centrality|brandes_from' crates/ | awk -F: -v t="$first_test" '$1 != "crates/aaa-graph/src/centrality.rs" || $2 < t')
+[ -z "$heap" ] || { echo "$heap"; echo "the heap Brandes is reachable outside centrality.rs's tests"; exit 1; }
+for c in aaa-graph aaa-store; do
+  lines=0
+  for f in $(find "crates/$c/src" -name '*.rs'); do lines=$((lines + $(nontest "$f" | wc -l))); done
+  echo "$c: $lines non-test lines"
 done

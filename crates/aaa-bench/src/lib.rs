@@ -93,7 +93,7 @@ pub struct CommonArgs {
     pub metrics: Vec<MetricKind>,
 }
 
-/// Which [`aaa_store::GraphStore`] backend the pinned scenario routes the
+/// Which [`aaa_graph::GraphStore`] backend the pinned scenario routes the
 /// graph through before the engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreBackend {

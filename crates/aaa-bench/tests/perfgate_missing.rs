@@ -18,7 +18,7 @@ fn a_candidate_that_lost_rows_exits_1_and_names_them() {
     // (baseline, what the candidate loses, rows lost, one of their names)
     let cases: [(&str, Strip, usize, &str); 4] = [
         ("ci_smoke_stream.json", |_| {}, 0, ""),
-        ("ci_smoke_stream.json", |r| r.sections.clear(), 5 + 3 + 7, "stream.changes_per_sec"),
+        ("ci_smoke_stream.json", |r| r.sections.clear(), 5 + 3 + 6 + 7, "stream.changes_per_sec"),
         (
             "ci_smoke_stream.json",
             |r| r.sections[0].rows.retain(|(row, _)| row != "drains"),

@@ -29,6 +29,7 @@ use aaa_checkpoint::{
     Snapshot,
 };
 use aaa_graph::apsp::DistMatrix;
+use aaa_graph::sssp::dijkstra;
 use aaa_graph::{dist_add, AdjGraph, Dist, PartId, VertexId, Weight, INF};
 use aaa_observe::{EventSink, NoopSink, RunReport, Section, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::simple::{
@@ -39,7 +40,6 @@ use aaa_partition::{
     Rebalancer,
 };
 use aaa_runtime::{ChaosPlan, Cluster, ClusterConfig, ClusterError, FaultPlan, RunStats};
-use aaa_store::algo;
 use rustc_hash::FxHashSet;
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -261,7 +261,7 @@ impl AnytimeEngine {
 
     /// [`AnytimeEngine::new`] with an externally computed partition: the
     /// domain-decomposition phase ran out-of-band — typically directly on a
-    /// compressed on-disk [`aaa_store::GraphStore`] backend, where the
+    /// compressed on-disk [`aaa_graph::GraphStore`] backend, where the
     /// partitioners operate without materializing an in-memory adjacency —
     /// and the engine adopts its assignment instead of running
     /// [`EngineConfig::dd`]. The partition must cover exactly the graph's
@@ -1284,13 +1284,13 @@ impl AnytimeEngine {
         self.cluster.drop_undelivered();
         let started = std::time::Instant::now();
         let witness = if u == v {
-            Witness::vertex(algo::dijkstra(&self.graph, v))
+            Witness::vertex(dijkstra(&self.graph, v))
         } else {
             let w = self
                 .graph
                 .edge_weight(u, v)
                 .ok_or(CoreError::Graph(aaa_graph::GraphError::MissingEdge { u, v }))?;
-            Witness::edge(algo::dijkstra(&self.graph, u), algo::dijkstra(&self.graph, v), w)
+            Witness::edge(dijkstra(&self.graph, u), dijkstra(&self.graph, v), w)
         };
         self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
         change(self)?;

@@ -27,12 +27,11 @@
 //!   lane is bit for bit the one-source pass, so grouping moves no bit.
 //!   The published column is re-summed fresh in source order so that at
 //!   convergence it is **bit-identical** to the deterministic exact oracle
-//!   (`aaa_store::algo::betweenness_exact`).
+//!   (`aaa_graph::centrality::betweenness_exact_det`).
 
 use aaa_graph::centrality::{bfs_ranks, dependencies_from_rows, DependencyScratch, LANES};
 use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, VertexId};
-use aaa_store::algo;
 use std::fmt;
 
 /// Identifies one maintained centrality metric.
@@ -220,15 +219,6 @@ pub trait Metric: Send {
     /// engine gathers their column from the rows directly).
     fn full_column(&self, n: usize) -> Option<Vec<f64>>;
 
-    /// Exact from-scratch oracle for the current graph, for tests and
-    /// quality tracking. Bit-comparable with the maintained column at
-    /// convergence.
-    fn recompute_exact(&self, adj: &AdjGraph) -> Vec<f64>;
-
-    /// Human description of the error-bound form served for this metric
-    /// (documentation + `ServeHandle` metadata).
-    fn bounds_form(&self) -> &'static str;
-
     /// Work counters accumulated so far.
     fn tally(&self) -> MetricTally;
 }
@@ -277,14 +267,6 @@ impl Metric for ClosenessMetric {
         None
     }
 
-    fn recompute_exact(&self, adj: &AdjGraph) -> Vec<f64> {
-        algo::closeness_exact(adj)
-    }
-
-    fn bounds_form(&self) -> &'static str {
-        "certified interval c ∈ [c_lo, c_hi] per vertex (Certified mode)"
-    }
-
     fn tally(&self) -> MetricTally {
         MetricTally::default()
     }
@@ -300,8 +282,8 @@ impl Metric for ClosenessMetric {
 /// never a float subtract-then-add patch — which is term-for-term the
 /// computation `aaa_graph::centrality::betweenness_from_rows` performs.
 /// At convergence (all rows exact, no pending invalidation) the column
-/// therefore equals `algo::betweenness_exact` **exactly**, not just
-/// approximately.
+/// therefore equals `aaa_graph::centrality::betweenness_exact_det`
+/// **exactly**, not just approximately.
 #[derive(Debug, Clone, Default)]
 pub struct IncBetweenness {
     /// Per-source dependency vector (unhalved δ). A vector may be shorter
@@ -408,14 +390,6 @@ impl Metric for IncBetweenness {
         Some(col)
     }
 
-    fn recompute_exact(&self, adj: &AdjGraph) -> Vec<f64> {
-        algo::betweenness_exact(adj)
-    }
-
-    fn bounds_form(&self) -> &'static str {
-        "no per-vertex interval; exact (bit-equal to Brandes) at convergence"
-    }
-
     fn tally(&self) -> MetricTally {
         self.tally
     }
@@ -507,7 +481,7 @@ impl MetricSet {
 mod tests {
     use super::*;
     use aaa_graph::centrality::betweenness_exact_det;
-    use aaa_graph::Csr;
+    use aaa_graph::sssp::dijkstra;
 
     fn sample() -> AdjGraph {
         let mut g = AdjGraph::with_vertices(6);
@@ -518,7 +492,7 @@ mod tests {
     }
 
     fn all_rows(g: &AdjGraph) -> Vec<(VertexId, Vec<Dist>)> {
-        (0..g.num_vertices() as VertexId).map(|s| (s, algo::dijkstra(g, s))).collect()
+        (0..g.num_vertices() as VertexId).map(|s| (s, dijkstra(g, s))).collect()
     }
 
     #[test]
@@ -550,7 +524,6 @@ mod tests {
         for (_, row) in all_rows(&g) {
             assert_eq!(m.score_from_row(&row), Some(closeness_from_row(&row)));
         }
-        assert_eq!(m.recompute_exact(&g), algo::closeness_exact(&g));
     }
 
     #[test]
@@ -559,9 +532,8 @@ mod tests {
         let mut m = IncBetweenness::new();
         assert!(m.wants_all_rows());
         let changed = m.update(6, &all_rows(&g), &g);
-        let oracle = betweenness_exact_det(&Csr::from_adj(&g));
+        let oracle = betweenness_exact_det(&g);
         assert_eq!(m.full_column(6), Some(oracle.clone()));
-        assert_eq!(m.recompute_exact(&g), oracle);
         // First build reports every nonzero entry as changed.
         for (v, s) in changed {
             assert_eq!(s, oracle[v as usize]);
@@ -587,7 +559,7 @@ mod tests {
         m.invalidate(); // structural change
         assert!(m.wants_all_rows());
         m.update(6, &all_rows(&g1), &g1);
-        let oracle = betweenness_exact_det(&Csr::from_adj(&g1));
+        let oracle = betweenness_exact_det(&g1);
         assert_eq!(m.full_column(6), Some(oracle));
         assert_eq!(m.tally().full_recomputes, 2);
     }

@@ -12,11 +12,10 @@
 //! (`DegradedReport::assemble`).
 
 use aaa_graph::apsp::DistMatrix;
-use aaa_graph::closeness::{mean_relative_error, top_k};
+use aaa_graph::closeness::{closeness_exact, mean_relative_error, top_k};
 use aaa_graph::sssp::{bfs_rows, BFS_LANES};
-use aaa_graph::{Dist, VertexId, INF};
+use aaa_graph::{edges, Dist, GraphStore, VertexId, INF};
 use aaa_runtime::{ClusterError, FaultCounters};
-use aaa_store::{algo, GraphStore};
 use std::fmt;
 
 /// One quality sample.
@@ -45,7 +44,7 @@ impl QualityTracker {
     /// top-k recall metric (clamped to `n`). Works on any storage backend;
     /// the reference values are bit-identical across backends.
     pub fn new<G: GraphStore + Sync>(graph: &G, k: usize) -> Self {
-        let exact = algo::closeness_exact(graph);
+        let exact = closeness_exact(graph);
         let k = k.min(exact.len()).max(1.min(exact.len()));
         let exact_top = top_k(&exact, k);
         Self { exact, exact_top, k, samples: Vec::new() }
@@ -244,7 +243,7 @@ pub(crate) fn certified_intervals<'r, G: GraphStore>(
 fn weight_extremes<G: GraphStore>(graph: &G) -> (u64, u64) {
     let mut w_min = u64::MAX;
     let mut w_max = 1u64;
-    for (_, _, w) in aaa_store::edges(graph) {
+    for (_, _, w) in edges(graph) {
         w_min = w_min.min(w as u64);
         w_max = w_max.max(w as u64);
     }
@@ -277,8 +276,9 @@ mod tests {
     use crate::changes::{DynamicChange, NewVertex, VertexBatch};
     use crate::engine::{AnytimeEngine, EngineConfig};
     use crate::publish::{BoundsMode, PublishedView};
-    use aaa_graph::closeness::{closeness_exact, closeness_from_row};
+    use aaa_graph::closeness::closeness_from_row;
     use aaa_graph::generators::{barabasi_albert, WeightModel};
+    use aaa_graph::sssp::bfs;
     use aaa_graph::{AdjGraph, Csr};
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
             assert!(report.mean_bound() <= report.max_bound());
             let mut tighter = 0;
             for (v, &(_, c_hi)) in intervals(&g, &rows).iter().enumerate() {
-                let (row, hops) = (rows.row(v as u32), algo::bfs_hops(&g, v as u32));
+                let (row, hops) = (rows.row(v as u32), bfs(&g, v as u32));
                 let covered = (0..n).all(|u| u == v || (hops[u] == INF) == (row[u] == INF));
                 let c_est = report.estimate[v];
                 let was = (c_est - if covered { c_est } else { 0.0 }).max(c_hi - c_est).max(0.0);
@@ -384,7 +384,7 @@ mod tests {
 
     /// The routine walks its hop rows in batches of `BFS_LANES`: across
     /// more than one batch, for every vertex or any subset of them, each
-    /// interval is the one its `bfs_hops` row gives, and each degraded bound
+    /// interval is the one its `bfs` row gives, and each degraded bound
     /// is read off it.
     #[test]
     fn intervals_across_walk_batches_are_the_ones_of_single_rows() {
@@ -398,7 +398,7 @@ mod tests {
             }
         }
         let extremes = weight_extremes(&g);
-        let one_row = |v: VertexId| interval(v, &algo::bfs_hops(&g, v), rows.row(v), extremes);
+        let one_row = |v: VertexId| interval(v, &bfs(&g, v), rows.row(v), extremes);
         let report = degraded(&g, &rows, DegradedReason::StepBudgetExhausted);
         for (v, &walked) in intervals(&g, &rows).iter().enumerate() {
             let (lo, hi) = one_row(v as VertexId);

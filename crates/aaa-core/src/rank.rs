@@ -919,8 +919,8 @@ impl RankState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aaa_graph::sssp::dijkstra;
     use aaa_graph::AdjGraph;
-    use aaa_store::algo;
     use proptest::prelude::*;
 
     /// Path 0-1-2-3 (unit weights) split as {0,1} | {2,3}.
@@ -985,7 +985,7 @@ mod tests {
                     }
                     let sub = aaa_graph::Csr::from_adj(&sub);
                     for (v, row) in s.local_rows() {
-                        let want = aaa_graph::sssp::dijkstra(&sub, v);
+                        let want = dijkstra(&sub, v);
                         assert!(row == want, "P = {procs}, rank {r}: IA row of {v}");
                     }
                 }
@@ -1368,8 +1368,7 @@ mod tests {
         /// on the shadow alike, settled like a drain of the one change.
         fn remove_edge(&mut self, u: VertexId, v: VertexId) -> InvalidationTally {
             let w = self.graph.edge_weight(u, v).expect("edge exists");
-            let witness =
-                Witness::edge(algo::dijkstra(&self.graph, u), algo::dijkstra(&self.graph, v), w);
+            let witness = Witness::edge(dijkstra(&self.graph, u), dijkstra(&self.graph, v), w);
             self.graph.remove_edge(u, v).expect("edge exists");
             let mut tally = InvalidationTally::default();
             for r in &mut self.ranks {
@@ -1429,7 +1428,7 @@ mod tests {
         fn assert_exact(&mut self, ctx: &str) {
             self.settle(ctx);
             for v in 0..self.graph.num_vertices() as VertexId {
-                let want = algo::dijkstra(&self.graph, v);
+                let want = dijkstra(&self.graph, v);
                 assert_eq!(self.owner_of(v).dv.local_row(v), Some(&want[..]), "{ctx}: row {v}");
             }
         }

@@ -5,7 +5,7 @@
 //! `floyd_warshall` is a second, independent implementation used to
 //! cross-check it in property tests.
 
-use crate::{dist_add, Csr, Dist, VertexId, INF};
+use crate::{dist_add, Dist, GraphStore, VertexId, INF};
 use rayon::prelude::*;
 
 /// A dense row-major `n × n` distance matrix.
@@ -57,7 +57,7 @@ impl DistMatrix {
 }
 
 /// APSP by running Dijkstra from every source, parallel over sources.
-pub fn apsp_dijkstra(g: &Csr) -> DistMatrix {
+pub fn apsp_dijkstra<G: GraphStore + Sync>(g: &G) -> DistMatrix {
     let n = g.num_vertices();
     let mut m = DistMatrix::new(n);
     // Split the backing storage into rows so rayon can fill them in place.
@@ -71,11 +71,11 @@ pub fn apsp_dijkstra(g: &Csr) -> DistMatrix {
 
 /// APSP by the Floyd–Warshall algorithm. O(n³); only for cross-checking on
 /// small graphs.
-pub fn floyd_warshall(g: &Csr) -> DistMatrix {
+pub fn floyd_warshall<G: GraphStore>(g: &G) -> DistMatrix {
     let n = g.num_vertices();
     let mut m = DistMatrix::new(n);
     for u in 0..n as VertexId {
-        for (v, w) in g.neighbors(u) {
+        for (v, w) in g.successors(u) {
             if (w as Dist) < m.get(u, v) {
                 m.set(u, v, w as Dist);
             }
@@ -110,7 +110,7 @@ pub fn floyd_warshall(g: &Csr) -> DistMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdjGraph;
+    use crate::{AdjGraph, Csr};
 
     fn sample() -> Csr {
         // 0-1 (1), 1-2 (2), 2-3 (1), 0-3 (7): best 0->3 is 4 via 1,2.

@@ -1,128 +1,11 @@
-//! Additional centrality measures (§IV of the paper names degree,
-//! betweenness, closeness and eigenvector centrality as the key SNA
-//! metrics; closeness lives in [`crate::closeness`], the others here).
+//! Betweenness centrality, the one SNA measure besides closeness
+//! ([`crate::closeness`]) the engine maintains: the batched Brandes
+//! dependency kernel [`dependencies_from_rows`] behind the engine's
+//! incremental metric, and the deterministic exact oracle
+//! [`betweenness_exact_det`] built on the same kernel over any
+//! [`GraphStore`] backend.
 
-use crate::{dist_add, Csr, Dist, VertexId, Weight, INF};
-use rayon::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Degree centrality: `deg(v) / (n − 1)` (Freeman normalization).
-pub fn degree_centrality(g: &Csr) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n <= 1 {
-        return vec![0.0; n];
-    }
-    (0..n as VertexId).map(|v| g.degree(v) as f64 / (n - 1) as f64).collect()
-}
-
-/// Eigenvector centrality by power iteration (undirected, weighted).
-/// Returns the L2-normalized dominant eigenvector, or zeros on an edgeless
-/// graph.
-pub fn eigenvector_centrality(g: &Csr, iterations: usize, tol: f64) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 || g.num_edges() == 0 {
-        return vec![0.0; n];
-    }
-    let mut x = vec![1.0 / (n as f64).sqrt(); n];
-    let mut next = vec![0.0; n];
-    for _ in 0..iterations.max(1) {
-        // Shifted iteration (A + I): same eigenvectors, but the spectral
-        // shift prevents the sign-flip oscillation on bipartite graphs.
-        next.copy_from_slice(&x);
-        for v in 0..n as VertexId {
-            let xv = x[v as usize];
-            for (t, w) in g.neighbors(v) {
-                next[t as usize] += w as f64 * xv;
-            }
-        }
-        let norm = next.iter().map(|e| e * e).sum::<f64>().sqrt();
-        if norm == 0.0 {
-            return vec![0.0; n];
-        }
-        next.iter_mut().for_each(|e| *e /= norm);
-        let delta: f64 = x.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut x, &mut next);
-        if delta < tol {
-            break;
-        }
-    }
-    x
-}
-
-/// Betweenness centrality by Brandes' algorithm (weighted variant,
-/// Dijkstra-based), parallel over sources. Undirected convention: each
-/// pair's dependency is accumulated from both endpoints, so the final
-/// scores are halved.
-pub fn betweenness_centrality(g: &Csr) -> Vec<f64> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    (0..n as VertexId)
-        .into_par_iter()
-        .map(|s| brandes_from(g, s))
-        .reduce(
-            || vec![0.0; n],
-            |mut acc, partial| {
-                for (a, p) in acc.iter_mut().zip(partial) {
-                    *a += p;
-                }
-                acc
-            },
-        )
-        .into_iter()
-        .map(|x| x / 2.0)
-        .collect()
-}
-
-/// Single-source Brandes pass: Dijkstra SSSP with shortest-path counts,
-/// then dependency accumulation in reverse settle order.
-fn brandes_from(g: &Csr, s: VertexId) -> Vec<f64> {
-    let n = g.num_vertices();
-    let mut dist: Vec<Dist> = vec![INF; n];
-    let mut sigma: Vec<f64> = vec![0.0; n];
-    let mut preds: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    let mut settled: Vec<VertexId> = Vec::with_capacity(n);
-    let mut done = vec![false; n];
-    let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
-
-    dist[s as usize] = 0;
-    sigma[s as usize] = 1.0;
-    heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if done[v as usize] {
-            continue;
-        }
-        done[v as usize] = true;
-        settled.push(v);
-        for (t, w) in g.neighbors(v) {
-            let nd = d.saturating_add(w as Dist);
-            let td = dist[t as usize];
-            if nd < td {
-                dist[t as usize] = nd;
-                sigma[t as usize] = sigma[v as usize];
-                preds[t as usize].clear();
-                preds[t as usize].push(v);
-                heap.push(Reverse((nd, t)));
-            } else if nd == td && nd != INF {
-                sigma[t as usize] += sigma[v as usize];
-                preds[t as usize].push(v);
-            }
-        }
-    }
-    let mut delta = vec![0.0; n];
-    let mut out = vec![0.0; n];
-    for &v in settled.iter().rev() {
-        for &p in &preds[v as usize] {
-            delta[p as usize] += sigma[p as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
-        }
-        if v != s {
-            out[v as usize] += delta[v as usize];
-        }
-    }
-    out
-}
+use crate::{dist_add, Dist, GraphStore, VertexId, Weight, INF};
 
 /// Largest finite distance, as a multiple of the row length, up to which
 /// the union order is counted instead of sorted: its counters are one per
@@ -431,7 +314,7 @@ where
 /// Betweenness from per-source distance rows: the
 /// [`dependencies_from_rows`] vectors of every source, `LANES` at a time
 /// in id order, summed in increasing source order and halved (undirected
-/// convention), exactly like [`betweenness_centrality`].
+/// convention: each pair's dependency accumulates from both endpoints).
 ///
 /// This is the bit-level contract the incremental metric reproduces: it
 /// re-sums its cached per-source vectors in the same source order from the
@@ -463,45 +346,83 @@ where
 }
 
 /// Exact Brandes betweenness with deterministic `(distance, id)`
-/// tie-breaks: the correctness oracle for the engine's incremental
-/// betweenness metric. Agrees with [`betweenness_centrality`] up to
-/// floating-point association; unlike it, the result is a bit-exact
-/// function of the graph alone (no reduction-order dependence).
-///
-/// `GraphStore`-generic callers use `aaa_store::algo::betweenness_exact`,
-/// which wraps this kernel (the trait lives downstream of this crate).
-pub fn betweenness_exact_det(g: &Csr) -> Vec<f64> {
-    betweenness_from_rows(g.num_vertices(), |s| crate::sssp::dijkstra(g, s), |v| g.neighbors(v))
-}
-
-/// Local clustering coefficient of each vertex (unweighted triangles).
-pub fn clustering_coefficients(g: &Csr) -> Vec<f64> {
-    let n = g.num_vertices();
-    (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| {
-            let nbrs = g.targets(v);
-            let k = nbrs.len();
-            if k < 2 {
-                return 0.0;
-            }
-            let mut closed = 0usize;
-            for (i, &a) in nbrs.iter().enumerate() {
-                for &b in &nbrs[i + 1..] {
-                    if g.targets(a).contains(&b) {
-                        closed += 1;
-                    }
-                }
-            }
-            2.0 * closed as f64 / (k * (k - 1)) as f64
-        })
-        .collect()
+/// tie-breaks, over any backend: the correctness oracle for the engine's
+/// incremental betweenness metric. Each source's Dijkstra row is computed
+/// when its batch asks for it and lent to [`betweenness_from_rows`], so the
+/// result is a bit-exact function of the graph alone (no reduction-order
+/// dependence) and no n × n matrix is ever held.
+pub fn betweenness_exact_det<G: GraphStore>(g: &G) -> Vec<f64> {
+    betweenness_from_rows(g.num_vertices(), |s| crate::sssp::dijkstra(g, s), |v| g.successors(v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdjGraph;
+    use crate::{AdjGraph, Csr};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Betweenness by Brandes' heap-based algorithm, one Dijkstra with
+    /// shortest-path counts per source: the independent cross-check of
+    /// [`betweenness_exact_det`], equal to it up to floating-point
+    /// association. Undirected convention: each pair's dependency is
+    /// accumulated from both endpoints, so the final scores are halved.
+    fn betweenness_centrality(g: &Csr) -> Vec<f64> {
+        let mut acc = vec![0.0; g.num_vertices()];
+        for s in 0..g.num_vertices() as VertexId {
+            acc.iter_mut().zip(brandes_from(g, s)).for_each(|(a, p)| *a += p);
+        }
+        acc.into_iter().map(|x| x / 2.0).collect()
+    }
+
+    /// Single-source Brandes pass: Dijkstra SSSP with shortest-path counts,
+    /// then dependency accumulation in reverse settle order.
+    fn brandes_from(g: &Csr, s: VertexId) -> Vec<f64> {
+        let n = g.num_vertices();
+        let mut dist: Vec<Dist> = vec![INF; n];
+        let mut sigma: Vec<f64> = vec![0.0; n];
+        let mut preds: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut settled: Vec<VertexId> = Vec::with_capacity(n);
+        let mut done = vec![false; n];
+        let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
+
+        dist[s as usize] = 0;
+        sigma[s as usize] = 1.0;
+        heap.push(Reverse((0, s)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if done[v as usize] {
+                continue;
+            }
+            done[v as usize] = true;
+            settled.push(v);
+            for (t, w) in g.neighbors(v) {
+                let nd = d.saturating_add(w as Dist);
+                let td = dist[t as usize];
+                if nd < td {
+                    dist[t as usize] = nd;
+                    sigma[t as usize] = sigma[v as usize];
+                    preds[t as usize].clear();
+                    preds[t as usize].push(v);
+                    heap.push(Reverse((nd, t)));
+                } else if nd == td && nd != INF {
+                    sigma[t as usize] += sigma[v as usize];
+                    preds[t as usize].push(v);
+                }
+            }
+        }
+        let mut delta = vec![0.0; n];
+        let mut out = vec![0.0; n];
+        for &v in settled.iter().rev() {
+            for &p in &preds[v as usize] {
+                delta[p as usize] +=
+                    sigma[p as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
+            }
+            if v != s {
+                out[v as usize] += delta[v as usize];
+            }
+        }
+        out
+    }
 
     fn path4() -> Csr {
         let mut g = AdjGraph::with_vertices(4);
@@ -512,17 +433,10 @@ mod tests {
     }
 
     #[test]
-    fn degree_centrality_of_path() {
-        let c = degree_centrality(&path4());
-        assert!((c[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!((c[1] - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn betweenness_of_path() {
         // Path 0-1-2-3: pairs through vertex 1: (0,2), (0,3) -> 2.
         // Through vertex 2: (0,3), (1,3) -> 2. Endpoints: 0.
-        let b = betweenness_centrality(&path4());
+        let b = betweenness_exact_det(&path4());
         assert!((b[0]).abs() < 1e-9);
         assert!((b[1] - 2.0).abs() < 1e-9, "{b:?}");
         assert!((b[2] - 2.0).abs() < 1e-9);
@@ -535,7 +449,7 @@ mod tests {
         for leaf in 1..5 {
             g.add_edge(0, leaf, 1).unwrap();
         }
-        let b = betweenness_centrality(&Csr::from_adj(&g));
+        let b = betweenness_exact_det(&Csr::from_adj(&g));
         // Center mediates all C(4,2) = 6 leaf pairs.
         assert!((b[0] - 6.0).abs() < 1e-9, "{b:?}");
         assert!(b[1..].iter().all(|&x| x.abs() < 1e-9));
@@ -549,7 +463,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             g.add_edge(u, v, 1).unwrap();
         }
-        let b = betweenness_centrality(&Csr::from_adj(&g));
+        let b = betweenness_exact_det(&Csr::from_adj(&g));
         for &x in &b {
             assert!((x - 0.5).abs() < 1e-9, "{b:?}");
         }
@@ -562,12 +476,12 @@ mod tests {
         g.add_edge(0, 1, 1).unwrap();
         g.add_edge(1, 2, 1).unwrap();
         g.add_edge(0, 2, 10).unwrap();
-        let b = betweenness_centrality(&Csr::from_adj(&g));
+        let b = betweenness_exact_det(&Csr::from_adj(&g));
         assert!((b[1] - 1.0).abs() < 1e-9, "{b:?}");
     }
 
     #[test]
-    fn deterministic_betweenness_matches_parallel_reference() {
+    fn deterministic_betweenness_matches_the_heap_brandes() {
         let mut square = AdjGraph::with_vertices(4);
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             square.add_edge(u, v, 1).unwrap();
@@ -582,9 +496,9 @@ mod tests {
         weighted.add_edge(0, 2, 10).unwrap();
         for g in [path4(), Csr::from_adj(&square), Csr::from_adj(&star), Csr::from_adj(&weighted)] {
             let det = betweenness_exact_det(&g);
-            let par = betweenness_centrality(&g);
-            for (a, b) in det.iter().zip(&par) {
-                assert!((a - b).abs() < 1e-9, "{det:?} vs {par:?}");
+            let heap = betweenness_centrality(&g);
+            for (a, b) in det.iter().zip(&heap) {
+                assert!((a - b).abs() < 1e-9, "{det:?} vs {heap:?}");
             }
         }
     }
@@ -1023,31 +937,5 @@ mod tests {
         let rank = bfs_ranks(6, |v| g.neighbors(v).iter().copied());
         assert_eq!(rank, vec![0, 2, 1, 3, 4, 5]);
         assert!(bfs_ranks(0, |v| g.neighbors(v).iter().copied()).is_empty());
-    }
-
-    #[test]
-    fn eigenvector_centrality_peaks_at_hub() {
-        let mut g = AdjGraph::with_vertices(5);
-        for leaf in 1..5 {
-            g.add_edge(0, leaf, 1).unwrap();
-        }
-        let e = eigenvector_centrality(&Csr::from_adj(&g), 200, 1e-12);
-        assert!(e[0] > e[1]);
-        assert!((e[1] - e[4]).abs() < 1e-9);
-        // Edgeless graph.
-        let z = eigenvector_centrality(&Csr::from_adj(&AdjGraph::with_vertices(3)), 10, 1e-9);
-        assert_eq!(z, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn clustering_of_triangle_and_path() {
-        let mut g = AdjGraph::with_vertices(3);
-        g.add_edge(0, 1, 1).unwrap();
-        g.add_edge(1, 2, 1).unwrap();
-        g.add_edge(0, 2, 1).unwrap();
-        let c = clustering_coefficients(&Csr::from_adj(&g));
-        assert_eq!(c, vec![1.0, 1.0, 1.0]);
-        let c = clustering_coefficients(&path4());
-        assert_eq!(c, vec![0.0; 4]);
     }
 }

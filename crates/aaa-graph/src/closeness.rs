@@ -5,14 +5,8 @@
 //! only and document the convention. A vertex that reaches nothing has
 //! centrality 0.
 
-use crate::apsp::DistMatrix;
-use crate::{Csr, Dist, INF};
+use crate::{Dist, GraphStore, INF};
 use rayon::prelude::*;
-
-/// Closeness of every vertex from a full distance matrix.
-pub fn closeness_from_matrix(m: &DistMatrix) -> Vec<f64> {
-    (0..m.n()).map(|v| closeness_from_row(m.row(v as u32))).collect()
-}
 
 /// Closeness of a single vertex given its distance row.
 ///
@@ -33,9 +27,11 @@ pub fn closeness_from_row(row: &[Dist]) -> f64 {
     }
 }
 
-/// Exact closeness for a graph, computed via parallel Dijkstra without
-/// materializing the full matrix (used at paper scale where n² is large).
-pub fn closeness_exact(g: &Csr) -> Vec<f64> {
+/// Exact closeness for a graph on any backend, computed via parallel
+/// Dijkstra without materializing the full matrix (used at paper scale
+/// where n² is large). Integer distances and one reduction per row make
+/// the values bit-identical across backends.
+pub fn closeness_exact<G: GraphStore + Sync>(g: &G) -> Vec<f64> {
     let n = g.num_vertices();
     (0..n)
         .into_par_iter()
@@ -81,7 +77,7 @@ pub fn top_k(centrality: &[f64], k: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{apsp::apsp_dijkstra, AdjGraph};
+    use crate::{AdjGraph, Csr};
 
     fn star() -> Csr {
         // Star with center 0 and leaves 1..=4, unit weights.
@@ -100,13 +96,6 @@ mod tests {
         // Leaf: 1 + 2+2+2 = 7 -> 1/7.
         assert!((c[1] - 1.0 / 7.0).abs() < 1e-12);
         assert_eq!(top_k(&c, 1), vec![0]);
-    }
-
-    #[test]
-    fn matrix_and_direct_agree() {
-        let g = star();
-        let m = apsp_dijkstra(&g);
-        assert_eq!(closeness_from_matrix(&m), closeness_exact(&g));
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! `*Vertices` / `*Edges` sections that tool emits for undirected weighted
 //! graphs, so exported datasets can round-trip.
 
-use crate::{AdjGraph, GraphBuilder, GraphError, VertexId, Weight};
+use crate::{AdjGraph, Dist, GraphBuilder, GraphError, VertexId, Weight, INF};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Reads a whitespace-separated edge list: one `u v [w]` triple per line,
-/// `#`-prefixed comment lines skipped, weight defaults to 1.
+/// `#`-prefixed comment lines skipped, weight defaults to 1. An id past
+/// [`VertexId`] or a weight of `INF` is a parse error.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
     let mut builder = GraphBuilder::default();
     let buf = BufReader::new(reader);
@@ -20,24 +21,36 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
             continue;
         }
         let mut it = line.split_whitespace();
-        let parse = |s: Option<&str>, what: &str| -> Result<u64, GraphError> {
+        let parse = |s: Option<&str>, what: &str| -> Result<VertexId, GraphError> {
             s.ok_or_else(|| GraphError::Parse {
                 line: lineno + 1,
                 message: format!("missing {what}"),
             })?
-            .parse::<u64>()
+            .parse::<VertexId>()
             .map_err(|e| GraphError::Parse {
                 line: lineno + 1,
                 message: format!("bad {what}: {e}"),
             })
         };
-        let u = parse(it.next(), "source")? as VertexId;
-        let v = parse(it.next(), "target")? as VertexId;
+        let u = parse(it.next(), "source")?;
+        let v = parse(it.next(), "target")?;
         let w = match it.next() {
-            Some(s) => s.parse::<Weight>().map_err(|e| GraphError::Parse {
-                line: lineno + 1,
-                message: format!("bad weight: {e}"),
-            })?,
+            Some(s) => {
+                let w = s.parse::<Weight>().map_err(|e| GraphError::Parse {
+                    line: lineno + 1,
+                    message: format!("bad weight: {e}"),
+                })?;
+                // Distance arithmetic saturates at `INF`: an edge of that
+                // weight would be invisible to every relaxation but not to
+                // a hop walk.
+                if w as Dist == INF {
+                    return Err(GraphError::Parse {
+                        line: lineno + 1,
+                        message: format!("weight {s} is the INF distance"),
+                    });
+                }
+                w
+            }
             None => 1,
         };
         builder.edge(u, v, w);
@@ -58,7 +71,9 @@ pub fn write_edge_list<W: Write>(g: &AdjGraph, writer: W) -> Result<(), GraphErr
 
 /// Reads the Pajek `.net` subset: a `*Vertices n` header followed by an
 /// `*Edges` (or `*Arcs`, treated as undirected) section of
-/// `u v [w]` lines with **1-based** vertex ids.
+/// `u v [w]` lines with **1-based** vertex ids. An id past [`VertexId`], or
+/// a weight that does not round to a finite value below `INF` (`inf`,
+/// `nan`, `1e20`), is a parse error.
 pub fn read_pajek<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
     let buf = BufReader::new(reader);
     let mut builder = GraphBuilder::default();
@@ -102,7 +117,7 @@ pub fn read_pajek<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
         }
         let mut it = line.split_whitespace();
         let parse_id = |s: Option<&str>| -> Result<VertexId, GraphError> {
-            let raw: u64 = s
+            let raw: VertexId = s
                 .ok_or_else(|| GraphError::Parse {
                     line: lineno + 1,
                     message: "missing endpoint".into(),
@@ -118,7 +133,7 @@ pub fn read_pajek<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
                     message: "Pajek ids are 1-based".into(),
                 });
             }
-            Ok((raw - 1) as VertexId)
+            Ok(raw - 1)
         };
         let u = parse_id(it.next())?;
         let v = parse_id(it.next())?;
@@ -129,7 +144,14 @@ pub fn read_pajek<R: Read>(reader: R) -> Result<AdjGraph, GraphError> {
                     line: lineno + 1,
                     message: format!("bad weight: {e}"),
                 })?;
-                (f.round().max(1.0)) as Weight
+                let f = f.round();
+                if f.is_nan() || f >= INF as f64 {
+                    return Err(GraphError::Parse {
+                        line: lineno + 1,
+                        message: format!("weight {s} does not round below INF"),
+                    });
+                }
+                f.max(1.0) as Weight
             }
             None => 1,
         };
@@ -229,6 +251,48 @@ mod tests {
         let g = read_pajek("*Vertices 4\n*Edges\n1 2 2.6\n".as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.edge_weight(0, 1), Some(3));
+    }
+
+    /// `result` is a parse error reported at 1-based line `line`.
+    fn assert_parse_error_at(result: Result<AdjGraph, GraphError>, line: usize) {
+        match result {
+            Err(GraphError::Parse { line: at, .. }) => assert_eq!(at, line),
+            other => panic!("expected a parse error at line {line}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn edge_list_rejects_an_id_past_vertex_id() {
+        assert_parse_error_at(read_edge_list("0 1\n4294967297 0\n".as_bytes()), 2);
+    }
+
+    #[test]
+    fn edge_list_rejects_an_inf_weight() {
+        assert_parse_error_at(read_edge_list("0 1 4294967295\n".as_bytes()), 1);
+        assert_eq!(
+            read_edge_list("0 1 4294967294\n".as_bytes()).unwrap().edge_weight(0, 1),
+            Some(INF - 1)
+        );
+    }
+
+    #[test]
+    fn pajek_rejects_an_id_past_vertex_id() {
+        assert_parse_error_at(read_pajek("*Vertices 2\n*Edges\n4294967298 1\n".as_bytes()), 3);
+    }
+
+    #[test]
+    fn pajek_rejects_an_infinite_weight() {
+        assert_parse_error_at(read_pajek("*Vertices 2\n*Edges\n1 2 inf\n".as_bytes()), 3);
+    }
+
+    #[test]
+    fn pajek_rejects_a_weight_that_saturates() {
+        assert_parse_error_at(read_pajek("*Vertices 2\n*Edges\n1 2 1e20\n".as_bytes()), 3);
+    }
+
+    #[test]
+    fn pajek_rejects_a_nan_weight() {
+        assert_parse_error_at(read_pajek("*Vertices 2\n*Edges\n1 2 nan\n".as_bytes()), 3);
     }
 
     #[test]

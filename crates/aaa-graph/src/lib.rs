@@ -14,8 +14,13 @@
 //! * [`community`] — a Louvain modularity implementation, replacing Pajek's
 //!   Louvain community extraction used to produce community-structured
 //!   vertex-addition batches (§V.B.2 of the paper).
-//! * Reference algorithms ([`sssp`], [`apsp`], [`closeness`]) used as ground
-//!   truth by the test suites and by the Baseline Restart comparisons.
+//! * [`GraphStore`] — the read-only backend contract (sorted, symmetric
+//!   successor lists), met by both of the above and by `aaa-store`'s
+//!   compressed graph.
+//! * Reference algorithms ([`sssp`], [`apsp`], [`closeness`],
+//!   [`centrality`]), one body each, generic over [`GraphStore`]: the ground
+//!   truth of the test suites and the Baseline Restart comparisons, and the
+//!   engine's witness searches.
 //! * [`io`] — edge-list and (minimal) Pajek `.net` readers/writers.
 //!
 //! Distances are `u32` with [`INF`] as "unreachable"; arithmetic goes through
@@ -33,11 +38,13 @@ pub mod generators;
 pub mod io;
 pub mod sssp;
 pub mod stats;
+mod store;
 
 pub use adjacency::AdjGraph;
 pub use builder::GraphBuilder;
 pub use csr::Csr;
 pub use error::GraphError;
+pub use store::{edges, GraphStore};
 
 /// Vertex identifier. Dense, zero-based.
 pub type VertexId = u32;

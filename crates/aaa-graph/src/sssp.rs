@@ -1,5 +1,6 @@
-//! Shortest paths: binary-heap Dijkstra and unweighted BFS from one source,
-//! and [`bfs_rows`], the bit-parallel multi-source BFS.
+//! Shortest paths: binary-heap Dijkstra and unweighted BFS from one source
+//! over any [`GraphStore`] backend, and [`bfs_rows`], the bit-parallel
+//! multi-source BFS.
 //!
 //! The single-source kernels are the reference the test suites and the
 //! exact oracles use. The engine's IA phase in `aaa-core` (the paper runs a
@@ -9,7 +10,7 @@
 //! behind the certified bounds and the degraded report walk through it
 //! always.
 
-use crate::{dist_add, Csr, Dist, VertexId, Weight, INF};
+use crate::{dist_add, Dist, GraphStore, VertexId, Weight, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -102,9 +103,9 @@ where
     }
 }
 
-/// Dijkstra from `source` over a CSR graph. Returns the distance to every
+/// Dijkstra from `source` over any backend. Returns the distance to every
 /// vertex (`INF` when unreachable).
-pub fn dijkstra(g: &Csr, source: VertexId) -> Vec<Dist> {
+pub fn dijkstra<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
     let mut dist = vec![INF; g.num_vertices()];
     dijkstra_into(g, source, &mut dist);
     dist
@@ -112,7 +113,7 @@ pub fn dijkstra(g: &Csr, source: VertexId) -> Vec<Dist> {
 
 /// Dijkstra writing into a caller-provided buffer (reused across sources to
 /// avoid reallocating in the hot APSP loops). The buffer is reset to `INF`.
-pub fn dijkstra_into(g: &Csr, source: VertexId, dist: &mut [Dist]) {
+pub fn dijkstra_into<G: GraphStore>(g: &G, source: VertexId, dist: &mut [Dist]) {
     debug_assert_eq!(dist.len(), g.num_vertices());
     dist.fill(INF);
     if g.num_vertices() == 0 {
@@ -125,7 +126,7 @@ pub fn dijkstra_into(g: &Csr, source: VertexId, dist: &mut [Dist]) {
         if d > dist[v as usize] {
             continue; // stale entry
         }
-        for (t, w) in g.neighbors(v) {
+        for (t, w) in g.successors(v) {
             let nd = dist_add(d, w as Dist);
             if nd < dist[t as usize] {
                 dist[t as usize] = nd;
@@ -135,21 +136,25 @@ pub fn dijkstra_into(g: &Csr, source: VertexId, dist: &mut [Dist]) {
     }
 }
 
-/// Breadth-first search distances (hop counts) from `source`.
-pub fn bfs(g: &Csr, source: VertexId) -> Vec<Dist> {
+/// Breadth-first search distances (hop counts) from `source`, one source
+/// at a time: the reference [`bfs_rows`] is tested against.
+pub fn bfs<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
     let mut dist = vec![INF; g.num_vertices()];
-    if g.num_vertices() == 0 {
+    if dist.is_empty() {
         return dist;
     }
-    let mut queue = std::collections::VecDeque::new();
     dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
+    let mut queue = vec![source];
+    // Every vertex enters the queue at most once, so a cursor into the
+    // growing list is the whole FIFO.
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
         let d = dist[v as usize];
-        for t in g.targets(v) {
-            if dist[*t as usize] == INF {
-                dist[*t as usize] = d + 1;
-                queue.push_back(*t);
+        for (t, _) in g.successors(v) {
+            if dist[t as usize] == INF {
+                dist[t as usize] = d + 1;
+                queue.push(t);
             }
         }
     }
@@ -159,7 +164,7 @@ pub fn bfs(g: &Csr, source: VertexId) -> Vec<Dist> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdjGraph;
+    use crate::{AdjGraph, Csr};
 
     /// 0 -1- 1 -1- 2    3 (isolated)   with shortcut 0-2 weight 5
     fn path_graph() -> Csr {

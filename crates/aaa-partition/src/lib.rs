@@ -27,8 +27,7 @@ pub use rebalance::{
     moves_between, LoadSignals, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer,
 };
 
-use aaa_graph::{PartId, VertexId};
-use aaa_store::GraphStore;
+use aaa_graph::{GraphStore, PartId, VertexId};
 use std::fmt;
 
 /// A k-way assignment of vertices to parts (processors).

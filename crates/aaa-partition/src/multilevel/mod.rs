@@ -21,8 +21,7 @@ mod wgraph;
 pub(crate) use wgraph::WGraph;
 
 use crate::{Partition, PartitionError, Partitioner};
-use aaa_graph::PartId;
-use aaa_store::GraphStore;
+use aaa_graph::{GraphStore, PartId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 

@@ -1,7 +1,7 @@
 //! Working representation for the multilevel hierarchy: a weighted graph
 //! with vertex weights (collapsed fine vertices) and combined edge weights.
 
-use aaa_store::GraphStore;
+use aaa_graph::GraphStore;
 use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 

@@ -6,8 +6,7 @@
 //! these functions.
 
 use crate::Partition;
-use aaa_graph::VertexId;
-use aaa_store::{edges, GraphStore};
+use aaa_graph::{edges, GraphStore, VertexId};
 
 /// Number of cut edges (edges whose endpoints lie in different parts).
 pub fn cut_edges<G: GraphStore>(g: &G, p: &Partition) -> usize {

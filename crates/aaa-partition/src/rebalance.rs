@@ -23,8 +23,7 @@
 
 use crate::quality::{per_part_cut, vertex_balance};
 use crate::{MultilevelPartitioner, Partition, PartitionError, Partitioner};
-use aaa_graph::{PartId, VertexId};
-use aaa_store::GraphStore;
+use aaa_graph::{GraphStore, PartId, VertexId};
 
 /// Which rebalancing strategy runs at RC-step barriers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -4,8 +4,7 @@
 //! assignment discipline behind the paper's RoundRobin-PS strategy.
 
 use crate::{Partition, PartitionError, Partitioner};
-use aaa_graph::PartId;
-use aaa_store::GraphStore;
+use aaa_graph::{GraphStore, PartId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

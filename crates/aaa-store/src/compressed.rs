@@ -28,8 +28,7 @@ use crate::bits::{unzigzag, zigzag, BitReader, BitWriter};
 use crate::ef::EliasFano;
 use crate::error::StoreError;
 use crate::mmap::{crc32, LoadMode, StoreBytes};
-use crate::GraphStore;
-use aaa_graph::{VertexId, Weight};
+use aaa_graph::{GraphStore, VertexId, Weight};
 use std::io::Write;
 use std::path::Path;
 
@@ -285,6 +284,34 @@ impl CompressedGraph {
     }
 }
 
+impl GraphStore for CompressedGraph {
+    type Succ<'a> = CompressedSucc<'a>;
+
+    #[inline]
+    fn num_vertices(&self) -> usize {
+        CompressedGraph::num_vertices(self)
+    }
+
+    #[inline]
+    fn num_edges(&self) -> usize {
+        CompressedGraph::num_edges(self)
+    }
+
+    #[inline]
+    fn degree(&self, v: VertexId) -> usize {
+        CompressedGraph::degree(self, v)
+    }
+
+    #[inline]
+    fn successors(&self, v: VertexId) -> Self::Succ<'_> {
+        CompressedGraph::successors(self, v)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        CompressedGraph::memory_bytes(self)
+    }
+}
+
 /// Decoding iterator over one row. Ends cleanly (yields no further items)
 /// if the bitstream is exhausted; [`CompressedGraph::validate`] turns that
 /// into a typed error.
@@ -456,8 +483,9 @@ mod tests {
         assert_eq!(c.num_edges(), 6);
         assert_eq!(c.num_arcs(), 12);
         assert_eq!(rows(&g), rows(&c));
-        assert_eq!(c.degree(0), 2);
-        assert_eq!(c.degree(6), 0);
+        for v in g.vertices() {
+            assert_eq!(GraphStore::degree(&c, v), g.degree(v));
+        }
         c.validate().unwrap();
     }
 
@@ -520,5 +548,7 @@ mod tests {
         assert_eq!(rows(&g), rows(&c));
         let per_arc = c.data_bytes() as f64 / c.num_arcs() as f64;
         assert!(per_arc < 2.0, "ring should compress to <2 bytes/arc, got {per_arc:.2}");
+        // The successor data is far smaller than the adjacency lists.
+        assert!(c.data_bytes() * 4 < GraphStore::memory_bytes(&g));
     }
 }

@@ -1,30 +1,24 @@
-//! Trait-backed graph storage for the anytime-anywhere pipeline.
+//! Compressed and external-memory graph storage for the anytime-anywhere
+//! pipeline.
 //!
 //! The engine's read-only consumers (domain decomposition, exact oracles,
-//! figure bins) only ever need degrees and sorted successor scans. This
-//! crate puts that contract behind [`GraphStore`] and provides three
-//! backends:
-//!
-//! * the mutable adjacency graph and its CSR snapshot from `aaa-graph`
-//!   (implemented here for those foreign types), and
-//! * [`CompressedGraph`] — gap-coded successor lists under Elias δ/γ codes
-//!   with an Elias-Fano offset index, built either in memory or via
-//!   external-memory ingest ([`PairSorter`]) from edge batches that spill
-//!   to disk, and loadable from an mmap-able on-disk layout.
+//! figure bins) only ever need degrees and sorted successor scans: the
+//! [`aaa_graph::GraphStore`] contract, which the plain adjacency graph and
+//! its CSR snapshot meet in `aaa-graph`. This crate adds the third backend,
+//! [`CompressedGraph`] — gap-coded successor lists under Elias δ/γ codes
+//! with an Elias-Fano offset index, built either in memory or via
+//! external-memory ingest ([`PairSorter`]) from edge batches that spill to
+//! disk, and loadable from an mmap-able on-disk layout.
 //!
 //! All backends yield **identical sorted successor lists** for the same
-//! graph; `tests/store_equivalence.rs` holds them to that under proptest.
-//! [`algo`] hosts the backend-generic reference kernels (BFS, Dijkstra,
-//! closeness, worklist fixed point) so oracles run unchanged on any
-//! backend.
+//! graph; `tests/store_equivalence.rs` holds them to that under proptest,
+//! and runs aaa-graph's kernels on each to the same bits.
 
-pub mod algo;
 mod bits;
 mod ef;
 mod error;
 mod ingest;
 mod mmap;
-mod plain;
 
 mod compressed;
 
@@ -33,79 +27,3 @@ pub use ef::EliasFano;
 pub use error::StoreError;
 pub use ingest::{sort_edges, PairSorter, SortedArcs};
 pub use mmap::LoadMode;
-
-use aaa_graph::{VertexId, Weight};
-
-/// Read-only access to an undirected, positively-weighted graph.
-///
-/// Contract every backend upholds:
-/// * vertex ids are dense in `0..num_vertices()`;
-/// * [`GraphStore::successors`] yields neighbors in strictly increasing id
-///   order, each with its positive weight;
-/// * adjacency is symmetric (`t ∈ succ(v)` ⟺ `v ∈ succ(t)`, equal weight);
-/// * [`GraphStore::memory_bytes`] reports resident heap bytes so backends
-///   can be compared on bytes/edge.
-pub trait GraphStore {
-    /// Sorted successor iterator (a GAT so slice-backed stores can borrow).
-    type Succ<'a>: Iterator<Item = (VertexId, Weight)>
-    where
-        Self: 'a;
-
-    /// Number of vertices.
-    fn num_vertices(&self) -> usize;
-
-    /// Number of undirected edges.
-    fn num_edges(&self) -> usize;
-
-    /// Degree of `v`.
-    fn degree(&self, v: VertexId) -> usize;
-
-    /// Successors of `v` in strictly increasing id order.
-    fn successors(&self, v: VertexId) -> Self::Succ<'_>;
-
-    /// Resident heap bytes of the graph structure.
-    fn memory_bytes(&self) -> usize;
-
-    /// Iterator over the dense vertex-id space.
-    fn vertices(&self) -> std::ops::Range<VertexId> {
-        0..self.num_vertices() as VertexId
-    }
-
-    /// Number of directed arcs (twice the undirected edge count).
-    fn num_arcs(&self) -> u64 {
-        2 * self.num_edges() as u64
-    }
-}
-
-/// Each undirected edge exactly once as `(u, v, w)` with `u < v`, ordered
-/// by `(u, v)` — the backend-generic analogue of `AdjGraph::edges`.
-pub fn edges<G: GraphStore>(g: &G) -> impl Iterator<Item = (VertexId, VertexId, Weight)> + '_ {
-    g.vertices().flat_map(move |u| {
-        g.successors(u).filter(move |&(v, _)| u < v).map(move |(v, w)| (u, v, w))
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aaa_graph::AdjGraph;
-
-    #[test]
-    fn edges_helper_matches_adjgraph_edges() {
-        let mut g = AdjGraph::with_vertices(5);
-        for (u, v, w) in [(0, 1, 1), (0, 4, 2), (2, 3, 3), (1, 4, 4)] {
-            g.add_edge(u, v, w).unwrap();
-        }
-        let from_trait: Vec<_> = edges(&g).collect();
-        let from_inherent: Vec<_> = g.edges().collect();
-        assert_eq!(from_trait, from_inherent);
-    }
-
-    #[test]
-    fn provided_methods() {
-        let mut g = AdjGraph::with_vertices(3);
-        g.add_edge(0, 1, 1).unwrap();
-        assert_eq!(GraphStore::num_arcs(&g), 2);
-        assert_eq!(GraphStore::vertices(&g).collect::<Vec<_>>(), vec![0, 1, 2]);
-    }
-}

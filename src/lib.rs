@@ -8,7 +8,9 @@
 //! re-exports them under stable names so downstream users depend on one
 //! package:
 //!
-//! * [`graph`] — graph structures, generators, Louvain, reference algorithms.
+//! * [`graph`] — graph structures, generators, Louvain, the
+//!   [`graph::GraphStore`] backend trait, and the reference algorithms over
+//!   any backend.
 //! * [`partition`] — multilevel k-way partitioner and simple partitioners.
 //! * [`runtime`] — the in-process BSP message-passing cluster with LogP
 //!   cost accounting.
@@ -20,9 +22,8 @@
 //!   export, machine-readable run reports, and the perf-gate comparator.
 //! * [`serve`] — snapshot-isolated concurrent query serving over the
 //!   engine's published epoch views.
-//! * [`store`] — the [`store::GraphStore`] backend trait with plain and
-//!   compressed (gap-coded, Elias-Fano–indexed, mmap-able) graph storage
-//!   plus external-memory ingest for graphs beyond RAM.
+//! * [`store`] — compressed (gap-coded, Elias-Fano–indexed, mmap-able)
+//!   graph storage plus external-memory ingest for graphs beyond RAM.
 //!
 //! ## Quickstart
 //!

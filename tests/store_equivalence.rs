@@ -4,12 +4,16 @@
 //! gap-coded store (built in memory or through the spill-forced
 //! external-memory ingest), and the compressed store after a disk
 //! round-trip — must present the *same* graph: identical degrees, identical
-//! sorted successor lists, identical BFS distances, bit-identical closeness.
-//! And a corrupted on-disk store must surface as a typed [`StoreError`],
-//! never a panic.
+//! sorted successor lists, identical BFS, Dijkstra and all-pairs distances,
+//! bit-identical closeness and betweenness. And a corrupted on-disk store
+//! must surface as a typed [`StoreError`], never a panic.
 
-use anytime_anywhere::graph::{AdjGraph, Csr, GraphBuilder};
-use anytime_anywhere::store::{algo, edges, CompressedGraph, GraphStore, LoadMode, StoreError};
+use anytime_anywhere::graph::apsp::apsp_dijkstra;
+use anytime_anywhere::graph::centrality::betweenness_exact_det;
+use anytime_anywhere::graph::closeness::closeness_exact;
+use anytime_anywhere::graph::sssp::{bfs, dijkstra};
+use anytime_anywhere::graph::{edges, AdjGraph, Csr, GraphBuilder, GraphStore};
+use anytime_anywhere::store::{CompressedGraph, LoadMode, StoreError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,12 +54,16 @@ fn assert_equivalent<A: GraphStore + Sync, B: GraphStore + Sync>(a: &A, b: &B) {
     }
     assert_eq!(rows(a), rows(b), "successor lists");
     for v in a.vertices().take(8) {
-        assert_eq!(algo::bfs_hops(a, v), algo::bfs_hops(b, v), "bfs from {v}");
-        assert_eq!(algo::dijkstra(a, v), algo::dijkstra(b, v), "dijkstra from {v}");
+        assert_eq!(bfs(a, v), bfs(b, v), "bfs from {v}");
+        assert_eq!(dijkstra(a, v), dijkstra(b, v), "dijkstra from {v}");
     }
-    // Closeness is bit-identical across backends (integer distances, shared
-    // reduction), so exact equality is the contract, not an approximation.
-    assert_eq!(algo::closeness_exact(a), algo::closeness_exact(b));
+    assert_eq!(apsp_dijkstra(a), apsp_dijkstra(b), "all-pairs distances");
+    // Closeness and betweenness are bit-identical across backends (integer
+    // distances, one reduction order), so exact equality is the contract,
+    // not an approximation.
+    assert_eq!(closeness_exact(a), closeness_exact(b));
+    let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(bits(betweenness_exact_det(a)), bits(betweenness_exact_det(b)), "betweenness");
 }
 
 proptest! {
