@@ -247,3 +247,33 @@ for c in aaa-graph aaa-store; do
   for f in $(find "crates/$c/src" -name '*.rs'); do lines=$((lines + $(nontest "$f" | wc -l))); done
   echo "$c: $lines non-test lines"
 done
+
+# One cell table. A perf-gate cell — its scenario string, the arguments it
+# runs with, its scenario function and its baseline — is named once, in
+# `aaa_bench::observe::CELLS`, and `perfgate cell <name>` runs it. The
+# figure bins no longer write a pinned report (`maybe_observe` and the
+# `--report` / `--trace` / `--store` flags are gone), and the three bins
+# whose work the benchmark already times were deleted. None of them may come
+# back, and each committed baseline's file name appears in exactly one
+# non-test file under crates/. The block also logs aaa-bench's non-test size
+# (3,007 before it).
+if grep -rn 'maybe_observe' crates/; then
+  echo "a figure bin writes a pinned report again"; exit 1
+fi
+if nontest crates/aaa-bench/src/lib.rs | grep -n '"--report"'; then
+  echo "CommonArgs parses --report again"; exit 1
+fi
+for bin in publish_cost serve_qps checkpoint_overhead; do
+  [ ! -e "crates/aaa-bench/src/bin/$bin.rs" ] || { echo "the $bin bin is back"; exit 1; }
+done
+for b in results/baselines/ci_smoke*.json; do
+  name=$(basename "$b")
+  owners=$(for f in $(grep -rlF "$name" crates/ | grep -v '/tests/'); do
+    if nontest "$f" | grep -qF "$name"; then echo "$f"; fi
+  done)
+  echo "$name named in: $owners"
+  [ "$(echo "$owners" | grep -c .)" = 1 ] || { echo "$name is named in $(echo "$owners" | grep -c .) non-test files under crates/, want 1"; exit 1; }
+done
+lines=0
+for f in $(find crates/aaa-bench/src -name '*.rs'); do lines=$((lines + $(nontest "$f" | wc -l))); done
+echo "aaa-bench: $lines non-test lines"

@@ -2,11 +2,10 @@
 //! (RoundRobin-PS) for 512 (scaled) vertex additions injected at RC0, RC4
 //! and RC8.
 
-use aaa_bench::{experiments, observe, CommonArgs};
+use aaa_bench::{experiments, CommonArgs};
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("fig4", &args, observe::observed_run);
     experiments::fig4(&args).emit(args.csv.as_ref());
     println!("\nExpected shape (paper): anytime anywhere is several times cheaper than");
     println!("the restart baseline at every injection point; the baseline is flat in");

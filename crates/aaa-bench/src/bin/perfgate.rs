@@ -3,11 +3,17 @@
 //! threshold.
 //!
 //! ```text
-//! usage: perfgate <candidate.json> <baseline.json>
+//! usage: perfgate cell <name> [--threshold 0.10] [--override metric=thr]...
+//!        perfgate <candidate.json> <baseline.json>
 //!                 [--threshold 0.10] [--override metric=thr]...
 //!        perfgate <candidate.json> --write-baseline <path>
 //!        perfgate --validate <file-or-dir>...
 //! ```
+//!
+//! `cell <name>` runs one perf-gate cell of `aaa_bench::observe::CELLS`
+//! with the arguments the table fixes for it, writes `report-<name>.json`
+//! and `trace-<name>.json` (a Chrome trace) to the working directory, and
+//! diffs the report against the cell's baseline under `results/baselines/`.
 //!
 //! `--write-baseline` re-serializes the candidate through the current
 //! `RunReport` codec and writes it to `path` — the one sanctioned way to
@@ -29,12 +35,14 @@
 //! appear in the table for humans but never fail the gate — CI hosts are
 //! noisy.
 
+use aaa_bench::observe::{Cell, CELLS};
 use aaa_bench::Table;
 use aaa_observe::{compare, regressed, GateConfig, MetricDiff, RunReport};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: perfgate <candidate.json> <baseline.json> \
+        "usage: perfgate cell <name> [--threshold 0.10] [--override metric=thr]...\n\
+         \x20      perfgate <candidate.json> <baseline.json> \
          [--threshold 0.10] [--override metric=thr]...\n\
          \x20      perfgate <candidate.json> --write-baseline <path>\n\
          \x20      perfgate --validate <file-or-dir>..."
@@ -128,6 +136,24 @@ fn validate(paths: &[&str]) -> ! {
     std::process::exit(0);
 }
 
+/// `cell <name>`: runs the named cell, writes its report and trace to the
+/// working directory, and gates the report against the cell's baseline.
+fn run_cell(name: &str, cfg: &GateConfig) -> ! {
+    let cell = Cell::named(name).unwrap_or_else(|| {
+        let names: Vec<&str> = CELLS.iter().map(|c| c.name).collect();
+        fail(&format!("unknown cell {name:?}; the cells are {}", names.join(", ")))
+    });
+    let (report, trace) = cell.observe();
+    for (path, text) in [
+        (format!("report-{name}.json"), report.to_json_string()),
+        (format!("trace-{name}.json"), trace),
+    ] {
+        std::fs::write(&path, text).unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+        println!("perfgate: {path} written");
+    }
+    gate(&report, &load(&cell.baseline_path()), cfg)
+}
+
 /// `--write-baseline`: round-trip the candidate through the current codec
 /// and write the canonical serialization to `dest`.
 fn write_baseline(candidate_path: &str, dest: &str) -> ! {
@@ -179,9 +205,16 @@ fn main() {
         let [candidate_path] = paths[..] else { usage() };
         write_baseline(candidate_path, &dest);
     }
-    let [candidate_path, baseline_path] = paths[..] else { usage() };
-    let candidate = load(candidate_path);
-    let baseline = load(baseline_path);
+    match paths[..] {
+        ["cell", name] => run_cell(name, &cfg),
+        [candidate_path, baseline_path] => gate(&load(candidate_path), &load(baseline_path), &cfg),
+        _ => usage(),
+    }
+}
+
+/// Diffs `candidate` against `baseline`, prints the table and exits 1 when
+/// a gated metric regressed or went missing, 0 otherwise.
+fn gate(candidate: &RunReport, baseline: &RunReport, cfg: &GateConfig) -> ! {
     if candidate.scenario != baseline.scenario {
         fail(&format!(
             "scenario mismatch: candidate ran {:?} but baseline is {:?} — not comparable",
@@ -189,7 +222,7 @@ fn main() {
         ));
     }
 
-    let rows = compare(&candidate, &baseline, &cfg);
+    let rows = compare(candidate, baseline, cfg);
     let mut table = Table::new(
         format!(
             "perfgate: {} (threshold {:.0}%)",
@@ -227,4 +260,5 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nperfgate: OK — no gated metric regressed");
+    std::process::exit(0);
 }

@@ -4,16 +4,14 @@
 //! (wall-derived, info-only), deterministic p99/max epoch staleness,
 //! peak backlog, final imbalance and migration traffic.
 //!
-//! `--report` / `--trace` additionally emit the pinned **stream
-//! scenario** (`fig4:pinned:stream`: the hub stream under the adaptive
-//! policy), whose report CI gates against
-//! `results/baselines/ci_smoke_stream.json`. Use `--policy` / `--ticks`
-//! to restrict the sweep; `--shape` filtering is deliberately absent —
-//! the table is the point.
+//! Use `--policy` / `--ticks` to restrict the sweep; `--shape` filtering is
+//! deliberately absent — the table is the point. The hub stream under the
+//! adaptive policy is also the perf gate's `stream` cell
+//! (`perfgate cell stream`).
 
 use aaa_bench::experiments::base_graph;
 use aaa_bench::stream::{drive_stream, StreamConfig, StreamShape};
-use aaa_bench::{fmt_sim_secs, observe, CommonArgs, Table};
+use aaa_bench::{fmt_sim_secs, CommonArgs, Table};
 use aaa_core::{AnytimeEngine, RebalanceConfig, RebalancePolicy};
 
 const POLICIES: [RebalancePolicy; 4] =
@@ -30,9 +28,7 @@ fn policy_name(p: RebalancePolicy) -> &'static str {
 
 fn main() {
     let args = CommonArgs::parse();
-    observe::maybe_observe("fig4", &args, observe::observed_stream_run);
-
-    let g = base_graph(&args);
+    let g = base_graph(args.scale, args.seed);
     let mut table = Table::new(
         "Streaming workloads × rebalance policies",
         &[

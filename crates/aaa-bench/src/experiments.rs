@@ -16,10 +16,10 @@ use aaa_partition::quality::new_cut_edges;
 use aaa_partition::{MultilevelPartitioner, Partitioner};
 use aaa_runtime::{ExchangeSchedule, LogPModel};
 
-/// The experiments' base workload: an undirected scale-free graph, as the
-/// paper generates with Pajek.
-pub fn base_graph(args: &CommonArgs) -> AdjGraph {
-    barabasi_albert(args.scale, 3, WeightModel::Unit, args.seed).expect("generator params valid")
+/// The experiments' base workload: an undirected scale-free graph of
+/// `scale` vertices, as the paper generates with Pajek.
+pub fn base_graph(scale: usize, seed: u64) -> AdjGraph {
+    barabasi_albert(scale, 3, WeightModel::Unit, seed).expect("generator params valid")
 }
 
 /// Community-structured addition batch following the paper's Louvain
@@ -130,7 +130,7 @@ pub fn drive_to_convergence(engine: &mut AnytimeEngine, args: &CommonArgs) -> Co
 /// 512 (scaled) vertex additions injected at RC0/RC4/RC8; anytime anywhere
 /// with RoundRobin-PS vs. restarting from scratch.
 pub fn fig4(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let additions = args.scaled(512, 8);
     let batch = addition_batch(&g, additions, args.seed + 1);
     let full = extend_graph(&g, &batch);
@@ -172,7 +172,7 @@ pub fn fig4(args: &CommonArgs) -> Table {
 /// RoundRobin-PS vs CutEdge-PS vs Repartition-S. `inject_at = 0` is
 /// Figure 5, `inject_at = 8` is Figure 6.
 pub fn single_step_additions(args: &CommonArgs, inject_at: usize) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let figure = if inject_at == 0 { 5 } else { 6 };
     let mut table = Table::new(
         format!(
@@ -211,7 +211,7 @@ pub fn single_step_additions(args: &CommonArgs, inject_at: usize) -> Table {
 /// measurement (no DV state), so it runs at the paper's full 50,000-vertex
 /// scale by default.
 pub fn fig7(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let base = g.num_vertices() as u32;
     let initial =
         MultilevelPartitioner::seeded(args.seed).partition(&g, args.procs).expect("partition");
@@ -266,7 +266,7 @@ pub fn fig7(args: &CommonArgs) -> Table {
 /// the three strategies.
 pub fn fig8(args: &CommonArgs) -> Table {
     const WAVES: usize = 10;
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut table = Table::new(
         format!(
             "Figure 8 — incremental vertex additions over {WAVES} RC steps ({} procs, {} vertices)",
@@ -327,7 +327,7 @@ pub fn fig8(args: &CommonArgs) -> Table {
 
 /// Closeness error and top-k recall per RC step (the anytime property).
 pub fn anytime_quality(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
     let mut tracker = QualityTracker::new(&g, 20);
     let mut table = Table::new(
@@ -357,82 +357,6 @@ pub fn anytime_quality(args: &CommonArgs) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint overhead
-// ---------------------------------------------------------------------------
-
-/// Snapshot size and (de)serialization cost as the graph grows: converge a
-/// static analysis at `scale/4`, `scale/2` and `scale`, then measure a full
-/// checkpoint round-trip at each size.
-pub fn checkpoint_overhead(args: &CommonArgs) -> Table {
-    let mut table = Table::new(
-        format!("Checkpoint overhead ({} procs, seed {})", args.procs, args.seed),
-        &[
-            "vertices",
-            "edges",
-            "snapshot bytes",
-            "snapshot [ms]",
-            "encode [ms]",
-            "encode [MB/s]",
-            "decode [ms]",
-            "decode [MB/s]",
-            "install [ms]",
-        ],
-    );
-    const ROUND_TRIPS: usize = 3;
-    // One stage, timed: its result and its duration in milliseconds.
-    fn timed<T>(stage: impl FnOnce() -> T) -> (T, f64) {
-        let started = std::time::Instant::now();
-        let out = stage();
-        (out, started.elapsed().as_secs_f64() * 1e3)
-    }
-    for scale in [args.scale / 4, args.scale / 2, args.scale] {
-        let scale = scale.max(64);
-        let g = barabasi_albert(scale, 3, WeightModel::Unit, args.seed).expect("generator");
-        let edges = g.num_edges();
-        let mut engine = AnytimeEngine::new(g, args.engine_config()).expect("engine");
-        engine.run_to_convergence();
-
-        // checkpoint = snapshot (arena → flat row tables) + encode;
-        // restore = decode (bytes → row tables, CRCs verified) + install
-        // (rebuild ranks, rows into the arena, first publish). Each stage
-        // is the best of `ROUND_TRIPS`: every stage fills a snapshot's
-        // worth of fresh memory, and the first touch of memory the OS has
-        // not handed out before costs several times a warm one.
-        let mut best = [f64::INFINITY; 4];
-        let mut bytes = 0;
-        for _ in 0..ROUND_TRIPS {
-            let (snap, snapshot_ms) = timed(|| engine.snapshot());
-            let (image, encode_ms) = timed(|| snap.to_bytes().expect("checkpoint"));
-            drop(snap);
-            let (decoded, decode_ms) = timed(|| Snapshot::from_bytes(&image).expect("own image"));
-            let (restored, install_ms) = timed(|| {
-                AnytimeEngine::from_snapshot(&decoded, args.engine_config()).expect("restore")
-            });
-            assert_eq!(restored.rc_steps_done(), engine.rc_steps_done(), "resume point preserved");
-            for (b, ms) in best.iter_mut().zip([snapshot_ms, encode_ms, decode_ms, install_ms]) {
-                *b = b.min(ms);
-            }
-            bytes = image.len();
-        }
-        let [snapshot_ms, encode_ms, decode_ms, install_ms] = best;
-
-        let mbps = |ms: f64| bytes as f64 / 1e3 / ms;
-        table.row(vec![
-            scale.to_string(),
-            edges.to_string(),
-            bytes.to_string(),
-            format!("{snapshot_ms:.1}"),
-            format!("{encode_ms:.1}"),
-            format!("{:.0}", mbps(encode_ms)),
-            format!("{decode_ms:.1}"),
-            format!("{:.0}", mbps(decode_ms)),
-            format!("{install_ms:.1}"),
-        ]);
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
 // Chaos overhead
 // ---------------------------------------------------------------------------
 
@@ -442,7 +366,7 @@ pub fn checkpoint_overhead(args: &CommonArgs) -> Table {
 /// amplification against the clean run. Rate 0 doubles as the zero-cost
 /// check — its counters must read 0.
 pub fn chaos_overhead(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut table = Table::new(
         format!(
             "Chaos overhead ({} procs, {} vertices, seed {})",
@@ -485,7 +409,7 @@ pub fn chaos_overhead(args: &CommonArgs) -> Table {
 
 /// DD-phase partitioner ablation: cut quality vs. engine cost.
 pub fn ablation_partitioner(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut table = Table::new(
         format!("Ablation — DD partitioner ({} procs, {} vertices)", args.procs, args.scale),
         &["partitioner", "cut edges", "RC steps", "messages", "sim time [s]"],
@@ -516,7 +440,7 @@ pub fn ablation_partitioner(args: &CommonArgs) -> Table {
 
 /// LogP/network ablation: network speed × exchange schedule × message cap.
 pub fn ablation_logp(args: &CommonArgs) -> Table {
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut table = Table::new(
         format!("Ablation — LogP model & schedule ({} procs, {} vertices)", args.procs, args.scale),
         &["network", "schedule", "message cap", "comm time [s]", "total sim [s]"],
@@ -595,14 +519,6 @@ mod tests {
     fn quality_is_monotone_at_tiny_scale() {
         let t = anytime_quality(&tiny());
         assert!(t.render().contains("0 (IA)"));
-    }
-
-    #[test]
-    fn checkpoint_overhead_shape() {
-        let t = checkpoint_overhead(&tiny());
-        let r = t.render();
-        assert!(r.contains("snapshot bytes"));
-        assert!(r.lines().count() >= 5);
     }
 
     #[test]

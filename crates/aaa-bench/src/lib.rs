@@ -14,22 +14,8 @@
 //! --chaos <seed:rate>   arm the seeded message-fault injector at the given
 //!                       overall fault rate and drive convergence through
 //!                       the supervised retry loop
-//! --report <path>       also run the pinned observed scenario and write
-//!                       its machine-readable RunReport JSON (consumed by
-//!                       the `perfgate` binary)
-//! --trace <path>        also run the pinned observed scenario and write a
-//!                       Chrome-trace JSON array (open in Perfetto /
-//!                       chrome://tracing)
 //! --wire full|delta     RC wire format: full rows (default) or sparse
-//!                       improvement deltas (suffixes the pinned scenario
-//!                       name with `:wire=delta` so gating stays per-wire)
-//! --store plain|compressed
-//!                       graph storage backend for the pinned scenario:
-//!                       plain adjacency (default) or the compressed
-//!                       gap-coded store fed through external-memory
-//!                       ingest, with domain decomposition running on the
-//!                       compressed backend (suffixes the scenario name
-//!                       with `:store=compressed`)
+//!                       improvement deltas
 //! --policy static|ps|rs|adaptive
 //!                       restrict streaming sweeps (`stream_load`) to one
 //!                       background-rebalance policy
@@ -39,10 +25,11 @@
 //!                       maintains. Closeness is always computed; listing
 //!                       it alone changes nothing.
 //!                       Adding `betweenness` turns on the incremental
-//!                       Brandes column and suffixes the pinned scenario
-//!                       name with `:betweenness` so it gates against its
-//!                       own committed baseline
+//!                       Brandes column
 //! ```
+//!
+//! The perf-gate cells take none of these: each runs with the arguments
+//! [`observe::CELLS`] fixes for it (`perfgate cell <name>`).
 //!
 //! Reported *time* is the LogP-simulated cluster time (compute max per
 //! superstep + modelled communication) — the quantity comparable to the
@@ -71,17 +58,8 @@ pub struct CommonArgs {
     /// Arm the chaos layer with `ChaosPlan::seeded(seed, rate, …)`
     /// (`--chaos seed:rate`).
     pub chaos: Option<(u64, f64)>,
-    /// Write the pinned observed scenario's RunReport JSON here
-    /// (`--report path`; see [`observe`]).
-    pub report: Option<PathBuf>,
-    /// Write the pinned observed scenario's Chrome trace here
-    /// (`--trace path`).
-    pub trace: Option<PathBuf>,
     /// RC wire format (`--wire full|delta`).
     pub wire: WireFormat,
-    /// Graph storage backend for the pinned scenario
-    /// (`--store plain|compressed`).
-    pub store: StoreBackend,
     /// Restrict streaming sweeps to one rebalance policy
     /// (`--policy static|ps|rs|adaptive`).
     pub policy: Option<aaa_core::RebalancePolicy>,
@@ -91,30 +69,6 @@ pub struct CommonArgs {
     /// (`--metrics closeness,betweenness`). Empty publishes closeness
     /// alone.
     pub metrics: Vec<MetricKind>,
-}
-
-/// Which [`aaa_graph::GraphStore`] backend the pinned scenario routes the
-/// graph through before the engine runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreBackend {
-    /// In-memory adjacency lists (the engine's native representation).
-    #[default]
-    Plain,
-    /// Compressed gap-coded store built via external-memory ingest; domain
-    /// decomposition runs directly on it.
-    Compressed,
-}
-
-impl std::str::FromStr for StoreBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "plain" => Ok(StoreBackend::Plain),
-            "compressed" => Ok(StoreBackend::Compressed),
-            other => Err(format!("--store wants plain|compressed, got {other}")),
-        }
-    }
 }
 
 impl Default for CommonArgs {
@@ -127,10 +81,7 @@ impl Default for CommonArgs {
             checkpoint_every: None,
             fault: None,
             chaos: None,
-            report: None,
-            trace: None,
             wire: WireFormat::Full,
-            store: StoreBackend::Plain,
             policy: None,
             ticks: None,
             metrics: Vec::new(),
@@ -176,16 +127,8 @@ impl CommonArgs {
                         std::process::exit(2);
                     }));
                 }
-                "--report" => out.report = Some(PathBuf::from(take("--report"))),
-                "--trace" => out.trace = Some(PathBuf::from(take("--trace"))),
                 "--wire" => {
                     out.wire = take("--wire").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    })
-                }
-                "--store" => {
-                    out.store = take("--store").parse().unwrap_or_else(|e: String| {
                         eprintln!("{e}");
                         std::process::exit(2);
                     })
@@ -210,9 +153,7 @@ impl CommonArgs {
                     eprintln!(
                         "usage: [--scale n] [--procs P] [--seed s] [--csv path] \
                          [--checkpoint-every N] [--fault R@S] [--chaos seed:rate] \
-                         [--report path] [--trace path] [--wire full|delta] \
-                         [--store plain|compressed] \
-                         [--policy static|ps|rs|adaptive] [--ticks N] \
+                         [--wire full|delta] [--policy static|ps|rs|adaptive] [--ticks N] \
                          [--metrics closeness,betweenness]"
                     );
                     std::process::exit(0);
@@ -229,7 +170,7 @@ impl CommonArgs {
     /// Scales a paper-sized quantity (defined against 50,000 vertices) down
     /// to this run's graph size, keeping at least `min`.
     pub fn scaled(&self, paper_value: usize, min: usize) -> usize {
-        ((paper_value as f64 * self.scale as f64 / PAPER_VERTICES as f64).round() as usize).max(min)
+        scaled(self.scale, paper_value, min)
     }
 
     /// Engine configuration for this run (parallel execution, 1 Gb/s
@@ -240,6 +181,12 @@ impl CommonArgs {
         config.metrics = self.metrics.clone();
         config
     }
+}
+
+/// Scales a paper-sized quantity (defined against 50,000 vertices) down to
+/// a graph of `scale` vertices, keeping at least `min`.
+pub fn scaled(scale: usize, paper_value: usize, min: usize) -> usize {
+    ((paper_value as f64 * scale as f64 / PAPER_VERTICES as f64).round() as usize).max(min)
 }
 
 /// Parses a `rank@superstep` fault spec.

@@ -1,74 +1,158 @@
-//! The pinned **observed scenario**: one fully deterministic, instrumented
-//! engine run that every figure binary can emit as a [`RunReport`] and/or
-//! Chrome trace via `--report` / `--trace`.
+//! The perf-gate **cells**: seven fully deterministic, instrumented engine
+//! runs, each named once in [`CELLS`] with its scenario string, the
+//! arguments it runs with, the scenario function that runs it and the
+//! committed baseline its [`RunReport`] is gated against. `perfgate cell
+//! <name>` runs one, writes its report and Chrome trace and diffs the
+//! report against that baseline.
 //!
-//! The scenario is deliberately *sequential* (bit-deterministic execution
-//! mode) and fixed in shape — construction, a few RC steps, a dynamic
-//! vertex-addition batch, one checkpoint, then convergence with quality
-//! sampling — so two runs of the same tree produce byte-identical gated
-//! metrics. That determinism is what lets CI diff a fresh report against
-//! the checked-in baseline (`results/baselines/ci_smoke.json`) with the
-//! `perfgate` binary and treat any drift in simulated cost or traffic as a
-//! real behavioral change.
+//! Every scenario is deliberately *sequential* (bit-deterministic execution
+//! mode) and fixed in shape — construction, a few RC steps, dynamic
+//! changes, then convergence — so two runs of the same tree produce
+//! byte-identical gated metrics. That determinism is what lets CI treat any
+//! drift in simulated cost or traffic as a real behavioral change.
 
 use crate::experiments::{addition_batch, base_graph};
-use crate::{CommonArgs, StoreBackend};
 use aaa_core::quality::QualityTracker;
-use aaa_core::{AnytimeEngine, AssignStrategy, EngineConfig, MemorySink, MetricKind, WireFormat};
+use aaa_core::{
+    AnytimeEngine, AssignStrategy, EngineConfig, MemorySink, MetricKind, RebalancePolicy,
+    WireFormat,
+};
 use aaa_observe::{aggregate_phases, chrome_trace, per_rank_busy, QualityPoint, RunReport};
 use std::sync::Arc;
 
 /// RC steps run before the dynamic batch is injected.
 const STEPS_BEFORE_BATCH: usize = 4;
 
-/// If `--report` or `--trace` was given, runs the pinned scenario `run`
-/// (one of the `observed_*_run` functions below) under the name
-/// `<scenario>:pinned…` and writes the requested artifacts. A no-op
-/// otherwise.
-pub fn maybe_observe(
-    scenario: &str,
-    args: &CommonArgs,
-    run: fn(&str, &CommonArgs) -> (RunReport, String),
-) {
-    if args.report.is_none() && args.trace.is_none() {
-        return;
+/// What a cell's scenario reads: the graph size, ranks and seed, plus the
+/// knobs that set the cells apart.
+#[derive(Debug, Clone, Copy)]
+pub struct CellArgs {
+    pub scale: usize,
+    pub procs: usize,
+    pub seed: u64,
+    /// RC wire format.
+    pub wire: WireFormat,
+    /// Route the graph through the compressed store (external-memory
+    /// ingest) and run domain decomposition on it.
+    pub compressed: bool,
+    /// Metrics maintained beside closeness.
+    pub metrics: &'static [MetricKind],
+    /// Background-rebalance policy of the stream scenario.
+    pub policy: RebalancePolicy,
+    /// Driver ticks of the stream scenario.
+    pub ticks: u64,
+}
+
+impl CellArgs {
+    /// [`crate::CommonArgs::scaled`] for this run's graph size.
+    fn scaled(&self, paper_value: usize, min: usize) -> usize {
+        crate::scaled(self.scale, paper_value, min)
     }
-    let (report, trace) = run(scenario, args);
-    if let Some(path) = &args.report {
-        std::fs::write(path, report.to_json_string()).expect("report write");
-        println!("(run report written to {})", path.display());
+}
+
+/// The arguments every cell runs with; a cell changes only what sets it
+/// apart.
+const PINNED: CellArgs = CellArgs {
+    scale: 300,
+    procs: 4,
+    seed: 42,
+    wire: WireFormat::Full,
+    compressed: false,
+    metrics: &[],
+    policy: RebalancePolicy::Adaptive,
+    ticks: 24,
+};
+
+/// One perf-gate cell.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell {
+    /// What `perfgate cell` and CI call it.
+    pub name: &'static str,
+    /// The report's scenario string; its baseline carries the same one.
+    pub scenario: &'static str,
+    pub args: CellArgs,
+    /// The scenario function: report and rendered Chrome trace.
+    pub run: fn(&str, &CellArgs) -> (RunReport, String),
+    /// Baseline file under `results/baselines/`.
+    pub baseline: &'static str,
+}
+
+/// Every perf-gate cell: the only place one is named.
+pub const CELLS: [Cell; 7] = [
+    Cell {
+        name: "plain",
+        scenario: "fig4:pinned",
+        args: PINNED,
+        run: observed_run,
+        baseline: "ci_smoke.json",
+    },
+    Cell {
+        name: "delta",
+        scenario: "fig4:pinned:wire=delta",
+        args: CellArgs { wire: WireFormat::Delta, ..PINNED },
+        run: observed_run,
+        baseline: "ci_smoke_delta.json",
+    },
+    Cell {
+        name: "serve",
+        scenario: "fig4:pinned:serve",
+        args: PINNED,
+        run: observed_serve_run,
+        baseline: "ci_smoke_serve.json",
+    },
+    Cell {
+        name: "store",
+        scenario: "fig4:pinned:store=compressed",
+        args: CellArgs { compressed: true, ..PINNED },
+        run: observed_run,
+        baseline: "ci_smoke_store.json",
+    },
+    Cell {
+        name: "stream",
+        scenario: "fig4:pinned:stream",
+        args: PINNED,
+        run: observed_stream_run,
+        baseline: "ci_smoke_stream.json",
+    },
+    Cell {
+        name: "publish",
+        scenario: "fig4:pinned:publish",
+        args: PINNED,
+        run: observed_publish_run,
+        baseline: "ci_smoke_publish.json",
+    },
+    Cell {
+        name: "betweenness",
+        scenario: "fig4:pinned:betweenness",
+        args: CellArgs { metrics: &[MetricKind::Betweenness], ..PINNED },
+        run: observed_run,
+        baseline: "ci_smoke_betweenness.json",
+    },
+];
+
+impl Cell {
+    /// The cell called `name`, if any.
+    pub fn named(name: &str) -> Option<&'static Cell> {
+        CELLS.iter().find(|c| c.name == name)
     }
-    if let Some(path) = &args.trace {
-        std::fs::write(path, trace).expect("trace write");
-        println!("(chrome trace written to {})", path.display());
+
+    /// Runs the scenario with the cell's arguments.
+    pub fn observe(&self) -> (RunReport, String) {
+        (self.run)(self.scenario, &self.args)
+    }
+
+    /// The committed baseline's path in this checkout.
+    pub fn baseline_path(&self) -> String {
+        format!("{}/../../results/baselines/{}", env!("CARGO_MANIFEST_DIR"), self.baseline)
     }
 }
 
 /// The engine configuration every pinned scenario starts from.
-fn pinned_config(args: &CommonArgs) -> EngineConfig {
+fn pinned_config(args: &CellArgs) -> EngineConfig {
     let mut config = EngineConfig::deterministic(args.procs);
     config.wire = args.wire;
-    config.metrics = args.metrics.clone();
+    config.metrics = args.metrics.to_vec();
     config
-}
-
-/// `<scenario>:pinned<kind>` plus one suffix per flag that changes what is
-/// measured — the wire format, the storage backend (where `store` says the
-/// scenario has such a variant) and the maintained metric set. `perfgate`
-/// refuses to compare reports from different scenarios, so each variant
-/// gates against its own committed baseline.
-fn pinned_name(scenario: &str, kind: &str, args: &CommonArgs, store: bool) -> String {
-    let mut name = format!("{scenario}:pinned{kind}");
-    if args.wire == WireFormat::Delta {
-        name.push_str(":wire=delta");
-    }
-    if store && args.store == StoreBackend::Compressed {
-        name.push_str(":store=compressed");
-    }
-    if args.metrics.contains(&MetricKind::Betweenness) {
-        name.push_str(":betweenness");
-    }
-    name
 }
 
 /// Closes a pinned run: the engine reports itself ([`AnytimeEngine::report`]
@@ -79,7 +163,7 @@ fn finish(
     engine: &AnytimeEngine,
     sink: &MemorySink,
     name: &str,
-    args: &CommonArgs,
+    args: &CellArgs,
     quality: Vec<QualityPoint>,
 ) -> (RunReport, String) {
     let events = sink.drain();
@@ -92,48 +176,46 @@ fn finish(
     (report, chrome_trace(&events, args.procs))
 }
 
-/// Runs the pinned scenario and returns its report plus the rendered
-/// Chrome trace. Fully deterministic in everything the perf gate checks:
-/// sequential execution, seeded graph and batch, fixed step structure.
+/// Runs the pinned scenario (a vertex-addition batch mid-analysis, one
+/// checkpoint, then convergence with quality sampling) under the name
+/// `scenario` and returns its report plus the rendered Chrome trace. Fully
+/// deterministic in everything the perf gate checks: sequential execution,
+/// seeded graph and batch, fixed step structure. The plain, delta, store
+/// and betweenness cells run it.
 ///
-/// With `--store compressed` the graph first round-trips through the
-/// compressed store (external-memory ingest with a deliberately tiny spill
-/// budget) and domain decomposition runs on the compressed backend; the
-/// scenario name gains a `:store=compressed` suffix so it gates against
-/// its own committed baseline.
-pub fn observed_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
+/// With `compressed` the graph first round-trips through the compressed
+/// store (external-memory ingest with a deliberately tiny spill budget) and
+/// domain decomposition runs on the compressed backend.
+pub fn observed_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     let sink = Arc::new(MemorySink::new());
     let config = pinned_config(args);
-    let g = base_graph(args);
-    let mut engine = match args.store {
-        StoreBackend::Plain => {
-            AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction")
-        }
-        StoreBackend::Compressed => {
-            use aaa_partition::{MultilevelPartitioner, Partitioner};
-            // External ingest: edges spill through a small budget, the
-            // merged arc stream builds the compressed store, and the
-            // multilevel partitioner runs directly on it. The partitioners
-            // are backend-independent, so the assignment — and with it
-            // every gated metric — is an exact function of the scenario.
-            let dir = std::env::temp_dir().join(format!(
-                "aaa-store-pinned-{}-{}",
-                std::process::id(),
-                args.seed
-            ));
-            let arcs = aaa_store::sort_edges(&dir, 1 << 16, g.edges()).expect("external ingest");
-            let compressed =
-                aaa_store::CompressedGraph::from_sorted_arcs(g.num_vertices(), false, arcs)
-                    .expect("compressed build");
-            let _ = std::fs::remove_dir_all(&dir);
-            let part = MultilevelPartitioner::seeded(0)
-                .partition(&compressed, args.procs)
-                .expect("partition on compressed backend");
-            let mut e = AnytimeEngine::with_partition(g.clone(), part, config)
-                .expect("engine construction");
-            e.set_sink(sink.clone());
-            e
-        }
+    let g = base_graph(args.scale, args.seed);
+    let mut engine = if args.compressed {
+        use aaa_partition::{MultilevelPartitioner, Partitioner};
+        // External ingest: edges spill through a small budget, the
+        // merged arc stream builds the compressed store, and the
+        // multilevel partitioner runs directly on it. The partitioners
+        // are backend-independent, so the assignment — and with it
+        // every gated metric — is an exact function of the scenario.
+        let dir = std::env::temp_dir().join(format!(
+            "aaa-store-pinned-{}-{}",
+            std::process::id(),
+            args.seed
+        ));
+        let arcs = aaa_store::sort_edges(&dir, 1 << 16, g.edges()).expect("external ingest");
+        let compressed =
+            aaa_store::CompressedGraph::from_sorted_arcs(g.num_vertices(), false, arcs)
+                .expect("compressed build");
+        let _ = std::fs::remove_dir_all(&dir);
+        let part = MultilevelPartitioner::seeded(0)
+            .partition(&compressed, args.procs)
+            .expect("partition on compressed backend");
+        let mut e =
+            AnytimeEngine::with_partition(g.clone(), part, config).expect("engine construction");
+        e.set_sink(sink.clone());
+        e
+    } else {
+        AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction")
     };
 
     // Phase 1: partial static convergence (the anytime prefix).
@@ -170,12 +252,12 @@ pub fn observed_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
         }
     }
 
-    finish(&engine, &sink, &pinned_name(scenario, "", args, true), args, quality)
+    finish(&engine, &sink, scenario, args, quality)
 }
 
 /// Runs the pinned **serve scenario** — the ingest → compute → publish
 /// pipeline under a seeded, coalescing change stream — and returns its
-/// report (scenario `<name>:pinned:serve`) plus the rendered Chrome trace.
+/// report plus the rendered Chrome trace.
 ///
 /// The stream is built so every coalescing rule fires deterministically:
 /// two vertex batches with the same strategy fold into one, every added
@@ -183,16 +265,16 @@ pub fn observed_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
 /// add), and every third pair is removed again (add + remove annihilate
 /// before ever reaching the compute layer). Everything drains at RC-step
 /// barriers, so the report's `changes` section (submitted / coalesced /
-/// applied / drains / epochs) is exactly reproducible and CI gates it
-/// against `results/baselines/ci_smoke_serve.json`.
-pub fn observed_serve_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
+/// applied / drains / epochs) is exactly reproducible; the `serve` cell
+/// gates it.
+pub fn observed_serve_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     use aaa_core::DynamicChange;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     let sink = Arc::new(MemorySink::new());
     let config = pinned_config(args);
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut engine =
         AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction");
 
@@ -281,28 +363,28 @@ pub fn observed_serve_run(scenario: &str, args: &CommonArgs) -> (RunReport, Stri
         sample(&mut engine, &mut tracker, &mut quality);
     }
 
-    finish(&engine, &sink, &pinned_name(scenario, ":serve", args, false), args, quality)
+    finish(&engine, &sink, scenario, args, quality)
 }
 
 /// Runs the pinned **publish scenario** — the delta publication path under
 /// a change stream, with one forced O(n) republication mid-run so both
-/// publish paths land in the `publish` section — and returns its report (scenario
-/// `<name>:pinned:publish`) plus the rendered Chrome trace.
+/// publish paths land in the `publish` section — and returns its report
+/// plus the rendered Chrome trace.
 ///
 /// This is the cell whose baseline pins the engine's `publish` section
 /// (full vs. delta epochs, changed rows, chunks copied vs. structurally
 /// shared, top-k index rebuilds). Chunk-sharing decisions are an exact
 /// function of the change stream — publication happens driver-side at
-/// barriers on drained epoch-dirty sets — so every row is deterministic
-/// and CI gates it against `results/baselines/ci_smoke_publish.json`.
-pub fn observed_publish_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
+/// barriers on drained epoch-dirty sets — so every row is deterministic;
+/// the `publish` cell gates it.
+pub fn observed_publish_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     use aaa_core::DynamicChange;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     let sink = Arc::new(MemorySink::new());
     let config = pinned_config(args);
-    let g = base_graph(args);
+    let g = base_graph(args.scale, args.seed);
     let mut engine =
         AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction");
 
@@ -345,36 +427,30 @@ pub fn observed_publish_run(scenario: &str, args: &CommonArgs) -> (RunReport, St
     engine.set_force_full_publish(false);
     while engine.rc_step() {}
 
-    finish(&engine, &sink, &pinned_name(scenario, ":publish", args, false), args, Vec::new())
+    finish(&engine, &sink, scenario, args, Vec::new())
 }
 
 /// Runs the pinned **stream scenario** — the adversarial hub-targeting
 /// change stream driven through the ingest log while the adaptive
 /// background rebalancer absorbs the resulting skew — and returns its
-/// report (scenario `<name>:pinned:stream`) plus the rendered Chrome
-/// trace.
+/// report plus the rendered Chrome trace.
 ///
 /// The driver adds its own `stream` section (offered batches,
 /// deterministic p99/max epoch staleness, peak queue depth and the final
 /// vertex imbalance the rebalancer achieved) to the engine's, of which
 /// `migration` (events, rows moved, priced traffic) is the one this cell
 /// exists to pin. Everything except the
-/// wall-derived `changes_per_sec` is an exact function of the scenario,
-/// so CI gates it against `results/baselines/ci_smoke_stream.json`.
-/// Measured-skew decisions stay off (`use_measured: false`) — the pinned
-/// scenario must never branch on the wall clock.
-pub fn observed_stream_run(scenario: &str, args: &CommonArgs) -> (RunReport, String) {
+/// wall-derived `changes_per_sec` is an exact function of the scenario;
+/// the `stream` cell gates it.
+pub fn observed_stream_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     use crate::stream::{drive_stream, StreamConfig, StreamShape};
-    use aaa_core::{RebalanceConfig, RebalancePolicy};
+    use aaa_core::RebalanceConfig;
 
     let sink = Arc::new(MemorySink::new());
     let mut config = pinned_config(args);
-    config.rebalance = RebalanceConfig {
-        every: 2,
-        trigger: 1.05,
-        ..RebalanceConfig::with_policy(args.policy.unwrap_or(RebalancePolicy::Adaptive))
-    };
-    let g = base_graph(args);
+    config.rebalance =
+        RebalanceConfig { every: 2, trigger: 1.05, ..RebalanceConfig::with_policy(args.policy) };
+    let g = base_graph(args.scale, args.seed);
     let mut engine =
         AnytimeEngine::with_sink(g, config, sink.clone()).expect("engine construction");
 
@@ -389,15 +465,14 @@ pub fn observed_stream_run(scenario: &str, args: &CommonArgs) -> (RunReport, Str
     // cadence, then tail drain and convergence (inside the driver).
     let stream = StreamConfig {
         shape: StreamShape::Hub,
-        ticks: args.ticks.unwrap_or(24),
+        ticks: args.ticks,
         batch: args.scaled(256, 4),
         edges_per_vertex: 2,
         seed: args.seed + 1,
     };
     let outcome = drive_stream(&mut engine, &stream);
 
-    let (mut report, trace) =
-        finish(&engine, &sink, &pinned_name(scenario, ":stream", args, true), args, Vec::new());
+    let (mut report, trace) = finish(&engine, &sink, scenario, args, Vec::new());
     report.sections.push(outcome.section());
     (report, trace)
 }
@@ -407,8 +482,11 @@ mod tests {
     use super::*;
     use aaa_observe::{compare, GateConfig};
 
-    fn small_args() -> CommonArgs {
-        CommonArgs { scale: 120, procs: 3, seed: 7, ..CommonArgs::default() }
+    /// The named cell at test size.
+    fn small(name: &str) -> Cell {
+        let mut cell = *Cell::named(name).expect("a cell of the table");
+        cell.args = CellArgs { scale: 120, procs: 3, seed: 7, ..cell.args };
+        cell
     }
 
     /// Every row the perf gate gates reads the same in `a` and `b`: the gate
@@ -433,26 +511,26 @@ mod tests {
 
     #[test]
     fn observed_run_is_deterministic_in_gated_metrics() {
-        let args = small_args();
-        let (a, _) = observed_run("unit", &args);
-        let (b, _) = observed_run("unit", &args);
-        assert_eq!(a.scenario, "unit:pinned");
+        let cell = small("plain");
+        let (a, _) = cell.observe();
+        let (b, _) = cell.observe();
+        assert_eq!(a.scenario, "fig4:pinned");
         assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
         assert_eq!(a.checkpoints, 1);
         assert!(a.rc_steps as usize > STEPS_BEFORE_BATCH);
         assert!(!a.phases.is_empty());
-        assert!(a.ranks.len() >= args.procs, "every rank plus the driver recorded spans");
+        assert!(a.ranks.len() >= cell.args.procs, "every rank plus the driver recorded spans");
         let last = a.final_quality().expect("quality sampled");
         assert!(last.error < 1e-6, "converged run matches exact closeness");
     }
 
     #[test]
     fn observed_serve_run_is_deterministic_and_coalesces() {
-        let args = small_args();
-        let (a, _) = observed_serve_run("unit", &args);
-        let (b, _) = observed_serve_run("unit", &args);
-        assert_eq!(a.scenario, "unit:pinned:serve");
+        let cell = small("serve");
+        let (a, _) = cell.observe();
+        let (b, _) = cell.observe();
+        assert_eq!(a.scenario, "fig4:pinned:serve");
         assert_same_gated(&a, &b);
         let changes = row_of(&a, "changes");
         assert!(changes("coalesced") > 0, "batch fold + edge merges must coalesce");
@@ -473,11 +551,9 @@ mod tests {
     /// partition — and everything downstream — is the same.
     #[test]
     fn compressed_store_scenario_matches_plain_gated_metrics() {
-        let plain = small_args();
-        let store = CommonArgs { store: crate::StoreBackend::Compressed, ..small_args() };
-        let (a, _) = observed_run("unit", &plain);
-        let (b, _) = observed_run("unit", &store);
-        assert_eq!(b.scenario, "unit:pinned:store=compressed");
+        let (a, _) = small("plain").observe();
+        let (b, _) = small("store").observe();
+        assert_eq!(b.scenario, "fig4:pinned:store=compressed");
         assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
     }
@@ -488,10 +564,10 @@ mod tests {
     /// publication paths.
     #[test]
     fn observed_publish_run_is_deterministic_and_uses_both_paths() {
-        let args = small_args();
-        let (a, _) = observed_publish_run("unit", &args);
-        let (b, _) = observed_publish_run("unit", &args);
-        assert_eq!(a.scenario, "unit:pinned:publish");
+        let cell = small("publish");
+        let (a, _) = cell.observe();
+        let (b, _) = cell.observe();
+        assert_eq!(a.scenario, "fig4:pinned:publish");
         assert_same_gated(&a, &b);
         let publish = row_of(&a, "publish");
         assert!(publish("full_epochs") >= 2, "construction + forced-full wave");
@@ -512,10 +588,11 @@ mod tests {
     /// be byte-reproducible; only `changes_per_sec` may differ.
     #[test]
     fn observed_stream_run_is_deterministic_and_migrates() {
-        let args = CommonArgs { ticks: Some(10), ..small_args() };
-        let (a, _) = observed_stream_run("unit", &args);
-        let (b, _) = observed_stream_run("unit", &args);
-        assert_eq!(a.scenario, "unit:pinned:stream");
+        let mut cell = small("stream");
+        cell.args.ticks = 10;
+        let (a, _) = cell.observe();
+        let (b, _) = cell.observe();
+        assert_eq!(a.scenario, "fig4:pinned:stream");
         assert_same_gated(&a, &b);
         let stream = row_of(&a, "stream");
         let migration = row_of(&a, "migration");
@@ -532,12 +609,11 @@ mod tests {
     /// full per-epoch rescan (`sources_recomputed` < n × update epochs).
     #[test]
     fn betweenness_scenario_is_deterministic_and_beats_rescan() {
-        let base = small_args();
-        let args = CommonArgs { metrics: vec![MetricKind::Betweenness], ..small_args() };
-        let (plain, _) = observed_run("unit", &base);
-        let (a, _) = observed_run("unit", &args);
-        let (b, _) = observed_run("unit", &args);
-        assert_eq!(a.scenario, "unit:pinned:betweenness");
+        let cell = small("betweenness");
+        let (plain, _) = small("plain").observe();
+        let (a, _) = cell.observe();
+        let (b, _) = cell.observe();
+        assert_eq!(a.scenario, "fig4:pinned:betweenness");
         assert_same_gated(&a, &b);
         assert_eq!(a.quality, b.quality);
         // Maintaining the extra column must not perturb the priced run.
@@ -553,7 +629,7 @@ mod tests {
         let t = row_of(&a, "metrics");
         assert!(t("betweenness_epochs") > 0 && t("changed_entries") > 0);
         assert_eq!(t("full_recomputes"), 1, "construction's; the batch drain voids nothing");
-        let n = (args.scale + args.scaled(512, 8)) as u64;
+        let n = (cell.args.scale + cell.args.scaled(512, 8)) as u64;
         assert!(
             t("sources_recomputed") < n * t("betweenness_epochs"),
             "incremental updates must beat a per-epoch full rescan \
@@ -569,11 +645,9 @@ mod tests {
     /// strictly fewer simulated bytes.
     #[test]
     fn delta_wire_reduces_bytes_and_converges() {
-        let full_args = small_args();
-        let delta_args = CommonArgs { wire: WireFormat::Delta, ..small_args() };
-        let (full, _) = observed_run("unit", &full_args);
-        let (delta, _) = observed_run("unit", &delta_args);
-        assert_eq!(delta.scenario, "unit:pinned:wire=delta");
+        let (full, _) = small("plain").observe();
+        let (delta, _) = small("delta").observe();
+        assert_eq!(delta.scenario, "fig4:pinned:wire=delta");
         assert!(
             delta.bytes < full.bytes,
             "delta wire must cut simulated bytes ({} vs {})",

@@ -2,14 +2,11 @@
 //! loop (and by drive loops in benches/examples) so snapshots always land
 //! at superstep barriers, where rank state is globally consistent.
 
-/// Checkpoint cadence.
+/// Checkpoint cadence: every `n`-th RC step, or only on request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointPolicy {
     /// Snapshot after every `n`-th RC step (n ≥ 1).
     EveryNRcSteps(usize),
-    /// Snapshot after every applied dynamic change (vertex batch, edge
-    /// change…) — the natural cadence for change-stream consumers.
-    OnChangeApplied,
     /// Only when the caller explicitly asks.
     #[default]
     Manual,
@@ -21,13 +18,8 @@ impl CheckpointPolicy {
     pub fn due_after_rc_step(&self, rc_steps_done: usize) -> bool {
         match *self {
             CheckpointPolicy::EveryNRcSteps(n) => n > 0 && rc_steps_done % n == 0,
-            CheckpointPolicy::OnChangeApplied | CheckpointPolicy::Manual => false,
+            CheckpointPolicy::Manual => false,
         }
-    }
-
-    /// Should a snapshot be taken after a dynamic change was applied?
-    pub fn due_after_change(&self) -> bool {
-        matches!(self, CheckpointPolicy::OnChangeApplied)
     }
 }
 
@@ -42,16 +34,12 @@ mod tests {
         assert!(!p.due_after_rc_step(2));
         assert!(p.due_after_rc_step(3));
         assert!(p.due_after_rc_step(6));
-        assert!(!p.due_after_change());
         // Degenerate n = 0 never fires instead of dividing by zero.
         assert!(!CheckpointPolicy::EveryNRcSteps(0).due_after_rc_step(5));
     }
 
     #[test]
-    fn change_and_manual_policies() {
-        assert!(CheckpointPolicy::OnChangeApplied.due_after_change());
-        assert!(!CheckpointPolicy::OnChangeApplied.due_after_rc_step(4));
-        assert!(!CheckpointPolicy::Manual.due_after_change());
+    fn manual_policy_never_fires() {
         assert!(!CheckpointPolicy::Manual.due_after_rc_step(4));
         assert_eq!(CheckpointPolicy::default(), CheckpointPolicy::Manual);
     }

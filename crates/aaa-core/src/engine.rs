@@ -29,6 +29,7 @@ use aaa_checkpoint::{
     Snapshot,
 };
 use aaa_graph::apsp::DistMatrix;
+use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::sssp::dijkstra;
 use aaa_graph::{dist_add, AdjGraph, Dist, PartId, VertexId, Weight, INF};
 use aaa_observe::{EventSink, NoopSink, RunReport, Section, SpanEvent, SpanKind, DRIVER_LANE};
@@ -512,7 +513,6 @@ impl AnytimeEngine {
             ids.sort_unstable();
             ids
         };
-        let primary = self.metrics.primary();
         let (ranks, partition) = (self.cluster.ranks(), &self.partition);
         let row = |v: VertexId| {
             ranks[partition.part_of(v) as usize].dv().local_row(v).expect("local row")
@@ -524,10 +524,10 @@ impl AnytimeEngine {
             candidates
                 .iter()
                 .zip(intervals)
-                .map(|(&v, (lo, hi))| (v, primary.score(row(v)).clamp(lo, hi), hi - lo))
+                .map(|(&v, (lo, hi))| (v, closeness_from_row(row(v)).clamp(lo, hi), hi - lo))
                 .collect()
         } else {
-            candidates.iter().map(|&v| (v, primary.score(row(v)), 0.0)).collect()
+            candidates.iter().map(|&v| (v, closeness_from_row(row(v)), 0.0)).collect()
         };
         let (rc_steps, applied) = (self.rc_steps, self.changes_applied);
         if full {
@@ -1059,10 +1059,7 @@ impl AnytimeEngine {
             return Ok(());
         }
         let started = std::time::Instant::now();
-        let mut signals = LoadSignals::measure(&self.graph, &self.partition);
-        if cfg.use_measured {
-            signals = signals.with_measured_skew(rank_skew(self.cluster.rank_busy_us()));
-        }
+        let signals = LoadSignals::measure(&self.graph, &self.partition);
         let moves = Rebalancer::new(cfg).moves(&self.graph, &self.partition, &signals)?;
         self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
         self.migrate_vertices(&moves)
@@ -1855,19 +1852,6 @@ impl AnytimeEngine {
         self.publish_view(false);
         Ok(())
     }
-}
-
-/// Max/mean busy-time ratio over ranks — the measured-load skew the
-/// rebalancer can opt into ([`RebalanceConfig::use_measured`]). `None`
-/// until any busy time has accrued (e.g. before the first superstep).
-fn rank_skew(busy_us: &[f64]) -> Option<f64> {
-    let total: f64 = busy_us.iter().sum();
-    if busy_us.is_empty() || total <= 0.0 {
-        return None;
-    }
-    let mean = total / busy_us.len() as f64;
-    let max = busy_us.iter().cloned().fold(0.0, f64::max);
-    Some(max / mean)
 }
 
 #[cfg(test)]

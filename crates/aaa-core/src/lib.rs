@@ -65,9 +65,7 @@ pub use changes::{DynamicChange, NewVertex, VertexBatch};
 pub use engine::{AnytimeEngine, ConvergenceSummary, DdPartitioner, EngineConfig, SupervisedRun};
 pub use error::CoreError;
 pub use ingest::{ChangeLog, IngestStats, PendingChange};
-pub use metric::{
-    ClosenessMetric, IncBetweenness, Metric, MetricKind, MetricMask, MetricSet, MetricTally,
-};
+pub use metric::{IncBetweenness, Metric, MetricKind, MetricMask, MetricSet, MetricTally};
 pub use net::{
     run_worker, NetConfig, NetMsg, NetOutcome, NetRunner, NetSummary, NoSupervisor, Revive,
     WireError, WorkerSupervisor,

@@ -8,12 +8,12 @@
 //! column; the engine publishes one epoch carrying every active metric's
 //! column, and `aaa-serve` exposes them behind a [`MetricKind`] selector.
 //!
-//! Two implementations ship today:
+//! Closeness is the *primary* column: always present, a pure function of
+//! one row (`aaa_graph::closeness::closeness_from_row`, which the publish
+//! barrier calls on each changed row), and carrying the certified
+//! `c ∈ [c_lo, c_hi]` interval bounds. It keeps no state, so it is no
+//! [`Metric`]. The one stateful metric is:
 //!
-//! * [`ClosenessMetric`] — the original row-local closeness path. It is
-//!   the *primary* metric: always present, scored worker-side straight
-//!   from each changed row, and carrying the certified `c ∈ [c_lo, c_hi]`
-//!   interval bounds.
 //! * [`IncBetweenness`] — incremental betweenness per Kourtellis et al.
 //!   (*Scalable Online Betweenness Centrality in Evolving Graphs*): a
 //!   Brandes-style dependency vector is cached per source and recomputed
@@ -30,7 +30,6 @@
 //!   (`aaa_graph::centrality::betweenness_exact_det`).
 
 use aaa_graph::centrality::{bfs_ranks, dependencies_from_rows, DependencyScratch, LANES};
-use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, VertexId};
 use std::fmt;
 
@@ -188,11 +187,6 @@ pub trait Metric: Send {
     /// Which column this metric maintains.
     fn kind(&self) -> MetricKind;
 
-    /// Row-local score, if the metric is a pure function of one vertex's
-    /// row (closeness is; betweenness is not). The engine scores such
-    /// metrics worker-side with zero extra state.
-    fn score_from_row(&self, row: &[Dist]) -> Option<f64>;
-
     /// Rows were rewound behind the change tracking's back: cached state
     /// derived from them is void. (A change to the graph is *not* this —
     /// the sources it touched arrive through [`Metric::update`].)
@@ -215,61 +209,11 @@ pub trait Metric: Send {
     ) -> Vec<(VertexId, f64)>;
 
     /// The full maintained column (length `n`), if the metric keeps one;
-    /// used by full publish epochs. Row-local metrics return `None` (the
-    /// engine gathers their column from the rows directly).
+    /// used by full publish epochs.
     fn full_column(&self, n: usize) -> Option<Vec<f64>>;
 
     /// Work counters accumulated so far.
     fn tally(&self) -> MetricTally;
-}
-
-/// The primary metric: closeness scored row-locally, exactly as the
-/// pre-refactor engine did — same function, same call sites, same bits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClosenessMetric;
-
-impl ClosenessMetric {
-    /// Infallible closeness score. The trait's [`Metric::score_from_row`]
-    /// returns `Option` because not every metric can score a row in
-    /// isolation; closeness always can, and the engine's publish path
-    /// relies on that.
-    #[inline]
-    pub fn score(&self, row: &[Dist]) -> f64 {
-        closeness_from_row(row)
-    }
-}
-
-impl Metric for ClosenessMetric {
-    fn kind(&self) -> MetricKind {
-        MetricKind::Closeness
-    }
-
-    fn score_from_row(&self, row: &[Dist]) -> Option<f64> {
-        Some(closeness_from_row(row))
-    }
-
-    fn invalidate(&mut self) {}
-
-    fn wants_all_rows(&self) -> bool {
-        false
-    }
-
-    fn update(
-        &mut self,
-        _n: usize,
-        rows: &[(VertexId, Vec<Dist>)],
-        _adj: &AdjGraph,
-    ) -> Vec<(VertexId, f64)> {
-        rows.iter().map(|(v, row)| (*v, closeness_from_row(row))).collect()
-    }
-
-    fn full_column(&self, _n: usize) -> Option<Vec<f64>> {
-        None
-    }
-
-    fn tally(&self) -> MetricTally {
-        MetricTally::default()
-    }
 }
 
 /// Incremental betweenness: per-source Brandes dependency vectors cached
@@ -312,10 +256,6 @@ impl IncBetweenness {
 impl Metric for IncBetweenness {
     fn kind(&self) -> MetricKind {
         MetricKind::Betweenness
-    }
-
-    fn score_from_row(&self, _row: &[Dist]) -> Option<f64> {
-        None // path counting needs every source's row, not one vertex's
     }
 
     fn invalidate(&mut self) {
@@ -395,18 +335,18 @@ impl Metric for IncBetweenness {
     }
 }
 
-/// Constructs the maintained-state implementation of one kind.
-pub fn new_metric(kind: MetricKind) -> Box<dyn Metric> {
+/// The maintained-state implementation of one kind; `None` for
+/// closeness, which is scored from each row and keeps no state.
+pub fn new_metric(kind: MetricKind) -> Option<Box<dyn Metric>> {
     match kind {
-        MetricKind::Closeness => Box::new(ClosenessMetric),
-        MetricKind::Betweenness => Box::new(IncBetweenness::new()),
+        MetricKind::Closeness => None,
+        MetricKind::Betweenness => Some(Box::new(IncBetweenness::new())),
     }
 }
 
-/// The engine's active metric set: the always-on closeness primary plus
-/// any configured extras (each a stateful [`Metric`]).
+/// The engine's active metric set: the configured extras beside the
+/// always-on closeness column, each a stateful [`Metric`].
 pub struct MetricSet {
-    primary: ClosenessMetric,
     extras: Vec<Box<dyn Metric>>,
 }
 
@@ -421,16 +361,10 @@ impl MetricSet {
     /// (always the primary); duplicates are ignored; extras are ordered by
     /// wire id so every layer agrees on column order.
     pub fn from_kinds(kinds: &[MetricKind]) -> Self {
-        let mut wanted: Vec<MetricKind> =
-            kinds.iter().copied().filter(|k| *k != MetricKind::Closeness).collect();
+        let mut wanted = kinds.to_vec();
         wanted.sort_unstable_by_key(|k| k.wire_id());
         wanted.dedup();
-        Self { primary: ClosenessMetric, extras: wanted.into_iter().map(new_metric).collect() }
-    }
-
-    /// The always-present row-local primary (closeness).
-    pub fn primary(&self) -> &ClosenessMetric {
-        &self.primary
+        Self { extras: wanted.into_iter().filter_map(new_metric).collect() }
     }
 
     /// The configured extra metrics, in wire-id order.
@@ -515,15 +449,6 @@ mod tests {
         assert_eq!(m.to_string(), "closeness+betweenness");
         assert!(MetricMask::EMPTY.is_empty());
         assert_eq!(MetricMask::EMPTY.to_string(), "none");
-    }
-
-    #[test]
-    fn closeness_metric_is_the_legacy_function() {
-        let g = sample();
-        let m = ClosenessMetric;
-        for (_, row) in all_rows(&g) {
-            assert_eq!(m.score_from_row(&row), Some(closeness_from_row(&row)));
-        }
     }
 
     #[test]

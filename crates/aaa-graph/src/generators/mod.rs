@@ -13,8 +13,8 @@
 //!   used to produce the community-structured additions of §V.B.2.
 //!
 //! For graphs too large to hold as adjacency lists, the [`stream`] module
-//! provides [`ba_stream`] / [`er_stream`], which yield the edge stream
-//! itself for external-memory ingest.
+//! provides [`ba_stream`], which yields the edge stream itself for
+//! external-memory ingest.
 //!
 //! All generators are deterministic in their seed (ChaCha8) and produce
 //! simple graphs (no self-loops or parallel edges).
@@ -30,7 +30,7 @@ pub use ba::barabasi_albert;
 pub use er::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 pub use sbm::{planted_partition, PlantedPartition};
-pub use stream::{ba_stream, er_stream, sorted_batches, BaStream, ErStream, StreamEdge};
+pub use stream::{ba_stream, BaStream, StreamEdge};
 pub use ws::watts_strogatz;
 
 use crate::Weight;

@@ -12,12 +12,6 @@
 //!   generator (the process samples from an endpoint multiset and never
 //!   reads the adjacency, which is why it streams). Memory: the endpoint
 //!   multiset, `2·n·m` vertex ids.
-//! * [`er_stream`] — G(n, p) Erdős–Rényi by geometric skip-sampling over
-//!   the lexicographic pair order: O(1) memory, edges emitted sorted by
-//!   `(u, v)` with `u < v`.
-//! * [`sorted_batches`] — groups any edge stream into fixed-size batches,
-//!   each normalized to `u < v` and sorted lexicographically, the shape an
-//!   external sorter ingests.
 //!
 //! [`barabasi_albert`]: super::barabasi_albert
 
@@ -142,8 +136,7 @@ impl Iterator for BaStream {
 /// Streaming [`super::barabasi_albert`]: yields the identical edge stream
 /// (same process, same RNG consumption) without building the graph. Edges
 /// arrive in generation order — new vertex first, so `u > v` in the growth
-/// phase — not sorted; feed them to an external sorter (or
-/// [`sorted_batches`]) for sorted batches.
+/// phase — not sorted; feed them to an external sorter for sorted batches.
 pub fn ba_stream(
     n: usize,
     m: usize,
@@ -167,158 +160,6 @@ pub fn ba_stream(
         pending: Vec::new(),
         emitted: 0,
     })
-}
-
-// ----------------------------------------------------------------
-// Erdős–Rényi G(n, p)
-// ----------------------------------------------------------------
-
-/// Streaming G(n, p) edge generator; see [`er_stream`].
-#[derive(Debug)]
-pub struct ErStream {
-    n: u64,
-    p: f64,
-    weights: WeightModel,
-    rng: ChaCha8Rng,
-    /// Linear index of the next candidate pair (0-based over the
-    /// lexicographic enumeration of all n(n−1)/2 pairs).
-    next_idx: u64,
-    total_pairs: u64,
-}
-
-impl ErStream {
-    /// Number of vertices in the generated graph.
-    pub fn num_vertices(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Expected number of edges, `p · n(n−1)/2`.
-    pub fn expected_edges(&self) -> f64 {
-        self.p * self.total_pairs as f64
-    }
-}
-
-/// Maps a linear pair index to the `(u, v)` pair (`u < v`) in lexicographic
-/// order: index 0 → (0,1), 1 → (0,2), …, n−2 → (0,n−1), n−1 → (1,2), …
-fn pair_at(idx: u64, n: u64) -> (VertexId, VertexId) {
-    // Row u holds n−1−u pairs, so it starts at Σ_{i<u} (n−1−i); find the
-    // row by binary search on that cumulative offset.
-    let row_start = |u: u64| u * (2 * n - u - 1) / 2;
-    let (mut lo, mut hi) = (0u64, n - 1);
-    while lo + 1 < hi {
-        let mid = (lo + hi) / 2;
-        if row_start(mid) <= idx {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let u = if row_start(hi) <= idx { hi } else { lo };
-    let v = u + 1 + (idx - row_start(u));
-    (u as VertexId, v as VertexId)
-}
-
-impl Iterator for ErStream {
-    type Item = StreamEdge;
-
-    fn next(&mut self) -> Option<StreamEdge> {
-        if self.next_idx >= self.total_pairs || self.p <= 0.0 {
-            return None;
-        }
-        // Geometric skip: the gap to the next present pair is
-        // ⌊ln(1−u) / ln(1−p)⌋ for u ~ U[0,1).
-        let skip = if self.p >= 1.0 {
-            0
-        } else {
-            let u: f64 = self.rng.gen();
-            let g = ((1.0 - u).ln() / (1.0 - self.p).ln()).floor();
-            if g >= self.total_pairs as f64 {
-                self.next_idx = self.total_pairs;
-                return None;
-            }
-            g as u64
-        };
-        let idx = match self.next_idx.checked_add(skip) {
-            Some(i) if i < self.total_pairs => i,
-            _ => {
-                self.next_idx = self.total_pairs;
-                return None;
-            }
-        };
-        self.next_idx = idx + 1;
-        let (u, v) = pair_at(idx, self.n);
-        let w = self.weights.sample(&mut self.rng);
-        Some((u, v, w))
-    }
-}
-
-/// Streaming Erdős–Rényi G(n, p): each of the n(n−1)/2 pairs is an edge
-/// independently with probability `p`. Skip-sampling makes the cost O(|E|)
-/// and the memory O(1); edges are emitted in lexicographic `(u, v)` order
-/// with `u < v`, i.e. already sorted for ingest.
-///
-/// This is the G(n, p) counterpart of the in-memory G(n, m)
-/// [`super::erdos_renyi`]; the two parametrizations agree in distribution
-/// when `m ≈ p·n(n−1)/2` but are not edge-for-edge identical.
-pub fn er_stream(
-    n: usize,
-    p: f64,
-    weights: WeightModel,
-    seed: u64,
-) -> Result<ErStream, GraphError> {
-    check_n(n)?;
-    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-        return Err(GraphError::InvalidArgument(format!("edge probability {p} not in [0, 1]")));
-    }
-    let n64 = n as u64;
-    Ok(ErStream {
-        n: n64,
-        p,
-        weights,
-        rng: ChaCha8Rng::seed_from_u64(seed),
-        next_idx: 0,
-        total_pairs: n64 * (n64 - 1) / 2,
-    })
-}
-
-// ----------------------------------------------------------------
-// Batching
-// ----------------------------------------------------------------
-
-/// Groups an edge stream into batches of at most `batch` edges, each
-/// normalized to `u < v` and sorted lexicographically by `(u, v, w)` — the
-/// unit an external-memory ingest consumes.
-pub fn sorted_batches<I>(edges: I, batch: usize) -> SortedBatches<I::IntoIter>
-where
-    I: IntoIterator<Item = StreamEdge>,
-{
-    SortedBatches { inner: edges.into_iter(), batch: batch.max(1) }
-}
-
-/// Iterator adapter returned by [`sorted_batches`].
-#[derive(Debug)]
-pub struct SortedBatches<I> {
-    inner: I,
-    batch: usize,
-}
-
-impl<I: Iterator<Item = StreamEdge>> Iterator for SortedBatches<I> {
-    type Item = Vec<StreamEdge>;
-
-    fn next(&mut self) -> Option<Vec<StreamEdge>> {
-        let mut buf: Vec<StreamEdge> = Vec::with_capacity(self.batch);
-        for (u, v, w) in self.inner.by_ref() {
-            buf.push((u.min(v), u.max(v), w));
-            if buf.len() >= self.batch {
-                break;
-            }
-        }
-        if buf.is_empty() {
-            return None;
-        }
-        buf.sort_unstable();
-        Some(buf)
-    }
 }
 
 #[cfg(test)]
@@ -362,59 +203,5 @@ mod tests {
         assert!(ba_stream(10, 0, WeightModel::Unit, 0).is_err());
         // Single vertex: empty stream.
         assert_eq!(ba_stream(1, 2, WeightModel::Unit, 0).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn er_stream_is_sorted_simple_and_deterministic() {
-        let edges: Vec<_> = er_stream(300, 0.02, WeightModel::Unit, 9).unwrap().collect();
-        assert!(edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)), "sorted");
-        assert!(edges.iter().all(|&(u, v, _)| u < v && v < 300));
-        let again: Vec<_> = er_stream(300, 0.02, WeightModel::Unit, 9).unwrap().collect();
-        assert_eq!(edges, again);
-        let other: Vec<_> = er_stream(300, 0.02, WeightModel::Unit, 10).unwrap().collect();
-        assert_ne!(edges, other);
-    }
-
-    #[test]
-    fn er_stream_edge_count_concentrates() {
-        let s = er_stream(400, 0.05, WeightModel::Unit, 3).unwrap();
-        let expected = s.expected_edges();
-        let count = s.count() as f64;
-        // 400·399/2·0.05 ≈ 3990; allow ±15%.
-        assert!((count - expected).abs() < 0.15 * expected, "{count} vs {expected}");
-    }
-
-    #[test]
-    fn er_stream_extremes() {
-        assert_eq!(er_stream(50, 0.0, WeightModel::Unit, 1).unwrap().count(), 0);
-        assert_eq!(er_stream(10, 1.0, WeightModel::Unit, 1).unwrap().count(), 45);
-        assert!(er_stream(10, 1.5, WeightModel::Unit, 1).is_err());
-        assert!(er_stream(10, f64::NAN, WeightModel::Unit, 1).is_err());
-        assert_eq!(er_stream(1, 0.5, WeightModel::Unit, 1).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn pair_at_enumerates_lexicographically() {
-        let n = 7u64;
-        let mut idx = 0u64;
-        for u in 0..7u32 {
-            for v in (u + 1)..7u32 {
-                assert_eq!(pair_at(idx, n), (u, v), "idx {idx}");
-                idx += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_batches_normalizes_and_sorts() {
-        let raw = vec![(5u32, 2u32, 1u32), (1, 0, 2), (3, 4, 1), (9, 8, 1), (0, 7, 3)];
-        let batches: Vec<_> = sorted_batches(raw, 2).collect();
-        assert_eq!(batches.len(), 3);
-        for b in &batches {
-            assert!(b.windows(2).all(|w| w[0] <= w[1]));
-            assert!(b.iter().all(|&(u, v, _)| u < v));
-        }
-        let total: usize = batches.iter().map(Vec::len).sum();
-        assert_eq!(total, 5);
     }
 }

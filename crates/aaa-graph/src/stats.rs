@@ -1,4 +1,4 @@
-//! Structural statistics: connected components, degree summaries.
+//! Structural statistics: connected components.
 
 use crate::{Csr, VertexId};
 
@@ -42,30 +42,6 @@ pub fn connected_components(g: &Csr) -> Components {
     Components { label, num_components: sizes.len(), sizes }
 }
 
-/// Degree summary statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    pub min: usize,
-    pub max: usize,
-    pub mean: f64,
-    /// Fraction of vertices with degree ≥ 2 × mean (a cheap skewness proxy).
-    pub heavy_fraction: f64,
-}
-
-/// Computes degree statistics. Returns `None` for an empty graph.
-pub fn degree_stats(g: &Csr) -> Option<DegreeStats> {
-    let n = g.num_vertices();
-    if n == 0 {
-        return None;
-    }
-    let degrees: Vec<usize> = (0..n as VertexId).map(|v| g.degree(v)).collect();
-    let min = *degrees.iter().min().unwrap();
-    let max = *degrees.iter().max().unwrap();
-    let mean = degrees.iter().sum::<usize>() as f64 / n as f64;
-    let heavy = degrees.iter().filter(|&&d| d as f64 >= 2.0 * mean && mean > 0.0).count();
-    Some(DegreeStats { min, max, mean, heavy_fraction: heavy as f64 / n as f64 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,23 +71,5 @@ mod tests {
         let c = connected_components(&Csr::from_adj(&g));
         assert_eq!(c.num_components, 1);
         assert_eq!(c.sizes, vec![4]);
-    }
-
-    #[test]
-    fn degree_stats_basics() {
-        let mut g = AdjGraph::with_vertices(4);
-        g.add_edge(0, 1, 1).unwrap();
-        g.add_edge(0, 2, 1).unwrap();
-        g.add_edge(0, 3, 1).unwrap();
-        let s = degree_stats(&Csr::from_adj(&g)).unwrap();
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 1.5).abs() < 1e-12);
-        assert!((s.heavy_fraction - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_graph_has_no_stats() {
-        assert!(degree_stats(&Csr::from_adj(&AdjGraph::new())).is_none());
     }
 }

@@ -15,11 +15,8 @@
 //! answers; only *where* the work happens changes.
 //!
 //! The planner itself is a pure function of the graph, the partition and a
-//! [`LoadSignals`] snapshot, so runs that feed it deterministic structural
-//! signals (the default) are exactly reproducible and safe to perf-gate.
-//! Measured per-rank busy-time skew from the observability layer can be
-//! attached and opted into via [`RebalanceConfig::use_measured`] for
-//! deployments that want wall-clock-driven decisions.
+//! [`LoadSignals`] snapshot of structural signals, so every run is exactly
+//! reproducible and safe to perf-gate.
 
 use crate::quality::{per_part_cut, vertex_balance};
 use crate::{MultilevelPartitioner, Partition, PartitionError, Partitioner};
@@ -75,10 +72,6 @@ pub struct RebalanceConfig {
     pub rs_trigger: f64,
     /// Seed for the multilevel partitioner on RS escalations.
     pub seed: u64,
-    /// Decide on measured busy-time skew (when provided) instead of the
-    /// structural vertex balance. Measured skew is wall-clock-derived and
-    /// therefore nondeterministic; pinned scenarios keep this off.
-    pub use_measured: bool,
 }
 
 impl Default for RebalanceConfig {
@@ -90,7 +83,6 @@ impl Default for RebalanceConfig {
             trigger: 1.15,
             rs_trigger: 1.60,
             seed: 0,
-            use_measured: false,
         }
     }
 }
@@ -112,10 +104,8 @@ impl RebalanceConfig {
     }
 }
 
-/// A snapshot of the load/cut signals the planner decides on. The
-/// structural fields are exact functions of the graph and partition;
-/// `measured_skew` optionally carries the observability layer's busy-time
-/// ratio (see `aaa_observe`'s per-rank span data).
+/// A snapshot of the load/cut signals the planner decides on, each an exact
+/// function of the graph and partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadSignals {
     /// Vertices per part.
@@ -124,8 +114,6 @@ pub struct LoadSignals {
     pub per_part_cut: Vec<usize>,
     /// Structural skew: max part size / ⌈n/k⌉ (1.0 = perfectly balanced).
     pub imbalance: f64,
-    /// Max/mean per-rank busy time from recorded spans, if available.
-    pub measured_skew: Option<f64>,
 }
 
 impl LoadSignals {
@@ -135,22 +123,6 @@ impl LoadSignals {
             part_sizes: p.part_sizes(),
             per_part_cut: per_part_cut(g, p),
             imbalance: vertex_balance(p),
-            measured_skew: None,
-        }
-    }
-
-    /// Attaches a measured busy-time skew (max/mean over ranks).
-    pub fn with_measured_skew(mut self, skew: Option<f64>) -> Self {
-        self.measured_skew = skew;
-        self
-    }
-
-    /// The skew the policy decides on: measured when asked for *and*
-    /// available, structural otherwise.
-    pub fn skew(&self, use_measured: bool) -> f64 {
-        match (use_measured, self.measured_skew) {
-            (true, Some(s)) => s,
-            _ => self.imbalance,
         }
     }
 }
@@ -203,7 +175,7 @@ impl Rebalancer {
         signals: &LoadSignals,
     ) -> RebalancePlan {
         let cfg = &self.config;
-        let skew = signals.skew(cfg.use_measured);
+        let skew = signals.imbalance;
         match cfg.policy {
             RebalancePolicy::Static => RebalancePlan::Hold,
             RebalancePolicy::Rs => {
@@ -457,20 +429,6 @@ mod tests {
         let s = LoadSignals::measure(&g, &p);
         let r = Rebalancer::new(RebalanceConfig::with_policy(RebalancePolicy::Ps));
         assert_eq!(r.plan(&g, &p, &s), r.plan(&g, &p, &s));
-    }
-
-    #[test]
-    fn measured_skew_only_decides_when_opted_in() {
-        let g = path(16);
-        let a: Vec<PartId> = (0..16).map(|v| (v / 4) as PartId).collect();
-        let p = Partition::new(a, 4).unwrap();
-        // Structurally balanced, but the wall clock says rank 0 is hot.
-        let s = LoadSignals::measure(&g, &p).with_measured_skew(Some(3.0));
-        let mut cfg = RebalanceConfig::with_policy(RebalancePolicy::Rs);
-        let hold = Rebalancer::new(cfg).plan(&g, &p, &s);
-        assert_eq!(hold, RebalancePlan::Hold, "measured skew is ignored by default");
-        cfg.use_measured = true;
-        assert_eq!(Rebalancer::new(cfg).plan(&g, &p, &s), RebalancePlan::Repartition);
     }
 
     #[test]

@@ -156,20 +156,14 @@ pub struct Cluster<S> {
     sink_armed: bool,
     /// Wall epoch for `wall_start_us` stamps on recorded spans.
     epoch: Instant,
-    /// Cumulative measured busy time per rank (µs) across compute
-    /// supersteps — the load-skew signal the adaptive rebalancer can opt
-    /// into. Measured wall time: informational, never gate-priced.
-    rank_busy_us: Vec<f64>,
 }
 
 impl<S: Send> Cluster<S> {
     /// Creates a cluster owning one state per rank.
     pub fn new(states: Vec<S>, config: ClusterConfig) -> Self {
         assert!(!states.is_empty(), "cluster needs at least one rank");
-        let p = states.len();
         Self {
             states,
-            rank_busy_us: vec![0.0; p],
             config,
             stats: RunStats::default(),
             fault: None,
@@ -327,13 +321,6 @@ impl<S: Send> Cluster<S> {
         self.stats.migration_bytes += bytes;
     }
 
-    /// Cumulative measured busy time per rank (µs) across compute
-    /// supersteps. Wall-derived and therefore nondeterministic — use only
-    /// for skew *observation*, never for anything perf-gated by default.
-    pub fn rank_busy_us(&self) -> &[f64] {
-        &self.rank_busy_us
-    }
-
     /// Charges simulated communication time directly — the supervised loop
     /// uses this for retry backoff and stall-detection deadlines, which are
     /// real elapsed network time in the modelled cluster.
@@ -488,9 +475,6 @@ impl<S: Send> Cluster<S> {
             }
         }
         let max = per_rank_us.iter().copied().fold(0.0f64, f64::max);
-        for (acc, &us) in self.rank_busy_us.iter_mut().zip(per_rank_us) {
-            *acc += us;
-        }
         self.stats.sim_compute_us += max;
         self.stats.supersteps += 1;
         self.stats.wall += wall;
