@@ -255,8 +255,8 @@ done
 # `--report` / `--trace` / `--store` flags are gone), and the three bins
 # whose work the benchmark already times were deleted. None of them may come
 # back, and each committed baseline's file name appears in exactly one
-# non-test file under crates/. The block also logs aaa-bench's non-test size
-# (3,007 before it).
+# non-test file under crates/. (aaa-bench's non-test size was 3,007 before
+# it; the next block logs it.)
 if grep -rn 'maybe_observe' crates/; then
   echo "a figure bin writes a pinned report again"; exit 1
 fi
@@ -274,6 +274,30 @@ for b in results/baselines/ci_smoke*.json; do
   echo "$name named in: $owners"
   [ "$(echo "$owners" | grep -c .)" = 1 ] || { echo "$name is named in $(echo "$owners" | grep -c .) non-test files under crates/, want 1"; exit 1; }
 done
+
+# One figures runner. The paper's evaluation is one table,
+# `aaa_bench::experiments::FIGURES`, run by the `figures` binary, which takes
+# `--scale`, `--procs` and `--seed` alone and writes one JSON document. The
+# ten one-experiment bins, their CSV / TXT outputs, the figure-only flags
+# (`--csv`, `--fault`, `--chaos`, `--checkpoint-every`, ...) and the fault /
+# chaos drive the flags fed must not come back; `net_cluster` keeps its own
+# process flags. The block also logs aaa-bench's non-test size (2,634 before
+# it).
+for bin in fig4 fig5 fig6 fig7 fig8 anytime_quality ablation_partitioner ablation_logp chaos_overhead stream_load; do
+  [ ! -e "crates/aaa-bench/src/bin/$bin.rs" ] || { echo "the $bin bin is back"; exit 1; }
+done
+if grep -rnE '"--(csv|fault)" *=>' crates/aaa-bench/src/; then
+  echo "a --csv or --fault flag is back in aaa-bench"; exit 1
+fi
+if grep -rnE '"--(chaos|checkpoint-every)" *=>' crates/aaa-bench/src/ | grep -v '^crates/aaa-bench/src/bin/net_cluster.rs:'; then
+  echo "a --chaos or --checkpoint-every flag is back outside net_cluster"; exit 1
+fi
+if grep -rn 'fn drive_to_convergence' crates/; then
+  echo "the harness's fault / chaos drive is back"; exit 1
+fi
+if ls results/ | grep -E '^fig.*\.(txt|csv)$'; then
+  echo "a per-figure TXT / CSV output is back under results/"; exit 1
+fi
 lines=0
 for f in $(find crates/aaa-bench/src -name '*.rs'); do lines=$((lines + $(nontest "$f" | wc -l))); done
 echo "aaa-bench: $lines non-test lines"

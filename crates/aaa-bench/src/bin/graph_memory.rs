@@ -9,8 +9,7 @@
 //!
 //! ```text
 //! cargo run --release -p aaa-bench --bin graph_memory -- \
-//!     [--scale n] [--m m] [--seed s] [--budget-mb B] [--compressed-only] \
-//!     [--csv path]
+//!     [--scale n] [--m m] [--seed s] [--budget-mb B] [--compressed-only]
 //! ```
 //!
 //! `--compressed-only` skips the in-memory backends so graphs far beyond
@@ -22,7 +21,6 @@ use aaa_bench::Table;
 use aaa_graph::generators::{ba_stream, barabasi_albert, WeightModel};
 use aaa_graph::Csr;
 use aaa_store::{CompressedGraph, PairSorter};
-use std::path::PathBuf;
 use std::time::Instant;
 
 struct Args {
@@ -31,12 +29,10 @@ struct Args {
     seed: u64,
     budget_mb: usize,
     compressed_only: bool,
-    csv: Option<PathBuf>,
 }
 
 fn parse_args() -> Args {
-    let mut out =
-        Args { scale: 100_000, m: 3, seed: 42, budget_mb: 256, compressed_only: false, csv: None };
+    let mut out = Args { scale: 100_000, m: 3, seed: 42, budget_mb: 256, compressed_only: false };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut take = |what: &str| -> String {
@@ -53,11 +49,10 @@ fn parse_args() -> Args {
                 out.budget_mb = take("--budget-mb").parse().expect("--budget-mb wants an integer")
             }
             "--compressed-only" => out.compressed_only = true,
-            "--csv" => out.csv = Some(PathBuf::from(take("--csv"))),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: graph_memory [--scale n] [--m m] [--seed s] [--budget-mb B] \
-                     [--compressed-only] [--csv path]"
+                     [--compressed-only]"
                 );
                 std::process::exit(0);
             }
@@ -151,7 +146,7 @@ fn main() {
         assert_eq!(g.num_edges() as u64, num_edges, "backends must store the same graph");
     }
 
-    table.emit(args.csv.as_ref());
+    print!("{}", table.render());
     println!(
         "\nsuccessor structure: {:.2} bytes/arc (target ≤ 4; CSR stores 8 — a u32 target",
         compressed.data_bytes() as f64 / num_arcs.max(1) as f64

@@ -251,7 +251,7 @@ fn gate(candidate: &RunReport, baseline: &RunReport, cfg: &GateConfig) -> ! {
             verdict.to_string(),
         ]);
     }
-    table.emit(None);
+    print!("{}", table.render());
 
     if regressed(&rows) {
         let worst: Vec<&str> =

@@ -1,20 +1,32 @@
-//! Implementations of every paper experiment (Figures 4–8) plus the
-//! additional ablations. Each returns a [`Table`] so the thin binaries in
-//! `src/bin/` only parse arguments and print.
+//! The paper's evaluation (§V, Figs. 4–8) and the experiments beyond it, as
+//! one table: [`FIGURES`]. An entry names a figure, states the claim its
+//! rows test, fixes the graph size it runs at and points at the function
+//! that runs it. A function returns [`Row`]s; the `figures` binary prints
+//! them as markdown and writes every figure to `figures.json`.
+//!
+//! A row of an engine run carries the LogP clock's `sim_comm_us` and the
+//! `messages`, `bytes` and `supersteps` counts — exact functions of (graph,
+//! seed, code) — and beside them the measured `sim_compute_us` and
+//! `wall_s`. The columns in [`MEASURED`] are the only ones that vary from
+//! run to run; a claim is read off the others.
 
-use crate::{fmt_sim_secs, CommonArgs, Table};
+use crate::stream::{drive_stream, StreamConfig, StreamShape};
+use crate::{scaled, CommonArgs};
 use aaa_core::baseline::restart_run;
 use aaa_core::changes::{community_batch, CommunityBatchParams, VertexBatch};
 use aaa_core::strategies::{cut_edge_assign, round_robin_assign};
 use aaa_core::{
-    AnytimeEngine, AssignStrategy, ChaosPlan, CheckpointPolicy, ClusterError, ConvergenceSummary,
-    CoreError, DdPartitioner, EngineConfig, FaultPlan, QualityTracker, RetryPolicy, Snapshot,
+    AnytimeEngine, AssignStrategy, ChaosPlan, DdPartitioner, QualityTracker, RebalanceConfig,
+    RebalancePolicy, RetryPolicy,
 };
 use aaa_graph::generators::{barabasi_albert, WeightModel};
 use aaa_graph::AdjGraph;
+use aaa_observe::Json;
 use aaa_partition::quality::new_cut_edges;
 use aaa_partition::{MultilevelPartitioner, Partitioner};
-use aaa_runtime::{ExchangeSchedule, LogPModel};
+use aaa_runtime::{ExchangeSchedule, LogPModel, RunStats};
+use std::fmt::Write as _;
+use std::time::Instant;
 
 /// The experiments' base workload: an undirected scale-free graph of
 /// `scale` vertices, as the paper generates with Pajek.
@@ -54,73 +66,200 @@ fn step_n(engine: &mut AnytimeEngine, steps: usize) {
     }
 }
 
-/// Chaos horizon for harness runs: faults stop after this superstep, so
-/// every `--chaos` drive is recoverable (partial-synchrony GST).
-const CHAOS_HORIZON: u64 = 64;
+/// One figure of the evaluation.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// What `figures.json` and EXPERIMENTS.md call it.
+    pub name: &'static str,
+    /// The claim its rows test, in one sentence.
+    pub claim: &'static str,
+    /// The graph size it runs at unless `--scale` overrides it.
+    pub scale: usize,
+    /// The function that runs it.
+    pub run: fn(&CommonArgs) -> Vec<Row>,
+    /// Whether it records the Repartition-S / RoundRobin-PS [`crossover`].
+    pub crossover: bool,
+}
 
-/// Drives the engine to convergence under the harness's chaos / checkpoint
-/// / fault flags: arms the fault (if any), snapshots per
-/// `--checkpoint-every`, and on an injected rank failure recovers the rank
-/// from the latest snapshot and resumes RC. With `--chaos` the drive goes
-/// through the supervised retry loop instead of plain RC stepping
-/// (`--checkpoint-every` is not supported in that mode). With no flags set
-/// this is plain `run_to_convergence`.
-pub fn drive_to_convergence(engine: &mut AnytimeEngine, args: &CommonArgs) -> ConvergenceSummary {
-    if let Some((seed, rate)) = args.chaos {
-        assert!(
-            args.checkpoint_every.is_none(),
-            "--chaos and --checkpoint-every cannot be combined"
-        );
-        engine.set_chaos(ChaosPlan::seeded(seed, rate, CHAOS_HORIZON));
-        if let Some((rank, superstep)) = args.fault {
-            engine.inject_fault(FaultPlan::at(rank, superstep));
-        }
-        let retry = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
-        let latest = engine.snapshot();
-        loop {
-            match engine.run_supervised(&retry) {
-                Ok(run) => {
-                    assert!(run.converged(), "harness chaos plans are eventually quiet");
-                    return run.summary;
-                }
-                Err(CoreError::Cluster(ClusterError::RankFailed { rank, .. })) => {
-                    engine.recover_rank(rank, &latest).expect("recovery from snapshot");
-                }
-                Err(e) => panic!("drive failed: {e}"),
-            }
-        }
+/// Every figure: the only place one is named.
+pub const FIGURES: [Figure; 10] = [
+    Figure {
+        name: "fig4",
+        claim: "Anytime anywhere (RoundRobin-PS) absorbs 512 (scaled) added vertices for less \
+                than a restart from scratch at RC0, RC4 and RC8, and the restart is flat in \
+                the injection step.",
+        scale: 2_000,
+        run: fig4,
+        crossover: false,
+    },
+    Figure {
+        name: "fig5",
+        claim: "At RC0 RoundRobin-PS and CutEdge-PS absorb small batches for less than \
+                Repartition-S, and Repartition-S overtakes them as the batch grows.",
+        scale: 2_000,
+        run: |args| single_step_additions(args, 0),
+        crossover: true,
+    },
+    Figure {
+        name: "fig6",
+        claim: "At RC8 the ordering of Fig. 5 holds: the incremental strategies win small \
+                batches, Repartition-S wins large ones.",
+        scale: 2_000,
+        run: |args| single_step_additions(args, 8),
+        crossover: true,
+    },
+    Figure {
+        name: "fig7",
+        claim: "RoundRobin-PS creates the most new cut edges, CutEdge-PS fewer and \
+                Repartition-S fewer still, the gap growing with the batch.",
+        scale: crate::PAPER_VERTICES,
+        run: fig7,
+        crossover: false,
+    },
+    Figure {
+        name: "fig8",
+        claim: "Spread over 10 RC steps, every anytime anywhere strategy costs less than one \
+                restart per wave at every rate; Repartition-S becomes competitive at the \
+                highest rate.",
+        scale: 1_200,
+        run: fig8,
+        crossover: false,
+    },
+    Figure {
+        name: "anytime_quality",
+        claim: "The mean relative closeness error never rises from one RC step to the next \
+                and reaches 0 at convergence, where top-20 recall is 1 (the §III anytime \
+                guarantee).",
+        scale: 1_500,
+        run: anytime_quality,
+        crossover: false,
+    },
+    Figure {
+        name: "ablation_partitioner",
+        claim: "The multilevel (METIS-family) DD partitioner cuts fewer edges than block, \
+                round-robin, hash and random assignment, and its RC traffic is lower.",
+        scale: 1_200,
+        run: ablation_partitioner,
+        crossover: false,
+    },
+    Figure {
+        name: "ablation_logp",
+        claim: "On 1 Gb/s Ethernet the paper's serialized all-to-all costs several times the \
+                pairwise schedule in communication time; on a fast fabric the gap vanishes.",
+        scale: 1_000,
+        run: ablation_logp,
+        crossover: false,
+    },
+    Figure {
+        name: "chaos_overhead",
+        claim: "Under seeded message faults that stop at a finite horizon the supervised loop \
+                reconverges at every rate, at a communication overhead that saturates with \
+                the rate; rate 0 injects nothing.",
+        scale: 2_000,
+        run: chaos_overhead,
+        crossover: false,
+    },
+    Figure {
+        name: "stream_policies",
+        claim: "Under every stream shape the static policy ends the most imbalanced, ps and \
+                adaptive absorb the skew with budgeted migrations and rs moves the most bytes.",
+        scale: 2_000,
+        run: stream_policies,
+        crossover: false,
+    },
+];
+
+/// The measured columns: they vary from run to run, so no claim reads them.
+/// Every other column is an exact function of (graph, seed, code).
+pub const MEASURED: [&str; 3] = ["sim_compute_us", "wall_s", "changes_per_s"];
+
+/// One row of a figure: named cells in column order — first what sets the
+/// run apart (text, or a count), then what it measured.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row(pub Vec<(&'static str, Json)>);
+
+impl Row {
+    fn text(mut self, column: &'static str, value: impl Into<String>) -> Self {
+        self.0.push((column, Json::Str(value.into())));
+        self
     }
-    if args.checkpoint_every.is_none() && args.fault.is_none() {
-        return engine.run_to_convergence();
+
+    fn num(mut self, column: &'static str, value: f64) -> Self {
+        self.0.push((column, Json::Num(value)));
+        self
     }
-    if let Some((rank, superstep)) = args.fault {
-        engine.inject_fault(FaultPlan::at(rank, superstep));
+
+    /// The columns of one engine run: its cost in `stats` and the wall
+    /// seconds since `started`.
+    fn run(self, stats: &RunStats, started: Instant) -> Self {
+        self.num("sim_comm_us", stats.sim_comm_us)
+            .num("messages", stats.messages as f64)
+            .num("bytes", stats.bytes as f64)
+            .num("supersteps", stats.supersteps as f64)
+            .num("sim_compute_us", stats.sim_compute_us)
+            .num("wall_s", started.elapsed().as_secs_f64())
     }
-    let policy = match args.checkpoint_every {
-        Some(n) => CheckpointPolicy::EveryNRcSteps(n),
-        None => CheckpointPolicy::Manual,
+
+    /// The cell in `column`, if the row has one.
+    pub fn get(&self, column: &str) -> Option<&Json> {
+        self.0.iter().find(|(c, _)| *c == column).map(|(_, v)| v)
+    }
+
+    /// The number in `column`, if the row has one.
+    pub fn value(&self, column: &str) -> Option<f64> {
+        self.get(column)?.as_f64()
+    }
+
+    /// The text in `column`, if the row has one.
+    pub fn label(&self, column: &str) -> Option<&str> {
+        self.get(column)?.as_str()
+    }
+
+    /// The row as a JSON object, its columns in order.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(self.0.iter().map(|(c, v)| (c.to_string(), v.clone())).collect())
+    }
+}
+
+/// The smallest batch (`added`) at which Repartition-S's `sim_comm_us` is
+/// at most RoundRobin-PS's (Figs. 5–6), or `None` when it never is. Rows
+/// come in ascending batch order.
+pub fn crossover(rows: &[Row]) -> Option<f64> {
+    let comm = |batch: f64, strategy: &str| {
+        rows.iter()
+            .find(|r| {
+                r.value("paper_added") == Some(batch) && r.label("strategy") == Some(strategy)
+            })?
+            .value("sim_comm_us")
     };
-    // Recovery baseline: without a snapshot from before the failure there
-    // is nothing to restore from, so take one up front.
-    let mut latest = engine.snapshot();
-    loop {
-        let mut newest: Option<Snapshot> = None;
-        let result = engine.run_to_convergence_checkpointed(policy, |bytes| {
-            // Round-trip through the wire format — the persisted artifact
-            // is what a real deployment would recover from.
-            newest = Some(Snapshot::from_bytes(bytes).expect("own snapshot is readable"));
-        });
-        if let Some(s) = newest {
-            latest = s;
-        }
-        match result {
-            Ok(summary) => return summary,
-            Err(CoreError::Cluster(ClusterError::RankFailed { rank, .. })) => {
-                engine.recover_rank(rank, &latest).expect("recovery from snapshot");
-            }
-            Err(e) => panic!("drive failed: {e}"),
+    rows.iter().filter(|r| r.label("strategy") == Some("Repartition-S")).find_map(|r| {
+        let batch = r.value("paper_added")?;
+        (r.value("sim_comm_us")? <= comm(batch, "RoundRobin-PS")?).then_some(r.value("added")?)
+    })
+}
+
+/// `rows` as a markdown table (the form EXPERIMENTS.md uses), every number
+/// at full precision. A row lacking a column leaves its cell empty.
+pub fn markdown(rows: &[Row]) -> String {
+    let mut columns: Vec<&str> = Vec::new();
+    for (c, _) in rows.iter().flat_map(|r| &r.0) {
+        if !columns.contains(c) {
+            columns.push(c);
         }
     }
+    let mut out = format!("| {} |\n|{}\n", columns.join(" | "), "---|".repeat(columns.len()));
+    for row in rows {
+        let cells: Vec<String> = columns
+            .iter()
+            .map(|c| match row.get(c) {
+                Some(Json::Num(v)) => v.to_string(),
+                Some(Json::Str(s)) => s.clone(),
+                _ => String::new(),
+            })
+            .collect();
+        let _ = writeln!(out, "| {} |", cells.join(" | "));
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -128,79 +267,72 @@ pub fn drive_to_convergence(engine: &mut AnytimeEngine, args: &CommonArgs) -> Co
 // ---------------------------------------------------------------------------
 
 /// 512 (scaled) vertex additions injected at RC0/RC4/RC8; anytime anywhere
-/// with RoundRobin-PS vs. restarting from scratch.
-pub fn fig4(args: &CommonArgs) -> Table {
+/// with RoundRobin-PS (one row per injection point) vs. restarting from
+/// scratch (one row: it does not depend on the injection step).
+pub fn fig4(args: &CommonArgs) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
-    let additions = args.scaled(512, 8);
+    let additions = scaled(args.scale, 512, 8);
     let batch = addition_batch(&g, additions, args.seed + 1);
-    let full = extend_graph(&g, &batch);
+    let row = |inject: &str, method: &str| {
+        Row::default().text("inject", inject).text("method", method).num("added", additions as f64)
+    };
+    let mut rows = Vec::new();
+    for inject in [0usize, 4, 8] {
+        let started = Instant::now();
+        let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
+        step_n(&mut engine, inject);
+        engine.apply_vertex_additions(&batch, AssignStrategy::RoundRobin).expect("batch valid");
+        engine.run_to_convergence();
+        rows.push(row(&format!("RC{inject}"), "anywhere").run(&engine.stats(), started));
+    }
 
     // End-to-end cost of producing the final (post-change) centralities.
     // The baseline has no anytime property: it runs the initial analysis,
     // then — when the change arrives — throws it away and recomputes the
-    // changed graph from scratch. Independent of the injection step.
-    let (_, s1) = restart_run(&g, &args.engine_config()).expect("baseline run");
-    let (_, s2) = restart_run(&full, &args.engine_config()).expect("baseline run");
-    let baseline_us = s1.sim_total_us() + s2.sim_total_us();
-
-    let mut table = Table::new(
-        format!(
-            "Figure 4 — Baseline Restart vs. Anytime Anywhere ({} additions, {} procs, {} vertices)",
-            additions, args.procs, args.scale
-        ),
-        &["inject at", "anytime anywhere (RoundRobin-PS) [s]", "baseline restart [s]"],
-    );
-    for inject in [0usize, 4, 8] {
-        let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
-        step_n(&mut engine, inject);
-        engine.apply_vertex_additions(&batch, AssignStrategy::RoundRobin).expect("batch valid");
-        drive_to_convergence(&mut engine, args);
-        table.row(vec![
-            format!("RC{inject}"),
-            fmt_sim_secs(engine.stats().sim_total_us()),
-            fmt_sim_secs(baseline_us),
-        ]);
-    }
-    table
+    // changed graph from scratch.
+    let started = Instant::now();
+    let (_, mut restart) = restart_run(&g, &args.engine_config()).expect("baseline run");
+    let (_, after) =
+        restart_run(&extend_graph(&g, &batch), &args.engine_config()).expect("baseline run");
+    restart.merge(&after);
+    rows.push(row("any", "restart").run(&restart, started));
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // Figures 5 & 6 — single-step vertex additions, three strategies
 // ---------------------------------------------------------------------------
 
-/// Batches of 500–6000 (scaled) vertices injected at one RC step;
-/// RoundRobin-PS vs CutEdge-PS vs Repartition-S. `inject_at = 0` is
-/// Figure 5, `inject_at = 8` is Figure 6.
-pub fn single_step_additions(args: &CommonArgs, inject_at: usize) -> Table {
+/// Figures 5 (`inject_at` 0) and 6 (8): batches of 500–6000 (scaled)
+/// vertices injected at RC `inject_at`; Repartition-S vs CutEdge-PS vs
+/// RoundRobin-PS. A row is the cost of
+/// absorbing the batch: from the injection to convergence.
+pub fn single_step_additions(args: &CommonArgs, inject_at: usize) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
-    let figure = if inject_at == 0 { 5 } else { 6 };
-    let mut table = Table::new(
-        format!(
-            "Figure {figure} — vertex additions at RC{inject_at} ({} procs, {} vertices)",
-            args.procs, args.scale
-        ),
-        &["vertices added", "Repartition-S [s]", "CutEdge-PS [s]", "RoundRobin-PS [s]"],
-    );
+    let mut rows = Vec::new();
     for paper_count in [500usize, 1500, 3000, 4500, 6000] {
-        let count = args.scaled(paper_count, 8);
+        let count = scaled(args.scale, paper_count, 8);
         let batch = addition_batch(&g, count, args.seed + paper_count as u64);
-        let mut cells = vec![count.to_string()];
-        for strategy in [
-            AssignStrategy::Repartition { seed: args.seed },
-            AssignStrategy::CutEdge { seed: args.seed, tries: 4 },
-            AssignStrategy::RoundRobin,
+        for (name, strategy) in [
+            ("Repartition-S", AssignStrategy::Repartition { seed: args.seed }),
+            ("CutEdge-PS", AssignStrategy::CutEdge { seed: args.seed, tries: 4 }),
+            ("RoundRobin-PS", AssignStrategy::RoundRobin),
         ] {
             let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
             step_n(&mut engine, inject_at);
-            let before = engine.stats().sim_total_us();
+            let (before, started) = (engine.stats(), Instant::now());
             engine.apply_vertex_additions(&batch, strategy).expect("batch valid");
             engine.run_to_convergence();
-            let delta = engine.stats().sim_total_us() - before;
-            cells.push(fmt_sim_secs(delta));
+            rows.push(
+                Row::default()
+                    .num("paper_added", paper_count as f64)
+                    .num("added", count as f64)
+                    .text("strategy", name)
+                    .run(&engine.stats().delta_since(&before), started),
+            );
         }
-        table.row(cells);
     }
-    table
+    rows
 }
 
 // ---------------------------------------------------------------------------
@@ -210,101 +342,81 @@ pub fn single_step_additions(args: &CommonArgs, inject_at: usize) -> Table {
 /// Number of *new* cut edges each strategy creates. Pure partition-level
 /// measurement (no DV state), so it runs at the paper's full 50,000-vertex
 /// scale by default.
-pub fn fig7(args: &CommonArgs) -> Table {
+pub fn fig7(args: &CommonArgs) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
     let base = g.num_vertices() as u32;
     let initial =
         MultilevelPartitioner::seeded(args.seed).partition(&g, args.procs).expect("partition");
-
-    let mut table = Table::new(
-        format!(
-            "Figure 7 — number of new cut-edges ({} procs, {} vertices)",
-            args.procs, args.scale
-        ),
-        &["vertices added", "Repartition-S", "CutEdge-PS", "RoundRobin-PS"],
-    );
+    let mut rows = Vec::new();
     for paper_count in [500usize, 1500, 3000, 4500, 6000] {
-        let count = args.scaled(paper_count, 8);
+        let count = scaled(args.scale, paper_count, 8);
         let batch = addition_batch(&g, count, args.seed + paper_count as u64);
         let edges: Vec<(u32, u32)> =
             batch.global_edges(base).iter().map(|&(a, b, _)| (a, b)).collect();
 
         // Repartition-S: repartition the merged graph; new cut edges are
         // the new edges that end up crossing parts.
-        let merged = extend_graph(&g, &batch);
         let repart = MultilevelPartitioner::seeded(args.seed + 1)
-            .partition(&merged, args.procs)
+            .partition(&extend_graph(&g, &batch), args.procs)
             .expect("partition");
-        let cut_repart = new_cut_edges(&repart, &edges);
 
         // CutEdge-PS: partition the batch-internal graph, extend.
-        let assign = cut_edge_assign(&batch, base, args.procs, args.seed, 4).expect("assign");
         let mut ce = initial.clone();
-        ce.extend(assign).expect("extend");
-        let cut_ce = new_cut_edges(&ce, &edges);
+        ce.extend(cut_edge_assign(&batch, base, args.procs, args.seed, 4).expect("assign"))
+            .expect("extend");
 
-        // RoundRobin-PS.
         let mut rr = initial.clone();
         rr.extend(round_robin_assign(count, args.procs, 0)).expect("extend");
-        let cut_rr = new_cut_edges(&rr, &edges);
 
-        table.row(vec![
-            count.to_string(),
-            cut_repart.to_string(),
-            cut_ce.to_string(),
-            cut_rr.to_string(),
-        ]);
+        for (name, part) in [("Repartition-S", repart), ("CutEdge-PS", ce), ("RoundRobin-PS", rr)] {
+            rows.push(
+                Row::default()
+                    .num("paper_added", paper_count as f64)
+                    .num("added", count as f64)
+                    .text("strategy", name)
+                    .num("new_cut_edges", new_cut_edges(&part, &edges) as f64),
+            );
+        }
     }
-    table
+    rows
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8 — incremental vertex additions
 // ---------------------------------------------------------------------------
 
-/// Additions spread over 10 RC steps at four rates; Baseline Restart vs
-/// the three strategies.
-pub fn fig8(args: &CommonArgs) -> Table {
+/// Additions spread over 10 RC steps at four rates; Baseline Restart (a
+/// fresh full analysis after every wave) vs the three strategies.
+pub fn fig8(args: &CommonArgs) -> Vec<Row> {
     const WAVES: usize = 10;
     let g = base_graph(args.scale, args.seed);
-    let mut table = Table::new(
-        format!(
-            "Figure 8 — incremental vertex additions over {WAVES} RC steps ({} procs, {} vertices)",
-            args.procs, args.scale
-        ),
-        &[
-            "added per step (cumulative)",
-            "baseline restart [s]",
-            "Repartition-S [s]",
-            "RoundRobin-PS [s]",
-            "CutEdge-PS [s]",
-        ],
-    );
+    let mut rows = Vec::new();
     for paper_rate in [51usize, 187, 383, 561] {
-        let per_step = args.scaled(paper_rate, 2);
-        let mut cells = vec![format!("{per_step} ({})", per_step * WAVES)];
+        let per_step = scaled(args.scale, paper_rate, 2);
+        let row = |method: &str| {
+            Row::default()
+                .num("paper_rate", paper_rate as f64)
+                .num("per_step", per_step as f64)
+                .num("added", (per_step * WAVES) as f64)
+                .text("method", method)
+        };
 
-        // Baseline restart: a fresh full analysis after every wave.
-        {
-            let mut total = 0.0;
-            let mut snapshot = g.clone();
-            let (_, s) = restart_run(&snapshot, &args.engine_config()).expect("run");
-            total += s.sim_total_us();
-            for wave in 0..WAVES {
-                let batch = addition_batch(&snapshot, per_step, args.seed + 77 + wave as u64);
-                snapshot = extend_graph(&snapshot, &batch);
-                let (_, s) = restart_run(&snapshot, &args.engine_config()).expect("run");
-                total += s.sim_total_us();
-            }
-            cells.push(fmt_sim_secs(total));
+        let started = Instant::now();
+        let mut snapshot = g.clone();
+        let (_, mut restart) = restart_run(&snapshot, &args.engine_config()).expect("run");
+        for wave in 0..WAVES {
+            let batch = addition_batch(&snapshot, per_step, args.seed + 77 + wave as u64);
+            snapshot = extend_graph(&snapshot, &batch);
+            restart.merge(&restart_run(&snapshot, &args.engine_config()).expect("run").1);
         }
+        rows.push(row("restart").run(&restart, started));
 
-        // The anytime anywhere strategies.
-        for strategy in [
-            AssignStrategy::Repartition { seed: args.seed },
-            AssignStrategy::RoundRobin,
-            AssignStrategy::CutEdge { seed: args.seed, tries: 4 },
+        for (name, strategy) in [
+            ("Repartition-S", AssignStrategy::Repartition { seed: args.seed }),
+            ("RoundRobin-PS", AssignStrategy::RoundRobin),
+            ("CutEdge-PS", AssignStrategy::CutEdge { seed: args.seed, tries: 4 }),
         ] {
+            let started = Instant::now();
             let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
             for wave in 0..WAVES {
                 engine.rc_step();
@@ -312,108 +424,45 @@ pub fn fig8(args: &CommonArgs) -> Table {
                 engine.apply_vertex_additions(&batch, strategy).expect("batch valid");
             }
             engine.run_to_convergence();
-            cells.push(fmt_sim_secs(engine.stats().sim_total_us()));
+            rows.push(row(name).run(&engine.stats(), started));
         }
-        // cells were pushed in the table's column order:
-        // [label, baseline, Repartition-S, RoundRobin-PS, CutEdge-PS].
-        table.row(cells);
     }
-    table
+    rows
 }
 
 // ---------------------------------------------------------------------------
-// Extra: anytime quality
+// Beyond the paper
 // ---------------------------------------------------------------------------
 
-/// Closeness error and top-k recall per RC step (the anytime property).
-pub fn anytime_quality(args: &CommonArgs) -> Table {
+/// Closeness error and top-k recall after IA (`rc_step` 0) and after every
+/// RC step, with the engine's cumulative cost beside them.
+pub fn anytime_quality(args: &CommonArgs) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
+    let started = Instant::now();
     let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
     let mut tracker = QualityTracker::new(&g, 20);
-    let mut table = Table::new(
-        format!("Anytime quality ({} procs, {} vertices)", args.procs, args.scale),
-        &["RC step", "mean relative error", "top-20 recall"],
-    );
-    let s = tracker.record(0, &engine.closeness());
-    table.row(vec!["0 (IA)".into(), format!("{:.4}", s.error), format!("{:.2}", s.top_k_recall)]);
-    for step in 1..=24 {
-        let more = engine.rc_step();
+    let mut rows = Vec::new();
+    for step in 0..=24 {
+        let more = step == 0 || engine.rc_step();
         let s = tracker.record(step, &engine.closeness());
-        table.row(vec![
-            step.to_string(),
-            format!("{:.4}", s.error),
-            format!("{:.2}", s.top_k_recall),
-        ]);
+        rows.push(
+            Row::default()
+                .num("rc_step", step as f64)
+                .num("error", s.error)
+                .num("top20_recall", s.top_k_recall)
+                .run(&engine.stats(), started),
+        );
         if !more {
             break;
         }
     }
-    assert!(
-        tracker.error_is_monotone_nonincreasing(),
-        "anytime violation: {:?}",
-        tracker.samples()
-    );
-    table
+    rows
 }
-
-// ---------------------------------------------------------------------------
-// Chaos overhead
-// ---------------------------------------------------------------------------
-
-/// Cost of surviving message faults: converge the base graph under
-/// increasing fault rates (same seed, finite horizon) through the
-/// supervised loop, and report traffic / repair / simulated-time
-/// amplification against the clean run. Rate 0 doubles as the zero-cost
-/// check — its counters must read 0.
-pub fn chaos_overhead(args: &CommonArgs) -> Table {
-    let g = base_graph(args.scale, args.seed);
-    let mut table = Table::new(
-        format!(
-            "Chaos overhead ({} procs, {} vertices, seed {})",
-            args.procs, args.scale, args.seed
-        ),
-        &["fault rate", "messages", "injected", "retransmits", "sim time [s]", "overhead"],
-    );
-    let retry = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
-    let mut clean_us = 0.0;
-    for rate in [0.0, 0.02, 0.05, 0.10] {
-        let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
-        engine.set_chaos(ChaosPlan::seeded(args.seed, rate, 32));
-        let run = engine.run_supervised(&retry).expect("supervised run");
-        assert!(run.converged(), "rate {rate}: an eventually-quiet plan must reconverge");
-        let stats = engine.stats();
-        if rate == 0.0 {
-            assert_eq!(stats.faults.injected(), 0, "rate 0 must inject nothing");
-            clean_us = stats.sim_total_us();
-        }
-        let overhead = if rate == 0.0 {
-            "—".to_string()
-        } else {
-            format!("{:+.1}%", (stats.sim_total_us() / clean_us - 1.0) * 100.0)
-        };
-        table.row(vec![
-            format!("{rate:.2}"),
-            stats.messages.to_string(),
-            stats.faults.injected().to_string(),
-            stats.faults.retransmits.to_string(),
-            fmt_sim_secs(stats.sim_total_us()),
-            overhead,
-        ]);
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// Ablations
-// ---------------------------------------------------------------------------
 
 /// DD-phase partitioner ablation: cut quality vs. engine cost.
-pub fn ablation_partitioner(args: &CommonArgs) -> Table {
+pub fn ablation_partitioner(args: &CommonArgs) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
-    let mut table = Table::new(
-        format!("Ablation — DD partitioner ({} procs, {} vertices)", args.procs, args.scale),
-        &["partitioner", "cut edges", "RC steps", "messages", "sim time [s]"],
-    );
+    let mut rows = Vec::new();
     for (name, dd) in [
         ("multilevel", DdPartitioner::Multilevel { seed: args.seed }),
         ("block", DdPartitioner::Block),
@@ -423,140 +472,133 @@ pub fn ablation_partitioner(args: &CommonArgs) -> Table {
     ] {
         let mut cfg = args.engine_config();
         cfg.dd = dd;
+        let started = Instant::now();
         let mut engine = AnytimeEngine::new(g.clone(), cfg).expect("engine");
         let cut = aaa_partition::cut_edges(&g, engine.partition());
         let summary = engine.run_to_convergence();
-        let stats = engine.stats();
-        table.row(vec![
-            name.into(),
-            cut.to_string(),
-            summary.steps.to_string(),
-            stats.messages.to_string(),
-            fmt_sim_secs(stats.sim_total_us()),
-        ]);
+        rows.push(
+            Row::default()
+                .text("partitioner", name)
+                .num("cut_edges", cut as f64)
+                .num("rc_steps", summary.steps as f64)
+                .run(&engine.stats(), started),
+        );
     }
-    table
+    rows
 }
 
 /// LogP/network ablation: network speed × exchange schedule × message cap.
-pub fn ablation_logp(args: &CommonArgs) -> Table {
+pub fn ablation_logp(args: &CommonArgs) -> Vec<Row> {
     let g = base_graph(args.scale, args.seed);
-    let mut table = Table::new(
-        format!("Ablation — LogP model & schedule ({} procs, {} vertices)", args.procs, args.scale),
-        &["network", "schedule", "message cap", "comm time [s]", "total sim [s]"],
-    );
-    let nets: [(&str, LogPModel); 3] = [
+    let mut rows = Vec::new();
+    for (net, model) in [
         ("1G ethernet", LogPModel::ethernet_1g()),
         ("fast fabric", LogPModel::fast_interconnect()),
         ("free", LogPModel::free()),
-    ];
-    for (net_name, model) in nets {
-        for (sched_name, sched) in
+    ] {
+        for (schedule, sched) in
             [("sequential", ExchangeSchedule::Sequential), ("pairwise", ExchangeSchedule::Pairwise)]
         {
             for (cap_name, cap) in [("64 KiB", 64 << 10), ("1 MiB", 1 << 20)] {
-                let mut cfg: EngineConfig = args.engine_config();
+                let mut cfg = args.engine_config();
                 cfg.cluster.model = model;
                 cfg.cluster.schedule = sched;
                 cfg.message_cap_bytes = cap;
+                let started = Instant::now();
                 let mut engine = AnytimeEngine::new(g.clone(), cfg).expect("engine");
                 engine.run_to_convergence();
-                let stats = engine.stats();
-                table.row(vec![
-                    net_name.into(),
-                    sched_name.into(),
-                    cap_name.into(),
-                    fmt_sim_secs(stats.sim_comm_us),
-                    fmt_sim_secs(stats.sim_total_us()),
-                ]);
+                rows.push(
+                    Row::default()
+                        .text("network", net)
+                        .text("schedule", schedule)
+                        .text("message_cap", cap_name)
+                        .run(&engine.stats(), started),
+                );
             }
         }
     }
-    table
+    rows
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Tiny-scale smoke tests: every experiment produces a table of the
-    /// right shape without panicking.
-    fn tiny() -> CommonArgs {
-        CommonArgs { scale: 120, procs: 3, seed: 7, ..Default::default() }
+/// Cost of surviving message faults: converge the base graph under
+/// increasing fault rates (same seed, faults stop after superstep 32)
+/// through the supervised loop. `comm_overhead_pct` is the communication
+/// time against the clean run's; rate 0 doubles as the zero-cost check —
+/// its counters must read 0.
+pub fn chaos_overhead(args: &CommonArgs) -> Vec<Row> {
+    let g = base_graph(args.scale, args.seed);
+    let retry = RetryPolicy { max_attempts: 64, ..RetryPolicy::default() };
+    let mut clean_comm_us = 0.0;
+    let mut rows = Vec::new();
+    for rate in [0.0, 0.02, 0.05, 0.10] {
+        let started = Instant::now();
+        let mut engine = AnytimeEngine::new(g.clone(), args.engine_config()).expect("engine");
+        engine.set_chaos(ChaosPlan::seeded(args.seed, rate, 32));
+        let run = engine.run_supervised(&retry).expect("supervised run");
+        assert!(run.converged(), "rate {rate}: an eventually-quiet plan must reconverge");
+        let stats = engine.stats();
+        if rate == 0.0 {
+            assert_eq!(stats.faults.injected(), 0, "rate 0 must inject nothing");
+            clean_comm_us = stats.sim_comm_us;
+        }
+        let mut row = Row::default()
+            .num("rate", rate)
+            .run(&stats, started)
+            .num("injected", stats.faults.injected() as f64)
+            .num("retransmits", stats.faults.retransmits as f64);
+        // One processor sends nothing, so there is no overhead to state.
+        if clean_comm_us > 0.0 {
+            row = row.num("comm_overhead_pct", (stats.sim_comm_us / clean_comm_us - 1.0) * 100.0);
+        }
+        rows.push(row);
     }
+    rows
+}
 
-    #[test]
-    fn fig4_shape() {
-        let t = fig4(&tiny());
-        assert!(
-            t.render().lines().filter(|l| l.starts_with("RC") || l.contains("RC")).count() >= 3
-        );
-    }
-
-    #[test]
-    fn fig5_and_6_shapes() {
-        for inject in [0, 2] {
-            let t = single_step_additions(&tiny(), inject);
-            assert!(t.render().lines().count() >= 8);
+/// Sustained change streams (bursty, diurnal, adversarial hub) under each
+/// background-rebalance policy: epoch staleness, peak backlog, final
+/// imbalance and migration traffic, all deterministic, and the
+/// wall-derived `changes_per_s`. The hub stream under the adaptive policy
+/// is also the perf gate's `stream` cell.
+pub fn stream_policies(args: &CommonArgs) -> Vec<Row> {
+    let g = base_graph(args.scale, args.seed);
+    let mut rows = Vec::new();
+    for shape in StreamShape::ALL {
+        for (name, policy) in [
+            ("static", RebalancePolicy::Static),
+            ("ps", RebalancePolicy::Ps),
+            ("rs", RebalancePolicy::Rs),
+            ("adaptive", RebalancePolicy::Adaptive),
+        ] {
+            let mut config = args.engine_config();
+            config.rebalance =
+                RebalanceConfig { every: 2, trigger: 1.05, ..RebalanceConfig::with_policy(policy) };
+            let started = Instant::now();
+            let mut engine = AnytimeEngine::new(g.clone(), config).expect("engine");
+            let stream = StreamConfig {
+                shape,
+                ticks: 24,
+                batch: scaled(args.scale, 256, 4),
+                edges_per_vertex: 2,
+                seed: args.seed + 1,
+            };
+            let outcome = drive_stream(&mut engine, &stream);
+            let stats = engine.stats();
+            rows.push(
+                Row::default()
+                    .text("shape", shape.name())
+                    .text("policy", name)
+                    .num("p50_stale", outcome.staleness_quantile(0.50) as f64)
+                    .num("p99_stale", outcome.staleness_quantile(0.99) as f64)
+                    .num("max_stale", outcome.staleness.last().copied().unwrap_or(0) as f64)
+                    .num("peak_queue", outcome.peak_queue as f64)
+                    .num("final_imbalance", outcome.final_imbalance)
+                    .num("migrations", stats.migrations as f64)
+                    .num("migration_bytes", stats.migration_bytes as f64)
+                    .run(&stats, started)
+                    .num("changes_per_s", outcome.changes_per_sec),
+            );
         }
     }
-
-    #[test]
-    fn fig7_shape_and_ordering_signal() {
-        let t = fig7(&CommonArgs { scale: 2_000, procs: 4, seed: 3, ..Default::default() });
-        let r = t.render();
-        assert!(r.contains("RoundRobin"));
-        assert!(r.lines().count() >= 8);
-    }
-
-    #[test]
-    fn fig8_shape() {
-        let t = fig8(&tiny());
-        assert!(t.render().lines().count() >= 7);
-    }
-
-    #[test]
-    fn quality_is_monotone_at_tiny_scale() {
-        let t = anytime_quality(&tiny());
-        assert!(t.render().contains("0 (IA)"));
-    }
-
-    #[test]
-    fn fig4_with_checkpoints_and_fault_recovers() {
-        let args = CommonArgs {
-            scale: 120,
-            procs: 3,
-            seed: 7,
-            checkpoint_every: Some(2),
-            fault: Some((1, 4)),
-            ..Default::default()
-        };
-        // The fault fires during each run; the harness must recover from
-        // the latest snapshot and still converge to a full table.
-        let t = fig4(&args);
-        assert!(t.render().lines().count() >= 5);
-    }
-
-    #[test]
-    fn chaos_overhead_shape() {
-        let t = chaos_overhead(&tiny());
-        let r = t.render();
-        assert!(r.contains("fault rate"));
-        assert!(r.lines().count() >= 6, "four rates + header lines");
-    }
-
-    #[test]
-    fn fig4_under_chaos_still_converges() {
-        let args = CommonArgs { chaos: Some((5, 0.1)), ..tiny() };
-        let t = fig4(&args);
-        assert!(t.render().lines().count() >= 5);
-    }
-
-    #[test]
-    fn ablations_run() {
-        let t = ablation_partitioner(&tiny());
-        assert!(t.render().contains("multilevel"));
-        let t = ablation_logp(&tiny());
-        assert!(t.render().contains("ethernet"));
-    }
+    rows
 }

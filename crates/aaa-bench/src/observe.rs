@@ -12,6 +12,7 @@
 //! drift in simulated cost or traffic as a real behavioral change.
 
 use crate::experiments::{addition_batch, base_graph};
+use crate::scaled;
 use aaa_core::quality::QualityTracker;
 use aaa_core::{
     AnytimeEngine, AssignStrategy, EngineConfig, MemorySink, MetricKind, RebalancePolicy,
@@ -41,13 +42,6 @@ pub struct CellArgs {
     pub policy: RebalancePolicy,
     /// Driver ticks of the stream scenario.
     pub ticks: u64,
-}
-
-impl CellArgs {
-    /// [`crate::CommonArgs::scaled`] for this run's graph size.
-    fn scaled(&self, paper_value: usize, min: usize) -> usize {
-        crate::scaled(self.scale, paper_value, min)
-    }
 }
 
 /// The arguments every cell runs with; a cell changes only what sets it
@@ -226,7 +220,7 @@ pub fn observed_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     }
 
     // Phase 2: a dynamic vertex-addition batch lands mid-analysis.
-    let batch = addition_batch(&g, args.scaled(512, 8), args.seed + 1);
+    let batch = addition_batch(&g, scaled(args.scale, 512, 8), args.seed + 1);
     engine.apply_vertex_additions(&batch, AssignStrategy::RoundRobin).expect("batch applies");
 
     // Phase 3: one checkpoint at the post-batch barrier (exercises the
@@ -289,14 +283,14 @@ pub fn observed_serve_run(scenario: &str, args: &CellArgs) -> (RunReport, String
     // against the graph as it will look once batch A applied (submitted
     // changes are interpreted against the projected graph), and folds into
     // the queued batch A since both pin the same strategy.
-    let batch_a = addition_batch(&g, args.scaled(256, 6), args.seed + 1);
+    let batch_a = addition_batch(&g, scaled(args.scale, 256, 6), args.seed + 1);
     let mut g_ext = g.clone();
     let base = g_ext.num_vertices() as u32;
     g_ext.add_vertices(batch_a.len());
     for (a, b, w) in batch_a.global_edges(base) {
         g_ext.add_edge(a, b, w).expect("batch validated");
     }
-    let batch_b = addition_batch(&g_ext, args.scaled(128, 4), args.seed + 2);
+    let batch_b = addition_batch(&g_ext, scaled(args.scale, 128, 4), args.seed + 2);
     engine
         .submit_with_strategy(DynamicChange::AddVertices(batch_a), AssignStrategy::RoundRobin)
         .expect("batch A submits");
@@ -399,7 +393,7 @@ pub fn observed_publish_run(scenario: &str, args: &CellArgs) -> (RunReport, Stri
     // Phase 2: a vertex-addition batch grows the view (tail chunk tops
     // up / fresh chunks materialize) plus seeded edge churn that dirties
     // scattered rows.
-    let batch = addition_batch(&g, args.scaled(256, 6), args.seed + 1);
+    let batch = addition_batch(&g, scaled(args.scale, 256, 6), args.seed + 1);
     engine
         .submit_with_strategy(DynamicChange::AddVertices(batch), AssignStrategy::RoundRobin)
         .expect("batch submits");
@@ -466,7 +460,7 @@ pub fn observed_stream_run(scenario: &str, args: &CellArgs) -> (RunReport, Strin
     let stream = StreamConfig {
         shape: StreamShape::Hub,
         ticks: args.ticks,
-        batch: args.scaled(256, 4),
+        batch: scaled(args.scale, 256, 4),
         edges_per_vertex: 2,
         seed: args.seed + 1,
     };
@@ -629,7 +623,7 @@ mod tests {
         let t = row_of(&a, "metrics");
         assert!(t("betweenness_epochs") > 0 && t("changed_entries") > 0);
         assert_eq!(t("full_recomputes"), 1, "construction's; the batch drain voids nothing");
-        let n = (cell.args.scale + cell.args.scaled(512, 8)) as u64;
+        let n = (cell.args.scale + scaled(cell.args.scale, 512, 8)) as u64;
         assert!(
             t("sources_recomputed") < n * t("betweenness_epochs"),
             "incremental updates must beat a per-epoch full rescan \

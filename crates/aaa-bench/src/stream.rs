@@ -63,19 +63,6 @@ impl StreamShape {
     }
 }
 
-impl std::str::FromStr for StreamShape {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "bursty" => Ok(StreamShape::Bursty),
-            "diurnal" => Ok(StreamShape::Diurnal),
-            "hub" => Ok(StreamShape::Hub),
-            other => Err(format!("stream shape wants bursty|diurnal|hub, got {other}")),
-        }
-    }
-}
-
 /// Knobs for one streaming run.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
@@ -237,15 +224,13 @@ mod tests {
     use aaa_graph::generators::{barabasi_albert, WeightModel};
 
     #[test]
-    fn shapes_parse_and_schedules_are_bounded() {
+    fn schedules_are_bounded() {
         for shape in StreamShape::ALL {
-            assert_eq!(shape.name().parse::<StreamShape>().unwrap(), shape);
             for t in 0..32 {
                 let k = shape.intensity(t);
                 assert!((1..=4).contains(&k), "{shape:?} tick {t} offered {k}");
             }
         }
-        assert!("weekly".parse::<StreamShape>().is_err());
         // Bursty actually bursts; diurnal actually cycles.
         assert_eq!(StreamShape::Bursty.intensity(3), 4);
         assert_eq!(StreamShape::Bursty.intensity(0), 1);

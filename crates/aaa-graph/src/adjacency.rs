@@ -218,32 +218,6 @@ impl AdjGraph {
         self.edges().map(|(_, _, w)| w as u64).sum()
     }
 
-    /// Weighted degree (sum of incident edge weights) of `v`.
-    pub fn weighted_degree(&self, v: VertexId) -> u64 {
-        self.adj[v as usize].iter().map(|&(_, w)| w as u64).sum()
-    }
-
-    /// Extracts the subgraph induced by `keep` (ids are re-numbered densely
-    /// in the order given). Returns the subgraph and the mapping
-    /// `new id -> old id`.
-    pub fn induced_subgraph(&self, keep: &[VertexId]) -> (AdjGraph, Vec<VertexId>) {
-        let mut old_to_new = vec![VertexId::MAX; self.num_vertices()];
-        for (new, &old) in keep.iter().enumerate() {
-            old_to_new[old as usize] = new as VertexId;
-        }
-        let mut g = AdjGraph::with_vertices(keep.len());
-        for &old_u in keep {
-            let new_u = old_to_new[old_u as usize];
-            for &(old_v, w) in self.neighbors(old_u) {
-                let new_v = old_to_new[old_v as usize];
-                if new_v != VertexId::MAX && new_u < new_v {
-                    g.add_edge(new_u, new_v, w).expect("induced subgraph edge must be valid");
-                }
-            }
-        }
-        (g, keep.to_vec())
-    }
-
     /// Validates all structural invariants. Intended for tests and debug
     /// assertions; O(V + E·deg).
     pub fn validate(&self) -> Result<(), String> {
@@ -367,19 +341,6 @@ mod tests {
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1, 1), (0, 2, 3), (1, 2, 2)]);
         assert_eq!(g.total_weight(), 6);
-        assert_eq!(g.weighted_degree(0), 4);
-    }
-
-    #[test]
-    fn induced_subgraph_renumbers() {
-        let g = triangle();
-        let (sub, map) = g.induced_subgraph(&[2, 0]);
-        assert_eq!(sub.num_vertices(), 2);
-        assert_eq!(sub.num_edges(), 1);
-        // old 2 -> new 0, old 0 -> new 1; edge (0,2,3) survives.
-        assert_eq!(sub.edge_weight(0, 1), Some(3));
-        assert_eq!(map, vec![2, 0]);
-        sub.validate().unwrap();
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Queues an unweighted (weight-1) edge.
-    pub fn unweighted_edge(&mut self, u: VertexId, v: VertexId) -> &mut Self {
-        self.edge(u, v, 1)
-    }
-
     /// Builds the graph. Duplicate pairs keep the minimum weight.
     /// Zero-weight edges are rejected.
     pub fn build(self) -> Result<AdjGraph, GraphError> {
@@ -77,13 +72,5 @@ mod tests {
         let mut b = GraphBuilder::default();
         b.edge(0, 1, 0);
         assert!(b.build().is_err());
-    }
-
-    #[test]
-    fn unweighted_edges_have_weight_one() {
-        let mut b = GraphBuilder::default();
-        b.unweighted_edge(0, 1);
-        let g = b.build().unwrap();
-        assert_eq!(g.edge_weight(0, 1), Some(1));
     }
 }

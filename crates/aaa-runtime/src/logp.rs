@@ -44,16 +44,6 @@ impl LogPModel {
         2.0 * self.overhead_us + self.latency_us + byte_term
     }
 
-    /// Cost for one sender to inject `count` back-to-back messages: each
-    /// injection after the first is separated by at least `g`.
-    pub fn injection_cost_us(&self, count: usize, bytes_each: usize) -> f64 {
-        if count == 0 {
-            return 0.0;
-        }
-        self.message_cost_us(bytes_each)
-            + (count as f64 - 1.0) * self.gap_us.max(self.message_cost_us(bytes_each))
-    }
-
     /// Cost of a binomial-tree broadcast of `bytes` to `p` ranks:
     /// `ceil(log2 p)` sequential message rounds.
     pub fn broadcast_cost_us(&self, p: usize, bytes: usize) -> f64 {
@@ -105,14 +95,5 @@ mod tests {
         let c2 = m.broadcast_cost_us(2, 1000);
         assert!((c16 / c2 - 4.0).abs() < 1e-9); // log2(16) / log2(2)
         assert_eq!(m.broadcast_cost_us(1, 1000), 0.0);
-    }
-
-    #[test]
-    fn injection_cost_monotone_in_count() {
-        let m = LogPModel::ethernet_1g();
-        assert_eq!(m.injection_cost_us(0, 100), 0.0);
-        let one = m.injection_cost_us(1, 100);
-        let five = m.injection_cost_us(5, 100);
-        assert!(five > 4.0 * one * 0.9);
     }
 }
