@@ -301,3 +301,30 @@ fi
 lines=0
 for f in $(find crates/aaa-bench/src -name '*.rs'); do lines=$((lines + $(nontest "$f" | wc -l))); done
 echo "aaa-bench: $lines non-test lines"
+
+# One pass each way. A checkpoint streams each rank's rows from its
+# arena slots into the writer, and a restore installs each verified rank
+# section straight into the arenas; neither builds a whole `Snapshot` in
+# between. So the bodies of the engine's `checkpoint`, `checkpoint_bytes`
+# and `restore` call neither `self.snapshot()` nor `Snapshot::read_from`,
+# the decoder sizes what it builds from the section (no `shrink_to_fit` in
+# aaa-checkpoint), and one function writes the RNKS sections. The block also
+# logs aaa-checkpoint's non-test size (792 before it).
+for f in checkpoint checkpoint_bytes restore; do
+  body=$(awk -v f="$f" '$0 ~ "^    pub fn " f "\\(" { on = 1 } on { print } on && /^    }$/ { exit }' crates/aaa-core/src/engine.rs)
+  [ -n "$body" ] || { echo "engine.rs has no pub fn $f"; exit 1; }
+  if echo "$body" | grep -nE 'self\.snapshot\(\)|Snapshot::read_from'; then
+    echo "AnytimeEngine::$f goes through a whole Snapshot again"; exit 1
+  fi
+done
+if grep -rn 'shrink_to_fit' crates/aaa-checkpoint/src; then
+  echo "the checkpoint decoder over-reserves and shrinks again"; exit 1
+fi
+writers=$(for f in crates/aaa-checkpoint/src/*.rs; do
+  nontest "$f" | awk -v f="$f" '/^ *(pub )?(pub\(crate\) )?fn / { name = $0 } /b"RNKS"/ && /(begin|write_section|SectionWriter)/ { print f ": " name }'
+done)
+echo "RNKS written by: $writers"
+[ "$(echo "$writers" | grep -c 'fn ')" = 1 ] || { echo "expected exactly one function writing RNKS sections"; exit 1; }
+lines=0
+for f in crates/aaa-checkpoint/src/*.rs; do lines=$((lines + $(nontest "$f" | wc -l))); done
+echo "aaa-checkpoint: $lines non-test lines"

@@ -16,7 +16,23 @@
 //! crate only knows the *format* and the snapshot data model, so it
 //! depends on nothing above `aaa-graph` and `aaa-runtime`.
 //!
-//! ## Snapshot format appendix (version 2)
+//! ## One pass each way
+//!
+//! There is one encoder ([`Image`]) and one decoder ([`read_image`]). The
+//! encoder reads each rank's rows from a [`RankRows`] source: a
+//! [`RankSnapshot`]'s tables, or a live rank's arenas in place (the
+//! engine's `checkpoint`), so a checkpoint copies each row once, from its
+//! arena slot into the output, checksumming it there a 64 KB stage at a
+//! time while it is still in cache. [`Image::to_bytes`] sizes its buffer
+//! exactly from the section lengths. The decoder reads one section at a
+//! time into a buffer reused across sections, verifies its CRC, and only
+//! then hands it to an [`ImageSink`]: the one behind
+//! [`Snapshot::read_from`] copies the rows into tables sized exactly from
+//! the section, the engine's installs them straight into fresh arenas. A
+//! restore therefore holds at most one rank section beyond the engine,
+//! never a whole image.
+//!
+//! ## Snapshot format appendix (version 4)
 //!
 //! All integers are **little-endian**. The file is a fixed header followed
 //! by length-prefixed, CRC-protected sections:
@@ -24,11 +40,11 @@
 //! ```text
 //! header   := magic version section_count
 //! magic    := 8 bytes  b"AAACKPT\0"
-//! version  := u32      format version (currently 2)
+//! version  := u32      format version (currently 4)
 //! section_count := u32 number of sections that follow
 //!
 //! section  := tag payload_len payload crc32
-//! tag      := 4 ASCII bytes  ("META" | "GRPH" | "PART" | "STAT" | "RNKS")
+//! tag      := 4 ASCII bytes  ("META" | "GRPH" | "PART" | "STAT" | "METR" | "RNKS")
 //! payload_len := u64   byte length of payload
 //! payload  := payload_len bytes
 //! crc32    := u32      CRC-32 (IEEE 802.3) of payload
@@ -37,19 +53,17 @@
 //! The checksum is [`aaa_runtime::bytes::crc32`] — one table-driven
 //! slice-by-16 implementation shared with the socket frame codec, re-exported
 //! here as [`crc32`]. It is incremental, so the writer checksums a large
-//! section a few rows at a time while the bytes are still in cache and
-//! never stages the section whole; the reader pulls each payload through
-//! `Read::take` into one buffer reused across sections, so a declared
-//! length is never trusted with an allocation. Polynomial (reflected
-//! `0xEDB88320`), initial value and final inversion are the standard ones:
-//! changing *how* the value is computed changed no byte of any file, which
-//! the golden v4 snapshot in this crate's tests (written by the previous,
-//! byte-at-a-time implementation) pins in both directions. Distance rows
-//! move in bulk as well — `aaa_runtime::bytes::{put_u32s, get_u32s}` per
-//! row instead of a call per cell — and sit in memory as one flat
-//! [`RowTable`] per rank rather than a `Vec` per row.
+//! section a stage at a time and never stages the section whole; the
+//! reader pulls each payload through `Read::take`, so a declared length is
+//! never trusted with an allocation. Polynomial (reflected `0xEDB88320`),
+//! initial value and final inversion are the standard ones: changing *how*
+//! the value is computed changed no byte of any file, which the golden v4
+//! snapshot in this crate's tests (written by the previous, byte-at-a-time
+//! implementation) pins in both directions. Distance rows move in bulk as
+//! well — `aaa_runtime::bytes::{put_u32s, get_u32s}` per row instead of a
+//! call per cell.
 //!
-//! Version-2 section payloads, in the order they are written:
+//! Section payloads, in the order they are written:
 //!
 //! * `META` — `procs: u32`, `rc_steps: u64`, `rr_cursor: u64`,
 //!   `changes_applied: u64` (the pending change-stream cursor: how many
@@ -60,15 +74,20 @@
 //! * `PART` — `k: u32`, `len: u64`, then `len × u32` part ids.
 //! * `STAT` — `messages: u64`, `bytes: u64`, `sim_comm_us: f64`,
 //!   `sim_compute_us: f64`, `supersteps: u64`, `collectives: u64`,
-//!   `checkpoints: u64`, `restores: u64`, then the six chaos fault
-//!   counters `dropped, duplicated, delayed, corrupted, stalls,
-//!   retransmits` (each `u64`; added in version 2), `wall_nanos: u64`.
+//!   `checkpoints: u64`, `restores: u64`, the three migration counters
+//!   `migrations, migrated_rows, migration_bytes` (added in version 3),
+//!   the six chaos fault counters `dropped, duplicated, delayed,
+//!   corrupted, stalls, retransmits` (added in version 2), `wall_nanos:
+//!   u64` — every field a `u64` unless noted.
+//! * `METR` — only when the engine maintained metrics beyond closeness
+//!   (added in version 4): `count: u32`, then `count` one-byte metric wire
+//!   ids.
 //! * `RNKS` — one section **per rank**, so a single rank's rows can be
 //!   recovered without materializing the others: `rank: u32`, then four
 //!   length-prefixed lists — local rows (`v: u32, len: u64, len × u32`
 //!   distances), cached rows (same layout), dirty ids (`u32`s), pending
 //!   ids (`u32`s). Row entries use `u32::MAX` for +∞, matching
-//!   `aaa_graph::INF`.
+//!   `aaa_graph::INF`. Each list is sorted by id.
 //!
 //! ### Versioning rules
 //!
@@ -80,6 +99,15 @@
 //! * Within a version, readers are strict: unknown tags, short payloads,
 //!   CRC mismatches, and trailing bytes are all typed errors. Robustness
 //!   comes from the version gate, not from lenient parsing.
+//! * META, GRPH and PART come before the first RNKS: a restore builds each
+//!   rank from them before it installs the rank's rows. Every file this
+//!   code has written is in that order, the golden v4 bytes included; a
+//!   file in any other order is [`CheckpointError::Malformed`].
+//! * The sections must agree, or the file is `Malformed`: PART has one
+//!   part per processor (`k == procs`), every RNKS rank id is below
+//!   `procs`, and no rank id appears in two RNKS sections — with one
+//!   section per rank, every rank has exactly one. [`Snapshot::check`]
+//!   applies the same rules to a snapshot built in memory.
 
 pub mod error;
 pub mod policy;
@@ -89,8 +117,8 @@ mod wire;
 pub use error::CheckpointError;
 pub use policy::CheckpointPolicy;
 pub use snapshot::{
-    EngineMeta, GraphSnapshot, PartitionSnapshot, RankSnapshot, RowTable, Rows, Snapshot,
-    FORMAT_VERSION, MAGIC,
+    read_image, EngineMeta, GraphSnapshot, Image, ImageSink, PartitionSnapshot, RankRows,
+    RankSection, RankSnapshot, RowTable, Rows, Snapshot, Trailer, FORMAT_VERSION, MAGIC,
 };
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — the per-section

@@ -1,14 +1,20 @@
-//! The snapshot data model and its versioned binary encoding.
+//! The snapshot data model and its one binary codec.
 //!
 //! The DTOs here mirror the engine's state without depending on
-//! `aaa-core`: the engine converts itself to/from a [`Snapshot`] and this
-//! module owns the bytes. See the crate docs for the full format appendix.
+//! `aaa-core`. The codec is one encoder ([`Image::write_to`]) and one
+//! decoder ([`read_image`]), each fed from either side. The encoder reads
+//! rank rows from any [`RankRows`] source: a [`RankSnapshot`]'s tables, or
+//! (in `aaa-core`) a live rank's arenas, in place. The decoder hands each
+//! rank section, once its CRC verified, to an [`ImageSink`]: the one here
+//! builds a [`Snapshot`], the engine's installs the rows straight into
+//! fresh arenas. See the crate docs for the format appendix.
 
 use crate::error::CheckpointError;
-use crate::wire::{decode, read_array, read_section, read_u32, write_section, SectionWriter};
+use crate::wire::{decode, read_array, read_section, read_u32, Stage, STAGE_BYTES};
 use aaa_graph::{Dist, PartId, VertexId, Weight};
 use aaa_runtime::bytes::{put_u32, put_u32s, put_u64, Cursor, ShortRead};
 use aaa_runtime::{FaultCounters, RunStats};
+use std::convert::Infallible;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -23,10 +29,9 @@ pub const MAGIC: [u8; 8] = *b"AAACKPT\0";
 /// format shipped unreleased).
 pub const FORMAT_VERSION: u32 = 4;
 
-/// How much of a rank section is staged before it is checksummed and
-/// written: small enough to stay in cache, large enough to amortise a
-/// `write` call.
-const STAGE_BYTES: usize = 64 << 10;
+/// Payload bytes of the two fixed-size sections.
+const META_BYTES: usize = 4 + 3 * 8;
+const STAT_BYTES: usize = 18 * 8;
 
 /// Engine-level scalars: processor count, RC progress, the round-robin
 /// assignment cursor, and the change-stream cursor.
@@ -142,6 +147,42 @@ impl<R: AsRef<[Dist]>> FromIterator<(VertexId, R)> for RowTable {
     }
 }
 
+/// One rank's rows as the `RNKS` encoder and the installers read them: the
+/// rank id, the local and the cached rows in the order they are written
+/// (sorted by id), and the dirty and pending ids. The sources are a
+/// [`RankSnapshot`]'s tables, a verified section payload
+/// ([`RankSection`]) and, in `aaa-core`, a live rank's arenas.
+pub trait RankRows {
+    fn rank(&self) -> u32;
+
+    /// `(rows, cells)` of the local (`cached == false`) or the cached table.
+    fn shape(&self, cached: bool) -> (usize, usize);
+
+    /// Calls `f` on every row of the local or the cached table, in order,
+    /// and stops at its first error.
+    fn try_for_each<E>(
+        &self,
+        cached: bool,
+        f: impl FnMut(VertexId, &[Dist]) -> Result<(), E>,
+    ) -> Result<(), E>;
+
+    /// Local rows waiting to be sent, sorted.
+    fn dirty(&self) -> &[VertexId];
+
+    /// Local rows whose relaxation is still pending, sorted.
+    fn pending(&self) -> &[VertexId];
+}
+
+/// Payload bytes of the `RNKS` section `rows` encodes to.
+fn rank_section_len(rows: &impl RankRows) -> usize {
+    let table = |cached| {
+        let (n, cells) = rows.shape(cached);
+        8 + 12 * n + 4 * cells
+    };
+    let ids = |v: &[VertexId]| 8 + 4 * v.len();
+    4 + table(false) + table(true) + ids(rows.dirty()) + ids(rows.pending())
+}
+
 /// One rank's distance-vector state: local rows, cached external-boundary
 /// rows, the dirty mask, and pending dynamic-update pivots. Adjacency and
 /// ownership are *not* stored — they are rebuilt deterministically from
@@ -156,17 +197,66 @@ pub struct RankSnapshot {
 }
 
 impl RankSnapshot {
+    /// Copies any row source into tables sized exactly from its shape.
+    pub fn from_rows(rows: &impl RankRows) -> Self {
+        let table = |cached| {
+            let (n, cells) = rows.shape(cached);
+            let mut table = RowTable::with_capacity(n, cells);
+            let copied: Result<(), Infallible> = rows.try_for_each(cached, |v, row| {
+                table.push(v, row);
+                Ok(())
+            });
+            copied.unwrap_or_else(|never| match never {});
+            table
+        };
+        Self {
+            rank: rows.rank(),
+            local: table(false),
+            cached: table(true),
+            dirty: rows.dirty().to_vec(),
+            pending: rows.pending().to_vec(),
+        }
+    }
+
     /// Bytes this rank's rows occupy on the wire (8-byte header + 4 bytes
     /// per entry, mirroring `RowMsg` pricing).
     pub fn row_bytes(&self) -> usize {
         [&self.local, &self.cached].iter().map(|t| 8 * t.len() + 4 * t.cells.len()).sum()
     }
 
-    /// Payload bytes of this rank's `RNKS` section.
-    fn section_len(&self) -> usize {
-        let rows = |t: &RowTable| 8 + 12 * t.len() + 4 * t.cells.len();
-        let ids = |v: &[VertexId]| 8 + 4 * v.len();
-        4 + rows(&self.local) + rows(&self.cached) + ids(&self.dirty) + ids(&self.pending)
+    fn table(&self, cached: bool) -> &RowTable {
+        if cached {
+            &self.cached
+        } else {
+            &self.local
+        }
+    }
+}
+
+impl RankRows for RankSnapshot {
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn shape(&self, cached: bool) -> (usize, usize) {
+        let table = self.table(cached);
+        (table.len(), table.cells.len())
+    }
+
+    fn try_for_each<E>(
+        &self,
+        cached: bool,
+        mut f: impl FnMut(VertexId, &[Dist]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.table(cached).iter().try_for_each(|(v, row)| f(v, row))
+    }
+
+    fn dirty(&self) -> &[VertexId] {
+        &self.dirty
+    }
+
+    fn pending(&self) -> &[VertexId] {
+        &self.pending
     }
 }
 
@@ -193,282 +283,557 @@ impl Snapshot {
         self.ranks.iter().find(|r| r.rank as usize == rank)
     }
 
+    /// The encoder's view of this snapshot.
+    fn image(&self) -> Image<'_, RankSnapshot> {
+        Image {
+            meta: self.meta,
+            graph: &self.graph,
+            partition: &self.partition,
+            stats: &self.stats,
+            metrics: &self.metrics,
+            ranks: &self.ranks,
+        }
+    }
+
     /// Serializes to the current binary format ([`FORMAT_VERSION`]).
-    pub fn write_to(&self, mut w: impl Write) -> Result<(), CheckpointError> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        let sections = 4 + self.ranks.len() as u32 + if self.metrics.is_empty() { 0 } else { 1 };
-        w.write_all(&sections.to_le_bytes())?;
-
-        let mut p = Vec::new();
-        put_u32(&mut p, self.meta.procs);
-        put_u64(&mut p, self.meta.rc_steps);
-        put_u64(&mut p, self.meta.rr_cursor);
-        put_u64(&mut p, self.meta.changes_applied);
-        write_section(&mut w, b"META", &p)?;
-
-        p.clear();
-        put_u64(&mut p, self.graph.num_vertices);
-        put_u64(&mut p, self.graph.edges.len() as u64);
-        for &(u, v, wt) in &self.graph.edges {
-            put_u32(&mut p, u);
-            put_u32(&mut p, v);
-            put_u32(&mut p, wt);
-        }
-        write_section(&mut w, b"GRPH", &p)?;
-
-        p.clear();
-        put_u32(&mut p, self.partition.k);
-        put_u64(&mut p, self.partition.assignment.len() as u64);
-        put_u32s(&mut p, &self.partition.assignment);
-        write_section(&mut w, b"PART", &p)?;
-
-        p.clear();
-        put_u64(&mut p, self.stats.messages);
-        put_u64(&mut p, self.stats.bytes);
-        put_u64(&mut p, self.stats.sim_comm_us.to_bits());
-        put_u64(&mut p, self.stats.sim_compute_us.to_bits());
-        put_u64(&mut p, self.stats.supersteps);
-        put_u64(&mut p, self.stats.collectives);
-        put_u64(&mut p, self.stats.checkpoints);
-        put_u64(&mut p, self.stats.restores);
-        put_u64(&mut p, self.stats.migrations);
-        put_u64(&mut p, self.stats.migrated_rows);
-        put_u64(&mut p, self.stats.migration_bytes);
-        put_u64(&mut p, self.stats.faults.dropped);
-        put_u64(&mut p, self.stats.faults.duplicated);
-        put_u64(&mut p, self.stats.faults.delayed);
-        put_u64(&mut p, self.stats.faults.corrupted);
-        put_u64(&mut p, self.stats.faults.stalls);
-        put_u64(&mut p, self.stats.faults.retransmits);
-        put_u64(&mut p, self.stats.wall.as_nanos() as u64);
-        write_section(&mut w, b"STAT", &p)?;
-
-        if !self.metrics.is_empty() {
-            p.clear();
-            put_u32(&mut p, self.metrics.len() as u32);
-            for &id in &self.metrics {
-                p.push(id);
-            }
-            write_section(&mut w, b"METR", &p)?;
-        }
-
-        for rs in &self.ranks {
-            // The big sections: streamed through `p` a few rows at a time,
-            // so rows are checksummed and written while still in cache and
-            // an unbuffered writer still sees large writes.
-            let mut section = SectionWriter::begin(&mut w, b"RNKS", rs.section_len() as u64)?;
-            p.clear();
-            put_u32(&mut p, rs.rank);
-            for rows in [&rs.local, &rs.cached] {
-                put_u64(&mut p, rows.len() as u64);
-                for (v, row) in rows {
-                    put_u32(&mut p, v);
-                    put_u64(&mut p, row.len() as u64);
-                    put_u32s(&mut p, row);
-                    if p.len() >= STAGE_BYTES {
-                        section.put(&p)?;
-                        p.clear();
-                    }
-                }
-            }
-            for ids in [&rs.dirty, &rs.pending] {
-                put_u64(&mut p, ids.len() as u64);
-                put_u32s(&mut p, ids);
-            }
-            section.put(&p)?;
-            section.finish()?;
-        }
-        Ok(())
+    pub fn write_to(&self, w: impl Write) -> Result<(), CheckpointError> {
+        self.image().write_to(w)
     }
 
     /// Serializes to an in-memory buffer.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
-        let mut buf = Vec::new();
-        self.write_to(&mut buf)?;
-        Ok(buf)
+        self.image().to_bytes()
     }
 
     /// Deserializes from the current binary format, verifying magic,
-    /// version, section structure and every CRC. All failure modes are
-    /// typed [`CheckpointError`]s.
-    pub fn read_from(mut r: impl Read) -> Result<Self, CheckpointError> {
-        let magic: [u8; 8] = read_array(&mut r, "header")?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic { found: magic });
-        }
-        let version = read_u32(&mut r, "header")?;
-        if version != FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let sections = read_u32(&mut r, "header")?;
-
-        let mut meta: Option<EngineMeta> = None;
-        let mut graph: Option<GraphSnapshot> = None;
-        let mut partition: Option<PartitionSnapshot> = None;
-        let mut stats: Option<RunStats> = None;
-        let mut ranks: Vec<RankSnapshot> = Vec::new();
-        let mut metrics: Option<Vec<u8>> = None;
-
-        let mut payload = Vec::new();
-        for _ in 0..sections {
-            let tag = read_section(&mut r, &mut payload)?;
-            match &tag {
-                b"META" => {
-                    let m = decode(&payload, "META", |p| {
-                        Ok(EngineMeta {
-                            procs: p.u32()?,
-                            rc_steps: p.u64()?,
-                            rr_cursor: p.u64()?,
-                            changes_applied: p.u64()?,
-                        })
-                    })?;
-                    if meta.replace(m).is_some() {
-                        return Err(CheckpointError::Malformed("duplicate META section".into()));
-                    }
-                }
-                b"GRPH" => {
-                    let g = decode(&payload, "GRPH", |p| {
-                        let num_vertices = p.u64()?;
-                        let m = p.count_u64(12)?;
-                        let mut edges = Vec::with_capacity(m);
-                        for _ in 0..m {
-                            edges.push((p.u32()?, p.u32()?, p.u32()?));
-                        }
-                        Ok(GraphSnapshot { num_vertices, edges })
-                    })?;
-                    if graph.replace(g).is_some() {
-                        return Err(CheckpointError::Malformed("duplicate GRPH section".into()));
-                    }
-                }
-                b"PART" => {
-                    let part = decode(&payload, "PART", |p| {
-                        let k = p.u32()?;
-                        let len = p.count_u64(4)?;
-                        let mut assignment = Vec::with_capacity(len);
-                        p.u32s(len, &mut assignment)?;
-                        Ok(PartitionSnapshot { k, assignment })
-                    })?;
-                    if partition.replace(part).is_some() {
-                        return Err(CheckpointError::Malformed("duplicate PART section".into()));
-                    }
-                }
-                b"STAT" => {
-                    let s = decode(&payload, "STAT", |p| {
-                        Ok(RunStats {
-                            messages: p.u64()?,
-                            bytes: p.u64()?,
-                            sim_comm_us: f64::from_bits(p.u64()?),
-                            sim_compute_us: f64::from_bits(p.u64()?),
-                            supersteps: p.u64()?,
-                            collectives: p.u64()?,
-                            checkpoints: p.u64()?,
-                            restores: p.u64()?,
-                            migrations: p.u64()?,
-                            migrated_rows: p.u64()?,
-                            migration_bytes: p.u64()?,
-                            faults: FaultCounters {
-                                dropped: p.u64()?,
-                                duplicated: p.u64()?,
-                                delayed: p.u64()?,
-                                corrupted: p.u64()?,
-                                stalls: p.u64()?,
-                                retransmits: p.u64()?,
-                            },
-                            wall: Duration::from_nanos(p.u64()?),
-                        })
-                    })?;
-                    if stats.replace(s).is_some() {
-                        return Err(CheckpointError::Malformed("duplicate STAT section".into()));
-                    }
-                }
-                b"METR" => {
-                    let ids = decode(&payload, "METR", |p| {
-                        let n = p.u32()? as usize;
-                        Ok(p.take(n)?.to_vec())
-                    })?;
-                    if ids.is_empty() {
-                        // The writer omits the section entirely when there
-                        // are no extra metrics; an empty one is corruption.
-                        return Err(CheckpointError::Malformed("empty METR section".into()));
-                    }
-                    if metrics.replace(ids).is_some() {
-                        return Err(CheckpointError::Malformed("duplicate METR section".into()));
-                    }
-                }
-                b"RNKS" => {
-                    // Every row costs at least its 12-byte header, so the
-                    // payload length bounds rows and cells alike.
-                    let read_rows = |p: &mut Cursor<'_>| -> Result<_, ShortRead> {
-                        let n = p.count_u64(12)?;
-                        let mut rows = RowTable::with_capacity(n, p.remaining() / 4);
-                        for _ in 0..n {
-                            let v = p.u32()?;
-                            let len = p.count_u64(4)?;
-                            p.u32s(len, &mut rows.cells)?;
-                            rows.ids.push(v);
-                            rows.ends.push(rows.cells.len());
-                        }
-                        rows.cells.shrink_to_fit();
-                        Ok(rows)
-                    };
-                    let read_ids = |p: &mut Cursor<'_>| -> Result<_, ShortRead> {
-                        let n = p.count_u64(4)?;
-                        let mut ids = Vec::with_capacity(n);
-                        p.u32s(n, &mut ids)?;
-                        Ok(ids)
-                    };
-                    ranks.push(decode(&payload, "RNKS", |p| {
-                        Ok(RankSnapshot {
-                            rank: p.u32()?,
-                            local: read_rows(p)?,
-                            cached: read_rows(p)?,
-                            dirty: read_ids(p)?,
-                            pending: read_ids(p)?,
-                        })
-                    })?);
-                }
-                other => {
-                    return Err(CheckpointError::Malformed(format!(
-                        "unknown section tag {:?}",
-                        String::from_utf8_lossy(other)
-                    )));
-                }
-            }
-        }
-
-        let meta = meta.ok_or_else(|| CheckpointError::Malformed("missing META section".into()))?;
-        let graph =
-            graph.ok_or_else(|| CheckpointError::Malformed("missing GRPH section".into()))?;
-        let partition =
-            partition.ok_or_else(|| CheckpointError::Malformed("missing PART section".into()))?;
-        let stats =
-            stats.ok_or_else(|| CheckpointError::Malformed("missing STAT section".into()))?;
-        if ranks.len() != meta.procs as usize {
-            return Err(CheckpointError::Malformed(format!(
-                "snapshot has {} rank sections for {} procs",
-                ranks.len(),
-                meta.procs
-            )));
-        }
-        // Trailing bytes after the declared sections are corruption.
-        let mut probe = [0u8; 1];
-        match r.read(&mut probe) {
-            Ok(0) => {}
-            Ok(_) => {
-                return Err(CheckpointError::Malformed("trailing bytes after final section".into()))
-            }
-            Err(e) => return Err(e.into()),
-        }
-        Ok(Snapshot { meta, graph, partition, stats, ranks, metrics: metrics.unwrap_or_default() })
+    /// version, section structure, every CRC and the consistency rules of
+    /// [`read_image`]. All failure modes are typed [`CheckpointError`]s.
+    pub fn read_from(r: impl Read) -> Result<Self, CheckpointError> {
+        let mut sink = Collect::default();
+        let trailer = read_image(r, &mut sink)?;
+        let (graph, partition) = sink.header.expect("read_image hands the header over");
+        let Trailer { meta, stats, metrics } = trailer;
+        Ok(Snapshot { meta, graph, partition, stats, ranks: sink.ranks, metrics })
     }
 
     /// Deserializes from an in-memory buffer.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
         Self::read_from(bytes)
+    }
+
+    /// The consistency rules [`read_image`] enforces on a file, for a
+    /// snapshot built or edited in memory: one part per processor, and
+    /// exactly one rank section per rank.
+    pub fn check(&self) -> Result<(), CheckpointError> {
+        check_parts(&self.meta, &self.partition)?;
+        let mut seen = Vec::new();
+        for rs in &self.ranks {
+            admit_rank(&mut seen, rs.rank, self.meta.procs)?;
+        }
+        check_rank_count(&seen, self.meta.procs)
+    }
+}
+
+/// What the encoder writes: a snapshot's scalars, graph and partition
+/// borrowed whole, and its ranks as row sources.
+#[derive(Debug)]
+pub struct Image<'a, R> {
+    pub meta: EngineMeta,
+    pub graph: &'a GraphSnapshot,
+    pub partition: &'a PartitionSnapshot,
+    pub stats: &'a RunStats,
+    pub metrics: &'a [u8],
+    pub ranks: &'a [R],
+}
+
+impl<R: RankRows> Image<'_, R> {
+    /// Payload bytes of every section, in file order.
+    fn section_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        let graph = 16 + 12 * self.graph.edges.len();
+        let partition = 12 + 4 * self.partition.assignment.len();
+        let metrics = (!self.metrics.is_empty()).then_some(4 + self.metrics.len());
+        [META_BYTES, graph, partition, STAT_BYTES]
+            .into_iter()
+            .chain(metrics)
+            .chain(self.ranks.iter().map(rank_section_len))
+    }
+
+    /// Bytes the image encodes to: the file header and every framed
+    /// section (tag, length, payload, CRC).
+    fn encoded_len(&self) -> usize {
+        MAGIC.len() + 8 + self.section_lens().map(|payload| 16 + payload).sum::<usize>()
+    }
+
+    /// Serializes to the current binary format ([`FORMAT_VERSION`]) into
+    /// `w`, a stage at a time.
+    pub fn write_to(&self, mut w: impl Write) -> Result<(), CheckpointError> {
+        let out = Stage::new(Vec::with_capacity(2 * STAGE_BYTES), |buf: &mut Vec<u8>| {
+            w.write_all(buf)?;
+            buf.clear();
+            Ok(())
+        });
+        self.encode(out).map(drop)
+    }
+
+    /// Serializes into a buffer sized exactly from the section lengths:
+    /// the rows are encoded straight into it, and it never re-allocates.
+    pub fn to_bytes(&self) -> Result<Vec<u8>, CheckpointError> {
+        let len = self.encoded_len();
+        let bytes = self.encode(Stage::new(Vec::with_capacity(len), |_: &mut Vec<u8>| Ok(())))?;
+        debug_assert_eq!(bytes.len(), len, "encoded_len disagrees with the encoder");
+        Ok(bytes)
+    }
+
+    /// The one encoder: every section, in file order, into `out`.
+    fn encode<F>(&self, mut out: Stage<F>) -> Result<Vec<u8>, CheckpointError>
+    where
+        F: FnMut(&mut Vec<u8>) -> Result<(), CheckpointError>,
+    {
+        out.buf.extend_from_slice(&MAGIC);
+        out.buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.buf.extend_from_slice(&(self.section_lens().count() as u32).to_le_bytes());
+        let mut lens = self.section_lens().map(|len| len as u64);
+        let mut len = || lens.next().expect("one length per section");
+
+        out.begin(b"META", len());
+        let p = &mut out.buf;
+        put_u32(p, self.meta.procs);
+        put_u64(p, self.meta.rc_steps);
+        put_u64(p, self.meta.rr_cursor);
+        put_u64(p, self.meta.changes_applied);
+        out.finish()?;
+
+        out.begin(b"GRPH", len());
+        let p = &mut out.buf;
+        put_u64(p, self.graph.num_vertices);
+        put_u64(p, self.graph.edges.len() as u64);
+        for &(u, v, wt) in &self.graph.edges {
+            put_u32(p, u);
+            put_u32(p, v);
+            put_u32(p, wt);
+        }
+        out.finish()?;
+
+        out.begin(b"PART", len());
+        let p = &mut out.buf;
+        put_u32(p, self.partition.k);
+        put_u64(p, self.partition.assignment.len() as u64);
+        put_u32s(p, &self.partition.assignment);
+        out.finish()?;
+
+        out.begin(b"STAT", len());
+        let (p, s) = (&mut out.buf, self.stats);
+        put_u64(p, s.messages);
+        put_u64(p, s.bytes);
+        put_u64(p, s.sim_comm_us.to_bits());
+        put_u64(p, s.sim_compute_us.to_bits());
+        put_u64(p, s.supersteps);
+        put_u64(p, s.collectives);
+        put_u64(p, s.checkpoints);
+        put_u64(p, s.restores);
+        put_u64(p, s.migrations);
+        put_u64(p, s.migrated_rows);
+        put_u64(p, s.migration_bytes);
+        put_u64(p, s.faults.dropped);
+        put_u64(p, s.faults.duplicated);
+        put_u64(p, s.faults.delayed);
+        put_u64(p, s.faults.corrupted);
+        put_u64(p, s.faults.stalls);
+        put_u64(p, s.faults.retransmits);
+        put_u64(p, s.wall.as_nanos() as u64);
+        out.finish()?;
+
+        if !self.metrics.is_empty() {
+            out.begin(b"METR", len());
+            put_u32(&mut out.buf, self.metrics.len() as u32);
+            out.buf.extend_from_slice(self.metrics);
+            out.finish()?;
+        }
+
+        for rows in self.ranks {
+            write_rank(&mut out, len(), rows)?;
+        }
+        out.end()
+    }
+
+    /// Copies the image into an owned [`Snapshot`].
+    pub fn to_snapshot(&self) -> Snapshot {
+        Snapshot {
+            meta: self.meta,
+            graph: self.graph.clone(),
+            partition: self.partition.clone(),
+            stats: *self.stats,
+            ranks: self.ranks.iter().map(RankSnapshot::from_rows).collect(),
+            metrics: self.metrics.to_vec(),
+        }
+    }
+}
+
+/// Writes one rank's `RNKS` section of `len` payload bytes, the one writer
+/// of the big sections. Each row is encoded straight from its source into
+/// the stage and checksummed there a stage at a time, while still in cache.
+fn write_rank<F>(out: &mut Stage<F>, len: u64, rows: &impl RankRows) -> Result<(), CheckpointError>
+where
+    F: FnMut(&mut Vec<u8>) -> Result<(), CheckpointError>,
+{
+    out.begin(b"RNKS", len);
+    put_u32(&mut out.buf, rows.rank());
+    for cached in [false, true] {
+        put_u64(&mut out.buf, rows.shape(cached).0 as u64);
+        rows.try_for_each(cached, |v, row| {
+            put_u32(&mut out.buf, v);
+            put_u64(&mut out.buf, row.len() as u64);
+            put_u32s(&mut out.buf, row);
+            out.seal_full()
+        })?;
+    }
+    for ids in [rows.dirty(), rows.pending()] {
+        put_u64(&mut out.buf, ids.len() as u64);
+        put_u32s(&mut out.buf, ids);
+    }
+    out.finish()
+}
+
+/// A verified `RNKS` payload, walked once when decoded to check its
+/// structure and count its cells. As a row source it decodes each row
+/// from the payload bytes as it hands it out.
+#[derive(Debug, Clone)]
+pub struct RankSection<'a> {
+    rank: u32,
+    /// The local and the cached table: their rows' bytes, rows and cells.
+    tables: [(&'a [u8], usize, usize); 2],
+    dirty: Vec<VertexId>,
+    pending: Vec<VertexId>,
+}
+
+const WALKED: &str = "the section was walked when it was decoded";
+
+impl<'a> RankSection<'a> {
+    fn decode(payload: &'a [u8]) -> Result<Self, CheckpointError> {
+        // Every row costs at least its 12-byte header, so the payload
+        // length bounds rows and cells alike.
+        let table = |p: &mut Cursor<'a>| -> Result<_, ShortRead> {
+            let rows = p.count_u64(12)?;
+            let mut walk = p.clone();
+            let mut cells = 0;
+            for _ in 0..rows {
+                walk.u32()?;
+                let len = walk.count_u64(4)?;
+                walk.take(4 * len)?;
+                cells += len;
+            }
+            Ok((p.take(p.remaining() - walk.remaining())?, rows, cells))
+        };
+        let ids = |p: &mut Cursor<'a>| -> Result<_, ShortRead> {
+            let n = p.count_u64(4)?;
+            let mut ids = Vec::with_capacity(n);
+            p.u32s(n, &mut ids)?;
+            Ok(ids)
+        };
+        decode(payload, "RNKS", |p| {
+            Ok(Self {
+                rank: p.u32()?,
+                tables: [table(p)?, table(p)?],
+                dirty: ids(p)?,
+                pending: ids(p)?,
+            })
+        })
+    }
+}
+
+impl RankRows for RankSection<'_> {
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn shape(&self, cached: bool) -> (usize, usize) {
+        let (_, rows, cells) = self.tables[usize::from(cached)];
+        (rows, cells)
+    }
+
+    fn try_for_each<E>(
+        &self,
+        cached: bool,
+        mut f: impl FnMut(VertexId, &[Dist]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (bytes, rows, _) = self.tables[usize::from(cached)];
+        let mut p = Cursor::new(bytes);
+        let mut row = Vec::new();
+        for _ in 0..rows {
+            let v = p.u32().expect(WALKED);
+            let len = p.count_u64(4).expect(WALKED);
+            row.clear();
+            p.u32s(len, &mut row).expect(WALKED);
+            f(v, &row)?;
+        }
+        Ok(())
+    }
+
+    fn dirty(&self) -> &[VertexId] {
+        &self.dirty
+    }
+
+    fn pending(&self) -> &[VertexId] {
+        &self.pending
+    }
+}
+
+/// Where [`read_image`] hands a snapshot over, part by part, each part
+/// only after its section's CRC verified and its fields decoded.
+pub trait ImageSink {
+    type Error: From<CheckpointError>;
+
+    /// META, GRPH and PART, with one part per processor. Called once,
+    /// before the first rank section.
+    fn header(
+        &mut self,
+        meta: EngineMeta,
+        graph: GraphSnapshot,
+        partition: PartitionSnapshot,
+    ) -> Result<(), Self::Error>;
+
+    /// One rank section. Its rank id is below `meta.procs` and no earlier
+    /// section carried it.
+    fn rank(&mut self, rows: &RankSection<'_>) -> Result<(), Self::Error>;
+}
+
+/// What [`read_image`] returns once every section has been handed over.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Trailer {
+    pub meta: EngineMeta,
+    pub stats: RunStats,
+    /// The METR section's wire ids; empty when the file has none.
+    pub metrics: Vec<u8>,
+}
+
+/// Decodes a snapshot from `r` into `sink`: magic, version, section
+/// structure, every CRC, and the consistency rules (one part per
+/// processor; each rank id below `procs`, in exactly one section; META,
+/// GRPH and PART before the first rank section). Sections are read one at
+/// a time into one buffer reused across them, so beyond what the sink
+/// keeps at most one section is held, never a whole image. Every failure
+/// is a typed [`CheckpointError`], or the sink's own error.
+pub fn read_image<S: ImageSink>(mut r: impl Read, sink: &mut S) -> Result<Trailer, S::Error> {
+    let magic: [u8; 8] = read_array(&mut r, "header")?;
+    if magic != MAGIC {
+        return Err(CheckpointError::BadMagic { found: magic }.into());
+    }
+    let version = read_u32(&mut r, "header")?;
+    if version != FORMAT_VERSION {
+        return Err(CheckpointError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        }
+        .into());
+    }
+    let sections = read_u32(&mut r, "header")?;
+
+    let mut meta: Option<EngineMeta> = None;
+    let mut graph: Option<GraphSnapshot> = None;
+    let mut partition: Option<PartitionSnapshot> = None;
+    let mut stats: Option<RunStats> = None;
+    let mut metrics: Option<Vec<u8>> = None;
+    let mut tags: Vec<[u8; 4]> = Vec::new();
+    let mut ranks: Vec<u32> = Vec::new();
+    let mut handed_over = false;
+
+    let mut payload = Vec::new();
+    for _ in 0..sections {
+        let tag = read_section(&mut r, &mut payload)?;
+        if &tag != b"RNKS" {
+            if tags.contains(&tag) {
+                let tag = String::from_utf8_lossy(&tag);
+                return Err(CheckpointError::Malformed(format!("duplicate {tag} section")).into());
+            }
+            tags.push(tag);
+        }
+        match &tag {
+            b"META" => {
+                meta = Some(decode(&payload, "META", |p| {
+                    Ok(EngineMeta {
+                        procs: p.u32()?,
+                        rc_steps: p.u64()?,
+                        rr_cursor: p.u64()?,
+                        changes_applied: p.u64()?,
+                    })
+                })?);
+            }
+            b"GRPH" => {
+                graph = Some(decode(&payload, "GRPH", |p| {
+                    let num_vertices = p.u64()?;
+                    let m = p.count_u64(12)?;
+                    let mut edges = Vec::with_capacity(m);
+                    for _ in 0..m {
+                        edges.push((p.u32()?, p.u32()?, p.u32()?));
+                    }
+                    Ok(GraphSnapshot { num_vertices, edges })
+                })?);
+            }
+            b"PART" => {
+                partition = Some(decode(&payload, "PART", |p| {
+                    let k = p.u32()?;
+                    let len = p.count_u64(4)?;
+                    let mut assignment = Vec::with_capacity(len);
+                    p.u32s(len, &mut assignment)?;
+                    Ok(PartitionSnapshot { k, assignment })
+                })?);
+            }
+            b"STAT" => {
+                stats = Some(decode(&payload, "STAT", |p| {
+                    Ok(RunStats {
+                        messages: p.u64()?,
+                        bytes: p.u64()?,
+                        sim_comm_us: f64::from_bits(p.u64()?),
+                        sim_compute_us: f64::from_bits(p.u64()?),
+                        supersteps: p.u64()?,
+                        collectives: p.u64()?,
+                        checkpoints: p.u64()?,
+                        restores: p.u64()?,
+                        migrations: p.u64()?,
+                        migrated_rows: p.u64()?,
+                        migration_bytes: p.u64()?,
+                        faults: FaultCounters {
+                            dropped: p.u64()?,
+                            duplicated: p.u64()?,
+                            delayed: p.u64()?,
+                            corrupted: p.u64()?,
+                            stalls: p.u64()?,
+                            retransmits: p.u64()?,
+                        },
+                        wall: Duration::from_nanos(p.u64()?),
+                    })
+                })?);
+            }
+            b"METR" => {
+                let ids = decode(&payload, "METR", |p| {
+                    let n = p.u32()? as usize;
+                    Ok(p.take(n)?.to_vec())
+                })?;
+                if ids.is_empty() {
+                    // The writer omits the section entirely when there
+                    // are no extra metrics; an empty one is corruption.
+                    return Err(CheckpointError::Malformed("empty METR section".into()).into());
+                }
+                metrics = Some(ids);
+            }
+            b"RNKS" => {
+                let section = RankSection::decode(&payload)?;
+                if !handed_over {
+                    hand_over(sink, meta, &mut graph, &mut partition)?;
+                    handed_over = true;
+                }
+                let procs = meta.expect("handed over with the header").procs;
+                admit_rank(&mut ranks, section.rank, procs)?;
+                sink.rank(&section)?;
+            }
+            other => {
+                return Err(CheckpointError::Malformed(format!(
+                    "unknown section tag {:?}",
+                    String::from_utf8_lossy(other)
+                ))
+                .into());
+            }
+        }
+    }
+
+    if !handed_over {
+        hand_over(sink, meta, &mut graph, &mut partition)?;
+    }
+    let meta = meta.expect("handed over with the header");
+    let stats = stats.ok_or_else(|| missing("STAT"))?;
+    check_rank_count(&ranks, meta.procs)?;
+    // Trailing bytes after the declared sections are corruption.
+    let mut probe = [0u8; 1];
+    match r.read(&mut probe) {
+        Ok(0) => {}
+        Ok(_) => {
+            return Err(
+                CheckpointError::Malformed("trailing bytes after final section".into()).into()
+            )
+        }
+        Err(e) => return Err(CheckpointError::from(e).into()),
+    }
+    Ok(Trailer { meta, stats, metrics: metrics.unwrap_or_default() })
+}
+
+fn missing(section: &str) -> CheckpointError {
+    CheckpointError::Malformed(format!("missing {section} section"))
+}
+
+/// Hands META, GRPH and PART to the sink: all three must have been read,
+/// and the partition must have one part per processor.
+fn hand_over<S: ImageSink>(
+    sink: &mut S,
+    meta: Option<EngineMeta>,
+    graph: &mut Option<GraphSnapshot>,
+    partition: &mut Option<PartitionSnapshot>,
+) -> Result<(), S::Error> {
+    let meta = meta.ok_or_else(|| missing("META"))?;
+    let graph = graph.take().ok_or_else(|| missing("GRPH"))?;
+    let partition = partition.take().ok_or_else(|| missing("PART"))?;
+    check_parts(&meta, &partition)?;
+    sink.header(meta, graph, partition)
+}
+
+/// A rank reads its part ids as rank indices, so there is one part per
+/// processor.
+fn check_parts(meta: &EngineMeta, partition: &PartitionSnapshot) -> Result<(), CheckpointError> {
+    if partition.k == meta.procs {
+        return Ok(());
+    }
+    Err(CheckpointError::Malformed(format!(
+        "partition has {} parts for {} procs",
+        partition.k, meta.procs
+    )))
+}
+
+/// Admits the section of `rank` unless the rank is out of range or an
+/// earlier section carried it.
+fn admit_rank(seen: &mut Vec<u32>, rank: u32, procs: u32) -> Result<(), CheckpointError> {
+    if rank >= procs {
+        return Err(CheckpointError::Malformed(format!("rank section {rank} for {procs} procs")));
+    }
+    if seen.contains(&rank) {
+        return Err(CheckpointError::Malformed(format!("repeated rank section {rank}")));
+    }
+    seen.push(rank);
+    Ok(())
+}
+
+fn check_rank_count(seen: &[u32], procs: u32) -> Result<(), CheckpointError> {
+    if seen.len() == procs as usize {
+        return Ok(());
+    }
+    Err(CheckpointError::Malformed(format!(
+        "snapshot has {} rank sections for {procs} procs",
+        seen.len()
+    )))
+}
+
+/// The sink behind [`Snapshot::read_from`]: each rank's rows copied into
+/// tables sized exactly from its section.
+#[derive(Default)]
+struct Collect {
+    header: Option<(GraphSnapshot, PartitionSnapshot)>,
+    ranks: Vec<RankSnapshot>,
+}
+
+impl ImageSink for Collect {
+    type Error = CheckpointError;
+
+    fn header(
+        &mut self,
+        _meta: EngineMeta,
+        graph: GraphSnapshot,
+        partition: PartitionSnapshot,
+    ) -> Result<(), CheckpointError> {
+        self.header = Some((graph, partition));
+        Ok(())
+    }
+
+    fn rank(&mut self, rows: &RankSection<'_>) -> Result<(), CheckpointError> {
+        self.ranks.push(RankSnapshot::from_rows(rows));
+        Ok(())
     }
 }
 
@@ -593,7 +958,7 @@ mod tests {
         s.ranks[0].local = table(0);
         s.ranks[0].cached = table(7);
         s.ranks[1].cached = table(9);
-        assert!(s.ranks[0].section_len() > 4 * STAGE_BYTES);
+        assert!(rank_section_len(&s.ranks[0]) > 4 * STAGE_BYTES);
         let bytes = s.to_bytes().unwrap();
         assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), s);
     }

@@ -1,57 +1,87 @@
 //! The length-prefixed, CRC-protected section framing. Fields inside a
 //! section are read through `aaa-runtime`'s one byte [`Cursor`] and written
-//! with its `put_*` twins; this module only pins the section's name onto
-//! the cursor's short read ([`decode`]), so a truncated field becomes a
-//! precise [`CheckpointError::Truncated`].
+//! with its `put_*` twins into a [`Stage`]; this module only frames and
+//! checksums the sections, and pins the section's name onto the cursor's
+//! short read ([`decode`]), so a truncated field becomes a precise
+//! [`CheckpointError::Truncated`].
 
 use crate::error::CheckpointError;
 use aaa_runtime::bytes::{crc32, Crc32, Cursor, ShortRead};
-use std::io::{Read, Write};
+use std::io::Read;
 
 // ---------------------------------------------------------------------------
 // Writing
 // ---------------------------------------------------------------------------
 
-/// One framed section — tag, length, payload, CRC — whose payload is
-/// handed over in pieces: each piece is checksummed and written while it
-/// is still cache-hot, so a large section is never staged whole.
-pub struct SectionWriter<'w, W: Write> {
-    w: &'w mut W,
+/// How much of a section is staged before it is checksummed (and, for a
+/// writer, written): small enough to stay in cache, large enough to
+/// amortise a `write` call.
+pub const STAGE_BYTES: usize = 64 << 10;
+
+/// The encoder's output: framed sections appended to `buf`. An open
+/// section's payload is checksummed a stage at a time while it is still in
+/// cache, never whole, and every full stage is handed to `flush` — a
+/// writer's `write_all`, which empties the buffer, or nothing at all when
+/// the buffer is the whole image and was sized for it.
+pub struct Stage<F> {
+    pub buf: Vec<u8>,
+    flush: F,
     crc: Crc32,
+    /// Where the open section's bytes not yet checksummed start.
+    checked: usize,
+    /// Payload bytes the open section still owes.
     left: u64,
 }
 
-impl<'w, W: Write> SectionWriter<'w, W> {
-    /// Writes the section header; exactly `len` payload bytes must follow.
-    pub fn begin(w: &'w mut W, tag: &[u8; 4], len: u64) -> Result<Self, CheckpointError> {
-        w.write_all(tag)?;
-        w.write_all(&len.to_le_bytes())?;
-        Ok(Self { w, crc: Crc32::new(), left: len })
+impl<F: FnMut(&mut Vec<u8>) -> Result<(), CheckpointError>> Stage<F> {
+    pub fn new(buf: Vec<u8>, flush: F) -> Self {
+        Self { buf, flush, crc: Crc32::new(), checked: 0, left: 0 }
     }
 
-    pub fn put(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let left = self.left.checked_sub(bytes.len() as u64);
+    /// Opens a section: appends its tag and length; exactly `len` payload
+    /// bytes must be appended to `buf` before [`Stage::finish`].
+    pub fn begin(&mut self, tag: &[u8; 4], len: u64) {
+        self.buf.extend_from_slice(tag);
+        self.buf.extend_from_slice(&len.to_le_bytes());
+        (self.crc, self.checked, self.left) = (Crc32::new(), self.buf.len(), len);
+    }
+
+    /// Checksums the payload appended since the last call once a stage's
+    /// worth has piled up, and hands a full buffer to `flush`.
+    pub fn seal_full(&mut self) -> Result<(), CheckpointError> {
+        if self.buf.len() - self.checked >= STAGE_BYTES {
+            self.seal()?;
+        }
+        Ok(())
+    }
+
+    fn seal(&mut self) -> Result<(), CheckpointError> {
+        let fresh = &self.buf[self.checked..];
+        let left = self.left.checked_sub(fresh.len() as u64);
         self.left = left.expect("section payload longer than its declared length");
-        self.crc.update(bytes);
-        Ok(self.w.write_all(bytes)?)
+        self.crc.update(fresh);
+        if self.buf.len() >= STAGE_BYTES {
+            (self.flush)(&mut self.buf)?;
+        }
+        self.checked = self.buf.len();
+        Ok(())
     }
 
-    /// Writes the CRC trailer.
-    pub fn finish(self) -> Result<(), CheckpointError> {
+    /// Closes the open section: checksums the rest and appends the CRC
+    /// trailer.
+    pub fn finish(&mut self) -> Result<(), CheckpointError> {
+        self.seal()?;
         assert_eq!(self.left, 0, "section payload shorter than its declared length");
-        Ok(self.w.write_all(&self.crc.finish().to_le_bytes())?)
+        self.buf.extend_from_slice(&self.crc.finish().to_le_bytes());
+        self.checked = self.buf.len();
+        Ok(())
     }
-}
 
-/// Writes one framed section from a payload already in memory.
-pub fn write_section(
-    w: &mut impl Write,
-    tag: &[u8; 4],
-    payload: &[u8],
-) -> Result<(), CheckpointError> {
-    let mut section = SectionWriter::begin(w, tag, payload.len() as u64)?;
-    section.put(payload)?;
-    section.finish()
+    /// Hands whatever is left to `flush` and returns the buffer.
+    pub fn end(mut self) -> Result<Vec<u8>, CheckpointError> {
+        (self.flush)(&mut self.buf)?;
+        Ok(self.buf)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -131,6 +161,24 @@ pub fn decode<'a, T>(
             Err(CheckpointError::Malformed(format!("section {section}: {extra} trailing bytes")))
         }
     }
+}
+
+/// Writes one framed section from a payload already in memory.
+#[cfg(test)]
+pub fn write_section(
+    w: &mut impl std::io::Write,
+    tag: &[u8; 4],
+    payload: &[u8],
+) -> Result<(), CheckpointError> {
+    let mut out = Stage::new(Vec::new(), |buf: &mut Vec<u8>| {
+        w.write_all(buf)?;
+        buf.clear();
+        Ok(())
+    });
+    out.begin(tag, payload.len() as u64);
+    out.buf.extend_from_slice(payload);
+    out.finish()?;
+    out.end().map(drop)
 }
 
 #[cfg(test)]

@@ -117,7 +117,7 @@
 //!   epoch-dirty. A cached row is not refilled; it waits for its owner's
 //!   resend.
 
-use aaa_checkpoint::RowTable;
+use aaa_checkpoint::RankRows;
 use aaa_graph::{Dist, VertexId, Weight, INF};
 
 /// `slot_of` sentinel: no row for this vertex.
@@ -466,6 +466,22 @@ impl Arena {
         s
     }
 
+    /// Appends row `v` from `row`, padded with `INF` or cut to the live
+    /// columns, recorded whole with exact bounds; returns its slot.
+    fn push_row(&mut self, v: VertexId, row: &[Dist]) -> usize {
+        let (s, words, k) = (self.ids.len(), self.words(), row.len().min(self.n));
+        self.ids.push(v);
+        self.data.extend_from_slice(&row[..k]);
+        self.data.resize(self.data.len() + self.stride - k, INF);
+        self.records().for_each(|r| r.resize((s + 1) * words, 0));
+        self.hi.resize(self.hi.len() + words, INF);
+        self.lo.resize(self.lo.len() + words, INF);
+        let (dst, track) = self.row_mut(s);
+        chunk_bounds(dst, track.hi, track.lo);
+        self.record_whole(s);
+        s
+    }
+
     /// Sets every live cell of row `s` in every record.
     fn record_whole(&mut self, s: usize) {
         let (n, words) = (self.n, self.words());
@@ -492,10 +508,13 @@ impl Arena {
         if new_n > self.stride {
             let new_stride = new_n.max(self.stride * 2);
             let (words, new_words) = (self.words(), new_stride.div_ceil(CHUNK));
-            self.data = relayout(&self.data, self.n, self.stride, new_stride, INF);
-            self.records().for_each(|r| *r = relayout(r, words, words, new_words, 0));
-            self.hi = relayout(&self.hi, words, words, new_words, INF);
-            self.lo = relayout(&self.lo, words, words, new_words, INF);
+            // Room for as many rows as before, so the rows a wave adds
+            // next land without a second re-allocation of the arena.
+            let rows = self.data.capacity() / self.stride.max(1);
+            self.data = relayout(&self.data, rows, self.n, self.stride, new_stride, INF);
+            self.records().for_each(|r| *r = relayout(r, rows, words, words, new_words, 0));
+            self.hi = relayout(&self.hi, rows, words, words, new_words, INF);
+            self.lo = relayout(&self.lo, rows, words, words, new_words, INF);
             self.stride = new_stride;
         }
         if new_n > self.n && self.n % CHUNK != 0 {
@@ -1410,33 +1429,30 @@ impl DvStore {
     // Checkpoint support
     // --------------------------------------------------------------------
     //
-    // Rows cross this boundary without a per-row allocation in either
-    // direction. Out: `export_*_sorted` copy each row from its arena slot
-    // into one flat `RowTable` per arena, in sorted-id order, and the
-    // snapshot writer encodes from there. In: `install_local` /
-    // `install_cached` take a borrowed slice — a `RowTable` row, a decoded
-    // wire row — and copy it once, into the slot, padding a short row
-    // with `INF` in place; nothing is cloned or resized on the way.
+    // Rows cross this boundary once in each direction. Out: [`StoreRows`]
+    // hands the checkpoint encoder each row straight from its arena slot,
+    // in sorted-id order. In: `install_local` / `install_cached` take a
+    // borrowed slice (a decoded section row, a `RowTable` row, a wire
+    // row) and copy it once, into the slot, padding a short row with
+    // `INF` in place; a new cached row is appended, not filled and then
+    // overwritten.
 
-    /// Every local row, sorted by vertex id (deterministic snapshot
-    /// order).
-    pub fn export_local_sorted(&self) -> RowTable {
-        self.export_sorted(self.local_ids_sorted())
-    }
-
-    /// Every cached external row, sorted by vertex id.
-    pub fn export_cached_sorted(&self) -> RowTable {
-        let mut ids = self.cached.ids.clone();
-        ids.sort_unstable();
-        self.export_sorted(ids)
-    }
-
-    fn export_sorted(&self, ids: Vec<VertexId>) -> RowTable {
-        let mut rows = RowTable::with_capacity(ids.len(), ids.len() * self.n());
-        for v in ids {
-            rows.push(v, self.row(v).expect("exported row exists"));
+    /// This store's rows as the checkpoint encoder reads them, for rank
+    /// `rank`.
+    pub(crate) fn rows(&self, rank: u32) -> StoreRows<'_> {
+        let sorted = |arena: &Arena| {
+            let mut slots: Vec<(VertexId, usize)> =
+                arena.ids.iter().enumerate().map(|(s, &v)| (v, s)).collect();
+            slots.sort_unstable();
+            slots
+        };
+        StoreRows {
+            rank,
+            dv: self,
+            slots: [sorted(&self.local), sorted(&self.cached)],
+            dirty: self.dirty_sorted(),
+            pending: self.unpropagated_local_sorted(),
         }
-        rows
     }
 
     /// The dirty set, sorted, without draining it (snapshots must not
@@ -1449,8 +1465,11 @@ impl DvStore {
     /// path; rows shorter than the current column count are padded with
     /// `INF`).
     pub fn install_cached(&mut self, v: VertexId, row: &[Dist]) {
-        let (s, _) = self.cached_slot_or_new(v);
-        self.cached.install(s, row);
+        debug_assert!(!self.is_local(v), "cached install of a local row {v}");
+        match self.cached_slot(v) {
+            Some(s) => self.cached.install(s, row),
+            None => self.slot_of[v as usize] = self.cached.push_row(v, row) as u32,
+        }
     }
 
     /// Clears the dirty set (restore path: the snapshot's dirty mask is
@@ -1460,11 +1479,60 @@ impl DvStore {
     }
 }
 
+/// A rank's rows as the checkpoint encoder reads them: each row straight
+/// from its arena slot, each table in sorted-id order ([`DvStore::rows`]).
+#[derive(Debug)]
+pub(crate) struct StoreRows<'a> {
+    rank: u32,
+    dv: &'a DvStore,
+    /// Sorted `(id, slot)` pairs of the local and the cached arena.
+    slots: [Vec<(VertexId, usize)>; 2],
+    dirty: Vec<VertexId>,
+    pending: Vec<VertexId>,
+}
+
+impl RankRows for StoreRows<'_> {
+    fn rank(&self) -> u32 {
+        self.rank
+    }
+
+    fn shape(&self, cached: bool) -> (usize, usize) {
+        let rows = self.slots[usize::from(cached)].len();
+        (rows, rows * self.dv.n())
+    }
+
+    fn try_for_each<E>(
+        &self,
+        cached: bool,
+        mut f: impl FnMut(VertexId, &[Dist]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let arena = if cached { &self.dv.cached } else { &self.dv.local };
+        self.slots[usize::from(cached)].iter().try_for_each(|&(v, s)| f(v, arena.row(s)))
+    }
+
+    fn dirty(&self) -> &[VertexId] {
+        &self.dirty
+    }
+
+    fn pending(&self) -> &[VertexId] {
+        &self.pending
+    }
+}
+
 /// Re-lays a slot-major buffer out with a wider stride, preserving the
-/// first `live` items of every row and `fill`ing the rest.
-fn relayout<T: Copy>(data: &[T], live: usize, stride: usize, new_stride: usize, fill: T) -> Vec<T> {
+/// first `live` items of every row and `fill`ing the rest, with capacity
+/// for `cap_rows` rows.
+fn relayout<T: Copy>(
+    data: &[T],
+    cap_rows: usize,
+    live: usize,
+    stride: usize,
+    new_stride: usize,
+    fill: T,
+) -> Vec<T> {
     let rows = data.len().checked_div(stride).unwrap_or(0);
-    let mut out = vec![fill; rows * new_stride];
+    let mut out = Vec::with_capacity(cap_rows.max(rows) * new_stride);
+    out.resize(rows * new_stride, fill);
     for s in 0..rows {
         out[s * new_stride..s * new_stride + live]
             .copy_from_slice(&data[s * stride..s * stride + live]);
@@ -1911,6 +1979,7 @@ unsafe fn relax_via_tracked_avx2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aaa_checkpoint::RankSnapshot;
 
     #[test]
     fn fresh_row_is_identity() {
@@ -2060,9 +2129,7 @@ mod tests {
         dv.take_dirty_sorted();
         dv.mark_dirty(0);
 
-        let local = dv.export_local_sorted();
-        let cached = dv.export_cached_sorted();
-        let dirty = dv.dirty_sorted();
+        let RankSnapshot { local, cached, dirty, .. } = RankSnapshot::from_rows(&dv.rows(0));
         assert_eq!(local.iter().map(|(v, _)| v).collect::<Vec<_>>(), vec![0, 2]);
         assert_eq!(cached.len(), 1);
         assert_eq!(dirty, vec![0]);
@@ -2111,8 +2178,7 @@ mod tests {
         dv.grow_columns(5); // stride 2 -> 5
         dv.add_local_row(4);
         dv.grow_columns(6); // stride 5 -> 10
-        let local = dv.export_local_sorted();
-        let cached = dv.export_cached_sorted();
+        let RankSnapshot { local, cached, .. } = RankSnapshot::from_rows(&dv.rows(0));
         assert!(local.iter().all(|(_, r)| r.len() == 6));
 
         let mut fresh = DvStore::new(6);

@@ -15,7 +15,7 @@
 //!   without touching the engine.
 
 use crate::changes::{DynamicChange, VertexBatch};
-use crate::dv::{KernelTally, Witness};
+use crate::dv::{KernelTally, StoreRows, Witness};
 use crate::error::CoreError;
 use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
@@ -25,8 +25,8 @@ use crate::quality::{certified_intervals, DegradedReason, DegradedReport};
 use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
 use crate::strategies::{cut_edge_assign, round_robin_assign, AssignStrategy};
 use aaa_checkpoint::{
-    CheckpointError, CheckpointPolicy, EngineMeta, GraphSnapshot, PartitionSnapshot, RankSnapshot,
-    Snapshot,
+    read_image, CheckpointError, CheckpointPolicy, EngineMeta, GraphSnapshot, Image, ImageSink,
+    PartitionSnapshot, RankRows, RankSection, Snapshot, Trailer,
 };
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
@@ -1329,6 +1329,41 @@ impl AnytimeEngine {
     // Checkpoint & recovery (anytime persistence)
     // ----------------------------------------------------------------
 
+    /// Hands `f` the engine's state as the checkpoint encoder reads it,
+    /// every rank's rows straight from its arenas, and counts the
+    /// checkpoint.
+    fn encode<T>(&mut self, f: impl FnOnce(&Image<'_, StoreRows<'_>>) -> T) -> T {
+        let mark = self.cluster.mark();
+        self.cluster.record_checkpoint();
+        let graph = GraphSnapshot {
+            num_vertices: self.graph.num_vertices() as u64,
+            edges: self.graph.edges().collect(),
+        };
+        let partition = PartitionSnapshot {
+            k: self.config.procs as u32,
+            assignment: self.partition.assignment().to_vec(),
+        };
+        let metrics: Vec<u8> = self.metrics.extra_kinds().iter().map(|k| k.wire_id()).collect();
+        let ranks: Vec<StoreRows<'_>> = self.cluster.ranks().iter().map(RankState::rows).collect();
+        let out = f(&Image {
+            meta: EngineMeta {
+                procs: self.config.procs as u32,
+                rc_steps: self.rc_steps as u64,
+                rr_cursor: self.rr_cursor as u64,
+                changes_applied: self.changes_applied,
+            },
+            graph: &graph,
+            partition: &partition,
+            stats: self.cluster.stats(),
+            metrics: &metrics,
+            ranks: &ranks,
+        });
+        // An instant on the simulated clock (checkpointing is driver work,
+        // not priced cluster time); real cost rides in wall_dur.
+        self.cluster.span(SpanKind::Checkpoint, DRIVER_LANE, self.rc_steps as u64, mark, 0, 0);
+        out
+    }
+
     /// Captures the engine's complete state as an in-memory [`Snapshot`]:
     /// graph, partition, per-rank DV matrices with dirty masks, RC step
     /// counter, change-stream cursor, and run statistics. Must be called
@@ -1337,44 +1372,20 @@ impl AnytimeEngine {
     /// ingest changes are **not** persisted — drain first if they must
     /// survive the snapshot.
     pub fn snapshot(&mut self) -> Snapshot {
-        let mark = self.cluster.mark();
-        self.cluster.record_checkpoint();
-        let ranks: Vec<RankSnapshot> =
-            self.cluster.ranks_mut().iter().map(|s| s.to_snapshot()).collect();
-        // An instant on the simulated clock (snapshotting is driver work,
-        // not priced cluster time); real cost rides in wall_dur.
-        self.cluster.span(SpanKind::Checkpoint, DRIVER_LANE, self.rc_steps as u64, mark, 0, 0);
-        Snapshot {
-            meta: EngineMeta {
-                procs: self.config.procs as u32,
-                rc_steps: self.rc_steps as u64,
-                rr_cursor: self.rr_cursor as u64,
-                changes_applied: self.changes_applied,
-            },
-            graph: GraphSnapshot {
-                num_vertices: self.graph.num_vertices() as u64,
-                edges: self.graph.edges().collect(),
-            },
-            partition: PartitionSnapshot {
-                k: self.config.procs as u32,
-                assignment: self.partition.assignment().to_vec(),
-            },
-            stats: *self.cluster.stats(),
-            ranks,
-            metrics: self.metrics.extra_kinds().iter().map(|k| k.wire_id()).collect(),
-        }
+        self.encode(|image| image.to_snapshot())
     }
 
-    /// Serializes a snapshot of the engine into `w` using the versioned
-    /// binary format (see the `aaa-checkpoint` crate docs).
+    /// Serializes the state [`AnytimeEngine::snapshot`] captures into `w`,
+    /// in the versioned binary format (see the `aaa-checkpoint` crate
+    /// docs). One pass: each row goes from its arena slot through the
+    /// encoder's 64 KB stage into `w`, with no [`Snapshot`] in between.
     pub fn checkpoint(&mut self, w: impl Write) -> Result<(), CoreError> {
-        self.snapshot().write_to(w)?;
-        Ok(())
+        Ok(self.encode(|image| image.write_to(w))?)
     }
 
-    /// [`AnytimeEngine::checkpoint`] into a byte buffer.
+    /// [`AnytimeEngine::checkpoint`] into a byte buffer sized exactly.
     pub fn checkpoint_bytes(&mut self) -> Result<Vec<u8>, CoreError> {
-        Ok(self.snapshot().to_bytes()?)
+        Ok(self.encode(|image| image.to_bytes())?)
     }
 
     /// Reconstructs an engine from a serialized snapshot. The DD and IA
@@ -1382,81 +1393,31 @@ impl AnytimeEngine {
     /// deterministically from the snapshot's graph + partition sections,
     /// and DV rows come straight from the snapshot, so the restored
     /// engine resumes exactly where [`AnytimeEngine::checkpoint`] left
-    /// off. `config.procs` must match the snapshot.
+    /// off. `config.procs` must match the snapshot. One pass: each rank
+    /// section is installed into the arenas as soon as its CRC verified,
+    /// so the restore holds at most one section beyond the engine.
     pub fn restore(r: impl Read, config: EngineConfig) -> Result<Self, CoreError> {
-        let snap = Snapshot::read_from(r)?;
-        Self::from_snapshot(&snap, config)
+        let mut rebuild = Rebuild { config, built: None };
+        let trailer = read_image(r, &mut rebuild)?;
+        rebuild.finish(trailer)
     }
 
-    /// [`AnytimeEngine::restore`] from an in-memory [`Snapshot`]. The
-    /// restored engine starts with a fresh (empty) ingest log and a fresh
-    /// publish cell whose first epoch is the snapshot's answer.
+    /// [`AnytimeEngine::restore`] from an in-memory [`Snapshot`], under the
+    /// decoder's consistency rules ([`Snapshot::check`]). The restored
+    /// engine starts with a fresh (empty) ingest log and a fresh publish
+    /// cell whose first epoch is the snapshot's answer.
     pub fn from_snapshot(snap: &Snapshot, config: EngineConfig) -> Result<Self, CoreError> {
-        if config.procs != snap.meta.procs as usize {
-            return Err(CoreError::Config(format!(
-                "snapshot was taken with {} procs but config requests {}",
-                snap.meta.procs, config.procs
-            )));
+        snap.check()?;
+        let mut rebuild = Rebuild { config, built: None };
+        rebuild.build(snap.meta, &snap.graph, snap.partition.clone())?;
+        for rows in &snap.ranks {
+            rebuild.install(rows)?;
         }
-        if snap.partition.assignment.len() as u64 != snap.graph.num_vertices {
-            return Err(CoreError::Checkpoint(CheckpointError::Malformed(format!(
-                "partition covers {} vertices but graph has {}",
-                snap.partition.assignment.len(),
-                snap.graph.num_vertices
-            ))));
-        }
-        let mut graph = AdjGraph::with_vertices(snap.graph.num_vertices as usize);
-        for &(u, v, w) in &snap.graph.edges {
-            graph.add_edge(u, v, w)?;
-        }
-        let partition =
-            Partition::new(snap.partition.assignment.clone(), snap.partition.k as usize)?;
-        let owner: Vec<PartId> = partition.assignment().to_vec();
-        let mut states: Vec<RankState> = (0..config.procs)
-            .map(|r| RankState::build(r, owner.clone(), |v| graph.neighbors(v).to_vec()))
-            .collect();
-        for (r, s) in states.iter_mut().enumerate() {
-            config.configure_state(s);
-            if let Some(rs) = snap.rank(r) {
-                s.restore_from_snapshot(rs);
-            }
-        }
-        let mut cluster = Cluster::new(states, config.cluster);
-        cluster.restore_stats(snap.stats);
-        cluster.record_restore();
-        // Union of the config's metrics and what the snapshot was
-        // maintaining: restoring never silently drops a metric the
-        // checkpointed engine carried. Unknown wire ids (from a future
-        // format revision) are rejected rather than ignored.
-        let mut kinds = config.metrics.clone();
-        for &id in &snap.metrics {
-            kinds.push(MetricKind::from_wire_id(id).ok_or_else(|| {
-                CoreError::Checkpoint(CheckpointError::Malformed(format!(
-                    "snapshot lists unknown metric wire id {id}"
-                )))
-            })?);
-        }
-        // Extra-metric state is not persisted; MetricSet starts fresh, so
-        // the first publish below rebuilds it from the restored DV rows.
-        let metrics = MetricSet::from_kinds(&kinds);
-        let mut engine = Self {
-            graph,
-            partition,
-            cluster,
-            config,
-            rc_steps: snap.meta.rc_steps as usize,
-            rr_cursor: snap.meta.rr_cursor as usize,
-            changes_applied: snap.meta.changes_applied,
-            invalidation: InvalidationTally::default(),
-            changes: ChangeLog::new(),
-            publisher: Publisher::new(),
-            metrics,
-            touched: Vec::new(),
-            unsettled: false,
-            faults_verified: 0,
-        };
-        engine.publish_view(false);
-        Ok(engine)
+        rebuild.finish(Trailer {
+            meta: snap.meta,
+            stats: snap.stats,
+            metrics: snap.metrics.clone(),
+        })
     }
 
     /// Arms the fault injector: the chosen rank "dies" at the barrier
@@ -1851,6 +1812,118 @@ impl AnytimeEngine {
         self.metrics.invalidate_all();
         self.publish_view(false);
         Ok(())
+    }
+}
+
+/// An engine rebuilt from a snapshot part by part: the graph, partition
+/// and fresh rank states from the header, then each rank's rows installed
+/// in place. The streaming decoder feeds it ([`AnytimeEngine::restore`]),
+/// and so does an in-memory [`Snapshot`] ([`AnytimeEngine::from_snapshot`]).
+struct Rebuild {
+    config: EngineConfig,
+    built: Option<(AdjGraph, Partition, Vec<RankState>)>,
+}
+
+impl Rebuild {
+    fn build(
+        &mut self,
+        meta: EngineMeta,
+        graph: &GraphSnapshot,
+        partition: PartitionSnapshot,
+    ) -> Result<(), CoreError> {
+        let config = &self.config;
+        if config.procs != meta.procs as usize {
+            return Err(CoreError::Config(format!(
+                "snapshot was taken with {} procs but config requests {}",
+                meta.procs, config.procs
+            )));
+        }
+        if partition.assignment.len() as u64 != graph.num_vertices {
+            return Err(CoreError::Checkpoint(CheckpointError::Malformed(format!(
+                "partition covers {} vertices but graph has {}",
+                partition.assignment.len(),
+                graph.num_vertices
+            ))));
+        }
+        let mut g = AdjGraph::with_vertices(graph.num_vertices as usize);
+        for &(u, v, w) in &graph.edges {
+            g.add_edge(u, v, w)?;
+        }
+        let partition = Partition::new(partition.assignment, partition.k as usize)?;
+        let owner: Vec<PartId> = partition.assignment().to_vec();
+        let states = (0..config.procs)
+            .map(|r| {
+                let mut s = RankState::build(r, owner.clone(), |v| g.neighbors(v).to_vec());
+                config.configure_state(&mut s);
+                s
+            })
+            .collect();
+        self.built = Some((g, partition, states));
+        Ok(())
+    }
+
+    fn install(&mut self, rows: &impl RankRows) -> Result<(), CoreError> {
+        let (_, _, states) = self.built.as_mut().expect("the header precedes the ranks");
+        Ok(states[rows.rank() as usize].restore_rows(rows)?)
+    }
+
+    fn finish(self, trailer: Trailer) -> Result<AnytimeEngine, CoreError> {
+        let (graph, partition, states) = self.built.expect("the header precedes the trailer");
+        let config = self.config;
+        let mut cluster = Cluster::new(states, config.cluster);
+        cluster.restore_stats(trailer.stats);
+        cluster.record_restore();
+        // Union of the config's metrics and what the snapshot was
+        // maintaining: restoring never silently drops a metric the
+        // checkpointed engine carried. Unknown wire ids (from a future
+        // format revision) are rejected rather than ignored.
+        let mut kinds = config.metrics.clone();
+        for &id in &trailer.metrics {
+            kinds.push(MetricKind::from_wire_id(id).ok_or_else(|| {
+                CoreError::Checkpoint(CheckpointError::Malformed(format!(
+                    "snapshot lists unknown metric wire id {id}"
+                )))
+            })?);
+        }
+        // Extra-metric state is not persisted; MetricSet starts fresh, so
+        // the first publish below rebuilds it from the restored DV rows.
+        let metrics = MetricSet::from_kinds(&kinds);
+        let meta = trailer.meta;
+        let mut engine = AnytimeEngine {
+            graph,
+            partition,
+            cluster,
+            config,
+            rc_steps: meta.rc_steps as usize,
+            rr_cursor: meta.rr_cursor as usize,
+            changes_applied: meta.changes_applied,
+            invalidation: InvalidationTally::default(),
+            changes: ChangeLog::new(),
+            publisher: Publisher::new(),
+            metrics,
+            touched: Vec::new(),
+            unsettled: false,
+            faults_verified: 0,
+        };
+        engine.publish_view(false);
+        Ok(engine)
+    }
+}
+
+impl ImageSink for Rebuild {
+    type Error = CoreError;
+
+    fn header(
+        &mut self,
+        meta: EngineMeta,
+        graph: GraphSnapshot,
+        partition: PartitionSnapshot,
+    ) -> Result<(), CoreError> {
+        self.build(meta, &graph, partition)
+    }
+
+    fn rank(&mut self, rows: &RankSection<'_>) -> Result<(), CoreError> {
+        self.install(rows)
     }
 }
 

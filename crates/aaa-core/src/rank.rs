@@ -2,8 +2,8 @@
 //! the IA-phase walk, the recombination-step produce/consume logic,
 //! the min-plus relaxation used everywhere, and the dynamic-update hooks.
 
-use crate::dv::{DvStore, KernelTally, Witness};
-use aaa_checkpoint::RankSnapshot;
+use crate::dv::{DvStore, KernelTally, StoreRows, Witness};
+use aaa_checkpoint::{CheckpointError, RankRows, RankSnapshot};
 use aaa_graph::sssp::{bfs_rows, BFS_LANES};
 use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
@@ -766,54 +766,69 @@ impl RankState {
     // Checkpoint & recovery
     // --------------------------------------------------------------------
 
-    /// Captures this rank's DV state for a snapshot. Only row data, the
-    /// dirty mask and the pending pivots are captured — ownership and
-    /// adjacency are rebuilt deterministically from the graph + partition
-    /// sections on restore. `pending` is derived: the local rows whose
-    /// unpropagated record is non-empty (at a barrier no cached row has
-    /// one).
-    pub fn to_snapshot(&self) -> RankSnapshot {
-        RankSnapshot {
-            rank: self.rank as u32,
-            local: self.dv.export_local_sorted(),
-            cached: self.dv.export_cached_sorted(),
-            dirty: self.dv.dirty_sorted(),
-            pending: self.dv.unpropagated_local_sorted(),
-        }
+    /// This rank's DV state as the checkpoint encoder reads it, rows in
+    /// place. Only row data, the dirty mask and the pending pivots are
+    /// captured — ownership and adjacency are rebuilt deterministically
+    /// from the graph + partition sections on restore. `pending` is
+    /// derived: the local rows whose unpropagated record is non-empty (at a
+    /// barrier no cached row has one).
+    pub(crate) fn rows(&self) -> StoreRows<'_> {
+        self.dv.rows(self.rank as u32)
     }
 
-    /// Installs snapshot rows into a freshly built state — the *exact
+    /// [`RankState::rows`], copied into a [`RankSnapshot`].
+    pub fn to_snapshot(&self) -> RankSnapshot {
+        RankSnapshot::from_rows(&self.rows())
+    }
+
+    /// Installs a snapshot's rows into a freshly built state — the *exact
     /// restore* path, where the engine was rebuilt from the snapshot's own
-    /// graph + partition and the rows must come back bit-identical. Rows
-    /// for vertices this rank does not own are skipped; rows shorter than
-    /// the current column count are INF-padded by the store. The dirty
-    /// mask is installed exactly as captured. The rows come back
-    /// propagated: a snapshot is taken at a barrier, where every lowered
-    /// row has already seeded a kernel call, so only the pending rows —
-    /// whose record the snapshot does not carry — are marked whole.
+    /// graph + partition and the rows must come back bit-identical. The
+    /// rows come from any source: a section payload the decoder just
+    /// verified, or a [`RankSnapshot`]. Each row is copied once, into its
+    /// slot; a new cached row is appended, not filled and then overwritten.
+    /// Local rows for vertices this rank does not own, and cached rows for
+    /// vertices it does, are skipped; a row id past the vertex count is
+    /// `Malformed`. Rows shorter than the current column count are
+    /// INF-padded by the store. The dirty mask is installed exactly as
+    /// captured. The rows come back propagated: a snapshot is taken at a
+    /// barrier, where every lowered row has already seeded a kernel call,
+    /// so only the pending rows — whose record the snapshot does not
+    /// carry — are marked whole.
     ///
     /// For recovery against a possibly *older* snapshot use
     /// [`RankState::absorb_snapshot`] instead: replacement here would wipe
     /// the fresh IA rows' knowledge of edges added after the capture.
-    pub fn restore_from_snapshot(&mut self, snap: &RankSnapshot) {
-        for (v, row) in &snap.local {
+    pub fn restore_rows(&mut self, rows: &impl RankRows) -> Result<(), CheckpointError> {
+        let n = self.dv.n();
+        let in_range = |v: VertexId| {
+            if (v as usize) < n {
+                return Ok(());
+            }
+            Err(CheckpointError::Malformed(format!("row {v} past {n} vertices")))
+        };
+        rows.try_for_each(false, |v, row| {
+            in_range(v)?;
             if self.dv.is_local(v) {
                 self.dv.install_local(v, row, false);
             }
-        }
-        for (v, row) in &snap.cached {
+            Ok::<_, CheckpointError>(())
+        })?;
+        rows.try_for_each(true, |v, row| {
+            in_range(v)?;
             if !self.dv.is_local(v) {
                 self.dv.install_cached(v, row);
             }
-        }
+            Ok::<_, CheckpointError>(())
+        })?;
         self.dv.clear_dirty();
-        for &v in &snap.dirty {
+        for &v in rows.dirty() {
             if self.dv.is_local(v) {
                 self.dv.mark_dirty(v);
             }
         }
         self.dv.clear_unpropagated();
-        for &v in &snap.pending {
+        for &v in rows.pending() {
             if self.dv.is_local(v) {
                 self.dv.mark_unpropagated(v);
             }
@@ -821,6 +836,7 @@ impl RankState {
         self.synced.clear();
         self.last_sent = false;
         self.last_changed = false;
+        Ok(())
     }
 
     /// Min-merges snapshot rows into the current state — the *rank
