@@ -36,7 +36,7 @@ pub fn scaled(scale: usize, paper_value: usize, min: usize) -> usize {
     ((paper_value as f64 * scale as f64 / PAPER_VERTICES as f64).round() as usize).max(min)
 }
 
-/// A printable results table (the perf gate's verdicts, `graph_memory`).
+/// A printable results table (the perf gate's verdicts).
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,

@@ -1,4 +1,4 @@
-//! The perf-gate **cells**: seven fully deterministic, instrumented engine
+//! The perf-gate **cells**: six fully deterministic, instrumented engine
 //! runs, each named once in [`CELLS`] with its scenario string, the
 //! arguments it runs with, the scenario function that runs it and the
 //! committed baseline its [`RunReport`] is gated against. `perfgate cell
@@ -33,9 +33,6 @@ pub struct CellArgs {
     pub seed: u64,
     /// RC wire format.
     pub wire: WireFormat,
-    /// Route the graph through the compressed store (external-memory
-    /// ingest) and run domain decomposition on it.
-    pub compressed: bool,
     /// Metrics maintained beside closeness.
     pub metrics: &'static [MetricKind],
     /// Background-rebalance policy of the stream scenario.
@@ -51,7 +48,6 @@ const PINNED: CellArgs = CellArgs {
     procs: 4,
     seed: 42,
     wire: WireFormat::Full,
-    compressed: false,
     metrics: &[],
     policy: RebalancePolicy::Adaptive,
     ticks: 24,
@@ -72,7 +68,7 @@ pub struct Cell {
 }
 
 /// Every perf-gate cell: the only place one is named.
-pub const CELLS: [Cell; 7] = [
+pub const CELLS: [Cell; 6] = [
     Cell {
         name: "plain",
         scenario: "fig4:pinned",
@@ -93,13 +89,6 @@ pub const CELLS: [Cell; 7] = [
         args: PINNED,
         run: observed_serve_run,
         baseline: "ci_smoke_serve.json",
-    },
-    Cell {
-        name: "store",
-        scenario: "fig4:pinned:store=compressed",
-        args: CellArgs { compressed: true, ..PINNED },
-        run: observed_run,
-        baseline: "ci_smoke_store.json",
     },
     Cell {
         name: "stream",
@@ -174,43 +163,14 @@ fn finish(
 /// checkpoint, then convergence with quality sampling) under the name
 /// `scenario` and returns its report plus the rendered Chrome trace. Fully
 /// deterministic in everything the perf gate checks: sequential execution,
-/// seeded graph and batch, fixed step structure. The plain, delta, store
-/// and betweenness cells run it.
-///
-/// With `compressed` the graph first round-trips through the compressed
-/// store (external-memory ingest with a deliberately tiny spill budget) and
-/// domain decomposition runs on the compressed backend.
+/// seeded graph and batch, fixed step structure. The plain, delta and
+/// betweenness cells run it.
 pub fn observed_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     let sink = Arc::new(MemorySink::new());
     let config = pinned_config(args);
     let g = base_graph(args.scale, args.seed);
-    let mut engine = if args.compressed {
-        use aaa_partition::{MultilevelPartitioner, Partitioner};
-        // External ingest: edges spill through a small budget, the
-        // merged arc stream builds the compressed store, and the
-        // multilevel partitioner runs directly on it. The partitioners
-        // are backend-independent, so the assignment — and with it
-        // every gated metric — is an exact function of the scenario.
-        let dir = std::env::temp_dir().join(format!(
-            "aaa-store-pinned-{}-{}",
-            std::process::id(),
-            args.seed
-        ));
-        let arcs = aaa_store::sort_edges(&dir, 1 << 16, g.edges()).expect("external ingest");
-        let compressed =
-            aaa_store::CompressedGraph::from_sorted_arcs(g.num_vertices(), false, arcs)
-                .expect("compressed build");
-        let _ = std::fs::remove_dir_all(&dir);
-        let part = MultilevelPartitioner::seeded(0)
-            .partition(&compressed, args.procs)
-            .expect("partition on compressed backend");
-        let mut e =
-            AnytimeEngine::with_partition(g.clone(), part, config).expect("engine construction");
-        e.set_sink(sink.clone());
-        e
-    } else {
-        AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction")
-    };
+    let mut engine =
+        AnytimeEngine::with_sink(g.clone(), config, sink.clone()).expect("engine construction");
 
     // Phase 1: partial static convergence (the anytime prefix).
     for _ in 0..STEPS_BEFORE_BATCH {
@@ -537,19 +497,6 @@ mod tests {
         assert!(changes("epochs") > a.rc_steps, "construction + per-step + per-drain epochs");
         let last = a.final_quality().expect("quality sampled");
         assert!(last.error < 1e-6, "converged run matches exact closeness");
-    }
-
-    /// Routing the graph through the compressed store (external ingest +
-    /// DD on the compressed backend) must not change a single gated
-    /// metric: the backends yield identical sorted successor lists, so the
-    /// partition — and everything downstream — is the same.
-    #[test]
-    fn compressed_store_scenario_matches_plain_gated_metrics() {
-        let (a, _) = small("plain").observe();
-        let (b, _) = small("store").observe();
-        assert_eq!(b.scenario, "fig4:pinned:store=compressed");
-        assert_same_gated(&a, &b);
-        assert_eq!(a.quality, b.quality);
     }
 
     /// The publish scenario must reproduce its whole gated surface — in

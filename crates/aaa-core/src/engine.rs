@@ -261,12 +261,10 @@ impl AnytimeEngine {
     }
 
     /// [`AnytimeEngine::new`] with an externally computed partition: the
-    /// domain-decomposition phase ran out-of-band — typically directly on a
-    /// compressed on-disk [`aaa_graph::GraphStore`] backend, where the
-    /// partitioners operate without materializing an in-memory adjacency —
-    /// and the engine adopts its assignment instead of running
-    /// [`EngineConfig::dd`]. The partition must cover exactly the graph's
-    /// vertices with `k == config.procs`.
+    /// domain-decomposition phase ran out-of-band (the partitioners take any
+    /// [`aaa_graph::GraphStore`] backend) and the engine adopts its
+    /// assignment instead of running [`EngineConfig::dd`]. The partition
+    /// must cover exactly the graph's vertices with `k == config.procs`.
     pub fn with_partition(
         graph: AdjGraph,
         partition: Partition,

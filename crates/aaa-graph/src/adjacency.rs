@@ -15,7 +15,7 @@ use crate::{GraphError, VertexId, Weight};
 /// * symmetric adjacency: `v ∈ adj(u)` iff `u ∈ adj(v)` with equal weight,
 /// * all edge weights are strictly positive,
 /// * each neighbor list is sorted by target id, so every backend
-///   (adjacency, CSR, compressed) yields the same successor order.
+///   (adjacency, CSR) yields the same successor order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdjGraph {
     adj: Vec<Vec<(VertexId, Weight)>>,
@@ -184,15 +184,6 @@ impl AdjGraph {
         &self.adj[v as usize]
     }
 
-    /// Heap bytes held by the adjacency structure (capacity, not length, so
-    /// over-allocation is visible). Used for the bytes/edge comparison
-    /// across graph backends.
-    pub fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(VertexId, Weight)>();
-        let header = std::mem::size_of::<Vec<(VertexId, Weight)>>();
-        self.adj.capacity() * header + self.adj.iter().map(|l| l.capacity() * entry).sum::<usize>()
-    }
-
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
@@ -357,15 +348,6 @@ mod tests {
         g.add_or_min_edge(0, 3, 7).unwrap();
         assert_eq!(g.neighbors(0).iter().map(|&(t, _)| t).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]);
         g.validate().unwrap();
-    }
-
-    #[test]
-    fn memory_bytes_tracks_entries() {
-        let g = triangle();
-        // At least 6 directed entries of 8 bytes plus 3 Vec headers.
-        assert!(g.memory_bytes() >= 6 * 8);
-        let empty = AdjGraph::new();
-        assert_eq!(empty.memory_bytes(), 0);
     }
 
     #[test]

@@ -70,13 +70,6 @@ impl Csr {
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         self.targets(v).iter().copied().zip(self.weights(v).iter().copied())
     }
-
-    /// Heap bytes held by the three CSR arrays (capacity, not length).
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u32>()
-            + self.targets.capacity() * std::mem::size_of::<VertexId>()
-            + self.weights.capacity() * std::mem::size_of::<Weight>()
-    }
 }
 
 impl From<&AdjGraph> for Csr {

@@ -12,10 +12,6 @@
 //! * [`planted_partition`] — stochastic block model with dense communities,
 //!   used to produce the community-structured additions of §V.B.2.
 //!
-//! For graphs too large to hold as adjacency lists, the [`stream`] module
-//! provides [`ba_stream`], which yields the edge stream itself for
-//! external-memory ingest.
-//!
 //! All generators are deterministic in their seed (ChaCha8) and produce
 //! simple graphs (no self-loops or parallel edges).
 
@@ -23,14 +19,12 @@ mod ba;
 mod er;
 mod rmat;
 mod sbm;
-pub mod stream;
 mod ws;
 
 pub use ba::barabasi_albert;
 pub use er::erdos_renyi;
 pub use rmat::{rmat, RmatParams};
 pub use sbm::{planted_partition, PlantedPartition};
-pub use stream::{ba_stream, BaStream, StreamEdge};
 pub use ws::watts_strogatz;
 
 use crate::Weight;

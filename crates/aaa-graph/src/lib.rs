@@ -15,8 +15,7 @@
 //!   Louvain community extraction used to produce community-structured
 //!   vertex-addition batches (§V.B.2 of the paper).
 //! * [`GraphStore`] — the read-only backend contract (sorted, symmetric
-//!   successor lists), met by both of the above and by `aaa-store`'s
-//!   compressed graph.
+//!   successor lists), met by both of the above.
 //! * Reference algorithms ([`sssp`], [`apsp`], [`closeness`],
 //!   [`centrality`]), one body each, generic over [`GraphStore`]: the ground
 //!   truth of the test suites and the Baseline Restart comparisons, and the

@@ -3,7 +3,7 @@
 //! adjacency graph and its CSR snapshot. Both keep neighbor lists sorted by
 //! id, so the contract holds for free. The reference kernels ([`crate::sssp`],
 //! [`crate::apsp`], [`crate::closeness`], [`crate::centrality`]) take any
-//! backend through it; the compressed store in `aaa-store` is a third.
+//! backend through it.
 
 use crate::{AdjGraph, Csr, VertexId, Weight};
 
@@ -13,9 +13,7 @@ use crate::{AdjGraph, Csr, VertexId, Weight};
 /// * vertex ids are dense in `0..num_vertices()`;
 /// * [`GraphStore::successors`] yields neighbors in strictly increasing id
 ///   order, each with its positive weight;
-/// * adjacency is symmetric (`t ∈ succ(v)` ⟺ `v ∈ succ(t)`, equal weight);
-/// * [`GraphStore::memory_bytes`] reports resident heap bytes so backends
-///   can be compared on bytes/edge.
+/// * adjacency is symmetric (`t ∈ succ(v)` ⟺ `v ∈ succ(t)`, equal weight).
 pub trait GraphStore {
     /// Sorted successor iterator (a GAT so slice-backed stores can borrow).
     type Succ<'a>: Iterator<Item = (VertexId, Weight)>
@@ -33,9 +31,6 @@ pub trait GraphStore {
 
     /// Successors of `v` in strictly increasing id order.
     fn successors(&self, v: VertexId) -> Self::Succ<'_>;
-
-    /// Resident heap bytes of the graph structure.
-    fn memory_bytes(&self) -> usize;
 
     /// Iterator over the dense vertex-id space.
     fn vertices(&self) -> std::ops::Range<VertexId> {
@@ -78,10 +73,6 @@ impl GraphStore for AdjGraph {
     fn successors(&self, v: VertexId) -> Self::Succ<'_> {
         self.neighbors(v).iter().copied()
     }
-
-    fn memory_bytes(&self) -> usize {
-        AdjGraph::memory_bytes(self)
-    }
 }
 
 impl GraphStore for Csr {
@@ -108,10 +99,6 @@ impl GraphStore for Csr {
     #[inline]
     fn successors(&self, v: VertexId) -> Self::Succ<'_> {
         self.targets(v).iter().copied().zip(self.weights(v).iter().copied())
-    }
-
-    fn memory_bytes(&self) -> usize {
-        Csr::memory_bytes(self)
     }
 }
 
@@ -140,7 +127,6 @@ mod tests {
             assert_eq!(GraphStore::degree(&g, v), GraphStore::degree(&csr, v));
         }
         assert_eq!(GraphStore::num_edges(&g), GraphStore::num_edges(&csr));
-        assert!(GraphStore::memory_bytes(&g) > 0 && GraphStore::memory_bytes(&csr) > 0);
     }
 
     #[test]

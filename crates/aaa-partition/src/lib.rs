@@ -147,8 +147,8 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// A graph partitioner. Generic over the storage backend so domain
-/// decomposition can run directly on a compressed on-disk graph.
+/// A graph partitioner. Generic over the storage backend, so domain
+/// decomposition runs on the adjacency graph and its CSR snapshot alike.
 pub trait Partitioner {
     /// Partitions `g` into `k` parts. Parts may be empty when
     /// `k > |V|`; implementations must still return a valid assignment.

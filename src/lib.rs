@@ -9,8 +9,8 @@
 //! package:
 //!
 //! * [`graph`] — graph structures, generators, Louvain, the
-//!   [`graph::GraphStore`] backend trait, and the reference algorithms over
-//!   any backend.
+//!   [`graph::GraphStore`] trait its adjacency and CSR backends meet, and the
+//!   reference algorithms over either backend.
 //! * [`partition`] — multilevel k-way partitioner and simple partitioners.
 //! * [`runtime`] — the in-process BSP message-passing cluster with LogP
 //!   cost accounting.
@@ -22,8 +22,6 @@
 //!   export, machine-readable run reports, and the perf-gate comparator.
 //! * [`serve`] — snapshot-isolated concurrent query serving over the
 //!   engine's published epoch views.
-//! * [`store`] — compressed (gap-coded, Elias-Fano–indexed, mmap-able)
-//!   graph storage plus external-memory ingest for graphs beyond RAM.
 //!
 //! ## Quickstart
 //!
@@ -47,4 +45,3 @@ pub use aaa_observe as observe;
 pub use aaa_partition as partition;
 pub use aaa_runtime as runtime;
 pub use aaa_serve as serve;
-pub use aaa_store as store;

@@ -140,24 +140,23 @@ fn zero_procs_is_rejected() {
 }
 
 #[test]
-fn external_partition_from_compressed_store() {
-    // The compressed-backend path: DD runs on a CompressedGraph (the way a
-    // graph too large for adjacency lists would be partitioned), and the
-    // engine adopts the externally computed assignment. The converged
-    // answer must match the reference exactly, and the same partition fed
-    // through `DdPartitioner::Multilevel` must yield the identical engine
-    // behaviour (the partitioners are backend-independent).
+fn external_multilevel_partition_is_adopted() {
+    // Domain decomposition ran out of band: the engine adopts the
+    // externally computed multilevel assignment instead of running
+    // `EngineConfig::dd`, and its converged answer must match the reference
+    // exactly. The partitioners are generic over `GraphStore`, so the CSR
+    // snapshot of the same graph must partition identically.
     use anytime_anywhere::partition::{MultilevelPartitioner, Partitioner};
-    use anytime_anywhere::store::CompressedGraph;
 
     let g = barabasi_albert(150, 2, WeightModel::UniformRange { lo: 1, hi: 5 }, 13).unwrap();
-    let c = CompressedGraph::from_store(&g).unwrap();
-    let part = MultilevelPartitioner::seeded(0).partition(&c, 4).unwrap();
-    let via_plain = MultilevelPartitioner::seeded(0).partition(&g, 4).unwrap();
-    assert_eq!(part, via_plain, "partition must not depend on the backend");
+    let part = MultilevelPartitioner::seeded(7).partition(&g, 4).unwrap();
+    let via_csr = MultilevelPartitioner::seeded(7).partition(&Csr::from_adj(&g), 4).unwrap();
+    assert_eq!(part, via_csr, "partition must not depend on the backend");
 
     let mut engine =
-        AnytimeEngine::with_partition(g.clone(), part, EngineConfig::deterministic(4)).unwrap();
+        AnytimeEngine::with_partition(g.clone(), part.clone(), EngineConfig::deterministic(4))
+            .unwrap();
+    assert_eq!(engine.partition(), &part, "the engine runs on the adopted assignment");
     let summary = engine.run_to_convergence();
     assert!(summary.converged);
     let exact_c = closeness_exact(&Csr::from_adj(&g));
