@@ -341,3 +341,22 @@ echo "RNKS written by: $writers"
 lines=0
 for f in crates/aaa-checkpoint/src/*.rs; do lines=$((lines + $(nontest "$f" | wc -l))); done
 echo "aaa-checkpoint: $lines non-test lines"
+
+# One cached merge body. An exact store (every local row exact in the
+# current graph) merges rows into its cache without recording them, and it
+# does so through the same two merges that record otherwise:
+# `min_merge_cached` and `min_merge_cached_sparse` both write through
+# `write_cached`, which alone decides whether the lowered cells reach the
+# record. So no unrecorded twin of a merge may stand beside them, and
+# outside tests the tracked merge bodies (`relax_via_tracked`,
+# `min_merge_sparse_tracked`) are called from the five merges and the
+# kernel's post-round diff alone.
+if grep -rnE 'fn [a-z_0-9]*(unrecorded|untracked|no_record|norecord)[a-z_0-9]*[<(]' crates/aaa-core; then
+  echo "an unrecorded twin of a merge is back in aaa-core"; exit 1
+fi
+defs=$(grep -rnE 'fn (min_merge_cached[a-z_]*|write_cached)[<(]' crates/aaa-core)
+echo "$defs"
+[ "$(echo "$defs" | wc -l)" = 3 ] || { echo "expected min_merge_cached, min_merge_cached_sparse and write_cached alone"; exit 1; }
+bodies=$(nontest crates/aaa-core/src/dv.rs | awk '/^ *(pub )?(unsafe )?fn / { name = $0 } /(^|[^_a-z])(relax_via_tracked|min_merge_sparse_tracked)\(/ && !/fn (relax_via_tracked|min_merge_sparse_tracked)\(/ { print name }' | sed -E 's/^ *(pub )?fn ([a-z_]+).*/\2/' | sort | uniq -c | tr -s ' ' | tr '\n' ';')
+echo "tracked merge bodies called from: $bodies"
+[ "$bodies" = " 1 min_merge_cached; 1 min_merge_cached_sparse; 1 min_merge_local; 1 min_merge_local_sparse; 2 min_merge_through; 1 relax_to_fixed_point;" ] || { echo "a tracked merge body has a caller besides the five merges and the kernel"; exit 1; }

@@ -19,7 +19,7 @@
 //!   round, not a sleep.
 //!
 //! Sessions distinguish a reconnecting worker from a respawned one: every
-//! spawn gets a fresh session id (carried in its [`Hello`]), so the
+//! spawn gets a fresh session id (carried in its [`Hello`](aaa_runtime::Hello)), so the
 //! supervisor can tell "same process, new socket" (replay resumes) from
 //! "new process" (sequence state must reset).
 

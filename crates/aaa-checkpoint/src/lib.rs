@@ -44,7 +44,7 @@
 //! section_count := u32 number of sections that follow
 //!
 //! section  := tag payload_len payload crc32
-//! tag      := 4 ASCII bytes  ("META" | "GRPH" | "PART" | "STAT" | "METR" | "RNKS")
+//! tag      := 4 ASCII bytes  ("META" | "GRPH" | "PART" | "STAT" | "METR" | "EXCT" | "RNKS")
 //! payload_len := u64   byte length of payload
 //! payload  := payload_len bytes
 //! crc32    := u32      CRC-32 (IEEE 802.3) of payload
@@ -69,8 +69,8 @@
 //!   `changes_applied: u64` (the pending change-stream cursor: how many
 //!   dynamic changes the engine has already absorbed).
 //! * `GRPH` — `num_vertices: u64`, `num_edges: u64`, then per edge
-//!   `u: u32, v: u32, w: u32` with `u < v`, in [`AdjGraph::edges`]
-//!   (aaa_graph::AdjGraph::edges) order.
+//!   `u: u32, v: u32, w: u32` with `u < v`, in
+//!   [`AdjGraph::edges`](aaa_graph::AdjGraph::edges) order.
 //! * `PART` — `k: u32`, `len: u64`, then `len × u32` part ids.
 //! * `STAT` — `messages: u64`, `bytes: u64`, `sim_comm_us: f64`,
 //!   `sim_compute_us: f64`, `supersteps: u64`, `collectives: u64`,
@@ -82,6 +82,12 @@
 //! * `METR` — only when the engine maintained metrics beyond closeness
 //!   (added in version 4): `count: u32`, then `count` one-byte metric wire
 //!   ids.
+//! * `EXCT` — only when every rank's local rows were exact in the graph
+//!   (the engine's exactness flag, [`Snapshot::exact`]): an empty payload,
+//!   the section's presence being all it says. A non-empty one is
+//!   [`CheckpointError::Malformed`]; a file without it restores with the
+//!   flag clear, which is always sound (the engine then records every
+//!   merge, as it did before the section existed).
 //! * `RNKS` — one section **per rank**, so a single rank's rows can be
 //!   recovered without materializing the others: `rank: u32`, then four
 //!   length-prefixed lists — local rows (`v: u32, len: u64, len × u32`
@@ -95,7 +101,12 @@
 //!   snapshot ([`CheckpointError::BadMagic`]).
 //! * Any layout change — new/removed sections, field changes inside a
 //!   section — **bumps the version**. Readers reject unknown versions with
-//!   [`CheckpointError::UnsupportedVersion`] instead of guessing.
+//!   [`CheckpointError::UnsupportedVersion`] instead of guessing. One
+//!   exception, `EXCT`: it was added within version 4 because its absence
+//!   already means what every earlier file meant (the flag clear), so every
+//!   v4 file, the golden bytes included, still reads the same. A reader
+//!   older than the section refuses a file that carries it as an unknown
+//!   tag, `Malformed`; it never misreads one.
 //! * Within a version, readers are strict: unknown tags, short payloads,
 //!   CRC mismatches, and trailing bytes are all typed errors. Robustness
 //!   comes from the version gate, not from lenient parsing.

@@ -24,9 +24,11 @@ pub const MAGIC: [u8; 8] = *b"AAACKPT\0";
 /// Format version this build writes and reads. Version 2 extended the
 /// STAT section with the chaos-layer fault counters; version 3 added the
 /// row-migration counters; version 4 added the optional METR section
-/// listing the extra centrality metrics the engine was maintaining.
-/// Older snapshots are rejected (no archives of any exist — every prior
-/// format shipped unreleased).
+/// listing the extra centrality metrics the engine was maintaining, and
+/// later, within the same version, the optional empty EXCT section (see
+/// the crate docs for why that took no bump). Older snapshots are
+/// rejected (no archives of any exist — every prior format shipped
+/// unreleased).
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Payload bytes of the two fixed-size sections.
@@ -275,6 +277,11 @@ pub struct Snapshot {
     /// recorded. Empty on closeness-only snapshots, in which case the
     /// METR section is omitted entirely.
     pub metrics: Vec<u8>,
+    /// Every rank's local rows were exact in the snapshot's graph, so a
+    /// restored engine's merges into its caches record nothing until a
+    /// change withdraws the claim (`aaa-core`'s `DvStore::is_exact`).
+    /// Written as the empty EXCT section, only when set.
+    pub exact: bool,
 }
 
 impl Snapshot {
@@ -291,6 +298,7 @@ impl Snapshot {
             partition: &self.partition,
             stats: &self.stats,
             metrics: &self.metrics,
+            exact: self.exact,
             ranks: &self.ranks,
         }
     }
@@ -312,8 +320,8 @@ impl Snapshot {
         let mut sink = Collect::default();
         let trailer = read_image(r, &mut sink)?;
         let (graph, partition) = sink.header.expect("read_image hands the header over");
-        let Trailer { meta, stats, metrics } = trailer;
-        Ok(Snapshot { meta, graph, partition, stats, ranks: sink.ranks, metrics })
+        let Trailer { meta, stats, metrics, exact } = trailer;
+        Ok(Snapshot { meta, graph, partition, stats, ranks: sink.ranks, metrics, exact })
     }
 
     /// Deserializes from an in-memory buffer.
@@ -343,6 +351,7 @@ pub struct Image<'a, R> {
     pub partition: &'a PartitionSnapshot,
     pub stats: &'a RunStats,
     pub metrics: &'a [u8],
+    pub exact: bool,
     pub ranks: &'a [R],
 }
 
@@ -352,9 +361,11 @@ impl<R: RankRows> Image<'_, R> {
         let graph = 16 + 12 * self.graph.edges.len();
         let partition = 12 + 4 * self.partition.assignment.len();
         let metrics = (!self.metrics.is_empty()).then_some(4 + self.metrics.len());
+        let exact = self.exact.then_some(0);
         [META_BYTES, graph, partition, STAT_BYTES]
             .into_iter()
             .chain(metrics)
+            .chain(exact)
             .chain(self.ranks.iter().map(rank_section_len))
     }
 
@@ -450,6 +461,11 @@ impl<R: RankRows> Image<'_, R> {
             out.finish()?;
         }
 
+        if self.exact {
+            out.begin(b"EXCT", len());
+            out.finish()?;
+        }
+
         for rows in self.ranks {
             write_rank(&mut out, len(), rows)?;
         }
@@ -465,6 +481,7 @@ impl<R: RankRows> Image<'_, R> {
             stats: *self.stats,
             ranks: self.ranks.iter().map(RankSnapshot::from_rows).collect(),
             metrics: self.metrics.to_vec(),
+            exact: self.exact,
         }
     }
 }
@@ -604,6 +621,8 @@ pub struct Trailer {
     pub stats: RunStats,
     /// The METR section's wire ids; empty when the file has none.
     pub metrics: Vec<u8>,
+    /// Whether the file has the EXCT section.
+    pub exact: bool,
 }
 
 /// Decodes a snapshot from `r` into `sink`: magic, version, section
@@ -633,6 +652,7 @@ pub fn read_image<S: ImageSink>(mut r: impl Read, sink: &mut S) -> Result<Traile
     let mut partition: Option<PartitionSnapshot> = None;
     let mut stats: Option<RunStats> = None;
     let mut metrics: Option<Vec<u8>> = None;
+    let mut exact = false;
     let mut tags: Vec<[u8; 4]> = Vec::new();
     let mut ranks: Vec<u32> = Vec::new();
     let mut handed_over = false;
@@ -716,6 +736,13 @@ pub fn read_image<S: ImageSink>(mut r: impl Read, sink: &mut S) -> Result<Traile
                 }
                 metrics = Some(ids);
             }
+            b"EXCT" => {
+                // A flag: the section's presence is all it says.
+                if !payload.is_empty() {
+                    return Err(CheckpointError::Malformed("non-empty EXCT section".into()).into());
+                }
+                exact = true;
+            }
             b"RNKS" => {
                 let section = RankSection::decode(&payload)?;
                 if !handed_over {
@@ -753,7 +780,7 @@ pub fn read_image<S: ImageSink>(mut r: impl Read, sink: &mut S) -> Result<Traile
         }
         Err(e) => return Err(CheckpointError::from(e).into()),
     }
-    Ok(Trailer { meta, stats, metrics: metrics.unwrap_or_default() })
+    Ok(Trailer { meta, stats, metrics: metrics.unwrap_or_default(), exact })
 }
 
 fn missing(section: &str) -> CheckpointError {
@@ -885,6 +912,7 @@ mod tests {
                 },
             ],
             metrics: vec![1],
+            exact: false,
         }
     }
 
@@ -989,6 +1017,47 @@ mod tests {
         let bytes = s.to_bytes().unwrap();
         assert!(bytes.windows(4).any(|w| w == b"METR"));
         assert_eq!(Snapshot::from_bytes(&bytes).unwrap().metrics, vec![1]);
+    }
+
+    #[test]
+    fn exct_section_is_written_only_when_set_and_roundtrips() {
+        let mut s = sample();
+        s.exact = true;
+        let bytes = s.to_bytes().unwrap();
+        let at = bytes.windows(4).position(|w| w == b"EXCT").expect("an EXCT section");
+        // An empty payload: tag, zero length, the CRC of nothing.
+        assert_eq!(bytes[at + 4..at + 16], [0; 12]);
+        assert_eq!(bytes.len(), sample().to_bytes().unwrap().len() + 16);
+        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), s);
+        let mut streamed = Vec::new();
+        s.write_to(&mut streamed).unwrap();
+        assert_eq!(streamed, bytes);
+    }
+
+    #[test]
+    fn an_image_without_exct_reads_as_not_exact() {
+        let bytes = sample().to_bytes().unwrap();
+        assert!(!bytes.windows(4).any(|w| w == b"EXCT"));
+        assert!(!Snapshot::from_bytes(&bytes).unwrap().exact);
+        assert!(!Snapshot::from_bytes(&unhex(SAMPLE_V4_HEX)).unwrap().exact);
+    }
+
+    #[test]
+    fn a_non_empty_exct_section_is_malformed() {
+        let mut s = sample();
+        s.exact = true;
+        let mut bytes = s.to_bytes().unwrap();
+        let at = bytes.windows(4).position(|w| w == b"EXCT").expect("an EXCT section");
+        // One payload byte, with its length and a CRC that verifies.
+        let mut section = b"EXCT".to_vec();
+        section.extend_from_slice(&1u64.to_le_bytes());
+        section.push(0);
+        section.extend_from_slice(&crate::crc32(&[0]).to_le_bytes());
+        bytes.splice(at..at + 16, section);
+        match Snapshot::from_bytes(&bytes) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains("EXCT"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl VertexBatch {
 }
 
 /// A dynamic graph change. Vertex additions are the paper's subject; the
-/// edge variants implement the companion strategies (additions [9],
-/// deletions [10], weight changes [7]) the framework also supports.
+/// edge variants implement the companion strategies (additions \[9\],
+/// deletions \[10\], weight changes \[7\]) the framework also supports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DynamicChange {
     AddVertices(VertexBatch),

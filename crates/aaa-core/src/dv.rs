@@ -52,7 +52,8 @@
 //! [`DvStore::mark_all_unpropagated`] for events that pair rows anew
 //! without lowering a cell). A write to a local row takes its mask in a
 //! scratch row of words and ORs it into both records afterwards, so the
-//! dense loops keep one mask however many readers it has. Growth extends a
+//! dense loops keep one mask however many readers it has; a merge into a
+//! cached row does the same, unless the store is exact (*Exact ranks*). Growth extends a
 //! record with zeros (a new column is `INF` everywhere), a re-layout and a
 //! swap-remove move it with the row, an install sets it whole and a raise
 //! sets no bit (see *Raising*). Each costs 1 bit per 32-bit cell, +3.1 %
@@ -67,6 +68,22 @@
 //!
 //! A seeded row with nothing recorded counts as all columns, so
 //! over-approximation is always safe.
+//!
+//! # Exact ranks
+//!
+//! While every local row holds the exact distance in the current graph,
+//! no pass through a held row whose cells are upper bounds can lower a
+//! local cell: `D[v][u] + D[u][t] ≥ d(v,u) + d(u,t) ≥ d(v,t) = D[v][t]`.
+//! A merge into a cached row then keeps the closure invariant with nothing
+//! recorded. So while the store's `exact` flag is set the two cached
+//! merges ([`DvStore::min_merge_cached`] and its sparse variant) lower
+//! cells and refresh bounds but add no bit to the record: a broadcast row
+//! merged into an all-`INF` slot is not a dense pivot of every local row.
+//! Every other write records as before, [`DvStore::min_merge_through`] (an
+//! absorbed edge) included. The flag is a claim about every rank at once,
+//! so the engine sets and clears it on all of them together (DESIGN.md
+//! §5): set at a quiescent RC step, kept across additive drains, cleared
+//! by [`DvStore::raise`] and by every seeding, migration and recovery path.
 //!
 //! # Chunk bounds
 //!
@@ -838,8 +855,12 @@ pub struct DvStore {
     /// delta covers exactly the rows whose closeness may have moved.
     epoch_dirty: DirtyBits,
     /// One row of record words, all zero between writes: where a write to
-    /// a local row takes its lowered-cell mask ([`DvStore::write_local`]).
+    /// a local row, or a merge into a cached one, takes its lowered-cell
+    /// mask ([`DvStore::write_local`], [`DvStore::write_cached`]).
     mask: Vec<u64>,
+    /// Every local row is known exact in the current graph (see *Exact
+    /// ranks* in the module docs): the cached merges then record nothing.
+    exact: bool,
     tally: KernelTally,
 }
 
@@ -855,8 +876,21 @@ impl DvStore {
             epoch_dirty: dirty.clone(),
             dirty,
             mask: vec![0; n.div_ceil(CHUNK)],
+            exact: false,
             tally: KernelTally::default(),
         }
+    }
+
+    /// Whether every local row is known exact in the current graph.
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Declares every local row exact in the current graph (`true`), or
+    /// withdraws that (`false`). Only a state every rank shares may set it:
+    /// see *Exact ranks* in the module docs.
+    pub fn set_exact(&mut self, exact: bool) {
+        self.exact = exact;
     }
 
     /// Current column count.
@@ -1042,12 +1076,35 @@ impl DvStore {
         }
     }
 
+    /// A merge into the cached row of `v` (created all-`INF` if new): `f`
+    /// lowers cells and refreshes bounds like any tracked write, taking its
+    /// mask in the scratch row, which is OR-ed into the row's unpropagated
+    /// record unless the store is exact — then no pass through what `f`
+    /// lowered can lower a local cell (*Exact ranks*). Returns whether
+    /// anything improved or the row is new.
+    fn write_cached(
+        &mut self,
+        v: VertexId,
+        f: impl FnOnce(&mut [Dist], Track<'_>) -> bool,
+    ) -> bool {
+        let (s, new) = self.cached_slot_or_new(v);
+        let Self { cached, mask, exact, .. } = self;
+        let (row, Track { hi, lo, .. }) = cached.row_mut(s);
+        let changed = f(row, Track { delta: &mut mask[..], hi, lo });
+        if changed {
+            if !*exact {
+                let record = &mut cached.delta[s * mask.len()..(s + 1) * mask.len()];
+                record.iter_mut().zip(mask.iter()).for_each(|(r, m)| *r |= m);
+            }
+            mask.fill(0);
+        }
+        changed | new
+    }
+
     /// Min-merges an incoming external-boundary row into the cache
     /// (creating it if new). Returns `true` if anything improved.
     pub fn min_merge_cached(&mut self, v: VertexId, incoming: &[Dist]) -> bool {
-        let (s, new) = self.cached_slot_or_new(v);
-        let (row, track) = self.cached.row_mut(s);
-        relax_via_tracked(row, 0, incoming, track) | new
+        self.write_cached(v, |row, track| relax_via_tracked(row, 0, incoming, track))
     }
 
     /// Sparse variant of [`DvStore::min_merge_cached`] for the delta wire
@@ -1055,9 +1112,7 @@ impl DvStore {
     /// chaos layer dropped the initial full row) merges into a fresh
     /// all-`INF` row — still a sound upper bound.
     pub fn min_merge_cached_sparse(&mut self, v: VertexId, pairs: &[(VertexId, Dist)]) -> bool {
-        let (s, new) = self.cached_slot_or_new(v);
-        let (row, track) = self.cached.row_mut(s);
-        min_merge_sparse_tracked(row, pairs, track) | new
+        self.write_cached(v, |row, track| min_merge_sparse_tracked(row, pairs, track))
     }
 
     /// `row_p ← min(row_p, through + row_q)` between two rows held here,
@@ -1082,6 +1137,7 @@ impl DvStore {
     /// returned with the columns they lost, in slot order, for
     /// [`DvStore::refill`]; cached rows wait for their owner's resend.
     pub fn raise(&mut self, witness: &Witness) -> Vec<(VertexId, Vec<VertexId>)> {
+        self.exact = false;
         let mut raised = Vec::new();
         self.local.raise(witness, |v, cols| raised.push((v, cols.to_vec())));
         self.cached.raise(witness, |_, _| {});

@@ -658,6 +658,17 @@ impl AnytimeEngine {
         );
         self.rc_steps += 1;
         let more = self.cluster.allreduce_or(|_, s| s.last_sent || s.last_changed || s.has_dirty());
+        // Quiet with nothing that could hide work: every local row is exact
+        // (DESIGN.md §5). Every rank knows the all-reduce's result, so
+        // setting the flag is no cluster work.
+        let armed = self.cluster.chaos_plan().is_some() || self.cluster.fault_plan().is_some();
+        if !more && !armed && !self.cluster.has_undelivered() {
+            self.set_exact(true);
+        }
+        debug_assert!(
+            self.cluster.ranks().windows(2).all(|w| w[0].is_exact() == w[1].is_exact()),
+            "ranks disagree on whether their rows are exact"
+        );
         // One span bracketing the whole step (exchange + quiescence
         // reduction), on the driver lane; `superstep` carries the RC-step
         // index.
@@ -665,6 +676,13 @@ impl AnytimeEngine {
         self.cluster.span(SpanKind::RcStep, DRIVER_LANE, step, mark, 0, 0);
         self.publish_view(!more);
         more
+    }
+
+    /// Sets or clears every rank's exactness flag at once
+    /// ([`RankState::set_exact`]): driver bookkeeping on a fact every rank
+    /// already shares, so no cluster work.
+    fn set_exact(&mut self, exact: bool) {
+        self.cluster.barrier_read_mut(|_, s| s.set_exact(exact));
     }
 
     /// Runs RC steps until no processor has updates left (or the safety
@@ -1161,7 +1179,7 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// Dynamic edge addition (the authors' algorithm [9]): record the edge
+    /// Dynamic edge addition (the authors' algorithm \[9\]): record the edge
     /// everywhere, broadcast both endpoint rows, relax. Routed through the
     /// ingest log (submit + immediate drain).
     pub fn add_edge(&mut self, u: VertexId, v: VertexId, w: Weight) -> Result<(), CoreError> {
@@ -1183,7 +1201,7 @@ impl AnytimeEngine {
         Ok(())
     }
 
-    /// Dynamic edge-weight change (companion algorithm [7]). A decrease is
+    /// Dynamic edge-weight change (companion algorithm \[7\]). A decrease is
     /// a relaxation; an increase invalidates the cells a shortest path
     /// over the edge may have witnessed — the selective invalidation
     /// shared with deletion — and re-seeds the edge at its new weight.
@@ -1234,7 +1252,7 @@ impl AnytimeEngine {
     }
 
     /// Dynamic edge deletion (the job of the authors' deletion algorithm
-    /// [10]): nothing restarts. Every rank raises to `INF` only the cells a
+    /// \[10\]): nothing restarts. Every rank raises to `INF` only the cells a
     /// shortest path over the edge may have witnessed, refills what it can
     /// from the rows it holds, and the RC phase re-converges the rest —
     /// see `invalidate_through`. Routed through the ingest log.
@@ -1354,6 +1372,7 @@ impl AnytimeEngine {
             partition: &partition,
             stats: self.cluster.stats(),
             metrics: &metrics,
+            exact: self.cluster.ranks().iter().all(RankState::is_exact),
             ranks: &ranks,
         });
         // An instant on the simulated clock (checkpointing is driver work,
@@ -1415,14 +1434,18 @@ impl AnytimeEngine {
             meta: snap.meta,
             stats: snap.stats,
             metrics: snap.metrics.clone(),
+            exact: snap.exact,
         })
     }
 
     /// Arms the fault injector: the chosen rank "dies" at the barrier
     /// before the chosen superstep, surfacing as
     /// [`aaa_runtime::ClusterError::RankFailed`] from the `_checked`
-    /// stepping entry points.
+    /// stepping entry points. Arming it withdraws every rank's claim to
+    /// exact rows ([`RankState::set_exact`]) until a run converges again
+    /// with no plan armed.
     pub fn inject_fault(&mut self, plan: FaultPlan) {
+        self.set_exact(false);
         self.cluster.inject_fault(plan);
     }
 
@@ -1436,8 +1459,10 @@ impl AnytimeEngine {
     /// `aaa_runtime::chaos`). [`ChaosPlan::none`] disarms it: the routing
     /// loop is the same one, every fate `Deliver`. A delayed row never
     /// crosses a decremental change or a migration — see
-    /// [`Cluster::exchange`] for the rule.
+    /// [`Cluster::exchange`] for the rule. Like [`AnytimeEngine::inject_fault`]
+    /// it withdraws every rank's claim to exact rows.
     pub fn set_chaos(&mut self, plan: ChaosPlan) {
+        self.set_exact(false);
         self.cluster.set_chaos(plan);
     }
 
@@ -1703,10 +1728,10 @@ impl AnytimeEngine {
         self.changes = changes;
         self.cluster.set_sink(sink);
         if let Some(c) = chaos {
-            self.cluster.set_chaos(c);
+            self.set_chaos(c);
         }
         if let Some(f) = fault {
-            self.cluster.inject_fault(f);
+            self.inject_fault(f);
         }
         let (step, now) = (self.rc_steps as u64, self.cluster.mark());
         self.cluster.span(SpanKind::Restore, DRIVER_LANE, step, now, 0, 0);
@@ -1870,6 +1895,7 @@ impl Rebuild {
         let config = self.config;
         let mut cluster = Cluster::new(states, config.cluster);
         cluster.restore_stats(trailer.stats);
+        cluster.barrier_read_mut(|_, s| s.set_exact(trailer.exact));
         cluster.record_restore();
         // Union of the config's metrics and what the snapshot was
         // maintaining: restoring never silently drops a metric the

@@ -13,8 +13,8 @@
 //!   **RoundRobin-PS** and **CutEdge-PS** processor-assignment strategies
 //!   and the **Repartition-S** alternative ([`AssignStrategy`]);
 //! * the **Baseline Restart** comparator ([`baseline`]);
-//! * the companion dynamic-edge strategies (additions [9], deletions [10],
-//!   weight changes [7]) as engine methods;
+//! * the companion dynamic-edge strategies (additions \[9\], deletions \[10\],
+//!   weight changes \[7\]) as engine methods;
 //! * anytime-quality instrumentation ([`quality`]);
 //! * **anytime persistence** — [`AnytimeEngine::checkpoint`] /
 //!   [`AnytimeEngine::restore`] snapshots at superstep barriers, policies

@@ -229,6 +229,22 @@ impl RankState {
         self.wire = wire;
     }
 
+    /// Whether every local row is known exact in the current graph, so
+    /// that merges into the cache record nothing (*Exact ranks* in the
+    /// `dv` module docs).
+    pub fn is_exact(&self) -> bool {
+        self.dv.is_exact()
+    }
+
+    /// Sets or clears [`RankState::is_exact`]. The driver calls it on every
+    /// rank at once: set when a quiescence all-reduce found nothing left to
+    /// do and no fault or chaos plan could have hidden work, cleared when a
+    /// plan is armed. Every other transition happens on events every rank
+    /// sees: a raise, seeded edges, a reassignment, a restore or a recovery.
+    pub fn set_exact(&mut self, exact: bool) {
+        self.dv.set_exact(exact);
+    }
+
     /// Sets the relaxation kernel's worker-thread count (1 = sequential;
     /// the kernel is bit-identical for any value).
     pub fn set_kernel_threads(&mut self, threads: usize) {
@@ -547,7 +563,7 @@ impl RankState {
     }
 
     /// The edge addition (Fig. 3 lines 26–34, from the authors'
-    /// edge-addition algorithm [9]) for the new edge `(x, y, w)`: each
+    /// edge-addition algorithm \[9\]) for the new edge `(x, y, w)`: each
     /// endpoint row held here, local or cached, takes
     /// `row_p ← min(row_p, w + row_q)` — path lengths now that the edge
     /// exists, so a cached copy may take it as well as the owner's row, and
@@ -634,6 +650,7 @@ impl RankState {
     /// the base copy (or evicted it) would be unsound — so wire tracking is
     /// dropped and the next produce ships full rows.
     pub fn apply_reassignment(&mut self, moves: &[(VertexId, PartId)]) {
+        self.dv.set_exact(false);
         for &(v, p) in moves {
             self.owner[v as usize] = p;
         }
@@ -753,6 +770,9 @@ impl RankState {
     /// edges (the anywhere strategies relax every row over each one
     /// instead), and what RC needs to take it from there.
     pub fn seed_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) {
+        // RC carries the edges from here: the local rows are no longer
+        // exact, so what it merges into the cache must be recorded.
+        self.dv.set_exact(false);
         for &(a, b, w) in edges {
             for (x, y) in [(a, b), (b, a)] {
                 if self.dv.is_local(x) {
@@ -776,7 +796,8 @@ impl RankState {
         self.dv.rows(self.rank as u32)
     }
 
-    /// [`RankState::rows`], copied into a [`RankSnapshot`].
+    /// This rank's DV state as the checkpoint encoder reads it, copied into
+    /// a [`RankSnapshot`].
     pub fn to_snapshot(&self) -> RankSnapshot {
         RankSnapshot::from_rows(&self.rows())
     }
@@ -828,6 +849,7 @@ impl RankState {
             }
         }
         self.dv.clear_unpropagated();
+        self.dv.set_exact(false);
         for &v in rows.pending() {
             if self.dv.is_local(v) {
                 self.dv.mark_unpropagated(v);
@@ -851,6 +873,7 @@ impl RankState {
     /// rows are bounds for a graph that no longer exists
     /// (`AnytimeEngine::recover_rank` checks).
     pub fn absorb_snapshot(&mut self, snap: &RankSnapshot) {
+        self.dv.set_exact(false);
         for (v, row) in &snap.local {
             if self.dv.is_local(v) {
                 self.dv.min_merge_local(v, row);
@@ -870,6 +893,7 @@ impl RankState {
     /// tracking is dropped so the re-announcements are full rows — the
     /// recovered rank's caches hold nothing to delta against.
     pub fn mark_all_for_resend(&mut self) {
+        self.dv.set_exact(false);
         self.dv.mark_all_dirty();
         self.dv.mark_all_unpropagated();
         self.synced.clear();

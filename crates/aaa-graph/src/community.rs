@@ -8,7 +8,7 @@
 //!
 //! Aggregation requires self-loops (a community's internal weight), which
 //! [`AdjGraph`] deliberately forbids, so the levels run on a private
-//! [`LevelGraph`] representation.
+//! `LevelGraph` representation.
 
 use crate::{AdjGraph, VertexId};
 use rand::seq::SliceRandom;

@@ -36,11 +36,6 @@ pub trait GraphStore {
     fn vertices(&self) -> std::ops::Range<VertexId> {
         0..self.num_vertices() as VertexId
     }
-
-    /// Number of directed arcs (twice the undirected edge count).
-    fn num_arcs(&self) -> u64 {
-        2 * self.num_edges() as u64
-    }
 }
 
 /// Each undirected edge exactly once as `(u, v, w)` with `u < v`, ordered
@@ -144,7 +139,6 @@ mod tests {
     fn provided_methods() {
         let mut g = AdjGraph::with_vertices(3);
         g.add_edge(0, 1, 1).unwrap();
-        assert_eq!(GraphStore::num_arcs(&g), 2);
         assert_eq!(GraphStore::vertices(&g).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 }

@@ -3,11 +3,11 @@
 //! The classic three-stage scheme of Karypis & Kumar, implemented from
 //! scratch:
 //!
-//! 1. **Coarsening** ([`matching`]) — repeated heavy-edge matching collapses
+//! 1. **Coarsening** (`matching`) — repeated heavy-edge matching collapses
 //!    the graph until it is small;
-//! 2. **Initial partitioning** ([`initial`]) — greedy graph growing assigns
+//! 2. **Initial partitioning** (`initial`) — greedy graph growing assigns
 //!    the coarsest vertices to k balanced parts;
-//! 3. **Uncoarsening + refinement** ([`refine`]) — the partition is projected
+//! 3. **Uncoarsening + refinement** (`refine`) — the partition is projected
 //!    back level by level, with boundary FM-style refinement at each level.
 //!
 //! With [`MultilevelConfig::parallel`] set, the coarse-graph construction

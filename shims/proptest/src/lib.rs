@@ -234,7 +234,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Lengths accepted by [`vec`].
+    /// Lengths accepted by [`vec`](fn@vec).
     pub trait IntoSizeRange {
         fn bounds(self) -> (usize, usize);
     }
@@ -251,7 +251,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         elem: S,
         min: usize,

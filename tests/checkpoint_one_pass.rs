@@ -78,19 +78,21 @@ fn the_streaming_writer_matches_the_snapshot_writer_byte_for_byte() {
 }
 
 /// The kernel work of one RoundRobin wave plus `run_to_convergence` on the
-/// restored engine of the test below, as the restore path before the
-/// one-pass codec (commit 80164b4) left it. `chunks_relaxed` depends on how
+/// restored engine of the test below. `chunks_relaxed` depends on how
 /// tight the restored chunk bounds are, so this pins them as well as the
-/// rows.
+/// rows. The snapshot is of a converged engine, so it carries the EXCT
+/// flag: the restored ranks merge the wave's broadcast rows and the
+/// refresh step's rows without recording them, and only the wave's own
+/// absorbs seed the kernel.
 const WAVE_AFTER_RESTORE: KernelTally = KernelTally {
-    calls: 8,
-    rounds: 14,
-    dense_passes: 33_113,
-    chunks_scheduled: 198_678,
-    chunks_relaxed: 79_499,
-    sparse_passes: 19_003,
-    list_passes_skipped: 65_368,
-    cells: 4_482_802,
+    calls: 4,
+    rounds: 10,
+    dense_passes: 26_253,
+    chunks_scheduled: 157_518,
+    chunks_relaxed: 53_493,
+    sparse_passes: 23_985,
+    list_passes_skipped: 23_243,
+    cells: 3_100_005,
 };
 
 #[test]
