@@ -2086,6 +2086,29 @@ mod tests {
         // Shorter source: missing tail untouched.
         assert!(min_merge(&mut dst, &[1]));
         assert_eq!(dst, vec![1, 4, 2]);
+        // Rows long enough for the 8-lane body, with INF cells on both sides
+        // (on both at once every 35th column) and a source longer than the
+        // destination, whose extra cells are ignored.
+        for n in [70usize, 131] {
+            let dst0: Vec<Dist> =
+                (0..n).map(|i| if i % 5 == 0 { INF } else { (i * 37 % 101) as Dist }).collect();
+            let src: Vec<Dist> =
+                (0..n + 9).map(|i| if i % 7 == 0 { INF } else { (i * 53 % 97) as Dist }).collect();
+            let want: Vec<Dist> = dst0.iter().zip(&src).map(|(&d, &s)| d.min(s)).collect();
+            let mut dst = dst0.clone();
+            assert_eq!(min_merge(&mut dst, &src), want != dst0);
+            assert_eq!(dst, want);
+            assert!(!min_merge(&mut dst, &src));
+            // A single lowered cell anywhere, lane body or tail, reports.
+            for t in [0, 7, 8, 63, 64, n - 1] {
+                let mut dst = vec![50; n];
+                let mut one = vec![INF; n + 9];
+                one[t] = 1;
+                assert!(min_merge(&mut dst, &one));
+                let want: Vec<Dist> = (0..n).map(|i| if i == t { 1 } else { 50 }).collect();
+                assert_eq!(dst, want);
+            }
+        }
     }
 
     #[test]
