@@ -360,3 +360,28 @@ echo "$defs"
 bodies=$(nontest crates/aaa-core/src/dv.rs | awk '/^ *(pub )?(unsafe )?fn / { name = $0 } /(^|[^_a-z])(relax_via_tracked|min_merge_sparse_tracked)\(/ && !/fn (relax_via_tracked|min_merge_sparse_tracked)\(/ { print name }' | sed -E 's/^ *(pub )?fn ([a-z_]+).*/\2/' | sort | uniq -c | tr -s ' ' | tr '\n' ';')
 echo "tracked merge bodies called from: $bodies"
 [ "$bodies" = " 1 min_merge_cached; 1 min_merge_cached_sparse; 1 min_merge_local; 1 min_merge_local_sparse; 2 min_merge_through; 1 relax_to_fixed_point;" ] || { echo "a tracked merge body has a caller besides the five merges and the kernel"; exit 1; }
+
+# One way to time a layer. Per-layer wall clock is the benchmark's traced
+# rows (`benchmark/run.sh --workload <w> --trace 1`); the Criterion harness
+# that only CI compiled, its shim and the dense loop only it kept alive were
+# deleted. None may come back: no `criterion` in a manifest or the lock, no
+# `[[bench]]` target or `benches/` directory under crates/, no second
+# min-merge body beside `relax_via`'s, and none of the public functions whose
+# only callers were their own tests. The supervised fallback restores through
+# `AnytimeEngine::restore`, so no non-test code under crates/ calls
+# `from_snapshot(`.
+if find . -name Cargo.toml -not -path '*/target/*' -exec grep -Hn 'criterion' {} + || grep -n 'criterion' Cargo.lock; then
+  echo "criterion is back in a manifest or the lock"; exit 1
+fi
+[ ! -e shims/criterion ] || { echo "shims/criterion is back"; exit 1; }
+if grep -n '^\[\[bench\]\]' crates/*/Cargo.toml || find crates -type d -name benches | grep .; then
+  echo "a bench target is back under crates/"; exit 1
+fi
+if grep -rnE 'fn (min_merge_scalar|min_merge_avx2)[<(]' crates/; then
+  echo "a min_merge body is back beside relax_via"; exit 1
+fi
+if grep -rnE 'fn (local_ids_sorted|shared_closeness_chunks|into_parts|add_vertex|points_for|error_bound_for)[<(]' crates/ src/; then
+  echo "a function whose only callers were its own tests is back"; exit 1
+fi
+calls=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -n 'from_snapshot(' | grep -v 'pub fn from_snapshot(' | sed "s|^|$f:|"; done)
+[ -z "$calls" ] || { echo "$calls"; echo "non-test code calls from_snapshot again"; exit 1; }

@@ -74,7 +74,7 @@ mod tests {
     fn baseline_accumulates_over_snapshots() {
         let g1 = barabasi_albert(40, 2, WeightModel::Unit, 5).unwrap();
         let mut g2 = g1.clone();
-        let v = g2.add_vertex();
+        let v = g2.add_vertices(1);
         g2.add_edge(v, 0, 1).unwrap();
         let mut baseline = BaselineRestart::new(EngineConfig::deterministic(3));
         let c1 = baseline.analyze(&g1).unwrap();

@@ -263,7 +263,7 @@ impl Track<'_> {
     }
 }
 
-/// Exact bounds of every chunk of `row`. Dispatched like [`min_merge`]: the
+/// Exact bounds of every chunk of `row`. Dispatched like [`relax_via`]: the
 /// baseline x86-64 target has no unsigned `u32` min or max.
 fn chunk_bounds(row: &[Dist], hi: &mut [Dist], lo: &mut [Dist]) {
     #[cfg(target_arch = "x86_64")]
@@ -348,7 +348,7 @@ impl Witness {
 
 /// The scan under [`Witness::raise_row`]: every finite
 /// `row[t] ≥ min(a + ru[t], b + rv[t])` with `t ≠ keep` becomes `INF` and `t`
-/// joins `cols`. Dispatched like [`min_merge`]. A change raises about one
+/// joins `cols`. Dispatched like [`relax_via`]. A change raises about one
 /// cell in a hundred, so each 64-column chunk is first probed with the
 /// branch-free comparison — all that most chunks take — and only a chunk
 /// with a hit takes the loop that writes.
@@ -997,13 +997,6 @@ impl DvStore {
     /// True if `v` has a local row here.
     pub fn is_local(&self, v: VertexId) -> bool {
         self.local_slot(v).is_some()
-    }
-
-    /// Ids of local rows, sorted (deterministic iteration order).
-    pub fn local_ids_sorted(&self) -> Vec<VertexId> {
-        let mut ids = self.local.ids.clone();
-        ids.sort_unstable();
-        ids
     }
 
     /// Ids of every row available here (local + cached), sorted.
@@ -1832,36 +1825,12 @@ fn relax_list(row: &mut [Dist], through: Dist, list: &[(VertexId, Dist)]) -> boo
 
 /// Element-wise `dst = min(dst, src)`; returns whether anything changed.
 /// The incoming row may be shorter than `dst` (sender had fewer columns);
-/// missing entries are treated as `INF`. Branchless (select + flag
-/// accumulation) so the loop auto-vectorizes; on x86-64 with AVX2 a
-/// runtime-dispatched recompilation of the same loop runs 8 lanes wide
-/// (bit-identical: the arithmetic is elementwise integer either way).
+/// missing entries are treated as `INF`. It is [`relax_via`] through `0`
+/// (bit-identical: `0.saturating_add(s) == s`), so one dense loop serves
+/// both.
+#[inline]
 pub fn min_merge(dst: &mut [Dist], src: &[Dist]) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { min_merge_avx2(dst, src) };
-    }
-    min_merge_scalar(dst, src)
-}
-
-#[inline(always)]
-fn min_merge_scalar(dst: &mut [Dist], src: &[Dist]) -> bool {
-    let mut changed = false;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        let m = if s < *d { s } else { *d };
-        changed |= m < *d;
-        *d = m;
-    }
-    changed
-}
-
-/// The same loop compiled with AVX2 enabled: native unsigned `u32` min and
-/// 256-bit lanes, which the baseline x86-64 target (SSE2) cannot emit.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn min_merge_avx2(dst: &mut [Dist], src: &[Dist]) -> bool {
-    min_merge_scalar(dst, src)
+    relax_via(dst, 0, src)
 }
 
 /// Sparse min-merge of `(column, distance)` pairs (delta wire format),
@@ -2194,7 +2163,7 @@ mod tests {
         assert!(dv.row(1).is_none());
         assert_eq!(dv.row(0).unwrap()[3], 10);
         assert_eq!(dv.row(2).unwrap()[3], 12);
-        assert_eq!(dv.local_ids_sorted(), vec![0, 2]);
+        assert!(dv.is_local(0) && !dv.is_local(1) && dv.is_local(2));
         assert_eq!(dv.local_row(2).unwrap()[2], 0);
     }
 

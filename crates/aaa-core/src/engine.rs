@@ -1537,7 +1537,7 @@ impl AnytimeEngine {
     ///   they moved, it runs a **verification pass** (full resend) before
     ///   accepting the fixed point. Convergence is declared only after a
     ///   quiescent round with no new faults and nothing in flight.
-    /// * **Exhausted retries** — fall back to the snapshot taken at entry
+    /// * **Exhausted retries** — fall back to the checkpoint taken at entry
     ///   (`max_fallbacks` times), rebuilding the engine and re-arming the
     ///   chaos/fault plans. When that budget is gone too, give up and
     ///   return `Ok` with a [`DegradedReport`]: the current closeness
@@ -1561,16 +1561,16 @@ impl AnytimeEngine {
     /// log, steps RC, takes due checkpoints, and (when supervised) runs
     /// the retry/verification/fallback ladder.
     fn drive(&mut self, mut spec: DriveSpec<'_>) -> Result<SupervisedRun, CoreError> {
-        // Drain before the fallback snapshot below: applied changes land in
-        // the snapshot, so a restore cannot silently lose them. `submit`
-        // needs `&mut self`, so nothing can enqueue mid-run — the log stays
-        // empty for the rest of the loop.
+        // Drain before the fallback checkpoint below: applied changes land
+        // in it, so a restore cannot silently lose them. `submit` needs
+        // `&mut self`, so nothing can enqueue mid-run — the log stays empty
+        // for the rest of the loop.
         self.drain_changes()?;
-        // The fallback snapshot is only worth its cost under chaos; an
+        // The fallback checkpoint is only worth its cost under chaos; an
         // unarmed run must behave exactly like `run_to_convergence`.
         let fallback = match spec.supervised {
             Some(retry) if self.cluster.chaos_plan().is_some() && retry.max_fallbacks > 0 => {
-                Some(self.snapshot())
+                Some(self.checkpoint_bytes()?)
             }
             _ => None,
         };
@@ -1663,11 +1663,11 @@ impl AnytimeEngine {
                     self.cluster.span(SpanKind::Retry, DRIVER_LANE, steps as u64, mark, 0, 0);
                     if attempts > retry.max_attempts {
                         if fallbacks < retry.max_fallbacks {
-                            if let Some(snap) = &fallback {
-                                self.fallback_restore(snap)?;
+                            if let Some(bytes) = &fallback {
+                                self.fallback_restore(bytes)?;
                                 fallbacks += 1;
                                 attempts = 0;
-                                // Stats were rewound to the snapshot.
+                                // Stats were rewound to the checkpoint.
                                 faults_seen = self.stats().faults.injected();
                                 continue;
                             }
@@ -1699,31 +1699,31 @@ impl AnytimeEngine {
         self.cluster.record_retransmits(per_rank.into_iter().sum());
     }
 
-    /// Rebuilds the engine from `snap` and re-arms the chaos and fault
-    /// plans — and the event sink — none of which live in the snapshot
-    /// (they belong to the replaced cluster). The publish cell and ingest
-    /// log survive the rebuild: readers keep their handle, epochs keep
-    /// increasing, and pending changes stay queued.
-    fn fallback_restore(&mut self, snap: &Snapshot) -> Result<(), CoreError> {
+    /// Rebuilds the engine from the checkpoint `bytes` and re-arms the
+    /// chaos and fault plans — and the event sink — none of which live in
+    /// the checkpoint (they belong to the replaced cluster). The publish
+    /// cell and ingest log survive the rebuild: readers keep their handle,
+    /// epochs keep increasing, and pending changes stay queued.
+    fn fallback_restore(&mut self, bytes: &[u8]) -> Result<(), CoreError> {
         let chaos = self.cluster.chaos_plan();
         let fault = self.cluster.fault_plan();
         let sink = self.cluster.sink();
         let mut publisher = std::mem::take(&mut self.publisher);
-        // The snapshot was taken after `drive`'s drain, so the graph comes
+        // The checkpoint was taken after `drive`'s drain, so the graph comes
         // back unchanged and only the rows rewind. Which rows moved is lost:
-        // `from_snapshot` drains their epoch-dirty marks into its own
-        // publisher, discarded here. So the epoch below re-states every row.
+        // `restore` drains their epoch-dirty marks into its own publisher,
+        // discarded here. So the epoch below re-states every row.
         publisher.request_full();
         let changes = std::mem::take(&mut self.changes);
         let faults_verified = self.faults_verified;
-        *self = Self::from_snapshot(snap, self.config.clone())?;
+        *self = Self::restore(bytes, self.config.clone())?;
         self.faults_verified = faults_verified;
         self.publisher = publisher;
         // The kept publisher still holds the pre-rewind extra-metric
-        // columns, while `from_snapshot` already synced its fresh metric
-        // state to a publisher we just discarded. Start the metric state
-        // over so the publish below restates every extra column in full
-        // against the surviving view.
+        // columns, while `restore` already synced its fresh metric state to
+        // a publisher we just discarded. Start the metric state over so the
+        // publish below restates every extra column in full against the
+        // surviving view.
         self.metrics = MetricSet::from_kinds(&self.metrics.extra_kinds());
         self.changes = changes;
         self.cluster.set_sink(sink);

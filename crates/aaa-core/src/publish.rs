@@ -480,18 +480,6 @@ impl PublishedView {
     pub fn metric_top_k(&self, kind: MetricKind, k: usize) -> Option<Vec<(VertexId, f64)>> {
         Some(self.column(kind)?.top_k(k))
     }
-
-    /// How many closeness chunks this view shares (same allocation) with
-    /// `other` — the structural-sharing diagnostic tests and benches pin.
-    pub fn shared_closeness_chunks(&self, other: &PublishedView) -> usize {
-        self.closeness
-            .values
-            .chunks
-            .iter()
-            .zip(&other.closeness.values.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1114,7 +1102,6 @@ mod tests {
         // Dirty a handful of rows inside chunk 1 only.
         let entries: Vec<(VertexId, f64)> =
             (0..8).map(|i| ((CHUNK_VERTICES + 13 * i) as VertexId, 0.5 + i as f64)).collect();
-        let prev = fast.latest();
         let slow_prev = slow.latest();
         let dv = fast.publish_changes(1, 0, false, n, entries.clone(), Vec::new(), Vec::new());
         let fv = full_oracle(&mut slow, &slow_prev, n, &entries);
@@ -1123,7 +1110,6 @@ mod tests {
         assert_eq!(dv.top_k(10), dv.top_k_rescan(10));
         // Chunks 0, 2, 3 are shared with the previous epoch; chunk 1 was
         // copied.
-        assert_eq!(dv.shared_closeness_chunks(&prev), 3);
         let s = fast.stats();
         assert_eq!((s.full_epochs, s.delta_epochs), (1, 1));
         assert_eq!(s.chunks_copied, 4 + 1);

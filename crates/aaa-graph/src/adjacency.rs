@@ -50,13 +50,6 @@ impl AdjGraph {
         self.adj.is_empty()
     }
 
-    /// Appends a new isolated vertex and returns its id.
-    pub fn add_vertex(&mut self) -> VertexId {
-        let id = self.adj.len() as VertexId;
-        self.adj.push(Vec::new());
-        id
-    }
-
     /// Appends `k` isolated vertices, returning the id of the first.
     pub fn add_vertices(&mut self, k: usize) -> VertexId {
         let first = self.adj.len() as VertexId;
@@ -315,7 +308,7 @@ mod tests {
     #[test]
     fn vertex_addition_grows_graph() {
         let mut g = triangle();
-        let v = g.add_vertex();
+        let v = g.add_vertices(1);
         assert_eq!(v, 3);
         g.add_edge(v, 0, 4).unwrap();
         assert_eq!(g.degree(v), 1);

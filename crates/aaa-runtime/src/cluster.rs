@@ -218,11 +218,6 @@ impl<S: Send> Cluster<S> {
         &self.stats
     }
 
-    /// Consumes the cluster, returning states and statistics.
-    pub fn into_parts(self) -> (Vec<S>, RunStats) {
-        (self.states, self.stats)
-    }
-
     /// Mutable access to rank states, for checkpoint recovery only: the
     /// driver swaps a failed rank's rebuilt state in directly. Work done
     /// through this handle bypasses superstep timing and traffic pricing —
@@ -885,8 +880,7 @@ mod tests {
                     |_, s, inbox| *s += inbox.iter().map(|&(_, m)| m).sum::<u64>(),
                 );
             }
-            let (states, stats) = c.into_parts();
-            (states, stats.messages, stats.bytes)
+            (c.ranks().to_vec(), c.stats().messages, c.stats().bytes)
         };
         assert_eq!(run(ExecutionMode::Sequential), run(ExecutionMode::Parallel));
     }
@@ -1118,9 +1112,8 @@ mod tests {
                 );
                 let _ = c.poll_chaos(); // drain incidents identically
             }
-            let faults = c.stats().faults;
-            let (states, stats) = c.into_parts();
-            (states, stats.messages, stats.bytes, faults)
+            let stats = c.stats();
+            (c.ranks().to_vec(), stats.messages, stats.bytes, stats.faults)
         };
         let seq = run(ExecutionMode::Sequential);
         let par = run(ExecutionMode::Parallel);

@@ -216,16 +216,6 @@ impl ServeHandle {
         Ok(self.checked_view(kind)?.metric_point(kind, v))
     }
 
-    /// Batched [`ServeHandle::point_for`] against one consistent epoch.
-    pub fn points_for(
-        &self,
-        kind: MetricKind,
-        ids: &[VertexId],
-    ) -> Result<Vec<Option<f64>>, ServeError> {
-        let view = self.checked_view(kind)?;
-        Ok(ids.iter().map(|&v| view.metric_point(kind, v)).collect())
-    }
-
     /// The `k` highest-scoring vertices in the `kind` column (ties broken
     /// by lower id, the same total order every metric path uses).
     pub fn top_k_for(
@@ -235,21 +225,6 @@ impl ServeHandle {
     ) -> Result<Vec<(VertexId, f64)>, ServeError> {
         let view = self.checked_view(kind)?;
         Ok(view.metric_top_k(kind, k).expect("checked metric present"))
-    }
-
-    /// Certified error bound for `v` under `kind`. Closeness answers like
-    /// [`ServeHandle::error_bound`]; metrics without per-vertex intervals
-    /// (betweenness is exact-at-convergence instead) answer `Ok(None)`.
-    pub fn error_bound_for(
-        &self,
-        kind: MetricKind,
-        v: VertexId,
-    ) -> Result<Option<f64>, ServeError> {
-        let view = self.checked_view(kind)?;
-        Ok(match kind {
-            MetricKind::Closeness => view.error_bound(v),
-            _ => None,
-        })
     }
 
     /// Parks (condvar wait, no spinning) until the published epoch is
@@ -508,8 +483,6 @@ mod tests {
             other => panic!("expected MetricUnavailable, got {other:?}"),
         }
         assert!(h.top_k_for(MetricKind::Betweenness, 3).is_err());
-        assert!(h.points_for(MetricKind::Betweenness, &[0, 1]).is_err());
-        assert!(h.error_bound_for(MetricKind::Betweenness, 0).is_err());
         // The closeness defaults and the `*_for` spellings agree.
         assert_eq!(h.point_for(MetricKind::Closeness, 5).unwrap(), h.point(5));
         assert_eq!(h.top_k_for(MetricKind::Closeness, 4).unwrap(), h.top_k(4));
@@ -528,8 +501,6 @@ mod tests {
         let top = h.top_k_for(MetricKind::Betweenness, 5).unwrap();
         assert_eq!(top.len(), 5);
         assert!(top.windows(2).all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
-        // Betweenness publishes no per-vertex interval.
-        assert_eq!(h.error_bound_for(MetricKind::Betweenness, 0).unwrap(), None);
     }
 
     #[test]
