@@ -1313,6 +1313,12 @@ impl DvStore {
         self.tally
     }
 
+    /// Adds work done on a store this one replaces (a recovered rank), so
+    /// the tally keeps counting from where that store's stopped.
+    pub fn carry_tally(&mut self, earlier: KernelTally) {
+        self.tally += earlier;
+    }
+
     // --------------------------------------------------------------------
     // Relaxation kernel
     // --------------------------------------------------------------------

@@ -325,6 +325,8 @@ fn recovery_from_a_snapshot_that_predates_a_deletion_is_exact() {
     }
 }
 
-/// Dense passes the addition case above took at seed 0 before recovery
-/// checked the snapshot's graph.
-const ABSORBED_DENSE_PASSES: u64 = 1157;
+/// Dense passes the addition case above takes at seed 0 to re-converge
+/// after the recovery. The recovered rank's store carries its
+/// predecessor's tally, so this is the whole recovery's work: none of
+/// rank 1's earlier passes come off it.
+const ABSORBED_DENSE_PASSES: u64 = 1791;
