@@ -129,7 +129,9 @@ fi
 # interval routine `certified_intervals`; so outside tests aaa-core calls
 # `bfs_rows(` from IA (`initial_approximation`) and that routine alone, and
 # `DegradedReport::assemble(` is still what both drivers' `degraded_run` /
-# `degrade_with` call. The block also logs the non-test size of the three
+# `degrade_with` call. The one other walk is the driver's landmark rows
+# (`landmark_rows`), k rows once per build, which seed IA and are kept by
+# nobody. The block also logs the non-test size of the three
 # files the matrix lived in (317 / 1071 / 1867 before it went).
 if grep -rnE 'CertifiedBoundsCache|cache_for|invalidate_cache|moved_since|bounds_builds|fn repair\(|BoundsRepair|degraded_closeness_bounds|bounds_rows_rewalked' crates/; then
   echo "the hop matrix, its lifecycle, the bounds repair or the degraded report's own bounds walk is back"; exit 1
@@ -141,7 +143,7 @@ callers_of() {
 }
 walks=$(callers_of 'bfs_rows(' | grep '^crates/aaa-core/' || true)
 echo "bfs_rows called in aaa-core from: $walks"
-[ "$(echo "$walks" | grep -c 'fn ')" = 2 ] && echo "$walks" | grep -q 'rank.rs: *pub fn initial_approximation(' && echo "$walks" | grep -q 'quality.rs: *pub(crate) fn certified_intervals<' || { echo "aaa-core walks hop rows outside IA and certified_intervals"; exit 1; }
+[ "$(echo "$walks" | grep -c 'fn ')" = 3 ] && echo "$walks" | grep -q 'rank.rs: *pub fn initial_approximation(' && echo "$walks" | grep -q 'quality.rs: *pub(crate) fn certified_intervals<' && echo "$walks" | grep -q 'engine.rs: *fn landmark_rows(' || { echo "aaa-core walks hop rows outside IA, certified_intervals and landmark_rows"; exit 1; }
 assemblies=$(callers_of 'DegradedReport::assemble(')
 echo "DegradedReport::assemble called from: $assemblies"
 [ "$(echo "$assemblies" | grep -c 'fn ')" = 2 ] && echo "$assemblies" | grep -q 'engine.rs: *fn degraded_run(' && echo "$assemblies" | grep -q 'net.rs: *fn degrade_with(' || { echo "a driver's degraded answer bypasses DegradedReport::assemble"; exit 1; }
@@ -385,3 +387,22 @@ if grep -rnE 'fn (local_ids_sorted|shared_closeness_chunks|into_parts|add_vertex
 fi
 calls=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -n 'from_snapshot(' | grep -v 'pub fn from_snapshot(' | sed "s|^|$f:|"; done)
 [ -z "$calls" ] || { echo "$calls"; echo "non-test code calls from_snapshot again"; exit 1; }
+
+# One landmark choice. IA is seeded by the rows of the top-degree vertices
+# (DESIGN.md §5, *Landmark-seeded IA*); the count is the constant
+# `LANDMARKS`, and one function picks the landmarks and walks their rows:
+# `landmark_rows`. So under crates/ exactly one non-test function reads
+# `LANDMARKS` — that one — and no second function with `landmark` in its
+# name picks or walks any (`seed_from_landmarks` only reads the rows it is
+# handed). And the count is no knob: aaa-core reads no environment
+# variable outside tests.
+pickers=$(for f in $(grep -rlE '\bLANDMARKS\b' crates/); do
+  nontest "$f" | awk -v f="$f" '/^ *(pub(\(crate\))? )?fn / { name = $0 } /LANDMARKS/ && !/^ *(\/\/|const )/ && name != "" { print f ":" name }' | sort -u
+done)
+echo "LANDMARKS read in: $pickers"
+[ "$(echo "$pickers" | grep -c 'fn ')" = 1 ] && echo "$pickers" | grep -q 'engine.rs: *fn landmark_rows(' || { echo "expected exactly one function choosing landmarks, landmark_rows"; exit 1; }
+defs=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -nE '^ *(pub(\(crate\))? )?fn [a-z_0-9]*landmark' | sed "s|^|$f:|"; done)
+echo "$defs"
+[ "$(echo "$defs" | wc -l)" = 2 ] && echo "$defs" | grep -q 'engine.rs:[0-9]*: *fn landmark_rows(' && echo "$defs" | grep -q 'rank.rs:[0-9]*: *pub fn seed_from_landmarks(' || { echo "a second landmark function under crates/"; exit 1; }
+vars=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE 'env::var|\bvar_os\(' | sed "s|^|$f:|" || true; done)
+[ -z "$vars" ] || { echo "$vars"; echo "aaa-core reads an environment variable outside tests"; exit 1; }

@@ -627,14 +627,15 @@ mod tests {
     }
 
     /// A reweight past the heaviest edge moves `w_max`, and with it the
-    /// lower end of every interval whose row still misses a vertex: a thin
-    /// epoch of exactly those rows, bit-identical to the forced-full twin's.
+    /// lower end of every interval whose row holds a cell above its cap
+    /// `w_max · hops`: a thin epoch of exactly those rows, bit-identical to
+    /// the forced-full twin's. The reweight comes right after IA, whose
+    /// landmark-seeded rows hold such cells; one RC step later, on this
+    /// graph, none is left.
     #[test]
     fn a_moved_weight_extreme_publishes_a_thin_epoch() {
         let g = barabasi_albert(40, 2, WeightModel::UniformRange { lo: 1, hi: 3 }, 4).unwrap();
         let (mut thin, mut full) = certified_pair(&g);
-        thin.rc_step();
-        full.rc_step();
         let (u, v, _) = g.edges().next().unwrap();
         let before = thin.published();
         for e in [&mut thin, &mut full] {

@@ -163,7 +163,9 @@ fn a_migration_under_an_armed_plan_installs_no_delayed_row() {
 /// 0.1 / 0.3): simulated communication time to the bit, traffic, retries
 /// and every fault counter are the numbers the two routing paths, two draws
 /// and two schedules produced before they were folded. A change of the sim
-/// clock or of chaos accounting moves this on purpose, with the baselines.
+/// clock or of chaos accounting moves this on purpose, with the baselines:
+/// the landmark rows that seed IA moved it, as one more priced collective
+/// per build and a shorter, different RC run under the same fates.
 #[test]
 fn supervised_chaos_accounting_is_pinned() {
     let g = barabasi_albert(80, 2, WeightModel::UniformRange { lo: 1, hi: 6 }, 3).unwrap();
@@ -190,7 +192,7 @@ fn supervised_chaos_accounting_is_pinned() {
         })
         .collect();
     let digest = rows.iter().flat_map(|r| r.bytes()).fold(0u64, |h, b| mix(h, b.into()));
-    assert_eq!(digest, 7731448083195685195, "accounting moved:\n{}", rows.join("\n"));
+    assert_eq!(digest, 3962215876290636000, "accounting moved:\n{}", rows.join("\n"));
 }
 
 /// The verified fault total lives on the engine, not in one run. Faults a
