@@ -382,7 +382,7 @@ fi
 if grep -rnE 'fn (min_merge_scalar|min_merge_avx2)[<(]' crates/; then
   echo "a min_merge body is back beside relax_via"; exit 1
 fi
-if grep -rnE 'fn (local_ids_sorted|shared_closeness_chunks|into_parts|add_vertex|points_for|error_bound_for)[<(]' crates/ src/; then
+if grep -rnE 'fn (local_ids_sorted|shared_closeness_chunks|into_parts|add_vertex|points_for|error_bound_for|allreduce_max)[<(]' crates/ src/; then
   echo "a function whose only callers were its own tests is back"; exit 1
 fi
 calls=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -n 'from_snapshot(' | grep -v 'pub fn from_snapshot(' | sed "s|^|$f:|"; done)
@@ -394,8 +394,8 @@ calls=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -n 'from_sn
 # `landmark_rows`. So under crates/ exactly one non-test function reads
 # `LANDMARKS` — that one — and no second function with `landmark` in its
 # name picks or walks any (`seed_from_landmarks` only reads the rows it is
-# handed). And the count is no knob: aaa-core reads no environment
-# variable outside tests.
+# handed). And the count is no knob: no crate reads an environment
+# variable outside tests (the last block checks).
 pickers=$(for f in $(grep -rlE '\bLANDMARKS\b' crates/); do
   nontest "$f" | awk -v f="$f" '/^ *(pub(\(crate\))? )?fn / { name = $0 } /LANDMARKS/ && !/^ *(\/\/|const )/ && name != "" { print f ":" name }' | sort -u
 done)
@@ -404,5 +404,32 @@ echo "LANDMARKS read in: $pickers"
 defs=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -nE '^ *(pub(\(crate\))? )?fn [a-z_0-9]*landmark' | sed "s|^|$f:|"; done)
 echo "$defs"
 [ "$(echo "$defs" | wc -l)" = 2 ] && echo "$defs" | grep -q 'engine.rs:[0-9]*: *fn landmark_rows(' && echo "$defs" | grep -q 'rank.rs:[0-9]*: *pub fn seed_from_landmarks(' || { echo "a second landmark function under crates/"; exit 1; }
-vars=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE 'env::var|\bvar_os\(' | sed "s|^|$f:|" || true; done)
-[ -z "$vars" ] || { echo "$vars"; echo "aaa-core reads an environment variable outside tests"; exit 1; }
+
+# One value, one constant. Every option with one value in use outside tests
+# became a constant, and the code that only varied it went: the strategy
+# chooser's policy struct (`choose_strategy` over two constants), the
+# multilevel partitioner's config and its second coarsen body, the
+# rebalancer's config (four constants; a driver sets a `RebalancePolicy`),
+# the checkpoint-cadence policy with the drive spec and the two entry points
+# only it served (a caller writes the loop: `rc_step_checked`, then
+# `checkpoint_bytes()` when it wants one), the per-metric gate overrides and
+# their flag, the socket message cap on `NetConfig` and in `Init`, and the
+# env-gated socket trace. None may come back, and no crate reads an
+# environment variable outside tests.
+if grep -rnwE 'StrategyPolicy|MultilevelConfig|RebalanceConfig|Rebalancer|CheckpointPolicy|DriveSpec|run_to_convergence_checkpointed|run_to_convergence_checked' crates/ src/ tests/ examples/; then
+  echo "a retired knob's type or entry point is back"; exit 1
+fi
+if awk '/pub struct GateConfig/ { on = 1 } on { print } on && /^}/ { exit }' crates/aaa-observe/src/gate.rs | grep -n 'overrides'; then
+  echo "GateConfig has per-metric overrides again"; exit 1
+fi
+if grep -rnF '"--override"' crates/; then
+  echo "perfgate has an --override flag again"; exit 1
+fi
+if grep -rnE 'net_trace|AAA_NET_TRACE' crates/ src/; then
+  echo "the env-gated socket trace is back"; exit 1
+fi
+caps=$( (awk '/pub struct NetConfig/ { on = 1 } on { print } on && /^}/ { exit }' crates/aaa-core/src/net.rs
+  awk '/^    Init \{/ { on = 1 } on { print } on && /^    \},/ { exit }' crates/aaa-core/src/net.rs) | grep -n 'cap_bytes' || true)
+[ -z "$caps" ] || { echo "$caps"; echo "NetConfig or NetMsg::Init carries a message cap again"; exit 1; }
+vars=$(for f in $(find crates/*/src src -name '*.rs'); do nontest "$f" | grep -nE 'env::var|\bvar_os\(' | sed "s|^|$f:|" || true; done)
+[ -z "$vars" ] || { echo "$vars"; echo "a crate reads an environment variable outside tests"; exit 1; }

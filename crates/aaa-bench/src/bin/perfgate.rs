@@ -3,9 +3,8 @@
 //! threshold.
 //!
 //! ```text
-//! usage: perfgate cell <name> [--threshold 0.10] [--override metric=thr]...
-//!        perfgate <candidate.json> <baseline.json>
-//!                 [--threshold 0.10] [--override metric=thr]...
+//! usage: perfgate cell <name> [--threshold 0.10]
+//!        perfgate <candidate.json> <baseline.json> [--threshold 0.10]
 //!        perfgate <candidate.json> --write-baseline <path>
 //!        perfgate --validate <file-or-dir>...
 //! ```
@@ -41,9 +40,8 @@ use aaa_observe::{compare, regressed, GateConfig, MetricDiff, RunReport};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: perfgate cell <name> [--threshold 0.10] [--override metric=thr]...\n\
-         \x20      perfgate <candidate.json> <baseline.json> \
-         [--threshold 0.10] [--override metric=thr]...\n\
+        "usage: perfgate cell <name> [--threshold 0.10]\n\
+         \x20      perfgate <candidate.json> <baseline.json> [--threshold 0.10]\n\
          \x20      perfgate <candidate.json> --write-baseline <path>\n\
          \x20      perfgate --validate <file-or-dir>..."
     );
@@ -185,15 +183,6 @@ fn main() {
                 let v = argv.get(i).unwrap_or_else(|| usage());
                 cfg.default_threshold =
                     v.parse().unwrap_or_else(|_| fail("--threshold wants a number"));
-            }
-            "--override" => {
-                i += 1;
-                let v = argv.get(i).unwrap_or_else(|| usage());
-                let (name, thr) =
-                    v.split_once('=').unwrap_or_else(|| fail("--override wants metric=threshold"));
-                let thr: f64 =
-                    thr.parse().unwrap_or_else(|_| fail("--override wants metric=threshold"));
-                cfg.overrides.push((name.to_string(), thr));
             }
             "--help" | "-h" => usage(),
             flag if flag.starts_with("--") => fail(&format!("unknown flag {flag}")),

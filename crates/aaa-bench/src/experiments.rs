@@ -16,8 +16,8 @@ use aaa_core::baseline::restart_run;
 use aaa_core::changes::{community_batch, CommunityBatchParams, VertexBatch};
 use aaa_core::strategies::{cut_edge_assign, round_robin_assign};
 use aaa_core::{
-    AnytimeEngine, AssignStrategy, ChaosPlan, DdPartitioner, QualityTracker, RebalanceConfig,
-    RebalancePolicy, RetryPolicy,
+    AnytimeEngine, AssignStrategy, ChaosPlan, DdPartitioner, QualityTracker, RebalancePolicy,
+    RetryPolicy,
 };
 use aaa_graph::generators::{barabasi_albert, WeightModel};
 use aaa_graph::AdjGraph;
@@ -571,8 +571,7 @@ pub fn stream_policies(args: &CommonArgs) -> Vec<Row> {
             ("adaptive", RebalancePolicy::Adaptive),
         ] {
             let mut config = args.engine_config();
-            config.rebalance =
-                RebalanceConfig { every: 2, trigger: 1.05, ..RebalanceConfig::with_policy(policy) };
+            config.rebalance = policy;
             let started = Instant::now();
             let mut engine = AnytimeEngine::new(g.clone(), config).expect("engine");
             let stream = StreamConfig {

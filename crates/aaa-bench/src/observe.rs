@@ -398,12 +398,10 @@ pub fn observed_publish_run(scenario: &str, args: &CellArgs) -> (RunReport, Stri
 /// the `stream` cell gates it.
 pub fn observed_stream_run(scenario: &str, args: &CellArgs) -> (RunReport, String) {
     use crate::stream::{drive_stream, StreamConfig, StreamShape};
-    use aaa_core::RebalanceConfig;
 
     let sink = Arc::new(MemorySink::new());
     let mut config = pinned_config(args);
-    config.rebalance =
-        RebalanceConfig { every: 2, trigger: 1.05, ..RebalanceConfig::with_policy(args.policy) };
+    config.rebalance = args.policy;
     let g = base_graph(args.scale, args.seed);
     let mut engine =
         AnytimeEngine::with_sink(g, config, sink.clone()).expect("engine construction");
@@ -448,7 +446,7 @@ mod tests {
     /// a section or row the other lacks). Wall-derived rows are exempt by
     /// the gate's own list.
     fn assert_same_gated(a: &RunReport, b: &RunReport) {
-        let strict = GateConfig { default_threshold: 0.0, overrides: Vec::new() };
+        let strict = GateConfig { default_threshold: 0.0 };
         for (x, y) in [(a, b), (b, a)] {
             let rows = compare(x, y, &strict);
             let off: Vec<&str> =

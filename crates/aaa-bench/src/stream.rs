@@ -220,7 +220,7 @@ pub fn drive_stream(engine: &mut AnytimeEngine, cfg: &StreamConfig) -> StreamOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aaa_core::{EngineConfig, RebalanceConfig, RebalancePolicy};
+    use aaa_core::{EngineConfig, RebalancePolicy};
     use aaa_graph::generators::{barabasi_albert, WeightModel};
 
     #[test]
@@ -280,11 +280,7 @@ mod tests {
         let static_out = drive_stream(&mut static_engine, &stream);
 
         let mut cfg = EngineConfig::deterministic(4);
-        cfg.rebalance = RebalanceConfig {
-            every: 2,
-            trigger: 1.05,
-            ..RebalanceConfig::with_policy(RebalancePolicy::Adaptive)
-        };
+        cfg.rebalance = RebalancePolicy::Adaptive;
         let mut adaptive_engine = AnytimeEngine::new(g, cfg).unwrap();
         let adaptive_out = drive_stream(&mut adaptive_engine, &stream);
 

@@ -5,11 +5,10 @@
 //! This crate makes that property **durable**: it defines a versioned
 //! binary snapshot of the full engine state (graph, partition, per-rank
 //! distance vectors with dirty masks, RC step counter, accumulated
-//! [`RunStats`](aaa_runtime::RunStats), and the change-stream cursor), the
-//! [`CheckpointPolicy`] that decides *when* snapshots are taken at RC
-//! superstep barriers, and the typed [`CheckpointError`]s that make
-//! corrupted or truncated snapshots a recoverable condition rather than a
-//! panic.
+//! [`RunStats`](aaa_runtime::RunStats), and the change-stream cursor) and
+//! the typed [`CheckpointError`]s that make corrupted or truncated
+//! snapshots a recoverable condition rather than a panic. When to take one
+//! is the caller's loop: any RC-step barrier will do.
 //!
 //! The engine-facing methods (`AnytimeEngine::checkpoint` / `restore` /
 //! `recover_rank`) live in `aaa-core`, which depends on this crate; this
@@ -121,12 +120,10 @@
 //!   applies the same rules to a snapshot built in memory.
 
 pub mod error;
-pub mod policy;
 pub mod snapshot;
 mod wire;
 
 pub use error::CheckpointError;
-pub use policy::CheckpointPolicy;
 pub use snapshot::{
     read_image, EngineMeta, GraphSnapshot, Image, ImageSink, PartitionSnapshot, RankRows,
     RankSection, RankSnapshot, RowTable, Rows, Snapshot, Trailer, FORMAT_VERSION, MAGIC,

@@ -19,14 +19,14 @@ use crate::dv::{KernelTally, StoreRows, Witness};
 use crate::error::CoreError;
 use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
-use crate::policy::{RetryPolicy, StrategyPolicy};
+use crate::policy::{choose_strategy, RetryPolicy};
 use crate::publish::{BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta};
 use crate::quality::{certified_intervals, DegradedReason, DegradedReport};
 use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
 use crate::strategies::{cut_edge_assign, round_robin_assign, AssignStrategy};
 use aaa_checkpoint::{
-    read_image, CheckpointError, CheckpointPolicy, EngineMeta, GraphSnapshot, Image, ImageSink,
-    PartitionSnapshot, RankRows, RankSection, Snapshot, Trailer,
+    read_image, CheckpointError, EngineMeta, GraphSnapshot, Image, ImageSink, PartitionSnapshot,
+    RankRows, RankSection, Snapshot, Trailer,
 };
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
@@ -37,8 +37,7 @@ use aaa_partition::simple::{
     BlockPartitioner, HashPartitioner, RandomPartitioner, RoundRobinPartitioner,
 };
 use aaa_partition::{
-    moves_between, LoadSignals, MultilevelPartitioner, Partition, Partitioner, RebalanceConfig,
-    Rebalancer,
+    moves_between, LoadSignals, MultilevelPartitioner, Partition, Partitioner, RebalancePolicy,
 };
 use aaa_runtime::{ChaosPlan, Cluster, ClusterConfig, ClusterError, FaultPlan, RunStats};
 use rustc_hash::FxHashSet;
@@ -124,9 +123,8 @@ pub struct EngineConfig {
     /// closeness plus certified per-vertex error bounds.
     pub publish_bounds: BoundsMode,
     /// Background rebalancer policy, evaluated at RC-step barriers. The
-    /// default is [`RebalancePolicy::Static`](aaa_partition::RebalancePolicy),
-    /// i.e. disabled.
-    pub rebalance: RebalanceConfig,
+    /// default is [`RebalancePolicy::Static`], i.e. disabled.
+    pub rebalance: RebalancePolicy,
     /// Centrality metrics each published epoch carries *in addition to*
     /// closeness, which is always present. Empty (the default) publishes
     /// the closeness column alone. Listing [`MetricKind::Closeness`] here
@@ -146,7 +144,7 @@ impl EngineConfig {
             max_rc_steps: 10_000,
             wire: WireFormat::Full,
             publish_bounds: BoundsMode::None,
-            rebalance: RebalanceConfig::default(),
+            rebalance: RebalancePolicy::Static,
             metrics: Vec::new(),
         }
     }
@@ -209,24 +207,6 @@ impl SupervisedRun {
     pub fn converged(&self) -> bool {
         self.summary.converged && self.degraded.is_none()
     }
-}
-
-/// Snapshot consumer handed to the driver by the checkpointing entry point.
-type CheckpointHook<'a> = &'a mut dyn FnMut(&[u8]);
-
-/// Policy bundle for the unified convergence driver (`drive`). Each of the
-/// public `run_*` entry points is a fixed choice of these knobs.
-struct DriveSpec<'a> {
-    /// Poll fault/chaos at every barrier (`rc_step_checked` stepping) vs.
-    /// the unchecked fast path.
-    checked: bool,
-    /// When to hand serialized snapshots to `on_checkpoint`.
-    checkpoint: CheckpointPolicy,
-    /// Snapshot consumer; only called when `checkpoint` says one is due.
-    on_checkpoint: Option<CheckpointHook<'a>>,
-    /// `Some` arms the retry/backoff/fallback supervisor and the
-    /// quiescence verification ladder; `None` propagates errors directly.
-    supervised: Option<&'a RetryPolicy>,
 }
 
 /// The anytime anywhere closeness-centrality engine.
@@ -752,17 +732,10 @@ impl AnytimeEngine {
     /// steps plus one quiescence-detection step.
     ///
     /// Panics if a queued change fails to apply at a barrier (impossible
-    /// for changes that passed [`AnytimeEngine::submit`] validation); use
-    /// [`AnytimeEngine::run_to_convergence_checked`] for a fallible run.
+    /// for changes that passed [`AnytimeEngine::submit`] validation); step
+    /// with [`AnytimeEngine::rc_step_checked`] for a fallible run.
     pub fn run_to_convergence(&mut self) -> ConvergenceSummary {
-        self.drive(DriveSpec {
-            checked: false,
-            checkpoint: CheckpointPolicy::Manual,
-            on_checkpoint: None,
-            supervised: None,
-        })
-        .expect("unchecked convergence cannot fail")
-        .summary
+        self.drive(None).expect("unchecked convergence cannot fail").summary
     }
 
     /// Closeness centrality of every vertex from the **latest published
@@ -863,7 +836,7 @@ impl AnytimeEngine {
     /// ahead of it has been applied) and coalesced with queued changes
     /// where safe; it takes effect at the next RC-step barrier or explicit
     /// [`AnytimeEngine::drain_changes`]. Vertex batches submitted this way
-    /// get their assignment strategy chosen by [`StrategyPolicy`] at drain
+    /// get their assignment strategy chosen by [`choose_strategy`] at drain
     /// time; use [`AnytimeEngine::submit_with_strategy`] to pin one.
     pub fn submit(&mut self, change: DynamicChange) -> Result<(), CoreError> {
         self.changes.submit(&self.graph, change, None)
@@ -911,9 +884,9 @@ impl AnytimeEngine {
         while let Some(pc) = self.changes.pop() {
             let res = match pc.change {
                 DynamicChange::AddVertices(batch) => {
-                    let strategy = pc.strategy.unwrap_or_else(|| {
-                        StrategyPolicy::default().choose(&batch, self.graph.num_vertices())
-                    });
+                    let strategy = pc
+                        .strategy
+                        .unwrap_or_else(|| choose_strategy(&batch, self.graph.num_vertices()));
                     self.exec_vertex_additions(&batch, strategy)
                 }
                 DynamicChange::RemoveVertices(victims) => self.exec_remove_vertices(&victims),
@@ -1132,14 +1105,14 @@ impl AnytimeEngine {
     /// migration someone asked for (`rebalance`, Repartition-S) runs under
     /// the plan, behind the structural barrier of [`Cluster::exchange`].
     fn maybe_rebalance(&mut self) -> Result<(), CoreError> {
-        let cfg = self.config.rebalance;
+        let policy = self.config.rebalance;
         let armed = self.cluster.chaos_plan().is_some() || self.cluster.fault_plan().is_some();
-        if !cfg.due_at(self.rc_steps) || armed {
+        if !policy.due_at(self.rc_steps) || armed {
             return Ok(());
         }
         let started = std::time::Instant::now();
         let signals = LoadSignals::measure(&self.graph, &self.partition);
-        let moves = Rebalancer::new(cfg).moves(&self.graph, &self.partition, &signals)?;
+        let moves = policy.moves(&self.graph, &self.partition, &signals)?;
         self.cluster.charge_compute_us(started.elapsed().as_secs_f64() * 1e6);
         self.migrate_vertices(&moves)
     }
@@ -1550,37 +1523,6 @@ impl AnytimeEngine {
         Ok(more)
     }
 
-    /// Fault-aware [`AnytimeEngine::run_to_convergence`].
-    pub fn run_to_convergence_checked(&mut self) -> Result<ConvergenceSummary, CoreError> {
-        Ok(self
-            .drive(DriveSpec {
-                checked: true,
-                checkpoint: CheckpointPolicy::Manual,
-                on_checkpoint: None,
-                supervised: None,
-            })?
-            .summary)
-    }
-
-    /// Runs RC to convergence, handing serialized snapshots to `sink`
-    /// whenever `policy` says one is due. Snapshots are taken at the
-    /// superstep barrier after an RC step, where rank state is globally
-    /// consistent. Fault-aware like [`AnytimeEngine::rc_step_checked`].
-    pub fn run_to_convergence_checkpointed(
-        &mut self,
-        policy: CheckpointPolicy,
-        mut sink: impl FnMut(&[u8]),
-    ) -> Result<ConvergenceSummary, CoreError> {
-        Ok(self
-            .drive(DriveSpec {
-                checked: true,
-                checkpoint: policy,
-                on_checkpoint: Some(&mut sink),
-                supervised: None,
-            })?
-            .summary)
-    }
-
     /// Supervised convergence: [`AnytimeEngine::run_to_convergence`] under
     /// a retry/backoff/fallback supervisor, with a **degraded-mode answer**
     /// instead of an error when recovery is impossible.
@@ -1611,19 +1553,15 @@ impl AnytimeEngine {
     /// `Err(RankFailed)` — crash recovery needs the caller's checkpoint
     /// and stays on the [`AnytimeEngine::recover_rank`] path.
     pub fn run_supervised(&mut self, retry: &RetryPolicy) -> Result<SupervisedRun, CoreError> {
-        self.drive(DriveSpec {
-            checked: true,
-            checkpoint: CheckpointPolicy::Manual,
-            on_checkpoint: None,
-            supervised: Some(retry),
-        })
+        self.drive(Some(retry))
     }
 
-    /// The unified convergence driver behind every `run_*` entry point:
-    /// one loop, parameterized by [`DriveSpec`], that drains the ingest
-    /// log, steps RC, takes due checkpoints, and (when supervised) runs
-    /// the retry/verification/fallback ladder.
-    fn drive(&mut self, mut spec: DriveSpec<'_>) -> Result<SupervisedRun, CoreError> {
+    /// The convergence driver behind both `run_*` entry points: one loop
+    /// that drains the ingest log and steps RC. Unsupervised (`None`) it
+    /// takes the unchecked fast path; supervised it steps with
+    /// [`AnytimeEngine::rc_step_checked`] and runs the
+    /// retry/verification/fallback ladder.
+    fn drive(&mut self, supervised: Option<&RetryPolicy>) -> Result<SupervisedRun, CoreError> {
         // Drain before the fallback checkpoint below: applied changes land
         // in it, so a restore cannot silently lose them. `submit` needs
         // `&mut self`, so nothing can enqueue mid-run — the log stays empty
@@ -1631,7 +1569,7 @@ impl AnytimeEngine {
         self.drain_changes()?;
         // The fallback checkpoint is only worth its cost under chaos; an
         // unarmed run must behave exactly like `run_to_convergence`.
-        let fallback = match spec.supervised {
+        let fallback = match supervised {
             Some(retry) if self.cluster.chaos_plan().is_some() && retry.max_fallbacks > 0 => {
                 Some(self.checkpoint_bytes()?)
             }
@@ -1646,7 +1584,7 @@ impl AnytimeEngine {
         let mut steps = 0usize;
         loop {
             if steps >= self.config.max_rc_steps {
-                return Ok(if spec.supervised.is_some() {
+                return Ok(if supervised.is_some() {
                     self.degraded_run(
                         steps,
                         retries,
@@ -1665,20 +1603,15 @@ impl AnytimeEngine {
                 });
             }
             steps += 1;
-            let stepped = if spec.checked { self.rc_step_checked() } else { Ok(self.rc_step()) };
+            let stepped =
+                if supervised.is_some() { self.rc_step_checked() } else { Ok(self.rc_step()) };
             match stepped {
                 Ok(more) => {
                     attempts = 0;
-                    if spec.checkpoint.due_after_rc_step(self.rc_steps) {
-                        let bytes = self.checkpoint_bytes()?;
-                        if let Some(sink) = spec.on_checkpoint.as_mut() {
-                            sink(&bytes);
-                        }
-                    }
                     if more {
                         continue;
                     }
-                    if spec.supervised.is_some() {
+                    if supervised.is_some() {
                         // Quiescence claimed. Delayed messages still in
                         // flight can reopen work — keep stepping until the
                         // queue drains (each step advances the delay clock).
@@ -1711,8 +1644,8 @@ impl AnytimeEngine {
                 Err(CoreError::Cluster(
                     incident @ (ClusterError::MessageCorrupted { .. }
                     | ClusterError::RankStalled { .. }),
-                )) if spec.supervised.is_some() => {
-                    let retry = spec.supervised.expect("guarded by is_some");
+                )) if supervised.is_some() => {
+                    let retry = supervised.expect("guarded by is_some");
                     attempts += 1;
                     retries += 1;
                     let mut wait = RetryPolicy::backoff_us(attempts);

@@ -17,8 +17,8 @@
 //!   weight changes \[7\]) as engine methods;
 //! * anytime-quality instrumentation ([`quality`]);
 //! * **anytime persistence** — [`AnytimeEngine::checkpoint`] /
-//!   [`AnytimeEngine::restore`] snapshots at superstep barriers, policies
-//!   ([`CheckpointPolicy`]), and rank-failure recovery
+//!   [`AnytimeEngine::restore`] snapshots at superstep barriers, and
+//!   rank-failure recovery
 //!   ([`AnytimeEngine::recover_rank`]) built on the `aaa-checkpoint`
 //!   snapshot format;
 //! * **chaos-tolerant communication** — seeded message-fault injection
@@ -57,9 +57,9 @@ pub mod quality;
 pub mod rank;
 pub mod strategies;
 
-pub use aaa_checkpoint::{CheckpointError, CheckpointPolicy, Snapshot};
+pub use aaa_checkpoint::{CheckpointError, Snapshot};
 pub use aaa_observe::{EventSink, MemorySink, NoopSink, SpanEvent, SpanKind};
-pub use aaa_partition::{RebalanceConfig, RebalancePlan, RebalancePolicy};
+pub use aaa_partition::{RebalancePlan, RebalancePolicy};
 pub use aaa_runtime::{ChannelFault, ChaosPlan, ClusterError, FaultCounters, FaultPlan};
 pub use changes::{DynamicChange, NewVertex, VertexBatch};
 pub use engine::{AnytimeEngine, ConvergenceSummary, DdPartitioner, EngineConfig, SupervisedRun};
@@ -70,7 +70,7 @@ pub use net::{
     run_worker, NetConfig, NetMsg, NetOutcome, NetRunner, NetSummary, NoSupervisor, Revive,
     WireError, WorkerSupervisor,
 };
-pub use policy::{RetryPolicy, StrategyPolicy};
+pub use policy::{choose_strategy, RetryPolicy};
 pub use publish::{
     BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta, ViewDeltaError,
     TOPK_SERVE_CAP,

@@ -45,7 +45,7 @@ use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
 use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
-use aaa_partition::{LoadSignals, Partition, RebalanceConfig, Rebalancer};
+use aaa_partition::{LoadSignals, Partition, RebalancePolicy};
 use aaa_runtime::bytes::{put_u32, put_u32s, put_u64, Cursor, ShortRead};
 use aaa_runtime::net::{FrameKind, NetError, Transport};
 use aaa_runtime::{ClusterError, FaultCounters, Rank};
@@ -208,7 +208,6 @@ pub enum NetMsg {
         rank: u32,
         procs: u32,
         wire: WireFormat,
-        cap_bytes: u64,
         owner: Vec<PartId>,
         edges: Vec<(VertexId, VertexId, Weight)>,
     },
@@ -245,8 +244,6 @@ pub enum NetMsg {
     /// the next produce (recovery kick after any disruption). Answer
     /// `Ready`.
     ResendAll,
-    /// Coordinator → worker: orderly end of run.
-    Bye,
     /// Coordinator → worker: the one migration op — `moves` vertices, few
     /// or most of the graph, go to new owners. Every worker updates its
     /// replicated owner map, then ships the rows it lost as
@@ -287,7 +284,7 @@ impl NetMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            NetMsg::Init { rank, procs, wire, cap_bytes, owner, edges } => {
+            NetMsg::Init { rank, procs, wire, owner, edges } => {
                 out.push(1);
                 put_u32(&mut out, *rank);
                 put_u32(&mut out, *procs);
@@ -295,7 +292,6 @@ impl NetMsg {
                     WireFormat::Full => 0,
                     WireFormat::Delta => 1,
                 });
-                put_u64(&mut out, *cap_bytes);
                 put_row(&mut out, owner);
                 put_u32(&mut out, edges.len() as u32);
                 for &(a, b, w) in edges {
@@ -349,7 +345,6 @@ impl NetMsg {
                 encode_rows(&mut out, rows);
             }
             NetMsg::ResendAll => out.push(13),
-            NetMsg::Bye => out.push(14),
             NetMsg::Reassign { round, moves, adj } => {
                 out.push(15);
                 put_u64(&mut out, *round);
@@ -413,10 +408,9 @@ impl NetMsg {
                     1 => WireFormat::Delta,
                     other => return Err(WireError::UnknownWire(other)),
                 };
-                let cap_bytes = r.u64()?;
                 let owner = get_row(&mut r)?;
                 let edges = get_triples(&mut r)?;
-                NetMsg::Init { rank, procs, wire, cap_bytes, owner, edges }
+                NetMsg::Init { rank, procs, wire, owner, edges }
             }
             2 => NetMsg::Ready { rank: r.u32()? },
             3 => NetMsg::Produce { round: r.u64()? },
@@ -440,7 +434,6 @@ impl NetMsg {
             11 => NetMsg::RowsReply { rows: decode_rows(&mut r)? },
             12 => NetMsg::Absorb { rows: decode_rows(&mut r)? },
             13 => NetMsg::ResendAll,
-            14 => NetMsg::Bye,
             15 => {
                 let round = r.u64()?;
                 let moves = get_list(&mut r, 8, |r| Ok((r.u32()?, r.u32()?)))?;
@@ -544,10 +537,10 @@ fn send_rows<T: Transport>(
     Ok(())
 }
 
-/// Runs one rank as a transport-driven reactor until the coordinator says
-/// goodbye (clean `Ok`), the link dies past repair, or nothing arrives for
-/// `idle_deadline` (a dead coordinator must not leave orphan processes —
-/// the worker exits on its own).
+/// Runs one rank as a transport-driven reactor until the coordinator's
+/// `Shutdown` frame (clean `Ok`), the link dies past repair, or nothing
+/// arrives for `idle_deadline` (a dead coordinator must not leave orphan
+/// processes — the worker exits on its own).
 ///
 /// The worker is a pure protocol follower: all control flow — rounds,
 /// convergence, recovery — lives in the coordinator. That is what makes
@@ -560,7 +553,6 @@ fn send_rows<T: Transport>(
 pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result<(), NetError> {
     let mut state: Option<RankState> = None;
     let mut inbox: Vec<(Rank, RowMsg)> = Vec::new();
-    let mut cap_bytes = usize::MAX;
     // Vertices and ranks as `Init` gave them: the limits of every id.
     let (mut n, mut procs) = (0, 0);
     // In-flight migration, as its Reassign shipped it (the moves, the moved
@@ -576,7 +568,7 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
         }
         let msg = NetMsg::decode(&frame.payload).map_err(|e| protocol_err(&link.peer(), e))?;
         match msg {
-            NetMsg::Init { rank, procs: p, wire, cap_bytes: cap, owner, edges } => {
+            NetMsg::Init { rank, procs: p, wire, owner, edges } => {
                 (n, procs) = (owner.len(), p as usize);
                 check_ids(link, "Init.rank", [rank], procs)?;
                 check_ids(link, "Init.owner part", owner.iter().copied(), procs)?;
@@ -587,7 +579,6 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                 });
                 s.set_wire(wire);
                 s.initial_approximation();
-                cap_bytes = if cap == 0 { usize::MAX } else { cap as usize };
                 state = Some(s);
                 inbox.clear();
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
@@ -595,7 +586,7 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
             NetMsg::Produce { round } => {
                 let s = ready(&mut state, link, "Produce")?;
                 inbox.clear();
-                send_rows(link, round, s.produce_rc_messages(cap_bytes))?;
+                send_rows(link, round, s.produce_rc_messages(usize::MAX))?;
             }
             NetMsg::Rows { round: _, peer, msg } => {
                 check_ids(link, "Rows.rows vertex", msg.rows.iter().map(|r| r.0), n)?;
@@ -670,7 +661,6 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                 let rank = s.rank() as u32;
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
             }
-            NetMsg::Bye => return Ok(()),
             NetMsg::Reassign { round, moves, adj } => {
                 let s = ready(&mut state, link, "Reassign")?;
                 check_ids(link, "Reassign.moves vertex", moves.iter().map(|m| m.0), n)?;
@@ -737,8 +727,6 @@ impl<T: Transport> WorkerSupervisor<T> for NoSupervisor {
 pub struct NetConfig {
     /// Wire format workers announce rows in.
     pub wire: WireFormat,
-    /// Per-message row-bundle cap in bytes (0 = unbounded).
-    pub message_cap_bytes: u64,
     /// How long a suspected worker gets to answer the heartbeat probe, and
     /// a wounded one to hand over its rows when the run degrades.
     pub probe_deadline: Duration,
@@ -751,18 +739,17 @@ pub struct NetConfig {
     /// move list it plans — budgeted, or a whole fresh partition — rides
     /// one [`NetMsg::Reassign`] round, as in the in-process engine.
     /// Default: disabled.
-    pub rebalance: RebalanceConfig,
+    pub rebalance: RebalancePolicy,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
             wire: WireFormat::Full,
-            message_cap_bytes: 0,
             probe_deadline: Duration::from_secs(2),
             max_revivals: 3,
             checkpoint_every: 4,
-            rebalance: RebalanceConfig::default(),
+            rebalance: RebalancePolicy::Static,
         }
     }
 }
@@ -884,7 +871,6 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             rank: rank as u32,
             procs: self.links.len() as u32,
             wire: self.config.wire,
-            cap_bytes: self.config.message_cap_bytes,
             owner: self.owner.clone(),
             edges: self.graph.edges().collect(),
         }
@@ -1112,13 +1098,13 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// partition. Skipped while any rank is dead — moves toward a dead
     /// rank would strand rows.
     fn plan_rebalance(&mut self) -> Option<Vec<(VertexId, PartId)>> {
-        let cfg = self.config.rebalance;
-        if !cfg.due_at(self.round as usize) || self.dead.iter().any(|&d| d) {
+        let policy = self.config.rebalance;
+        if !policy.due_at(self.round as usize) || self.dead.iter().any(|&d| d) {
             return None;
         }
         let partition = Partition::new(self.owner.clone(), self.links.len()).ok()?;
         let signals = LoadSignals::measure(self.graph, &partition);
-        let moves = Rebalancer::new(cfg).moves(self.graph, &partition, &signals).ok()?;
+        let moves = policy.moves(self.graph, &partition, &signals).ok()?;
         (!moves.is_empty()).then_some(moves)
     }
 
@@ -1287,10 +1273,9 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         Ok(closeness)
     }
 
-    /// Sends a best-effort goodbye to every live worker.
+    /// Sends a best-effort `Shutdown` frame to every live worker.
     pub fn shutdown(&mut self) {
         for rank in self.live() {
-            let _ = self.send_msg(rank, &NetMsg::Bye);
             let _ = self.links[rank].send(FrameKind::Shutdown, &[]);
         }
     }
@@ -1356,7 +1341,6 @@ mod tests {
             rank: 2,
             procs: 4,
             wire: WireFormat::Delta,
-            cap_bytes: 4096,
             owner: vec![0, 1, 2, 3, 0],
             edges: vec![(0, 1, 3), (1, 2, 1)],
         });
@@ -1381,7 +1365,6 @@ mod tests {
         roundtrip(NetMsg::RowsReply { rows: vec![(3, vec![1, 2, 3])] });
         roundtrip(NetMsg::Absorb { rows: vec![(3, vec![1, 2, 3]), (4, vec![])] });
         roundtrip(NetMsg::ResendAll);
-        roundtrip(NetMsg::Bye);
         roundtrip(NetMsg::Reassign { round: 4, moves: vec![(0, 1), (5, 0)], adj: vec![(0, 5, 2)] });
         roundtrip(NetMsg::ViewDelta {
             epoch: 12,
@@ -1495,9 +1478,11 @@ mod tests {
         assert!(matches!(NetMsg::decode(&[]), Err(WireError::Truncated { .. })));
         assert!(matches!(NetMsg::decode(&[200]), Err(WireError::UnknownTag(200))));
         // Trailing garbage after a complete message.
-        let mut bytes = NetMsg::Bye.encode();
+        let mut bytes = NetMsg::ResendAll.encode();
         bytes.push(0);
         assert!(matches!(NetMsg::decode(&bytes), Err(WireError::TrailingBytes { extra: 1 })));
+        // Tag 14 was a goodbye message; a run ends on the `Shutdown` frame.
+        assert_eq!(NetMsg::decode(&[14]), Err(WireError::UnknownTag(14)));
         // Truncations of a structured message are always typed errors.
         let full = NetMsg::Rows {
             round: 3,

@@ -5,7 +5,7 @@
 //! framework is supposed to pick how to incorporate a change from a set of
 //! constraints (user thresholds, system state, change magnitude) rather
 //! than hard-coding one strategy. This module provides that chooser —
-//! [`StrategyPolicy`] — encoding the decision rule the paper's §V.B.4
+//! [`choose_strategy`] — encoding the decision rule the paper's §V.B.4
 //! summary derives empirically:
 //!
 //! * small batches, or changes arriving continuously → anywhere vertex
@@ -16,53 +16,31 @@
 use crate::changes::VertexBatch;
 use crate::strategies::{AssignStrategy, CUTEDGE_TRIES};
 
-/// Tunable constraints for strategy selection.
-#[derive(Debug, Clone)]
-pub struct StrategyPolicy {
-    /// If `batch.len() / graph_vertices` exceeds this, repartition.
-    /// The paper's crossovers (Figs. 5–6) sit around 3–6 k of 50 k
-    /// vertices; 0.05 is the midpoint.
-    pub repartition_fraction: f64,
-    /// Minimum ratio of batch-internal edges to batch vertices for
-    /// CutEdge-PS to be worth its partitioning overhead. Below it the
-    /// batch has no exploitable community structure and RoundRobin-PS is
-    /// strictly cheaper.
-    pub cutedge_internal_ratio: f64,
-    /// Seed for the partitioning strategies.
-    pub seed: u64,
-    /// CutEdge-PS seeded attempts.
-    pub cutedge_tries: usize,
-}
+/// If `batch.len() / graph_vertices` exceeds this, repartition. The paper's
+/// crossovers (Figs. 5–6) sit around 3–6 k of 50 k vertices; 0.05 is the
+/// midpoint.
+pub const REPARTITION_FRACTION: f64 = 0.05;
 
-impl Default for StrategyPolicy {
-    fn default() -> Self {
-        Self {
-            repartition_fraction: 0.05,
-            cutedge_internal_ratio: 0.5,
-            seed: 0,
-            cutedge_tries: CUTEDGE_TRIES,
+/// Minimum ratio of batch-internal edges to batch vertices for CutEdge-PS to
+/// be worth its partitioning overhead. Below it the batch has no
+/// exploitable community structure and RoundRobin-PS is strictly cheaper.
+pub const CUTEDGE_INTERNAL_RATIO: f64 = 0.5;
+
+/// Chooses the assignment strategy for `batch` arriving on a graph of
+/// `graph_vertices` vertices. The partitioning strategies run under seed 0.
+pub fn choose_strategy(batch: &VertexBatch, graph_vertices: usize) -> AssignStrategy {
+    if graph_vertices > 0 {
+        let fraction = batch.len() as f64 / graph_vertices as f64;
+        if fraction > REPARTITION_FRACTION {
+            return AssignStrategy::Repartition { seed: 0 };
         }
     }
-}
-
-impl StrategyPolicy {
-    /// Chooses the assignment strategy for `batch` arriving on a graph of
-    /// `graph_vertices` vertices.
-    pub fn choose(&self, batch: &VertexBatch, graph_vertices: usize) -> AssignStrategy {
-        if graph_vertices > 0 {
-            let fraction = batch.len() as f64 / graph_vertices as f64;
-            if fraction > self.repartition_fraction {
-                return AssignStrategy::Repartition { seed: self.seed };
-            }
-        }
-        let base = graph_vertices as u32;
-        let internal = batch.internal_edges(base).len();
-        if !batch.is_empty() && internal as f64 / batch.len() as f64 >= self.cutedge_internal_ratio
-        {
-            AssignStrategy::CutEdge { seed: self.seed, tries: self.cutedge_tries }
-        } else {
-            AssignStrategy::RoundRobin
-        }
+    let base = graph_vertices as u32;
+    let internal = batch.internal_edges(base).len();
+    if !batch.is_empty() && internal as f64 / batch.len() as f64 >= CUTEDGE_INTERNAL_RATIO {
+        AssignStrategy::CutEdge { seed: 0, tries: CUTEDGE_TRIES }
+    } else {
+        AssignStrategy::RoundRobin
     }
 }
 
@@ -129,30 +107,26 @@ mod tests {
 
     #[test]
     fn large_batches_repartition() {
-        let policy = StrategyPolicy::default();
         let batch = batch_with_internal(100, 0);
-        assert!(matches!(policy.choose(&batch, 1000), AssignStrategy::Repartition { .. }));
+        assert!(matches!(choose_strategy(&batch, 1000), AssignStrategy::Repartition { .. }));
     }
 
     #[test]
     fn small_structured_batches_use_cutedge() {
-        let policy = StrategyPolicy::default();
         let batch = batch_with_internal(20, 30);
-        assert!(matches!(policy.choose(&batch, 1000), AssignStrategy::CutEdge { .. }));
+        assert!(matches!(choose_strategy(&batch, 1000), AssignStrategy::CutEdge { .. }));
     }
 
     #[test]
     fn small_unstructured_batches_use_round_robin() {
-        let policy = StrategyPolicy::default();
         let batch = batch_with_internal(20, 2);
-        assert!(matches!(policy.choose(&batch, 1000), AssignStrategy::RoundRobin));
+        assert!(matches!(choose_strategy(&batch, 1000), AssignStrategy::RoundRobin));
     }
 
     #[test]
     fn empty_graph_never_divides_by_zero() {
-        let policy = StrategyPolicy::default();
         let batch = batch_with_internal(5, 0);
-        let _ = policy.choose(&batch, 0);
+        let _ = choose_strategy(&batch, 0);
     }
 
     #[test]
@@ -166,18 +140,5 @@ mod tests {
         assert!(backoff_us(100).is_finite());
         // attempt 0 is treated as the first retry.
         assert_eq!(backoff_us(0), backoff_us(1));
-    }
-
-    #[test]
-    fn thresholds_are_respected() {
-        let strict = StrategyPolicy { repartition_fraction: 0.001, ..Default::default() };
-        let batch = batch_with_internal(5, 0);
-        assert!(matches!(strict.choose(&batch, 1000), AssignStrategy::Repartition { .. }));
-        let lax = StrategyPolicy {
-            repartition_fraction: 1.0,
-            cutedge_internal_ratio: 0.0,
-            ..Default::default()
-        };
-        assert!(matches!(lax.choose(&batch, 1000), AssignStrategy::CutEdge { .. }));
     }
 }

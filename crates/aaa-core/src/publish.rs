@@ -1380,7 +1380,7 @@ mod tests {
             extras[0].0 = 77;
         }
         assert_eq!(ViewDelta::from_msg(&msg), Err(ViewDeltaError::UnknownMetric(77)));
-        assert_eq!(ViewDelta::from_msg(&NetMsg::Bye), Err(ViewDeltaError::NotAViewDelta));
+        assert_eq!(ViewDelta::from_msg(&NetMsg::ResendAll), Err(ViewDeltaError::NotAViewDelta));
     }
 
     #[test]

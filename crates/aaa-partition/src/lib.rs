@@ -6,8 +6,7 @@
 //!
 //! * [`multilevel`] — a from-scratch multilevel k-way partitioner (heavy-edge
 //!   matching coarsening, greedy graph growing initial partition, boundary
-//!   FM refinement) in the METIS algorithm family; a rayon-parallel
-//!   coarsening path stands in for ParMETIS.
+//!   FM refinement) in the METIS algorithm family.
 //! * [`simple`] — block, round-robin, hash and random partitioners (used as
 //!   baselines and by ablation benches).
 //! * [`quality`] — cut size, balance and boundary metrics used throughout
@@ -21,11 +20,9 @@ pub mod quality;
 pub mod rebalance;
 pub mod simple;
 
-pub use multilevel::{MultilevelConfig, MultilevelPartitioner};
+pub use multilevel::MultilevelPartitioner;
 pub use quality::{boundary_vertices, cut_edges, cut_weight, edge_balance, vertex_balance};
-pub use rebalance::{
-    moves_between, LoadSignals, RebalanceConfig, RebalancePlan, RebalancePolicy, Rebalancer,
-};
+pub use rebalance::{moves_between, LoadSignals, RebalancePlan, RebalancePolicy};
 
 use aaa_graph::{GraphStore, PartId, VertexId};
 use std::fmt;

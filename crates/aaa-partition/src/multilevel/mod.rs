@@ -9,9 +9,6 @@
 //!    the coarsest vertices to k balanced parts;
 //! 3. **Uncoarsening + refinement** (`refine`) — the partition is projected
 //!    back level by level, with boundary FM-style refinement at each level.
-//!
-//! With [`MultilevelConfig::parallel`] set, the coarse-graph construction
-//! runs on rayon — the role ParMETIS plays in the paper's DD phase.
 
 mod initial;
 mod matching;
@@ -25,37 +22,27 @@ use aaa_graph::{GraphStore, PartId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Tuning knobs for the multilevel partitioner.
-#[derive(Debug, Clone)]
-pub struct MultilevelConfig {
-    /// Stop coarsening once the graph has at most `coarsen_to × k` vertices.
-    pub coarsen_to_per_part: usize,
-    /// Allowed imbalance: a part may hold up to `(1 + epsilon) × ideal`.
-    pub epsilon: f64,
-    /// Refinement passes per level.
-    pub refine_passes: usize,
-    /// RNG seed (matching order, seed selection, tie-breaks).
-    pub seed: u64,
-    /// Build coarse graphs with rayon (the ParMETIS-substitute path).
-    pub parallel: bool,
-}
+/// Stop coarsening once the graph has at most `COARSEN_TO_PER_PART × k`
+/// vertices.
+pub const COARSEN_TO_PER_PART: usize = 24;
 
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        Self { coarsen_to_per_part: 24, epsilon: 0.05, refine_passes: 6, seed: 0, parallel: false }
-    }
-}
+/// Allowed imbalance: a part may hold up to `(1 + EPSILON) × ideal`.
+pub const EPSILON: f64 = 0.05;
+
+/// Refinement passes per level.
+pub const REFINE_PASSES: usize = 6;
 
 /// The multilevel k-way partitioner.
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelPartitioner {
-    pub config: MultilevelConfig,
+    /// RNG seed (matching order, seed selection, tie-breaks).
+    pub seed: u64,
 }
 
 impl MultilevelPartitioner {
-    /// Creates a partitioner with the given seed, other knobs default.
+    /// Creates a partitioner with the given seed.
     pub fn seeded(seed: u64) -> Self {
-        Self { config: MultilevelConfig { seed, ..MultilevelConfig::default() } }
+        Self { seed }
     }
 }
 
@@ -72,16 +59,15 @@ impl Partitioner for MultilevelPartitioner {
             // Each vertex its own part; extra parts stay empty.
             return Partition::new((0..n as PartId).collect(), k);
         }
-        let cfg = &self.config;
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
 
         // --- Coarsening ---------------------------------------------------
         let mut levels: Vec<(WGraph, Vec<u32>)> = Vec::new(); // (finer graph, fine->coarse map)
         let mut current = WGraph::from_store(g);
-        let stop_at = (cfg.coarsen_to_per_part * k).max(64);
+        let stop_at = (COARSEN_TO_PER_PART * k).max(64);
         while current.n() > stop_at {
             let map = matching::heavy_edge_matching(&current, &mut rng);
-            let coarse = wgraph::coarsen(&current, &map, cfg.parallel);
+            let coarse = wgraph::coarsen(&current, &map);
             // Diminishing returns: stop if the graph barely shrank.
             if coarse.n() as f64 > 0.95 * current.n() as f64 {
                 break;
@@ -91,9 +77,9 @@ impl Partitioner for MultilevelPartitioner {
         }
 
         // --- Initial partition on the coarsest graph ----------------------
-        let max_load = wgraph::max_load(current.total_vwgt(), k, cfg.epsilon);
+        let max_load = wgraph::max_load(current.total_vwgt(), k, EPSILON);
         let mut labels = initial::greedy_graph_growing(&current, k, &mut rng);
-        refine::refine(&current, &mut labels, k, max_load, cfg.refine_passes, &mut rng);
+        refine::refine(&current, &mut labels, k, max_load, REFINE_PASSES, &mut rng);
 
         // --- Uncoarsen + refine at every level -----------------------------
         while let Some((finer, map)) = levels.pop() {
@@ -102,7 +88,7 @@ impl Partitioner for MultilevelPartitioner {
                 *l = labels[map[v] as usize];
             }
             labels = fine_labels;
-            refine::refine(&finer, &mut labels, k, max_load, cfg.refine_passes, &mut rng);
+            refine::refine(&finer, &mut labels, k, max_load, REFINE_PASSES, &mut rng);
         }
         Partition::new(labels, k)
     }
@@ -165,16 +151,6 @@ mod tests {
             let b = vertex_balance(&p);
             assert!(b <= 1.12, "k={k} balance {b}");
         }
-    }
-
-    #[test]
-    fn parallel_path_produces_valid_partition() {
-        let g = barabasi_albert(1500, 3, WeightModel::Unit, 4).unwrap();
-        let cfg = MultilevelConfig { parallel: true, ..Default::default() };
-        let p = MultilevelPartitioner { config: cfg }.partition(&g, 8).unwrap();
-        assert_eq!(p.len(), 1500);
-        assert!(vertex_balance(&p) <= 1.12);
-        assert!(p.part_sizes().iter().all(|&s| s > 0));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! with vertex weights (collapsed fine vertices) and combined edge weights.
 
 use aaa_graph::GraphStore;
-use rayon::prelude::*;
 use rustc_hash::FxHashMap;
 
 /// Weighted graph used during coarsening. Vertex `v` represents
@@ -41,20 +40,19 @@ pub(crate) fn max_load(total: u64, k: usize, epsilon: f64) -> u64 {
 }
 
 /// Builds the coarse graph for a fine graph and a fine→coarse map.
-/// `parallel` switches the adjacency accumulation onto rayon.
-pub(crate) fn coarsen(fine: &WGraph, map: &[u32], parallel: bool) -> WGraph {
+pub(crate) fn coarsen(fine: &WGraph, map: &[u32]) -> WGraph {
     let nc = map.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut vwgt = vec![0u64; nc];
     for (v, &c) in map.iter().enumerate() {
         vwgt[c as usize] += fine.vwgt[v];
     }
-    // Group fine vertices by coarse id so each coarse adjacency can be
-    // built independently (this is the parallel unit).
+    // Group fine vertices by coarse id so each coarse adjacency is built
+    // from its members alone.
     let mut members = vec![Vec::new(); nc];
     for (v, &c) in map.iter().enumerate() {
         members[c as usize].push(v as u32);
     }
-    let build = |c: usize| -> Vec<(u32, u64)> {
+    let adj = (0..nc).map(|c| {
         let mut acc: FxHashMap<u32, u64> = FxHashMap::default();
         for &v in &members[c] {
             for &(t, w) in &fine.adj[v as usize] {
@@ -67,13 +65,8 @@ pub(crate) fn coarsen(fine: &WGraph, map: &[u32], parallel: bool) -> WGraph {
         let mut list: Vec<(u32, u64)> = acc.into_iter().collect();
         list.sort_unstable(); // deterministic order regardless of hash state
         list
-    };
-    let adj: Vec<Vec<(u32, u64)>> = if parallel {
-        (0..nc).into_par_iter().map(build).collect()
-    } else {
-        (0..nc).map(build).collect()
-    };
-    WGraph { vwgt, adj }
+    });
+    WGraph { vwgt, adj: adj.collect() }
 }
 
 #[cfg(test)]
@@ -102,7 +95,7 @@ mod tests {
     fn coarsen_merges_pairs() {
         let wg = path4();
         // Match (0,1) -> 0 and (2,3) -> 1.
-        let coarse = coarsen(&wg, &[0, 0, 1, 1], false);
+        let coarse = coarsen(&wg, &[0, 0, 1, 1]);
         assert_eq!(coarse.n(), 2);
         assert_eq!(coarse.vwgt, vec![2, 2]);
         // Single surviving edge 1-2 becomes coarse edge 0-1 of weight 1.
@@ -118,22 +111,8 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
             g.add_edge(u, v, 1).unwrap();
         }
-        let coarse = coarsen(&WGraph::from_store(&g), &[0, 0, 1, 1], false);
+        let coarse = coarsen(&WGraph::from_store(&g), &[0, 0, 1, 1]);
         assert_eq!(coarse.adj[0], vec![(1, 2)]);
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let mut g = AdjGraph::with_vertices(100);
-        for i in 0..99 {
-            g.add_edge(i, i + 1, i % 5 + 1).unwrap();
-        }
-        let wg = WGraph::from_store(&g);
-        let map: Vec<u32> = (0..100).map(|v| v / 2).collect();
-        let a = coarsen(&wg, &map, false);
-        let b = coarsen(&wg, &map, true);
-        assert_eq!(a.vwgt, b.vwgt);
-        assert_eq!(a.adj, b.adj);
     }
 
     #[test]

@@ -757,32 +757,12 @@ impl<S: Send> Cluster<S> {
     where
         F: Fn(Rank, &S) -> bool + Sync,
     {
-        let p = self.p();
         let result = self.states.iter().enumerate().any(|(r, s)| f(r, s));
-        let cost = 2.0 * self.config.model.broadcast_cost_us(p, 1);
-        self.record_collective(cost);
-        result
-    }
-
-    /// MAX-reduction over per-rank `u64` values, same pricing as
-    /// [`Cluster::allreduce_or`].
-    pub fn allreduce_max<F>(&mut self, f: F) -> u64
-    where
-        F: Fn(Rank, &S) -> u64 + Sync,
-    {
-        let p = self.p();
-        let result = self.states.iter().enumerate().map(|(r, s)| f(r, s)).max().unwrap_or(0);
-        let cost = 2.0 * self.config.model.broadcast_cost_us(p, 8);
-        self.record_collective(cost);
-        result
-    }
-
-    /// Prices an all-reduction and records its Collective span.
-    fn record_collective(&mut self, cost_us: f64) {
         let mark = self.mark();
-        self.stats.sim_comm_us += cost_us;
+        self.stats.sim_comm_us += 2.0 * self.config.model.broadcast_cost_us(self.p(), 1);
         self.stats.collectives += 1;
         self.traffic_span(SpanKind::Collective, self.stats.supersteps, mark);
+        result
     }
 }
 
@@ -861,12 +841,11 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_or_and_max() {
+    fn allreduce_or_counts_one_collective_per_call() {
         let mut c = Cluster::new(vec![0u64, 5, 3], config(ExecutionMode::Sequential));
         assert!(!c.allreduce_or(|_, &s| s > 10));
         assert!(c.allreduce_or(|_, &s| s > 4));
-        assert_eq!(c.allreduce_max(|_, &s| s), 5);
-        assert_eq!(c.stats().collectives, 3);
+        assert_eq!(c.stats().collectives, 2);
     }
 
     #[test]

@@ -38,19 +38,6 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Env-gated diagnostic tracing (`AAA_NET_TRACE=1`): timestamped
-/// transport-level events on stderr, for debugging distributed runs.
-macro_rules! net_trace {
-    ($($arg:tt)*) => {
-        if std::env::var_os("AAA_NET_TRACE").is_some() {
-            let now = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap_or_default();
-            eprintln!("[{}.{:03}] {}", now.as_secs() % 1000, now.subsec_millis(), format_args!($($arg)*));
-        }
-    };
-}
-
 /// Re-exported SplitMix64 chain-hash (order-sensitive) — the one
 /// generator behind [`crate::ChaosPlan`], [`NetChaos`] and [`Backoff`]
 /// jitter, exposed so higher layers derive schedules from the same seed.
@@ -697,7 +684,6 @@ impl SocketTransport {
         self.hello = hello;
         self.install(stream, hello.last_recv)?;
         self.reconnects += 1;
-        net_trace!("{} rebind ok: peer cursor {}", self.peer, hello.last_recv);
         Ok(())
     }
 
@@ -792,13 +778,7 @@ impl SocketTransport {
                     self.backoff.delay_ms(attempt - 1, self.lane),
                 ));
             }
-            let stream = match connect(&addr) {
-                Ok(s) => s,
-                Err(e) => {
-                    net_trace!("{} reconnect attempt {attempt}: connect failed: {e}", self.peer);
-                    continue;
-                }
-            };
+            let Ok(stream) = connect(&addr) else { continue };
             stream.set_nodelay(true).ok();
             // Handshake is deliberately chaos-free: chaos models a faulty
             // network *channel*, and a handshake that can never complete
@@ -810,7 +790,6 @@ impl SocketTransport {
             if conn.stream.write_all(&encode_frame(&frame)).is_err() {
                 continue;
             }
-            net_trace!("{} reconnect attempt {attempt}: hello sent, awaiting ack", self.peer);
             match read_frame_from(&mut conn, Some(self.handshake_timeout), &self.peer)
                 .map(|f| (f.kind, Cursor::new(&f.payload).u64()))
             {
@@ -819,24 +798,13 @@ impl SocketTransport {
                     // A chaos fault during replay kills this stream too;
                     // that is a failed attempt, not a dead peer.
                     if self.replay_after(cursor).is_err() {
-                        net_trace!("{} reconnect attempt {attempt}: replay failed", self.peer);
                         self.conn = None;
                         continue;
                     }
                     self.reconnects += 1;
-                    net_trace!(
-                        "{} reconnect attempt {attempt}: up, replayed past {cursor}",
-                        self.peer
-                    );
                     return Ok(());
                 }
-                other => {
-                    net_trace!(
-                        "{} reconnect attempt {attempt}: handshake got {other:?}",
-                        self.peer
-                    );
-                    continue;
-                }
+                _ => continue,
             }
         }
         Err(NetError::PeerDead { peer: self.peer.clone() })
@@ -873,12 +841,6 @@ impl SocketTransport {
                 })?;
             }
             NetFault::Corrupt => {
-                net_trace!(
-                    "{} fault: corrupt (lane {} send {})",
-                    self.peer,
-                    self.lane,
-                    self.sends - 1
-                );
                 let mut mangled = bytes.to_vec();
                 let bit =
                     mix(self.chaos.seed, &[14, self.lane, self.sends]) as usize % (bytes.len() * 8);
@@ -903,22 +865,10 @@ impl SocketTransport {
                 })?;
             }
             NetFault::Reset => {
-                net_trace!(
-                    "{} fault: reset (lane {} send {})",
-                    self.peer,
-                    self.lane,
-                    self.sends - 1
-                );
                 conn.stream.shutdown(std::net::Shutdown::Both).ok();
                 return Err(broken(&mut self.conn, "injected connection reset"));
             }
             NetFault::PartialWrite => {
-                net_trace!(
-                    "{} fault: partial write (lane {} send {})",
-                    self.peer,
-                    self.lane,
-                    self.sends - 1
-                );
                 let half = &bytes[..bytes.len() / 2];
                 conn.stream.write_all(half).ok();
                 conn.stream.shutdown(std::net::Shutdown::Both).ok();
@@ -1117,10 +1067,6 @@ impl Transport for SocketTransport {
                     // detector: tear down and let replay resynchronize.
                     let partial = self.conn.as_ref().map(|c| c.buf.len()).unwrap_or(0);
                     if partial > 0 {
-                        net_trace!(
-                            "{} recv: deadline with {partial}-byte partial frame, tearing down",
-                            self.peer
-                        );
                         self.conn = None;
                         if self.redial.is_none() {
                             return Err(NetError::PeerDead { peer: self.peer.clone() });
@@ -1128,11 +1074,10 @@ impl Transport for SocketTransport {
                     }
                     return Err(NetError::Timeout { peer, waited });
                 }
-                Err(e) => {
+                Err(_) => {
                     // Stream poisoned (bad CRC, reset, EOF): tear down. The
                     // dialer heals on the next loop pass; the acceptor
                     // reports and waits for a rebind.
-                    net_trace!("{} recv: stream poisoned: {e}", self.peer);
                     self.conn = None;
                     if self.redial.is_some() {
                         continue;
@@ -1175,12 +1120,6 @@ impl Transport for SocketTransport {
                     } else if frame.seq != self.last_recv + 1 {
                         // A gap means framing lost something silently —
                         // force a reconnect so replay fills it.
-                        net_trace!(
-                            "{} recv: seq gap (got {}, expected {})",
-                            self.peer,
-                            frame.seq,
-                            self.last_recv + 1
-                        );
                         self.conn = None;
                         if self.redial.is_none() {
                             return Err(NetError::PeerDead { peer: self.peer.clone() });

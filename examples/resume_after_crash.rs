@@ -6,7 +6,6 @@
 //! cargo run --release --example resume_after_crash
 //! ```
 
-use anytime_anywhere::checkpoint::CheckpointPolicy;
 use anytime_anywhere::core::{
     AnytimeEngine, ClusterError, CoreError, EngineConfig, FaultPlan, Snapshot,
 };
@@ -27,10 +26,15 @@ fn main() {
     engine.inject_fault(FaultPlan::at(3, 6));
 
     let mut snapshots: Vec<Vec<u8>> = Vec::new();
-    let result = engine
-        .run_to_convergence_checkpointed(CheckpointPolicy::EveryNRcSteps(2), |bytes| {
-            snapshots.push(bytes.to_vec())
-        });
+    let result = loop {
+        match engine.rc_step_checked() {
+            Ok(true) if engine.rc_steps_done() % 2 == 0 => {
+                snapshots.push(engine.checkpoint_bytes().expect("checkpoint"));
+            }
+            Ok(true) => {}
+            other => break other,
+        }
+    };
 
     match result {
         Err(CoreError::Cluster(ClusterError::RankFailed { rank, superstep })) => {
@@ -44,7 +48,7 @@ fn main() {
             let latest = Snapshot::from_bytes(snapshots.last().expect("a snapshot was taken"))
                 .expect("snapshot readable");
             engine.recover_rank(rank, &latest).expect("recovery");
-            let summary = engine.run_to_convergence_checked().expect("no second fault armed");
+            let summary = engine.run_to_convergence();
             println!(
                 "recovered and re-converged in {} more RC steps ({} restores recorded)",
                 summary.steps,

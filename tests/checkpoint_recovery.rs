@@ -3,7 +3,6 @@
 //! the same fixed point bit-for-bit as an uninterrupted run — and the
 //! stats must not double-count the replayed phase.
 
-use anytime_anywhere::checkpoint::CheckpointPolicy;
 use anytime_anywhere::core::{
     AnytimeEngine, AssignStrategy, ClusterError, CoreError, EngineConfig, FaultPlan, Snapshot,
 };
@@ -18,12 +17,10 @@ fn test_graph(n: usize, seed: u64) -> AdjGraph {
 /// `snapshot`, and returns how many failures were recovered.
 fn converge_with_recovery(engine: &mut AnytimeEngine, snapshot: &Snapshot) -> usize {
     let mut recoveries = 0;
-    loop {
-        match engine.run_to_convergence_checked() {
-            Ok(summary) => {
-                assert!(summary.converged, "hit the RC safety bound");
-                return recoveries;
-            }
+    for _ in 0..10_000 {
+        match engine.rc_step_checked() {
+            Ok(true) => {}
+            Ok(false) => return recoveries,
             Err(CoreError::Cluster(ClusterError::RankFailed { rank, .. })) => {
                 engine.recover_rank(rank, snapshot).expect("recovery");
                 recoveries += 1;
@@ -31,6 +28,7 @@ fn converge_with_recovery(engine: &mut AnytimeEngine, snapshot: &Snapshot) -> us
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
+    panic!("hit the RC safety bound");
 }
 
 #[test]
@@ -124,12 +122,12 @@ fn recovery_from_older_snapshot_still_converges() {
 
     let mut engine = AnytimeEngine::new(g.clone(), config.clone()).expect("engine");
     let mut snapshots: Vec<Vec<u8>> = Vec::new();
-    engine
-        .run_to_convergence_checkpointed(CheckpointPolicy::EveryNRcSteps(2), |b| {
-            snapshots.push(b.to_vec())
-        })
-        .expect("no fault armed");
-    assert!(!snapshots.is_empty(), "EveryNRcSteps(2) must have fired");
+    while engine.rc_step_checked().expect("no fault armed") {
+        if engine.rc_steps_done() % 2 == 0 {
+            snapshots.push(engine.checkpoint_bytes().expect("checkpoint"));
+        }
+    }
+    assert!(!snapshots.is_empty(), "a checkpoint every second step must have fired");
     let early = Snapshot::from_bytes(&snapshots[0]).expect("snapshot readable");
 
     let batch = anytime_anywhere::core::changes::preferential_batch(engine.graph(), 12, 2, 5);

@@ -11,7 +11,7 @@
 
 use aaa_core::{
     run_worker, AnytimeEngine, EngineConfig, NetConfig, NetOutcome, NetRunner, NoSupervisor,
-    RebalanceConfig, RebalancePolicy, Revive, WorkerSupervisor,
+    RebalancePolicy, Revive, WorkerSupervisor,
 };
 use aaa_graph::generators::{barabasi_albert, WeightModel};
 use aaa_graph::AdjGraph;
@@ -214,9 +214,7 @@ fn background_rebalancer_works_over_the_wire() {
             workers
                 .push(std::thread::spawn(move || run_worker(&mut worker, Duration::from_secs(30))));
         }
-        let rebalance =
-            RebalanceConfig { every: 2, budget: 16, ..RebalanceConfig::with_policy(policy) };
-        let config = NetConfig { rebalance, ..NetConfig::default() };
+        let config = NetConfig { rebalance: policy, ..NetConfig::default() };
         let mut runner = NetRunner::new(&graph, skewed.clone(), links, config);
         runner.init(&mut NoSupervisor).expect("init succeeds over local transport");
         let outcome = runner.run(&mut NoSupervisor);
@@ -241,7 +239,7 @@ fn background_rebalancer_works_over_the_wire() {
         if policy == RebalancePolicy::Rs {
             // One `Reassign` took the fleet to the planner's fresh
             // partition (which then holds); nothing de-escalated it.
-            let fresh = MultilevelPartitioner::seeded(rebalance.seed).partition(&graph, PROCS);
+            let fresh = MultilevelPartitioner::seeded(0).partition(&graph, PROCS);
             assert_eq!(owner_after, fresh.unwrap().assignment());
         }
     }

@@ -103,7 +103,7 @@ fn report_round_trips_and_gate_accepts_self() {
     assert_eq!(back, report);
 
     // Self-comparison never regresses (even at threshold 0).
-    let cfg = GateConfig { default_threshold: 0.0, overrides: vec![] };
+    let cfg = GateConfig { default_threshold: 0.0 };
     let rows = compare(&back, &report, &cfg);
     assert!(!regressed(&rows));
     assert!(rows.iter().all(|r| r.rel_change == 0.0 || !r.gated));
@@ -125,7 +125,7 @@ fn an_ad_hoc_section_round_trips_and_gates_with_no_other_edit() {
     assert_eq!(back.to_json_string(), text);
     assert_eq!(back.section("probe").and_then(|s| s.get("hit_ratio")), Some(0.375));
 
-    let strict = GateConfig { default_threshold: 0.0, overrides: vec![] };
+    let strict = GateConfig { default_threshold: 0.0 };
     let probe_rows = |rows: &[MetricDiff]| -> Vec<(String, bool, bool)> {
         let of_probe = rows.iter().filter(|r| r.name.starts_with("probe."));
         of_probe.map(|r| (r.name.clone(), r.regressed, r.missing())).collect()
@@ -154,6 +154,43 @@ fn an_ad_hoc_section_round_trips_and_gates_with_no_other_edit() {
         probe_rows(&rows),
         [("probe.cells_touched".into(), true, true), ("probe.hit_ratio".into(), true, true)]
     );
+}
+
+/// The kernel's pass-shape rows are shown but never gated: a change that
+/// prunes more chunks raises `dv.sparse_passes` and `dv.list_passes_skipped`
+/// while the work, `dv.cells`, falls — as the landmark-seeded IA did (+40-44 %
+/// against -62-65 %). `dv.cells` still gates.
+#[test]
+fn kernel_pass_shape_rows_are_shown_but_never_gated() {
+    let g = barabasi_albert(150, 2, WeightModel::Unit, 11).expect("generator");
+    let mut engine = AnytimeEngine::new(g, EngineConfig::deterministic(PROCS)).expect("engine");
+    engine.run_to_convergence();
+    let base = engine.report("itest:kernel");
+    let scaled = |moves: &[(&str, f64)]| {
+        let mut cand = base.clone();
+        let dv = cand.sections.iter_mut().find(|s| s.name == "dv").expect("a dv section");
+        for &(row, by) in moves {
+            let cell = dv.rows.iter_mut().find(|(r, _)| r == row).expect("row present");
+            assert!(cell.1 > 0.0, "dv.{row} is 0; scaling it shows nothing");
+            cell.1 *= by;
+        }
+        cand
+    };
+    let cfg = GateConfig::default();
+    let pruned = scaled(&[("sparse_passes", 1.5), ("list_passes_skipped", 1.5), ("cells", 0.4)]);
+    let rows = compare(&pruned, &base, &cfg);
+    assert!(!regressed(&rows));
+    for name in ["dv.sparse_passes", "dv.list_passes_skipped"] {
+        let d = rows.iter().find(|r| r.name == name).expect("shown");
+        assert!(!d.gated && (d.rel_change - 0.5).abs() < 1e-9, "{name}: {d:?}");
+    }
+    let more_work = scaled(&[("cells", 1.11)]);
+    let failed: Vec<String> = compare(&more_work, &base, &cfg)
+        .into_iter()
+        .filter(|r| r.regressed)
+        .map(|r| r.name)
+        .collect();
+    assert_eq!(failed, ["dv.cells"]);
 }
 
 /// A section or row name from raw bits: a few characters out of an
@@ -209,7 +246,7 @@ proptest! {
         prop_assert_eq!(&back, &report);
         // The text is a fixed point.
         prop_assert_eq!(back.to_json_string(), text);
-        let strict = GateConfig { default_threshold: 0.0, overrides: vec![] };
+        let strict = GateConfig { default_threshold: 0.0 };
         let rows = compare(&back, &report, &strict);
         prop_assert!(!rows.iter().any(|r| r.regressed || r.missing()));
         let section_rows: usize = report.sections.iter().map(|s| s.rows.len()).sum();

@@ -16,8 +16,7 @@
 
 use anytime_anywhere::core::changes::DynamicChange;
 use anytime_anywhere::core::{
-    AnytimeEngine, AssignStrategy, EngineConfig, NewVertex, RebalanceConfig, RebalancePolicy,
-    VertexBatch,
+    AnytimeEngine, AssignStrategy, EngineConfig, NewVertex, RebalancePolicy, VertexBatch,
 };
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
 use anytime_anywhere::graph::{AdjGraph, PartId};
@@ -127,11 +126,7 @@ proptest! {
         }
         let partition = Partition::new(owner, procs).unwrap();
         let mut config = EngineConfig::deterministic(procs);
-        config.rebalance = RebalanceConfig {
-            every: 2,
-            trigger: 1.05,
-            ..RebalanceConfig::with_policy(RebalancePolicy::Adaptive)
-        };
+        config.rebalance = RebalancePolicy::Adaptive;
         let mut engine = AnytimeEngine::with_partition(g.clone(), partition, config).unwrap();
 
         let mut peak = 0usize;

@@ -3,7 +3,7 @@
 
 use anytime_anywhere::core::changes::preferential_batch;
 use anytime_anywhere::core::{
-    AnytimeEngine, AssignStrategy, DynamicChange, EngineConfig, RebalanceConfig, RebalancePolicy,
+    AnytimeEngine, AssignStrategy, DynamicChange, EngineConfig, RebalancePolicy,
 };
 use anytime_anywhere::graph::apsp::apsp_dijkstra;
 use anytime_anywhere::graph::generators::{barabasi_albert, WeightModel};
@@ -104,12 +104,7 @@ fn feed_skewed_stream(engine: &mut AnytimeEngine, rounds: u64) {
 fn background_rebalancer_preserves_bit_identical_fixed_point() {
     let g = barabasi_albert(90, 2, WeightModel::Unit, 11).unwrap();
     let mut cfg = EngineConfig::deterministic(4);
-    cfg.rebalance = RebalanceConfig {
-        every: 2,
-        budget: 8,
-        trigger: 1.05,
-        ..RebalanceConfig::with_policy(RebalancePolicy::Adaptive)
-    };
+    cfg.rebalance = RebalancePolicy::Adaptive;
     let mut adaptive = AnytimeEngine::new(g.clone(), cfg).unwrap();
     let mut oracle = AnytimeEngine::new(g, EngineConfig::deterministic(4)).unwrap();
     // Same change stream into both: graph evolution is independent of the
