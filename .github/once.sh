@@ -179,21 +179,23 @@ done
 # `BFS_LANES` sources per pass, instead of one search each; the
 # buffer-reusing `bfs_hops_into` they called went with the loops. So the walk
 # body exists once in aaa-graph, non-test aaa-core code walks no hop row one
-# source at a time (calls no one-source `sssp::bfs(`), and it builds a
-# `BinaryHeap` in one place only: IA's Dijkstra loop for weighted
-# sub-graphs. The block also logs the non-test
-# size of the three files the walk touched (898 / 409 / 64 before it,
-# 917 / 419 / 157 after).
+# source at a time (calls no one-source `sssp::bfs(`). There is one Dijkstra
+# body too: IA on a weighted sub-graph calls
+# `aaa_graph::sssp::dijkstra_rows` (over a successor closure, as `bfs_rows`
+# takes one) instead of its own heap loop, so outside tests aaa-core builds
+# no `BinaryHeap` and aaa-graph builds one in `dijkstra_rows` alone. The
+# block also logs the non-test size of the three files the walk touched
+# (898 / 409 / 64 before it, 917 / 419 / 157 after).
 walks=$(grep -rnE 'fn bfs_rows[<(]' crates/aaa-graph)
 echo "$walks"
 [ "$(echo "$walks" | wc -l)" = 1 ] || { echo "expected exactly one multi-source walk body, bfs_rows"; exit 1; }
 singles=$(for f in crates/aaa-core/src/*.rs; do nontest "$f" | grep -nE '\bbfs\(' | sed "s|^|$f:|" || true; done)
 [ -z "$singles" ] || { echo "$singles"; echo "aaa-core walks hop rows one source at a time"; exit 1; }
-heaps=$(for f in crates/aaa-core/src/*.rs; do
+heaps=$(for f in crates/aaa-core/src/*.rs crates/aaa-graph/src/*.rs; do
   nontest "$f" | awk -v f="$f" '/^ *(pub )?fn / { name = $0 } /BinaryHeap/ && !/^use / { print f ":" name }'
 done)
 echo "BinaryHeap built in: $heaps"
-[ "$(echo "$heaps" | grep -c 'fn ')" = 1 ] && echo "$heaps" | grep -q 'rank.rs: *pub fn initial_approximation(' || { echo "aaa-core builds a BinaryHeap outside IA's weighted branch"; exit 1; }
+[ "$(echo "$heaps" | grep -c 'fn ')" = 1 ] && echo "$heaps" | grep -q 'sssp.rs: *pub fn dijkstra_rows<' || { echo "a Dijkstra heap loop outside aaa_graph::sssp::dijkstra_rows"; exit 1; }
 for f in aaa-core/src/rank aaa-core/src/quality aaa-graph/src/sssp; do
   echo "$f.rs: $(nontest "crates/$f.rs" | wc -l) non-test lines"
 done
@@ -433,3 +435,19 @@ caps=$( (awk '/pub struct NetConfig/ { on = 1 } on { print } on && /^}/ { exit }
 [ -z "$caps" ] || { echo "$caps"; echo "NetConfig or NetMsg::Init carries a message cap again"; exit 1; }
 vars=$(for f in $(find crates/*/src src -name '*.rs'); do nontest "$f" | grep -nE 'env::var|\bvar_os\(' | sed "s|^|$f:|" || true; done)
 [ -z "$vars" ] || { echo "$vars"; echo "a crate reads an environment variable outside tests"; exit 1; }
+
+# Plain columns, one step bound. Each published column is one
+# `Arc<[f64]>` plus its top-k snapshot, copied and reselected when its epoch
+# re-states it and shared otherwise, and leader (`Publisher::publish`) and
+# follower (`ViewDelta::apply_to`) build a view through the one
+# `ViewDelta::build(prev)`. The chunked copy-on-write store, the leader-only
+# top-k index with its slack cap and rebuild counter, and the two step bounds
+# `policy::MAX_RC_STEPS` replaced may not come back, nor may `build` take a
+# second argument (a per-kind index list was its last one).
+if grep -rnE 'ChunkedVec|TopKIndex|CHUNK_VERTICES|TOPK_INDEX_CAP|topk_rebuilds|max_rc_steps|MAX_ROUNDS|fn publish_changes' crates/ src/ tests/ examples/; then
+  echo "the chunked store, the top-k index, a second publish entry point or a second step bound is back"; exit 1
+fi
+sig=$(awk '/^impl ViewDelta / { on = 1 } on && /fn build\(/ { print; exit }' crates/aaa-core/src/publish.rs)
+echo "ViewDelta::build: $sig"
+echo "$sig" | grep -qE 'fn build\(&self, prev: &PublishedView\) ->' || { echo "ViewDelta::build takes more than prev"; exit 1; }
+echo "aaa-core/src/publish.rs: $(nontest crates/aaa-core/src/publish.rs | wc -l) non-test lines"

@@ -21,7 +21,7 @@ fn a_candidate_that_lost_rows_exits_1_and_names_them() {
         (
             "ci_smoke_stream.json",
             |r| r.sections.clear(),
-            5 + 3 + 6 + 9 + 7,
+            5 + 3 + 5 + 9 + 7,
             "stream.changes_per_sec",
         ),
         (

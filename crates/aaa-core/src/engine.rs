@@ -19,7 +19,7 @@ use crate::dv::{KernelTally, StoreRows, Witness};
 use crate::error::CoreError;
 use crate::ingest::{ChangeLog, IngestStats};
 use crate::metric::{MetricKind, MetricMask, MetricSet, MetricTally};
-use crate::policy::{choose_strategy, RetryPolicy};
+use crate::policy::{choose_strategy, RetryPolicy, MAX_RC_STEPS};
 use crate::publish::{BoundsMode, PublishStats, PublishedView, Publisher, ViewCell, ViewDelta};
 use crate::quality::{certified_intervals, DegradedReason, DegradedReport};
 use crate::rank::{GrowMsg, InvalidationTally, RankState, RowMsg, WireFormat};
@@ -115,8 +115,6 @@ pub struct EngineConfig {
     /// Maximum message size `M` in bytes (§IV.C); DV bundles are chunked to
     /// this cap.
     pub message_cap_bytes: usize,
-    /// Safety bound on recombination steps per convergence run.
-    pub max_rc_steps: usize,
     /// Wire format for RC row exchanges (full rows vs sparse deltas).
     pub wire: WireFormat,
     /// What each published epoch carries: closeness only (default) or
@@ -141,7 +139,6 @@ impl EngineConfig {
             dd: DdPartitioner::Multilevel { seed: 0 },
             cluster: ClusterConfig::default(),
             message_cap_bytes: 1 << 20,
-            max_rc_steps: 10_000,
             wire: WireFormat::Full,
             publish_bounds: BoundsMode::None,
             rebalance: RebalancePolicy::Static,
@@ -181,7 +178,7 @@ impl EngineConfig {
 pub struct ConvergenceSummary {
     /// RC steps executed by this call.
     pub steps: usize,
-    /// Whether the run reached quiescence (vs. hitting `max_rc_steps`).
+    /// Whether the run reached quiescence (vs. hitting [`MAX_RC_STEPS`]).
     pub converged: bool,
 }
 
@@ -458,7 +455,6 @@ impl AnytimeEngine {
                 ("changed_rows", publish.changed_rows as f64),
                 ("chunks_copied", publish.chunks_copied as f64),
                 ("chunks_shared", publish.chunks_shared as f64),
-                ("topk_rebuilds", publish.topk_rebuilds as f64),
             ],
         ));
         if let Some(tally) = self.metric_tally(MetricKind::Betweenness) {
@@ -528,11 +524,12 @@ impl AnytimeEngine {
     /// rows are walked for the candidates alone — and a thin epoch re-states
     /// exactly those whose published bits moved, every new id among them.
     /// Any other row has the inputs it was last published with, so the
-    /// epoch is the forced-full one bit for bit (DESIGN.md §17). The full
-    /// `O(n)` rebuild runs only when the publisher demands it — first
-    /// epoch, a checkpoint fallback, forced-full override — or when a
-    /// restore rewound the vertex count below the published view's (the
-    /// chunked store never shrinks in place).
+    /// epoch is the forced-full one bit for bit (DESIGN.md §17). A full
+    /// epoch scores and re-states every row, extra columns included; it
+    /// runs only when the publisher demands it — first epoch, a checkpoint
+    /// fallback, forced-full override — or when a restore rewound the
+    /// vertex count below the published view's (a thin delta never
+    /// shrinks a view).
     fn publish_view(&mut self, converged: bool) {
         let mark = self.cluster.mark();
         let n = self.graph.num_vertices();
@@ -569,39 +566,40 @@ impl AnytimeEngine {
         } else {
             candidates.iter().map(|&v| (v, closeness_from_row(row(v)), 0.0)).collect()
         };
-        let (rc_steps, applied) = (self.rc_steps, self.changes_applied);
-        if full {
-            let closeness = scored.iter().map(|e| e.1).collect();
-            let bounds = if certified { scored.iter().map(|e| e.2).collect() } else { Vec::new() };
-            // Runs after `update_extra_metrics`, so each column reflects
-            // this epoch's rows.
-            let extras = self
-                .metrics
-                .extras()
-                .iter()
-                .map(|m| (m.kind(), m.full_column(n).expect("stateful metric keeps a full column")))
-                .collect();
-            self.publisher.publish(rc_steps, applied, converged, closeness, bounds, extras);
-        } else {
+        if !full {
             // A candidate whose bits stand is not re-stated; an id the view
             // lacks has no bits to stand.
             let moved = |was: Option<f64>, now: f64| was.map(f64::to_bits) != Some(now.to_bits());
             scored.retain(|&(v, c, b)| {
                 moved(prev.point(v), c) || certified && moved(prev.error_bound(v), b)
             });
-            let entries = scored.iter().map(|e| (e.0, e.1)).collect();
-            let bounds =
-                if certified { scored.iter().map(|e| (e.0, e.2)).collect() } else { Vec::new() };
-            self.publisher.publish_changes(
-                rc_steps,
-                applied,
-                converged,
-                n,
-                entries,
-                bounds,
-                extra_deltas,
-            );
         }
+        let entries = scored.iter().map(|e| (e.0, e.1)).collect();
+        let bounds =
+            if certified { scored.iter().map(|e| (e.0, e.2)).collect() } else { Vec::new() };
+        // A full epoch re-states each extra column the metric maintains;
+        // this runs after `update_extra_metrics`, so it reflects this
+        // epoch's rows.
+        let extras = if full {
+            let columns = self.metrics.extras().iter().map(|m| {
+                let column = m.full_column(n).expect("stateful metric keeps a full column");
+                (m.kind(), (0..n as VertexId).zip(column).collect())
+            });
+            columns.collect()
+        } else {
+            extra_deltas
+        };
+        self.publisher.publish(ViewDelta {
+            epoch: 0, // the publisher stamps the next id
+            rc_steps: self.rc_steps,
+            changes_applied: self.changes_applied,
+            converged,
+            full,
+            n,
+            entries,
+            bounds,
+            extras,
+        });
         if self.cluster.observing() {
             // Unpriced, so an instant on the simulated clock (like
             // checkpoints); the real cost rides in wall_dur. The payload
@@ -735,7 +733,7 @@ impl AnytimeEngine {
     /// for changes that passed [`AnytimeEngine::submit`] validation); step
     /// with [`AnytimeEngine::rc_step_checked`] for a fallible run.
     pub fn run_to_convergence(&mut self) -> ConvergenceSummary {
-        self.drive(None).expect("unchecked convergence cannot fail").summary
+        self.drive(None, MAX_RC_STEPS).expect("unchecked convergence cannot fail").summary
     }
 
     /// Closeness centrality of every vertex from the **latest published
@@ -764,7 +762,7 @@ impl AnytimeEngine {
     }
 
     /// Publish-layer counters: full vs delta epochs, re-stated rows,
-    /// chunk copy/share tallies, top-k index rebuilds.
+    /// closeness columns copied and shared.
     pub fn publish_stats(&self) -> PublishStats {
         self.publisher.stats()
     }
@@ -1553,15 +1551,20 @@ impl AnytimeEngine {
     /// `Err(RankFailed)` — crash recovery needs the caller's checkpoint
     /// and stays on the [`AnytimeEngine::recover_rank`] path.
     pub fn run_supervised(&mut self, retry: &RetryPolicy) -> Result<SupervisedRun, CoreError> {
-        self.drive(Some(retry))
+        self.drive(Some(retry), MAX_RC_STEPS)
     }
 
     /// The convergence driver behind both `run_*` entry points: one loop
     /// that drains the ingest log and steps RC. Unsupervised (`None`) it
     /// takes the unchecked fast path; supervised it steps with
     /// [`AnytimeEngine::rc_step_checked`] and runs the
-    /// retry/verification/fallback ladder.
-    fn drive(&mut self, supervised: Option<&RetryPolicy>) -> Result<SupervisedRun, CoreError> {
+    /// retry/verification/fallback ladder. After `max_steps` steps it stops
+    /// unconverged (supervised: degraded).
+    fn drive(
+        &mut self,
+        supervised: Option<&RetryPolicy>,
+        max_steps: usize,
+    ) -> Result<SupervisedRun, CoreError> {
         // Drain before the fallback checkpoint below: applied changes land
         // in it, so a restore cannot silently lose them. `submit` needs
         // `&mut self`, so nothing can enqueue mid-run — the log stays empty
@@ -1583,7 +1586,7 @@ impl AnytimeEngine {
         let mut faults_seen = self.faults_verified;
         let mut steps = 0usize;
         loop {
-            if steps >= self.config.max_rc_steps {
+            if steps >= max_steps {
                 return Ok(if supervised.is_some() {
                     self.degraded_run(
                         steps,
@@ -2098,5 +2101,21 @@ mod tests {
         }
         assert!(sections[0].get("calls").is_some_and(|calls| calls > 0.0), "{:?}", sections[0]);
         assert!(sections.windows(2).all(|w| w[0] == w[1]), "{sections:#?}");
+    }
+
+    /// A supervised run that runs out of steps under endless faults still
+    /// answers: degraded, with a bound that covers the exact closeness.
+    #[test]
+    fn step_budget_exhaustion_also_degrades_gracefully() {
+        let g = barabasi_albert(40, 2, WeightModel::Unit, 2).unwrap();
+        let mut e = AnytimeEngine::new(g.clone(), EngineConfig::deterministic(4)).unwrap();
+        e.set_chaos(ChaosPlan::seeded(3, 0.4, u64::MAX));
+        // Generous retry budget: it is the step budget (2, far too few for
+        // convergence) that runs out.
+        let policy = RetryPolicy { max_attempts: 1_000, ..Default::default() };
+        let run = e.drive(Some(&policy), 2).unwrap();
+        let report = run.degraded.expect("2 RC steps cannot converge");
+        assert_eq!(report.reason, DegradedReason::StepBudgetExhausted);
+        assert!(report.certifies(&closeness_exact(&Csr::from_adj(&g))));
     }
 }

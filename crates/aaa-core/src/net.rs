@@ -38,6 +38,7 @@
 //! checkpoints of dead ones) are gathered into a [`DegradedReport`] whose
 //! certified bounds cover the exact answer.
 
+use crate::policy::MAX_RC_STEPS;
 use crate::quality::{DegradedReason, DegradedReport};
 use crate::rank::{RankState, RowMsg, RowPayload, WireFormat};
 use aaa_checkpoint::{RankSnapshot, RowTable};
@@ -777,10 +778,6 @@ pub enum NetOutcome {
     Degraded(Box<DegradedReport>),
 }
 
-/// Safety bound on rounds before a run degrades with
-/// [`DegradedReason::StepBudgetExhausted`].
-const MAX_ROUNDS: u64 = 10_000;
-
 /// How long a worker gets to answer a protocol message before it is
 /// suspected and probed.
 const REPLY_DEADLINE: Duration = Duration::from_secs(10);
@@ -934,7 +931,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
     /// failure degrades the run, or the round budget runs out.
     pub fn run(&mut self, supervisor: &mut dyn WorkerSupervisor<T>) -> NetOutcome {
         loop {
-            if self.round >= MAX_ROUNDS {
+            if self.round >= MAX_RC_STEPS as u64 {
                 return self.degrade_with(DegradedReason::StepBudgetExhausted);
             }
             self.round += 1;

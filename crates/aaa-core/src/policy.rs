@@ -44,6 +44,12 @@ pub fn choose_strategy(batch: &VertexBatch, graph_vertices: usize) -> AssignStra
     }
 }
 
+/// Safety bound on recombination steps per convergence run, the same for
+/// both drivers: the engine's run loop stops unconverged after this many
+/// RC steps and a socket run after this many rounds; a supervised run
+/// degrades with `DegradedReason::StepBudgetExhausted`.
+pub const MAX_RC_STEPS: usize = 10_000;
+
 /// Retry/backoff policy for the supervised convergence loop
 /// (`AnytimeEngine::run_supervised`).
 ///

@@ -18,34 +18,31 @@
 //!
 //! # Delta publication (S30)
 //!
-//! A typical epoch dirties only a small fraction of DV rows, so rebuilding
-//! the whole closeness vector per publish is `O(n)` wasted work. The
-//! publisher instead consumes a [`ViewDelta`] — the changed vertex ids
-//! with their new values, derived from the arena's epoch-dirty bitsets —
-//! and builds the next view by **structural sharing**: closeness (and
-//! bounds) live in fixed-size chunks behind per-chunk `Arc`s, and only
-//! chunks containing a changed row are copied. Unchanged memory is shared
-//! across epochs, readers stay lock-free and torn-free exactly as before,
-//! and publish cost is `O(changed)` instead of `O(n)`.
+//! A typical epoch dirties only a small fraction of DV rows. The publisher
+//! consumes a [`ViewDelta`] — the changed vertex ids with their new values,
+//! derived from the arena's epoch-dirty bitsets — and builds the next view
+//! from the previous one: a column the epoch re-states (an entry, growth,
+//! or a full epoch) is copied, patched and given one fresh bounded top-k
+//! selection; a column it leaves alone is shared with the previous view by
+//! `Arc`. Readers stay lock-free and torn-free. Scoring a changed row
+//! already costs `O(n)`, so the `O(n)` copy of a changed column never
+//! changes the order of an epoch's cost.
 //!
-//! A maintained top-k index (bounded, threshold-pruned, ordered
-//! best-first with deterministic id tie-breaks) is updated per delta in
-//! `O(Δ·log k)`, so [`PublishedView::top_k`] serves from a per-view
-//! snapshot in `O(k)` instead of rescanning all `n` vertices.
-//! [`PublishedView::top_k_rescan`] keeps the full scan as a debug oracle.
+//! [`PublishedView::top_k`] serves from each column's top-
+//! [`TOPK_SERVE_CAP`] snapshot in `O(k)` (ordered best-first, ties by id);
+//! [`PublishedView::top_k_rescan`] keeps the full sort as the oracle.
 //!
 //! # Multiple metrics per epoch (S31)
 //!
 //! A view always carries the closeness primary; configured extra metrics
 //! (today: incremental betweenness, see [`crate::metric`]) ride the same
-//! epoch as additional columns, each with its own chunked store and
-//! maintained top-k index. Every column — closeness included — advances
-//! through the one [`ViewDelta`] build routine, on the leader
-//! ([`Publisher`]) and on a follower ([`ViewDelta::apply_to`]) alike; a
-//! closeness-only run is simply the empty extras list, and its deltas keep
-//! the wire bytes they always had. [`PublishStats`] deliberately counts
-//! the closeness column only, so the committed perf-gate baselines are
-//! unaffected by extras.
+//! epoch as additional columns, each with its own values and top-k
+//! snapshot. Every column — closeness included — advances through the one
+//! [`ViewDelta`] build routine, on the leader ([`Publisher`]) and on a
+//! follower ([`ViewDelta::apply_to`]) alike; a closeness-only run is simply
+//! the empty extras list, and its deltas keep the wire bytes they always
+//! had. [`PublishStats`] deliberately counts the closeness column only, so
+//! the committed perf-gate baselines are unaffected by extras.
 
 use crate::metric::{MetricKind, MetricMask};
 use crate::net::NetMsg;
@@ -54,18 +51,9 @@ use aaa_graph::VertexId;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
-/// Vertices per closeness chunk. Power of two so the row → chunk map is a
-/// shift; small enough that ~1% dirty rows on a large graph still share
-/// most chunks, large enough that per-chunk `Arc` overhead is noise.
-pub const CHUNK_VERTICES: usize = 1024;
-
 /// How many top entries each view snapshots for `O(k)` serving. `top_k`
 /// calls with `k` beyond this fall back to the rescan oracle.
 pub const TOPK_SERVE_CAP: usize = 128;
-
-/// Internal index capacity: twice the serve cap, so most displacements
-/// drain slack instead of forcing an immediate rebuild scan.
-const TOPK_INDEX_CAP: usize = 2 * TOPK_SERVE_CAP;
 
 /// What quality label each published epoch carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,248 +70,75 @@ pub enum BoundsMode {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked copy-on-write value store
-// ---------------------------------------------------------------------------
-
-/// A `Vec<f64>` split into [`CHUNK_VERTICES`]-sized chunks behind
-/// per-chunk `Arc`s. [`ChunkedVec::apply`] produces the next version by
-/// cloning the chunk list (cheap `Arc` bumps) and materializing only the
-/// chunks an entry lands in — the structural sharing that makes per-epoch
-/// publication `O(changed)`.
-///
-/// Invariant: chunk `i` holds exactly `min(CHUNK_VERTICES, len − i·CHUNK)`
-/// values, so every chunk except possibly the last is full.
-#[derive(Debug, Clone, Default)]
-struct ChunkedVec {
-    len: usize,
-    chunks: Vec<Arc<Vec<f64>>>,
-}
-
-impl ChunkedVec {
-    fn from_vec(values: Vec<f64>) -> Self {
-        let len = values.len();
-        let chunks = values.chunks(CHUNK_VERTICES).map(|c| Arc::new(c.to_vec())).collect();
-        Self { len, chunks }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn get(&self, i: usize) -> Option<f64> {
-        if i >= self.len {
-            return None;
-        }
-        Some(self.chunks[i / CHUNK_VERTICES][i % CHUNK_VERTICES])
-    }
-
-    fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter().copied())
-    }
-
-    fn to_vec(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            out.extend_from_slice(c);
-        }
-        out
-    }
-
-    /// The next version: grown to `new_len` (`fill`-padded) with `entries`
-    /// (sorted by id) written through copy-on-write. Returns the store
-    /// plus how many chunks were materialized vs shared with `self`.
-    fn apply(&self, new_len: usize, entries: &[(VertexId, f64)], fill: f64) -> (Self, u64, u64) {
-        debug_assert!(new_len >= self.len, "chunked store never shrinks");
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "entries sorted unique");
-        let mut chunks = self.chunks.clone();
-        let n_chunks = new_len.div_ceil(CHUNK_VERTICES);
-        let mut fresh = vec![false; n_chunks];
-        if new_len > self.len {
-            if self.len % CHUNK_VERTICES != 0 {
-                // Top up the old partial tail chunk.
-                let last = self.len / CHUNK_VERTICES;
-                let mut data = chunks[last].as_ref().clone();
-                data.resize(CHUNK_VERTICES.min(new_len - last * CHUNK_VERTICES), fill);
-                chunks[last] = Arc::new(data);
-                fresh[last] = true;
-            }
-            while chunks.len() < n_chunks {
-                let c = chunks.len();
-                chunks.push(Arc::new(vec![fill; CHUNK_VERTICES.min(new_len - c * CHUNK_VERTICES)]));
-                fresh[c] = true;
-            }
-        }
-        for &(v, val) in entries {
-            debug_assert!((v as usize) < new_len, "entry {v} beyond view length {new_len}");
-            let (c, i) = (v as usize / CHUNK_VERTICES, v as usize % CHUNK_VERTICES);
-            if !fresh[c] {
-                chunks[c] = Arc::new(chunks[c].as_ref().clone());
-                fresh[c] = true;
-            }
-            Arc::get_mut(&mut chunks[c]).expect("freshly materialized chunk")[i] = val;
-        }
-        let copied = fresh.iter().filter(|&&f| f).count() as u64;
-        (Self { len: new_len, chunks }, copied, n_chunks as u64 - copied)
-    }
-
-    /// This epoch's version of the store, with the chunks materialized and
-    /// shared: a `full` epoch re-states all `n` values from `entries` (ids
-    /// without one read `0.0`), any other applies them copy-on-write.
-    fn next(&self, full: bool, n: usize, entries: &[(VertexId, f64)]) -> (Self, u64, u64) {
-        if !full {
-            return self.apply(n, entries, 0.0);
-        }
-        let mut values = vec![0.0; n];
-        for &(v, x) in entries {
-            values[v as usize] = x;
-        }
-        let store = Self::from_vec(values);
-        let copied = store.chunks.len() as u64;
-        (store, copied, 0)
-    }
-}
-
-impl PartialEq for ChunkedVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.len == other.len
-            && self.chunks.iter().zip(&other.chunks).all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Maintained top-k index
-// ---------------------------------------------------------------------------
-
-/// Serve-rank order: higher closeness first, ties broken by lower vertex
-/// id. `total_cmp` makes this a total order even on pathological values,
-/// matching the rescan oracle in `aaa_graph::closeness::top_k`.
-#[inline]
-fn rank_before(a: (f64, VertexId), b: (f64, VertexId)) -> std::cmp::Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-}
-
-/// Bounded, threshold-pruned index of the best-ranked vertices, ordered
-/// best-first under [`rank_before`].
-///
-/// Invariant: `entries` is the *exact* top-`entries.len()` prefix of the
-/// current store — every non-member ranks strictly after `entries.last()`.
-/// A delta update removes the member entry for a changed vertex (by its
-/// old value) and re-inserts the new value only when it beats the current
-/// worst (the threshold prune); displacement past the cap truncates. When
-/// removals shrink the index below the serve cap it is rebuilt by one
-/// bounded scan, restoring slack up to [`TOPK_INDEX_CAP`].
-#[derive(Debug, Clone, Default)]
-struct TopKIndex {
-    entries: Vec<(f64, VertexId)>,
-}
-
-impl TopKIndex {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// One bounded scan of the whole store: `O(n·log cap)`.
-    fn rebuild(&mut self, values: &ChunkedVec) {
-        let cap = TOPK_INDEX_CAP.min(values.len());
-        self.entries.clear();
-        for (v, c) in values.iter().enumerate() {
-            let cand = (c, v as VertexId);
-            let pos = self
-                .entries
-                .binary_search_by(|e| rank_before(*e, cand))
-                .expect_err("vertex ids are unique");
-            if pos < cap {
-                self.entries.insert(pos, cand);
-                self.entries.truncate(cap);
-            }
-        }
-    }
-
-    /// Applies one delta entry: `old` is the vertex's value in the
-    /// previous view (`None` if it is new). `O(log k + k)` worst case
-    /// (binary search plus a bounded memmove).
-    fn update(&mut self, old: Option<f64>, v: VertexId, new_c: f64) {
-        if let Some(oc) = old {
-            if let Ok(pos) = self.entries.binary_search_by(|e| rank_before(*e, (oc, v))) {
-                self.entries.remove(pos);
-            }
-        }
-        let cand = (new_c, v);
-        match self.entries.binary_search_by(|e| rank_before(*e, cand)) {
-            Ok(_) => unreachable!("vertex ids are unique"),
-            // Beats the current worst member → exactness is preserved by
-            // insertion; past-the-end candidates may or may not belong to
-            // the true top prefix, so they are pruned (the caller rebuilds
-            // if the index underflows the serve cap).
-            Err(pos) if pos < self.entries.len() => {
-                self.entries.insert(pos, cand);
-                self.entries.truncate(TOPK_INDEX_CAP);
-            }
-            Err(_) => {}
-        }
-    }
-
-    /// The per-view serve snapshot: the first `TOPK_SERVE_CAP` entries in
-    /// serve order, as `(id, closeness)` pairs.
-    fn snapshot(&self) -> Vec<(VertexId, f64)> {
-        self.entries.iter().take(TOPK_SERVE_CAP).map(|&(c, v)| (v, c)).collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Metric columns
 // ---------------------------------------------------------------------------
 
-/// One metric's column within a view — closeness or an extra: its chunked
-/// value store plus a per-view top-k snapshot under the [`rank_before`]
-/// total order.
+/// Serve-rank order: higher score first, ties broken by lower vertex id.
+/// `total_cmp` makes this a total order even on pathological values,
+/// matching the rescan oracle in `aaa_graph::closeness::top_k`.
+fn rank_before(a: &(VertexId, f64), b: &(VertexId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// The first [`TOPK_SERVE_CAP`] entries of `values` (all of them when there
+/// are fewer) in serve order: one bounded selection, then a sort of the
+/// prefix it leaves.
+fn select_top(values: &[f64]) -> Vec<(VertexId, f64)> {
+    let mut top: Vec<(VertexId, f64)> =
+        values.iter().enumerate().map(|(v, &x)| (v as VertexId, x)).collect();
+    if top.len() > TOPK_SERVE_CAP {
+        top.select_nth_unstable_by(TOPK_SERVE_CAP, rank_before);
+        top.truncate(TOPK_SERVE_CAP);
+    }
+    top.sort_unstable_by(rank_before);
+    top
+}
+
+/// This epoch's version of a value column, or `None` when the epoch leaves
+/// `prev` alone (thin, same length, no entry). A `full` epoch re-states all
+/// `n` values from `entries`, an id without one reading `0.0`; a thin one
+/// patches a copy of `prev` grown to `n`, a new id without one reading `0.0`.
+fn restated(prev: &[f64], full: bool, n: usize, entries: &[(VertexId, f64)]) -> Option<Vec<f64>> {
+    if !full && n == prev.len() && entries.is_empty() {
+        return None;
+    }
+    let mut values = if full { Vec::with_capacity(n) } else { prev.to_vec() };
+    values.resize(n, 0.0);
+    for &(v, x) in entries {
+        values[v as usize] = x;
+    }
+    Some(values)
+}
+
+/// One metric's column within a view — closeness or an extra: its values
+/// plus their top-k snapshot under the [`rank_before`] total order. An
+/// epoch that does not re-state the column shares both `Arc`s with the
+/// previous view.
 #[derive(Debug, Clone, PartialEq)]
 struct MetricColumn {
     kind: MetricKind,
-    values: ChunkedVec,
-    /// Exact top-[`TOPK_SERVE_CAP`] prefix in serve order, snapshotted from
-    /// the column's index — what makes `top_k` `O(k)`.
-    topk: Arc<Vec<(VertexId, f64)>>,
+    values: Arc<[f64]>,
+    /// Exact top-[`TOPK_SERVE_CAP`] prefix in serve order — what makes
+    /// `top_k` `O(k)`.
+    topk: Arc<[(VertexId, f64)]>,
 }
-
-/// What advancing one column cost: chunks copied, chunks shared, and
-/// whether its top-k index was rescanned.
-type ColumnCost = (u64, u64, bool);
 
 impl MetricColumn {
     fn empty(kind: MetricKind) -> Self {
-        Self { kind, values: ChunkedVec::default(), topk: Arc::new(Vec::new()) }
+        Self { kind, values: Arc::from([]), topk: Arc::from([]) }
     }
 
-    /// This epoch's version of the column. `index` is the column's top-k
-    /// index: the leader's maintained one absorbs the entries in
-    /// `O(Δ·log k)`; a follower's scratch (empty) one underflows and is
-    /// refilled by one bounded scan. Both leave the same exact prefix.
-    fn next(
-        &self,
-        index: &mut TopKIndex,
-        full: bool,
-        n: usize,
-        entries: &[(VertexId, f64)],
-    ) -> (Self, ColumnCost) {
-        let (values, copied, shared) = self.values.next(full, n, entries);
-        if !full {
-            for &(v, x) in entries {
-                index.update(self.values.get(v as usize), v, x);
+    /// This epoch's version of the column, and whether it was copied: a
+    /// re-stated column gets one fresh top-k selection, an untouched one is
+    /// `self` again.
+    fn next(&self, full: bool, n: usize, entries: &[(VertexId, f64)]) -> (Self, bool) {
+        match restated(&self.values, full, n, entries) {
+            None => (self.clone(), false),
+            Some(values) => {
+                let topk = select_top(&values).into();
+                (Self { kind: self.kind, values: values.into(), topk }, true)
             }
         }
-        let rebuilt = full || index.len() < TOPK_SERVE_CAP.min(n);
-        if rebuilt {
-            index.rebuild(&values);
-        }
-        (
-            Self { kind: self.kind, values, topk: Arc::new(index.snapshot()) },
-            (copied, shared, rebuilt),
-        )
     }
 
     /// The `k` best-ranked vertices of this column: `O(k)` from the
@@ -337,19 +152,8 @@ impl MetricColumn {
     }
 
     fn top_k_rescan(&self, k: usize) -> Vec<(VertexId, f64)> {
-        let values = self.values.to_vec();
-        top_k(&values, k).into_iter().map(|v| (v, values[v as usize])).collect()
+        top_k(&self.values, k).into_iter().map(|v| (v, self.values[v as usize])).collect()
     }
-}
-
-/// The top-k index kept for `kind`, created on first sight of the kind
-/// (the engine's metric set is fixed per run).
-fn index_for(indexes: &mut Vec<(MetricKind, TopKIndex)>, kind: MetricKind) -> &mut TopKIndex {
-    let pos = indexes.iter().position(|(k, _)| *k == kind).unwrap_or_else(|| {
-        indexes.push((kind, TopKIndex::default()));
-        indexes.len() - 1
-    });
-    &mut indexes[pos].1
 }
 
 // ---------------------------------------------------------------------------
@@ -370,11 +174,11 @@ pub struct PublishedView {
     /// Whether the engine had reached quiescence at publish time.
     pub converged: bool,
     /// The closeness primary, held inline so [`PublishedView::point`] is
-    /// one chunk lookup.
+    /// one index.
     closeness: MetricColumn,
     /// Per-vertex certified bound on `|exact − closeness|`; empty under
     /// [`BoundsMode::None`].
-    bounds: ChunkedVec,
+    bounds: Arc<[f64]>,
     /// Extra metric columns (wire-id order); empty on closeness-only runs.
     extras: Vec<MetricColumn>,
 }
@@ -388,7 +192,7 @@ impl PublishedView {
             changes_applied: 0,
             converged: false,
             closeness: MetricColumn::empty(MetricKind::Closeness),
-            bounds: ChunkedVec::default(),
+            bounds: Arc::from([]),
             extras: Vec::new(),
         }
     }
@@ -400,7 +204,7 @@ impl PublishedView {
 
     /// Point lookup: closeness of `v`, or `None` out of range. `O(1)`.
     pub fn point(&self, v: VertexId) -> Option<f64> {
-        self.closeness.values.get(v as usize)
+        self.closeness.values.get(v as usize).copied()
     }
 
     /// Batched point lookup against this one consistent epoch.
@@ -408,20 +212,20 @@ impl PublishedView {
         ids.iter().map(|&v| self.point(v)).collect()
     }
 
-    /// The full closeness vector, materialized from the chunked store.
+    /// The full closeness vector.
     pub fn closeness(&self) -> Vec<f64> {
         self.closeness.values.to_vec()
     }
 
     /// The `k` most central vertices with their closeness, ties broken by
-    /// vertex id. `O(k)` for `k ≤` [`TOPK_SERVE_CAP`] via the maintained
+    /// vertex id. `O(k)` for `k ≤` [`TOPK_SERVE_CAP`] via the column's
     /// snapshot; larger `k` falls back to [`PublishedView::top_k_rescan`].
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.closeness.top_k(k)
     }
 
-    /// Debug oracle: full `O(n log n)` rescan of the materialized
-    /// closeness vector. Must agree with [`PublishedView::top_k`] exactly.
+    /// Debug oracle: full `O(n log n)` rescan of the closeness vector. Must
+    /// agree with [`PublishedView::top_k`] exactly.
     pub fn top_k_rescan(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.closeness.top_k_rescan(k)
     }
@@ -434,7 +238,7 @@ impl PublishedView {
     /// Certified bound on `|exact − closeness|` for `v`. `None` when the
     /// view was published without bounds or `v` is out of range.
     pub fn error_bound(&self, v: VertexId) -> Option<f64> {
-        self.bounds.get(v as usize)
+        self.bounds.get(v as usize).copied()
     }
 
     /// The full bounds vector (empty under [`BoundsMode::None`]).
@@ -466,7 +270,7 @@ impl PublishedView {
     /// need to distinguish the two check [`PublishedView::has_metric`]
     /// first (and surface `ServeError::MetricUnavailable`).
     pub fn metric_point(&self, kind: MetricKind, v: VertexId) -> Option<f64> {
-        self.column(kind)?.values.get(v as usize)
+        self.column(kind)?.values.get(v as usize).copied()
     }
 
     /// The full `kind` column, or `None` when the view lacks it.
@@ -673,33 +477,32 @@ impl ViewDelta {
         if backed < self.n {
             return Err(ViewDeltaError::Unbacked { n: self.n, backed });
         }
-        Ok(self.build(prev, &mut Vec::new()).0)
+        Ok(self.build(prev).0)
     }
 
     /// The view this delta turns `prev` into — the one construction routine
-    /// behind every published view: the leader runs it with its maintained
-    /// top-k indexes, a follower with scratch ones. Also returns the cost
-    /// of the closeness column, the only one [`PublishStats`] counts.
-    fn build(
-        &self,
-        prev: &PublishedView,
-        indexes: &mut Vec<(MetricKind, TopKIndex)>,
-    ) -> (PublishedView, ColumnCost) {
+    /// behind every published view, the leader's and a follower's alike.
+    /// Also returns whether the closeness column was copied, the only
+    /// column [`PublishStats`] counts.
+    fn build(&self, prev: &PublishedView) -> (PublishedView, bool) {
         let (full, n) = (self.full, self.n);
-        let (closeness, cost) =
-            prev.closeness.next(index_for(indexes, MetricKind::Closeness), full, n, &self.entries);
+        let (closeness, copied) = prev.closeness.next(full, n, &self.entries);
         // A full epoch decides afresh whether the view carries bounds; a
         // thin one keeps what the previous view had.
         let bounded = if full { !self.bounds.is_empty() } else { prev.has_bounds() };
-        let bounds =
-            if bounded { prev.bounds.next(full, n, &self.bounds).0 } else { ChunkedVec::default() };
+        let bounds = if bounded {
+            restated(&prev.bounds, full, n, &self.bounds)
+                .map_or_else(|| prev.bounds.clone(), Arc::from)
+        } else {
+            Arc::from([])
+        };
         let extras = self
             .extras
             .iter()
             .map(|(kind, entries)| {
                 let fresh = MetricColumn::empty(*kind);
                 let base = prev.extras.iter().find(|c| c.kind == *kind).unwrap_or(&fresh);
-                base.next(index_for(indexes, *kind), full, n, entries).0
+                base.next(full, n, entries).0
             })
             .collect();
         let view = PublishedView {
@@ -711,7 +514,7 @@ impl ViewDelta {
             bounds,
             extras,
         };
-        (view, cost)
+        (view, copied)
     }
 }
 
@@ -813,35 +616,31 @@ impl Default for ViewCell {
 pub struct PublishStats {
     /// Epochs minted (full + delta).
     pub epochs: u64,
-    /// Epochs published via the full `O(n)` rebuild path.
+    /// Epochs that re-stated every vertex.
     pub full_epochs: u64,
-    /// Epochs published via the `O(changed)` delta path.
+    /// Epochs that re-stated the changed rows only.
     pub delta_epochs: u64,
     /// Total rows re-stated across all epochs.
     pub changed_rows: u64,
-    /// Closeness chunks materialized (copied or newly filled).
+    /// Closeness columns copied (and their top-k reselected): epochs that
+    /// re-stated an entry, grew the view or were full.
     pub chunks_copied: u64,
-    /// Closeness chunks shared with the previous view (`Arc` bump only).
+    /// Closeness columns shared with the previous view (`Arc` bumps only).
     pub chunks_shared: u64,
-    /// Bounded rescans of the top-k index (full publishes + underflow
-    /// refills).
-    pub topk_rebuilds: u64,
 }
 
-/// The engine-side writer half of the publish layer: mints epochs, owns
-/// the maintained top-k indexes, and swaps finished views into the shared
-/// [`ViewCell`]. What a view says is the caller's: the publisher keeps no
-/// bounds state (the engine scores each epoch's rows, bounds included).
+/// The engine-side writer half of the publish layer: mints epochs and
+/// swaps finished views into the shared [`ViewCell`]. What a view says is
+/// the caller's: the publisher keeps no bounds state (the engine scores
+/// each epoch's rows, bounds included).
 #[derive(Debug)]
 pub struct Publisher {
     cell: Arc<ViewCell>,
     epoch: u64,
-    /// Maintained top-k index per column, closeness first.
-    indexes: Vec<(MetricKind, TopKIndex)>,
     /// The next publish must re-state every vertex: set at construction and
     /// by [`Publisher::request_full`].
     needs_full: bool,
-    /// Test/bench override: disable the delta path entirely.
+    /// Test/bench override: every publish re-states every vertex.
     force_full: bool,
     stats: PublishStats,
     last_delta: Option<ViewDelta>,
@@ -852,7 +651,6 @@ impl Publisher {
         Self {
             cell: Arc::new(ViewCell::default()),
             epoch: 0,
-            indexes: Vec::new(),
             needs_full: true,
             force_full: false,
             stats: PublishStats::default(),
@@ -886,96 +684,35 @@ impl Publisher {
         self.last_delta.as_ref()
     }
 
-    /// Whether the next publish must take the full path.
+    /// Whether the next publish must be a full delta.
     pub fn wants_full(&self) -> bool {
         self.needs_full || self.force_full
     }
 
-    /// Forces the next publish onto the full path: a rewind whose rows
-    /// the delta path cannot name (the engine's checkpoint fallback).
+    /// Forces the next publish to re-state every vertex: a rewind whose
+    /// rows a thin delta cannot name (the engine's checkpoint fallback).
     pub fn request_full(&mut self) {
         self.needs_full = true;
     }
 
-    /// Disables (`true`) or re-enables (`false`) the delta path — the
-    /// full-rebuild baseline for equivalence tests and the publish bench.
+    /// Makes (`true`) or stops making (`false`) every publish a full one —
+    /// the full-rebuild baseline for equivalence tests and the publish bench.
     pub fn set_force_full(&mut self, on: bool) {
         self.force_full = on;
     }
 
-    /// Publishes a new epoch via the full `O(n)` rebuild path. `bounds`
-    /// must be empty under [`BoundsMode::None`] and vertex-aligned under
-    /// `Certified`; `extras` holds each extra metric's complete length-`n`
-    /// column, kinds in wire-id order (empty on closeness-only runs).
-    pub fn publish(
-        &mut self,
-        rc_steps: usize,
-        changes_applied: u64,
-        converged: bool,
-        closeness: Vec<f64>,
-        bounds: Vec<f64>,
-        extras: Vec<(MetricKind, Vec<f64>)>,
-    ) -> Arc<PublishedView> {
-        let n = closeness.len();
-        let restate = |column: Vec<f64>| -> Vec<(VertexId, f64)> {
-            debug_assert!(column.is_empty() || column.len() == n, "column must be vertex-aligned");
-            column.into_iter().enumerate().map(|(v, x)| (v as VertexId, x)).collect()
-        };
-        self.mint(ViewDelta {
-            epoch: self.epoch + 1,
-            rc_steps,
-            changes_applied,
-            converged,
-            full: true,
-            n,
-            entries: restate(closeness),
-            bounds: restate(bounds),
-            extras: extras.into_iter().map(|(kind, column)| (kind, restate(column))).collect(),
-        })
-    }
-
-    /// Publishes a new epoch via the `O(changed)` delta path: `entries`
-    /// (and `bound_entries`, under `Certified`, and each extra metric's
-    /// list in `extras`) re-state exactly the rows whose values changed
-    /// since the previous publish, sorted by id; `n` is the new vertex
-    /// count (never below the published view's — callers route shrinking
-    /// transitions through [`Publisher::publish`]). Every column is
-    /// carried forward by structural sharing and its maintained index
-    /// absorbs the delta.
-    #[allow(clippy::too_many_arguments)]
-    pub fn publish_changes(
-        &mut self,
-        rc_steps: usize,
-        changes_applied: u64,
-        converged: bool,
-        n: usize,
-        entries: Vec<(VertexId, f64)>,
-        bound_entries: Vec<(VertexId, f64)>,
-        extras: Vec<(MetricKind, Vec<(VertexId, f64)>)>,
-    ) -> Arc<PublishedView> {
-        debug_assert!(!self.wants_full(), "delta publish while a full publish is required");
-        debug_assert!(
-            bound_entries.is_empty() || self.latest().has_bounds(),
-            "bound entries without a bounds-bearing view"
-        );
-        self.mint(ViewDelta {
-            epoch: self.epoch + 1,
-            rc_steps,
-            changes_applied,
-            converged,
-            full: false,
-            n,
-            entries,
-            bounds: bound_entries,
-            extras,
-        })
-    }
-
-    /// Mints `delta`'s epoch: builds the view from it, swaps it in and
-    /// keeps the delta for replication. Extra columns are intentionally
-    /// **not** counted in [`PublishStats`].
-    fn mint(&mut self, delta: ViewDelta) -> Arc<PublishedView> {
-        let (view, (copied, shared, rebuilt)) = delta.build(&self.cell.load(), &mut self.indexes);
+    /// Mints the next epoch from `delta`, whose `epoch` it overwrites with
+    /// the next id: builds the view the way a follower's
+    /// [`ViewDelta::apply_to`] does, swaps it in and keeps the delta for
+    /// replication. A thin delta lists, sorted by id, exactly the rows whose
+    /// values moved since the previous publish (every new id among them)
+    /// and never shrinks the view; it is refused in debug builds while
+    /// [`Publisher::wants_full`]. Extra columns are intentionally **not**
+    /// counted in [`PublishStats`].
+    pub fn publish(&mut self, mut delta: ViewDelta) -> Arc<PublishedView> {
+        debug_assert!(delta.full || !self.wants_full(), "thin delta while a full one is required");
+        delta.epoch = self.epoch + 1;
+        let (view, copied) = delta.build(&self.cell.load());
         self.epoch = delta.epoch;
         self.needs_full = false;
         self.stats.epochs += 1;
@@ -985,9 +722,8 @@ impl Publisher {
             self.stats.delta_epochs += 1;
         }
         self.stats.changed_rows += delta.rows() as u64;
-        self.stats.chunks_copied += copied;
-        self.stats.chunks_shared += shared;
-        self.stats.topk_rebuilds += u64::from(rebuilt);
+        self.stats.chunks_copied += u64::from(copied);
+        self.stats.chunks_shared += u64::from(!copied);
         self.last_delta = Some(delta);
         let view = Arc::new(view);
         self.cell.store(view.clone());
@@ -1005,15 +741,36 @@ impl Default for Publisher {
 mod tests {
     use super::*;
 
+    /// A full epoch re-stating `closeness` and, when not empty, `bounds`.
+    fn full_delta(rc_steps: usize, closeness: Vec<f64>, bounds: Vec<f64>) -> ViewDelta {
+        let restate = |c: Vec<f64>| c.into_iter().enumerate().map(|(v, x)| (v as VertexId, x));
+        ViewDelta {
+            epoch: 0,
+            rc_steps,
+            changes_applied: 0,
+            converged: false,
+            full: true,
+            n: closeness.len(),
+            entries: restate(closeness).collect(),
+            bounds: restate(bounds).collect(),
+            extras: Vec::new(),
+        }
+    }
+
+    /// A thin epoch over `n` vertices re-stating `entries`.
+    fn thin_delta(rc_steps: usize, n: usize, entries: Vec<(VertexId, f64)>) -> ViewDelta {
+        ViewDelta { full: false, n, entries, ..full_delta(rc_steps, Vec::new(), Vec::new()) }
+    }
+
     #[test]
     fn epochs_are_strictly_increasing_and_views_immutable() {
         let mut p = Publisher::new();
         let cell = p.cell();
         assert_eq!(cell.load().epoch, 0);
-        let v1 = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
+        let v1 = p.publish(full_delta(1, vec![0.5, 0.25], Vec::new()));
         let held = cell.load();
         assert_eq!(held.epoch, 1);
-        let v2 = p.publish(2, 0, true, vec![0.6, 0.25], Vec::new(), Vec::new());
+        let v2 = p.publish(full_delta(2, vec![0.6, 0.25], Vec::new()));
         assert_eq!(v2.epoch, 2);
         // The reader's old handle is untouched by the new publish.
         assert_eq!(held.point(0), Some(0.5));
@@ -1025,7 +782,10 @@ mod tests {
     #[test]
     fn view_queries() {
         let mut p = Publisher::new();
-        let v = p.publish(3, 2, false, vec![0.1, 0.9, 0.4], vec![0.05, 0.0, 0.2], Vec::new());
+        let v = p.publish(ViewDelta {
+            changes_applied: 2,
+            ..full_delta(3, vec![0.1, 0.9, 0.4], vec![0.05, 0.0, 0.2])
+        });
         assert_eq!(v.num_vertices(), 3);
         assert_eq!(v.point(1), Some(0.9));
         assert_eq!(v.point(9), None);
@@ -1066,7 +826,7 @@ mod tests {
             })
             .collect();
         for e in 1..=200u64 {
-            p.publish(e as usize, 0, false, vec![e as f64; 64], Vec::new(), Vec::new());
+            p.publish(full_delta(e as usize, vec![e as f64; 64], Vec::new()));
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
@@ -1075,101 +835,92 @@ mod tests {
         assert_eq!(cell.load().epoch, 200);
     }
 
-    /// Reference next-view construction: full rebuild from the previous
-    /// materialized vector plus the delta, via the legacy path.
-    fn full_oracle(
-        p: &mut Publisher,
-        prev: &PublishedView,
-        n: usize,
-        entries: &[(VertexId, f64)],
-    ) -> Arc<PublishedView> {
-        let mut vals = prev.closeness();
-        vals.resize(n, 0.0);
-        for &(v, c) in entries {
-            vals[v as usize] = c;
-        }
-        p.publish(prev.rc_steps + 1, 0, false, vals, Vec::new(), Vec::new())
-    }
-
     #[test]
-    fn delta_publish_matches_full_rebuild_and_shares_chunks() {
-        let n = 3 * CHUNK_VERTICES + 17;
+    fn an_untouched_column_is_shared_and_a_restated_one_is_reselected() {
+        let n = 3 * TOPK_SERVE_CAP + 17;
         let base: Vec<f64> = (0..n).map(|i| (i % 97) as f64 / 97.0).collect();
-        let mut fast = Publisher::new();
-        let mut slow = Publisher::new();
-        fast.publish(0, 0, false, base.clone(), Vec::new(), Vec::new());
-        slow.publish(0, 0, false, base, Vec::new(), Vec::new());
-        // Dirty a handful of rows inside chunk 1 only.
+        let mut p = Publisher::new();
+        let v0 = p.publish(full_delta(0, base.clone(), vec![0.5; n]));
+        // Only a bound moves: the closeness column and its snapshot are the
+        // previous view's.
+        let v1 = p.publish(ViewDelta { bounds: vec![(3, 0.25)], ..thin_delta(1, n, Vec::new()) });
+        assert!(Arc::ptr_eq(&v0.closeness.values, &v1.closeness.values));
+        assert!(Arc::ptr_eq(&v0.closeness.topk, &v1.closeness.topk));
+        assert!(!Arc::ptr_eq(&v0.bounds, &v1.bounds));
+        assert_eq!(v1.error_bound(3), Some(0.25));
+        // Any closeness entry: a fresh column, patched and reselected; the
+        // untouched bounds are shared.
         let entries: Vec<(VertexId, f64)> =
-            (0..8).map(|i| ((CHUNK_VERTICES + 13 * i) as VertexId, 0.5 + i as f64)).collect();
-        let slow_prev = slow.latest();
-        let dv = fast.publish_changes(1, 0, false, n, entries.clone(), Vec::new(), Vec::new());
-        let fv = full_oracle(&mut slow, &slow_prev, n, &entries);
-        assert_eq!(dv.closeness(), fv.closeness());
-        assert_eq!(dv.top_k(10), fv.top_k(10));
-        assert_eq!(dv.top_k(10), dv.top_k_rescan(10));
-        // Chunks 0, 2, 3 are shared with the previous epoch; chunk 1 was
-        // copied.
-        let s = fast.stats();
-        assert_eq!((s.full_epochs, s.delta_epochs), (1, 1));
-        assert_eq!(s.chunks_copied, 4 + 1);
-        assert_eq!(s.chunks_shared, 3);
+            (0..8).map(|i| ((13 * i) as VertexId, 0.5 + i as f64)).collect();
+        let v2 = p.publish(thin_delta(2, n, entries.clone()));
+        assert!(!Arc::ptr_eq(&v1.closeness.values, &v2.closeness.values));
+        assert!(!Arc::ptr_eq(&v1.closeness.topk, &v2.closeness.topk));
+        assert!(Arc::ptr_eq(&v1.bounds, &v2.bounds));
+        let mut expected = base;
+        for &(v, c) in &entries {
+            expected[v as usize] = c;
+        }
+        assert_eq!(v2.closeness(), expected);
+        for k in [1, 10, TOPK_SERVE_CAP, n] {
+            assert_eq!(v2.top_k(k), v2.top_k_rescan(k), "top_k({k})");
+        }
+        let s = p.stats();
+        assert_eq!((s.full_epochs, s.delta_epochs), (1, 2));
+        assert_eq!((s.chunks_copied, s.chunks_shared), (2, 1));
     }
 
     #[test]
     fn delta_publish_grows_the_view() {
         let mut p = Publisher::new();
-        p.publish(0, 0, false, vec![0.2; 10], Vec::new(), Vec::new());
-        let v =
-            p.publish_changes(1, 1, false, 12, vec![(10, 0.9), (11, 0.1)], Vec::new(), Vec::new());
+        p.publish(full_delta(0, vec![0.2; 10], Vec::new()));
+        let v = p.publish(ViewDelta {
+            changes_applied: 1,
+            ..thin_delta(1, 12, vec![(10, 0.9), (11, 0.1)])
+        });
         assert_eq!(v.num_vertices(), 12);
         assert_eq!(v.point(9), Some(0.2));
         assert_eq!(v.point(10), Some(0.9));
         assert_eq!(v.top_k(1), vec![(10, 0.9)]);
         // A grown vertex with no entry defaults to 0.0 (fresh isolated
-        // vertices have zero closeness).
-        let v2 = p.publish_changes(2, 2, false, 13, Vec::new(), Vec::new(), Vec::new());
+        // vertices have zero closeness), and growth alone copies the column.
+        let v2 = p.publish(ViewDelta { changes_applied: 2, ..thin_delta(2, 13, Vec::new()) });
         assert_eq!(v2.point(12), Some(0.0));
+        assert!(!Arc::ptr_eq(&v.closeness.values, &v2.closeness.values));
+        assert_eq!(v2.top_k(13), v2.top_k_rescan(13));
+        assert_eq!(p.stats().chunks_copied, 3);
     }
 
     #[test]
-    fn maintained_topk_survives_displacement_churn() {
-        // More vertices than the index cap, then repeatedly demote the
-        // current best: every removal is an index hit, and underflow
-        // rebuilds must keep the snapshot exact.
-        let n = TOPK_INDEX_CAP * 3;
+    fn topk_survives_displacement_churn() {
+        // More vertices than the snapshot holds several times over, then
+        // repeatedly demote the current best: every epoch's snapshot must
+        // be the oracle's prefix, however far the old one is displaced.
+        let n = TOPK_SERVE_CAP * 6;
         let base: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
         let mut p = Publisher::new();
-        p.publish(0, 0, false, base, Vec::new(), Vec::new());
-        for step in 0..TOPK_INDEX_CAP + 8 {
+        p.publish(full_delta(0, base, Vec::new()));
+        for step in 0..2 * TOPK_SERVE_CAP + 8 {
             let view = p.latest();
             let (best, _) = view.top_k(1)[0];
-            let v = p.publish_changes(
-                step + 1,
-                0,
-                false,
-                n,
-                vec![(best, -1.0)],
-                Vec::new(),
-                Vec::new(),
-            );
-            assert_eq!(v.top_k(5), v.top_k_rescan(5), "after demoting {best}");
+            let v = p.publish(thin_delta(step + 1, n, vec![(best, -1.0)]));
+            for k in [5, TOPK_SERVE_CAP] {
+                assert_eq!(v.top_k(k), v.top_k_rescan(k), "top_k({k}) after demoting {best}");
+            }
         }
-        assert!(p.stats().topk_rebuilds >= 1);
+        assert_eq!(p.stats().chunks_copied, p.stats().epochs);
     }
 
     #[test]
     fn topk_ties_break_by_id_on_both_paths() {
         let mut p = Publisher::new();
-        // All-equal values: order must be by id on the maintained path...
-        let v = p.publish(0, 0, false, vec![0.5; 300], Vec::new(), Vec::new());
-        let maintained = v.top_k(6);
-        assert_eq!(maintained, (0..6).map(|i| (i as VertexId, 0.5)).collect::<Vec<_>>());
+        // All-equal values: the snapshot orders them by id...
+        let v = p.publish(full_delta(0, vec![0.5; 300], Vec::new()));
+        let served = v.top_k(6);
+        assert_eq!(served, (0..6).map(|i| (i as VertexId, 0.5)).collect::<Vec<_>>());
         // ...and identically on the rescan oracle.
-        assert_eq!(maintained, v.top_k_rescan(6));
-        // Same via the delta path after introducing more ties.
-        let v2 =
-            p.publish_changes(1, 0, false, 300, vec![(3, 0.9), (7, 0.9)], Vec::new(), Vec::new());
+        assert_eq!(served, v.top_k_rescan(6));
+        // Same after a thin epoch introduces more ties.
+        let v2 = p.publish(thin_delta(1, 300, vec![(3, 0.9), (7, 0.9)]));
         assert_eq!(v2.top_k(3), vec![(3, 0.9), (7, 0.9), (0, 0.5)]);
         assert_eq!(v2.top_k(3), v2.top_k_rescan(3));
     }
@@ -1177,11 +928,11 @@ mod tests {
     #[test]
     fn view_delta_roundtrips_through_netmsg_and_applies() {
         let mut p = Publisher::new();
-        p.publish(1, 0, false, vec![0.25; 40], vec![0.5; 40], Vec::new());
+        p.publish(full_delta(1, vec![0.25; 40], vec![0.5; 40]));
         let follower_base = p.latest();
         p.request_full();
         assert!(p.wants_full());
-        p.publish(2, 1, false, vec![0.3; 40], vec![0.4; 40], Vec::new());
+        p.publish(ViewDelta { changes_applied: 1, ..full_delta(2, vec![0.3; 40], vec![0.4; 40]) });
         let full_delta = p.last_delta().unwrap().clone();
         assert!(full_delta.full);
         let leader = p.latest();
@@ -1192,7 +943,12 @@ mod tests {
 
         // And a thin delta epoch.
         let prev = p.latest();
-        p.publish_changes(3, 1, true, 40, vec![(5, 0.9)], vec![(5, 0.05)], Vec::new());
+        p.publish(ViewDelta {
+            changes_applied: 1,
+            converged: true,
+            bounds: vec![(5, 0.05)],
+            ..thin_delta(3, 40, vec![(5, 0.9)])
+        });
         let thin = p.last_delta().unwrap().clone();
         assert!(!thin.full);
         assert_eq!(thin.rows(), 1);
@@ -1205,14 +961,11 @@ mod tests {
     fn multi_metric_columns_publish_query_and_replicate() {
         let mut p = Publisher::new();
         let bc: Vec<f64> = (0..40).map(|i| (i * 7 % 11) as f64).collect();
-        let v = p.publish(
-            1,
-            0,
-            false,
-            vec![0.5; 40],
-            Vec::new(),
-            vec![(MetricKind::Betweenness, bc.clone())],
-        );
+        let restated = bc.iter().enumerate().map(|(v, &x)| (v as VertexId, x)).collect();
+        let v = p.publish(ViewDelta {
+            extras: vec![(MetricKind::Betweenness, restated)],
+            ..full_delta(1, vec![0.5; 40], Vec::new())
+        });
         assert!(v.has_metric(MetricKind::Betweenness));
         assert!(v.metrics().contains(MetricKind::Closeness));
         assert_eq!(v.metric_point(MetricKind::Betweenness, 3), Some(bc[3]));
@@ -1230,15 +983,11 @@ mod tests {
 
         // Thin delta epoch: only the changed betweenness entries move.
         let prev = p.latest();
-        let v2 = p.publish_changes(
-            2,
-            0,
-            true,
-            40,
-            vec![(1, 0.9)],
-            Vec::new(),
-            vec![(MetricKind::Betweenness, vec![(3, 100.0), (7, 0.25)])],
-        );
+        let v2 = p.publish(ViewDelta {
+            converged: true,
+            extras: vec![(MetricKind::Betweenness, vec![(3, 100.0), (7, 0.25)])],
+            ..thin_delta(2, 40, vec![(1, 0.9)])
+        });
         assert_eq!(v2.metric_point(MetricKind::Betweenness, 3), Some(100.0));
         assert_eq!(v2.metric_point(MetricKind::Betweenness, 7), Some(0.25));
         assert_eq!(v2.metric_point(MetricKind::Betweenness, 4), Some(bc[4]));
@@ -1296,7 +1045,7 @@ mod tests {
             assert_eq!(ViewDelta::from_msg(&NetMsg::decode(&golden).unwrap()).unwrap(), delta);
         }
         let mut p = Publisher::new();
-        let v = p.publish(1, 0, false, vec![0.5, 0.25], Vec::new(), Vec::new());
+        let v = p.publish(full_delta(1, vec![0.5, 0.25], Vec::new()));
         assert!(p.last_delta().unwrap().extras.is_empty());
         assert_eq!(v.metrics(), MetricMask::only(MetricKind::Closeness));
         assert!(!v.has_metric(MetricKind::Betweenness));
@@ -1308,7 +1057,7 @@ mod tests {
     #[test]
     fn follower_refuses_deltas_that_do_not_fit() {
         let mut p = Publisher::new();
-        p.publish(1, 0, false, vec![0.5; 8], Vec::new(), Vec::new());
+        p.publish(full_delta(1, vec![0.5; 8], Vec::new()));
         let prev = p.latest();
         let good = ViewDelta {
             epoch: 2,
@@ -1393,7 +1142,7 @@ mod tests {
         });
         for e in 1..=3 {
             std::thread::sleep(std::time::Duration::from_millis(5));
-            p.publish(e, 0, false, vec![e as f64], Vec::new(), Vec::new());
+            p.publish(full_delta(e, vec![e as f64], Vec::new()));
         }
         assert!(waiter.join().unwrap().epoch >= 3);
         // Timed variant: an unreachable epoch reports the watermark.

@@ -92,7 +92,8 @@ pub enum DegradedReason {
         /// The final fault incident observed before giving up.
         last: ClusterError,
     },
-    /// The `max_rc_steps` safety bound was hit before quiescence.
+    /// The [`MAX_RC_STEPS`](crate::policy::MAX_RC_STEPS) safety bound was
+    /// hit before quiescence.
     StepBudgetExhausted,
 }
 

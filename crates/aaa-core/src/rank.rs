@@ -4,12 +4,11 @@
 
 use crate::dv::{DvStore, KernelTally, StoreRows, Witness};
 use aaa_checkpoint::{CheckpointError, RankRows, RankSnapshot};
-use aaa_graph::sssp::{bfs_rows, BFS_LANES};
-use aaa_graph::{closeness::closeness_from_row, dist_add, Dist, PartId, VertexId, Weight, INF};
+use aaa_graph::sssp::{bfs_rows, dijkstra_rows, BFS_LANES};
+use aaa_graph::{closeness::closeness_from_row, Dist, PartId, VertexId, Weight, INF};
 use aaa_runtime::Rank;
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Re-exported kernel (it lives next to the arena it operates on).
 pub use crate::dv::relax_via;
@@ -302,24 +301,8 @@ impl RankState {
             }
         } else {
             let mut dist = vec![INF; m];
-            let mut heap: BinaryHeap<Reverse<(Dist, u32)>> = BinaryHeap::new();
             for (s, &v) in local.iter().enumerate() {
-                dist.fill(INF);
-                dist[s] = 0;
-                heap.clear();
-                heap.push(Reverse((0, s as u32)));
-                while let Some(Reverse((d, x))) = heap.pop() {
-                    if d > dist[x as usize] {
-                        continue;
-                    }
-                    for &(t, w) in &adj_local[x as usize] {
-                        let nd = dist_add(d, w as Dist);
-                        if nd < dist[t as usize] {
-                            dist[t as usize] = nd;
-                            heap.push(Reverse((nd, t)));
-                        }
-                    }
-                }
+                dijkstra_rows(|x| adj_local[x as usize].iter().copied(), s as u32, &mut dist);
                 merge(v, &dist);
             }
         }
@@ -989,7 +972,7 @@ impl RankState {
 mod tests {
     use super::*;
     use aaa_graph::sssp::dijkstra;
-    use aaa_graph::AdjGraph;
+    use aaa_graph::{dist_add, AdjGraph};
     use proptest::prelude::*;
 
     /// Path 0-1-2-3 (unit weights) split as {0,1} | {2,3}.

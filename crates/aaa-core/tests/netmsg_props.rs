@@ -203,8 +203,19 @@ proptest! {
         bounded in 0u8..2,
     ) {
         let bounds = if bounded == 1 { vec![0.125; prev_n] } else { Vec::new() };
+        let restate = |c: Vec<f64>| c.into_iter().enumerate().map(|(v, x)| (v as u32, x)).collect();
         let mut leader = Publisher::new();
-        let prev = leader.publish(1, 0, false, vec![0.5; prev_n], bounds, Vec::new());
+        let prev = leader.publish(ViewDelta {
+            epoch: 0,
+            rc_steps: 1,
+            changes_applied: 0,
+            converged: false,
+            full: true,
+            n: prev_n,
+            entries: restate(vec![0.5; prev_n]),
+            bounds: restate(bounds),
+            extras: Vec::new(),
+        });
         let decoded = NetMsg::decode(&msg.encode()).expect("own encoding decodes");
         if let Ok(delta) = ViewDelta::from_msg(&decoded) {
             if let Ok(view) = delta.apply_to(&prev) {

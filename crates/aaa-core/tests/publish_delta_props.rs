@@ -22,7 +22,7 @@ fn val(raw: u32) -> f64 {
 }
 
 /// Full bitwise equivalence of two views, including every top-k size and
-/// agreement between the maintained index and the rescan oracle.
+/// agreement between the served snapshot and the rescan oracle.
 fn assert_views_match(a: &PublishedView, b: &PublishedView) {
     assert_eq!(a.epoch, b.epoch, "lockstep epochs");
     assert_eq!(a.num_vertices(), b.num_vertices());
@@ -36,7 +36,7 @@ fn assert_views_match(a: &PublishedView, b: &PublishedView) {
     assert_eq!(a.metric_values(bc), b.metric_values(bc), "betweenness drifted");
     for k in [0, 1, 3, TOPK_SERVE_CAP, a.num_vertices(), a.num_vertices() + 7] {
         assert_eq!(a.top_k(k), b.top_k(k), "top_k({k}) drifted");
-        assert_eq!(a.top_k(k), a.top_k_rescan(k), "index disagrees with the rescan oracle");
+        assert_eq!(a.top_k(k), a.top_k_rescan(k), "snapshot disagrees with the rescan oracle");
         assert_eq!(a.metric_top_k(bc, k), b.metric_top_k(bc, k), "betweenness top_k({k}) drifted");
     }
 }
@@ -92,9 +92,18 @@ impl Columns {
     }
 
     fn publish_full(&self, p: &mut Publisher, step: usize) {
-        let extras = self.extra.iter().map(|c| (MetricKind::Betweenness, c.clone())).collect();
-        let bounds = self.bounds.clone().unwrap_or_default();
-        p.publish(step, 0, false, self.closeness.clone(), bounds, extras);
+        let restate = |c: &[f64]| c.iter().enumerate().map(|(v, &x)| (v as u32, x)).collect();
+        p.publish(ViewDelta {
+            epoch: 0,
+            rc_steps: step,
+            changes_applied: 0,
+            converged: false,
+            full: true,
+            n: self.closeness.len(),
+            entries: restate(&self.closeness),
+            bounds: self.bounds.as_deref().map_or_else(Vec::new, restate),
+            extras: self.extra.iter().map(|c| (MetricKind::Betweenness, restate(c))).collect(),
+        });
     }
 }
 
@@ -162,7 +171,17 @@ proptest! {
                     for &(id, c) in &entries {
                         current.closeness[id as usize] = c;
                     }
-                    delta.publish_changes(step + 1, 0, false, n, entries, bound_entries, extras);
+                    delta.publish(ViewDelta {
+                        epoch: 0,
+                        rc_steps: step + 1,
+                        changes_applied: 0,
+                        converged: false,
+                        full: false,
+                        n,
+                        entries,
+                        bounds: bound_entries,
+                        extras,
+                    });
                 }
                 // Forced full restate of the same vertices.
                 3 => {

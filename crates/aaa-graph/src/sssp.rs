@@ -115,8 +115,20 @@ pub fn dijkstra<G: GraphStore>(g: &G, source: VertexId) -> Vec<Dist> {
 /// avoid reallocating in the hot APSP loops). The buffer is reset to `INF`.
 pub fn dijkstra_into<G: GraphStore>(g: &G, source: VertexId, dist: &mut [Dist]) {
     debug_assert_eq!(dist.len(), g.num_vertices());
+    dijkstra_rows(|v| g.successors(v), source, dist);
+}
+
+/// The one Dijkstra body: distances from `source` over the `dist.len()`
+/// vertices `succ` enumerates, written into `dist` (reset to `INF` first).
+/// [`dijkstra_into`] runs it over a backend; the engine's IA runs it over a
+/// rank's local sub-graph when an edge there weighs more than 1.
+pub fn dijkstra_rows<F, I>(succ: F, source: VertexId, dist: &mut [Dist])
+where
+    F: Fn(VertexId) -> I,
+    I: Iterator<Item = (VertexId, Weight)>,
+{
     dist.fill(INF);
-    if g.num_vertices() == 0 {
+    if dist.is_empty() {
         return;
     }
     let mut heap: BinaryHeap<Reverse<(Dist, VertexId)>> = BinaryHeap::new();
@@ -126,7 +138,7 @@ pub fn dijkstra_into<G: GraphStore>(g: &G, source: VertexId, dist: &mut [Dist]) 
         if d > dist[v as usize] {
             continue; // stale entry
         }
-        for (t, w) in g.successors(v) {
+        for (t, w) in succ(v) {
             let nd = dist_add(d, w as Dist);
             if nd < dist[t as usize] {
                 dist[t as usize] = nd;

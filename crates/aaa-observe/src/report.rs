@@ -489,7 +489,6 @@ pub(crate) mod tests {
                     ("changed_rows", 512.0),
                     ("chunks_copied", 44.0),
                     ("chunks_shared", 196.0),
-                    ("topk_rebuilds", 3.0),
                 ],
             ),
             Section::new(

@@ -164,8 +164,8 @@ impl ServeHandle {
     }
 
     /// The `k` most central vertices in the latest epoch. `O(k)` for
-    /// `k ≤` [`aaa_core::TOPK_SERVE_CAP`] via the maintained index
-    /// snapshot; larger `k` falls back to a full rescan.
+    /// `k ≤` [`aaa_core::TOPK_SERVE_CAP`] via the view's top-k snapshot;
+    /// larger `k` falls back to a full rescan.
     pub fn top_k(&self, k: usize) -> Vec<(VertexId, f64)> {
         self.view().top_k(k)
     }
@@ -350,7 +350,7 @@ mod tests {
         // point-by-point queries.
         let batch = h.points(&[0, 5, 80, 12]);
         assert_eq!(batch, vec![h.point(0), h.point(5), None, h.point(12)]);
-        // The maintained top-k agrees with the full-rescan oracle.
+        // The served top-k agrees with the full-rescan oracle.
         let view = h.view();
         assert_eq!(view.top_k(10), view.top_k_rescan(10));
         // Converged answer matches the engine's own query path.
