@@ -143,7 +143,7 @@ callers_of() {
 }
 walks=$(callers_of 'bfs_rows(' | grep '^crates/aaa-core/' || true)
 echo "bfs_rows called in aaa-core from: $walks"
-[ "$(echo "$walks" | grep -c 'fn ')" = 3 ] && echo "$walks" | grep -q 'rank.rs: *pub fn initial_approximation(' && echo "$walks" | grep -q 'quality.rs: *pub(crate) fn certified_intervals<' && echo "$walks" | grep -q 'engine.rs: *fn landmark_rows(' || { echo "aaa-core walks hop rows outside IA, certified_intervals and landmark_rows"; exit 1; }
+[ "$(echo "$walks" | grep -c 'fn ')" = 3 ] && echo "$walks" | grep -q 'rank.rs: *pub fn initial_approximation(' && echo "$walks" | grep -q 'quality.rs: *pub(crate) fn certified_intervals<' && echo "$walks" | grep -qE 'engine.rs: *(pub\(crate\) )?fn landmark_rows\(' || { echo "aaa-core walks hop rows outside IA, certified_intervals and landmark_rows"; exit 1; }
 assemblies=$(callers_of 'DegradedReport::assemble(')
 echo "DegradedReport::assemble called from: $assemblies"
 [ "$(echo "$assemblies" | grep -c 'fn ')" = 2 ] && echo "$assemblies" | grep -q 'engine.rs: *fn degraded_run(' && echo "$assemblies" | grep -q 'net.rs: *fn degrade_with(' || { echo "a driver's degraded answer bypasses DegradedReport::assemble"; exit 1; }
@@ -402,10 +402,16 @@ pickers=$(for f in $(grep -rlE '\bLANDMARKS\b' crates/); do
   nontest "$f" | awk -v f="$f" '/^ *(pub(\(crate\))? )?fn / { name = $0 } /LANDMARKS/ && !/^ *(\/\/|const )/ && name != "" { print f ":" name }' | sort -u
 done)
 echo "LANDMARKS read in: $pickers"
-[ "$(echo "$pickers" | grep -c 'fn ')" = 1 ] && echo "$pickers" | grep -q 'engine.rs: *fn landmark_rows(' || { echo "expected exactly one function choosing landmarks, landmark_rows"; exit 1; }
+[ "$(echo "$pickers" | grep -c 'fn ')" = 1 ] && echo "$pickers" | grep -qE 'engine.rs: *(pub\(crate\) )?fn landmark_rows\(' || { echo "expected exactly one function choosing landmarks, landmark_rows"; exit 1; }
 defs=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -nE '^ *(pub(\(crate\))? )?fn [a-z_0-9]*landmark' | sed "s|^|$f:|"; done)
 echo "$defs"
-[ "$(echo "$defs" | wc -l)" = 2 ] && echo "$defs" | grep -q 'engine.rs:[0-9]*: *fn landmark_rows(' && echo "$defs" | grep -q 'rank.rs:[0-9]*: *pub fn seed_from_landmarks(' || { echo "a second landmark function under crates/"; exit 1; }
+[ "$(echo "$defs" | wc -l)" = 2 ] && echo "$defs" | grep -qE 'engine.rs:[0-9]*: *(pub\(crate\) )?fn landmark_rows\(' && echo "$defs" | grep -q 'rank.rs:[0-9]*: *pub fn seed_from_landmarks(' || { echo "a second landmark function under crates/"; exit 1; }
+# Both drivers start from the same IA: the engine's build and the socket
+# worker's `Init` arm each lower the sub-graph rows through the landmark rows,
+# and nothing else seeds from them (`recover_rank` keeps the sub-graph IA).
+seeds=$(callers_of 'seed_from_landmarks(' | grep -v 'fn seed_from_landmarks(' || true)
+echo "seed_from_landmarks called from: $seeds"
+[ "$(echo "$seeds" | grep -c 'fn ')" = 2 ] && echo "$seeds" | grep -q 'engine.rs: *fn build(' && echo "$seeds" | grep -q 'net.rs: *pub fn run_worker<' || { echo "expected the landmark seed in AnytimeEngine::build and run_worker's Init arm alone"; exit 1; }
 
 # One value, one constant. Every option with one value in use outside tests
 # became a constant, and the code that only varied it went: the strategy

@@ -86,8 +86,10 @@ const _: () = assert!(LANDMARKS <= BFS_LANES);
 /// *Landmark-seeded IA*): the exact distance rows, `n` cells each, of the
 /// [`LANDMARKS`] vertices of highest degree, ties broken by the smaller
 /// id. One [`bfs_rows`] pass on a unit-weight graph; one Dijkstra per
-/// landmark otherwise, where hop counts are not walk lengths.
-fn landmark_rows(graph: &AdjGraph) -> Vec<Dist> {
+/// landmark otherwise, where hop counts are not walk lengths. Both drivers
+/// seed from it: the engine broadcasts the rows to its ranks, `NetRunner`
+/// ships them in every `Init`.
+pub(crate) fn landmark_rows(graph: &AdjGraph) -> Vec<Dist> {
     let n = graph.num_vertices();
     let mut ids: Vec<VertexId> = graph.vertices().collect();
     ids.sort_unstable_by_key(|&v| (Reverse(graph.degree(v)), v));

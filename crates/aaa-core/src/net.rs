@@ -38,12 +38,14 @@
 //! checkpoints of dead ones) are gathered into a [`DegradedReport`] whose
 //! certified bounds cover the exact answer.
 
+use crate::engine::landmark_rows;
 use crate::policy::MAX_RC_STEPS;
 use crate::quality::{DegradedReason, DegradedReport};
 use crate::rank::{RankState, RowMsg, RowPayload, WireFormat};
 use aaa_checkpoint::{RankSnapshot, RowTable};
 use aaa_graph::apsp::DistMatrix;
 use aaa_graph::closeness::closeness_from_row;
+use aaa_graph::sssp::BFS_LANES;
 use aaa_graph::{AdjGraph, Dist, PartId, VertexId, Weight};
 use aaa_observe::{EventSink, NoopSink, SpanEvent, SpanKind, DRIVER_LANE};
 use aaa_partition::{LoadSignals, Partition, RebalancePolicy};
@@ -204,13 +206,16 @@ fn decode_rows(r: &mut Cursor<'_>) -> Result<Vec<(VertexId, Vec<Dist>)>, WireErr
 pub enum NetMsg {
     /// Coordinator → worker: build rank `rank` of `procs` over the global
     /// graph (`owner` assigns every vertex; `edges` is the full undirected
-    /// edge list), run the initial approximation, answer [`NetMsg::Ready`].
+    /// edge list), run the initial approximation, lower its rows through
+    /// `landmarks` (the exact landmark rows, `n` cells each, back to back:
+    /// DESIGN.md §5, *Landmark-seeded IA*), answer [`NetMsg::Ready`].
     Init {
         rank: u32,
         procs: u32,
         wire: WireFormat,
         owner: Vec<PartId>,
         edges: Vec<(VertexId, VertexId, Weight)>,
+        landmarks: Vec<Dist>,
     },
     /// Worker → coordinator: generic completion ack (Init / Absorb /
     /// ResendAll).
@@ -285,7 +290,7 @@ impl NetMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            NetMsg::Init { rank, procs, wire, owner, edges } => {
+            NetMsg::Init { rank, procs, wire, owner, edges, landmarks } => {
                 out.push(1);
                 put_u32(&mut out, *rank);
                 put_u32(&mut out, *procs);
@@ -300,6 +305,7 @@ impl NetMsg {
                     put_u32(&mut out, b);
                     put_u32(&mut out, w);
                 }
+                put_row(&mut out, landmarks);
             }
             NetMsg::Ready { rank } => {
                 out.push(2);
@@ -411,7 +417,8 @@ impl NetMsg {
                 };
                 let owner = get_row(&mut r)?;
                 let edges = get_triples(&mut r)?;
-                NetMsg::Init { rank, procs, wire, owner, edges }
+                let landmarks = get_row(&mut r)?;
+                NetMsg::Init { rank, procs, wire, owner, edges, landmarks }
             }
             2 => NetMsg::Ready { rank: r.u32()? },
             3 => NetMsg::Produce { round: r.u64()? },
@@ -569,17 +576,28 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
         }
         let msg = NetMsg::decode(&frame.payload).map_err(|e| protocol_err(&link.peer(), e))?;
         match msg {
-            NetMsg::Init { rank, procs: p, wire, owner, edges } => {
+            NetMsg::Init { rank, procs: p, wire, owner, edges, landmarks } => {
                 (n, procs) = (owner.len(), p as usize);
                 check_ids(link, "Init.rank", [rank], procs)?;
                 check_ids(link, "Init.owner part", owner.iter().copied(), procs)?;
                 check_ids(link, "Init.edges endpoint", edges.iter().flat_map(|e| [e.0, e.1]), n)?;
+                let rows = landmarks.len().checked_div(n).unwrap_or(0);
+                if rows * n != landmarks.len() || rows > BFS_LANES {
+                    let what = format!(
+                        "Init.landmarks holds {} cells, not at most {BFS_LANES} rows of {n}",
+                        landmarks.len()
+                    );
+                    return Err(protocol_err(&link.peer(), what));
+                }
                 let adj = adjacency(&edges);
                 let mut s = RankState::build(rank as Rank, owner, |v| {
                     adj.get(&v).cloned().unwrap_or_default()
                 });
                 s.set_wire(wire);
+                // The IA `AnytimeEngine::build` runs: the sub-graph rows,
+                // lowered through the coordinator's landmark rows.
                 s.initial_approximation();
+                s.seed_from_landmarks(&landmarks);
                 state = Some(s);
                 inbox.clear();
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;
@@ -798,6 +816,8 @@ type CheckpointRows = Vec<(VertexId, Vec<Dist>)>;
 pub struct NetRunner<'g, T: Transport> {
     graph: &'g AdjGraph,
     owner: Vec<PartId>,
+    /// The landmark rows every `Init` carries, walked once from `graph`.
+    landmarks: Vec<Dist>,
     links: Vec<T>,
     config: NetConfig,
     sink: Arc<dyn EventSink>,
@@ -827,6 +847,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
         Self {
             graph,
             owner,
+            landmarks: landmark_rows(graph),
             links,
             config,
             sink: Arc::new(NoopSink),
@@ -870,6 +891,7 @@ impl<'g, T: Transport> NetRunner<'g, T> {
             wire: self.config.wire,
             owner: self.owner.clone(),
             edges: self.graph.edges().collect(),
+            landmarks: self.landmarks.clone(),
         }
     }
 
@@ -1340,6 +1362,7 @@ mod tests {
             wire: WireFormat::Delta,
             owner: vec![0, 1, 2, 3, 0],
             edges: vec![(0, 1, 3), (1, 2, 1)],
+            landmarks: vec![3, 0, 1, u32::MAX, u32::MAX, 4, 1, 0, u32::MAX, u32::MAX],
         });
         roundtrip(NetMsg::Ready { rank: 1 });
         roundtrip(NetMsg::Produce { round: 9 });

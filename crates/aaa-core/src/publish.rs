@@ -80,15 +80,34 @@ fn rank_before(a: &(VertexId, f64), b: &(VertexId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
+/// How many values [`select_top`] takes in before it cuts its buffer back
+/// to the best [`TOPK_SERVE_CAP`]. A column of at most this many values
+/// costs one selection over all of them; a longer one never holds more than
+/// `TOPK_SERVE_CAP + SELECT_CHUNK` entries.
+const SELECT_CHUNK: usize = 32 * TOPK_SERVE_CAP;
+
 /// The first [`TOPK_SERVE_CAP`] entries of `values` (all of them when there
-/// are fewer) in serve order: one bounded selection, then a sort of the
-/// prefix it leaves.
+/// are fewer) in serve order: one scan, [`SELECT_CHUNK`] values at a time.
+/// The buffer keeps the best cap entries so far, takes in those of the
+/// chunk whose value ranks before the worst kept one, and one bounded
+/// selection cuts it back to cap; a sort of the last cut ends it. A value
+/// that ties the worst kept one is left out: its id is the larger.
 fn select_top(values: &[f64]) -> Vec<(VertexId, f64)> {
     let mut top: Vec<(VertexId, f64)> =
-        values.iter().enumerate().map(|(v, &x)| (v as VertexId, x)).collect();
-    if top.len() > TOPK_SERVE_CAP {
-        top.select_nth_unstable_by(TOPK_SERVE_CAP, rank_before);
-        top.truncate(TOPK_SERVE_CAP);
+        Vec::with_capacity(values.len().min(TOPK_SERVE_CAP + SELECT_CHUNK));
+    let mut worst: Option<f64> = None;
+    for (c, chunk) in values.chunks(SELECT_CHUNK).enumerate() {
+        let id = |i: usize| (c * SELECT_CHUNK + i) as VertexId;
+        let entries = chunk.iter().enumerate().map(|(i, &x)| (id(i), x));
+        match worst {
+            None => top.extend(entries),
+            Some(w) => top.extend(entries.filter(|e| e.1.total_cmp(&w).is_gt())),
+        }
+        if top.len() > TOPK_SERVE_CAP {
+            top.select_nth_unstable_by(TOPK_SERVE_CAP - 1, rank_before);
+            top.truncate(TOPK_SERVE_CAP);
+            worst = Some(top[TOPK_SERVE_CAP - 1].1);
+        }
     }
     top.sort_unstable_by(rank_before);
     top
@@ -908,6 +927,35 @@ mod tests {
             }
         }
         assert_eq!(p.stats().chunks_copied, p.stats().epochs);
+    }
+
+    /// The chunked selection keeps exactly the rescan oracle's prefix, bit
+    /// for bit, on every length around the cap and the chunk size and on
+    /// orders that cut the buffer at every chunk: ascending (every entry
+    /// beats the kept ones), descending, all tied, few distinct values, and
+    /// the values `total_cmp` ranks apart (NaNs, signed zeros, infinities).
+    #[test]
+    fn select_top_is_the_rescan_prefix() {
+        let patterns: [fn(usize) -> f64; 5] = [
+            |i| i as f64,
+            |i| -(i as f64),
+            |_| 0.25,
+            |i| ((i * 7919) % 5) as f64,
+            |i| [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 0.5][i % 7],
+        ];
+        let (cap, chunk) = (TOPK_SERVE_CAP, SELECT_CHUNK);
+        for n in
+            [0, 1, cap - 1, cap, cap + 1, chunk - 1, chunk, chunk + 1, chunk + cap, 3 * chunk + 5]
+        {
+            for pattern in patterns {
+                let values: Vec<f64> = (0..n).map(pattern).collect();
+                let bits = |top: Vec<(VertexId, f64)>| {
+                    top.into_iter().map(|(v, x)| (v, x.to_bits())).collect::<Vec<_>>()
+                };
+                let oracle = top_k(&values, cap).into_iter().map(|v| (v, values[v as usize]));
+                assert_eq!(bits(select_top(&values)), bits(oracle.collect()), "n {n}");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use aaa_core::rank::{RowMsg, RowPayload, WireFormat};
 use aaa_core::{NetMsg, Publisher, ViewDelta, WireError};
+use aaa_graph::sssp::BFS_LANES;
 use aaa_graph::INF;
 use proptest::prelude::*;
 
@@ -77,13 +78,15 @@ fn any_netmsg() -> impl Strategy<Value = NetMsg> {
             (0u32..64, 1u32..64, 0u8..2),
             proptest::collection::vec(0u32..64, 0..128),
             proptest::collection::vec((0u32..200, 0u32..200, 1u32..100), 0..256),
+            proptest::collection::vec(0u32..=INF, 0..256),
         )
-            .prop_map(|((rank, procs, wire), owner, edges)| NetMsg::Init {
+            .prop_map(|((rank, procs, wire), owner, edges, landmarks)| NetMsg::Init {
                 rank,
                 procs,
                 wire: if wire == 0 { WireFormat::Full } else { WireFormat::Delta },
                 owner,
                 edges,
+                landmarks,
             })
             .boxed(),
         1 => (0u32..64).prop_map(|rank| NetMsg::Ready { rank }).boxed(),
@@ -244,6 +247,22 @@ fn hostile_length_prefixes_do_not_allocate() {
     bomb.extend_from_slice(&u32::MAX.to_le_bytes()); // owner count
     assert!(matches!(NetMsg::decode(&bomb), Err(WireError::Truncated { .. })));
 
+    // Init whose last field, the landmark rows, claims one cell more than
+    // follows.
+    let landmarks = vec![1, 0, 1, 2];
+    let mut bomb = NetMsg::Init {
+        rank: 0,
+        procs: 2,
+        wire: WireFormat::Full,
+        owner: vec![0, 0, 1, 1],
+        edges: vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+        landmarks: landmarks.clone(),
+    }
+    .encode();
+    let count = bomb.len() - 4 * (1 + landmarks.len());
+    bomb[count..count + 4].copy_from_slice(&(landmarks.len() as u32 + 1).to_le_bytes());
+    assert!(matches!(NetMsg::decode(&bomb), Err(WireError::Truncated { .. })));
+
     // A Rows bundle whose inner row claims a giant Full vector.
     let mut bomb = vec![4u8]; // Rows tag
     bomb.extend_from_slice(&1u64.to_le_bytes()); // round
@@ -271,6 +290,7 @@ fn unknown_tags_and_trailing_bytes_are_typed_errors() {
         wire: WireFormat::Full,
         owner: vec![0, 1],
         edges: vec![(0, 1, 1)],
+        landmarks: Vec::new(),
     }
     .encode();
     // Init layout: tag, rank u32, procs u32, wire u8 at offset 9.
@@ -307,9 +327,19 @@ fn out_of_range_ids_from_the_wire_end_the_worker_with_a_protocol_error() {
         wire: WireFormat::Full,
         owner,
         edges,
+        landmarks: Vec::new(),
     };
     // Path 0-1-2-3 split 2|2, the worker is rank 0.
     let good = || init(0, vec![0, 0, 1, 1], vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+    // The same rank, seeded by `landmarks`.
+    let seeded = |landmarks: Vec<u32>| NetMsg::Init {
+        rank: 0,
+        procs: 2,
+        wire: WireFormat::Full,
+        owner: vec![0, 0, 1, 1],
+        edges: vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+        landmarks,
+    };
     let rows = |v: u32| NetMsg::Rows {
         round: 1,
         peer: 1,
@@ -327,6 +357,9 @@ fn out_of_range_ids_from_the_wire_end_the_worker_with_a_protocol_error() {
             reassign(vec![(1, 1)], vec![(1, 0, 1), (1, 2, 1)]),
             NetMsg::Consume { round: 1, expect: 0 },
         ],
+        // The rows of landmarks 1 and 2, then every row the limit allows.
+        vec![seeded(vec![1, 0, 1, 2, 2, 1, 0, 1]), rows(2), consume.clone()],
+        vec![seeded(vec![0; 4 * BFS_LANES])],
     ];
     for msgs in served {
         let ended = verdict(msgs.clone());
@@ -342,6 +375,8 @@ fn out_of_range_ids_from_the_wire_end_the_worker_with_a_protocol_error() {
         (vec![good(), reassign(vec![(77, 1)], vec![])], "Reassign.moves vertex 77"),
         (vec![good(), reassign(vec![(1, 2)], vec![])], "Reassign.moves part 2"),
         (vec![good(), reassign(vec![(1, 1)], vec![(1, 4, 1)])], "Reassign.adj endpoint 4"),
+        (vec![seeded(vec![1, 0, 1, 2, 2, 1])], "Init.landmarks"),
+        (vec![seeded(vec![0; 4 * (BFS_LANES + 1)])], "Init.landmarks"),
     ];
     for (msgs, field) in refused {
         match verdict(msgs.clone()) {

@@ -10,15 +10,17 @@
 //! transport changed the *answer*, not just the schedule.
 
 use aaa_core::{
-    run_worker, AnytimeEngine, EngineConfig, NetConfig, NetOutcome, NetRunner, NoSupervisor,
-    RebalancePolicy, Revive, WorkerSupervisor,
+    run_worker, AnytimeEngine, EngineConfig, NetConfig, NetMsg, NetOutcome, NetRunner,
+    NoSupervisor, RebalancePolicy, Revive, WorkerSupervisor,
 };
 use aaa_graph::generators::{barabasi_albert, WeightModel};
 use aaa_graph::AdjGraph;
 use aaa_runtime::{
-    read_hello, Backoff, Hello, LocalTransport, NetChaos, SocketTransport, Transport,
+    read_hello, Backoff, Frame, FrameKind, Hello, LocalTransport, NetChaos, SocketTransport,
+    Transport,
 };
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const PROCS: usize = 4;
@@ -354,6 +356,184 @@ fn chaotic_sockets_still_converge_to_the_same_bits() {
             NetOutcome::Degraded(report) => {
                 panic!("seed {seed} degraded: {:?}", report.reason)
             }
+        }
+    }
+}
+
+/// One rank's DV rows, as `GatherRows` returns them.
+type Rows = Vec<(u32, Vec<u32>)>;
+
+/// What the coordinator's links saw, in order, across every rank: an
+/// `"Init"` answered, with the rank's rows at that moment, or an `"Absorb"`
+/// sent.
+type Seen = Arc<Mutex<Vec<(usize, &'static str, Rows)>>>;
+
+/// A coordinator-side socket link that, when the worker answers an `Init`,
+/// asks it for its rows before handing the `Ready` on — the rows straight
+/// after IA, before any `Absorb` or round. With `kill_at` set, the `Produce`
+/// of that round instead shuts the worker down and the link is dead from
+/// then on.
+struct AfterInit {
+    inner: SocketTransport,
+    rank: usize,
+    seen: Seen,
+    kill_at: Option<u64>,
+    init_sent: bool,
+    dead: bool,
+}
+
+impl AfterInit {
+    fn new(rank: usize, inner: SocketTransport, seen: &Seen) -> Self {
+        Self { inner, rank, seen: seen.clone(), kill_at: None, init_sent: false, dead: false }
+    }
+
+    fn dead_err(&self) -> aaa_runtime::NetError {
+        aaa_runtime::NetError::PeerDead { peer: self.peer() }
+    }
+}
+
+impl Transport for AfterInit {
+    fn send(&mut self, kind: FrameKind, payload: &[u8]) -> Result<u64, aaa_runtime::NetError> {
+        if self.dead {
+            return Err(self.dead_err());
+        }
+        if kind == FrameKind::Data {
+            let msg = NetMsg::decode(payload).expect("the coordinator sends valid messages");
+            self.init_sent = matches!(msg, NetMsg::Init { .. });
+            match msg {
+                NetMsg::Produce { round } if Some(round) == self.kill_at => {
+                    self.inner.send(FrameKind::Shutdown, &[])?;
+                    self.dead = true;
+                    return Err(self.dead_err());
+                }
+                NetMsg::Absorb { .. } => {
+                    self.seen.lock().unwrap().push((self.rank, "Absorb", Vec::new()))
+                }
+                _ => {}
+            }
+        }
+        self.inner.send(kind, payload)
+    }
+
+    fn recv(&mut self, deadline: Option<Duration>) -> Result<Frame, aaa_runtime::NetError> {
+        if self.dead {
+            return Err(self.dead_err());
+        }
+        let frame = self.inner.recv(deadline)?;
+        let is_ready = |f: &Frame| {
+            f.kind == FrameKind::Data
+                && matches!(NetMsg::decode(&f.payload), Ok(NetMsg::Ready { .. }))
+        };
+        if self.init_sent && is_ready(&frame) {
+            self.init_sent = false;
+            self.inner.send(FrameKind::Data, &NetMsg::GatherRows.encode())?;
+            let rows = loop {
+                let reply = self.inner.recv(deadline)?;
+                if let Ok(NetMsg::RowsReply { rows }) = NetMsg::decode(&reply.payload) {
+                    break rows;
+                }
+            };
+            self.seen.lock().unwrap().push((self.rank, "Init", rows));
+        }
+        Ok(frame)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
+/// Respawns a rank with a fresh socket worker thread behind a fresh
+/// [`AfterInit`] link.
+struct Respawner {
+    listener: TcpListener,
+    seen: Seen,
+    spawned: Vec<std::thread::JoinHandle<Result<(), aaa_runtime::NetError>>>,
+}
+
+impl WorkerSupervisor<AfterInit> for Respawner {
+    fn revive(&mut self, rank: usize, _link: &mut AfterInit, _attempt: u32) -> Revive<AfterInit> {
+        let addr = self.listener.local_addr().unwrap().to_string();
+        self.spawned.push(spawn_socket_worker(addr, rank as u32, NetChaos::none()));
+        let (mut stream, _) = self.listener.accept().expect("accept");
+        let hello = read_hello(&mut stream, Duration::from_secs(10)).expect("hello");
+        assert_eq!(hello.rank as usize, rank, "only the respawned worker dials");
+        let link = SocketTransport::accept(stream, hello, NetChaos::none()).expect("handshake");
+        Revive::Respawned(AfterInit::new(rank, link, &self.seen))
+    }
+}
+
+/// Both drivers start from the same IA: straight after each `Init` — every
+/// rank's first, and a respawned rank's before its `Absorb` — a socket
+/// worker's `GatherRows` equals the matching rank's rows of an
+/// `AnytimeEngine` built over the same external partition, on a unit-weight
+/// graph and a weighted one. The run then converges to the engine's bits.
+#[test]
+fn socket_workers_start_from_the_engines_landmark_seeded_ia() {
+    use aaa_partition::Partition;
+
+    const KILLED: usize = 2;
+    for weights in [WeightModel::Unit, WeightModel::UniformRange { lo: 1, hi: 4 }] {
+        let graph = barabasi_albert(180, 2, weights, 42).unwrap();
+        let owner: Vec<u32> = (0..180).map(|v| v % PROCS as u32).collect();
+        let partition = Partition::new(owner.clone(), PROCS).unwrap();
+        let config = EngineConfig::deterministic(PROCS);
+        let mut engine = AnytimeEngine::with_partition(graph.clone(), partition, config).unwrap();
+        let snap = engine.snapshot();
+        let ia: Vec<Rows> = (0..PROCS)
+            .map(|r| {
+                let local = &snap.rank(r).expect("every rank").local;
+                let mut rows: Rows = local.iter().map(|(v, row)| (v, row.to_vec())).collect();
+                rows.sort_unstable();
+                rows
+            })
+            .collect();
+        engine.run_to_convergence();
+        let oracle = engine.closeness();
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let workers: Vec<_> = (0..PROCS)
+            .map(|rank| spawn_socket_worker(addr.clone(), rank as u32, NetChaos::none()))
+            .collect();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (links, _) = accept_links(&listener, NetChaos::none());
+        let links: Vec<_> = links
+            .into_iter()
+            .enumerate()
+            .map(|(rank, inner)| AfterInit {
+                kill_at: (rank == KILLED).then_some(2),
+                ..AfterInit::new(rank, inner, &seen)
+            })
+            .collect();
+        // A checkpoint every round, so the respawned rank has one to absorb.
+        let config = NetConfig { checkpoint_every: 1, ..NetConfig::default() };
+        let mut runner = NetRunner::new(&graph, owner, links, config);
+        let mut supervisor = Respawner { listener, seen: seen.clone(), spawned: Vec::new() };
+        runner.init(&mut supervisor).unwrap_or_else(|_| panic!("init degraded"));
+        let outcome = runner.run(&mut supervisor);
+        runner.shutdown();
+        drop(runner);
+        for w in workers.into_iter().chain(supervisor.spawned) {
+            w.join().expect("worker thread panicked").expect("worker exited cleanly");
+        }
+        match outcome {
+            NetOutcome::Converged(summary) => {
+                assert_bit_identical(&summary.closeness, &oracle, &format!("{weights:?}"));
+                assert_eq!(summary.recoveries, 1, "{weights:?}: the kill must fire");
+            }
+            NetOutcome::Degraded(report) => panic!("{weights:?} degraded: {:?}", report.reason),
+        }
+
+        let seen = seen.lock().unwrap();
+        let order: Vec<(usize, &str)> = seen.iter().map(|e| (e.0, e.1)).collect();
+        let init = |rank| (rank, "Init");
+        let expected = [init(0), init(1), init(2), init(3), init(KILLED), (KILLED, "Absorb")];
+        assert_eq!(order, expected, "{weights:?}: the respawn's IA comes before its Absorb");
+        for (rank, _, rows) in seen.iter().filter(|e| e.1 == "Init") {
+            let mut rows = rows.clone();
+            rows.sort_unstable();
+            assert!(rows == ia[*rank], "{weights:?}: rank {rank}'s IA rows differ");
         }
     }
 }
