@@ -407,11 +407,13 @@ defs=$(for f in $(find crates -name '*.rs'); do nontest "$f" | grep -nE '^ *(pub
 echo "$defs"
 [ "$(echo "$defs" | wc -l)" = 2 ] && echo "$defs" | grep -qE 'engine.rs:[0-9]*: *(pub\(crate\) )?fn landmark_rows\(' && echo "$defs" | grep -q 'rank.rs:[0-9]*: *pub fn seed_from_landmarks(' || { echo "a second landmark function under crates/"; exit 1; }
 # Both drivers start from the same IA: the engine's build and the socket
-# worker's `Init` arm each lower the sub-graph rows through the landmark rows,
-# and nothing else seeds from them (`recover_rank` keeps the sub-graph IA).
+# worker's `Init` arm each lower the sub-graph rows through the landmark rows.
+# The one other seed is Repartition-S's `adopt`, which lowers the batch's rows
+# and columns through the grown graph's landmark rows; nothing else seeds from
+# them (`recover_rank` keeps the sub-graph IA, `rebalance` grows nothing).
 seeds=$(callers_of 'seed_from_landmarks(' | grep -v 'fn seed_from_landmarks(' || true)
 echo "seed_from_landmarks called from: $seeds"
-[ "$(echo "$seeds" | grep -c 'fn ')" = 2 ] && echo "$seeds" | grep -q 'engine.rs: *fn build(' && echo "$seeds" | grep -q 'net.rs: *pub fn run_worker<' || { echo "expected the landmark seed in AnytimeEngine::build and run_worker's Init arm alone"; exit 1; }
+[ "$(echo "$seeds" | grep -c 'fn ')" = 3 ] && echo "$seeds" | grep -q 'engine.rs: *fn build(' && echo "$seeds" | grep -q 'engine.rs: *fn adopt(' && echo "$seeds" | grep -q 'net.rs: *pub fn run_worker<' || { echo "expected the landmark seed in AnytimeEngine::build, AnytimeEngine::adopt and run_worker's Init arm alone"; exit 1; }
 
 # One value, one constant. Every option with one value in use outside tests
 # became a constant, and the code that only varied it went: the strategy

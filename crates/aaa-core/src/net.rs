@@ -597,7 +597,7 @@ pub fn run_worker<T: Transport>(link: &mut T, idle_deadline: Duration) -> Result
                 // The IA `AnytimeEngine::build` runs: the sub-graph rows,
                 // lowered through the coordinator's landmark rows.
                 s.initial_approximation();
-                s.seed_from_landmarks(&landmarks);
+                s.seed_from_landmarks(&landmarks, 0);
                 state = Some(s);
                 inbox.clear();
                 link.send(FrameKind::Data, &NetMsg::Ready { rank }.encode())?;

@@ -311,7 +311,7 @@ impl RankState {
         dv.clear_unpropagated();
     }
 
-    /// Lowers every local row to its shortest walk through a landmark:
+    /// Lowers local rows to their shortest walk through a landmark:
     /// `D[v][t] ← min(D[v][t], min_L d(v, L) + d(L, t))`, where
     /// `landmarks` holds the exact row of each landmark `L`, `n` cells
     /// each, in the current (undirected) graph, so `d(v, L)` is cell `v`
@@ -319,17 +319,25 @@ impl RankState {
     /// length of a real walk, so every cell stays an upper bound. The
     /// merge is the tracked one: every lowered cell is recorded, and the
     /// kernel's closure invariant (§9) holds after it.
-    pub fn seed_from_landmarks(&mut self, landmarks: &[Dist]) {
+    ///
+    /// The vertices from `base` on are a batch the rows have just grown
+    /// by (Repartition-S): a row of one of them is lowered in every
+    /// column, an older row only in the columns from `base` on — its older
+    /// columns already bound the grown graph's distances. IA passes `0`.
+    pub fn seed_from_landmarks(&mut self, landmarks: &[Dist], base: VertexId) {
         let n = self.dv.n();
-        if n == 0 || landmarks.is_empty() {
+        if base as usize >= n || landmarks.is_empty() {
             return;
         }
         let mut via = vec![INF; n];
         for &v in &self.local {
+            let from = if v < base { base as usize } else { 0 };
             via.fill(INF);
             for row in landmarks.chunks_exact(n) {
-                relax_via(&mut via, row[v as usize], row);
+                relax_via(&mut via[from..], row[v as usize], &row[from..]);
             }
+            // The dense merge, not a sparse one over the tail: it keeps the
+            // lowered chunks' bounds exact, which the kernel prunes by.
             self.dv.min_merge_local(v, &via);
         }
     }
@@ -778,9 +786,10 @@ impl RankState {
     }
 
     /// Lowers `D[a][b]` and `D[b][a]` to `w` for every listed edge, on the
-    /// rows held here: all Repartition-S tells the rows about a batch's
+    /// rows held here: what Repartition-S tells the rows about a batch's
     /// edges (the anywhere strategies relax every row over each one
-    /// instead), and what RC needs to take it from there.
+    /// instead). Its [`RankState::seed_from_landmarks`] call after this
+    /// one bounds the batch's other cells, and RC takes it from there.
     pub fn seed_edges(&mut self, edges: &[(VertexId, VertexId, Weight)]) {
         // RC carries the edges from here: the local rows are no longer
         // exact, so what it merges into the cache must be recorded.
@@ -1766,14 +1775,11 @@ mod tests {
             snapshot.ranks.iter().flat_map(|r| r.pending.iter().copied()).collect();
         pending.sort_unstable();
         let after = live.partition().assignment();
-        let mut want: Vec<VertexId> = (0..after.len() as VertexId)
-            .filter(|&v| before.get(v as usize) != Some(&after[v as usize]))
-            .chain(wave.global_edges(150).into_iter().map(|e| e.1))
-            .collect();
-        want.sort_unstable();
-        want.dedup();
+        // The landmark seed lowers every new row, and every older row at
+        // the new columns: every row of the grown graph is pending.
+        let want: Vec<VertexId> = (0..after.len() as VertexId).collect();
         assert_eq!(pending, want);
-        assert!(want.len() > wave.len(), "the wave moved no row");
+        assert!(before.iter().zip(after).any(|(was, now)| was != now), "the wave moved no row");
 
         let mut restored = AnytimeEngine::from_snapshot(&snapshot, config).expect("restore");
         let at_snapshot = live.kernel_tally();
